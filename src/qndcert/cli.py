@@ -32,7 +32,13 @@ from .report import (
     report_to_dict,
 )
 from .selftest import run_selftest
-from .statistics import DeltaStats, MomentSet, delta_stats, sample_moments
+from .statistics import (
+    DeltaStats,
+    MomentSet,
+    ShotRecords,
+    delta_stats,
+    sample_moments,
+)
 
 __all__ = ["main"]
 
@@ -102,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float]:
+def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
+                               ShotRecords]:
     meta = args.meta
     if meta is None:
         meta = sibling_meta_path(args.records)
@@ -110,7 +117,7 @@ def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float]:
     measured, reference = sample_moments(records)
     r_l = 1.0 if args.r_l is None else args.r_l
     delta = delta_stats(measured, reference, r_l)
-    return measured, reference, delta, r_l
+    return measured, reference, delta, r_l, records
 
 
 def _print_moment_table(measured: MomentSet, reference: MomentSet,
@@ -144,7 +151,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    measured, reference, delta, r_l = _load_delta(args)
+    measured, reference, delta, r_l, _ = _load_delta(args)
     _print_moment_table(measured, reference, delta)
     if args.out is not None:
         payload = {
@@ -163,7 +170,7 @@ def _cmd_stats(args) -> int:
 def _cmd_estimate(args) -> int:
     from .estimation import invert_three_pulse
 
-    measured, _, delta, r_l = _load_delta(args)
+    measured, _, delta, r_l, _ = _load_delta(args)
     estimates = invert_three_pulse(delta, measured.var_p, args.kappa, args.j33)
     se = f" +- {estimates.r_a_se:.4f}" if estimates.r_a_se is not None else ""
     print(f"r_a (covariance ratio): {estimates.r_a:.6f}{se}")
@@ -249,13 +256,13 @@ def _cmd_certify(args) -> int:
     if z is None:
         z = config.z_threshold if config is not None else 3.0
 
-    measured, reference, delta, r_l = _load_delta(args)
+    measured, reference, delta, r_l, records = _load_delta(args)
     report = certify(delta, measured.var_p, kappa, j33, j0, z_threshold=z,
                      var_p_se=(measured.se or {}).get("var_p"))
     _print_report(report)
     if args.out is not None:
         dump_json(report_to_dict(report, moments=(measured, reference),
-                                 r_l=r_l), args.out)
+                                 records=records, r_l=r_l), args.out)
         print(f"wrote {args.out}")
     status = exit_code(report)
     if status == 0:

@@ -8,8 +8,13 @@ A record set with prefix ``run`` lands in three files::
 
 Floats are written with 17 significant digits, so reading a file back
 reproduces the original float64 values exactly, and identical inputs
-produce byte-identical files.  All writes go through a temp file in the
-target directory followed by an atomic rename.
+produce byte-identical files.  An arm is formatted and streamed to disk
+in blocks of the sampler's ``CHUNK_SHOTS`` rows, so its full text is
+never held in memory.  All writes go through a temp file in the target
+directory followed by an atomic rename.
+
+Reading refuses a file whose values are not all finite or whose ``shot``
+column is not 0, 1, ..., n-1.
 """
 
 from __future__ import annotations
@@ -18,10 +23,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import RecordError
+from .montecarlo import CHUNK_SHOTS
 from .statistics import ShotRecords
 
 __all__ = [
@@ -35,13 +42,15 @@ META_SCHEMA_VERSION = 1
 _COLUMNS = ("p_y", "q_y", "r_y")
 
 
-def write_atomic_text(path: Path, text: str) -> None:
+def write_atomic_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or the pieces of an iterable of strings in order,
+    to a temp file beside ``path`` and rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,13 +58,16 @@ def write_atomic_text(path: Path, text: str) -> None:
         raise
 
 
-def _format_arm(rows: np.ndarray) -> str:
-    header = "shot," + ",".join(_COLUMNS[: rows.shape[1]])
-    lines = [header]
-    for i, row in enumerate(rows):
-        lines.append(f"{i}," + ",".join(f"{x:.17g}" for x in row))
-    lines.append("")
-    return "\n".join(lines)
+def _format_arm(rows: np.ndarray) -> Iterator[str]:
+    """Yield an arm's CSV text: the header line, then one string per
+    block of ``CHUNK_SHOTS`` rows."""
+    n_columns = rows.shape[1]
+    yield "shot," + ",".join(_COLUMNS[:n_columns]) + "\n"
+    line = "%d," + ",".join(["%.17g"] * n_columns) + "\n"
+    for start in range(0, rows.shape[0], CHUNK_SHOTS):
+        block = rows[start:start + CHUNK_SHOTS]
+        shots = range(start, start + block.shape[0])
+        yield "".join([line % row for row in zip(shots, *block.T.tolist())])
 
 
 def write_records(records: ShotRecords, prefix: str | Path) -> dict[str, Path]:
@@ -101,6 +113,17 @@ def _read_arm(path: Path) -> np.ndarray:
             f"{path}: expected {len(fields)} columns of data, got shape "
             f"{data.shape}"
         )
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise RecordError(f"{path}: row {row} (line {row + 2}) holds a "
+                          f"non-finite value")
+    shots = data[:, 0]
+    misplaced = np.flatnonzero(shots != np.arange(shots.size))
+    if misplaced.size:
+        row = int(misplaced[0])
+        raise RecordError(f"{path}: row {row} (line {row + 2}) has shot "
+                          f"index {shots[row]:g}, expected {row}")
     return data[:, 1:]
 
 

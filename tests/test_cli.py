@@ -1,12 +1,14 @@
 """End-to-end runs of the command line, in process via main()."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qndcert
 from qndcert.cli import main
 
 
@@ -129,6 +131,45 @@ class TestStats:
         assert "error:" in capsys.readouterr().err
 
 
+def _copy_run(run, directory):
+    """Copy a record set under the same file names, for tampering."""
+    copy = dict(run)
+    for key in ("records", "no_atoms", "meta"):
+        source = pathlib.Path(run[key])
+        copy[key] = str(directory / source.name)
+        (directory / source.name).write_bytes(source.read_bytes())
+    return copy
+
+
+class TestBadRecords:
+    def test_non_finite_value_is_refused(self, ideal_run, tmp_path, capsys):
+        run = _copy_run(ideal_run, tmp_path)
+        path = pathlib.Path(run["records"])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = "3,nan," + lines[4].split(",", 2)[2]
+        path.write_text("".join(lines))
+        code = main(["certify", "--config", run["config"],
+                     *_record_args(run)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "certified:" not in captured.out
+        assert path.name in captured.err
+        assert "row 3" in captured.err and "non-finite" in captured.err
+
+    def test_shot_index_out_of_place_is_refused(self, ideal_run, tmp_path,
+                                                capsys):
+        run = _copy_run(ideal_run, tmp_path)
+        path = pathlib.Path(run["no_atoms"])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[6] = "77," + lines[6].split(",", 1)[1]
+        path.write_text("".join(lines))
+        code = main(["certify", "--config", run["config"],
+                     *_record_args(run)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert path.name in err and "shot index 77" in err
+
+
 class TestEstimate:
     def test_recovers_losses_and_noise(self, lossy_run, tmp_path, capsys):
         out_path = tmp_path / "est.json"
@@ -170,6 +211,13 @@ class TestCertify:
         payload = json.loads(out_path.read_text())
         assert payload["kind"] == "certification_report"
         assert payload["verdicts"]["full_qnd"] is True
+        meta = json.loads(pathlib.Path(ideal_run["meta"]).read_text())
+        assert payload["records"] == {
+            "seed": 11,
+            "params_hash": meta["params_hash"],
+            "n_shots": 20000,
+            "n_pulses": 3,
+        }
 
     def test_calibration_flags_without_config(self, ideal_run, capsys):
         code = main(["certify", *_record_args(ideal_run),
@@ -238,8 +286,13 @@ class TestSelftest:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, however it was found
+    package_root = str(pathlib.Path(qndcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qndcert", "--help"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "certify" in proc.stdout

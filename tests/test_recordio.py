@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from qndcert import RecordError, read_records, simulate_shots, write_records
+from qndcert import (
+    RecordError,
+    ShotRecords,
+    read_records,
+    simulate_shots,
+    write_records,
+)
+from qndcert.montecarlo import CHUNK_SHOTS
 from qndcert.recordio import sibling_meta_path, write_atomic_text
 
 
@@ -57,6 +64,47 @@ class TestRoundTrip:
         assert sibling_meta_path(tmp_path / "lone.with_atoms.csv") is None
 
 
+class TestFormat:
+    EDGE_VALUES = np.array([
+        [-0.0, 5e-324],
+        [1e-310, 1.7976931348623157e308],
+        [0.1, 1 / 3],
+        [1.0, -123456789.0],
+    ])
+    EDGE_TEXT = (
+        "shot,p_y,q_y\n"
+        "0,-0,4.9406564584124654e-324\n"
+        "1,9.9999999999999694e-311,1.7976931348623157e+308\n"
+        "2,0.10000000000000001,0.33333333333333331\n"
+        "3,1,-123456789\n"
+    )
+
+    def test_golden_bytes(self, tmp_path):
+        records = ShotRecords(with_atoms=self.EDGE_VALUES,
+                              no_atoms=self.EDGE_VALUES[::-1])
+        paths = write_records(records, tmp_path / "edge")
+        assert paths["with_atoms"].read_bytes() == self.EDGE_TEXT.encode()
+        back = read_records(paths["with_atoms"], paths["no_atoms"])
+        np.testing.assert_array_equal(back.with_atoms, self.EDGE_VALUES)
+        np.testing.assert_array_equal(np.signbit(back.with_atoms),
+                                      np.signbit(self.EDGE_VALUES))
+        np.testing.assert_array_equal(back.no_atoms, self.EDGE_VALUES[::-1])
+
+    def test_shot_index_continues_across_blocks(self, tmp_path, noisy_set):
+        params, noise, initial = noisy_set
+        n_shots = CHUNK_SHOTS + 5
+        records = simulate_shots(params, noise, initial, n_shots, 4)
+        paths = write_records(records, tmp_path / "big")
+        lines = paths["with_atoms"].read_text().splitlines()
+        assert len(lines) == n_shots + 1
+        shots = [int(line.split(",", 1)[0]) for line in lines[1:]]
+        assert shots == list(range(n_shots))
+        back = read_records(paths["with_atoms"], paths["no_atoms"],
+                            paths["meta"])
+        np.testing.assert_array_equal(back.with_atoms, records.with_atoms)
+        np.testing.assert_array_equal(back.no_atoms, records.no_atoms)
+
+
 class TestReadValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="nope"):
@@ -74,6 +122,28 @@ class TestReadValidation:
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,p_y\n0,1.0\n1,oops\n")
         with pytest.raises(RecordError):
+            read_records(bad, bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"shot,p_y,q_y\n0,1.0,2.0\n1,3.0,{value}\n")
+        with pytest.raises(RecordError,
+                           match=r"bad\.csv: row 1 .*non-finite"):
+            read_records(bad, bad)
+
+    @pytest.mark.parametrize("shots, bad_row", [
+        ([0, 1, 1, 3], 2),
+        ([0, 2, 1, 3], 1),
+        ([0, 1, 2, 3, 4, 77, 6], 5),
+        ([1, 2, 3], 0),
+    ], ids=["duplicated", "out-of-order", "jump", "one-based"])
+    def test_shot_index_must_count_from_zero(self, tmp_path, shots, bad_row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("shot,p_y\n" + "".join(f"{s},1.5\n" for s in shots))
+        with pytest.raises(RecordError,
+                           match=rf"bad\.csv: row {bad_row} .*shot index "
+                                 rf"{shots[bad_row]}, expected {bad_row}"):
             read_records(bad, bad)
 
     @pytest.mark.filterwarnings("ignore:loadtxt")
