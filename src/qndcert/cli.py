@@ -20,8 +20,8 @@ import sys
 
 from .certification import CertificationReport, certify
 from .config import ExperimentConfig, load_config
-from .errors import QndError
-from .montecarlo import simulate_shots
+from .errors import QndError, RecordError
+from .montecarlo import params_hash, simulate_shots
 from .recordio import read_records, sibling_meta_path, write_records
 from .report import (
     delta_to_dict,
@@ -115,7 +115,10 @@ def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
         meta = sibling_meta_path(args.records)
     records = read_records(args.records, args.no_atoms_records, meta)
     measured, reference = sample_moments(records)
-    r_l = 1.0 if args.r_l is None else args.r_l
+    r_l = args.r_l
+    if r_l is None:
+        print("warning: --r-l not given; assuming r_l = 1.0", file=sys.stderr)
+        r_l = 1.0
     delta = delta_stats(measured, reference, r_l)
     return measured, reference, delta, r_l, records
 
@@ -257,6 +260,14 @@ def _cmd_certify(args) -> int:
         z = config.z_threshold if config is not None else 3.0
 
     measured, reference, delta, r_l, records = _load_delta(args)
+    if config is not None and records.params_hash is not None:
+        expected = params_hash(config.params, config.noise,
+                               config.initial_state())
+        if records.params_hash != expected:
+            raise RecordError(
+                f"records were simulated from a different model: sidecar "
+                f"params_hash {records.params_hash}, --config {args.config} "
+                f"gives {expected}")
     report = certify(delta, measured.var_p, kappa, j33, j0, z_threshold=z,
                      var_p_se=(measured.se or {}).get("var_p"))
     _print_report(report)

@@ -7,11 +7,22 @@ R_y).  The no-atoms reference arm runs the identical discipline with the
 coupling off, r_A = r_L = 1 and no added noise, so it samples the raw
 input light.
 
+The outcomes are linear in the draws, so the pulse maps are folded
+once per arm into a composite readout: with E the meter-row selector
+and R_p = E M_n ... M_{p+1} (R_n = E), the meters are R_0 mean, plus
+the initial draws through R_0 times the initial-state factor, plus
+pulse p's noise draws through the columns of R_p on the spin block and
+pulse p's block times the noise factor.  Every chunk then costs one
+matrix product per noise source onto the meter columns.  The readout is
+built from ``interaction_matrix`` alone, never from the closed-form
+moments, so the sampler stays an independent check of them.
+
 Generation is chunked with a fixed chunk size, and every chunk gets its
 own random substream keyed by (arm, chunk index) off one master seed.
-Chunks are therefore independent and reproducible in isolation, results
-are bit-identical however the work is scheduled, and the two arms never
-share randomness.
+Each chunk draws the initial-state variates and then each pulse's noise
+variates, in that order.  Chunks are therefore independent and
+reproducible in isolation, results are bit-identical however the work
+is scheduled, and the two arms never share randomness.
 """
 
 from __future__ import annotations
@@ -87,33 +98,36 @@ def simulate_arm(params: ExperimentParams, noise: NoiseModel,
         params = _reference_variant(params)
         noise = NoiseModel.zero()
 
-    maps = [interaction_matrix(params, pulse, layout)
-            for pulse in range(1, layout.n_pulses + 1)]
+    pulses = range(1, layout.n_pulses + 1)
+    maps = [interaction_matrix(params, pulse, layout) for pulse in pulses]
+    # readouts[p] = R_p = E M_n ... M_{p+1}: the state just after pulse p
+    # (p = 0: the input) onto the meter outcomes.
+    readouts = [np.eye(layout.dimension)[list(layout.meter_indices)]]
+    for m in reversed(maps):
+        readouts.append(readouts[-1] @ m)
+    readouts.reverse()
+    offset = readouts[0] @ initial.mean
+    # (variates, n_pulses) gains, in the order each chunk draws them.
     initial_factor = _psd_factor(initial.cov, "initial covariance")
-    noise_factor = None
+    gains = [(readouts[0] @ initial_factor).T]
     if not noise.is_zero:
         noise_factor = _psd_factor(noise.matrix, "noise matrix")
-    # Row scatter of the 6x6 noise onto (spin block, active pulse block).
-    noise_rows = [np.r_[0:3, sl.start:sl.stop]
-                  for sl in (layout.block_slice(p)
-                             for p in range(1, layout.n_pulses + 1))]
+        for pulse in pulses:
+            block = layout.block_slice(pulse)
+            rows = np.r_[0:3, block.start:block.stop]
+            gains.append((readouts[pulse][:, rows] @ noise_factor).T)
 
     arm = _ARM_IDS[bool(with_atoms)]
-    meters = list(layout.meter_indices)
     out = np.empty((n_shots, layout.n_pulses))
     for chunk, start in enumerate(range(0, n_shots, CHUNK_SHOTS)):
         count = min(CHUNK_SHOTS, n_shots - start)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(arm, chunk))
         )
-        draws = rng.standard_normal((count, initial_factor.shape[1]))
-        x = initial.mean + draws @ initial_factor.T
-        for pulse_index, m in enumerate(maps):
-            x = x @ m.T
-            if noise_factor is not None:
-                kick = rng.standard_normal((count, noise_factor.shape[1]))
-                x[:, noise_rows[pulse_index]] += kick @ noise_factor.T
-        out[start:start + count] = x[:, meters]
+        meters = out[start:start + count]
+        meters[:] = offset
+        for gain in gains:
+            meters += rng.standard_normal((count, gain.shape[0])) @ gain
     return out
 
 

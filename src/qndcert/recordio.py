@@ -13,8 +13,9 @@ in blocks of the sampler's ``CHUNK_SHOTS`` rows, so its full text is
 never held in memory.  All writes go through a temp file in the target
 directory followed by an atomic rename.
 
-Reading refuses a file whose values are not all finite or whose ``shot``
-column is not 0, 1, ..., n-1.
+Writing refuses records holding a non-finite value, and reading refuses
+a file whose values are not all finite or whose ``shot`` column is not
+0, 1, ..., n-1.
 """
 
 from __future__ import annotations
@@ -71,7 +72,15 @@ def _format_arm(rows: np.ndarray) -> Iterator[str]:
 
 
 def write_records(records: ShotRecords, prefix: str | Path) -> dict[str, Path]:
-    """Write both arms and the sidecar; returns the paths by role."""
+    """Write both arms and the sidecar; returns the paths by role.
+
+    Records holding a non-finite value are refused before any file is
+    created, since reading would refuse the file."""
+    for role in ("with_atoms", "no_atoms"):
+        finite = np.isfinite(getattr(records, role)).all(axis=1)
+        if not finite.all():
+            raise RecordError(f"{role} arm: row {int(np.argmin(finite))} "
+                              "holds a non-finite value; not written")
     prefix = Path(prefix)
     paths = {
         "with_atoms": prefix.with_name(prefix.name + ".with_atoms.csv"),

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import qndcert
+from qndcert import params_hash
 from qndcert.cli import main
+from qndcert.config import load_config
 
 
 def _write_config(directory, name, **overrides):
@@ -123,6 +125,13 @@ class TestStats:
                      "--records", str(tmp_path / "x.csv"),
                      "--no-atoms-records", str(tmp_path / "y.csv")]) == 0
 
+    def test_assumed_r_l_is_announced(self, lossy_run, capsys):
+        assert main(["stats", *_record_args(lossy_run)]) == 0
+        assert "warning: --r-l not given; assuming r_l = 1.0" in \
+            capsys.readouterr().err
+        assert main(["stats", *_record_args(lossy_run), "--r-l", "0.9"]) == 0
+        assert "--r-l" not in capsys.readouterr().err
+
     def test_missing_records_file(self, ideal_run, tmp_path, capsys):
         code = main(["stats",
                      "--records", str(tmp_path / "gone.with_atoms.csv"),
@@ -191,8 +200,9 @@ class TestEstimate:
         # with r_a = 1 and no added noise the variance route degenerates
         assert main(["estimate", *_record_args(ideal_run),
                      "--kappa", "1.0", "--j33", "25.0"]) == 0
-        out = capsys.readouterr().out
-        assert "r_a (covariance ratio):" in out
+        captured = capsys.readouterr()
+        assert "r_a (covariance ratio):" in captured.out
+        assert "warning: --r-l not given; assuming r_l = 1.0" in captured.err
 
 
 class TestCertify:
@@ -238,6 +248,34 @@ class TestCertify:
                      *_record_args(lossy_run), "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["calibration"]["r_l"] == 0.9
+
+    def test_config_must_match_the_simulated_model(self, ideal_run, tmp_path,
+                                                   capsys):
+        # records drawn at kappa 1.0, certified under a config at kappa 1.5
+        other = _write_config(tmp_path, "other.json", coupling={"kappa": 1.5})
+        code = main(["certify", "--config", str(other),
+                     *_record_args(ideal_run)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "certified:" not in captured.out
+        recorded = json.loads(
+            pathlib.Path(ideal_run["meta"]).read_text())["params_hash"]
+        config = load_config(other)
+        expected = params_hash(config.params, config.noise,
+                               config.initial_state())
+        assert recorded != expected
+        assert recorded in captured.err and expected in captured.err
+
+    def test_config_is_not_checked_without_sidecar(self, ideal_run, tmp_path,
+                                                   capsys):
+        for key, name in (("records", "x.csv"), ("no_atoms", "y.csv")):
+            (tmp_path / name).write_bytes(
+                pathlib.Path(ideal_run[key]).read_bytes())
+        other = _write_config(tmp_path, "other.json", coupling={"kappa": 1.5})
+        main(["certify", "--config", str(other),
+              "--records", str(tmp_path / "x.csv"),
+              "--no-atoms-records", str(tmp_path / "y.csv")])
+        assert "certified:" in capsys.readouterr().out
 
     def test_damaging_noise_fails(self, tmp_path, capsys):
         config = _write_config(tmp_path, "bad.json", seed=12,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,14 @@ from qndcert import (
     OpticalBlock,
     SamplerUnsupportedError,
     empirical_check,
+    interaction_matrix,
     make_initial_state,
     params_hash,
     sample_moments,
     simulate_arm,
     simulate_shots,
 )
-from qndcert.montecarlo import CHUNK_SHOTS
+from qndcert.montecarlo import CHUNK_SHOTS, _psd_factor
 
 
 class TestDeterminism:
@@ -57,6 +60,73 @@ class TestDeterminism:
         params, noise, initial = ideal_set
         with pytest.raises(ValueError):
             simulate_arm(params, noise, initial, 0, 1)
+
+
+def _stepwise_arm(params, noise, initial, n_shots, seed, with_atoms=True):
+    """Reference sampler: the full state vector of every shot is carried
+    through each pulse map in turn, with the pulse's noise kick added onto
+    the spin block and the active pulse block, and the meter components
+    are read off at the end.  It consumes the same (arm, chunk) substreams
+    in the same order as ``simulate_arm``."""
+    layout = initial.layout
+    if not with_atoms:
+        params = replace(params, g_tau=0.0, r_a=1.0, r_l=1.0)
+        noise = NoiseModel.zero()
+    pulses = range(1, layout.n_pulses + 1)
+    maps = [interaction_matrix(params, pulse, layout) for pulse in pulses]
+    initial_factor = _psd_factor(initial.cov, "initial covariance")
+    noise_factor = (None if noise.is_zero
+                    else _psd_factor(noise.matrix, "noise matrix"))
+    arm = 0 if with_atoms else 1
+    out = np.empty((n_shots, layout.n_pulses))
+    for chunk, start in enumerate(range(0, n_shots, CHUNK_SHOTS)):
+        count = min(CHUNK_SHOTS, n_shots - start)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(arm, chunk)))
+        x = initial.mean + rng.standard_normal(
+            (count, initial_factor.shape[1])) @ initial_factor.T
+        for pulse, m in zip(pulses, maps):
+            x = x @ m.T
+            if noise_factor is not None:
+                block = layout.block_slice(pulse)
+                rows = np.r_[0:3, block.start:block.stop]
+                kick = rng.standard_normal((count, noise_factor.shape[1]))
+                x[:, rows] += kick @ noise_factor.T
+        out[start:start + count] = x[:, list(layout.meter_indices)]
+    return out
+
+
+# Full-rank noise touching every spin and every pulse component.
+_DENSE_NOISE = NoiseModel.from_entries({
+    (1, 1): 0.3, (2, 2): 0.7, (3, 3): 2.0, (3, 5): 0.5, (4, 4): 0.1,
+    (5, 5): 4.0, (2, 6): 0.2, (6, 6): 1.5,
+})
+
+
+class TestAgainstStepwisePropagation:
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    @pytest.mark.parametrize("noise", [NoiseModel.zero(), _DENSE_NOISE],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("displaced", [False, True],
+                             ids=["centred", "displaced"])
+    def test_matches_reference(self, n_pulses, noise, displaced):
+        layout = Layout(n_pulses)
+        initial = make_initial_state(
+            AtomicBlock.coherent(100.0),
+            OpticalBlock.coherent(100.0, n_pulses), layout)
+        if displaced:
+            mean = np.linspace(-3.0, 5.0, layout.dimension)
+            initial = GaussianState(layout, mean, initial.cov)
+        params = ExperimentParams.from_kappa(1.3, mean_sx=50.0, mean_jx=40.0,
+                                             r_a=0.8, r_l=0.9)
+        n_shots = CHUNK_SHOTS + 5 if n_pulses == 3 else 700
+        for with_atoms in (True, False):
+            got = simulate_arm(params, noise, initial, n_shots, 41,
+                               with_atoms=with_atoms)
+            want = _stepwise_arm(params, noise, initial, n_shots, 41,
+                                 with_atoms=with_atoms)
+            scale = np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), with_atoms
 
 
 class TestParamsHash:

@@ -185,6 +185,21 @@ class TestReadValidation:
                          paths["meta"])
 
 
+class TestWriteValidation:
+    @pytest.mark.parametrize("arm", ["with_atoms", "no_atoms"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused(self, tmp_path, small_records, arm,
+                                         value):
+        arrays = {"with_atoms": small_records.with_atoms.copy(),
+                  "no_atoms": small_records.no_atoms.copy()}
+        arrays[arm][5, 1] = value
+        records = ShotRecords(**arrays, seed=small_records.seed,
+                              params_hash=small_records.params_hash)
+        with pytest.raises(RecordError, match=rf"{arm}.*row 5.*non-finite"):
+            write_records(records, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAtomicWrite:
     def test_replaces_existing_file(self, tmp_path):
         target = tmp_path / "out.txt"
