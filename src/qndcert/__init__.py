@@ -38,9 +38,9 @@ from .dynamics import (
     ExperimentParams,
     NoiseModel,
     apply_pulse,
-    exchange_matrix,
     interaction_matrix,
     noise_matrix,
+    propagate,
 )
 from .errors import (
     ConfigError,
@@ -75,7 +75,7 @@ from .montecarlo import (
 )
 from .recordio import read_records, write_records
 from .report import dump_json, exit_code, report_to_dict
-from .selftest import SuiteResult, run_selftest
+from .selftest import SuiteResult, closed_form_error, run_selftest
 from .statistics import (
     DeltaStats,
     MomentAccumulator,
@@ -84,6 +84,7 @@ from .statistics import (
     SqueezingVerdict,
     conditional_variance_from_stats,
     delta_stats,
+    meter_moments,
     no_atoms_moments,
     predicted_moments,
     sample_moments,
@@ -127,6 +128,7 @@ __all__ = [
     "UninformativeCouplingError",
     "apply_pulse",
     "certify",
+    "closed_form_error",
     "condition_on_component",
     "conditional_variance_from_stats",
     "conditional_variance_general",
@@ -138,7 +140,6 @@ __all__ = [
     "estimate_noise",
     "estimate_ra_from_cov",
     "estimate_ra_from_var",
-    "exchange_matrix",
     "exit_code",
     "get_entry",
     "holland_figures",
@@ -146,11 +147,13 @@ __all__ = [
     "invert_three_pulse",
     "load_config",
     "make_initial_state",
+    "meter_moments",
     "no_atoms_moments",
     "noise_matrix",
     "nonclassicality",
     "params_hash",
     "predicted_moments",
+    "propagate",
     "read_records",
     "report_to_dict",
     "run_selftest",

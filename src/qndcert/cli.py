@@ -260,7 +260,10 @@ def _cmd_certify(args) -> int:
         z = config.z_threshold if config is not None else 3.0
 
     measured, reference, delta, r_l, records = _load_delta(args)
-    if config is not None and records.params_hash is not None:
+    if config is not None and records.params_hash is None:
+        print("warning: records carry no params_hash; --config model not "
+              "checked against them", file=sys.stderr)
+    elif config is not None:
         expected = params_hash(config.params, config.noise,
                                config.initial_state())
         if records.params_hash != expected:

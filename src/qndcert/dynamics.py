@@ -36,9 +36,9 @@ __all__ = [
     "ExperimentParams",
     "NoiseModel",
     "interaction_matrix",
-    "exchange_matrix",
     "noise_matrix",
     "apply_pulse",
+    "propagate",
 ]
 
 
@@ -181,28 +181,6 @@ def interaction_matrix(params: ExperimentParams, pulse: int, layout: Layout,
     return m
 
 
-def exchange_matrix(block_a: int, block_b: int, layout: Layout) -> np.ndarray:
-    """Permutation matrix swapping two pulse blocks (1-based).
-
-    Conjugating the pulse-1 map or noise embedding by the exchange of
-    pulses 1 and k yields the pulse-k version, which is what the dynamics
-    tests lean on.  Swapping a block with itself gives the identity.
-    """
-    for block in (block_a, block_b):
-        if not 1 <= block <= layout.n_pulses:
-            raise LayoutError(
-                f"pulse block must be in 1..{layout.n_pulses}, got {block}"
-            )
-    x = np.eye(layout.dimension)
-    a = layout.block_slice(block_a)
-    b = layout.block_slice(block_b)
-    x[a, a] = 0.0
-    x[b, b] = 0.0
-    x[a.start:a.stop, b.start:b.stop] = np.eye(3)
-    x[b.start:b.stop, a.start:a.stop] = np.eye(3)
-    return x
-
-
 def noise_matrix(noise: NoiseModel, pulse: int, layout: Layout) -> np.ndarray:
     """Embed the 6x6 per-pulse noise onto the full layout for ``pulse``."""
     _check_pulse(pulse, layout)
@@ -224,3 +202,18 @@ def apply_pulse(state: GaussianState, params: ExperimentParams,
         mean=m @ state.mean,
         cov=m @ state.cov @ m.T + n,
     )
+
+
+def propagate(params: ExperimentParams, noise: NoiseModel,
+              initial: GaussianState,
+              coupling_sign: float = 1.0) -> GaussianState:
+    """Run ``initial`` through every pulse of its layout, in order.
+
+    This brute-force matrix route is the oracle the closed forms are
+    checked against.
+    """
+    state = initial
+    for pulse in range(1, initial.layout.n_pulses + 1):
+        state = apply_pulse(state, params, noise, pulse,
+                            coupling_sign=coupling_sign)
+    return state

@@ -37,18 +37,19 @@ from .core import (
     get_entry,
     make_initial_state,
 )
-from .dynamics import ExperimentParams, NoiseModel, apply_pulse
+from .dynamics import ExperimentParams, NoiseModel, apply_pulse, propagate
 from .montecarlo import empirical_check, simulate_shots
 from .statistics import (
     conditional_variance_from_stats,
     delta_stats,
+    meter_moments,
     no_atoms_moments,
     predicted_moments,
     sample_moments,
     squeezing_condition,
 )
 
-__all__ = ["SuiteResult", "run_selftest"]
+__all__ = ["SuiteResult", "closed_form_error", "run_selftest"]
 
 
 @dataclass(frozen=True)
@@ -108,27 +109,65 @@ def _draw_model(rng, with_noise, sign, r_l_max=1.0):
     raise RuntimeError("could not draw an informative random model")
 
 
-def _propagate(params, noise, initial, coupling_sign=1.0) -> GaussianState:
-    state = initial
-    for pulse in range(1, initial.layout.n_pulses + 1):
-        state = apply_pulse(state, params, noise, pulse,
-                            coupling_sign=coupling_sign)
-    return state
-
-
-def _pipeline_meter_moments(final: GaussianState) -> dict[str, float]:
-    labels = final.layout.meter_labels
-    names = "pqr"
-    out = {}
-    for k, row in enumerate(labels):
-        out[f"var_{names[k]}"] = get_entry(final, row, row)
-        for j in range(k):
-            out[f"cov_{names[j]}{names[k]}"] = get_entry(final, labels[j], row)
-    return out
-
-
 def _err(got: float, expected: float, scale: float) -> float:
     return abs(got - expected) / max(abs(expected), abs(scale))
+
+
+def closed_form_error(params: ExperimentParams, noise: NoiseModel,
+                      initial: GaussianState, j0: float) -> float:
+    """Worst relative disagreement, on one model, between every closed form
+    and its matrix route: meter moments against :func:`propagate`, the
+    conditional spin variance (model and measured-statistics forms) against
+    rank-1 conditioning on the first meter, and the correlation and
+    uncertainty figures against their definitions in matrix entries.
+    Each error is relative to the larger of the expected value and a
+    small scale, so legitimate zeros do not blow it up.
+    """
+    kappa = params.kappa
+    j33 = get_entry(initial, "J_z", "J_z")
+    predicted = predicted_moments(params, noise, initial)
+    var_p = predicted.var_p
+    worst = 0.0
+    pipeline = meter_moments(propagate(params, noise, initial))
+    for name, expected in pipeline.entries().items():
+        worst = max(worst, _err(getattr(predicted, name), expected,
+                                scale=1e-3 * var_p))
+
+    # Conditioning: one pulse, condition on its meter, read var(J_z).
+    after_one = apply_pulse(initial, params, noise, 1)
+    conditioned = condition_on_component(after_one, "P_y")
+    cond_direct = get_entry(conditioned, "J_z", "J_z")
+    c22 = get_entry(initial, "P_y", "P_y")
+    worst = max(worst, _err(
+        conditional_variance_general(params, noise, j33, c22),
+        cond_direct, scale=1e-3 * j33))
+    delta = delta_stats(predicted, no_atoms_moments(params, initial),
+                        params.r_l)
+    worst = max(worst, _err(
+        conditional_variance_from_stats(delta, var_p, kappa, j33),
+        cond_direct, scale=1e-3 * j33))
+
+    # Correlation figures against their matrix definitions.
+    t33 = get_entry(after_one, "J_z", "J_z")
+    t35 = get_entry(after_one, "J_z", "P_y")
+    figures = holland_figures(delta, var_p, kappa, j33)
+    worst = max(worst, _err(figures.c2_in_meter,
+                            (kappa * j33) ** 2 / (j33 * var_p), 1e-3))
+    worst = max(worst, _err(figures.c2_in_out,
+                            (params.r_a * j33) ** 2 / (j33 * t33), 1e-3))
+    worst = max(worst, _err(figures.c2_out_meter,
+                            t35 * t35 / (t33 * var_p), 1e-3))
+
+    # Uncertainty figures, compared in matrix units (times j0).
+    ncl = nonclassicality(delta, var_p, kappa, j33, j0)
+    worst = max(worst, _err(ncl.dx2_s_given_m * params.r_a * j0,
+                            cond_direct, scale=1e-3 * j33))
+    worst = max(worst, _err(ncl.dx2_m * kappa * kappa * j0,
+                            var_p - kappa * kappa * j33,
+                            scale=1e-3 * var_p))
+    worst = max(worst, _err(ncl.dx2_s * params.r_a * j0, t33 - j33,
+                            scale=1e-3 * max(j33, t33)))
+    return worst
 
 
 def _suite_reference_values(sign: float) -> SuiteResult:
@@ -174,52 +213,8 @@ def _suite_closed_vs_pipeline(n_sets: int, seed: int, sign: float) -> SuiteResul
     rng = np.random.default_rng(seed)
     worst = 0.0
     for index in range(n_sets):
-        params, noise, initial, j0 = _draw_model(rng, with_noise=index % 3 != 0,
-                                                 sign=sign)
-        kappa = params.kappa
-        j33 = get_entry(initial, "J_z", "J_z")
-        predicted = predicted_moments(params, noise, initial)
-        final = _propagate(params, noise, initial)
-        for name, expected in _pipeline_meter_moments(final).items():
-            worst = max(worst, _err(getattr(predicted, name), expected,
-                                    scale=1e-3 * predicted.var_p))
-
-        # Conditioning: one pulse, condition on its meter, read var(J_z).
-        after_one = apply_pulse(initial, params, noise, 1)
-        conditioned = condition_on_component(after_one, "P_y")
-        cond_direct = get_entry(conditioned, "J_z", "J_z")
-        c22 = get_entry(initial, "P_y", "P_y")
-        worst = max(worst, _err(
-            conditional_variance_general(params, noise, j33, c22),
-            cond_direct, scale=1e-3 * j33))
-        delta = delta_stats(predicted, no_atoms_moments(params, initial),
-                            params.r_l)
-        worst = max(worst, _err(
-            conditional_variance_from_stats(delta, predicted.var_p, kappa, j33),
-            cond_direct, scale=1e-3 * j33))
-
-        # Correlation figures against their matrix definitions.
-        var_p = predicted.var_p
-        t33 = get_entry(after_one, "J_z", "J_z")
-        t35 = get_entry(after_one, "J_z", "P_y")
-        figures = holland_figures(delta, var_p, kappa, j33)
-        worst = max(worst, _err(figures.c2_in_meter,
-                                (kappa * j33) ** 2 / (j33 * var_p), 1e-3))
-        worst = max(worst, _err(figures.c2_in_out,
-                                (params.r_a * j33) ** 2 / (j33 * t33), 1e-3))
-        worst = max(worst, _err(figures.c2_out_meter,
-                                t35 * t35 / (t33 * var_p), 1e-3))
-
-        # Uncertainty figures, compared in matrix units (times j0) so
-        # legitimate zeros do not blow up the relative error.
-        ncl = nonclassicality(delta, var_p, kappa, j33, j0)
-        worst = max(worst, _err(ncl.dx2_s_given_m * params.r_a * j0,
-                                cond_direct, scale=1e-3 * j33))
-        worst = max(worst, _err(ncl.dx2_m * kappa * kappa * j0,
-                                var_p - kappa * kappa * j33,
-                                scale=1e-3 * var_p))
-        worst = max(worst, _err(ncl.dx2_s * params.r_a * j0, t33 - j33,
-                                scale=1e-3 * max(j33, t33)))
+        model = _draw_model(rng, with_noise=index % 3 != 0, sign=sign)
+        worst = max(worst, closed_form_error(*model))
     return SuiteResult("closed-form-vs-pipeline", worst <= 1e-9,
                        f"{n_sets} parameter sets, max rel err {worst:.2e}")
 
@@ -230,20 +225,20 @@ def _suite_sign_invariance(n_sets: int, seed: int) -> SuiteResult:
     for index in range(n_sets):
         params, noise, initial, _ = _draw_model(rng, with_noise=index % 2 == 0,
                                                 sign=1.0)
-        base = _pipeline_meter_moments(_propagate(params, noise, initial))
+        base = meter_moments(propagate(params, noise, initial))
         if noise.n35 == 0.0:
             # The coupling sign alone is unobservable without cross noise.
-            flipped = _pipeline_meter_moments(
-                _propagate(params, noise, initial, coupling_sign=-1.0))
+            flipped = meter_moments(
+                propagate(params, noise, initial, coupling_sign=-1.0))
         else:
             # Full convention flip: coupling sign together with the sign
             # of the spin-light noise cross block.
             signs = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
             noise_flipped = NoiseModel(signs @ noise.matrix @ signs)
-            flipped = _pipeline_meter_moments(
-                _propagate(params, noise_flipped, initial, coupling_sign=-1.0))
-        for name, value in base.items():
-            worst = max(worst, _err(flipped[name], value, scale=1e-3))
+            flipped = meter_moments(
+                propagate(params, noise_flipped, initial, coupling_sign=-1.0))
+        for name, value in base.entries().items():
+            worst = max(worst, _err(getattr(flipped, name), value, scale=1e-3))
     return SuiteResult("coupling-sign-invariance", worst <= 1e-12,
                        f"{n_sets} parameter sets, max rel err {worst:.2e}")
 

@@ -19,7 +19,7 @@ between pulses, and leaves only what the atoms imprinted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "ShotRecords",
     "MomentAccumulator",
     "SqueezingVerdict",
+    "meter_moments",
     "predicted_moments",
     "no_atoms_moments",
     "delta_stats",
@@ -54,10 +55,20 @@ _DELTA_FIELDS = {
 }
 
 
-def _check_fields(obj, table: dict[int, tuple[str, ...]], all_fields:
-                  Iterable[str]) -> None:
+def _meter_pairs(n_pulses: int) -> list[tuple[str, int, int]]:
+    """Each moment of ``_MOMENT_FIELDS[n_pulses]`` with the 0-based indices
+    (j, k), j <= k, of the two meters it couples: var_q -> (1, 1),
+    cov_pr -> (0, 2)."""
+    pairs = []
+    for name in _MOMENT_FIELDS[n_pulses]:
+        meters = name[-1] * 2 if name.startswith("var_") else name[-2:]
+        pairs.append((name, "pqr".index(meters[0]), "pqr".index(meters[1])))
+    return pairs
+
+
+def _check_fields(obj, table: dict[int, tuple[str, ...]]) -> None:
     required = table[obj.n_pulses]
-    for name in all_fields:
+    for name in table[3]:  # the 3-pulse entry names every field
         value = getattr(obj, name)
         if name in required and value is None:
             raise ValueError(f"{name} required for n_pulses={obj.n_pulses}")
@@ -91,8 +102,7 @@ class MomentSet:
     def __post_init__(self) -> None:
         if self.n_pulses not in (1, 2, 3):
             raise ValueError(f"n_pulses must be 1, 2 or 3, got {self.n_pulses}")
-        _check_fields(self, _MOMENT_FIELDS,
-                      ("var_p", "var_q", "var_r", "cov_pq", "cov_pr", "cov_qr"))
+        _check_fields(self, _MOMENT_FIELDS)
         for name in ("var_p", "var_q", "var_r"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
@@ -118,8 +128,7 @@ class DeltaStats:
     def __post_init__(self) -> None:
         if self.n_pulses not in (1, 2, 3):
             raise ValueError(f"n_pulses must be 1, 2 or 3, got {self.n_pulses}")
-        _check_fields(self, _DELTA_FIELDS,
-                      ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr"))
+        _check_fields(self, _DELTA_FIELDS)
 
     def entries(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in _DELTA_FIELDS[self.n_pulses]}
@@ -217,15 +226,14 @@ class MomentAccumulator:
         return self.comoment / (self.count - 1)
 
 
-def _meter_entries(state: GaussianState) -> dict[str, float]:
-    labels = state.layout.meter_labels
-    names = "pqr"
-    out = {}
-    for k, row in enumerate(labels):
-        out[f"var_{names[k]}"] = get_entry(state, row, row)
-        for j in range(k):
-            out[f"cov_{names[j]}{names[k]}"] = get_entry(state, labels[j], row)
-    return out
+def meter_moments(state: GaussianState) -> MomentSet:
+    """Meter variances and covariances read straight off ``state``'s
+    covariance matrix; with :func:`~qndcert.dynamics.propagate` this is the
+    matrix route that :func:`predicted_moments` is checked against."""
+    meters = state.layout.meter_labels
+    values = {name: get_entry(state, meters[j], meters[k])
+              for name, j, k in _meter_pairs(state.layout.n_pulses)}
+    return MomentSet(n_pulses=state.layout.n_pulses, **values)
 
 
 def predicted_moments(params: ExperimentParams, noise: NoiseModel,
@@ -252,23 +260,19 @@ def predicted_moments(params: ExperimentParams, noise: NoiseModel,
     kappa = params.kappa
     j33 = get_entry(initial, "J_z", "J_z")
     meters = layout.meter_labels
-    names = "pqr"
     values: dict[str, float] = {}
     # Spin variance entering each pulse.
     a = [j33]
     for _ in range(layout.n_pulses - 1):
         a.append(params.r_a ** 2 * a[-1] + noise.n33)
-    for k, row in enumerate(meters):
-        values[f"var_{names[k]}"] = (
-            params.r_l ** 2 * get_entry(initial, row, row)
-            + kappa * kappa * a[k] + noise.n55
-        )
-        for j in range(k):
-            values[f"cov_{names[j]}{names[k]}"] = (
-                params.r_l ** 2 * get_entry(initial, meters[j], row)
-                + kappa * kappa * params.r_a ** (k - j) * a[j]
-                + kappa * params.r_a ** (k - 1 - j) * noise.n35
-            )
+    for name, j, k in _meter_pairs(layout.n_pulses):
+        light = params.r_l ** 2 * get_entry(initial, meters[j], meters[k])
+        if j == k:
+            values[name] = light + kappa * kappa * a[k] + noise.n55
+        else:
+            values[name] = (light
+                            + kappa * kappa * params.r_a ** (k - j) * a[j]
+                            + kappa * params.r_a ** (k - 1 - j) * noise.n35)
     return MomentSet(n_pulses=layout.n_pulses, **values)
 
 
@@ -281,9 +285,7 @@ def no_atoms_moments(params: ExperimentParams,
     :func:`predicted_moments`; the reference arm ignores it by definition.
     """
     del params
-    layout = initial.layout
-    values = _meter_entries(initial)
-    return MomentSet(n_pulses=layout.n_pulses, **values)
+    return meter_moments(initial)
 
 
 def delta_stats(measured: MomentSet, reference: MomentSet,
@@ -317,20 +319,16 @@ def _moments_of_arm(rows: np.ndarray) -> MomentSet:
     acc = MomentAccumulator(rows.shape[1])
     acc.update(rows)
     cov = acc.covariance
-    names = "pqr"[: rows.shape[1]]
     values: dict[str, float] = {}
     ses: dict[str, float] = {}
-    for k, ck in enumerate(names):
-        var = float(cov[k, k])
-        values[f"var_{ck}"] = var
-        ses[f"var_{ck}"] = var * np.sqrt(2.0 / (n - 1))
-        for j, cj in enumerate(names[:k]):
-            c = float(cov[j, k])
-            values[f"cov_{cj}{ck}"] = c
+    for name, j, k in _meter_pairs(rows.shape[1]):
+        c = float(cov[j, k])
+        values[name] = c
+        if j == k:
+            ses[name] = c * np.sqrt(2.0 / (n - 1))
+        else:
             # Gaussian delta-method error of a sample covariance.
-            ses[f"cov_{cj}{ck}"] = np.sqrt(
-                (cov[j, j] * cov[k, k] + c * c) / (n - 1)
-            )
+            ses[name] = np.sqrt((cov[j, j] * cov[k, k] + c * c) / (n - 1))
     return MomentSet(n_pulses=rows.shape[1], n_shots=n, se=ses, **values)
 
 

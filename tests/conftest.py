@@ -1,9 +1,8 @@
-"""Shared fixtures: canonical parameter sets and a direct matrix oracle.
+"""Shared fixtures: canonical parameter sets, a textbook conditioning
+oracle and a random covariance helper.
 
-The oracle helpers here deliberately avoid the closed-form statistics
-module: they propagate the full covariance matrix pulse by pulse and
-read entries off the matrix, so tests compare two genuinely different
-computations.
+The matrix oracle for the closed forms is ``qndcert.propagate`` followed
+by ``qndcert.meter_moments``.
 """
 
 import numpy as np
@@ -12,12 +11,9 @@ import pytest
 from qndcert import (
     AtomicBlock,
     ExperimentParams,
-    GaussianState,
     Layout,
     NoiseModel,
     OpticalBlock,
-    apply_pulse,
-    get_entry,
     make_initial_state,
 )
 
@@ -55,26 +51,6 @@ def noisy_set(layout3):
                                          r_a=0.8, r_l=0.9)
     noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0})
     return params, noise, _coherent_initial(layout3)
-
-
-def propagate(params, noise, initial, coupling_sign=1.0) -> GaussianState:
-    state = initial
-    for pulse in range(1, initial.layout.n_pulses + 1):
-        state = apply_pulse(state, params, noise, pulse,
-                            coupling_sign=coupling_sign)
-    return state
-
-
-def meter_moments(final: GaussianState) -> dict[str, float]:
-    """Meter variances and covariances straight from the matrix."""
-    labels = final.layout.meter_labels
-    names = "pqr"
-    out = {}
-    for k, row in enumerate(labels):
-        out[f"var_{names[k]}"] = get_entry(final, row, row)
-        for j in range(k):
-            out[f"cov_{names[j]}{names[k]}"] = get_entry(final, labels[j], row)
-    return out
 
 
 def schur_conditional(cov: np.ndarray, index: int) -> np.ndarray:

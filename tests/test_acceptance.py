@@ -25,7 +25,7 @@ from qndcert import (
     OpticalBlock,
     apply_pulse,
     certify,
-    condition_on_component,
+    closed_form_error,
     conditional_variance_from_stats,
     conditional_variance_general,
     conditional_variance_ideal,
@@ -37,9 +37,11 @@ from qndcert import (
     holland_figures,
     invert_three_pulse,
     make_initial_state,
+    meter_moments,
     no_atoms_moments,
     nonclassicality,
     predicted_moments,
+    propagate,
     read_records,
     run_selftest,
     simulate_shots,
@@ -84,29 +86,6 @@ def _param_set_b():
     return params, noise, initial
 
 
-def _propagate(params, noise, initial, coupling_sign=1.0):
-    state = initial
-    for pulse in range(1, initial.layout.n_pulses + 1):
-        state = apply_pulse(state, params, noise, pulse,
-                            coupling_sign=coupling_sign)
-    return state
-
-
-def _meter_moments(final):
-    labels = final.layout.meter_labels
-    names = "pqr"
-    out = {}
-    for k, row in enumerate(labels):
-        out[f"var_{names[k]}"] = get_entry(final, row, row)
-        for j in range(k):
-            out[f"cov_{names[j]}{names[k]}"] = get_entry(final, labels[j], row)
-    return out
-
-
-def _err(got, expected, scale):
-    return abs(got - expected) / max(abs(expected), abs(scale))
-
-
 def _random_correlated(rng, size):
     raw = rng.standard_normal((size, size))
     second = raw @ raw.T
@@ -148,50 +127,8 @@ def test_criterion_1_closed_form_sweep(capsys):
         start = time.perf_counter()
         worst = 0.0
         for index in range(1000):
-            params, noise, initial, j0 = _random_set(rng,
-                                                     with_noise=index % 4 != 0)
-            kappa = params.kappa
-            j33 = get_entry(initial, "J_z", "J_z")
-            predicted = predicted_moments(params, noise, initial)
-            pipeline = _meter_moments(_propagate(params, noise, initial))
-            for name, expected in pipeline.items():
-                worst = max(worst, _err(getattr(predicted, name), expected,
-                                        scale=1e-3 * predicted.var_p))
-
-            after_one = apply_pulse(initial, params, noise, 1)
-            cond_direct = get_entry(condition_on_component(after_one, "P_y"),
-                                    "J_z", "J_z")
-            c22 = get_entry(initial, "P_y", "P_y")
-            worst = max(worst, _err(
-                conditional_variance_general(params, noise, j33, c22),
-                cond_direct, scale=1e-3 * j33))
-            delta = delta_stats(predicted, no_atoms_moments(params, initial),
-                                params.r_l)
-            worst = max(worst, _err(
-                conditional_variance_from_stats(delta, predicted.var_p,
-                                                kappa, j33),
-                cond_direct, scale=1e-3 * j33))
-
-            var_p = predicted.var_p
-            t33 = get_entry(after_one, "J_z", "J_z")
-            t35 = get_entry(after_one, "J_z", "P_y")
-            figures = holland_figures(delta, var_p, kappa, j33)
-            worst = max(worst, _err(figures.c2_in_meter,
-                                    (kappa * j33) ** 2 / (j33 * var_p), 1e-3))
-            worst = max(worst, _err(figures.c2_in_out,
-                                    (params.r_a * j33) ** 2 / (j33 * t33),
-                                    1e-3))
-            worst = max(worst, _err(figures.c2_out_meter,
-                                    t35 * t35 / (t33 * var_p), 1e-3))
-
-            ncl = nonclassicality(delta, var_p, kappa, j33, j0)
-            worst = max(worst, _err(ncl.dx2_s_given_m * params.r_a * j0,
-                                    cond_direct, scale=1e-3 * j33))
-            worst = max(worst, _err(ncl.dx2_m * kappa * kappa * j0,
-                                    var_p - kappa * kappa * j33,
-                                    scale=1e-3 * var_p))
-            worst = max(worst, _err(ncl.dx2_s * params.r_a * j0, t33 - j33,
-                                    scale=1e-3 * max(j33, t33)))
+            model = _random_set(rng, with_noise=index % 4 != 0)
+            worst = max(worst, closed_form_error(*model))
         elapsed = time.perf_counter() - start
         detail["note"] = (f"1000 sets, max rel err {worst:.2e}, "
                           f"{elapsed:.2f} s")
@@ -370,11 +307,11 @@ def test_criterion_6_coupling_sign_insensitivity(capsys):
             j33 = get_entry(initial, "J_z", "J_z")
 
             # the propagated matrices themselves
-            forward = _meter_moments(_propagate(params, noise, initial, 1.0))
-            flipped = _meter_moments(_propagate(params, noise, initial, -1.0))
-            for name in forward:
-                worst = max(worst, abs(forward[name] - flipped[name])
-                            / max(1.0, abs(forward[name])))
+            forward = meter_moments(propagate(params, noise, initial, 1.0))
+            flipped = meter_moments(propagate(params, noise, initial, -1.0))
+            for name, value in forward.entries().items():
+                worst = max(worst, abs(value - getattr(flipped, name))
+                            / max(1.0, abs(value)))
 
             # every closed-form quantity and every verdict
             mirrored = ExperimentParams(

@@ -275,7 +275,10 @@ class TestCertify:
         main(["certify", "--config", str(other),
               "--records", str(tmp_path / "x.csv"),
               "--no-atoms-records", str(tmp_path / "y.csv")])
-        assert "certified:" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "certified:" in captured.out
+        assert ("warning: records carry no params_hash; --config model not "
+                "checked against them") in captured.err
 
     def test_damaging_noise_fails(self, tmp_path, capsys):
         config = _write_config(tmp_path, "bad.json", seed=12,

@@ -10,14 +10,22 @@ from qndcert import (
     NoiseModel,
     OpticalBlock,
     apply_pulse,
-    exchange_matrix,
     get_entry,
     interaction_matrix,
     make_initial_state,
     noise_matrix,
+    propagate,
 )
 
 from conftest import random_psd
+
+
+def _swap_with_first(pulse, layout):
+    """Permutation matrix exchanging pulse blocks 1 and ``pulse``."""
+    order = np.arange(layout.dimension)
+    a, b = layout.block_slice(1), layout.block_slice(pulse)
+    order[a], order[b] = order[b].copy(), order[a].copy()
+    return np.eye(layout.dimension)[order]
 
 
 class TestExperimentParams:
@@ -102,7 +110,7 @@ class TestInteractionMatrix:
                                              r_a=0.8, r_l=0.9)
         m1 = interaction_matrix(params, 1, layout)
         for pulse in (2, 3):
-            x = exchange_matrix(1, pulse, layout)
+            x = _swap_with_first(pulse, layout)
             np.testing.assert_allclose(interaction_matrix(params, pulse, layout),
                                        x @ m1 @ x, atol=1e-15)
 
@@ -111,22 +119,6 @@ class TestInteractionMatrix:
             interaction_matrix(
                 ExperimentParams(g_tau=0.01, mean_sx=1.0, mean_jx=1.0),
                 3, Layout(2))
-
-
-class TestExchangeMatrix:
-    def test_swap_is_an_involution(self):
-        layout = Layout(3)
-        x = exchange_matrix(1, 3, layout)
-        np.testing.assert_array_equal(x @ x, np.eye(12))
-
-    def test_self_swap_is_identity(self):
-        layout = Layout(2)
-        np.testing.assert_array_equal(exchange_matrix(2, 2, layout),
-                                      np.eye(9))
-
-    def test_block_out_of_range(self):
-        with pytest.raises(LayoutError):
-            exchange_matrix(1, 3, Layout(2))
 
 
 class TestNoiseEmbedding:
@@ -146,7 +138,7 @@ class TestNoiseEmbedding:
         layout = Layout(3)
         rng = np.random.default_rng(5)
         noise = NoiseModel(random_psd(rng, 6, 3.0))
-        x = exchange_matrix(1, 3, layout)
+        x = _swap_with_first(3, layout)
         np.testing.assert_allclose(noise_matrix(noise, 3, layout),
                                    x @ noise_matrix(noise, 1, layout) @ x,
                                    atol=1e-15)
@@ -200,9 +192,7 @@ class TestApplyPulse:
 
     def test_three_pulses_build_meter_spin_correlations(self, noisy_set):
         params, noise, initial = noisy_set
-        state = initial
-        for pulse in (1, 2, 3):
-            state = apply_pulse(state, params, noise, pulse)
+        state = propagate(params, noise, initial)
         # every meter ends up correlated with every other through J_z
         assert get_entry(state, "P_y", "Q_y") > 0.0
         assert get_entry(state, "P_y", "R_y") > 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,19 @@ from qndcert import (
     NoiseModel,
     OpticalBlock,
     ShotRecords,
+    closed_form_error,
     delta_stats,
     make_initial_state,
+    meter_moments,
     no_atoms_moments,
     predicted_moments,
+    propagate,
     sample_moments,
     squeezing_condition,
 )
+from qndcert import selftest
 
-from conftest import meter_moments, propagate, random_psd
+from conftest import random_psd
 
 
 class TestPredictedMoments:
@@ -64,7 +70,7 @@ class TestPredictedMoments:
                 layout)
             closed = predicted_moments(params, noise, initial)
             direct = meter_moments(propagate(params, noise, initial))
-            for name, expected in direct.items():
+            for name, expected in direct.entries().items():
                 assert getattr(closed, name) == pytest.approx(expected,
                                                               rel=1e-11), name
 
@@ -152,6 +158,29 @@ class TestDeltaStats:
             delta_stats(measured, reference, 1.0)
 
 
+class TestClosedFormError:
+    """The per-model check behind acceptance criterion 1 and the selftest
+    must notice a closed form that is off far below any gate."""
+
+    def test_perturbed_moment_is_caught(self, noisy_set, monkeypatch):
+        original = selftest.predicted_moments
+
+        def perturbed(*args):
+            moments = original(*args)
+            return dataclasses.replace(moments,
+                                       var_q=moments.var_q * (1.0 + 1e-6))
+
+        monkeypatch.setattr(selftest, "predicted_moments", perturbed)
+        assert closed_form_error(*noisy_set, 25.0) > 1e-9
+
+    def test_perturbed_conditional_variance_is_caught(self, noisy_set,
+                                                      monkeypatch):
+        original = selftest.conditional_variance_general
+        monkeypatch.setattr(selftest, "conditional_variance_general",
+                            lambda *args: original(*args) * (1.0 + 1e-6))
+        assert closed_form_error(*noisy_set, 25.0) > 1e-9
+
+
 class TestMomentSetValidation:
     def test_missing_field_for_pulse_count(self):
         with pytest.raises(ValueError):
@@ -212,10 +241,22 @@ class TestSampleMoments:
         records = ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms)
         measured, reference = sample_moments(records)
         assert measured.n_shots == 400
-        assert measured.var_p == pytest.approx(
-            np.var(with_atoms[:, 0], ddof=1), rel=1e-12)
-        assert reference.cov_qr == pytest.approx(
-            np.cov(no_atoms[:, 1], no_atoms[:, 2], ddof=1)[0, 1], rel=1e-12)
+        # every label against the entry of np.cov it must name
+        pairs = {"var_p": (0, 0), "var_q": (1, 1), "var_r": (2, 2),
+                 "cov_pq": (0, 1), "cov_pr": (0, 2), "cov_qr": (1, 2)}
+        for rows, moments in ((with_atoms, measured), (no_atoms, reference)):
+            cov = np.cov(rows, rowvar=False, ddof=1)
+            assert list(moments.entries()) == list(pairs)
+            assert sorted(moments.se) == sorted(pairs)
+            for name, (j, k) in pairs.items():
+                assert getattr(moments, name) == pytest.approx(
+                    cov[j, k], rel=1e-12), name
+                if j == k:
+                    se = cov[j, j] * np.sqrt(2.0 / 399)
+                else:
+                    se = np.sqrt((cov[j, j] * cov[k, k] + cov[j, k] ** 2)
+                                 / 399)
+                assert moments.se[name] == pytest.approx(se, rel=1e-12), name
 
     def test_variance_standard_error_formula(self):
         rng = np.random.default_rng(43)
