@@ -22,7 +22,13 @@ from .certification import CertificationReport, certify
 from .config import ExperimentConfig, load_config
 from .errors import QndError, RecordError
 from .montecarlo import params_hash, simulate_shots
-from .recordio import read_records, sibling_meta_path, write_records
+from .recordio import (
+    RecordSummary,
+    read_records,
+    read_summary,
+    sibling_meta_path,
+    write_records,
+)
 from .report import (
     delta_to_dict,
     dump_json,
@@ -32,13 +38,7 @@ from .report import (
     report_to_dict,
 )
 from .selftest import run_selftest
-from .statistics import (
-    DeltaStats,
-    MomentSet,
-    ShotRecords,
-    delta_stats,
-    sample_moments,
-)
+from .statistics import DeltaStats, MomentSet, delta_stats, sample_moments
 
 __all__ = ["main"]
 
@@ -109,18 +109,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
-                               ShotRecords]:
+                               RecordSummary]:
+    """Both arms' moments, from the sidecar's summaries when they match the
+    CSVs by digest and by parsing the CSVs otherwise, and the delta
+    statistics at ``r_l`` from the flag (or config), else the sidecar,
+    else 1.0."""
     meta = args.meta
     if meta is None:
         meta = sibling_meta_path(args.records)
-    records = read_records(args.records, args.no_atoms_records, meta)
-    measured, reference = sample_moments(records)
-    r_l = args.r_l
+    summary = read_summary(args.records, args.no_atoms_records, meta)
+    for path in summary.stale:
+        print(f"warning: {path} differs from its sidecar digest; moments "
+              f"recomputed from the CSV", file=sys.stderr)
+    if summary.moments is not None:
+        measured, reference = summary.moments
+    else:
+        records = read_records(args.records, args.no_atoms_records, meta)
+        measured, reference = sample_moments(records)
+    r_l = args.r_l if args.r_l is not None else summary.r_l
     if r_l is None:
         print("warning: --r-l not given; assuming r_l = 1.0", file=sys.stderr)
         r_l = 1.0
     delta = delta_stats(measured, reference, r_l)
-    return measured, reference, delta, r_l, records
+    return measured, reference, delta, r_l, summary
 
 
 def _print_moment_table(measured: MomentSet, reference: MomentSet,
@@ -145,7 +156,7 @@ def _cmd_simulate(args) -> int:
         return 2
     records = simulate_shots(config.params, config.noise,
                              config.initial_state(), n_shots, seed)
-    paths = write_records(records, args.out)
+    paths = write_records(records, args.out, r_l=config.params.r_l)
     print(f"simulated {n_shots} shots x 2 arms "
           f"({config.n_pulses} pulse(s), seed {seed})")
     for role in ("with_atoms", "no_atoms", "meta"):

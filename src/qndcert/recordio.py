@@ -4,7 +4,7 @@ A record set with prefix ``run`` lands in three files::
 
     run.with_atoms.csv   shot,p_y[,q_y[,r_y]]
     run.no_atoms.csv     same columns
-    run.meta.json        seed, shot count, params hash
+    run.meta.json        seed, shot count, params hash, r_l, arm summaries
 
 Floats are written with 17 significant digits, so reading a file back
 reproduces the original float64 values exactly, and identical inputs
@@ -13,6 +13,16 @@ in blocks of the sampler's ``CHUNK_SHOTS`` rows, so its full text is
 never held in memory.  All writes go through a temp file in the target
 directory followed by an atomic rename.
 
+The sidecar (schema 2) also holds an ``arms`` block: per role, the
+sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
+(``count``, ``mean``, ``comoment``), taken from the in-memory rows.  A
+CSV reproduces those rows exactly, so these are the values parsing it
+would give.  :func:`read_summary` hashes the CSVs it is given; when both
+digests match the sidecar's, the arms' moments come from the stored
+summaries and no CSV is parsed.  Otherwise, and for sidecars of
+schema 1 or without an ``arms`` block (written when a summary is not
+finite), the caller parses the CSVs with :func:`read_records`.
+
 Writing refuses records holding a non-finite value, and reading refuses
 a file whose values are not all finite or whose ``shot`` column is not
 0, 1, ..., n-1.
@@ -20,9 +30,11 @@ a file whose values are not all finite or whose ``shot`` column is not
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,17 +42,21 @@ import numpy as np
 
 from .errors import RecordError
 from .montecarlo import CHUNK_SHOTS
-from .statistics import ShotRecords
+from .statistics import MomentAccumulator, MomentSet, ShotRecords
 
 __all__ = [
+    "RecordSummary",
     "write_atomic_text",
     "write_records",
     "read_records",
+    "read_summary",
     "sibling_meta_path",
 ]
 
-META_SCHEMA_VERSION = 1
+META_SCHEMA_VERSION = 2
 _COLUMNS = ("p_y", "q_y", "r_y")
+_ROLES = ("with_atoms", "no_atoms")
+_HASH_BLOCK_BYTES = 1 << 18
 
 
 def write_atomic_text(path: Path, text: str | Iterable[str]) -> None:
@@ -71,12 +87,39 @@ def _format_arm(rows: np.ndarray) -> Iterator[str]:
         yield "".join([line % row for row in zip(shots, *block.T.tolist())])
 
 
-def write_records(records: ShotRecords, prefix: str | Path) -> dict[str, Path]:
+def _hashed(pieces: Iterable[str], digest) -> Iterator[str]:
+    """Pass ``pieces`` through, feeding each one's bytes to ``digest``."""
+    for piece in pieces:
+        digest.update(piece.encode())
+        yield piece
+
+
+def _arm_summaries(records: ShotRecords,
+                   digests: dict[str, str]) -> dict | None:
+    """The sidecar's ``arms`` block, or None when a summary is not finite
+    (readers then parse the CSVs)."""
+    arms = {}
+    with np.errstate(all="ignore"):
+        for role in _ROLES:
+            acc = MomentAccumulator.of(getattr(records, role))
+            if not (np.isfinite(acc.mean).all()
+                    and np.isfinite(acc.comoment).all()):
+                return None
+            arms[role] = {"sha256": digests[role], "count": acc.count,
+                          "mean": acc.mean.tolist(),
+                          "comoment": acc.comoment.tolist()}
+    return arms
+
+
+def write_records(records: ShotRecords, prefix: str | Path,
+                  r_l: float | None = None) -> dict[str, Path]:
     """Write both arms and the sidecar; returns the paths by role.
 
-    Records holding a non-finite value are refused before any file is
-    created, since reading would refuse the file."""
-    for role in ("with_atoms", "no_atoms"):
+    ``r_l``, the optical transmission the records were simulated at, is
+    stored in the sidecar for readers given no other value.  Records
+    holding a non-finite value are refused before any file is created,
+    since reading would refuse the file."""
+    for role in _ROLES:
         finite = np.isfinite(getattr(records, role)).all(axis=1)
         if not finite.all():
             raise RecordError(f"{role} arm: row {int(np.argmin(finite))} "
@@ -87,8 +130,12 @@ def write_records(records: ShotRecords, prefix: str | Path) -> dict[str, Path]:
         "no_atoms": prefix.with_name(prefix.name + ".no_atoms.csv"),
         "meta": prefix.with_name(prefix.name + ".meta.json"),
     }
-    write_atomic_text(paths["with_atoms"], _format_arm(records.with_atoms))
-    write_atomic_text(paths["no_atoms"], _format_arm(records.no_atoms))
+    digests = {}
+    for role in _ROLES:
+        digest = hashlib.sha256()
+        write_atomic_text(paths[role],
+                          _hashed(_format_arm(getattr(records, role)), digest))
+        digests[role] = digest.hexdigest()
     meta = {
         "schema_version": META_SCHEMA_VERSION,
         "kind": "shot_records",
@@ -96,8 +143,13 @@ def write_records(records: ShotRecords, prefix: str | Path) -> dict[str, Path]:
         "n_shots": records.n_shots,
         "n_pulses": records.n_pulses,
         "params_hash": records.params_hash,
+        "r_l": r_l,
     }
-    write_atomic_text(paths["meta"], json.dumps(meta, indent=2) + "\n")
+    arms = _arm_summaries(records, digests)
+    if arms is not None:
+        meta["arms"] = arms
+    write_atomic_text(paths["meta"],
+                      json.dumps(meta, indent=2, allow_nan=False) + "\n")
     return paths
 
 
@@ -145,6 +197,20 @@ def sibling_meta_path(with_atoms_path: str | Path) -> Path | None:
     return meta if meta.exists() else None
 
 
+def _read_meta(meta_path: str | Path) -> dict:
+    try:
+        meta = json.loads(Path(meta_path).read_text())
+    except OSError as exc:
+        raise RecordError(f"{meta_path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise RecordError(
+            f"{meta_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(meta, dict) or meta.get("kind") != "shot_records":
+        raise RecordError(f"{meta_path}: not a shot-records sidecar")
+    return meta
+
+
 def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
                  meta_path: str | Path | None = None) -> ShotRecords:
     """Load both arms; the sidecar (when given) supplies seed and params
@@ -154,16 +220,7 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     seed = None
     params_hash = None
     if meta_path is not None:
-        try:
-            meta = json.loads(Path(meta_path).read_text())
-        except OSError as exc:
-            raise RecordError(f"{meta_path}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise RecordError(
-                f"{meta_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from None
-        if meta.get("kind") != "shot_records":
-            raise RecordError(f"{meta_path}: not a shot-records sidecar")
+        meta = _read_meta(meta_path)
         if meta.get("n_pulses") != with_atoms.shape[1]:
             raise RecordError(
                 f"{meta_path}: sidecar says {meta.get('n_pulses')} pulses, "
@@ -179,3 +236,89 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     records = ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms,
                           seed=seed, params_hash=params_hash)
     return records
+
+
+@dataclass(frozen=True)
+class RecordSummary:
+    """What a record set's sidecar and digests say, before any parsing.
+
+    ``sha256`` holds each CSV's digest by role.  ``moments`` holds the
+    (with-atoms, no-atoms) moments when the sidecar's stored summaries
+    match both digests, else None; ``stale`` lists the CSVs whose digest
+    differs from the one the sidecar stored for them.
+    """
+
+    sha256: dict[str, str]
+    seed: int | None = None
+    params_hash: str | None = None
+    r_l: float | None = None
+    moments: tuple[MomentSet, MomentSet] | None = None
+    stale: tuple[Path, ...] = ()
+
+    @property
+    def moments_source(self) -> str:
+        return "parsed" if self.moments is None else "sidecar"
+
+
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(_HASH_BLOCK_BYTES), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise RecordError(f"{path}: {exc.strerror or exc}") from None
+    return digest.hexdigest()
+
+
+def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
+    """An arm's moments from its sidecar summary, which must agree with
+    the sidecar's own shot and pulse counts."""
+    n_shots, n_pulses = meta.get("n_shots"), meta.get("n_pulses")
+    try:
+        mean = np.array(arm["mean"], dtype=float)
+        comoment = np.array(arm["comoment"], dtype=float)
+        count = arm["count"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecordError(f"{meta_path}: malformed arm summary: {exc!r}") \
+            from None
+    if (n_pulses not in (1, 2, 3) or count != n_shots
+            or mean.shape != (n_pulses,)
+            or comoment.shape != (n_pulses, n_pulses)):
+        raise RecordError(
+            f"{meta_path}: arm summary of {count} shots and {mean.size} "
+            f"pulses disagrees with the sidecar's {n_shots} shots and "
+            f"{n_pulses} pulses")
+    if not (np.isfinite(mean).all() and np.isfinite(comoment).all()):
+        raise RecordError(f"{meta_path}: arm summary holds a non-finite "
+                          f"value")
+    acc = MomentAccumulator(n_pulses)
+    acc.count, acc.mean, acc.comoment = count, mean, comoment
+    return acc.moments()
+
+
+def read_summary(with_atoms_path: str | Path, no_atoms_path: str | Path,
+                 meta_path: str | Path | None = None) -> RecordSummary:
+    """Hash both CSVs in fixed-size chunks and read the sidecar (when
+    given); see :class:`RecordSummary`.  No CSV is parsed."""
+    paths = {"with_atoms": Path(with_atoms_path),
+             "no_atoms": Path(no_atoms_path)}
+    sha256 = {role: _file_sha256(path) for role, path in paths.items()}
+    if meta_path is None:
+        return RecordSummary(sha256)
+    meta = _read_meta(meta_path)
+    r_l = meta.get("r_l")
+    if r_l is not None and not isinstance(r_l, (int, float)):
+        raise RecordError(f"{meta_path}: r_l {r_l!r} is not a number")
+    arms = meta.get("arms", {})
+    if not (isinstance(arms, dict)
+            and all(isinstance(arm, dict) for arm in arms.values())):
+        raise RecordError(f"{meta_path}: malformed arms block")
+    stale = tuple(path for role, path in paths.items()
+                  if role in arms and arms[role].get("sha256") != sha256[role])
+    moments = None
+    if not stale and all(role in arms for role in _ROLES):
+        moments = tuple(_stored_moments(meta, arms[role], meta_path)
+                        for role in _ROLES)
+    return RecordSummary(sha256, meta.get("seed"), meta.get("params_hash"),
+                         r_l, moments, stale)

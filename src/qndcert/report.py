@@ -7,8 +7,8 @@ from pathlib import Path
 
 from .certification import CertificationReport
 from .estimation import EstimatedModel
-from .recordio import write_atomic_text
-from .statistics import DeltaStats, MomentSet, ShotRecords
+from .recordio import RecordSummary, write_atomic_text
+from .statistics import DeltaStats, MomentSet
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -62,26 +62,31 @@ def estimates_to_dict(estimates: EstimatedModel | None) -> dict | None:
     }
 
 
-def _records_meta(records: ShotRecords | None) -> dict | None:
-    if records is None:
+def _records_meta(records: RecordSummary | None,
+                  moments: tuple[MomentSet, MomentSet] | None) -> dict | None:
+    if records is None or moments is None:
         return None
     return {
         "seed": records.seed,
         "params_hash": records.params_hash,
-        "n_shots": records.n_shots,
-        "n_pulses": records.n_pulses,
+        "n_shots": moments[0].n_shots,
+        "n_pulses": moments[0].n_pulses,
+        "sha256": dict(records.sha256),
+        "moments_source": records.moments_source,
     }
 
 
 def report_to_dict(report: CertificationReport,
                    moments: tuple[MomentSet, MomentSet] | None = None,
-                   records: ShotRecords | None = None,
+                   records: RecordSummary | None = None,
                    r_l: float | None = None) -> dict:
     """Full report as a stable, versioned JSON-ready dict.
 
     ``moments`` and ``records`` add the measured context when the report
-    came from shot data; ``r_l`` echoes the reference scaling used for
-    the delta statistics.
+    came from shot data: the records block names the record set (seed,
+    params hash, sizes, each CSV's sha256) and whether the moments came
+    from its sidecar or from parsing the CSVs.  ``r_l`` echoes the
+    reference scaling used for the delta statistics.
     """
     ncl = report.nonclassical
     out = {
@@ -135,7 +140,7 @@ def report_to_dict(report: CertificationReport,
         "inconclusive": report.inconclusive,
         "reasons": list(report.reasons),
         "warnings": list(report.warnings),
-        "records": _records_meta(records),
+        "records": _records_meta(records, moments),
     }
     return out
 

@@ -192,6 +192,13 @@ class MomentAccumulator:
         self.mean = np.zeros(n_cols)
         self.comoment = np.zeros((n_cols, n_cols))
 
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "MomentAccumulator":
+        """An accumulator fed all of ``rows`` in one update."""
+        acc = cls(np.shape(rows)[1])
+        acc.update(rows)
+        return acc
+
     def update(self, rows: np.ndarray) -> None:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.mean.size:
@@ -224,6 +231,25 @@ class MomentAccumulator:
         if self.count < 2:
             raise UndefinedInputError("need at least 2 rows for a covariance")
         return self.comoment / (self.count - 1)
+
+    def moments(self) -> MomentSet:
+        """Unbiased sample moments of the rows seen, with their standard
+        errors."""
+        n = self.count
+        if n < 2:
+            raise UndefinedInputError("need at least 2 shots per arm")
+        cov = self.covariance
+        values: dict[str, float] = {}
+        ses: dict[str, float] = {}
+        for name, j, k in _meter_pairs(self.mean.size):
+            c = float(cov[j, k])
+            values[name] = c
+            if j == k:
+                ses[name] = c * np.sqrt(2.0 / (n - 1))
+            else:
+                # Gaussian delta-method error of a sample covariance.
+                ses[name] = np.sqrt((cov[j, j] * cov[k, k] + c * c) / (n - 1))
+        return MomentSet(n_pulses=self.mean.size, n_shots=n, se=ses, **values)
 
 
 def meter_moments(state: GaussianState) -> MomentSet:
@@ -312,30 +338,10 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
     return DeltaStats(n_pulses=measured.n_pulses, se=ses or None, **values)
 
 
-def _moments_of_arm(rows: np.ndarray) -> MomentSet:
-    n = rows.shape[0]
-    if n < 2:
-        raise UndefinedInputError("need at least 2 shots per arm")
-    acc = MomentAccumulator(rows.shape[1])
-    acc.update(rows)
-    cov = acc.covariance
-    values: dict[str, float] = {}
-    ses: dict[str, float] = {}
-    for name, j, k in _meter_pairs(rows.shape[1]):
-        c = float(cov[j, k])
-        values[name] = c
-        if j == k:
-            ses[name] = c * np.sqrt(2.0 / (n - 1))
-        else:
-            # Gaussian delta-method error of a sample covariance.
-            ses[name] = np.sqrt((cov[j, j] * cov[k, k] + c * c) / (n - 1))
-    return MomentSet(n_pulses=rows.shape[1], n_shots=n, se=ses, **values)
-
-
 def sample_moments(records: ShotRecords) -> tuple[MomentSet, MomentSet]:
     """Unbiased sample moments of (probe arm, reference arm)."""
-    return (_moments_of_arm(records.with_atoms),
-            _moments_of_arm(records.no_atoms))
+    return (MomentAccumulator.of(records.with_atoms).moments(),
+            MomentAccumulator.of(records.no_atoms).moments())
 
 
 def conditional_variance_from_stats(delta: DeltaStats, var_p: float,

@@ -2,7 +2,8 @@
 oracle and a random covariance helper.
 
 The matrix oracle for the closed forms is ``qndcert.propagate`` followed
-by ``qndcert.meter_moments``.
+by ``qndcert.meter_moments``; ``random_psd`` is the selftest's own
+random-covariance helper.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from qndcert import (
     OpticalBlock,
     make_initial_state,
 )
+from qndcert.selftest import _random_psd as random_psd  # noqa: F401
 
 
 @pytest.fixture
@@ -62,9 +64,3 @@ def schur_conditional(cov: np.ndarray, index: int) -> np.ndarray:
     full = np.zeros_like(cov)
     full[np.ix_(keep, keep)] = out
     return full
-
-
-def random_psd(rng, size, scale=1.0):
-    root = rng.normal(size=(size, size + 2))
-    matrix = root @ root.T
-    return matrix * (scale / matrix.diagonal().max())

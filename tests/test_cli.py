@@ -1,5 +1,8 @@
 """End-to-end runs of the command line, in process via main()."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +12,7 @@ import sys
 import pytest
 
 import qndcert
+import qndcert.recordio
 from qndcert import params_hash
 from qndcert.cli import main
 from qndcert.config import load_config
@@ -59,6 +63,15 @@ def lossy_run(tmp_path_factory):
 def _record_args(run):
     return ["--records", run["records"],
             "--no-atoms-records", run["no_atoms"]]
+
+
+def _copy_without_sidecar(run, directory):
+    """Record arguments naming copies of a run's CSVs under names the
+    sidecar discovery cannot match."""
+    for key, name in (("records", "x.csv"), ("no_atoms", "y.csv")):
+        (directory / name).write_bytes(pathlib.Path(run[key]).read_bytes())
+    return ["--records", str(directory / "x.csv"),
+            "--no-atoms-records", str(directory / "y.csv")]
 
 
 class TestSimulate:
@@ -117,20 +130,28 @@ class TestStats:
         assert abs(payload["delta"]["d_var_p"] - 25.0) < 3.5
 
     def test_meta_not_required(self, ideal_run, tmp_path, capsys):
-        # copy the CSVs under names the sidecar discovery cannot match
-        for key, name in (("records", "x.csv"), ("no_atoms", "y.csv")):
-            (tmp_path / name).write_bytes(
-                pathlib.Path(ideal_run[key]).read_bytes())
-        assert main(["stats",
-                     "--records", str(tmp_path / "x.csv"),
-                     "--no-atoms-records", str(tmp_path / "y.csv")]) == 0
+        assert main(["stats", *_copy_without_sidecar(ideal_run,
+                                                      tmp_path)]) == 0
 
-    def test_assumed_r_l_is_announced(self, lossy_run, capsys):
-        assert main(["stats", *_record_args(lossy_run)]) == 0
+    def test_assumed_r_l_is_announced(self, lossy_run, tmp_path, capsys):
+        # without a sidecar no source gives r_l
+        args = _copy_without_sidecar(lossy_run, tmp_path)
+        assert main(["stats", *args]) == 0
         assert "warning: --r-l not given; assuming r_l = 1.0" in \
             capsys.readouterr().err
-        assert main(["stats", *_record_args(lossy_run), "--r-l", "0.9"]) == 0
+        assert main(["stats", *args, "--r-l", "0.9"]) == 0
         assert "--r-l" not in capsys.readouterr().err
+
+    def test_r_l_falls_back_to_the_sidecar(self, lossy_run, tmp_path,
+                                           capsys):
+        out_path = tmp_path / "stats.json"
+        assert main(["stats", *_record_args(lossy_run),
+                     "--out", str(out_path)]) == 0
+        assert "r_l" not in capsys.readouterr().err
+        assert json.loads(out_path.read_text())["r_l"] == 0.9
+        assert main(["stats", *_record_args(lossy_run), "--r-l", "0.95",
+                     "--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["r_l"] == 0.95
 
     def test_missing_records_file(self, ideal_run, tmp_path, capsys):
         code = main(["stats",
@@ -202,7 +223,8 @@ class TestEstimate:
                      "--kappa", "1.0", "--j33", "25.0"]) == 0
         captured = capsys.readouterr()
         assert "r_a (covariance ratio):" in captured.out
-        assert "warning: --r-l not given; assuming r_l = 1.0" in captured.err
+        # the sidecar supplies r_l = 1.0
+        assert "assuming r_l" not in captured.err
 
 
 class TestCertify:
@@ -227,6 +249,11 @@ class TestCertify:
             "params_hash": meta["params_hash"],
             "n_shots": 20000,
             "n_pulses": 3,
+            "sha256": {role: hashlib.sha256(pathlib.Path(
+                ideal_run[key]).read_bytes()).hexdigest()
+                for role, key in (("with_atoms", "records"),
+                                  ("no_atoms", "no_atoms"))},
+            "moments_source": "sidecar",
         }
 
     def test_calibration_flags_without_config(self, ideal_run, capsys):
@@ -268,13 +295,9 @@ class TestCertify:
 
     def test_config_is_not_checked_without_sidecar(self, ideal_run, tmp_path,
                                                    capsys):
-        for key, name in (("records", "x.csv"), ("no_atoms", "y.csv")):
-            (tmp_path / name).write_bytes(
-                pathlib.Path(ideal_run[key]).read_bytes())
+        args = _copy_without_sidecar(ideal_run, tmp_path)
         other = _write_config(tmp_path, "other.json", coupling={"kappa": 1.5})
-        main(["certify", "--config", str(other),
-              "--records", str(tmp_path / "x.csv"),
-              "--no-atoms-records", str(tmp_path / "y.csv")])
+        main(["certify", "--config", str(other), *args])
         captured = capsys.readouterr()
         assert "certified:" in captured.out
         assert ("warning: records carry no params_hash; --config model not "
@@ -306,6 +329,83 @@ class TestCertify:
             main(["certify", *_record_args(ideal_run), "--kappa", "1.0"])
         assert excinfo.value.code == 2
         assert "--j33 is required" in capsys.readouterr().err
+
+
+def _analyses(run, directory):
+    """stdout and parsed --out JSON of stats, estimate and certify."""
+    commands = {
+        "stats": ["stats", *_record_args(run), "--r-l", "0.9"],
+        "estimate": ["estimate", *_record_args(run), "--r-l", "0.9",
+                     "--kappa", "1.0", "--j33", "25"],
+        "certify": ["certify", "--config", run["config"],
+                    *_record_args(run)],
+    }
+    outputs = {}
+    for name, argv in commands.items():
+        out_path = directory / f"{name}.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main([*argv, "--out", str(out_path)])
+        outputs[name] = (out.getvalue(), json.loads(out_path.read_text()))
+    return outputs
+
+
+class TestSidecarMoments:
+    def test_same_output_with_and_without_summaries(self, lossy_run,
+                                                    tmp_path):
+        run = _copy_run(lossy_run, tmp_path)
+        fast = _analyses(run, tmp_path)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        del meta["arms"]
+        meta_path.write_text(json.dumps(meta))
+        parsed = _analyses(run, tmp_path)
+        records = (fast["certify"][1]["records"],
+                   parsed["certify"][1]["records"])
+        assert [r.pop("moments_source") for r in records] == \
+            ["sidecar", "parsed"]
+        for name in ("stats", "estimate", "certify"):
+            assert fast[name][0] == parsed[name][0]
+            # repr() differs for any two floats that differ in a bit
+            assert json.dumps(fast[name][1]) == json.dumps(parsed[name][1])
+
+    def test_csvs_are_not_parsed_when_digests_match(self, tmp_path,
+                                                    monkeypatch, capsys):
+        config = _write_config(tmp_path, "cfg.json", n_shots=3000)
+        run = _simulate(tmp_path, config)
+
+        def refuse(path):
+            raise AssertionError(f"parsed {path}")
+
+        monkeypatch.setattr(qndcert.recordio, "_read_arm", refuse)
+        assert main(["stats", *_record_args(run)]) == 0
+        assert "shots: 3000 per arm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["records", "no_atoms"])
+    def test_edited_csv_is_announced_and_parsed(self, lossy_run, tmp_path,
+                                                capsys, key):
+        assert main(["stats", *_record_args(lossy_run), "--r-l", "0.9"]) == 0
+        expected = capsys.readouterr().out
+        run = _copy_run(lossy_run, tmp_path)
+        path = pathlib.Path(run[key])
+        text = path.read_text()
+        path.write_text(text + "\n")  # blank line: same data, new digest
+        assert main(["stats", *_record_args(run), "--r-l", "0.9"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == (f"warning: {path} differs from its sidecar "
+                                f"digest; moments recomputed from the CSV\n")
+
+    def test_inconsistent_summary_is_refused(self, ideal_run, tmp_path,
+                                             capsys):
+        run = _copy_run(ideal_run, tmp_path)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        meta["arms"]["no_atoms"]["count"] = 19999
+        meta_path.write_text(json.dumps(meta))
+        assert main(["stats", *_record_args(run)]) == 2
+        err = capsys.readouterr().err
+        assert "19999 shots" in err and "20000 shots" in err
 
 
 class TestSelftest:

@@ -1,17 +1,28 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from qndcert import (
+    AtomicBlock,
+    Layout,
+    OpticalBlock,
     RecordError,
     ShotRecords,
+    make_initial_state,
     read_records,
+    sample_moments,
     simulate_shots,
     write_records,
 )
 from qndcert.montecarlo import CHUNK_SHOTS
-from qndcert.recordio import sibling_meta_path, write_atomic_text
+from qndcert.recordio import (
+    read_summary,
+    sibling_meta_path,
+    write_atomic_text,
+)
 
 
 @pytest.fixture
@@ -82,7 +93,11 @@ class TestFormat:
     def test_golden_bytes(self, tmp_path):
         records = ShotRecords(with_atoms=self.EDGE_VALUES,
                               no_atoms=self.EDGE_VALUES[::-1])
-        paths = write_records(records, tmp_path / "edge")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = write_records(records, tmp_path / "edge")
+        # the summaries overflow, so the sidecar leaves them out
+        assert "arms" not in json.loads(paths["meta"].read_text())
         assert paths["with_atoms"].read_bytes() == self.EDGE_TEXT.encode()
         back = read_records(paths["with_atoms"], paths["no_atoms"])
         np.testing.assert_array_equal(back.with_atoms, self.EDGE_VALUES)
@@ -103,6 +118,131 @@ class TestFormat:
                             paths["meta"])
         np.testing.assert_array_equal(back.with_atoms, records.with_atoms)
         np.testing.assert_array_equal(back.no_atoms, records.no_atoms)
+
+
+def _run_of(n_pulses, n_shots, seed, params, noise):
+    initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                 OpticalBlock.coherent(100.0, n_pulses),
+                                 Layout(n_pulses))
+    return simulate_shots(params, noise, initial, n_shots, seed)
+
+
+def _edit_byte(path, offset, new):
+    data = bytearray(path.read_bytes())
+    data[offset] = ord(new)
+    path.write_bytes(bytes(data))
+
+
+class TestSummary:
+    @pytest.mark.parametrize("n_shots", [2, CHUNK_SHOTS - 1, CHUNK_SHOTS + 1,
+                                         50_000])
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_sidecar_moments_equal_parsed_moments(self, tmp_path, noisy_set,
+                                                  n_pulses, n_shots):
+        params, noise, _ = noisy_set
+        records = _run_of(n_pulses, n_shots, 7, params, noise)
+        paths = write_records(records, tmp_path / "run")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.moments_source == "sidecar"
+        parsed = sample_moments(read_records(
+            paths["with_atoms"], paths["no_atoms"], paths["meta"]))
+        for stored, reference in zip(summary.moments, parsed):
+            assert stored.n_shots == reference.n_shots == n_shots
+            assert stored.entries() == reference.entries()
+            assert stored.se == reference.se
+
+    def test_sidecar_holds_digests_and_r_l(self, tmp_path, small_records):
+        paths = write_records(small_records, tmp_path / "run", r_l=0.9)
+        meta = json.loads(paths["meta"].read_text())
+        assert meta["schema_version"] == 2
+        assert meta["r_l"] == 0.9
+        for role in ("with_atoms", "no_atoms"):
+            digest = hashlib.sha256(paths[role].read_bytes()).hexdigest()
+            assert meta["arms"][role]["sha256"] == digest
+            assert meta["arms"][role]["count"] == 64
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.r_l == 0.9 and summary.seed == 21
+        assert summary.params_hash == small_records.params_hash
+
+    def test_sidecar_is_byte_identical_across_reruns(self, tmp_path,
+                                                     small_records):
+        first = write_records(small_records, tmp_path / "a", r_l=0.9)
+        second = write_records(small_records, tmp_path / "b", r_l=0.9)
+        assert first["meta"].read_bytes() == second["meta"].read_bytes()
+
+    def test_no_sidecar_means_parsing(self, tmp_path, small_records):
+        paths = write_records(small_records, tmp_path / "run")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"])
+        assert summary.moments is None and summary.stale == ()
+        assert summary.moments_source == "parsed"
+
+    def test_schema_1_sidecar_still_reads(self, tmp_path, small_records):
+        paths = write_records(small_records, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        del meta["arms"], meta["r_l"]
+        meta["schema_version"] = 1
+        paths["meta"].write_text(json.dumps(meta, indent=2) + "\n")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.moments is None and summary.stale == ()
+        assert summary.seed == 21 and summary.r_l is None
+        back = read_records(paths["with_atoms"], paths["no_atoms"],
+                            paths["meta"])
+        assert back.params_hash == small_records.params_hash
+
+    def test_swapped_arms_are_parsed(self, tmp_path, small_records):
+        paths = write_records(small_records, tmp_path / "run")
+        summary = read_summary(paths["no_atoms"], paths["with_atoms"],
+                               paths["meta"])
+        assert summary.moments is None
+        assert summary.stale == (paths["no_atoms"], paths["with_atoms"])
+
+    @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
+    def test_edited_byte_is_parsed(self, tmp_path, small_records, role):
+        paths = write_records(small_records, tmp_path / "run")
+        data = paths[role].read_bytes()
+        offset = len(data) - 5  # the 14th digit of the last value
+        assert chr(data[offset]).isdigit()
+        _edit_byte(paths[role], offset, "7" if data[offset] != ord("7")
+                   else "8")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.moments is None and summary.stale == (paths[role],)
+        back = read_records(paths["with_atoms"], paths["no_atoms"],
+                            paths["meta"])
+        assert not np.array_equal(getattr(back, role),
+                                  getattr(small_records, role))
+
+    @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
+    def test_edit_to_non_numeric_is_refused(self, tmp_path, small_records,
+                                            role):
+        paths = write_records(small_records, tmp_path / "run")
+        _edit_byte(paths[role], 200, "x")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.stale == (paths[role],)
+        with pytest.raises(RecordError, match=paths[role].name):
+            read_records(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("count", 63, "disagrees"),
+        ("mean", [0.0, 0.0], "disagrees"),
+        ("comoment", [[1.0]], "disagrees"),
+        ("mean", [0.0, float("nan"), 0.0], "non-finite"),
+        ("comoment", "x", "malformed"),
+    ])
+    def test_bad_summary_is_refused(self, tmp_path, small_records, field,
+                                    value, message):
+        paths = write_records(small_records, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        meta["arms"]["with_atoms"][field] = value
+        paths["meta"].write_text(json.dumps(meta))
+        with pytest.raises(RecordError, match=message):
+            read_summary(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
 
 
 class TestReadValidation:
