@@ -19,8 +19,8 @@ import argparse
 import sys
 
 from .certification import CertificationReport, certify
-from .config import ExperimentConfig, load_config
-from .errors import QndError, RecordError
+from .config import ExperimentConfig, check_r_l, load_config
+from .errors import ConfigError, QndError, RecordError
 from .montecarlo import params_hash, simulate_shots
 from .recordio import (
     RecordSummary,
@@ -51,8 +51,15 @@ def _add_record_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--meta", default=None,
                         help="sidecar JSON (default: discovered next to "
                              "the with-atoms file)")
-    parser.add_argument("--r-l", type=float, default=None,
+    parser.add_argument("--r-l", type=_r_l_flag, default=None,
                         help="optical transmission applied to the reference")
+
+
+def _r_l_flag(text: str) -> float:
+    try:
+        return check_r_l(float(text))
+    except (ValueError, ConfigError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,8 +119,8 @@ def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
                                RecordSummary]:
     """Both arms' moments, from the sidecar's summaries when they match the
     CSVs by digest and by parsing the CSVs otherwise, and the delta
-    statistics at ``r_l`` from the flag (or config), else the sidecar,
-    else 1.0."""
+    statistics at ``r_l`` from the flag (or config), else a sidecar no
+    CSV contradicts, else 1.0."""
     meta = args.meta
     if meta is None:
         meta = sibling_meta_path(args.records)
@@ -124,7 +131,8 @@ def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
     if summary.moments is not None:
         measured, reference = summary.moments
     else:
-        records = read_records(args.records, args.no_atoms_records, meta)
+        records = read_records(args.records, args.no_atoms_records,
+                               None if summary.stale else meta)
         measured, reference = sample_moments(records)
     r_l = args.r_l if args.r_l is not None else summary.r_l
     if r_l is None:

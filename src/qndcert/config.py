@@ -21,6 +21,7 @@ syntax errors carry the line and column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .core import AtomicBlock, GaussianState, Layout, OpticalBlock, make_initial
 from .dynamics import ExperimentParams, NoiseModel
 from .errors import ConfigError, QndError
 
-__all__ = ["ExperimentConfig", "load_config"]
+__all__ = ["ExperimentConfig", "check_r_l", "load_config"]
 
 _TOP_KEYS = {
     "n_pulses", "coupling", "atoms", "light", "r_a", "r_l", "noise",
@@ -68,11 +69,20 @@ def _number(raw: dict, field: str, default=None, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: must be a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{field}: must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{field}: must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigError(f"{field}: must be <= {maximum}, got {value}")
     return value
+
+
+def check_r_l(value) -> float:
+    """``value`` as the optical transmission ``r_l``, by the rule the config
+    applies to it: a real number, not a bool, finite, in [0, 1].  Raises
+    ConfigError otherwise."""
+    return _number({"r_l": value}, "r_l", minimum=0.0, maximum=1.0)
 
 
 def _integer(raw: dict, field: str, default=None, minimum=None) -> int:
@@ -187,7 +197,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     noise = _parse_noise(raw)
     g_tau = _parse_coupling(raw, optical.mean_sx)
     r_a = _number(raw, "r_a", default=1.0, minimum=0.0, maximum=1.0)
-    r_l = _number(raw, "r_l", default=1.0, minimum=0.0, maximum=1.0)
+    r_l = check_r_l(raw.get("r_l", 1.0))
     params = ExperimentParams(g_tau=g_tau, mean_sx=optical.mean_sx,
                               mean_jx=atomic.mean_jx, r_a=r_a, r_l=r_l)
 

@@ -6,12 +6,15 @@ A record set with prefix ``run`` lands in three files::
     run.no_atoms.csv     same columns
     run.meta.json        seed, shot count, params hash, r_l, arm summaries
 
-Floats are written with 17 significant digits, so reading a file back
-reproduces the original float64 values exactly, and identical inputs
-produce byte-identical files.  An arm is formatted and streamed to disk
-in blocks of the sampler's ``CHUNK_SHOTS`` rows, so its full text is
-never held in memory.  All writes go through a temp file in the target
-directory followed by an atomic rename.
+Each row is the text of ``("%d," + ",".join(["%.17g"] * k) + "\\n") % row``:
+floats carry 17 significant digits, so reading a file back reproduces
+the original float64 values exactly, and identical inputs produce
+byte-identical files.  The text is produced by the exact numpy kernel
+:func:`qndcert.recordfmt.format_rows`, one ``bytes`` object per
+``SUB_BLOCK_ROWS`` (4096) rows, and streamed to disk through the sha256
+digest, so an arm's full text is never held in memory.  All writes go
+through a temp file in the target directory followed by an atomic
+rename.
 
 The sidecar (schema 2) also holds an ``arms`` block: per role, the
 sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
@@ -34,19 +37,21 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import RecordError
-from .montecarlo import CHUNK_SHOTS
+from .config import check_r_l
+from .errors import ConfigError, RecordError
+from .recordfmt import format_rows
 from .statistics import MomentAccumulator, MomentSet, ShotRecords
 
 __all__ = [
     "RecordSummary",
-    "write_atomic_text",
+    "write_atomic",
     "write_records",
     "read_records",
     "read_summary",
@@ -57,17 +62,20 @@ META_SCHEMA_VERSION = 2
 _COLUMNS = ("p_y", "q_y", "r_y")
 _ROLES = ("with_atoms", "no_atoms")
 _HASH_BLOCK_BYTES = 1 << 18
+# Rows formatted per piece: the formatter's temporaries, and so the
+# writer's peak memory, grow with it.
+SUB_BLOCK_ROWS = 4096
 
 
-def write_atomic_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or the pieces of an iterable of strings in order,
-    to a temp file beside ``path`` and rename it into place."""
+def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data``, or the pieces of an iterable of bytes in order, to
+    a temp file beside ``path`` and rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,22 +83,18 @@ def write_atomic_text(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _format_arm(rows: np.ndarray) -> Iterator[str]:
-    """Yield an arm's CSV text: the header line, then one string per
-    block of ``CHUNK_SHOTS`` rows."""
-    n_columns = rows.shape[1]
-    yield "shot," + ",".join(_COLUMNS[:n_columns]) + "\n"
-    line = "%d," + ",".join(["%.17g"] * n_columns) + "\n"
-    for start in range(0, rows.shape[0], CHUNK_SHOTS):
-        block = rows[start:start + CHUNK_SHOTS]
-        shots = range(start, start + block.shape[0])
-        yield "".join([line % row for row in zip(shots, *block.T.tolist())])
+def _format_arm(rows: np.ndarray) -> Iterator[bytes]:
+    """Yield an arm's CSV bytes: the header line, then one piece per
+    ``SUB_BLOCK_ROWS`` rows."""
+    yield ("shot," + ",".join(_COLUMNS[:rows.shape[1]]) + "\n").encode()
+    for start in range(0, rows.shape[0], SUB_BLOCK_ROWS):
+        yield format_rows(rows[start:start + SUB_BLOCK_ROWS], start)
 
 
-def _hashed(pieces: Iterable[str], digest) -> Iterator[str]:
-    """Pass ``pieces`` through, feeding each one's bytes to ``digest``."""
+def _hashed(pieces: Iterable[bytes], digest) -> Iterator[bytes]:
+    """Pass ``pieces`` through, feeding each one to ``digest``."""
     for piece in pieces:
-        digest.update(piece.encode())
+        digest.update(piece)
         yield piece
 
 
@@ -133,8 +137,8 @@ def write_records(records: ShotRecords, prefix: str | Path,
     digests = {}
     for role in _ROLES:
         digest = hashlib.sha256()
-        write_atomic_text(paths[role],
-                          _hashed(_format_arm(getattr(records, role)), digest))
+        write_atomic(paths[role],
+                     _hashed(_format_arm(getattr(records, role)), digest))
         digests[role] = digest.hexdigest()
     meta = {
         "schema_version": META_SCHEMA_VERSION,
@@ -148,8 +152,8 @@ def write_records(records: ShotRecords, prefix: str | Path,
     arms = _arm_summaries(records, digests)
     if arms is not None:
         meta["arms"] = arms
-    write_atomic_text(paths["meta"],
-                      json.dumps(meta, indent=2, allow_nan=False) + "\n")
+    write_atomic(paths["meta"],
+                 (json.dumps(meta, indent=2, allow_nan=False) + "\n").encode())
     return paths
 
 
@@ -162,14 +166,20 @@ def _read_arm(path: Path) -> np.ndarray:
                 _COLUMNS[:1], _COLUMNS[:2], _COLUMNS[:3]
             }:
                 raise RecordError(f"{path}: unrecognized header {header!r}")
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a file without data rows is refused below instead
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(handle, delimiter=",", ndmin=2)
     except RecordError:
         raise
     except OSError as exc:
         raise RecordError(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise RecordError(f"{path}: {exc}") from None
-    if data.shape[0] < 1 or data.shape[1] != len(fields):
+    if data.size == 0:
+        raise RecordError(f"{path}: no data rows")
+    if data.shape[1] != len(fields):
         raise RecordError(
             f"{path}: expected {len(fields)} columns of data, got shape "
             f"{data.shape}"
@@ -245,7 +255,9 @@ class RecordSummary:
     ``sha256`` holds each CSV's digest by role.  ``moments`` holds the
     (with-atoms, no-atoms) moments when the sidecar's stored summaries
     match both digests, else None; ``stale`` lists the CSVs whose digest
-    differs from the one the sidecar stored for them.
+    differs from the one the sidecar stored for them.  A sidecar that a
+    CSV contradicts supplies nothing else: ``seed``, ``params_hash`` and
+    ``r_l`` are then None.
     """
 
     sha256: dict[str, str]
@@ -308,17 +320,22 @@ def read_summary(with_atoms_path: str | Path, no_atoms_path: str | Path,
         return RecordSummary(sha256)
     meta = _read_meta(meta_path)
     r_l = meta.get("r_l")
-    if r_l is not None and not isinstance(r_l, (int, float)):
-        raise RecordError(f"{meta_path}: r_l {r_l!r} is not a number")
+    if r_l is not None:
+        try:
+            r_l = check_r_l(r_l)
+        except ConfigError as exc:
+            raise RecordError(f"{meta_path}: {exc}") from None
     arms = meta.get("arms", {})
     if not (isinstance(arms, dict)
             and all(isinstance(arm, dict) for arm in arms.values())):
         raise RecordError(f"{meta_path}: malformed arms block")
     stale = tuple(path for role, path in paths.items()
                   if role in arms and arms[role].get("sha256") != sha256[role])
+    if stale:
+        return RecordSummary(sha256, stale=stale)
     moments = None
-    if not stale and all(role in arms for role in _ROLES):
+    if all(role in arms for role in _ROLES):
         moments = tuple(_stored_moments(meta, arms[role], meta_path)
                         for role in _ROLES)
     return RecordSummary(sha256, meta.get("seed"), meta.get("params_hash"),
-                         r_l, moments, stale)
+                         r_l, moments)

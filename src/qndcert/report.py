@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .certification import CertificationReport
 from .estimation import EstimatedModel
-from .recordio import RecordSummary, write_atomic_text
+from .recordio import RecordSummary, write_atomic
 from .statistics import DeltaStats, MomentSet
 
 __all__ = [
@@ -156,5 +156,5 @@ def dump_json(data: dict, path: str | Path | None = None) -> str:
     """Serialize; write atomically when a path is given."""
     text = json.dumps(data, indent=2) + "\n"
     if path is not None:
-        write_atomic_text(Path(path), text)
+        write_atomic(Path(path), text.encode())
     return text

@@ -331,6 +331,84 @@ class TestCertify:
         assert "--j33 is required" in capsys.readouterr().err
 
 
+def _append_byte(path):
+    with open(path, "ab") as handle:
+        handle.write(b"\n")  # a blank line: same data, new digest
+
+
+class TestRLInput:
+    """r_l from the flag or the sidecar follows the config rule: a real
+    number, not a bool, finite, in [0, 1]."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
+    def test_bad_flag_is_a_usage_error(self, ideal_run, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", *_record_args(ideal_run), "--r-l", value])
+        assert excinfo.value.code == 2
+        assert "--r-l" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), True,
+                                       1.5, -0.1, "0.9"],
+                             ids=["nan", "-inf", "true", "1.5", "-0.1",
+                                  "string"])
+    def test_bad_sidecar_value_is_refused(self, lossy_run, tmp_path, capsys,
+                                          value):
+        run = _copy_run(lossy_run, tmp_path)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        meta["r_l"] = value
+        meta_path.write_text(json.dumps(meta))
+        assert main(["stats", *_record_args(run)]) == 2
+        assert main(["certify", *_record_args(run), "--kappa", "1.0",
+                     "--j33", "25", "--j0", "25"]) == 2
+        captured = capsys.readouterr()
+        assert "certified:" not in captured.out
+        assert captured.err.count("r_l") == 2
+
+    def test_simulate_refuses_a_non_finite_config_r_l(self, tmp_path,
+                                                      capsys):
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps({
+            "n_pulses": 1, "coupling": {"kappa": 1.0},
+            "atoms": {"n_atoms": 100.0}, "light": {"n_photons": 100.0},
+            "r_l": float("nan")}))
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "r_l: must be finite" in capsys.readouterr().err
+
+
+class TestStaleSidecar:
+    """A sidecar whose digest a CSV contradicts contributes only its
+    warning: no seed, params_hash or r_l."""
+
+    def test_config_is_not_checked_against_a_stale_sidecar(
+            self, ideal_run, tmp_path, capsys):
+        run = _copy_run(ideal_run, tmp_path)
+        _append_byte(run["records"])
+        other = _write_config(tmp_path, "other.json", coupling={"kappa": 1.5})
+        out_path = tmp_path / "report.json"
+        main(["certify", "--config", str(other), *_record_args(run),
+              "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert "certified:" in captured.out
+        assert "differs from its sidecar digest" in captured.err
+        assert ("warning: records carry no params_hash; --config model not "
+                "checked against them") in captured.err
+        records = json.loads(out_path.read_text())["records"]
+        assert records["seed"] is None and records["params_hash"] is None
+
+    def test_r_l_does_not_come_from_a_stale_sidecar(self, lossy_run,
+                                                    tmp_path, capsys):
+        run = _copy_run(lossy_run, tmp_path)
+        _append_byte(run["no_atoms"])
+        out_path = tmp_path / "stats.json"
+        assert main(["stats", *_record_args(run),
+                     "--out", str(out_path)]) == 0
+        assert "warning: --r-l not given; assuming r_l = 1.0" in \
+            capsys.readouterr().err
+        assert json.loads(out_path.read_text())["r_l"] == 1.0
+
+
 def _analyses(run, directory):
     """stdout and parsed --out JSON of stats, estimate and certify."""
     commands = {

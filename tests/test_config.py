@@ -146,3 +146,10 @@ class TestValidation:
     def test_booleans_are_not_numbers(self, tmp_path):
         with pytest.raises(ConfigError, match="z_threshold"):
             load_config(_write(tmp_path, dict(BASE, z_threshold=True)))
+
+    @pytest.mark.parametrize("field", ["r_l", "r_a", "j33", "z_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_numbers_must_be_finite(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=rf"{field}: must be finite"):
+            load_config(_write(tmp_path, dict(BASE, **{field: value})))

@@ -21,7 +21,7 @@ from qndcert.montecarlo import CHUNK_SHOTS
 from qndcert.recordio import (
     read_summary,
     sibling_meta_path,
-    write_atomic_text,
+    write_atomic,
 )
 
 
@@ -216,6 +216,18 @@ class TestSummary:
                                   getattr(small_records, role))
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
+    def test_stale_sidecar_gives_only_its_digests(self, tmp_path,
+                                                  small_records, role):
+        paths = write_records(small_records, tmp_path / "run", r_l=0.9)
+        with open(paths[role], "ab") as handle:
+            handle.write(b"\n")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.stale == (paths[role],)
+        assert (summary.seed, summary.params_hash, summary.r_l) == \
+            (None, None, None)
+
+    @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
     def test_edit_to_non_numeric_is_refused(self, tmp_path, small_records,
                                             role):
         paths = write_records(small_records, tmp_path / "run")
@@ -286,12 +298,14 @@ class TestReadValidation:
                                  rf"{shots[bad_row]}, expected {bad_row}"):
             read_records(bad, bad)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     def test_empty_data(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,p_y\n")
-        with pytest.raises(RecordError):
-            read_records(bad, bad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RecordError, match="bad.csv: no data rows"):
+                read_records(bad, bad)
+        assert caught == []
 
     def test_arm_shape_mismatch(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -344,13 +358,13 @@ class TestAtomicWrite:
     def test_replaces_existing_file(self, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old")
-        write_atomic_text(target, "new")
+        write_atomic(target, b"new")
         assert target.read_text() == "new"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_creates_parent_directories(self, tmp_path):
         target = tmp_path / "a" / "b" / "out.txt"
-        write_atomic_text(target, "content")
+        write_atomic(target, [b"con", b"tent"])
         assert target.read_text() == "content"
 
     def test_values_survive_at_full_precision(self, tmp_path, noisy_set):
