@@ -214,19 +214,19 @@ class CertificationReport:
 _V_DP, _V_DQ, _V_DR, _V_PQ, _V_PR, _V_VP = range(6)
 
 
-def _propagate_se(fn, values: np.ndarray, ses: np.ndarray) -> float:
+def _propagate_se(fn, values: tuple, ses: tuple) -> float:
     """First-order (central-difference) error of fn(values) with
-    independent input errors."""
+    independent input errors.  Both tuples hold numpy float64 scalars, so
+    a zero denominator in ``fn`` gives inf with a RuntimeWarning."""
     total = 0.0
     for i, se in enumerate(ses):
         if se == 0.0:
             continue
-        h = max(1e-6 * abs(values[i]), 1e-9)
-        up = values.copy()
-        up[i] += h
-        dn = values.copy()
-        dn[i] -= h
-        slope = (fn(up) - fn(dn)) / (2.0 * h)
+        value = values[i]
+        h = max(1e-6 * abs(value), 1e-9)
+        head, tail = values[:i], values[i + 1:]
+        slope = (fn(head + (value + h,) + tail)
+                 - fn(head + (value - h,) + tail)) / (2.0 * h)
         total += (slope * se) ** 2
     return float(np.sqrt(total))
 
@@ -351,22 +351,11 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     # over (d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p).
     se_map: dict[str, float] = {}
     if gated:
-        values = np.array([
-            delta.d_var_p,
-            delta.d_var_q if delta.d_var_q is not None else 0.0,
-            delta.d_var_r if delta.d_var_r is not None else 0.0,
-            delta.d_cov_pq if delta.d_cov_pq is not None else 0.0,
-            delta.d_cov_pr if delta.d_cov_pr is not None else 0.0,
-            var_p,
-        ])
-        input_ses = np.array([
-            delta.se_of("d_var_p") or 0.0,
-            delta.se_of("d_var_q") or 0.0,
-            delta.se_of("d_var_r") or 0.0,
-            delta.se_of("d_cov_pq") or 0.0,
-            delta.se_of("d_cov_pr") or 0.0,
-            var_p_se or 0.0,
-        ])
+        names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
+        raw = [getattr(delta, name) for name in names] + [var_p]
+        values = tuple(np.array([0.0 if v is None else v for v in raw]))
+        input_ses = tuple(np.array([delta.se_of(name) or 0.0 for name in names]
+                                   + [var_p_se or 0.0]))
         k2 = kappa * kappa
 
         def f_m(v):
@@ -388,14 +377,10 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         def f_prod(v):
             return max(0.0, f_s(v)) * max(0.0, f_m(v))
 
-        if ncl.dx2_m is not None:
-            se_map["dx2_m"] = _propagate_se(f_m, values, input_ses)
-        if ncl.dx2_s_given_m is not None:
-            se_map["dx2_s_given_m"] = _propagate_se(f_sgm, values, input_ses)
-        if ncl.dx2_s is not None:
-            se_map["dx2_s"] = _propagate_se(f_s, values, input_ses)
-        if ncl.product_sm is not None:
-            se_map["product_sm"] = _propagate_se(f_prod, values, input_ses)
+        for key, fn in (("dx2_m", f_m), ("dx2_s_given_m", f_sgm),
+                        ("dx2_s", f_s), ("product_sm", f_prod)):
+            if getattr(ncl, key) is not None:
+                se_map[key] = _propagate_se(fn, values, input_ses)
 
     def gate(value: float | None, se_key: str) -> bool | None:
         if value is None:

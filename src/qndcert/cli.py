@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from .certification import CertificationReport, certify
-from .config import ExperimentConfig, check_r_l, load_config
+from .config import ExperimentConfig, check_number, load_config
 from .errors import ConfigError, QndError, RecordError
 from .montecarlo import params_hash, simulate_shots
 from .recordio import (
@@ -51,15 +51,22 @@ def _add_record_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--meta", default=None,
                         help="sidecar JSON (default: discovered next to "
                              "the with-atoms file)")
-    parser.add_argument("--r-l", type=_r_l_flag, default=None,
+    parser.add_argument("--r-l", type=_flag("r_l", 0.0, 1.0), default=None,
                         help="optical transmission applied to the reference")
 
 
-def _r_l_flag(text: str) -> float:
-    try:
-        return check_r_l(float(text))
-    except (ValueError, ConfigError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag(field: str, minimum=None, maximum=None, positive=False,
+          kind=float):
+    """argparse type for a number flag, by the rule the config applies to
+    ``field``: finite, within the bounds, above 0 when ``positive``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            check_number(field, value, minimum, maximum, positive)
+        except (ValueError, ConfigError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,9 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="invert moments for the model")
     _add_record_args(p_est)
-    p_est.add_argument("--kappa", type=float, required=True,
+    p_est.add_argument("--kappa", type=_flag("kappa"), required=True,
                        help="calibrated measurement strength")
-    p_est.add_argument("--j33", type=float, required=True,
+    p_est.add_argument("--j33", type=_flag("j33", 0.0), required=True,
                        help="input spin variance var(J_z)")
     p_est.add_argument("--out", default=None, help="also write JSON here")
 
@@ -93,18 +100,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--config", default=None,
                         help="experiment JSON supplying calibration "
                              "(individual flags override it)")
-    p_cert.add_argument("--kappa", type=float, default=None)
-    p_cert.add_argument("--j33", type=float, default=None)
-    p_cert.add_argument("--j0", type=float, default=None,
+    p_cert.add_argument("--kappa", type=_flag("kappa"), default=None)
+    p_cert.add_argument("--j33", type=_flag("j33", 0.0), default=None)
+    p_cert.add_argument("--j0", type=_flag("j0", positive=True), default=None,
                         help="projection-noise variance of the ideal "
                              "coherent spin state")
-    p_cert.add_argument("--z", type=float, default=None,
+    p_cert.add_argument("--z", type=_flag("z", 0.0), default=None,
                         help="verdict gate in standard errors (default 3)")
     p_cert.add_argument("--out", default=None, help="write the JSON report")
 
     p_self = sub.add_parser("selftest", help="internal consistency suites")
-    p_self.add_argument("--sets", type=int, default=150)
-    p_self.add_argument("--shots", type=int, default=20000)
+    p_self.add_argument("--sets", type=_flag("sets", 1, kind=int),
+                        default=150)
+    p_self.add_argument("--shots", type=_flag("shots", 2, kind=int),
+                        default=20000)
     p_self.add_argument("--seed", type=int, default=20250819)
     p_self.add_argument("--flip-coupling-sign", action="store_true",
                         help="debug: run under the opposite coupling sign "
@@ -159,9 +168,10 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     n_shots = config.n_shots if args.shots is None else args.shots
     seed = config.seed if args.seed is None else args.seed
-    if n_shots < 1:
-        print("error: --shots must be positive", file=sys.stderr)
-        return 2
+    if n_shots < 2:
+        return _usage_error("--shots must be at least 2")
+    if seed < 0:
+        return _usage_error("--seed must be nonnegative")
     records = simulate_shots(config.params, config.noise,
                              config.initial_state(), n_shots, seed)
     paths = write_records(records, args.out, r_l=config.params.r_l)

@@ -31,7 +31,7 @@ from .core import AtomicBlock, GaussianState, Layout, OpticalBlock, make_initial
 from .dynamics import ExperimentParams, NoiseModel
 from .errors import ConfigError, QndError
 
-__all__ = ["ExperimentConfig", "check_r_l", "load_config"]
+__all__ = ["ExperimentConfig", "check_number", "check_r_l", "load_config"]
 
 _TOP_KEYS = {
     "n_pulses", "coupling", "atoms", "light", "r_a", "r_l", "noise",
@@ -60,7 +60,8 @@ class ExperimentConfig:
         return make_initial_state(self.atomic, self.optical, self.layout)
 
 
-def _number(raw: dict, field: str, default=None, minimum=None, maximum=None):
+def _number(raw: dict, field: str, default=None, minimum=None, maximum=None,
+            positive=False):
     if field not in raw:
         if default is None:
             raise ConfigError(f"{field}: required")
@@ -75,14 +76,23 @@ def _number(raw: dict, field: str, default=None, minimum=None, maximum=None):
         raise ConfigError(f"{field}: must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigError(f"{field}: must be <= {maximum}, got {value}")
+    if positive and value <= 0.0:
+        raise ConfigError(f"{field}: must be positive, got {value}")
     return value
 
 
+def check_number(field: str, value, minimum=None, maximum=None,
+                 positive=False) -> float:
+    """``value`` by the rule the config applies to its numbers: a real
+    number, not a bool, finite, within the bounds given (above 0 when
+    ``positive``).  Raises ConfigError naming ``field`` otherwise."""
+    return _number({field: value}, field, minimum=minimum, maximum=maximum,
+                   positive=positive)
+
+
 def check_r_l(value) -> float:
-    """``value`` as the optical transmission ``r_l``, by the rule the config
-    applies to it: a real number, not a bool, finite, in [0, 1].  Raises
-    ConfigError otherwise."""
-    return _number({"r_l": value}, "r_l", minimum=0.0, maximum=1.0)
+    """``value`` as the optical transmission ``r_l``: in [0, 1]."""
+    return check_number("r_l", value, minimum=0.0, maximum=1.0)
 
 
 def _integer(raw: dict, field: str, default=None, minimum=None) -> int:
@@ -203,9 +213,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     j33 = _number(raw, "j33", default=float(atomic.cov[2, 2]), minimum=0.0)
     if "j0" in raw:
-        j0 = _number(raw, "j0")
-        if j0 <= 0.0:
-            raise ConfigError(f"j0: must be positive, got {j0}")
+        j0 = _number(raw, "j0", positive=True)
     elif atomic.css_variance > 0.0:
         j0 = atomic.css_variance
     else:

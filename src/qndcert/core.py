@@ -6,10 +6,12 @@ probe pulse, in pulse order:
     (J_x, J_y, J_z, P_x, P_y, P_z, Q_x, Q_y, Q_z, R_x, R_y, R_z)
 
 with pulses labelled P, Q, R.  A layout with ``n_pulses`` pulses has
-dimension ``3 * (1 + n_pulses)``.  States carry a mean vector and a
-symmetric covariance matrix over these components; covariances are
-symmetrized on construction so every downstream consumer can rely on
-exact symmetry.
+dimension ``3 * (1 + n_pulses)``.  Its component labels, the label ->
+index map and the meter labels are built once per pulse count, as
+module tables for n = 1..3, so a label lookup is one dict access.
+States carry a mean vector and a symmetric covariance matrix over these
+components; covariances are symmetrized on construction so every
+downstream consumer can rely on exact symmetry.
 
 Positivity is checked on construction: eigenvalues below ``-1e-9 * trace``
 raise when the ``QNDC_STRICT_PSD=1`` environment variable is set and emit a
@@ -44,6 +46,17 @@ def strict_psd_enabled() -> bool:
     return os.environ.get("QNDC_STRICT_PSD", "0") == "1"
 
 
+# Per-pulse-count tables, built once: component labels, label -> index
+# and the meter (y-component) labels in measurement order.
+_LABELS = {n: tuple(f"{name}_{axis}" for name in ("J",) + PULSE_NAMES[:n]
+                    for axis in AXES)
+           for n in (1, 2, 3)}
+_INDEX = {n: {label: k for k, label in enumerate(labels)}
+          for n, labels in _LABELS.items()}
+_METER_LABELS = {n: tuple(f"{name}_y" for name in PULSE_NAMES[:n])
+                 for n in (1, 2, 3)}
+
+
 def _as_square(matrix, size: int, what: str) -> np.ndarray:
     out = np.asarray(matrix, dtype=float)
     if out.shape != (size, size):
@@ -54,7 +67,7 @@ def _as_square(matrix, size: int, what: str) -> np.ndarray:
 
 
 def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
-    gap = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
+    gap = float(abs(matrix - matrix.T).max()) if matrix.size else 0.0
     if gap > SYMMETRY_ATOL:
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
     # Exactly symmetric output; (a + a) / 2 == a, so symmetric input is
@@ -84,14 +97,13 @@ class Layout:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        names = ("J",) + PULSE_NAMES[: self.n_pulses]
-        return tuple(f"{name}_{axis}" for name in names for axis in AXES)
+        return _LABELS[self.n_pulses]
 
     def index(self, label: str) -> int:
         """0-based position of a component label such as ``\"P_y\"``."""
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return _INDEX[self.n_pulses][label]
+        except (KeyError, TypeError):
             raise LayoutError(
                 f"unknown component {label!r} for a {self.n_pulses}-pulse layout"
             ) from None
@@ -107,7 +119,7 @@ class Layout:
     @property
     def meter_labels(self) -> tuple[str, ...]:
         """y-component labels of each pulse, in measurement order."""
-        return tuple(f"{name}_y" for name in PULSE_NAMES[: self.n_pulses])
+        return _METER_LABELS[self.n_pulses]
 
     @property
     def meter_indices(self) -> tuple[int, ...]:
@@ -220,7 +232,7 @@ class GaussianState:
 
 def _validate_psd(cov: np.ndarray) -> None:
     min_eig = float(np.linalg.eigvalsh(cov)[0])
-    tol = PSD_RTOL * max(float(np.trace(cov)), 0.0)
+    tol = PSD_RTOL * max(float(cov.trace()), 0.0)
     if min_eig < -tol:
         message = (
             f"covariance has eigenvalue {min_eig:.6e} below tolerance {-tol:.6e}"

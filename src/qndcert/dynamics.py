@@ -185,9 +185,11 @@ def noise_matrix(noise: NoiseModel, pulse: int, layout: Layout) -> np.ndarray:
     """Embed the 6x6 per-pulse noise onto the full layout for ``pulse``."""
     _check_pulse(pulse, layout)
     active = layout.block_slice(pulse)
-    idx = np.r_[0:3, active.start:active.stop]
     out = np.zeros((layout.dimension, layout.dimension))
-    out[np.ix_(idx, idx)] = noise.matrix
+    out[:3, :3] = noise.matrix[:3, :3]
+    out[:3, active] = noise.matrix[:3, 3:]
+    out[active, :3] = noise.matrix[3:, :3]
+    out[active, active] = noise.matrix[3:, 3:]
     return out
 
 

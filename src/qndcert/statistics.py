@@ -55,15 +55,13 @@ _DELTA_FIELDS = {
 }
 
 
-def _meter_pairs(n_pulses: int) -> list[tuple[str, int, int]]:
-    """Each moment of ``_MOMENT_FIELDS[n_pulses]`` with the 0-based indices
-    (j, k), j <= k, of the two meters it couples: var_q -> (1, 1),
-    cov_pr -> (0, 2)."""
-    pairs = []
-    for name in _MOMENT_FIELDS[n_pulses]:
-        meters = name[-1] * 2 if name.startswith("var_") else name[-2:]
-        pairs.append((name, "pqr".index(meters[0]), "pqr".index(meters[1])))
-    return pairs
+# Each moment of ``_MOMENT_FIELDS[n]`` with the 0-based indices (j, k),
+# j <= k, of the two meters it couples: var_q -> (1, 1), cov_pr -> (0, 2).
+_METER_PAIRS = {
+    n: tuple((name, "pqr".index(name[4]), "pqr".index(name[-1]))
+             for name in names)
+    for n, names in _MOMENT_FIELDS.items()
+}
 
 
 def _check_fields(obj, table: dict[int, tuple[str, ...]]) -> None:
@@ -241,7 +239,7 @@ class MomentAccumulator:
         cov = self.covariance
         values: dict[str, float] = {}
         ses: dict[str, float] = {}
-        for name, j, k in _meter_pairs(self.mean.size):
+        for name, j, k in _METER_PAIRS[self.mean.size]:
             c = float(cov[j, k])
             values[name] = c
             if j == k:
@@ -258,7 +256,7 @@ def meter_moments(state: GaussianState) -> MomentSet:
     matrix route that :func:`predicted_moments` is checked against."""
     meters = state.layout.meter_labels
     values = {name: get_entry(state, meters[j], meters[k])
-              for name, j, k in _meter_pairs(state.layout.n_pulses)}
+              for name, j, k in _METER_PAIRS[state.layout.n_pulses]}
     return MomentSet(n_pulses=state.layout.n_pulses, **values)
 
 
@@ -291,7 +289,7 @@ def predicted_moments(params: ExperimentParams, noise: NoiseModel,
     a = [j33]
     for _ in range(layout.n_pulses - 1):
         a.append(params.r_a ** 2 * a[-1] + noise.n33)
-    for name, j, k in _meter_pairs(layout.n_pulses):
+    for name, j, k in _METER_PAIRS[layout.n_pulses]:
         light = params.r_l ** 2 * get_entry(initial, meters[j], meters[k])
         if j == k:
             values[name] = light + kappa * kappa * a[k] + noise.n55

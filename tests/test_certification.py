@@ -18,6 +18,7 @@ from qndcert import (
     predicted_moments,
     report_to_dict,
 )
+from qndcert.selftest import _draw_model
 
 
 def _delta_of(param_set):
@@ -238,6 +239,96 @@ class TestCertify:
         base.update(kwargs)
         with pytest.raises(UndefinedInputError):
             certify(**base)
+
+
+def _array_route_se(report, delta, var_p, var_p_se):
+    """Standard errors of ``report``'s figures by central differences on
+    copied input arrays, the form the scalar loop in ``certify`` must
+    reproduce bit for bit."""
+    values = np.array([delta.d_var_p, delta.d_var_q, delta.d_var_r,
+                       delta.d_cov_pq, delta.d_cov_pr, var_p])
+    ses = np.array([delta.se_of(name) or 0.0 for name in
+                    ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")]
+                   + [var_p_se or 0.0])
+    k2, j33, j0 = report.kappa * report.kappa, report.j33, report.j0
+    exact_route = report.nonclassical.dx2_s is not None
+
+    def f_m(v):
+        return (v[5] - k2 * j33) / (k2 * j0)
+
+    def f_cond(v):
+        return j33 + (v[1] - v[0] - v[3] ** 2 / v[5]) / k2
+
+    def f_sgm(v):
+        return (v[3] / v[4]) * f_cond(v) / j0 if exact_route else f_cond(v) / j0
+
+    def f_s(v):
+        return v[3] * (v[1] - v[0]) / (v[4] * k2 * j0)
+
+    def f_prod(v):
+        return max(0.0, f_s(v)) * max(0.0, f_m(v))
+
+    def propagate(fn):
+        total = 0.0
+        for i, se in enumerate(ses):
+            if se == 0.0:
+                continue
+            h = max(1e-6 * abs(values[i]), 1e-9)
+            up = values.copy()
+            up[i] += h
+            dn = values.copy()
+            dn[i] -= h
+            total += ((fn(up) - fn(dn)) / (2.0 * h) * se) ** 2
+        return float(np.sqrt(total))
+
+    ncl = report.nonclassical
+    figures = (("dx2_m", ncl.dx2_m, f_m),
+               ("dx2_s_given_m", ncl.dx2_s_given_m, f_sgm),
+               ("dx2_s", ncl.dx2_s, f_s), ("product_sm", ncl.product_sm, f_prod))
+    return {key: propagate(fn) for key, value, fn in figures
+            if value is not None}
+
+
+class TestStandardErrorExactness:
+    def test_matches_array_route_on_seeded_models(self):
+        rng = np.random.default_rng(20261018)
+        zero_inputs = routes = 0
+        for index in range(240):
+            params, noise, initial, j0 = _draw_model(
+                rng, with_noise=index % 3 != 0, sign=1.0)
+            measured = predicted_moments(params, noise, initial)
+            delta = delta_stats(measured, no_atoms_moments(params, initial),
+                                params.r_l)
+            # sampled-size errors from 1e6 shots down to a few hundred,
+            # with some inputs known exactly (standard error 0)
+            scale = 10.0 ** rng.uniform(-3.0, 0.5)
+            se = {name: abs(value) * scale * rng.uniform(0.5, 2.0)
+                  for name, value in delta.entries().items()}
+            var_p_se = measured.var_p * scale
+            if index % 4 == 1:
+                se["d_cov_pr"] = se["d_var_p"] = 0.0
+            if index % 5 == 2:
+                var_p_se = 0.0 if index % 2 else None
+            zero_inputs += index % 4 == 1 or index % 5 == 2
+            delta = DeltaStats(n_pulses=3, se=se, **delta.entries())
+            j33 = initial.cov[2, 2]
+            report = certify(delta, measured.var_p, params.kappa, j33, j0,
+                             var_p_se=var_p_se)
+            routes += report.nonclassical.dx2_s is None
+            assert report.se == _array_route_se(report, delta,
+                                                measured.var_p, var_p_se)
+        assert zero_inputs == 96
+        assert routes >= 1  # the r_a = 1 fallback is covered too
+
+    def test_zero_denominator_gives_inf_with_a_warning(self):
+        se = {"d_var_p": 0.1, "d_var_q": 0.1, "d_var_r": 0.1,
+              "d_cov_pq": 1e-12, "d_cov_pr": 1e-13}
+        delta = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=2.0, d_var_r=2.5,
+                           d_cov_pq=3.0, d_cov_pr=1e-9, se=se)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            report = certify(delta, 4.0, 1.0, 2.0, 3.0, var_p_se=1e-3)
+        assert report.se["dx2_s"] == np.inf
+        assert report.se["product_sm"] == np.inf
 
 
 class TestReportSerialization:

@@ -110,6 +110,20 @@ class TestSimulate:
         assert main(["simulate", "--config", ideal_run["config"],
                      "--out", str(tmp_path / "run"), "--shots", "0"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--shots", "1", "--shots must be at least 2"),
+        ("--seed", "-5", "--seed must be nonnegative"),
+    ])
+    def test_overrides_follow_the_config_minimums(self, tmp_path, ideal_run,
+                                                  capsys, flag, value,
+                                                  message):
+        # one shot gives records every reader refuses; a negative seed
+        # used to end in a numpy traceback with exit 1
+        assert main(["simulate", "--config", ideal_run["config"],
+                     "--out", str(tmp_path / "run"), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStats:
     def test_prints_moment_table(self, ideal_run, capsys):
@@ -377,6 +391,49 @@ class TestRLInput:
         assert "r_l: must be finite" in capsys.readouterr().err
 
 
+_CALIBRATION = ["--kappa", "1.0", "--j33", "25", "--j0", "25"]
+
+
+class TestCalibrationFlags:
+    """Calibration flags follow the config's number rules: finite, with
+    j33 >= 0, j0 > 0 and z >= 0; a bad value is a usage error."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kappa", "nan"), ("--kappa", "inf"), ("--j33", "nan"),
+        ("--j33", "inf"), ("--j33", "-1"), ("--j0", "inf"), ("--j0", "nan"),
+        ("--j0", "0"), ("--j0", "-2"), ("--z", "nan"), ("--z", "inf"),
+        ("--z", "-1"), ("--z", "x"),
+    ])
+    def test_bad_certify_flag_is_a_usage_error(self, ideal_run, capsys,
+                                               flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["certify", *_record_args(ideal_run), *_CALIBRATION,
+                  flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}" in captured.err
+        assert "certified:" not in captured.out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kappa", "nan"), ("--kappa", "inf"), ("--j33", "nan"),
+        ("--j33", "inf"), ("--j33", "-1"),
+    ])
+    def test_bad_estimate_flag_is_a_usage_error(self, lossy_run, capsys,
+                                                flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", *_record_args(lossy_run), "--kappa", "1.0",
+                  "--j33", "25", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}" in captured.err
+        assert "n33=" not in captured.out
+
+    def test_boundary_values_are_accepted(self, ideal_run, capsys):
+        assert main(["certify", *_record_args(ideal_run), "--kappa", "1.0",
+                     "--j33", "0", "--j0", "25", "--z", "0"]) in (0, 2, 10)
+        assert "certified:" in capsys.readouterr().out
+
+
 class TestStaleSidecar:
     """A sidecar whose digest a CSV contradicts contributes only its
     warning: no seed, params_hash or r_l."""
@@ -502,6 +559,20 @@ class TestSelftest:
                      "--seed", "5", "--corrupt-delta"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  delta-subtraction-identity" in out
+
+
+    @pytest.mark.parametrize("args", [
+        ["--sets", "0"], ["--sets", "-1"], ["--shots", "1"], ["--shots", "0"],
+        ["--sets", "0", "--corrupt-delta"],
+    ])
+    def test_nothing_to_check_is_a_usage_error(self, capsys, args):
+        # "0 parameter sets" used to pass, and hid --corrupt-delta
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", *args])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {args[0]}" in captured.err
+        assert "passed" not in captured.out
 
 
 def test_module_entry_point():

@@ -52,6 +52,28 @@ class TestLayout:
         with pytest.raises(LayoutError):
             Layout(1).index("Q_y")
 
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_tables_equal_the_generated_labels(self, n_pulses):
+        # The layout's label tables against the generator and tuple search
+        # they replace, including the message for an unknown label.
+        names = ("J",) + ("P", "Q", "R")[:n_pulses]
+        labels = tuple(f"{name}_{axis}" for name in names
+                       for axis in ("x", "y", "z"))
+        meters = tuple(f"{name}_y" for name in ("P", "Q", "R")[:n_pulses])
+        layout = Layout(n_pulses)
+        assert layout.labels == labels
+        assert [layout.index(label) for label in labels] \
+            == [labels.index(label) for label in labels]
+        assert layout.meter_labels == meters
+        assert layout.meter_indices == tuple(labels.index(m) for m in meters)
+        for bad in ("R_y", "J_w", "", "p_y", None, 4, ["P_y"]):
+            if bad in labels:
+                continue
+            with pytest.raises(LayoutError) as caught:
+                layout.index(bad)
+            assert str(caught.value) == (f"unknown component {bad!r} for a "
+                                         f"{n_pulses}-pulse layout")
+
 
 class TestBlocks:
     def test_coherent_atoms(self):

@@ -144,6 +144,24 @@ class TestNoiseEmbedding:
                                    atol=1e-15)
 
 
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_slices_equal_index_grid_embedding(self, n_pulses):
+        # Bit-equal to the np.ix_ embedding over (spin, active pulse).
+        layout = Layout(n_pulses)
+        rng = np.random.default_rng(40 + n_pulses)
+        for _ in range(20):
+            raw = rng.normal(scale=rng.uniform(0.1, 10.0), size=(6, 6))
+            noise = NoiseModel(raw + raw.T)
+            for pulse in range(1, n_pulses + 1):
+                active = layout.block_slice(pulse)
+                idx = np.r_[0:3, active.start:active.stop]
+                expected = np.zeros((layout.dimension, layout.dimension))
+                expected[np.ix_(idx, idx)] = noise.matrix
+                got = noise_matrix(noise, pulse, layout)
+                assert got.shape == expected.shape
+                assert (got == expected).all()
+
+
 class TestApplyPulse:
     def test_matches_hand_propagation_on_random_state(self):
         layout = Layout(1)
