@@ -354,7 +354,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
         raw = [getattr(delta, name) for name in names] + [var_p]
         values = tuple(np.array([0.0 if v is None else v for v in raw]))
-        input_ses = tuple(np.array([delta.se_of(name) or 0.0 for name in names]
+        input_ses = tuple(np.array([delta.se_of(name, 0.0) for name in names]
                                    + [var_p_se or 0.0]))
         k2 = kappa * kappa
 

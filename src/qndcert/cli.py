@@ -240,25 +240,18 @@ def _print_report(report: CertificationReport) -> None:
           f"var(J_z) in: {report.j33:.6g}, projection noise: {report.j0:.6g}")
     if report.estimates is not None:
         print(f"estimated r_a: {report.estimates.r_a:.6f}")
-    if ncl.dx2_s_given_m is not None:
-        print(f"dx2_s_given_m: {ncl.dx2_s_given_m:.6f}")
-    if ncl.dx2_m is not None:
-        print(f"dx2_m:         {ncl.dx2_m:.6f}")
-    if ncl.dx2_s is not None:
-        print(f"dx2_s:         {ncl.dx2_s:.6f}")
-    if ncl.product_sm is not None:
-        print(f"product_sm:    {ncl.product_sm:.6f}")
+    for key in ("dx2_s_given_m", "dx2_m", "dx2_s", "product_sm"):
+        value = getattr(ncl, key)
+        if value is not None:
+            print(f"{key + ':':15s}{value:.6f}")
     if report.squeezing is not None:
         state = "satisfied" if report.squeezing.squeezed else "not satisfied"
         print(f"squeezing condition {state} "
               f"(margin {report.squeezing.margin:.6g})")
     mode = "gated" if report.gated else "point"
-    print(f"verdict state_prep:  {_verdict_word(report.verdict_state_prep)} "
-          f"({mode})")
-    print(f"verdict info_damage: {_verdict_word(report.verdict_info_damage)} "
-          f"({mode})")
-    print(f"verdict full_qnd:    {_verdict_word(report.verdict_full_qnd)} "
-          f"({mode})")
+    for key in ("state_prep", "info_damage", "full_qnd"):
+        word = _verdict_word(getattr(report, f"verdict_{key}"))
+        print(f"verdict {key + ':':12s} {word} ({mode})")
     for line in report.reasons:
         print(f"note: {line}")
     for line in report.warnings:
@@ -301,7 +294,7 @@ def _cmd_certify(args) -> int:
                 f"params_hash {records.params_hash}, --config {args.config} "
                 f"gives {expected}")
     report = certify(delta, measured.var_p, kappa, j33, j0, z_threshold=z,
-                     var_p_se=(measured.se or {}).get("var_p"))
+                     var_p_se=measured.se_of("var_p"))
     _print_report(report)
     if args.out is not None:
         dump_json(report_to_dict(report, moments=(measured, reference),

@@ -88,7 +88,7 @@ class Layout:
     n_pulses: int
 
     def __post_init__(self) -> None:
-        if self.n_pulses not in (1, 2, 3):
+        if type(self.n_pulses) is not int or self.n_pulses not in (1, 2, 3):
             raise LayoutError(f"n_pulses must be 1, 2 or 3, got {self.n_pulses!r}")
 
     @property
@@ -124,6 +124,11 @@ class Layout:
     @property
     def meter_indices(self) -> tuple[int, ...]:
         return tuple(self.index(label) for label in self.meter_labels)
+
+    @property
+    def meter_slice(self) -> slice:
+        """The meter components as a slice: each pulse block's y."""
+        return slice(self.index("P_y"), None, 3)
 
 
 @dataclass(frozen=True)
@@ -189,8 +194,7 @@ class OpticalBlock:
         n_photons = float(n_photons)
         if n_photons < 0:
             raise ValueError(f"n_photons must be nonnegative, got {n_photons}")
-        if n_pulses not in (1, 2, 3):
-            raise LayoutError(f"n_pulses must be 1, 2 or 3, got {n_pulses!r}")
+        Layout(n_pulses)  # refuses a bad pulse count
         one = np.diag([0.0, n_photons / 4.0, n_photons / 4.0])
         cov = np.zeros((3 * n_pulses, 3 * n_pulses))
         for k in range(n_pulses):
@@ -239,7 +243,8 @@ def _validate_psd(cov: np.ndarray) -> None:
         )
         if strict_psd_enabled():
             raise NotPositiveSemidefiniteError(message)
-        warnings.warn(message, PositivityWarning, stacklevel=3)
+        # Level 4: the caller of the generated __init__ that built the state.
+        warnings.warn(message, PositivityWarning, stacklevel=4)
 
 
 def make_initial_state(atomic: AtomicBlock, optical: OpticalBlock,

@@ -183,8 +183,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     warnings: list[str] = []
 
     def se_of(name: str) -> float:
-        value = delta.se_of(name)
-        return 0.0 if value is None else value
+        return delta.se_of(name, 0.0)
 
     floor_pq = _FLOOR_SIGMAS * se_of("d_cov_pq")
     r_a = estimate_ra_from_cov(delta, noise_floor=floor_pq)

@@ -28,7 +28,8 @@ finite), the caller parses the CSVs with :func:`read_records`.
 
 Writing refuses records holding a non-finite value, and reading refuses
 a file whose values are not all finite or whose ``shot`` column is not
-0, 1, ..., n-1.
+0, 1, ..., n-1, and a sidecar whose counts are not integers (pulses 1
+to 3), seed not a nonnegative integer or null, or hash not a string.
 """
 
 from __future__ import annotations
@@ -218,6 +219,19 @@ def _read_meta(meta_path: str | Path) -> dict:
         ) from None
     if not isinstance(meta, dict) or meta.get("kind") != "shot_records":
         raise RecordError(f"{meta_path}: not a shot-records sidecar")
+    # JSON keeps integers apart from floats and bools: type(v) is int.
+    n_pulses, seed = meta.get("n_pulses"), meta.get("seed")
+    for field, valid, rule in (
+            ("n_shots", type(meta.get("n_shots")) is int, "an integer"),
+            ("n_pulses", type(n_pulses) is int and 1 <= n_pulses <= 3,
+             "1, 2 or 3"),
+            ("seed", seed is None or type(seed) is int and seed >= 0,
+             "a nonnegative integer or null"),
+            ("params_hash", isinstance(meta.get("params_hash"),
+                                       (str, type(None))), "a string or null")):
+        if not valid:
+            raise RecordError(f"{meta_path}: {field} must be {rule}, got "
+                              f"{meta.get(field)!r}")
     return meta
 
 
@@ -227,25 +241,15 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     hash and is cross-checked against the data shape."""
     with_atoms = _read_arm(Path(with_atoms_path))
     no_atoms = _read_arm(Path(no_atoms_path))
-    seed = None
-    params_hash = None
-    if meta_path is not None:
-        meta = _read_meta(meta_path)
-        if meta.get("n_pulses") != with_atoms.shape[1]:
-            raise RecordError(
-                f"{meta_path}: sidecar says {meta.get('n_pulses')} pulses, "
-                f"data has {with_atoms.shape[1]}"
-            )
-        if meta.get("n_shots") != with_atoms.shape[0]:
-            raise RecordError(
-                f"{meta_path}: sidecar says {meta.get('n_shots')} shots, "
-                f"data has {with_atoms.shape[0]}"
-            )
-        seed = meta.get("seed")
-        params_hash = meta.get("params_hash")
-    records = ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms,
-                          seed=seed, params_hash=params_hash)
-    return records
+    meta = {} if meta_path is None else _read_meta(meta_path)
+    for field, count in (("n_pulses", with_atoms.shape[1]),
+                         ("n_shots", with_atoms.shape[0])):
+        if meta and meta[field] != count:
+            raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
+                              f"{field[2:]}, data has {count}")
+    return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms,
+                       seed=meta.get("seed"),
+                       params_hash=meta.get("params_hash"))
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,7 @@ def _file_sha256(path: Path) -> str:
 def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
     """An arm's moments from its sidecar summary, which must agree with
     the sidecar's own shot and pulse counts."""
-    n_shots, n_pulses = meta.get("n_shots"), meta.get("n_pulses")
+    n_shots, n_pulses = meta["n_shots"], meta["n_pulses"]
     try:
         mean = np.array(arm["mean"], dtype=float)
         comoment = np.array(arm["comoment"], dtype=float)
@@ -294,8 +298,10 @@ def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordError(f"{meta_path}: malformed arm summary: {exc!r}") \
             from None
-    if (n_pulses not in (1, 2, 3) or count != n_shots
-            or mean.shape != (n_pulses,)
+    if type(count) is not int:
+        raise RecordError(f"{meta_path}: arm count must be an integer, got "
+                          f"{count!r}")
+    if (count != n_shots or mean.shape != (n_pulses,)
             or comoment.shape != (n_pulses, n_pulses)):
         raise RecordError(
             f"{meta_path}: arm summary of {count} shots and {mean.size} "

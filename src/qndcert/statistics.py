@@ -7,23 +7,31 @@ of the pulse meters (P_y, Q_y, R_y) in two arms:
 * a no-atoms reference arm (coupling off, lossless, noiseless) that
   calibrates the raw optical noise.
 
+An arm's moments are one read-only n x n meter covariance ``cov`` (n
+pulses, meters in measurement order), held by a :class:`MomentSet`; each
+moment name is a read-only view of entry (j, k), j <= k, as listed in
+``_ENTRIES``, and reads None where the pulse count has no such entry.
+
 Delta statistics subtract the reference, scaled by the optical
 transmission squared,
 
-    delta x = x_measured - r_L**2 * x_reference
+    delta.cov = measured.cov - r_L**2 * reference.cov
 
 which cancels the input light noise, including classical correlations
-between pulses, and leaves only what the atoms imprinted.
+between pulses, and leaves only what the atoms imprinted.  A
+:class:`DeltaStats` names its entries ``d_var_p`` ... ``d_cov_qr``; it
+carries ``d_cov_qr`` but leaves it out of ``entries()``, ``se`` and
+every report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import GaussianState, get_entry
+from .core import GaussianState, Layout, get_entry
 from .dynamics import ExperimentParams, NoiseModel
 from .errors import DimensionMismatchError, UndefinedInputError
 
@@ -42,99 +50,104 @@ __all__ = [
     "squeezing_condition",
 ]
 
-_MOMENT_FIELDS = {
-    1: ("var_p",),
-    2: ("var_p", "var_q", "cov_pq"),
-    3: ("var_p", "var_q", "var_r", "cov_pq", "cov_pr", "cov_qr"),
-}
-
-_DELTA_FIELDS = {
-    1: ("d_var_p",),
-    2: ("d_var_p", "d_var_q", "d_cov_pq"),
-    3: ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr"),
-}
+# Moment name -> its meter covariance entry (j, k), j <= k, in report order.
+_ENTRIES = {"var_p": (0, 0), "var_q": (1, 1), "var_r": (2, 2),
+            "cov_pq": (0, 1), "cov_pr": (0, 2), "cov_qr": (1, 2)}
 
 
-# Each moment of ``_MOMENT_FIELDS[n]`` with the 0-based indices (j, k),
-# j <= k, of the two meters it couples: var_q -> (1, 1), cov_pr -> (0, 2).
-_METER_PAIRS = {
-    n: tuple((name, "pqr".index(name[4]), "pqr".index(name[-1]))
-             for name in names)
-    for n, names in _MOMENT_FIELDS.items()
-}
+class _MeterCovariance:
+    """A read-only ``cov`` with ``n_pulses``, ``n_shots`` and ``se`` (by
+    reported name) beside it, and one attribute per moment name.  Leaving
+    out an unreported name puts NaN in ``cov``; the name then reads None."""
 
+    __slots__ = ("cov", "n_pulses", "n_shots", "se")
+    _unreported: tuple[str, ...] = ()
+    _nonnegative = False  # refuse a negative variance
 
-def _check_fields(obj, table: dict[int, tuple[str, ...]]) -> None:
-    required = table[obj.n_pulses]
-    for name in table[3]:  # the 3-pulse entry names every field
-        value = getattr(obj, name)
-        if name in required and value is None:
-            raise ValueError(f"{name} required for n_pulses={obj.n_pulses}")
-        if name not in required and value is not None:
-            raise ValueError(f"{name} not defined for n_pulses={obj.n_pulses}")
-    if obj.se is not None:
-        extra = set(obj.se) - set(required)
-        if extra:
-            raise ValueError(f"standard errors for absent moments: {sorted(extra)}")
+    def __init_subclass__(cls) -> None:
+        # The subclass's slots are its moment names, in _ENTRIES order.
+        cls._entries = dict(zip(cls.__slots__, _ENTRIES.values()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name
+                             in _MeterCovariance.__slots__ + cls.__slots__)
+        # Reported names per pulse count, in order; the keys serve as a set.
+        cls._reported = {n: dict.fromkeys(
+            name for name, (_, k) in cls._entries.items()
+            if k < n and name not in cls._unreported) for n in (1, 2, 3)}
 
+    def __new__(cls, n_pulses: int, *, n_shots: int | None = None,
+                se: dict[str, float] | None = None, **values: float | None):
+        Layout(n_pulses)  # refuses a bad pulse count (a ValueError)
+        rows = [[np.nan] * n_pulses for _ in range(n_pulses)]
+        for name, (j, k) in cls._entries.items():
+            value = values.pop(name, None)
+            if value is None:
+                if k < n_pulses and name not in cls._unreported:
+                    raise ValueError(f"{name} required for n_pulses={n_pulses}")
+            elif k < n_pulses:
+                rows[j][k] = rows[k][j] = float(value)
+            else:
+                raise ValueError(f"{name} not defined for n_pulses={n_pulses}")
+        if values:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                            f"argument {min(values)!r}")
+        if se is not None and not se.keys() <= cls._reported[n_pulses].keys():
+            extra = sorted(se.keys() - cls._reported[n_pulses].keys())
+            raise ValueError(f"standard errors for absent moments: {extra}")
+        return cls._of(np.array(rows), n_shots, se, rows)
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Second moments of the meters of one arm.
-
-    ``se`` carries standard errors keyed by field name when the moments
-    are sample estimates (``n_shots`` set); analytic predictions leave
-    both unset.
-    """
-
-    n_pulses: int
-    var_p: float
-    var_q: float | None = None
-    var_r: float | None = None
-    cov_pq: float | None = None
-    cov_pr: float | None = None
-    cov_qr: float | None = None
-    n_shots: int | None = None
-    se: dict[str, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_pulses not in (1, 2, 3):
-            raise ValueError(f"n_pulses must be 1, 2 or 3, got {self.n_pulses}")
-        _check_fields(self, _MOMENT_FIELDS)
-        for name in ("var_p", "var_q", "var_r"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
+    @classmethod
+    def _of(cls, cov: np.ndarray, n_shots: int | None = None,
+            se: dict[str, float] | None = None, rows: list | None = None):
+        """Wrap and freeze the new array ``cov``; ``rows`` is its tolist()."""
+        rows = cov.tolist() if rows is None else rows
+        n = len(rows)
+        cov.setflags(write=False)
+        fields = [cov, n, n_shots, se]
+        for name, (j, k) in cls._entries.items():
+            value = rows[j][k] if k < n else None
+            if value != value and name in cls._unreported:
+                value = None  # left out: NaN in cov
+            elif cls._nonnegative and j == k < n and value < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+            fields.append(value)
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, fields):
+            set_field(self, value)
+        return self
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self._of, (np.array(self.cov), self.n_shots, self.se)
+
+    def __repr__(self) -> str:
+        fields = f"{self.entries()}, n_shots={self.n_shots}, se={self.se}"
+        return f"{type(self).__name__}({fields})"
 
     def entries(self) -> dict[str, float]:
-        """Present moments as a plain dict (for reports)."""
-        return {name: getattr(self, name) for name in _MOMENT_FIELDS[self.n_pulses]}
+        """Reported moments by name, in report order."""
+        return {name: getattr(self, name)
+                for name in self._reported[self.n_pulses]}
+
+    def se_of(self, name: str, default: float | None = None) -> float | None:
+        return default if self.se is None else self.se.get(name, default)
 
 
-@dataclass(frozen=True)
-class DeltaStats:
+class MomentSet(_MeterCovariance):
+    """Second moments of the meters of one arm; sample estimates set
+    ``n_shots`` and ``se``, analytic predictions leave both None."""
+
+    __slots__ = tuple(_ENTRIES)
+    _nonnegative = True
+
+
+class DeltaStats(_MeterCovariance):
     """Reference-subtracted moments; see the module docstring."""
 
-    n_pulses: int
-    d_var_p: float
-    d_var_q: float | None = None
-    d_var_r: float | None = None
-    d_cov_pq: float | None = None
-    d_cov_pr: float | None = None
-    se: dict[str, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_pulses not in (1, 2, 3):
-            raise ValueError(f"n_pulses must be 1, 2 or 3, got {self.n_pulses}")
-        _check_fields(self, _DELTA_FIELDS)
-
-    def entries(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in _DELTA_FIELDS[self.n_pulses]}
-
-    def se_of(self, name: str) -> float | None:
-        if self.se is None:
-            return None
-        return self.se.get(name)
+    __slots__ = tuple("d_" + name for name in _ENTRIES)
+    _unreported = ("d_cov_qr",)
 
 
 @dataclass(frozen=True)
@@ -152,21 +165,16 @@ class ShotRecords:
     params_hash: str | None = None
 
     def __post_init__(self) -> None:
-        arrays = {}
         for name in ("with_atoms", "no_atoms"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # a copy
             if arr.ndim != 2 or not 1 <= arr.shape[1] <= 3 or arr.shape[0] < 1:
                 raise DimensionMismatchError(
                     f"{name} must be a nonempty (n_shots, n_pulses<=3) array, "
-                    f"got shape {arr.shape}"
-                )
-            arr = arr.copy()
+                    f"got shape {arr.shape}")
             arr.setflags(write=False)
-            arrays[name] = arr
-        if arrays["with_atoms"].shape[1] != arrays["no_atoms"].shape[1]:
-            raise DimensionMismatchError("arms disagree on the pulse count")
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+        if self.with_atoms.shape[1] != self.no_atoms.shape[1]:
+            raise DimensionMismatchError("arms disagree on the pulse count")
 
     @property
     def n_pulses(self) -> int:
@@ -237,27 +245,20 @@ class MomentAccumulator:
         if n < 2:
             raise UndefinedInputError("need at least 2 shots per arm")
         cov = self.covariance
-        values: dict[str, float] = {}
-        ses: dict[str, float] = {}
-        for name, j, k in _METER_PAIRS[self.mean.size]:
-            c = float(cov[j, k])
-            values[name] = c
-            if j == k:
-                ses[name] = c * np.sqrt(2.0 / (n - 1))
-            else:
-                # Gaussian delta-method error of a sample covariance.
-                ses[name] = np.sqrt((cov[j, j] * cov[k, k] + c * c) / (n - 1))
-        return MomentSet(n_pulses=self.mean.size, n_shots=n, se=ses, **values)
+        var = cov.diagonal()
+        # Gaussian delta-method errors of a sample covariance and variance.
+        se = np.sqrt((np.outer(var, var) + cov * cov) / (n - 1))
+        se[np.diag_indices_from(se)] = var * np.sqrt(2.0 / (n - 1))
+        names = MomentSet._reported[self.mean.size]
+        return MomentSet._of(cov, n, {k: se[_ENTRIES[k]] for k in names})
 
 
 def meter_moments(state: GaussianState) -> MomentSet:
     """Meter variances and covariances read straight off ``state``'s
     covariance matrix; with :func:`~qndcert.dynamics.propagate` this is the
     matrix route that :func:`predicted_moments` is checked against."""
-    meters = state.layout.meter_labels
-    values = {name: get_entry(state, meters[j], meters[k])
-              for name, j, k in _METER_PAIRS[state.layout.n_pulses]}
-    return MomentSet(n_pulses=state.layout.n_pulses, **values)
+    meters = state.layout.meter_slice
+    return MomentSet._of(state.cov[meters, meters].copy())
 
 
 def predicted_moments(params: ExperimentParams, noise: NoiseModel,
@@ -280,24 +281,25 @@ def predicted_moments(params: ExperimentParams, noise: NoiseModel,
         raise UndefinedInputError(
             "closed forms require a zero atom-light cross block in the input"
         )
-    layout = initial.layout
+    n = initial.layout.n_pulses
     kappa = params.kappa
     j33 = get_entry(initial, "J_z", "J_z")
-    meters = layout.meter_labels
-    values: dict[str, float] = {}
+    meters = initial.layout.meter_slice
+    rows = initial.cov[meters, meters].tolist()  # the input light, C
     # Spin variance entering each pulse.
     a = [j33]
-    for _ in range(layout.n_pulses - 1):
+    for _ in range(n - 1):
         a.append(params.r_a ** 2 * a[-1] + noise.n33)
-    for name, j, k in _METER_PAIRS[layout.n_pulses]:
-        light = params.r_l ** 2 * get_entry(initial, meters[j], meters[k])
-        if j == k:
-            values[name] = light + kappa * kappa * a[k] + noise.n55
-        else:
-            values[name] = (light
-                            + kappa * kappa * params.r_a ** (k - j) * a[j]
-                            + kappa * params.r_a ** (k - 1 - j) * noise.n35)
-    return MomentSet(n_pulses=layout.n_pulses, **values)
+    for j in range(n):
+        for k in range(j, n):
+            light = params.r_l ** 2 * rows[j][k]
+            if j == k:
+                rows[j][k] = light + kappa * kappa * a[k] + noise.n55
+            else:
+                rows[j][k] = rows[k][j] = (
+                    light + kappa * kappa * params.r_a ** (k - j) * a[j]
+                    + kappa * params.r_a ** (k - 1 - j) * noise.n35)
+    return MomentSet._of(np.array(rows), rows=rows)
 
 
 def no_atoms_moments(params: ExperimentParams,
@@ -322,18 +324,14 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
     if measured.n_pulses != reference.n_pulses:
         raise DimensionMismatchError(
             f"arms disagree on pulse count: {measured.n_pulses} vs "
-            f"{reference.n_pulses}"
-        )
+            f"{reference.n_pulses}")
     scale = r_l * r_l
-    values: dict[str, float] = {}
-    ses: dict[str, float] = {}
-    for name in _DELTA_FIELDS[measured.n_pulses]:
-        moment = name[2:]  # d_var_p -> var_p
-        values[name] = getattr(measured, moment) - scale * getattr(reference, moment)
-        if measured.se is not None and reference.se is not None:
-            ses[name] = float(np.hypot(measured.se[moment],
-                                       scale * reference.se[moment]))
-    return DeltaStats(n_pulses=measured.n_pulses, se=ses or None, **values)
+    se = None
+    if measured.se is not None and reference.se is not None:
+        se = {name: float(np.hypot(measured.se[name[2:]],  # d_var_p -> var_p
+                                   scale * reference.se[name[2:]]))
+              for name in DeltaStats._reported[measured.n_pulses]}
+    return DeltaStats._of(measured.cov - scale * reference.cov, se=se)
 
 
 def sample_moments(records: ShotRecords) -> tuple[MomentSet, MomentSet]:

@@ -543,6 +543,37 @@ class TestSidecarMoments:
         assert "19999 shots" in err and "20000 shots" in err
 
 
+class TestSidecarTypes:
+    """A sidecar count, seed or hash of the wrong type is bad input: exit 2
+    before any figure is printed."""
+
+    @pytest.mark.parametrize("edit", [
+        {"n_pulses": 3.0}, {"n_shots": 20000.0}, {"seed": 11.5},
+        {"seed": -3}, {"params_hash": 7}, {"count": 20000.0},
+    ])
+    @pytest.mark.parametrize("command", ["stats", "certify"])
+    def test_refused_with_exit_2(self, ideal_run, tmp_path, capsys, edit,
+                                 command):
+        run = _copy_run(ideal_run, tmp_path)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        for key, value in edit.items():
+            if key == "count":
+                for arm in meta["arms"].values():
+                    arm["count"] = value
+            else:
+                meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        argv = [command, *_record_args(run)]
+        if command == "certify":
+            argv += ["--config", run["config"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {meta_path}: ")
+        assert f"{next(iter(edit))} must be" in captured.err
+
+
 class TestSelftest:
     def test_small_run_passes(self, capsys):
         assert main(["selftest", "--sets", "8", "--shots", "4000",

@@ -48,6 +48,23 @@ class TestLayout:
         with pytest.raises(LayoutError):
             Layout(bad)
 
+    @pytest.mark.parametrize("bad", [2.0, 3.0, True, False, np.int64(2)])
+    def test_pulse_count_must_be_an_int(self, bad):
+        with pytest.raises(LayoutError, match="n_pulses must be 1, 2 or 3"):
+            Layout(bad)
+        with pytest.raises(LayoutError, match="n_pulses must be 1, 2 or 3"):
+            OpticalBlock.coherent(100.0, bad)
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_meter_slice_selects_the_meter_block(self, n_pulses):
+        layout = Layout(n_pulses)
+        cov = np.arange(layout.dimension ** 2, dtype=float).reshape(
+            layout.dimension, -1)
+        meters = layout.meter_indices
+        np.testing.assert_array_equal(
+            cov[layout.meter_slice, layout.meter_slice],
+            cov[np.ix_(meters, meters)])
+
     def test_unknown_label(self):
         with pytest.raises(LayoutError):
             Layout(1).index("Q_y")
@@ -155,6 +172,17 @@ class TestGaussianState:
         cov[5, 5] = -1.0
         with pytest.warns(PositivityWarning):
             GaussianState(Layout(1), np.zeros(6), cov)
+
+    def test_positivity_warning_names_the_constructing_line(self):
+        cov = np.eye(6)
+        cov[5, 5] = -1.0
+        with pytest.warns(PositivityWarning) as caught:
+            GaussianState(Layout(1), np.zeros(6), cov)  # the line warned
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+        with open(__file__) as handle:
+            line = handle.readlines()[caught[0].lineno - 1]
+        assert line.rstrip().endswith("# the line warned")
 
     def test_indefinite_cov_raises_in_strict_mode(self, monkeypatch):
         monkeypatch.setenv("QNDC_STRICT_PSD", "1")

@@ -257,6 +257,55 @@ class TestSummary:
                          paths["meta"])
 
 
+class TestSidecarFields:
+    """Counts, seed and hash in a sidecar must have the types the writer
+    gives them; anything else is refused by both readers."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_pulses", 3.0), ("n_pulses", True), ("n_pulses", 4),
+        ("n_pulses", None), ("n_shots", 64.0), ("n_shots", False),
+        ("n_shots", "64"), ("seed", 21.5), ("seed", -1), ("seed", True),
+        ("seed", "21"), ("params_hash", 5), ("params_hash", ["x"]),
+    ])
+    def test_bad_field_is_refused(self, tmp_path, small_records, field,
+                                  value):
+        paths = write_records(small_records, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        meta[field] = value
+        paths["meta"].write_text(json.dumps(meta))
+        with pytest.raises(RecordError, match=f"{field} must be"):
+            read_summary(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+        with pytest.raises(RecordError, match=f"{field} must be"):
+            read_records(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+
+    @pytest.mark.parametrize("value", [64.0, True, "64", None])
+    def test_non_integer_arm_count_is_refused(self, tmp_path, small_records,
+                                              value):
+        paths = write_records(small_records, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        for role in ("with_atoms", "no_atoms"):
+            meta["arms"][role]["count"] = value
+        paths["meta"].write_text(json.dumps(meta))
+        with pytest.raises(RecordError, match="arm count must be an integer"):
+            read_summary(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+
+    @pytest.mark.parametrize("seed, params_hash", [(0, None), (None, "ab")])
+    def test_null_and_boundary_values_are_accepted(self, tmp_path,
+                                                   small_records, seed,
+                                                   params_hash):
+        paths = write_records(small_records, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        meta["seed"], meta["params_hash"] = seed, params_hash
+        paths["meta"].write_text(json.dumps(meta))
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert (summary.seed, summary.params_hash) == (seed, params_hash)
+        assert summary.moments_source == "sidecar"
+
+
 class TestReadValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="nope"):

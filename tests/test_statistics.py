@@ -1,4 +1,6 @@
-import dataclasses
+import copy
+import json
+import pickle
 
 import numpy as np
 import pytest
@@ -15,15 +17,19 @@ from qndcert import (
     ShotRecords,
     closed_form_error,
     delta_stats,
+    get_entry,
     make_initial_state,
     meter_moments,
     no_atoms_moments,
     predicted_moments,
     propagate,
     sample_moments,
+    simulate_shots,
     squeezing_condition,
 )
 from qndcert import selftest
+from qndcert.montecarlo import CHUNK_SHOTS
+from qndcert.report import delta_to_dict
 
 from conftest import random_psd
 
@@ -167,8 +173,9 @@ class TestClosedFormError:
 
         def perturbed(*args):
             moments = original(*args)
-            return dataclasses.replace(moments,
-                                       var_q=moments.var_q * (1.0 + 1e-6))
+            values = moments.entries()
+            values["var_q"] *= 1.0 + 1e-6
+            return MomentSet(n_pulses=moments.n_pulses, **values)
 
         monkeypatch.setattr(selftest, "predicted_moments", perturbed)
         assert closed_form_error(*noisy_set, 25.0) > 1e-9
@@ -294,3 +301,233 @@ class TestSqueezing:
         verdict = squeezing_condition(delta, 50.0)
         assert not verdict.squeezed
         assert verdict.margin < 0.0
+
+
+# The per-name tables and loops the meter covariance replaced, kept here
+# as the reference every producer must still match bit for bit.
+_OLD_PAIRS = {
+    1: (("var_p", 0, 0),),
+    2: (("var_p", 0, 0), ("var_q", 1, 1), ("cov_pq", 0, 1)),
+    3: (("var_p", 0, 0), ("var_q", 1, 1), ("var_r", 2, 2),
+        ("cov_pq", 0, 1), ("cov_pr", 0, 2), ("cov_qr", 1, 2)),
+}
+_OLD_DELTA_NAMES = {
+    1: ("d_var_p",),
+    2: ("d_var_p", "d_var_q", "d_cov_pq"),
+    3: ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr"),
+}
+
+
+def _old_sample_moments(rows):
+    acc = MomentAccumulator.of(rows)
+    n, cov = acc.count, acc.covariance
+    values, ses = {}, {}
+    for name, j, k in _OLD_PAIRS[rows.shape[1]]:
+        c = float(cov[j, k])
+        values[name] = c
+        if j == k:
+            ses[name] = c * np.sqrt(2.0 / (n - 1))
+        else:
+            ses[name] = np.sqrt((cov[j, j] * cov[k, k] + c * c) / (n - 1))
+    return values, ses
+
+
+def _old_meter_moments(state):
+    meters = state.layout.meter_labels
+    return {name: get_entry(state, meters[j], meters[k])
+            for name, j, k in _OLD_PAIRS[state.layout.n_pulses]}
+
+
+def _old_predicted_moments(params, noise, initial):
+    kappa = params.kappa
+    meters = initial.layout.meter_labels
+    a = [get_entry(initial, "J_z", "J_z")]
+    for _ in range(initial.layout.n_pulses - 1):
+        a.append(params.r_a ** 2 * a[-1] + noise.n33)
+    values = {}
+    for name, j, k in _OLD_PAIRS[initial.layout.n_pulses]:
+        light = params.r_l ** 2 * get_entry(initial, meters[j], meters[k])
+        if j == k:
+            values[name] = light + kappa * kappa * a[k] + noise.n55
+        else:
+            values[name] = (light
+                            + kappa * kappa * params.r_a ** (k - j) * a[j]
+                            + kappa * params.r_a ** (k - 1 - j) * noise.n35)
+    return values
+
+
+def _old_delta_stats(measured, reference, r_l):
+    scale = r_l * r_l
+    values, ses = {}, {}
+    for name in _OLD_DELTA_NAMES[measured.n_pulses]:
+        moment = name[2:]
+        values[name] = (getattr(measured, moment)
+                        - scale * getattr(reference, moment))
+        if measured.se is not None and reference.se is not None:
+            ses[name] = float(np.hypot(measured.se[moment],
+                                       scale * reference.se[moment]))
+    return values, ses or None
+
+
+def _records(n_pulses, n_shots, seed):
+    params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
+                                         r_a=0.8, r_l=0.9)
+    noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0})
+    initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                 OpticalBlock.coherent(100.0, n_pulses),
+                                 Layout(n_pulses))
+    return simulate_shots(params, noise, initial, n_shots, seed)
+
+
+def _random_model(rng, n_pulses):
+    params = ExperimentParams(g_tau=rng.uniform(0.005, 0.05),
+                              mean_sx=rng.uniform(10.0, 100.0),
+                              mean_jx=rng.uniform(5.0, 100.0),
+                              r_a=rng.uniform(0.5, 1.0),
+                              r_l=rng.uniform(0.5, 1.0))
+    noise = NoiseModel(random_psd(rng, 6, rng.uniform(0.1, 10.0)))
+    initial = make_initial_state(
+        AtomicBlock(mean_jx=params.mean_jx,
+                    cov=random_psd(rng, 3, rng.uniform(1.0, 100.0))),
+        OpticalBlock(mean_sx=params.mean_sx,
+                     cov=random_psd(rng, 3 * n_pulses,
+                                    rng.uniform(1.0, 100.0))),
+        Layout(n_pulses))
+    return params, noise, initial
+
+
+def _assert_same(got: dict, want: dict):
+    # Same keys in the same order, same values bit for bit, same types.
+    assert list(got) == list(want)
+    assert [(v, type(v)) for v in got.values()] \
+        == [(v, type(v)) for v in want.values()]
+
+
+class TestMeterCovarianceExactness:
+    """Every producer hands over one meter covariance; each named view,
+    ``entries()`` and ``se`` equal what the per-name loops gave."""
+
+    @pytest.mark.parametrize("n_shots", [2, CHUNK_SHOTS - 1, CHUNK_SHOTS + 1,
+                                         50_000])
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_sample_moments_and_deltas(self, n_pulses, n_shots):
+        records = _records(n_pulses, n_shots, seed=n_pulses + n_shots)
+        measured, reference = sample_moments(records)
+        for moments, rows in ((measured, records.with_atoms),
+                              (reference, records.no_atoms)):
+            values, ses = _old_sample_moments(rows)
+            _assert_same(moments.entries(), values)
+            _assert_same(moments.se, ses)
+            assert moments.n_shots == n_shots
+            for name, value in values.items():
+                assert getattr(moments, name) == value
+        for r_l in (0.9, 0.61, 1.0):
+            delta = delta_stats(measured, reference, r_l)
+            values, ses = _old_delta_stats(measured, reference, r_l)
+            _assert_same(delta.entries(), values)
+            _assert_same(delta.se, ses)
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_closed_forms_matrix_route_and_deltas(self, n_pulses):
+        rng = np.random.default_rng(60 + n_pulses)
+        for _ in range(40):
+            params, noise, initial = _random_model(rng, n_pulses)
+            predicted = predicted_moments(params, noise, initial)
+            _assert_same(predicted.entries(),
+                         _old_predicted_moments(params, noise, initial))
+            propagated = propagate(params, noise, initial)
+            _assert_same(meter_moments(propagated).entries(),
+                         _old_meter_moments(propagated))
+            reference = no_atoms_moments(params, initial)
+            _assert_same(reference.entries(), _old_meter_moments(initial))
+            assert predicted.se is reference.se is None
+            delta = delta_stats(predicted, reference, params.r_l)
+            values, ses = _old_delta_stats(predicted, reference, params.r_l)
+            _assert_same(delta.entries(), values)
+            assert delta.se is ses is None
+
+    @pytest.mark.parametrize("n_shots", [2, 50_000])
+    def test_d_cov_qr_is_carried_but_not_reported(self, n_shots):
+        measured, reference = sample_moments(_records(3, n_shots, seed=5))
+        r_l = 0.9
+        delta = delta_stats(measured, reference, r_l)
+        expected = measured.cov_qr - r_l**2 * reference.cov_qr
+        assert delta.cov[1, 2] == expected
+        assert delta.d_cov_qr == expected
+        assert "d_cov_qr" not in delta.entries()
+        assert "d_cov_qr" not in delta.se
+        assert "d_cov_qr" not in json.dumps(delta_to_dict(delta))
+        assert list(delta_to_dict(delta)) == list(_OLD_DELTA_NAMES[3]) + ["se"]
+
+    def test_hand_built_delta_may_leave_out_d_cov_qr(self):
+        delta = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=2.0, d_var_r=3.0,
+                           d_cov_pq=0.5, d_cov_pr=0.25)
+        assert np.isnan(delta.cov[1, 2]) and np.isnan(delta.cov[2, 1])
+        assert delta.d_cov_qr is None
+        given = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=2.0, d_var_r=3.0,
+                           d_cov_pq=0.5, d_cov_pr=0.25, d_cov_qr=-0.5)
+        assert given.d_cov_qr == given.cov[2, 1] == -0.5
+        assert "d_cov_qr" not in given.entries()
+
+    def test_moments_are_read_only(self):
+        measured, _ = sample_moments(_records(3, 100, seed=9))
+        delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=2.0, d_cov_pq=0.5)
+        for moments, names in ((measured, ["var_p", "cov_qr"]),
+                               (delta, ["d_var_p", "d_var_r"])):
+            assert not moments.cov.flags.writeable
+            with pytest.raises(ValueError):
+                moments.cov[0, 0] = 1.0
+            for name in [*names, "cov", "n_pulses", "se"]:
+                with pytest.raises(AttributeError):
+                    setattr(moments, name, 1.0)
+                with pytest.raises(AttributeError):
+                    delattr(moments, name)
+        assert measured.var_p == measured.cov[0, 0]
+
+    def test_pickle_and_copy_keep_every_bit(self):
+        measured, _ = sample_moments(_records(3, 1000, seed=4))
+        for clone in (pickle.loads(pickle.dumps(measured)),
+                      copy.deepcopy(measured)):
+            assert type(clone) is MomentSet
+            assert clone.cov.tobytes() == measured.cov.tobytes()
+            _assert_same(clone.entries(), measured.entries())
+            assert clone.se == measured.se and clone.n_shots == 1000
+            assert not clone.cov.flags.writeable
+
+    @pytest.mark.parametrize("bad", [2.0, True, np.int64(2), 0, 4])
+    def test_pulse_count_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match="n_pulses must be 1, 2 or 3"):
+            MomentSet(n_pulses=bad, var_p=1.0, var_q=1.0, cov_pq=0.0)
+        with pytest.raises(ValueError, match="n_pulses must be 1, 2 or 3"):
+            DeltaStats(n_pulses=bad, d_var_p=1.0, d_var_q=1.0, d_cov_pq=0.0)
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (MomentSet, dict(n_pulses=2, var_p=1.0, cov_pq=0.0),
+         "var_q required for n_pulses=2"),
+        (MomentSet, dict(n_pulses=1, var_p=1.0, var_r=1.0),
+         "var_r not defined for n_pulses=1"),
+        (MomentSet, dict(n_pulses=1, var_p=1.0, se={"var_q": 0.1}),
+         r"standard errors for absent moments: \['var_q'\]"),
+        (MomentSet, dict(n_pulses=2, var_p=1.0, var_q=-2.0, cov_pq=0.0),
+         "var_q must be nonnegative, got -2.0"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=1.0, d_var_q=1.0,
+                          d_var_r=1.0, d_cov_pq=1.0),
+         "d_cov_pr required for n_pulses=3"),
+        (DeltaStats, dict(n_pulses=2, d_var_p=1.0, d_var_q=1.0,
+                          d_cov_pq=1.0, d_cov_qr=1.0),
+         "d_cov_qr not defined for n_pulses=2"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=1.0, d_var_q=1.0,
+                          d_var_r=1.0, d_cov_pq=1.0, d_cov_pr=1.0,
+                          se={"d_cov_qr": 0.1}),
+         r"standard errors for absent moments: \['d_cov_qr'\]"),
+    ])
+    def test_keyword_refusals_keep_their_messages(self, cls, kwargs,
+                                                  message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**kwargs)
+
+    def test_unknown_name_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            MomentSet(n_pulses=1, var_p=1.0, var_x=2.0)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            DeltaStats(n_pulses=1, d_var_p=1.0, var_p=2.0)
