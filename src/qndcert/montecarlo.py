@@ -23,6 +23,17 @@ Each chunk draws the initial-state variates and then each pulse's noise
 variates, in that order.  Chunks are therefore independent and
 reproducible in isolation, results are bit-identical however the work
 is scheduled, and the two arms never share randomness.
+
+:func:`simulate_shots` draws the two arms side by side, the with-atoms
+arm on the calling thread and the no-atoms arm on one worker thread
+(:func:`qndcert.statistics.map_arms`); numpy releases the GIL in the
+draws and products, so the arms overlap, and the arrays are those of two
+calls made in turn.  There is no thread-count option: the two arms are
+the natural grain, and every extra thread holds its own malloc arena.
+Memory rule: the two threads together may hold no more temporaries than
+one arm did alone, so a chunk's variates are drawn ``_DRAW_ROWS`` rows
+at a time; row-major draws consume a substream in the same order however
+they are split, so no value changes.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .errors import SamplerUnsupportedError
 from .statistics import (
     MomentSet,
     ShotRecords,
+    map_arms,
     no_atoms_moments,
     predicted_moments,
     sample_moments,
@@ -56,6 +68,9 @@ __all__ = [
 # Fixed so chunked generation is reproducible regardless of total shot
 # count or scheduling.
 CHUNK_SHOTS = 16384
+# Rows of variates drawn at a time within a chunk; see the module
+# docstring's memory rule.
+_DRAW_ROWS = 4096
 
 _ARM_IDS = {True: 0, False: 1}
 
@@ -127,7 +142,9 @@ def simulate_arm(params: ExperimentParams, noise: NoiseModel,
         meters = out[start:start + count]
         meters[:] = offset
         for gain in gains:
-            meters += rng.standard_normal((count, gain.shape[0])) @ gain
+            for row in range(0, count, _DRAW_ROWS):
+                part = meters[row:row + _DRAW_ROWS]
+                part += rng.standard_normal((len(part), gain.shape[0])) @ gain
     return out
 
 
@@ -147,15 +164,13 @@ def params_hash(params: ExperimentParams, noise: NoiseModel,
 def simulate_shots(params: ExperimentParams, noise: NoiseModel,
                    initial: GaussianState, n_shots: int,
                    seed: int) -> ShotRecords:
-    """Both arms off one master seed, bundled with their metadata."""
-    return ShotRecords(
-        with_atoms=simulate_arm(params, noise, initial, n_shots, seed,
-                                with_atoms=True),
-        no_atoms=simulate_arm(params, noise, initial, n_shots, seed,
-                              with_atoms=False),
-        seed=seed,
-        params_hash=params_hash(params, noise, initial),
-    )
+    """Both arms off one master seed, bundled with their metadata; each
+    arm is drawn on its own thread."""
+    with_atoms, no_atoms = map_arms(
+        lambda role: simulate_arm(params, noise, initial, n_shots, seed,
+                                  with_atoms=role == "with_atoms"))
+    return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms, seed=seed,
+                       params_hash=params_hash(params, noise, initial))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ The characters of a value depend only on ``D``'s digits and on
 per output position, which byte of a per-value source row (the 17 digit
 characters, a few constant characters and the separator) goes there, and
 how many positions are used.  A byte gather, 2048 fields at a time,
-builds every field; a prefix mask per field, and a suffix mask for the
-``shot`` column's right-aligned digits, compact each block into one
-``bytes`` object.
+writes every field straight into its place in the block's output lines,
+once the per-value temporaries are freed; a prefix mask per field, and a
+suffix mask for the ``shot`` column's right-aligned digits, compact the
+block into one ``bytes`` object.
 
 Zero, subnormals, ``|x| < 1e-6`` and ``|x| >= 1e17`` are formatted one
 by one with ``'%.17g' % v`` and spliced into their field.
@@ -181,39 +182,50 @@ def _source_rows(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return chars, 17 - trailing
 
 
-def format_rows(rows: np.ndarray, first_shot: int) -> bytes:
-    """``("%d," + ",".join(["%.17g"] * k) + "\\n") % row`` for each row of
-    the (n, k) float array ``rows``, the shot column counting from
-    ``first_shot``, as one ``bytes`` object."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    n, k = rows.shape
+def _fill_fields(rows: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Write each value of the (n, k) ``rows``, as its ``%.17g`` text and
+    separator, to the start of its ``_FIELD`` bytes in the (n, k,
+    ``_FIELD``) ``fields``; return the text lengths, row-major."""
+    k = rows.shape[1]
     values = rows.ravel()
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 lies below 10**-6
     x, d = _significands(a if fast.all() else np.where(fast, a, 1.0))
     chars, digits = _source_rows(d, k)
     key = _key(x, np.signbit(values), digits)
+    del a, x, d, digits  # not held through the gather
 
-    fields = np.empty((values.size, _FIELD), np.uint8)
     flat = chars.ravel()
-    for start in range(0, values.size, _GATHER):
-        pattern = _PATTERNS.take(key[start:start + _GATHER], axis=0)
+    step = _GATHER // k  # rows per gather
+    for row in range(0, rows.shape[0], step):
+        start = row * k
+        pattern = _PATTERNS.take(key[start:start + step * k], axis=0)
         index = (np.arange(start, start + len(pattern)) * _SOURCE)[:, None]
-        fields[start:start + _GATHER] = flat.take(index + pattern)
+        fields[row:row + step] = flat.take(index + pattern).reshape(
+            -1, k, _FIELD)
     lengths = _LENGTHS.take(key)
     for i in np.flatnonzero(~fast):
         text = b"%.17g" % values[i] + (b"\n" if i % k == k - 1 else b",")
-        fields[i, :len(text)] = np.frombuffer(text, np.uint8)
+        fields[i // k, i % k, :len(text)] = np.frombuffer(text, np.uint8)
         lengths[i] = len(text)
+    return lengths
 
+
+def format_rows(rows: np.ndarray, first_shot: int) -> bytes:
+    """``("%d," + ",".join(["%.17g"] * k) + "\\n") % row`` for each row of
+    the (n, k) float array ``rows``, the shot column counting from
+    ``first_shot``, as one ``bytes`` object."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    n, k = rows.shape
     shot_chars, shot_mask = _shot_column(first_shot, n)
     width = shot_chars.shape[1]
     line = np.empty((n, width + 1 + k * _FIELD), np.uint8)
-    mask = np.empty(line.shape, bool)
     line[:, :width] = shot_chars
-    mask[:, :width] = shot_mask
     line[:, width] = ord(",")
+    # a view: the fields are gathered straight into the line
+    lengths = _fill_fields(rows, line[:, width + 1:].reshape(n, k, _FIELD))
+    mask = np.empty(line.shape, bool)
+    mask[:, :width] = shot_mask
     mask[:, width] = True
-    line[:, width + 1:] = fields.reshape(n, k * _FIELD)
     mask[:, width + 1:] = _PREFIX.take(lengths, axis=0).reshape(n, k * _FIELD)
     return line[mask].tobytes()

@@ -11,10 +11,20 @@ floats carry 17 significant digits, so reading a file back reproduces
 the original float64 values exactly, and identical inputs produce
 byte-identical files.  The text is produced by the exact numpy kernel
 :func:`qndcert.recordfmt.format_rows`, one ``bytes`` object per
-``SUB_BLOCK_ROWS`` (4096) rows, and streamed to disk through the sha256
+``SUB_BLOCK_ROWS`` (2048) rows, and streamed to disk through the sha256
 digest, so an arm's full text is never held in memory.  All writes go
 through a temp file in the target directory followed by an atomic
 rename.
+
+:func:`write_records` formats, hashes and writes the two arms side by
+side, one thread per arm (:func:`qndcert.statistics.map_arms`), and
+writes the sidecar from both digests once both CSVs are in place, so
+every file is byte-identical to a write made one arm after the other.
+There is no thread-count option: the two arms are the natural grain.
+Memory rule: two formatters now run at once, so together they may hold
+no more than one did when the arms were written in turn; hence 2048
+rows per piece rather than 4096.  Reading stays serial: hashing two
+3.2 MB CSVs on two threads took 6.9 ms against 6.8 ms in turn.
 
 The sidecar (schema 2) also holds an ``arms`` block: per role, the
 sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
@@ -48,7 +58,13 @@ import numpy as np
 from .config import check_r_l
 from .errors import ConfigError, RecordError
 from .recordfmt import format_rows
-from .statistics import MomentAccumulator, MomentSet, ShotRecords
+from .statistics import (
+    ARM_ROLES,
+    MomentAccumulator,
+    MomentSet,
+    ShotRecords,
+    map_arms,
+)
 
 __all__ = [
     "RecordSummary",
@@ -61,11 +77,10 @@ __all__ = [
 
 META_SCHEMA_VERSION = 2
 _COLUMNS = ("p_y", "q_y", "r_y")
-_ROLES = ("with_atoms", "no_atoms")
 _HASH_BLOCK_BYTES = 1 << 18
 # Rows formatted per piece: the formatter's temporaries, and so the
-# writer's peak memory, grow with it.
-SUB_BLOCK_ROWS = 4096
+# writer's peak memory, grow with it; one arm's formatter per thread.
+SUB_BLOCK_ROWS = 2048
 
 
 def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
@@ -105,7 +120,7 @@ def _arm_summaries(records: ShotRecords,
     (readers then parse the CSVs)."""
     arms = {}
     with np.errstate(all="ignore"):
-        for role in _ROLES:
+        for role in ARM_ROLES:
             acc = MomentAccumulator.of(getattr(records, role))
             if not (np.isfinite(acc.mean).all()
                     and np.isfinite(acc.comoment).all()):
@@ -122,25 +137,33 @@ def write_records(records: ShotRecords, prefix: str | Path,
 
     ``r_l``, the optical transmission the records were simulated at, is
     stored in the sidecar for readers given no other value.  Records
-    holding a non-finite value are refused before any file is created,
-    since reading would refuse the file."""
-    for role in _ROLES:
+    holding a non-finite value, or arms of different lengths, are refused
+    before any file is created, since reading would refuse the files.
+    Each arm is formatted, hashed and written on its own thread; the
+    sidecar follows once both are on disk."""
+    for role in ARM_ROLES:
         finite = np.isfinite(getattr(records, role)).all(axis=1)
         if not finite.all():
             raise RecordError(f"{role} arm: row {int(np.argmin(finite))} "
                               "holds a non-finite value; not written")
+    if records.no_atoms.shape[0] != records.n_shots:
+        raise RecordError(
+            f"arms disagree on the shot count: {records.n_shots} with_atoms, "
+            f"{records.no_atoms.shape[0]} no_atoms; not written")
     prefix = Path(prefix)
     paths = {
         "with_atoms": prefix.with_name(prefix.name + ".with_atoms.csv"),
         "no_atoms": prefix.with_name(prefix.name + ".no_atoms.csv"),
         "meta": prefix.with_name(prefix.name + ".meta.json"),
     }
-    digests = {}
-    for role in _ROLES:
+
+    def write_arm(role: str) -> str:
         digest = hashlib.sha256()
         write_atomic(paths[role],
                      _hashed(_format_arm(getattr(records, role)), digest))
-        digests[role] = digest.hexdigest()
+        return digest.hexdigest()
+
+    digests = dict(zip(ARM_ROLES, map_arms(write_arm)))
     meta = {
         "schema_version": META_SCHEMA_VERSION,
         "kind": "shot_records",
@@ -238,15 +261,16 @@ def _read_meta(meta_path: str | Path) -> dict:
 def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
                  meta_path: str | Path | None = None) -> ShotRecords:
     """Load both arms; the sidecar (when given) supplies seed and params
-    hash and is cross-checked against the data shape."""
+    hash, and each arm's shape is checked against its counts."""
     with_atoms = _read_arm(Path(with_atoms_path))
     no_atoms = _read_arm(Path(no_atoms_path))
     meta = {} if meta_path is None else _read_meta(meta_path)
-    for field, count in (("n_pulses", with_atoms.shape[1]),
-                         ("n_shots", with_atoms.shape[0])):
-        if meta and meta[field] != count:
-            raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
-                              f"{field[2:]}, data has {count}")
+    for role, rows in zip(ARM_ROLES, (with_atoms, no_atoms)):
+        for field, count in (("n_pulses", rows.shape[1]),
+                             ("n_shots", rows.shape[0])):
+            if meta and meta[field] != count:
+                raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
+                                  f"{field[2:]}, {role} data has {count}")
     return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms,
                        seed=meta.get("seed"),
                        params_hash=meta.get("params_hash"))
@@ -340,8 +364,8 @@ def read_summary(with_atoms_path: str | Path, no_atoms_path: str | Path,
     if stale:
         return RecordSummary(sha256, stale=stale)
     moments = None
-    if all(role in arms for role in _ROLES):
+    if all(role in arms for role in ARM_ROLES):
         moments = tuple(_stored_moments(meta, arms[role], meta_path)
-                        for role in _ROLES)
+                        for role in ARM_ROLES)
     return RecordSummary(sha256, meta.get("seed"), meta.get("params_hash"),
                          r_l, moments)

@@ -26,8 +26,9 @@ every report.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import FrozenInstanceError, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "MomentSet",
     "DeltaStats",
     "ShotRecords",
+    "ARM_ROLES",
+    "map_arms",
     "MomentAccumulator",
     "SqueezingVerdict",
     "meter_moments",
@@ -150,6 +153,10 @@ class DeltaStats(_MeterCovariance):
     _unreported = ("d_cov_qr",)
 
 
+# The two arms of a record set, in the order every result lists them.
+ARM_ROLES = ("with_atoms", "no_atoms")
+
+
 @dataclass(frozen=True)
 class ShotRecords:
     """Per-shot meter outcomes for both arms.
@@ -165,7 +172,7 @@ class ShotRecords:
     params_hash: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("with_atoms", "no_atoms"):
+        for name in ARM_ROLES:
             arr = np.array(getattr(self, name), dtype=float)  # a copy
             if arr.ndim != 2 or not 1 <= arr.shape[1] <= 3 or arr.shape[0] < 1:
                 raise DimensionMismatchError(
@@ -183,6 +190,41 @@ class ShotRecords:
     @property
     def n_shots(self) -> int:
         return self.with_atoms.shape[0]
+
+
+_T = TypeVar("_T")
+
+
+def map_arms(fn: Callable[[str], _T]) -> tuple[_T, _T]:
+    """``fn(role)`` for each of ``ARM_ROLES``, the arms side by side: the
+    no-atoms call on a worker thread, the with-atoms call on the calling
+    thread.
+
+    Returns the results in role order.  Both calls finish before this
+    returns or raises; if either raised, the first failure in role order
+    is re-raised.  The worker starts with numpy's default error state,
+    not the caller's.  One thread is added, not two: each thread that
+    allocates gets its own malloc arena, whose high-water mark stays
+    resident.  A plain thread, not an executor, keeps
+    ``concurrent.futures`` and the ``logging`` it imports out of start-up.
+    """
+    no_atoms: dict[str, object] = {}
+
+    def run() -> None:
+        try:
+            no_atoms["result"] = fn(ARM_ROLES[1])
+        except BaseException as exc:  # handed to the calling thread
+            no_atoms["error"] = exc
+
+    worker = threading.Thread(target=run, name="qndcert-no-atoms")
+    worker.start()
+    try:
+        with_atoms = fn(ARM_ROLES[0])
+    finally:
+        worker.join()
+    if "error" in no_atoms:
+        raise no_atoms["error"]
+    return with_atoms, no_atoms["result"]
 
 
 class MomentAccumulator:

@@ -213,6 +213,24 @@ class TestBadRecords:
         err = capsys.readouterr().err
         assert path.name in err and "shot index 77" in err
 
+    def test_short_arm_is_refused_against_the_sidecar(self, ideal_run,
+                                                      tmp_path, capsys):
+        # without stored summaries the CSVs are parsed, and each arm must
+        # hold the sidecar's shot count
+        run = _copy_run(ideal_run, tmp_path)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        del meta["arms"]
+        meta_path.write_text(json.dumps(meta))
+        path = pathlib.Path(run["no_atoms"])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1001]))
+        code = main(["stats", *_record_args(run)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "shots:" not in captured.out
+        assert "no_atoms" in captured.err and "1000" in captured.err
+
 
 class TestEstimate:
     def test_recovers_losses_and_noise(self, lossy_run, tmp_path, capsys):

@@ -1,7 +1,10 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import qndcert.montecarlo
 
 from qndcert import (
     AtomicBlock,
@@ -20,6 +23,7 @@ from qndcert import (
     simulate_shots,
 )
 from qndcert.montecarlo import CHUNK_SHOTS, _psd_factor
+from qndcert.statistics import map_arms
 
 
 class TestDeterminism:
@@ -127,6 +131,68 @@ class TestAgainstStepwisePropagation:
                                  with_atoms=with_atoms)
             scale = np.abs(want).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-12 * scale), with_atoms
+
+
+class TestArmThreads:
+    """Both arms are drawn side by side; the values must be those of two
+    calls made one after the other."""
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    @pytest.mark.parametrize("noise", [NoiseModel.zero(), _DENSE_NOISE],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("n_shots", [CHUNK_SHOTS - 1, CHUNK_SHOTS + 1])
+    def test_equals_serial_arms(self, n_pulses, noise, n_shots):
+        initial = make_initial_state(
+            AtomicBlock.coherent(100.0),
+            OpticalBlock.coherent(100.0, n_pulses), Layout(n_pulses))
+        params = ExperimentParams.from_kappa(1.3, mean_sx=50.0, mean_jx=40.0,
+                                             r_a=0.8, r_l=0.9)
+        records = simulate_shots(params, noise, initial, n_shots, 23)
+        for with_atoms, got in ((True, records.with_atoms),
+                                (False, records.no_atoms)):
+            want = simulate_arm(params, noise, initial, n_shots, 23,
+                                with_atoms=with_atoms)
+            np.testing.assert_array_equal(got, want)
+
+    def test_split_draws_consume_the_substream_in_order(self):
+        # simulate_arm draws a chunk's variates a few rows at a time
+        key = np.random.SeedSequence(entropy=5, spawn_key=(0, 3))
+        whole = np.random.default_rng(key).standard_normal((1000, 7))
+        rng = np.random.default_rng(key)
+        parts = [rng.standard_normal((rows, 7)) for rows in (1, 409, 590)]
+        np.testing.assert_array_equal(np.vstack(parts), whole)
+
+    @pytest.mark.parametrize("failing", [("with_atoms",), ("no_atoms",),
+                                         ("with_atoms", "no_atoms")])
+    def test_first_failure_in_role_order_reaches_the_caller(
+            self, ideal_set, monkeypatch, failing):
+        real = qndcert.montecarlo.simulate_arm
+
+        def arm(*args, with_atoms):
+            role = "with_atoms" if with_atoms else "no_atoms"
+            if role in failing:
+                raise SamplerUnsupportedError(role)
+            return real(*args, with_atoms=with_atoms)
+
+        monkeypatch.setattr(qndcert.montecarlo, "simulate_arm", arm)
+        threads = threading.active_count()
+        with pytest.raises(SamplerUnsupportedError) as caught:
+            simulate_shots(*ideal_set, 100, 1)
+        assert str(caught.value) == failing[0]
+        assert threading.active_count() == threads
+
+    def test_arms_run_side_by_side(self):
+        # each call waits for the other: run one after the other, they
+        # would break the barrier
+        barrier = threading.Barrier(2, timeout=60.0)
+
+        def meet(role):
+            barrier.wait()
+            return role, threading.get_ident()
+
+        (first, ident_a), (second, ident_b) = map_arms(meet)
+        assert (first, second) == ("with_atoms", "no_atoms")
+        assert ident_a == threading.get_ident() != ident_b
 
 
 class TestParamsHash:

@@ -98,8 +98,11 @@ class TestAgainstPercentFormatting:
         assert format_rows(rows, first_shot) == _reference(rows, first_shot)
 
 
-@pytest.mark.parametrize("n_shots", [1, SUB_BLOCK_ROWS - 1, SUB_BLOCK_ROWS,
-                                     SUB_BLOCK_ROWS + 1, CHUNK_SHOTS + 1])
+# around the end of the first and of the second piece
+@pytest.mark.parametrize("n_shots", [
+    1, *(pieces * SUB_BLOCK_ROWS + step for pieces in (1, 2)
+         for step in (-1, 0, 1)),
+    CHUNK_SHOTS + 1])
 def test_files_equal_row_by_row_text_across_blocks(tmp_path, n_shots):
     rng = np.random.default_rng(n_shots)
     rows = rng.normal(0, 3, (n_shots, 3))

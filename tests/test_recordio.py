@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qndcert import (
     AtomicBlock,
     Layout,
+    MomentAccumulator,
     OpticalBlock,
     RecordError,
     ShotRecords,
@@ -19,6 +21,8 @@ from qndcert import (
 )
 from qndcert.montecarlo import CHUNK_SHOTS
 from qndcert.recordio import (
+    SUB_BLOCK_ROWS,
+    _format_arm,
     read_summary,
     sibling_meta_path,
     write_atomic,
@@ -373,6 +377,30 @@ class TestReadValidation:
             read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
+    @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
+    def test_meta_shot_count_is_checked_for_each_arm(self, tmp_path,
+                                                     small_records, role):
+        paths = write_records(small_records, tmp_path / "run")
+        lines = paths[role].read_text().splitlines(keepends=True)
+        paths[role].write_text("".join(lines[:33]))
+        with pytest.raises(RecordError,
+                           match=rf"64 shots, {role} data has 32"):
+            read_records(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+
+    def test_meta_pulse_count_is_checked_for_each_arm(self, tmp_path,
+                                                      small_records,
+                                                      noisy_set):
+        params, noise, _ = noisy_set
+        paths = write_records(small_records, tmp_path / "run")
+        other = write_records(_run_of(2, 64, 5, params, noise),
+                              tmp_path / "other")
+        paths["no_atoms"].write_bytes(other["no_atoms"].read_bytes())
+        with pytest.raises(RecordError,
+                           match=r"3 pulses, no_atoms data has 2"):
+            read_records(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+
     def test_meta_wrong_kind(self, tmp_path, small_records):
         paths = write_records(small_records, tmp_path / "run")
         paths["meta"].write_text('{"kind": "something_else"}')
@@ -401,6 +429,66 @@ class TestWriteValidation:
         with pytest.raises(RecordError, match=rf"{arm}.*row 5.*non-finite"):
             write_records(records, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
+
+    def test_arms_of_different_lengths_are_refused(self, tmp_path,
+                                                   small_records):
+        records = ShotRecords(with_atoms=small_records.with_atoms,
+                              no_atoms=small_records.no_atoms[:32],
+                              seed=small_records.seed)
+        with pytest.raises(RecordError, match=r"64 with_atoms.*32 no_atoms"):
+            write_records(records, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _serial_files(records, r_l):
+    """The bytes of each file of a record set, made one arm after the
+    other."""
+    files, arms = {}, {}
+    for role in ("with_atoms", "no_atoms"):
+        rows = getattr(records, role)
+        files[role] = b"".join(_format_arm(rows))
+        acc = MomentAccumulator.of(rows)
+        arms[role] = {"sha256": hashlib.sha256(files[role]).hexdigest(),
+                      "count": acc.count, "mean": acc.mean.tolist(),
+                      "comoment": acc.comoment.tolist()}
+    meta = {"schema_version": 2, "kind": "shot_records",
+            "seed": records.seed, "n_shots": records.n_shots,
+            "n_pulses": records.n_pulses,
+            "params_hash": records.params_hash, "r_l": r_l, "arms": arms}
+    files["meta"] = (json.dumps(meta, indent=2) + "\n").encode()
+    return files
+
+
+class TestArmThreads:
+    """Both arms are formatted, hashed and written side by side; the
+    files must be those of a serial write."""
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    @pytest.mark.parametrize("n_shots", [1, SUB_BLOCK_ROWS + 1,
+                                         CHUNK_SHOTS + 1])
+    def test_equals_serial_write(self, tmp_path, noisy_set, n_pulses,
+                                 n_shots):
+        params, noise, _ = noisy_set
+        records = _run_of(n_pulses, n_shots, 6, params, noise)
+        paths = write_records(records, tmp_path / "run", r_l=0.9)
+        for role, data in _serial_files(records, 0.9).items():
+            assert paths[role].read_bytes() == data, role
+
+    @pytest.mark.parametrize("blocked", [("no_atoms",), ("with_atoms",),
+                                         ("with_atoms", "no_atoms")])
+    def test_failed_arm_reaches_the_caller(self, tmp_path, small_records,
+                                           blocked):
+        # a directory where an arm's CSV should go makes its rename fail
+        for role in blocked:
+            (tmp_path / f"run.{role}.csv").mkdir()
+        threads = threading.active_count()
+        with pytest.raises(IsADirectoryError) as caught:
+            write_records(small_records, tmp_path / "run")
+        first = tmp_path / f"run.{blocked[0]}.csv"
+        assert caught.value.filename2 == str(first)
+        assert threading.active_count() == threads
+        assert list(tmp_path.glob("*.csv.*")) == []
+        assert not (tmp_path / "run.meta.json").exists()
 
 
 class TestAtomicWrite:
