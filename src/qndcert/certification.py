@@ -23,21 +23,26 @@ zero only inside the product.
 
 With sampled inputs every verdict is gated: a criterion counts as
 certified only when its margin to 1 exceeds ``z_threshold`` propagated
-standard errors.
+standard errors.  One function, ``_figures``, defines each uncertainty
+figure from the input vector (d_var_p, d_var_q, d_cov_pq, d_cov_pr,
+var_p); it gives the value, and the standard error by central
+differences of the same function.  The standard errors treat those five
+inputs as independent, though they come from the same shots: on seeded
+runs (20k shots per seed) the mean reported error was 0.99 to 1.55 times
+the run-to-run spread of its figure (ROADMAP.md, honest error bars).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import QndError, UndefinedInputError
 from .estimation import EstimatedModel, invert_three_pulse
 from .statistics import (
     DeltaStats,
     SqueezingVerdict,
-    conditional_variance_from_stats,
+    _conditional_variance,
+    _propagate_se,
     squeezing_condition,
 )
 
@@ -109,6 +114,48 @@ def holland_figures(delta: DeltaStats, var_p: float, kappa: float,
     return FiguresOfMerit(undefined=undefined, **values)
 
 
+# Routes to the uncertainty figures, each the names of the figures it
+# gives in standard-error order: the exact three-pulse route, and the
+# fallbacks with the state-prep figure at r_a = 1 or with dx2_m alone.
+_EXACT = ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")
+_R_A_ASSUMED = _EXACT[:2]
+_METER_ONLY = _EXACT[:1]
+
+# The delta moments the figures read, in input order; var_p follows.
+_INPUTS = ("d_var_p", "d_var_q", "d_cov_pq", "d_cov_pr")
+
+
+def _inputs(delta: DeltaStats, var_p: float) -> tuple[float, ...]:
+    """The figures' input vector; a moment the run lacks reads 0."""
+    return tuple(0.0 if v is None else v for v in
+                 [getattr(delta, name) for name in _INPUTS] + [var_p])
+
+
+def _figures(v, k2: float, j33: float, j0: float,
+             route: tuple[str, ...]) -> dict[str, float]:
+    """The uncertainty figures of ``route`` (module docstring forms) from
+    v = (d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p), k2 = kappa**2.
+
+    The one definition of each figure: its value and, through
+    :func:`~qndcert.statistics._propagate_se`, its standard error.  On
+    the exact route the state-prep figure is normalized by the measured
+    survival d_cov_pr / d_cov_pq, on ``_R_A_ASSUMED`` by r_a = 1.
+    """
+    d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p = v
+    figures = {"dx2_m": (var_p - k2 * j33) / (k2 * j0)}
+    if route == _METER_ONLY:
+        return figures
+    cond = _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33)
+    if route == _R_A_ASSUMED:
+        figures["dx2_s_given_m"] = cond / j0
+        return figures
+    figures["dx2_s_given_m"] = (d_cov_pq / d_cov_pr) * cond / j0
+    dx2_s = d_cov_pq * (d_var_q - d_var_p) / (d_cov_pr * k2 * j0)
+    figures["dx2_s"] = dx2_s
+    figures["product_sm"] = max(0.0, dx2_s) * max(0.0, figures["dx2_m"])
+    return figures
+
+
 @dataclass(frozen=True)
 class NonClassicality:
     """Input-referred uncertainty figures.
@@ -147,31 +194,33 @@ def nonclassicality(delta: DeltaStats, var_p: float, kappa: float,
     if delta.d_cov_pr == 0.0:
         raise UndefinedInputError("d_cov_pr is zero; spin-meter ratio undefined")
 
-    k2j0 = kappa * kappa * j0
-    warnings: list[str] = []
-    ratio = delta.d_cov_pq / delta.d_cov_pr
-    excess = delta.d_var_q - delta.d_var_p - delta.d_cov_pq ** 2 / var_p
-    dx2_s_given_m = ratio * (j33 / j0 + excess / k2j0)
-    dx2_m = (var_p - kappa * kappa * j33) / k2j0
-    dx2_s = ratio * (delta.d_var_q - delta.d_var_p) / k2j0
-    if dx2_s < 0.0:
-        warnings.append(
-            "dx2_s is negative (loss dominates added spin noise); "
-            "clipped to zero inside the uncertainty product"
-        )
-    if dx2_m < 0.0:
-        warnings.append(
-            "dx2_m is negative (sampled var_p below kappa**2*j33); "
-            "clipped to zero inside the uncertainty product"
-        )
-    product = max(0.0, dx2_s) * max(0.0, dx2_m)
-    return NonClassicality(
-        dx2_s_given_m=dx2_s_given_m,
-        dx2_m=dx2_m,
-        dx2_s=dx2_s,
-        product_sm=product,
-        warnings=tuple(warnings),
-    )
+    return _nonclassicality(delta, var_p, kappa, j33, j0, _EXACT)
+
+
+def _nonclassicality(delta: DeltaStats, var_p: float, kappa: float,
+                     j33: float, j0: float,
+                     route: tuple[str, ...]) -> NonClassicality:
+    """The figures of ``route``, unchecked; a figure off the route is
+    None.  Off the exact route the survival factor is not identifiable:
+    dx2_m stays exact, the state-prep figure assumes r_a = 1 (on
+    ``_R_A_ASSUMED``), and the product, hence the info-damage criterion,
+    is unavailable."""
+    figures = {**dict.fromkeys(_EXACT),
+               **_figures(_inputs(delta, var_p), kappa * kappa, j33, j0, route)}
+    warnings = []
+    if route == _EXACT:
+        for name, cause in (("dx2_s", "loss dominates added spin noise"),
+                            ("dx2_m", "sampled var_p below kappa**2*j33")):
+            if figures[name] < 0.0:
+                warnings.append(f"{name} is negative ({cause}); clipped to "
+                                "zero inside the uncertainty product")
+    r_a_assumed = None
+    if route == _R_A_ASSUMED:
+        r_a_assumed = 1.0
+        warnings.append("state-prep figure normalized with r_a assumed 1 "
+                        "(survival not identifiable from this run)")
+    return NonClassicality(**figures, r_a_assumed=r_a_assumed,
+                           warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -210,56 +259,6 @@ class CertificationReport:
     warnings: tuple[str, ...]
 
 
-# Input vector layout for error propagation.
-_V_DP, _V_DQ, _V_DR, _V_PQ, _V_PR, _V_VP = range(6)
-
-
-def _propagate_se(fn, values: tuple, ses: tuple) -> float:
-    """First-order (central-difference) error of fn(values) with
-    independent input errors.  Both tuples hold numpy float64 scalars, so
-    a zero denominator in ``fn`` gives inf with a RuntimeWarning."""
-    total = 0.0
-    for i, se in enumerate(ses):
-        if se == 0.0:
-            continue
-        value = values[i]
-        h = max(1e-6 * abs(value), 1e-9)
-        head, tail = values[:i], values[i + 1:]
-        slope = (fn(head + (value + h,) + tail)
-                 - fn(head + (value - h,) + tail)) / (2.0 * h)
-        total += (slope * se) ** 2
-    return float(np.sqrt(total))
-
-
-def _fallback_nonclassicality(delta: DeltaStats, var_p: float, kappa: float,
-                              j33: float, j0: float) -> NonClassicality:
-    """Reduced figures when the survival factor is not identifiable:
-    dx2_m stays exact, the state-prep figure assumes r_a = 1, and the
-    product (hence the info-damage criterion) is unavailable."""
-    warnings: list[str] = []
-    dx2_m = None
-    dx2_s_given_m = None
-    r_a_assumed = None
-    if kappa != 0.0 and j0 > 0.0:
-        dx2_m = (var_p - kappa * kappa * j33) / (kappa * kappa * j0)
-        if delta.n_pulses >= 2 and var_p > 0.0:
-            cond = conditional_variance_from_stats(delta, var_p, kappa, j33)
-            dx2_s_given_m = cond / j0
-            r_a_assumed = 1.0
-            warnings.append(
-                "state-prep figure normalized with r_a assumed 1 "
-                "(survival not identifiable from this run)"
-            )
-    return NonClassicality(
-        dx2_s_given_m=dx2_s_given_m,
-        dx2_m=dx2_m,
-        dx2_s=None,
-        product_sm=None,
-        r_a_assumed=r_a_assumed,
-        warnings=tuple(warnings),
-    )
-
-
 def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
             j0: float, z_threshold: float = 3.0,
             var_p_se: float | None = None) -> CertificationReport:
@@ -295,20 +294,15 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         return z_threshold * se if se else 0.0
 
     informative = True
-    if n >= 2 and abs(delta.d_cov_pq) <= floor("d_cov_pq"):
-        informative = False
-        reasons.append(
-            "uninformative coupling: |d_cov_pq| = "
-            f"{abs(delta.d_cov_pq):.6g} at or below its noise floor "
-            f"{floor('d_cov_pq'):.6g}"
-        )
-    if n == 3 and informative and abs(delta.d_cov_pr) <= floor("d_cov_pr"):
-        informative = False
-        reasons.append(
-            "uninformative coupling: |d_cov_pr| = "
-            f"{abs(delta.d_cov_pr):.6g} at or below its noise floor "
-            f"{floor('d_cov_pr'):.6g}"
-        )
+    for name in ("d_cov_pq", "d_cov_pr")[:n - 1]:
+        if abs(getattr(delta, name)) <= floor(name):
+            informative = False
+            reasons.append(
+                f"uninformative coupling: |{name}| = "
+                f"{abs(getattr(delta, name)):.6g} at or below its noise "
+                f"floor {floor(name):.6g}"
+            )
+            break
     if n < 3:
         reasons.append(
             f"full certification needs three pulses, run has {n}; "
@@ -318,24 +312,21 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     figures = holland_figures(delta, var_p, kappa, j33)
 
     estimates: EstimatedModel | None = None
+    ncl: NonClassicality | None = None
+    route = _R_A_ASSUMED if n >= 2 and var_p > 0.0 else _METER_ONLY
     if n == 3 and informative:
         try:
             estimates = invert_three_pulse(delta, var_p, kappa, j33)
+            warns.extend(estimates.warnings)
         except QndError as exc:
             reasons.append(f"model inversion failed: {exc}")
-    if estimates is not None:
-        warns.extend(estimates.warnings)
-
-    exact_route = False
-    ncl: NonClassicality | None = None
-    if n == 3 and informative:
         try:
             ncl = nonclassicality(delta, var_p, kappa, j33, j0)
-            exact_route = True
+            route = _EXACT
         except UndefinedInputError as exc:
             reasons.append(f"non-classicality figures unavailable: {exc}")
     if ncl is None:
-        ncl = _fallback_nonclassicality(delta, var_p, kappa, j33, j0)
+        ncl = _nonclassicality(delta, var_p, kappa, j33, j0, route)
     warns.extend(ncl.warnings)
 
     squeezing: SqueezingVerdict | None = None
@@ -347,40 +338,16 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     else:
         reasons.append("squeezing test needs two pulses")
 
-    # Standard errors of the derived figures, by first-order propagation
-    # over (d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p).
+    # Standard errors of the route's figures, by first-order propagation
+    # over the independent inputs (d_var_p, d_var_q, d_cov_pq, d_cov_pr,
+    # var_p).
     se_map: dict[str, float] = {}
     if gated:
-        names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
-        raw = [getattr(delta, name) for name in names] + [var_p]
-        values = tuple(np.array([0.0 if v is None else v for v in raw]))
-        input_ses = tuple(np.array([delta.se_of(name, 0.0) for name in names]
-                                   + [var_p_se or 0.0]))
         k2 = kappa * kappa
-
-        def f_m(v):
-            return (v[_V_VP] - k2 * j33) / (k2 * j0)
-
-        def f_cond(v):
-            return j33 + (v[_V_DQ] - v[_V_DP]
-                          - v[_V_PQ] ** 2 / v[_V_VP]) / k2
-
-        def f_sgm(v):
-            if exact_route:
-                return (v[_V_PQ] / v[_V_PR]) * f_cond(v) / j0
-            return f_cond(v) / j0
-
-        def f_s(v):
-            return (v[_V_PQ] * (v[_V_DQ] - v[_V_DP])
-                    / (v[_V_PR] * k2 * j0))
-
-        def f_prod(v):
-            return max(0.0, f_s(v)) * max(0.0, f_m(v))
-
-        for key, fn in (("dx2_m", f_m), ("dx2_s_given_m", f_sgm),
-                        ("dx2_s", f_s), ("product_sm", f_prod)):
-            if getattr(ncl, key) is not None:
-                se_map[key] = _propagate_se(fn, values, input_ses)
+        se_map = _propagate_se(
+            lambda v: _figures(v, k2, j33, j0, route), _inputs(delta, var_p),
+            [delta.se_of(name, 0.0) for name in _INPUTS] + [var_p_se or 0.0],
+            route)
 
     def gate(value: float | None, se_key: str) -> bool | None:
         if value is None:
@@ -388,19 +355,17 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         return (1.0 - value) > z_threshold * se_map.get(se_key, 0.0)
 
     def point(value: float | None) -> bool | None:
-        if value is None:
-            return None
-        return value < 1.0
+        return None if value is None else value < 1.0
+
+    def both(a: bool | None, b: bool | None) -> bool | None:
+        return None if a is None or b is None else a and b
 
     verdict_state_prep = gate(ncl.dx2_s_given_m, "dx2_s_given_m")
     verdict_info_damage = gate(ncl.product_sm, "product_sm")
     point_state_prep = point(ncl.dx2_s_given_m)
     point_info_damage = point(ncl.product_sm)
-    verdict_full = (None if verdict_state_prep is None
-                    or verdict_info_damage is None
-                    else verdict_state_prep and verdict_info_damage)
-    point_full = (None if point_state_prep is None or point_info_damage is None
-                  else point_state_prep and point_info_damage)
+    verdict_full = both(verdict_state_prep, verdict_info_damage)
+    point_full = both(point_state_prep, point_info_damage)
 
     return CertificationReport(
         n_pulses=n,

@@ -25,7 +25,11 @@ from .errors import (
     UndefinedInputError,
     UninformativeCouplingError,
 )
-from .statistics import DeltaStats, conditional_variance_from_stats
+from .statistics import (
+    DeltaStats,
+    _propagate_se,
+    conditional_variance_from_stats,
+)
 
 __all__ = [
     "EstimatedNoise",
@@ -149,8 +153,8 @@ class EstimatedModel:
     ``r_a`` is the primary (covariance-ratio) estimate; the variance
     route and its discrepancy are diagnostics and may be None when that
     route is degenerate for the data at hand.  Standard errors are
-    first-order propagations of the delta-statistic errors and are None
-    for analytic inputs.
+    first-order propagations of the delta-statistic errors, taken as
+    independent, and are None for analytic inputs.
     """
 
     r_a: float
@@ -161,11 +165,6 @@ class EstimatedModel:
     noise: EstimatedNoise
     cond_var_jz: float
     warnings: tuple[str, ...] = ()
-
-
-def _ratio_se(num: float, den: float, se_num: float, se_den: float) -> float:
-    # First-order error of num/den with independent inputs.
-    return math.hypot(se_num / den, num * se_den / (den * den))
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
@@ -189,8 +188,9 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     r_a = estimate_ra_from_cov(delta, noise_floor=floor_pq)
     r_a_se = None
     if delta.se is not None:
-        r_a_se = _ratio_se(delta.d_cov_pr, delta.d_cov_pq,
-                           se_of("d_cov_pr"), se_of("d_cov_pq"))
+        r_a_se = _propagate_se(
+            lambda v: {"r_a": v[1] / v[0]}, (delta.d_cov_pq, delta.d_cov_pr),
+            (se_of("d_cov_pq"), se_of("d_cov_pr")), ("r_a",))["r_a"]
 
     var_floor = _FLOOR_SIGMAS * math.hypot(se_of("d_var_q"), se_of("d_var_p"))
     r_a_from_var = None
@@ -200,14 +200,14 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     except (DegenerateCaseError, InconsistentDataError) as exc:
         warnings.append(f"variance route for r_a unavailable: {exc}")
     else:
-        if delta.se is not None:
-            num = delta.d_var_r - delta.d_var_q
-            den = delta.d_var_q - delta.d_var_p
-            se_num = math.hypot(se_of("d_var_r"), se_of("d_var_q"))
-            se_den = math.hypot(se_of("d_var_q"), se_of("d_var_p"))
-            ratio_se = _ratio_se(num, den, se_num, se_den)
-            if r_a_from_var > 0.0:
-                r_a_from_var_se = ratio_se / (2.0 * r_a_from_var)
+        if delta.se is not None and r_a_from_var > 0.0:
+            # d_var_q enters both differences: one input, not two
+            names = ("d_var_p", "d_var_q", "d_var_r")
+            ratio_se = _propagate_se(
+                lambda v: {"r_a2": (v[2] - v[1]) / (v[1] - v[0])},
+                [getattr(delta, name) for name in names],
+                [se_of(name) for name in names], ("r_a2",))["r_a2"]
+            r_a_from_var_se = ratio_se / (2.0 * r_a_from_var)
 
     discrepancy = None
     if r_a_from_var is not None:

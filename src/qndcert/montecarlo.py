@@ -169,6 +169,8 @@ def simulate_shots(params: ExperimentParams, noise: NoiseModel,
     with_atoms, no_atoms = map_arms(
         lambda role: simulate_arm(params, noise, initial, n_shots, seed,
                                   with_atoms=role == "with_atoms"))
+    for arm in (with_atoms, no_atoms):
+        arm.setflags(write=False)  # handed over: ShotRecords keeps, not copies
     return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms, seed=seed,
                        params_hash=params_hash(params, noise, initial))
 

@@ -18,8 +18,10 @@ rename.
 
 :func:`write_records` formats, hashes and writes the two arms side by
 side, one thread per arm (:func:`qndcert.statistics.map_arms`), and
-writes the sidecar from both digests once both CSVs are in place, so
+writes the sidecar from both digests once both CSVs are written, so
 every file is byte-identical to a write made one arm after the other.
+It renames none of the three into place before all three are written:
+a write that fails part way leaves the previous set whole.
 There is no thread-count option: the two arms are the natural grain.
 Memory rule: two formatters now run at once, so together they may hold
 no more than one did when the arms were written in turn; hence 2048
@@ -83,19 +85,30 @@ _HASH_BLOCK_BYTES = 1 << 18
 SUB_BLOCK_ROWS = 2048
 
 
-def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
+def _write_temp(path: Path, data: bytes | Iterable[bytes]) -> str:
     """Write ``data``, or the pieces of an iterable of bytes in order, to
-    a temp file beside ``path`` and rename it into place."""
-    path = Path(path)
+    a new temp file beside ``path``; returns its name.  A failed write
+    leaves no temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines([data] if isinstance(data, bytes) else data)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data``, or the pieces of an iterable of bytes in order, to
+    a temp file beside ``path`` and rename it into place."""
+    path = Path(path)
+    tmp = _write_temp(path, data)
+    try:
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -114,21 +127,32 @@ def _hashed(pieces: Iterable[bytes], digest) -> Iterator[bytes]:
         yield piece
 
 
-def _arm_summaries(records: ShotRecords,
-                   digests: dict[str, str]) -> dict | None:
-    """The sidecar's ``arms`` block, or None when a summary is not finite
-    (readers then parse the CSVs)."""
+def _sidecar(records: ShotRecords, r_l: float | None,
+             digests: dict[str, str]) -> bytes:
+    """The sidecar's bytes; its ``arms`` block is left out when a summary
+    is not finite (readers then parse the CSVs)."""
+    meta = {
+        "schema_version": META_SCHEMA_VERSION,
+        "kind": "shot_records",
+        "seed": records.seed,
+        "n_shots": records.n_shots,
+        "n_pulses": records.n_pulses,
+        "params_hash": records.params_hash,
+        "r_l": r_l,
+    }
     arms = {}
     with np.errstate(all="ignore"):
         for role in ARM_ROLES:
             acc = MomentAccumulator.of(getattr(records, role))
             if not (np.isfinite(acc.mean).all()
                     and np.isfinite(acc.comoment).all()):
-                return None
+                break
             arms[role] = {"sha256": digests[role], "count": acc.count,
                           "mean": acc.mean.tolist(),
                           "comoment": acc.comoment.tolist()}
-    return arms
+        else:
+            meta["arms"] = arms
+    return (json.dumps(meta, indent=2, allow_nan=False) + "\n").encode()
 
 
 def write_records(records: ShotRecords, prefix: str | Path,
@@ -139,8 +163,10 @@ def write_records(records: ShotRecords, prefix: str | Path,
     stored in the sidecar for readers given no other value.  Records
     holding a non-finite value, or arms of different lengths, are refused
     before any file is created, since reading would refuse the files.
-    Each arm is formatted, hashed and written on its own thread; the
-    sidecar follows once both are on disk."""
+    Each arm is formatted, hashed and written to a temp file on its own
+    thread, then the sidecar; the three are renamed into place only once
+    all are written, so a failed write leaves a previous set under
+    ``prefix`` as it was, and no temp file."""
     for role in ARM_ROLES:
         finite = np.isfinite(getattr(records, role)).all(axis=1)
         if not finite.all():
@@ -157,27 +183,25 @@ def write_records(records: ShotRecords, prefix: str | Path,
         "meta": prefix.with_name(prefix.name + ".meta.json"),
     }
 
+    temps: dict[str, str] = {}  # written, not yet renamed, by key
+
     def write_arm(role: str) -> str:
         digest = hashlib.sha256()
-        write_atomic(paths[role],
-                     _hashed(_format_arm(getattr(records, role)), digest))
+        temps[role] = _write_temp(
+            paths[role], _hashed(_format_arm(getattr(records, role)), digest))
         return digest.hexdigest()
 
-    digests = dict(zip(ARM_ROLES, map_arms(write_arm)))
-    meta = {
-        "schema_version": META_SCHEMA_VERSION,
-        "kind": "shot_records",
-        "seed": records.seed,
-        "n_shots": records.n_shots,
-        "n_pulses": records.n_pulses,
-        "params_hash": records.params_hash,
-        "r_l": r_l,
-    }
-    arms = _arm_summaries(records, digests)
-    if arms is not None:
-        meta["arms"] = arms
-    write_atomic(paths["meta"],
-                 (json.dumps(meta, indent=2, allow_nan=False) + "\n").encode())
+    try:
+        digests = dict(zip(ARM_ROLES, map_arms(write_arm)))
+        temps["meta"] = _write_temp(paths["meta"],
+                                    _sidecar(records, r_l, digests))
+        for key in (*ARM_ROLES, "meta"):  # none before all are written
+            os.replace(temps[key], paths[key])
+            del temps[key]
+    except BaseException:
+        for tmp in temps.values():
+            os.unlink(tmp)
+        raise
     return paths
 
 

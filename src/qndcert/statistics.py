@@ -163,7 +163,9 @@ class ShotRecords:
 
     Rows are shots, columns are (p_y[, q_y[, r_y]]).  ``seed`` and
     ``params_hash`` travel with simulated data and are None for records
-    loaded without metadata.
+    loaded without metadata.  An arm given as a read-only float array
+    that owns its memory, as the sampler hands over, is kept as it is;
+    any other is copied, so later writes to it cannot reach the records.
     """
 
     with_atoms: np.ndarray
@@ -173,7 +175,9 @@ class ShotRecords:
 
     def __post_init__(self) -> None:
         for name in ARM_ROLES:
-            arr = np.array(getattr(self, name), dtype=float)  # a copy
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = np.array(arr)  # a copy: the caller can still write
             if arr.ndim != 2 or not 1 <= arr.shape[1] <= 3 or arr.shape[0] < 1:
                 raise DimensionMismatchError(
                     f"{name} must be a nonempty (n_shots, n_pulses<=3) array, "
@@ -399,8 +403,34 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
         raise UndefinedInputError("kappa must be nonzero")
     if var_p <= 0.0:
         raise UndefinedInputError(f"var_p must be positive, got {var_p}")
-    excess = delta.d_var_q - delta.d_var_p - delta.d_cov_pq ** 2 / var_p
-    return j33 + excess / (kappa * kappa)
+    return _conditional_variance(delta.d_var_p, delta.d_var_q,
+                                 delta.d_cov_pq, var_p, kappa * kappa, j33)
+
+
+def _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33):
+    # The docstring form above, with k2 = kappa**2; unchecked.
+    return j33 + (d_var_q - d_var_p - d_cov_pq ** 2 / var_p) / k2
+
+
+def _propagate_se(fn, values, ses, keys) -> dict[str, float]:
+    """First-order standard errors of the figures ``keys`` of the dict
+    ``fn(values)`` for independent input errors ``ses``, by central
+    differences: two calls of ``fn`` per input with a nonzero error.
+    ``fn`` gets float64 scalars: a zero denominator gives inf and a
+    RuntimeWarning."""
+    values = tuple(np.asarray(values, dtype=float))
+    total = dict.fromkeys(keys, 0.0)
+    for i, se in enumerate(ses):
+        if se == 0.0:
+            continue
+        value = values[i]
+        h = max(1e-6 * abs(value), 1e-9)
+        head, tail = values[:i], values[i + 1:]
+        up = fn(head + (value + h,) + tail)
+        down = fn(head + (value - h,) + tail)
+        for key in total:
+            total[key] += ((up[key] - down[key]) / (2.0 * h) * se) ** 2
+    return {key: float(np.sqrt(sum_sq)) for key, sum_sq in total.items()}
 
 
 class SqueezingVerdict(NamedTuple):

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from qndcert import (
+    AtomicBlock,
     DeltaStats,
     ExperimentParams,
+    Layout,
     NoiseModel,
+    OpticalBlock,
     UndefinedInputError,
     certify,
     delta_stats,
     dump_json,
     exit_code,
     holland_figures,
+    make_initial_state,
     no_atoms_moments,
     nonclassicality,
     predicted_moments,
     report_to_dict,
+    sample_moments,
+    simulate_shots,
 )
 from qndcert.selftest import _draw_model
 
@@ -329,6 +335,80 @@ class TestStandardErrorExactness:
             report = certify(delta, 4.0, 1.0, 2.0, 3.0, var_p_se=1e-3)
         assert report.se["dx2_s"] == np.inf
         assert report.se["product_sm"] == np.inf
+
+
+def _hand_se(report):
+    """Standard errors of ``report``'s figures from hand-derived gradients
+    over independent (d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p)."""
+    delta, ncl = report.delta, report.nonclassical
+    names = ("d_var_p", "d_var_q", "d_cov_pq", "d_cov_pr")
+    p, q, c, r = (getattr(delta, name) or 0.0 for name in names)
+    v, k2 = report.var_p, report.kappa ** 2
+    j33, j0 = report.j33, report.j0
+    ses = np.array([delta.se_of(name, 0.0) for name in names]
+                   + [report.var_p_se])
+    m_grad = np.array([0.0, 0.0, 0.0, 0.0, 1.0]) / (k2 * j0)
+    grads = {"dx2_m": m_grad}
+    if ncl.dx2_s_given_m is not None:
+        cond = j33 + (q - p - c * c / v) / k2
+        cond_grad = np.array([-1.0, 1.0, -2.0 * c / v, 0.0,
+                              c * c / (v * v)]) / k2
+        if ncl.dx2_s is None:  # r_a assumed 1
+            grads["dx2_s_given_m"] = cond_grad / j0
+        else:  # measured survival: the ratio d_cov_pq / d_cov_pr
+            ratio_grad = np.array([0.0, 0.0, 1.0 / r, -c / r ** 2, 0.0])
+            grads["dx2_s_given_m"] = ((c / r) * cond_grad
+                                      + cond * ratio_grad) / j0
+            s = c * (q - p) / (r * k2 * j0)
+            s_grad = np.array([-c, c, q - p, -s * k2 * j0, 0.0]) / (r * k2
+                                                                   * j0)
+            grads["dx2_s"] = s_grad
+            m = ncl.dx2_m
+            grads["product_sm"] = ((m * s_grad + s * m_grad)
+                                   if s > 0.0 and m > 0.0 else 0.0 * s_grad)
+    return {key: float(np.sqrt(np.sum((grad * ses) ** 2)))
+            for key, grad in grads.items()}
+
+
+def _sampled_report(n_pulses, kappa=1.0, r_a=1.0, n33=0.0, seed=5):
+    initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                 OpticalBlock.coherent(100.0, n_pulses),
+                                 Layout(n_pulses))
+    params = ExperimentParams.from_kappa(kappa, mean_sx=50.0, mean_jx=50.0,
+                                         r_a=r_a)
+    noise = NoiseModel.from_entries({(3, 3): n33}) if n33 else \
+        NoiseModel.zero()
+    measured, reference = sample_moments(
+        simulate_shots(params, noise, initial, 20_000, seed))
+    delta = delta_stats(measured, reference, params.r_l)
+    return certify(delta, measured.var_p, kappa, 25.0, 25.0,
+                   var_p_se=measured.se_of("var_p"))
+
+
+class TestStandardErrorCorrectness:
+    """Each reported standard error against its gradient worked out by
+    hand, on sampled runs of every pulse count and route."""
+
+    @pytest.mark.parametrize("n_pulses, kwargs, keys", [
+        (1, {}, ("dx2_m",)),
+        (2, {}, ("dx2_m", "dx2_s_given_m")),
+        (3, {}, ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")),
+        (3, {"r_a": 0.99, "n33": 20.0},
+         ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")),
+        (3, {"kappa": 0.05}, ("dx2_m", "dx2_s_given_m")),
+    ], ids=["1-pulse", "2-pulse", "3-pulse-clipped", "3-pulse-product",
+            "3-pulse-uninformative"])
+    def test_matches_hand_gradients(self, n_pulses, kwargs, keys):
+        report = _sampled_report(n_pulses, **kwargs)
+        assert report.gated
+        assert tuple(report.se) == keys
+        assert (report.nonclassical.r_a_assumed == 1.0) == (len(keys) == 2)
+        if kwargs.get("n33"):
+            assert report.nonclassical.product_sm > 0.0
+            assert report.se["product_sm"] > 0.0
+        hand = _hand_se(report)
+        for key in keys:
+            assert report.se[key] == pytest.approx(hand[key], rel=1e-6), key
 
 
 class TestReportSerialization:

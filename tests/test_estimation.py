@@ -160,6 +160,23 @@ class TestFullInversion:
         model = invert_three_pulse(delta, 49.25, kappa=1.0, j33=25.0)
         assert any("disagree" in w for w in model.warnings)
 
+    def test_variance_route_error_counts_d_var_q_once(self):
+        # r_a**2 = num / den with num = d_var_r - d_var_q and
+        # den = d_var_q - d_var_p: both differences hold d_var_q, so its
+        # slope is -(num + den) / den**2, not two independent terms
+        se = {name: 0.01 for name in
+              ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")}
+        delta = DeltaStats(n_pulses=3, d_var_p=29.0, d_var_q=22.0,
+                           d_var_r=15.7, d_cov_pq=20.5, d_cov_pr=16.4,
+                           se=se)
+        model = invert_three_pulse(delta, 49.25, kappa=1.0, j33=25.0)
+        num, den = 15.7 - 22.0, 22.0 - 29.0
+        grad = np.array([num / den ** 2, -(num + den) / den ** 2, 1.0 / den])
+        ratio_se = 0.01 * np.sqrt(grad @ grad)
+        expected = ratio_se / (2.0 * np.sqrt(num / den))
+        assert expected == pytest.approx(0.001753, abs=5e-7)
+        assert model.r_a_from_var_se == pytest.approx(expected, rel=1e-6)
+
     def test_unphysical_survival_flagged(self):
         delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=25.0,
                            d_var_r=25.0, d_cov_pq=20.0, d_cov_pr=22.0)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from qndcert import (
     NoiseModel,
     OpticalBlock,
     SamplerUnsupportedError,
+    ShotRecords,
     empirical_check,
     interaction_matrix,
     make_initial_state,
@@ -193,6 +195,47 @@ class TestArmThreads:
         (first, ident_a), (second, ident_b) = map_arms(meet)
         assert (first, second) == ("with_atoms", "no_atoms")
         assert ident_a == threading.get_ident() != ident_b
+
+
+class TestRecordOwnership:
+    """The sampler's arrays become the records without a copy; an array
+    a caller can still write to is copied."""
+
+    def test_sampler_arrays_are_held_once(self, ideal_set):
+        simulate_shots(*ideal_set, 1000, 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            records = simulate_shots(*ideal_set, 50_000, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = records.with_atoms.nbytes + records.no_atoms.nbytes
+        assert size == 2_400_000
+        # the sampler's temporaries add about 0.65 MB; a second copy of
+        # both arms would put the peak at 2 * size or above
+        assert peak < 1.5 * size
+
+    def test_caller_array_is_copied(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        records = ShotRecords(with_atoms=rows, no_atoms=rows)
+        rows[0, 0] = -1.0
+        assert records.with_atoms[0, 0] == records.no_atoms[0, 0] == 0.0
+        assert rows.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        # the view cannot be written, but its base still can
+        base = np.arange(12.0).reshape(4, 3)
+        view = base.view()
+        view.setflags(write=False)
+        records = ShotRecords(with_atoms=view, no_atoms=view)
+        base[0, 0] = -1.0
+        assert records.with_atoms[0, 0] == 0.0
+
+    def test_records_are_read_only(self, ideal_set):
+        records = simulate_shots(*ideal_set, 10, 1)
+        for arm in (records.with_atoms, records.no_atoms):
+            with pytest.raises(ValueError, match="read-only"):
+                arm[0, 0] = 0.0
 
 
 class TestParamsHash:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import threading
@@ -19,6 +20,7 @@ from qndcert import (
     simulate_shots,
     write_records,
 )
+from qndcert import recordio
 from qndcert.montecarlo import CHUNK_SHOTS
 from qndcert.recordio import (
     SUB_BLOCK_ROWS,
@@ -489,6 +491,33 @@ class TestArmThreads:
         assert threading.active_count() == threads
         assert list(tmp_path.glob("*.csv.*")) == []
         assert not (tmp_path / "run.meta.json").exists()
+
+    @pytest.mark.parametrize("failing", ["with_atoms", "no_atoms"])
+    def test_failed_write_keeps_the_previous_set(self, tmp_path, noisy_set,
+                                                 monkeypatch, failing):
+        # one arm's formatting runs out of disk space part way through a
+        # rewrite: the set written before must survive whole
+        params, noise, initial = noisy_set
+        old_paths = write_records(
+            simulate_shots(params, noise, initial, 3000, 1), tmp_path / "run")
+        before = {role: path.read_bytes() for role, path in old_paths.items()}
+        records = simulate_shots(params, noise, initial, 3000, 2)
+        bad_rows = getattr(records, failing)
+
+        def format_arm(rows, _format=recordio._format_arm):
+            pieces = _format(rows)
+            if rows is bad_rows:
+                yield next(pieces)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield from pieces
+
+        monkeypatch.setattr(recordio, "_format_arm", format_arm)
+        with pytest.raises(OSError, match="No space left"):
+            write_records(records, tmp_path / "run")
+        assert {role: path.read_bytes()
+                for role, path in old_paths.items()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            path.name for path in old_paths.values())
 
 
 class TestAtomicWrite:
