@@ -25,15 +25,18 @@ With sampled inputs every verdict is gated: a criterion counts as
 certified only when its margin to 1 exceeds ``z_threshold`` propagated
 standard errors.  One function, ``_figures``, defines each uncertainty
 figure from the input vector (d_var_p, d_var_q, d_cov_pq, d_cov_pr,
-var_p); it gives the value, and the standard error by central
-differences of the same function.  The standard errors treat those five
-inputs as independent, though they come from the same shots: on seeded
-runs (20k shots per seed) the mean reported error was 0.99 to 1.55 times
-the run-to-run spread of its figure (ROADMAP.md, honest error bars).
+var_p); it gives the value, and the standard error sqrt(diag(J Sigma
+J^T)), J by central differences of the same function.  The inputs share
+shots, so Sigma, their error covariance, is Isserlis' within each arm,
+Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1), summed over the two
+independent arms (:mod:`qndcert.statistics`); var_p's variance is
+``var_p_se**2``.  The mean reported error is 0.85 to 1.15 times the
+run-to-run spread of its figure (seeded runs, 4k shots, 400 seeds).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import QndError, UndefinedInputError
@@ -267,8 +270,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     Parameters
     ----------
     delta : DeltaStats
-        Reference-subtracted moments, with standard errors for sampled
-        data (enables gating).
+        Reference-subtracted moments, with their error covariance for
+        sampled data (enables gating).
     var_p : float
         Probe-arm first-meter variance, with optional ``var_p_se``.
     kappa, j33, j0 : float
@@ -339,15 +342,20 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         reasons.append("squeezing test needs two pulses")
 
     # Standard errors of the route's figures, by first-order propagation
-    # over the independent inputs (d_var_p, d_var_q, d_cov_pq, d_cov_pr,
-    # var_p).
+    # of the inputs' joint covariance.
     se_map: dict[str, float] = {}
     if gated:
+        sigma = delta._sigma(_INPUTS + ("var_p",))
+        # var_p's variance is var_p_se**2; its correlations are kept
+        sd = abs(var_p_se or 0.0)
+        rescale = sd / math.sqrt(sigma[4][4]) if sigma[4][4] else 0.0
+        for i in range(4):
+            sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
+        sigma[4][4] = sd * sd
         k2 = kappa * kappa
         se_map = _propagate_se(
             lambda v: _figures(v, k2, j33, j0, route), _inputs(delta, var_p),
-            [delta.se_of(name, 0.0) for name in _INPUTS] + [var_p_se or 0.0],
-            route)
+            sigma, route)
 
     def gate(value: float | None, se_key: str) -> bool | None:
         if value is None:

@@ -11,7 +11,9 @@ makes certification possible without trusting the apparatus model:
   forms, given the calibrated kappa and input spin variance.
 
 Disagreement between the two r_A routes is a model-consistency
-diagnostic, not an error.
+diagnostic, not an error.  Both routes, their difference and the
+variance floor take their standard errors from one Jacobian over the
+deltas' error covariance (see :mod:`qndcert.statistics`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "estimate_ra_from_cov",
     "estimate_ra_from_var",
     "estimate_noise",
-    "estimate_kappa_from_means",
     "invert_three_pulse",
 ]
 
@@ -138,14 +139,6 @@ def estimate_noise(delta: DeltaStats, kappa: float, j33: float,
     return EstimatedNoise(n33=n33, n35=n35, n55=n55, negative_entries=negative)
 
 
-def estimate_kappa_from_means(mean_py: float, known_jz: float) -> float:
-    """Coupling calibration from a deliberately displaced spin:
-    <P_y> = kappa <J_z>, so kappa = mean_py / known_jz."""
-    if known_jz == 0.0:
-        raise UndefinedInputError("known_jz must be nonzero to calibrate kappa")
-    return mean_py / known_jz
-
-
 @dataclass(frozen=True)
 class EstimatedModel:
     """Bundle returned by :func:`invert_three_pulse`.
@@ -153,8 +146,9 @@ class EstimatedModel:
     ``r_a`` is the primary (covariance-ratio) estimate; the variance
     route and its discrepancy are diagnostics and may be None when that
     route is degenerate for the data at hand.  Standard errors are
-    first-order propagations of the delta-statistic errors, taken as
-    independent, and are None for analytic inputs.
+    first-order propagations of the deltas' joint error covariance
+    (Isserlis within each arm, the two arms independent), and are None
+    for analytic inputs.
     """
 
     r_a: float
@@ -165,6 +159,35 @@ class EstimatedModel:
     noise: EstimatedNoise
     cond_var_jz: float
     warnings: tuple[str, ...] = ()
+
+
+# The delta moments both r_a routes read, in input order.
+_ROUTE_INPUTS = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
+
+
+def _route_se(delta: DeltaStats) -> dict[str, float]:
+    """Standard errors of ``r_a`` and of ``d_var_q - d_var_p`` and, where
+    the variance ratio is positive, of ``r_a_from_var`` and
+    ``r_a - r_a_from_var``: one Jacobian over the deltas' Sigma."""
+    values = [getattr(delta, name) for name in _ROUTE_INPUTS]
+    num, den = values[2] - values[1], values[1] - values[0]
+    ratio = num / den if den else 0.0
+    # ratio / (2 sqrt(measured ratio)) has the slope of sqrt(ratio) there,
+    # and stays defined where a perturbed ratio turns negative
+    two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
+
+    def routes(v):
+        d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr = v
+        out = {"r_a": d_cov_pr / d_cov_pq,
+               "d_var_q - d_var_p": d_var_q - d_var_p}
+        if two_root:
+            out["r_a_from_var"] = ((d_var_r - d_var_q) / (d_var_q - d_var_p)
+                                   / two_root)
+            out["r_a - r_a_from_var"] = out["r_a"] - out["r_a_from_var"]
+        return out
+
+    return _propagate_se(routes, values, delta._sigma(_ROUTE_INPUTS),
+                         tuple(routes(values)))
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
@@ -181,44 +204,26 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     _require_three(delta, "three-pulse inversion")
     warnings: list[str] = []
 
-    def se_of(name: str) -> float:
-        return delta.se_of(name, 0.0)
-
-    floor_pq = _FLOOR_SIGMAS * se_of("d_cov_pq")
+    floor_pq = _FLOOR_SIGMAS * delta.se_of("d_cov_pq", 0.0)
     r_a = estimate_ra_from_cov(delta, noise_floor=floor_pq)
-    r_a_se = None
-    if delta.se is not None:
-        r_a_se = _propagate_se(
-            lambda v: {"r_a": v[1] / v[0]}, (delta.d_cov_pq, delta.d_cov_pr),
-            (se_of("d_cov_pq"), se_of("d_cov_pr")), ("r_a",))["r_a"]
+    se = {} if delta.moment_cov is None else _route_se(delta)
 
-    var_floor = _FLOOR_SIGMAS * math.hypot(se_of("d_var_q"), se_of("d_var_p"))
+    var_floor = _FLOOR_SIGMAS * se.get("d_var_q - d_var_p", 0.0)
     r_a_from_var = None
-    r_a_from_var_se = None
     try:
         r_a_from_var = estimate_ra_from_var(delta, noise_floor=var_floor)
     except (DegenerateCaseError, InconsistentDataError) as exc:
         warnings.append(f"variance route for r_a unavailable: {exc}")
-    else:
-        if delta.se is not None and r_a_from_var > 0.0:
-            # d_var_q enters both differences: one input, not two
-            names = ("d_var_p", "d_var_q", "d_var_r")
-            ratio_se = _propagate_se(
-                lambda v: {"r_a2": (v[2] - v[1]) / (v[1] - v[0])},
-                [getattr(delta, name) for name in names],
-                [se_of(name) for name in names], ("r_a2",))["r_a2"]
-            r_a_from_var_se = ratio_se / (2.0 * r_a_from_var)
 
     discrepancy = None
     if r_a_from_var is not None:
         discrepancy = abs(r_a - r_a_from_var)
-        if r_a_se is not None and r_a_from_var_se is not None:
-            combined = math.hypot(r_a_se, r_a_from_var_se)
-            if combined > 0.0 and discrepancy > _FLOOR_SIGMAS * combined:
-                warnings.append(
-                    f"r_a routes disagree: {r_a:.6g} vs {r_a_from_var:.6g} "
-                    f"({discrepancy / combined:.2f} combined se)"
-                )
+        combined = se.get("r_a - r_a_from_var", 0.0)
+        if combined > 0.0 and discrepancy > _FLOOR_SIGMAS * combined:
+            warnings.append(
+                f"r_a routes disagree: {r_a:.6g} vs {r_a_from_var:.6g} "
+                f"({discrepancy / combined:.2f} combined se)"
+            )
 
     if not 0.0 <= r_a <= 1.0:
         warnings.append(f"r_a estimate {r_a:.6g} outside [0, 1]")
@@ -230,9 +235,9 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     cond_var = conditional_variance_from_stats(delta, var_p, kappa, j33)
     return EstimatedModel(
         r_a=r_a,
-        r_a_se=r_a_se,
+        r_a_se=se.get("r_a"),
         r_a_from_var=r_a_from_var,
-        r_a_from_var_se=r_a_from_var_se,
+        r_a_from_var_se=se.get("r_a_from_var") if r_a_from_var else None,
         r_a_discrepancy=discrepancy,
         noise=noise,
         cond_var_jz=cond_var,

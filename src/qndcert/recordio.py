@@ -49,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +57,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .config import check_r_l
+from .core import _frozen
 from .errors import ConfigError, RecordError
 from .recordfmt import format_rows
 from .statistics import (
@@ -87,10 +87,12 @@ SUB_BLOCK_ROWS = 2048
 
 def _write_temp(path: Path, data: bytes | Iterable[bytes]) -> str:
     """Write ``data``, or the pieces of an iterable of bytes in order, to
-    a new temp file beside ``path``; returns its name.  A failed write
-    leaves no temp file."""
+    a new temp file beside ``path``; returns its name.  The file is
+    created with mode 0o666 less the umask, as ``open`` would create it.
+    A failed write leaves no temp file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = f"{path}.{os.urandom(6).hex()}"  # O_EXCL: never an existing file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines([data] if isinstance(data, bytes) else data)
@@ -243,7 +245,7 @@ def _read_arm(path: Path) -> np.ndarray:
         row = int(misplaced[0])
         raise RecordError(f"{path}: row {row} (line {row + 2}) has shot "
                           f"index {shots[row]:g}, expected {row}")
-    return data[:, 1:]
+    return _frozen(data[:, 1:])  # owned and read-only: ShotRecords keeps it
 
 
 def sibling_meta_path(with_atoms_path: str | Path) -> Path | None:

@@ -12,6 +12,11 @@ pulses, meters in measurement order), held by a :class:`MomentSet`; each
 moment name is a read-only view of entry (j, k), j <= k, as listed in
 ``_ENTRIES``, and reads None where the pulse count has no such entry.
 
+A sampled set carries ``moment_cov``, the covariance Sigma of its
+moments' errors; by Isserlis' theorem, for n Gaussian shots,
+Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1).  ``se`` is the root
+of Sigma's diagonal; a set given ``se`` alone has Sigma = diag(se**2).
+
 Delta statistics subtract the reference, scaled by the optical
 transmission squared,
 
@@ -21,11 +26,15 @@ which cancels the input light noise, including classical correlations
 between pulses, and leaves only what the atoms imprinted.  A
 :class:`DeltaStats` names its entries ``d_var_p`` ... ``d_cov_qr``; it
 carries ``d_cov_qr`` but leaves it out of ``entries()``, ``se`` and
-every report.
+every report.  The arms are independent: the deltas' Sigma is
+Sigma_with + r_L**4 Sigma_no, plus var_p's row from Sigma_with, and
+:func:`_propagate_se` carries it into every other standard error.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, NamedTuple, TypeVar
@@ -59,12 +68,14 @@ _ENTRIES = {"var_p": (0, 0), "var_q": (1, 1), "var_r": (2, 2),
 
 
 class _MeterCovariance:
-    """A read-only ``cov`` with ``n_pulses``, ``n_shots`` and ``se`` (by
-    reported name) beside it, and one attribute per moment name.  Leaving
-    out an unreported name puts NaN in ``cov``; the name then reads None."""
+    """A read-only ``cov`` with ``n_pulses``, ``n_shots``, ``se`` (by
+    reported name) and ``moment_cov`` (Sigma over every entry, then
+    ``_also_in_sigma``) beside it, and one attribute per moment name.
+    Leaving out an unreported name puts NaN in ``cov``; it reads None."""
 
-    __slots__ = ("cov", "n_pulses", "n_shots", "se")
+    __slots__ = ("cov", "n_pulses", "n_shots", "se", "moment_cov")
     _unreported: tuple[str, ...] = ()
+    _also_in_sigma: tuple[str, ...] = ()
     _nonnegative = False  # refuse a negative variance
 
     def __init_subclass__(cls) -> None:
@@ -76,6 +87,9 @@ class _MeterCovariance:
         cls._reported = {n: dict.fromkeys(
             name for name, (_, k) in cls._entries.items()
             if k < n and name not in cls._unreported) for n in (1, 2, 3)}
+        cls._sigma_rows = {n: {name: row for row, name in enumerate(
+            [*(name for name, (_, k) in cls._entries.items() if k < n),
+             *cls._also_in_sigma])} for n in (1, 2, 3)}
 
     def __new__(cls, n_pulses: int, *, n_shots: int | None = None,
                 se: dict[str, float] | None = None, **values: float | None):
@@ -100,12 +114,23 @@ class _MeterCovariance:
 
     @classmethod
     def _of(cls, cov: np.ndarray, n_shots: int | None = None,
-            se: dict[str, float] | None = None, rows: list | None = None):
-        """Wrap and freeze the new array ``cov``; ``rows`` is its tolist()."""
+            se: dict[str, float] | None = None, rows: list | None = None,
+            moment_cov: np.ndarray | None = None):
+        """Wrap and freeze the new array ``cov`` and ``moment_cov``, or
+        diag(se**2); ``rows`` is ``cov.tolist()``."""
         rows = cov.tolist() if rows is None else rows
         n = len(rows)
         cov.setflags(write=False)
-        fields = [cov, n, n_shots, se]
+        if moment_cov is None and se is not None:
+            moment_cov = np.diag(np.square(
+                [se.get(name, 0.0) for name in cls._sigma_rows[n]]))
+        elif se is None and moment_cov is not None:
+            sds = np.sqrt(moment_cov.diagonal()).tolist()
+            se = {name: sds[cls._sigma_rows[n][name]]
+                  for name in cls._reported[n]}
+        if moment_cov is not None:
+            moment_cov.setflags(write=False)
+        fields = [cov, n, n_shots, se, moment_cov]
         for name, (j, k) in cls._entries.items():
             value = rows[j][k] if k < n else None
             if value != value and name in cls._unreported:
@@ -123,7 +148,8 @@ class _MeterCovariance:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return self._of, (np.array(self.cov), self.n_shots, self.se)
+        return self._of, (np.array(self.cov), self.n_shots, self.se, None,
+                          self.moment_cov)
 
     def __repr__(self) -> str:
         fields = f"{self.entries()}, n_shots={self.n_shots}, se={self.se}"
@@ -136,6 +162,13 @@ class _MeterCovariance:
 
     def se_of(self, name: str, default: float | None = None) -> float | None:
         return default if self.se is None else self.se.get(name, default)
+
+    def _sigma(self, names) -> list[list[float]]:
+        """Sigma over ``names``, as rows; a name it lacks has no error."""
+        full = self.moment_cov.tolist()
+        rows = [self._sigma_rows[self.n_pulses].get(name) for name in names]
+        return [[0.0 if i is None or j is None else full[i][j] for j in rows]
+                for i in rows]
 
 
 class MomentSet(_MeterCovariance):
@@ -151,6 +184,7 @@ class DeltaStats(_MeterCovariance):
 
     __slots__ = tuple("d_" + name for name in _ENTRIES)
     _unreported = ("d_cov_qr",)
+    _also_in_sigma = ("var_p",)  # the probe arm's, which the figures read
 
 
 # The two arms of a record set, in the order every result lists them.
@@ -285,18 +319,17 @@ class MomentAccumulator:
         return self.comoment / (self.count - 1)
 
     def moments(self) -> MomentSet:
-        """Unbiased sample moments of the rows seen, with their standard
-        errors."""
+        """Unbiased sample moments of the rows seen, with their error
+        covariance (Isserlis, see the module docstring)."""
         n = self.count
         if n < 2:
             raise UndefinedInputError("need at least 2 shots per arm")
         cov = self.covariance
-        var = cov.diagonal()
-        # Gaussian delta-method errors of a sample covariance and variance.
-        se = np.sqrt((np.outer(var, var) + cov * cov) / (n - 1))
-        se[np.diag_indices_from(se)] = var * np.sqrt(2.0 / (n - 1))
-        names = MomentSet._reported[self.mean.size]
-        return MomentSet._of(cov, n, {k: se[_ENTRIES[k]] for k in names})
+        j, k = np.array([_ENTRIES[name] for name
+                         in MomentSet._reported[self.mean.size]]).T
+        moment_cov = (cov[np.ix_(j, j)] * cov[np.ix_(k, k)]
+                      + cov[np.ix_(j, k)] * cov[np.ix_(k, j)]) / (n - 1)
+        return MomentSet._of(cov, n, moment_cov=moment_cov)
 
 
 def meter_moments(state: GaussianState) -> MomentSet:
@@ -364,20 +397,24 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
                 r_l: float) -> DeltaStats:
     """Subtract the r_L**2-scaled reference from the measured moments.
 
-    Standard errors combine in quadrature when both inputs carry them:
-    se(delta)**2 = se(measured)**2 + r_L**4 se(reference)**2.
+    When both arms carry error covariances, the deltas get Sigma_with +
+    r_L**4 Sigma_no (the arms independent), and var_p's row Sigma_with's.
     """
-    if measured.n_pulses != reference.n_pulses:
+    n = measured.n_pulses
+    if n != reference.n_pulses:
         raise DimensionMismatchError(
-            f"arms disagree on pulse count: {measured.n_pulses} vs "
-            f"{reference.n_pulses}")
+            f"arms disagree on pulse count: {n} vs {reference.n_pulses}")
     scale = r_l * r_l
-    se = None
-    if measured.se is not None and reference.se is not None:
-        se = {name: float(np.hypot(measured.se[name[2:]],  # d_var_p -> var_p
-                                   scale * reference.se[name[2:]]))
-              for name in DeltaStats._reported[measured.n_pulses]}
-    return DeltaStats._of(measured.cov - scale * reference.cov, se=se)
+    moment_cov = None
+    if measured.moment_cov is not None and reference.moment_cov is not None:
+        with_atoms = measured.moment_cov
+        m = len(with_atoms)  # the deltas, in MomentSet's order; then var_p
+        moment_cov = np.empty((m + 1, m + 1))
+        moment_cov[:m, :m] = with_atoms + scale * scale * reference.moment_cov
+        moment_cov[m, :m] = moment_cov[:m, m] = with_atoms[0]
+        moment_cov[m, m] = with_atoms[0, 0]
+    return DeltaStats._of(measured.cov - scale * reference.cov,
+                          moment_cov=moment_cov)
 
 
 def sample_moments(records: ShotRecords) -> tuple[MomentSet, MomentSet]:
@@ -412,25 +449,39 @@ def _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33):
     return j33 + (d_var_q - d_var_p - d_cov_pq ** 2 / var_p) / k2
 
 
-def _propagate_se(fn, values, ses, keys) -> dict[str, float]:
-    """First-order standard errors of the figures ``keys`` of the dict
-    ``fn(values)`` for independent input errors ``ses``, by central
-    differences: two calls of ``fn`` per input with a nonzero error.
-    ``fn`` gets float64 scalars: a zero denominator gives inf and a
-    RuntimeWarning."""
-    values = tuple(np.asarray(values, dtype=float))
-    total = dict.fromkeys(keys, 0.0)
-    for i, se in enumerate(ses):
-        if se == 0.0:
-            continue
-        value = values[i]
-        h = max(1e-6 * abs(value), 1e-9)
-        head, tail = values[:i], values[i + 1:]
-        up = fn(head + (value + h,) + tail)
-        down = fn(head + (value - h,) + tail)
-        for key in total:
-            total[key] += ((up[key] - down[key]) / (2.0 * h) * se) ** 2
-    return {key: float(np.sqrt(sum_sq)) for key, sum_sq in total.items()}
+def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
+    """Standard errors sqrt(diag(J Sigma J^T)) of the figures ``keys`` of
+    the dict ``fn(values)``, for the input covariance ``sigma`` (rows):
+    J by central differences, two calls of ``fn`` per input of nonzero
+    variance, in Python floats.  Where Python raises on a zero
+    denominator or an overflow, float64 scalars give inf and a
+    RuntimeWarning instead."""
+    try:
+        return _jacobian_se(fn, [float(x) for x in values], sigma, keys)
+    except ArithmeticError:
+        return _jacobian_se(fn, [np.float64(x) for x in values], sigma, keys)
+
+
+def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
+    inputs = [i for i, row in enumerate(sigma) if row[i] != 0.0]
+    slopes = {}  # by input, the slope of each key
+    for i in inputs:
+        h = max(1e-6 * abs(values[i]), 1e-9)
+        up = fn(values[:i] + [values[i] + h] + values[i + 1:])
+        down = fn(values[:i] + [values[i] - h] + values[i + 1:])
+        slopes[i] = [(up[key] - down[key]) / (2.0 * h) for key in keys]
+    sds = [(slopes[i], math.sqrt(sigma[i][i])) for i in inputs]
+    pairs = [(slopes[i], slopes[j], 2.0 * sigma[i][j]) for i, j
+             in itertools.combinations(inputs, 2) if sigma[i][j] != 0.0]
+    se = {}
+    for k, key in enumerate(keys):
+        total = 0.0  # the diagonal in input order, then each pair twice
+        for slope, sd in sds:
+            total += (slope[k] * sd) ** 2
+        for slope_i, slope_j, twice in pairs:
+            total += slope_i[k] * twice * slope_j[k]
+        se[key] = math.sqrt(max(total, 0.0))
+    return se
 
 
 class SqueezingVerdict(NamedTuple):

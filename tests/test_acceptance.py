@@ -31,7 +31,6 @@ from qndcert import (
     conditional_variance_ideal,
     delta_stats,
     empirical_check,
-    estimate_kappa_from_means,
     exit_code,
     get_entry,
     holland_figures,
@@ -172,13 +171,13 @@ def test_criterion_3_inversion_round_trip(capsys):
         delta = delta_stats(predicted, no_atoms_moments(params, initial),
                             params.r_l)
 
-        # calibrate kappa from a deliberately displaced input spin
+        # calibrate kappa from a deliberately displaced input spin:
+        # <P_y> = kappa <J_z>
         mean = initial.mean.copy()
         mean[initial.layout.index("J_z")] = 2.5
         displaced = GaussianState(initial.layout, mean, initial.cov.copy())
         after = apply_pulse(displaced, params, noise, 1)
-        kappa = estimate_kappa_from_means(
-            after.mean[initial.layout.index("P_y")], 2.5)
+        kappa = after.mean[initial.layout.index("P_y")] / 2.5
 
         estimates = invert_three_pulse(delta, predicted.var_p, kappa, 25.0)
         recovered = {

@@ -339,14 +339,17 @@ class TestStandardErrorExactness:
 
 def _hand_se(report):
     """Standard errors of ``report``'s figures from hand-derived gradients
-    over independent (d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p)."""
+    g over (d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p): sqrt(g Sigma g)
+    with Sigma the inputs' joint error covariance, which the delta
+    carries."""
     delta, ncl = report.delta, report.nonclassical
     names = ("d_var_p", "d_var_q", "d_cov_pq", "d_cov_pr")
     p, q, c, r = (getattr(delta, name) or 0.0 for name in names)
     v, k2 = report.var_p, report.kappa ** 2
     j33, j0 = report.j33, report.j0
-    ses = np.array([delta.se_of(name, 0.0) for name in names]
-                   + [report.var_p_se])
+    sigma = np.array(delta._sigma(names + ("var_p",)))
+    # the CLI's var_p_se: the probe arm's own standard error of var_p
+    assert report.var_p_se == pytest.approx(np.sqrt(sigma[4, 4]), rel=1e-15)
     m_grad = np.array([0.0, 0.0, 0.0, 0.0, 1.0]) / (k2 * j0)
     grads = {"dx2_m": m_grad}
     if ncl.dx2_s_given_m is not None:
@@ -366,7 +369,7 @@ def _hand_se(report):
             m = ncl.dx2_m
             grads["product_sm"] = ((m * s_grad + s * m_grad)
                                    if s > 0.0 and m > 0.0 else 0.0 * s_grad)
-    return {key: float(np.sqrt(np.sum((grad * ses) ** 2)))
+    return {key: float(np.sqrt(grad @ sigma @ grad))
             for key, grad in grads.items()}
 
 
@@ -409,6 +412,65 @@ class TestStandardErrorCorrectness:
         hand = _hand_se(report)
         for key in keys:
             assert report.se[key] == pytest.approx(hand[key], rel=1e-6), key
+
+    def test_var_p_se_counts_by_its_size(self):
+        # var_p's row of Sigma is rescaled to var_p_se: a negative value
+        # must not flip its correlations with the deltas
+        report = _sampled_report(3, r_a=0.99, n33=20.0)
+        flipped = certify(report.delta, report.var_p, report.kappa,
+                          report.j33, report.j0, var_p_se=-report.var_p_se)
+        assert flipped.se == report.se
+
+
+_FIGURES = ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")
+_ESTIMATES = ("r_a", "r_a_from_var")
+
+
+def _coverage_ratios(r_a, noise, n_seeds=400, n_shots=4000, kappa=2.0):
+    """Mean reported standard error over the run-to-run standard deviation
+    of each figure and of both r_a estimates, over ``n_seeds`` seeded
+    runs of the coherent 100-atom / 100-photon model at r_l = 0.9; also
+    the fraction of runs whose ``product_sm`` is clipped to 0."""
+    params = ExperimentParams.from_kappa(kappa, mean_sx=50.0, mean_jx=50.0,
+                                         r_a=r_a, r_l=0.9)
+    initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                 OpticalBlock.coherent(100.0, 3), Layout(3))
+    values, ses = [], []
+    for seed in range(n_seeds):
+        measured, reference = sample_moments(simulate_shots(
+            params, NoiseModel.from_entries(noise), initial, n_shots, seed))
+        report = certify(delta_stats(measured, reference, params.r_l),
+                         measured.var_p, kappa, 25.0, 25.0,
+                         var_p_se=measured.se_of("var_p"))
+        assert tuple(report.se) == _FIGURES
+        estimates = report.estimates
+        values.append([getattr(report.nonclassical, key) for key in _FIGURES]
+                      + [getattr(estimates, key) for key in _ESTIMATES])
+        ses.append([report.se[key] for key in _FIGURES]
+                   + [getattr(estimates, key + "_se") for key in _ESTIMATES])
+    values, ses = np.array(values), np.array(ses)
+    clipped = float(np.mean(values[:, 3] == 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = ses.mean(axis=0) / values.std(axis=0, ddof=1)
+    return dict(zip(_FIGURES + _ESTIMATES, ratios)), clipped
+
+
+class TestStandardErrorCoverage:
+    """A reported standard error must match the run-to-run spread of its
+    figure.  The five inputs share shots, so this holds only when their
+    joint covariance is propagated; 400 seeds pin each ratio to about
+    3.5%, and [0.85, 1.15] leaves four of those either side of 1."""
+
+    @pytest.mark.parametrize("r_a, noise, unclipped", [
+        (0.8, {(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0}, ()),
+        (0.99, {(3, 3): 20.0}, ("product_sm",)),
+    ], ids=["readme-config", "r_a-0.99-n33-20"])
+    def test_mean_se_matches_the_spread(self, r_a, noise, unclipped):
+        ratios, clipped = _coverage_ratios(r_a, noise)
+        assert clipped == (0.0 if unclipped else 1.0)
+        for key in ("dx2_m", "dx2_s_given_m", "dx2_s") + unclipped \
+                + _ESTIMATES:
+            assert 0.85 <= ratios[key] <= 1.15, (key, ratios)
 
 
 class TestReportSerialization:

@@ -205,3 +205,20 @@ class TestGaussianState:
             state.cov[0, 0] = 1.0
         with pytest.raises(ValueError):
             state.mean[0] = 1.0
+
+
+def test_public_names_are_the_imported_ones():
+    import qndcert
+
+    names = qndcert.__all__
+    assert names == sorted(set(names))
+    assert {"certify", "MomentSet", "delta_stats", "write_records"} <= set(names)
+    for name in names:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(qndcert, name), type(qndcert))
+    # submodules, helpers of the package itself and deleted API stay out
+    assert not {"statistics", "ModuleType", "estimate_kappa_from_means"} \
+        & set(names)
+    namespace = {}
+    exec("from qndcert import *", namespace)
+    assert set(names) <= namespace.keys()

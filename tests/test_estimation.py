@@ -8,14 +8,16 @@ from qndcert import (
     UndefinedInputError,
     UninformativeCouplingError,
     delta_stats,
-    estimate_kappa_from_means,
     estimate_noise,
     estimate_ra_from_cov,
     estimate_ra_from_var,
     invert_three_pulse,
     no_atoms_moments,
     predicted_moments,
+    sample_moments,
+    simulate_shots,
 )
+from qndcert.estimation import _route_se
 
 
 def _analytic_delta(param_set):
@@ -98,15 +100,6 @@ class TestNoiseInversion:
             estimate_noise(delta, kappa=0.0, j33=25.0, r_a=0.8)
 
 
-class TestKappaCalibration:
-    def test_ratio(self):
-        assert estimate_kappa_from_means(2.5, 5.0) == 0.5
-
-    def test_zero_displacement_rejected(self):
-        with pytest.raises(UndefinedInputError):
-            estimate_kappa_from_means(1.0, 0.0)
-
-
 class TestFullInversion:
     def test_analytic_round_trip(self, noisy_set):
         delta, measured = _analytic_delta(noisy_set)
@@ -183,3 +176,39 @@ class TestFullInversion:
         model = invert_three_pulse(delta, 50.0, kappa=1.0, j33=25.0)
         assert model.r_a > 1.0
         assert any("outside [0, 1]" in w for w in model.warnings)
+
+
+class TestJointStandardErrors:
+    """Both r_a routes, their difference and the variance floor against
+    hand gradients over the deltas' joint error covariance."""
+
+    def test_route_errors_match_hand_gradients(self, noisy_set):
+        params, noise, initial = noisy_set
+        measured, reference = sample_moments(
+            simulate_shots(params, noise, initial, 20_000, 3))
+        delta = delta_stats(measured, reference, params.r_l)
+        names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
+        sigma = np.array(delta._sigma(names))
+        assert np.count_nonzero(sigma) == sigma.size  # the inputs correlate
+        p, q, r, c_pq, c_pr = (getattr(delta, name) for name in names)
+        num, den = r - q, q - p
+        root = np.sqrt(num / den)
+        grads = {
+            "r_a": np.array([0.0, 0.0, 0.0, -c_pr / c_pq ** 2, 1.0 / c_pq]),
+            "d_var_q - d_var_p": np.array([-1.0, 1.0, 0.0, 0.0, 0.0]),
+            "r_a_from_var": np.array([num / den ** 2, -(num + den) / den ** 2,
+                                      1.0 / den, 0.0, 0.0]) / (2.0 * root),
+        }
+        grads["r_a - r_a_from_var"] = grads["r_a"] - grads["r_a_from_var"]
+        se = _route_se(delta)
+        assert list(se) == list(grads)
+        for key, grad in grads.items():
+            assert se[key] == pytest.approx(np.sqrt(grad @ sigma @ grad),
+                                            rel=1e-6), key
+        model = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
+        assert model.r_a_se == se["r_a"]
+        assert model.r_a_from_var_se == se["r_a_from_var"]
+        # the shared shots shrink r_a's error well below the
+        # independent-input figure
+        independent = np.sqrt(grads["r_a"] ** 2 @ np.diag(sigma))
+        assert se["r_a"] < 0.9 * independent

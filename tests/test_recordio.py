@@ -1,7 +1,10 @@
 import errno
 import hashlib
 import json
+import os
+import stat
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -518,6 +521,64 @@ class TestArmThreads:
                 for role, path in old_paths.items()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             path.name for path in old_paths.values())
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+class TestFileModes:
+    def test_record_set_follows_the_umask(self, tmp_path, small_records,
+                                          umask_022):
+        paths = write_records(small_records, tmp_path / "run")
+        for path in paths.values():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+
+    def test_atomic_write_follows_the_umask(self, tmp_path, umask_022):
+        # every --out JSON goes through write_atomic
+        target = tmp_path / "report.json"
+        write_atomic(target, b"{}")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        target.chmod(0o600)
+        write_atomic(target, b"{}")  # a replacement gets the umask's mode
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_a_tighter_umask_is_kept(self, tmp_path, small_records):
+        old = os.umask(0o077)
+        try:
+            paths = write_records(small_records, tmp_path / "run")
+        finally:
+            os.umask(old)
+        for path in paths.values():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600, path.name
+
+
+class TestReadMemory:
+    def test_parsed_arms_are_held_once(self, tmp_path, noisy_set):
+        params, noise, initial = noisy_set
+        paths = write_records(simulate_shots(params, noise, initial,
+                                             20_000, 11), tmp_path / "run")
+        read_records(paths["with_atoms"], paths["no_atoms"])  # warm up
+        tracemalloc.start()
+        try:
+            records = read_records(paths["with_atoms"], paths["no_atoms"],
+                                   paths["meta"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = records.with_atoms.nbytes + records.no_atoms.nbytes
+        assert size == 960_000
+        for arm in (records.with_atoms, records.no_atoms):
+            assert arm.flags.owndata and not arm.flags.writeable
+        # one arm's parse array (shot column included) and its copy add
+        # about 0.7 * size; keeping both parse arrays alive beside the
+        # copies puts the peak above 2.3 * size
+        assert peak < 2 * size
 
 
 class TestAtomicWrite:

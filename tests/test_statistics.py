@@ -27,7 +27,7 @@ from qndcert import (
     simulate_shots,
     squeezing_condition,
 )
-from qndcert import selftest
+from qndcert import selftest, statistics
 from qndcert.montecarlo import CHUNK_SHOTS
 from qndcert.report import delta_to_dict
 
@@ -403,6 +403,17 @@ def _assert_same(got: dict, want: dict):
         == [(v, type(v)) for v in want.values()]
 
 
+def _assert_same_se(got: dict, want: dict):
+    # Same keys in the same order, Python floats within 1e-15 relative of
+    # the per-name formulas: the square root of the Isserlis covariance's
+    # diagonal, and of its sum over the arms, rounds differently from
+    # var * sqrt(2 / (n - 1)) and from np.hypot.
+    assert list(got) == list(want)
+    assert all(type(v) is float for v in got.values())
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-15 * abs(value), name
+
+
 class TestMeterCovarianceExactness:
     """Every producer hands over one meter covariance; each named view,
     ``entries()`` and ``se`` equal what the per-name loops gave."""
@@ -417,7 +428,7 @@ class TestMeterCovarianceExactness:
                               (reference, records.no_atoms)):
             values, ses = _old_sample_moments(rows)
             _assert_same(moments.entries(), values)
-            _assert_same(moments.se, ses)
+            _assert_same_se(moments.se, ses)
             assert moments.n_shots == n_shots
             for name, value in values.items():
                 assert getattr(moments, name) == value
@@ -425,7 +436,7 @@ class TestMeterCovarianceExactness:
             delta = delta_stats(measured, reference, r_l)
             values, ses = _old_delta_stats(measured, reference, r_l)
             _assert_same(delta.entries(), values)
-            _assert_same(delta.se, ses)
+            _assert_same_se(delta.se, ses)
 
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     def test_closed_forms_matrix_route_and_deltas(self, n_pulses):
@@ -493,6 +504,8 @@ class TestMeterCovarianceExactness:
             _assert_same(clone.entries(), measured.entries())
             assert clone.se == measured.se and clone.n_shots == 1000
             assert not clone.cov.flags.writeable
+            assert clone.moment_cov.tobytes() == measured.moment_cov.tobytes()
+            assert not clone.moment_cov.flags.writeable
 
     @pytest.mark.parametrize("bad", [2.0, True, np.int64(2), 0, 4])
     def test_pulse_count_must_be_an_int(self, bad):
@@ -531,3 +544,109 @@ class TestMeterCovarianceExactness:
             MomentSet(n_pulses=1, var_p=1.0, var_x=2.0)
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             DeltaStats(n_pulses=1, d_var_p=1.0, var_p=2.0)
+
+
+class TestErrorCovariance:
+    """The joint covariance Sigma of the sampled moments' errors."""
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_isserlis_per_arm(self, n_pulses):
+        records = _records(n_pulses, 3000, seed=12)
+        for moments in sample_moments(records):
+            n, cov = moments.n_shots, moments.cov
+            pairs = [pair for pair in _OLD_PAIRS[n_pulses]]
+            assert moments.moment_cov.shape == (len(pairs),) * 2
+            assert not moments.moment_cov.flags.writeable
+            for a, (name_a, i, j) in enumerate(pairs):
+                for b, (name_b, k, m) in enumerate(pairs):
+                    want = (cov[i, k] * cov[j, m] + cov[i, m] * cov[j, k]) \
+                        / (n - 1)
+                    assert moments.moment_cov[a, b] == pytest.approx(
+                        want, rel=1e-15), (name_a, name_b)
+                assert moments.se[name_a] == np.sqrt(
+                    moments.moment_cov[a, a])
+
+    def test_isserlis_matches_the_spread_of_sampled_moments(self):
+        # the covariance of the six sample moments over 300 seeds of 500
+        # shots against the mean Isserlis prediction: every entry within
+        # 0.25 of the largest variance (the spread of a 300-seed
+        # covariance estimate is about 0.08 of it)
+        samples, predicted = [], []
+        for seed in range(300):
+            moments, _ = sample_moments(_records(3, 500, seed))
+            samples.append(list(moments.entries().values()))
+            predicted.append(moments.moment_cov)
+        spread = np.cov(np.array(samples), rowvar=False)
+        mean = np.mean(predicted, axis=0)
+        assert np.abs(spread - mean).max() < 0.25 * mean.diagonal().max()
+        # the cross terms are large: var_p with cov_pq is strongly tied
+        assert mean[0, 3] > 0.3 * np.sqrt(mean[0, 0] * mean[3, 3])
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_deltas_add_the_arms_and_var_p_comes_from_the_probe(self,
+                                                               n_pulses):
+        measured, reference = sample_moments(_records(n_pulses, 2000, 8))
+        r_l = 0.7
+        delta = delta_stats(measured, reference, r_l)
+        names = list(measured.entries())  # the delta's, d_cov_qr included
+        size = len(names)
+        sigma = delta.moment_cov
+        assert sigma.shape == (size + 1, size + 1)
+        assert not sigma.flags.writeable
+        np.testing.assert_allclose(
+            sigma[:size, :size],
+            measured.moment_cov + r_l ** 4 * reference.moment_cov,
+            rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(sigma[size, :size],
+                                      measured.moment_cov[0])
+        np.testing.assert_array_equal(sigma[:size, size],
+                                      measured.moment_cov[0])
+        assert sigma[size, size] == measured.moment_cov[0, 0]
+        for name in delta.entries():
+            k = names.index(name[2:])
+            assert delta.se[name] == np.sqrt(sigma[k, k])
+        got = delta._sigma(("d_var_p", "var_p", "d_var_r"))
+        assert got[1] == [sigma[size, 0], sigma[size, size],
+                          sigma[size, 2] if n_pulses == 3 else 0.0]
+
+    def test_hand_built_standard_errors_give_a_diagonal(self):
+        delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=2.0,
+                           d_cov_pq=0.5, se={"d_var_q": 0.3, "d_cov_pq": 0.1})
+        np.testing.assert_array_equal(
+            delta.moment_cov, np.diag([0.0, 0.3 * 0.3, 0.1 * 0.1, 0.0]))
+        assert delta.se == {"d_var_q": 0.3, "d_cov_pq": 0.1}
+        assert MomentSet(n_pulses=1, var_p=1.0).moment_cov is None
+
+
+class TestPropagation:
+    """``statistics._propagate_se``: sqrt(diag(J Sigma J^T))."""
+
+    def test_linear_figures_carry_the_cross_terms(self):
+        sigma = [[4.0, 1.5, 0.0], [1.5, 1.0, -0.5], [0.0, -0.5, 9.0]]
+        se = statistics._propagate_se(
+            lambda v: {"sum": v[0] + v[1], "diff": v[1] - v[2],
+                       "x": 2.0 * v[0]}, [3.0, -2.0, 7.0], sigma,
+            ("sum", "diff", "x"))
+        assert se["sum"] == pytest.approx(np.sqrt(4.0 + 1.0 + 3.0), rel=1e-9)
+        assert se["diff"] == pytest.approx(np.sqrt(1.0 + 9.0 + 1.0), rel=1e-9)
+        assert se["x"] == pytest.approx(4.0, rel=1e-9)
+
+    def test_an_exact_input_is_never_perturbed(self):
+        calls = []
+
+        def fn(v):
+            calls.append(list(v))
+            return {"y": v[0] * v[1]}
+
+        se = statistics._propagate_se(fn, [2.0, 5.0],
+                                      [[0.0, 0.0], [0.0, 0.25]], ("y",))
+        assert se["y"] == pytest.approx(1.0, rel=1e-9)
+        assert len(calls) == 2 and all(point[0] == 2.0 for point in calls)
+
+    def test_overflow_gives_inf_with_a_warning(self):
+        # just below sqrt(max float): squaring the upper point overflows,
+        # which Python raises on and float64 turns into inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            se = statistics._propagate_se(lambda v: {"y": v[0] ** 2},
+                                          [1.3407807e154], [[1.0]], ("y",))
+        assert se["y"] == np.inf
