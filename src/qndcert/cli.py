@@ -21,13 +21,13 @@ import sys
 from .certification import CertificationReport, certify
 from .config import ExperimentConfig, check_number, load_config
 from .errors import ConfigError, QndError, RecordError
-from .montecarlo import params_hash, simulate_shots
+from .montecarlo import arm_chunks, params_hash
 from .recordio import (
     RecordSummary,
-    read_records,
+    read_moments,
     read_summary,
     sibling_meta_path,
-    write_records,
+    write_arms,
 )
 from .report import (
     delta_to_dict,
@@ -38,7 +38,7 @@ from .report import (
     report_to_dict,
 )
 from .selftest import run_selftest
-from .statistics import DeltaStats, MomentSet, delta_stats, sample_moments
+from .statistics import DeltaStats, MomentSet, delta_stats
 
 __all__ = ["main"]
 
@@ -140,9 +140,9 @@ def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
     if summary.moments is not None:
         measured, reference = summary.moments
     else:
-        records = read_records(args.records, args.no_atoms_records,
-                               None if summary.stale else meta)
-        measured, reference = sample_moments(records)
+        measured, reference = read_moments(args.records,
+                                           args.no_atoms_records,
+                                           None if summary.stale else meta)
     r_l = args.r_l if args.r_l is not None else summary.r_l
     if r_l is None:
         print("warning: --r-l not given; assuming r_l = 1.0", file=sys.stderr)
@@ -172,9 +172,12 @@ def _cmd_simulate(args) -> int:
         return _usage_error("--shots must be at least 2")
     if seed < 0:
         return _usage_error("--seed must be nonnegative")
-    records = simulate_shots(config.params, config.noise,
-                             config.initial_state(), n_shots, seed)
-    paths = write_records(records, args.out, r_l=config.params.r_l)
+    params, noise, initial = config.params, config.noise, config.initial_state()
+    paths = write_arms(
+        lambda role: arm_chunks(params, noise, initial, n_shots, seed,
+                                with_atoms=role == "with_atoms"),
+        args.out, config.n_pulses, seed, params_hash(params, noise, initial),
+        r_l=params.r_l)
     print(f"simulated {n_shots} shots x 2 arms "
           f"({config.n_pulses} pulse(s), seed {seed})")
     for role in ("with_atoms", "no_atoms", "meta"):

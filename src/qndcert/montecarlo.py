@@ -17,29 +17,40 @@ matrix product per noise source onto the meter columns.  The readout is
 built from ``interaction_matrix`` alone, never from the closed-form
 moments, so the sampler stays an independent check of them.
 
-Generation is chunked with a fixed chunk size, and every chunk gets its
-own random substream keyed by (arm, chunk index) off one master seed.
-Each chunk draws the initial-state variates and then each pulse's noise
+Generation is chunked: :func:`arm_chunks` yields an arm's outcomes
+``CHUNK_SHOTS`` (16384) shots at a time, and every chunk gets its own
+random substream keyed by (arm, chunk index) off one master seed.  Each
+chunk draws the initial-state variates and then each pulse's noise
 variates, in that order.  Chunks are therefore independent and
 reproducible in isolation, results are bit-identical however the work
 is scheduled, and the two arms never share randomness.
 
-:func:`simulate_shots` draws the two arms side by side, the with-atoms
-arm on the calling thread and the no-atoms arm on one worker thread
-(:func:`qndcert.statistics.map_arms`); numpy releases the GIL in the
-draws and products, so the arms overlap, and the arrays are those of two
-calls made in turn.  There is no thread-count option: the two arms are
-the natural grain, and every extra thread holds its own malloc arena.
-Memory rule: the two threads together may hold no more temporaries than
-one arm did alone, so a chunk's variates are drawn ``_DRAW_ROWS`` rows
-at a time; row-major draws consume a substream in the same order however
-they are split, so no value changes.
+Each arm is one chunk pipeline: a consumer takes a chunk, accumulates it
+(``MomentAccumulator.update``), and for records formats, hashes and
+writes it (:func:`qndcert.recordio.write_arms`) before it asks for the
+next.  :func:`simulate_moments` and :func:`empirical_check` run the two
+pipelines side by side, the with-atoms arm on the calling thread and the
+no-atoms arm on one worker thread (:func:`qndcert.statistics.map_arms`);
+numpy releases the GIL in the draws and products, so the arms overlap.
+There is no thread-count option: the two arms are the natural grain,
+and every extra thread holds its own malloc arena.  :func:`simulate_arm`
+and :func:`simulate_shots` join the chunks into whole arms, the
+in-memory API.
+
+Memory rule: a pipeline holds one chunk, never an arm, so its memory
+does not grow with the shot count.  Each chunk is a view into one buffer
+per arm that the next chunk overwrites, and a chunk's variates are drawn
+``_DRAW_ROWS`` (1024) rows at a time; row-major draws consume a
+substream in the same order however they are split, so no value
+changes.  At three pulses the buffer is 0.4 MB and the draws under
+0.1 MB per arm.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -47,30 +58,30 @@ from .core import GaussianState
 from .dynamics import ExperimentParams, NoiseModel, interaction_matrix
 from .errors import SamplerUnsupportedError
 from .statistics import (
+    CHUNK_SHOTS,
+    MomentAccumulator,
     MomentSet,
     ShotRecords,
     map_arms,
     no_atoms_moments,
     predicted_moments,
-    sample_moments,
 )
 
 __all__ = [
     "CHUNK_SHOTS",
+    "arm_chunks",
     "simulate_arm",
     "simulate_shots",
+    "simulate_moments",
     "params_hash",
     "CheckRow",
     "EmpiricalCheck",
     "empirical_check",
 ]
 
-# Fixed so chunked generation is reproducible regardless of total shot
-# count or scheduling.
-CHUNK_SHOTS = 16384
 # Rows of variates drawn at a time within a chunk; see the module
 # docstring's memory rule.
-_DRAW_ROWS = 4096
+_DRAW_ROWS = 1024
 
 _ARM_IDS = {True: 0, False: 1}
 
@@ -98,13 +109,17 @@ def _reference_variant(params: ExperimentParams) -> ExperimentParams:
     return replace(params, g_tau=0.0, r_a=1.0, r_l=1.0)
 
 
-def simulate_arm(params: ExperimentParams, noise: NoiseModel,
-                 initial: GaussianState, n_shots: int, seed: int,
-                 with_atoms: bool = True) -> np.ndarray:
-    """Meter outcomes of one arm, shape (n_shots, n_pulses).
+def arm_chunks(params: ExperimentParams, noise: NoiseModel,
+               initial: GaussianState, n_shots: int, seed: int,
+               with_atoms: bool = True) -> Iterator[np.ndarray]:
+    """Meter outcomes of one arm, ``CHUNK_SHOTS`` shots at a time: an
+    iterator of (count, n_pulses) arrays, the last possibly shorter.
 
+    Each chunk is a view into one buffer that the next chunk overwrites,
+    so a consumer must be done with it before asking for the next.
     ``with_atoms=False`` runs the no-atoms reference variant (coupling
-    off, r_A = r_L = 1, zero noise) on its own substream family.
+    off, r_A = r_L = 1, zero noise) on its own substream family.  The
+    model is checked and the readout built here, before any chunk.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
@@ -131,20 +146,37 @@ def simulate_arm(params: ExperimentParams, noise: NoiseModel,
             block = layout.block_slice(pulse)
             rows = np.r_[0:3, block.start:block.stop]
             gains.append((readouts[pulse][:, rows] @ noise_factor).T)
+    return _draw_chunks(offset, gains, n_shots, seed,
+                        _ARM_IDS[bool(with_atoms)])
 
-    arm = _ARM_IDS[bool(with_atoms)]
-    out = np.empty((n_shots, layout.n_pulses))
+
+def _draw_chunks(offset: np.ndarray, gains: list[np.ndarray], n_shots: int,
+                 seed: int, arm: int) -> Iterator[np.ndarray]:
+    buffer = np.empty((min(n_shots, CHUNK_SHOTS), offset.size))
     for chunk, start in enumerate(range(0, n_shots, CHUNK_SHOTS)):
-        count = min(CHUNK_SHOTS, n_shots - start)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(arm, chunk))
         )
-        meters = out[start:start + count]
+        meters = buffer[:min(CHUNK_SHOTS, n_shots - start)]
         meters[:] = offset
         for gain in gains:
-            for row in range(0, count, _DRAW_ROWS):
+            for row in range(0, len(meters), _DRAW_ROWS):
                 part = meters[row:row + _DRAW_ROWS]
                 part += rng.standard_normal((len(part), gain.shape[0])) @ gain
+        yield meters
+
+
+def simulate_arm(params: ExperimentParams, noise: NoiseModel,
+                 initial: GaussianState, n_shots: int, seed: int,
+                 with_atoms: bool = True) -> np.ndarray:
+    """Meter outcomes of one arm, shape (n_shots, n_pulses): the chunks of
+    :func:`arm_chunks`, one after the other."""
+    chunks = arm_chunks(params, noise, initial, n_shots, seed, with_atoms)
+    out = np.empty((n_shots, initial.layout.n_pulses))
+    start = 0
+    for chunk in chunks:
+        out[start:start + len(chunk)] = chunk
+        start += len(chunk)
     return out
 
 
@@ -173,6 +205,22 @@ def simulate_shots(params: ExperimentParams, noise: NoiseModel,
         arm.setflags(write=False)  # handed over: ShotRecords keeps, not copies
     return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms, seed=seed,
                        params_hash=params_hash(params, noise, initial))
+
+
+def simulate_moments(params: ExperimentParams, noise: NoiseModel,
+                     initial: GaussianState, n_shots: int,
+                     seed: int) -> tuple[MomentSet, MomentSet]:
+    """Sampled moments of (probe arm, reference arm): each arm's chunks
+    are accumulated as they are drawn, on its own thread, so no arm is
+    held whole.  The bits of ``sample_moments(simulate_shots(...))``."""
+    def sampled(role: str) -> MomentSet:
+        acc = MomentAccumulator(initial.layout.n_pulses)
+        for chunk in arm_chunks(params, noise, initial, n_shots, seed,
+                                with_atoms=role == "with_atoms"):
+            acc.update(chunk)
+        return acc.moments()
+
+    return map_arms(sampled)
 
 
 @dataclass(frozen=True)
@@ -223,9 +271,10 @@ def empirical_check(params: ExperimentParams, noise: NoiseModel,
                     initial: GaussianState, n_shots: int, seed: int,
                     z_max: float = 5.0) -> EmpiricalCheck:
     """Simulate both arms and z-score every sampled moment against its
-    closed-form prediction."""
-    records = simulate_shots(params, noise, initial, n_shots, seed)
-    sampled_atoms, sampled_ref = sample_moments(records)
+    closed-form prediction (:func:`simulate_moments`: no arm is held
+    whole)."""
+    sampled_atoms, sampled_ref = simulate_moments(params, noise, initial,
+                                                  n_shots, seed)
     rows = _compare("with_atoms", sampled_atoms,
                     predicted_moments(params, noise, initial))
     rows += _compare("no_atoms", sampled_ref,

@@ -10,38 +10,46 @@ Each row is the text of ``("%d," + ",".join(["%.17g"] * k) + "\\n") % row``:
 floats carry 17 significant digits, so reading a file back reproduces
 the original float64 values exactly, and identical inputs produce
 byte-identical files.  The text is produced by the exact numpy kernel
-:func:`qndcert.recordfmt.format_rows`, one ``bytes`` object per
-``SUB_BLOCK_ROWS`` (2048) rows, and streamed to disk through the sha256
-digest, so an arm's full text is never held in memory.  All writes go
-through a temp file in the target directory followed by an atomic
-rename.
+:func:`qndcert.recordfmt.format_rows`.  All writes go through a temp
+file in the target directory followed by an atomic rename.
 
-:func:`write_records` formats, hashes and writes the two arms side by
-side, one thread per arm (:func:`qndcert.statistics.map_arms`), and
-writes the sidecar from both digests once both CSVs are written, so
-every file is byte-identical to a write made one arm after the other.
-It renames none of the three into place before all three are written:
-a write that fails part way leaves the previous set whole.
-There is no thread-count option: the two arms are the natural grain.
-Memory rule: two formatters now run at once, so together they may hold
-no more than one did when the arms were written in turn; hence 2048
-rows per piece rather than 4096.  Reading stays serial: hashing two
-3.2 MB CSVs on two threads took 6.9 ms against 6.8 ms in turn.
+Every arm is one chunk pipeline with ``CHUNK_SHOTS`` (16384) shots as
+its grain.  :func:`write_arms` takes each arm's chunks, as
+:func:`qndcert.montecarlo.arm_chunks` draws them, and on the arm's own
+thread (:func:`qndcert.statistics.map_arms`) checks each chunk finite,
+accumulates it, formats it in ``SUB_BLOCK_ROWS`` (2048) row pieces,
+hashes the pieces and streams them to disk; the sidecar is written from
+the two accumulators and digests once both CSVs are written.  It renames
+none of the three files into place before all three are written: a
+write that fails part way leaves the previous set whole.
+:func:`write_records` feeds an in-memory record set through the same
+pipeline, ``CHUNK_SHOTS`` rows at a time.  On reading, ``_read_arm``
+parses ``CHUNK_SHOTS`` data rows at a time with every check;
+:func:`read_moments` accumulates the chunks and :func:`read_records`
+joins them.  Reading stays serial: ``loadtxt`` holds the GIL.
+
+Memory rule: no pipeline holds an arm, so ``qndc simulate`` and a
+``qndc`` command that parses the CSVs take the same memory at any shot
+count; each arm holds one chunk and a formatter's piece, or one parsed
+chunk and the next.  Only the in-memory API holds whole arms.
 
 The sidecar (schema 2) also holds an ``arms`` block: per role, the
 sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
-(``count``, ``mean``, ``comoment``), taken from the in-memory rows.  A
-CSV reproduces those rows exactly, so these are the values parsing it
-would give.  :func:`read_summary` hashes the CSVs it is given; when both
-digests match the sidecar's, the arms' moments come from the stored
-summaries and no CSV is parsed.  Otherwise, and for sidecars of
-schema 1 or without an ``arms`` block (written when a summary is not
-finite), the caller parses the CSVs with :func:`read_records`.
+(``count``, ``mean``, ``comoment``) after its chunks.  Parsing the CSV
+feeds the same values in the same chunks, so it gives the same bits.
+Sidecars written before the chunk pipeline hold one-shot summaries,
+which differ in the last bits; they still read.  :func:`read_summary`
+hashes the CSVs it is given; when both digests match the sidecar's, the
+arms' moments come from the stored summaries and no CSV is parsed.
+Otherwise, and for sidecars of schema 1 or without an ``arms`` block
+(written when a summary is not finite), the caller parses the CSVs with
+:func:`read_moments`.
 
 Writing refuses records holding a non-finite value, and reading refuses
 a file whose values are not all finite or whose ``shot`` column is not
 0, 1, ..., n-1, and a sidecar whose counts are not integers (pulses 1
-to 3), seed not a nonnegative integer or null, or hash not a string.
+to 3), seed not a nonnegative integer or null, hash not a string, or
+stored comoment not symmetric with a nonnegative diagonal.
 """
 
 from __future__ import annotations
@@ -52,27 +60,30 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .config import check_r_l
-from .core import _frozen
 from .errors import ConfigError, RecordError
 from .recordfmt import format_rows
 from .statistics import (
     ARM_ROLES,
+    CHUNK_SHOTS,
     MomentAccumulator,
     MomentSet,
     ShotRecords,
+    chunk_views,
     map_arms,
 )
 
 __all__ = [
     "RecordSummary",
     "write_atomic",
+    "write_arms",
     "write_records",
     "read_records",
+    "read_moments",
     "read_summary",
     "sibling_meta_path",
 ]
@@ -114,70 +125,69 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
         raise
 
 
-def _format_arm(rows: np.ndarray) -> Iterator[bytes]:
-    """Yield an arm's CSV bytes: the header line, then one piece per
-    ``SUB_BLOCK_ROWS`` rows."""
-    yield ("shot," + ",".join(_COLUMNS[:rows.shape[1]]) + "\n").encode()
-    for start in range(0, rows.shape[0], SUB_BLOCK_ROWS):
-        yield format_rows(rows[start:start + SUB_BLOCK_ROWS], start)
+def _arm_pieces(chunks: Iterable[np.ndarray], role: str, n_pulses: int,
+                acc: MomentAccumulator, digest) -> Iterator[bytes]:
+    """Yield an arm's CSV bytes from its chunks: the header line, then each
+    chunk in pieces of ``SUB_BLOCK_ROWS`` rows, shot numbers running on
+    across chunks.  Each chunk is checked finite and fed to ``acc`` before
+    it is formatted; each piece is fed to ``digest``."""
+    header = ("shot," + ",".join(_COLUMNS[:n_pulses]) + "\n").encode()
+    digest.update(header)
+    yield header
+    start = 0
+    for chunk in chunks:
+        finite = np.isfinite(chunk).all(axis=1)
+        if not finite.all():
+            raise RecordError(f"{role} arm: row {start + int(np.argmin(finite))}"
+                              " holds a non-finite value; not written")
+        with np.errstate(all="ignore"):  # a sum may overflow: see _sidecar
+            acc.update(chunk)
+        for row in range(0, len(chunk), SUB_BLOCK_ROWS):
+            piece = format_rows(chunk[row:row + SUB_BLOCK_ROWS], start + row)
+            digest.update(piece)
+            yield piece
+        start += len(chunk)
 
 
-def _hashed(pieces: Iterable[bytes], digest) -> Iterator[bytes]:
-    """Pass ``pieces`` through, feeding each one to ``digest``."""
-    for piece in pieces:
-        digest.update(piece)
-        yield piece
-
-
-def _sidecar(records: ShotRecords, r_l: float | None,
-             digests: dict[str, str]) -> bytes:
-    """The sidecar's bytes; its ``arms`` block is left out when a summary
-    is not finite (readers then parse the CSVs)."""
+def _sidecar(arms: dict[str, tuple[str, MomentAccumulator]], n_pulses: int,
+             seed: int | None, params_hash: str | None,
+             r_l: float | None) -> bytes:
+    """The sidecar's bytes from each arm's (digest, accumulator); its
+    ``arms`` block is left out when a summary is not finite (readers then
+    parse the CSVs)."""
     meta = {
         "schema_version": META_SCHEMA_VERSION,
         "kind": "shot_records",
-        "seed": records.seed,
-        "n_shots": records.n_shots,
-        "n_pulses": records.n_pulses,
-        "params_hash": records.params_hash,
+        "seed": seed,
+        "n_shots": arms[ARM_ROLES[0]][1].count,
+        "n_pulses": n_pulses,
+        "params_hash": params_hash,
         "r_l": r_l,
     }
-    arms = {}
-    with np.errstate(all="ignore"):
-        for role in ARM_ROLES:
-            acc = MomentAccumulator.of(getattr(records, role))
-            if not (np.isfinite(acc.mean).all()
-                    and np.isfinite(acc.comoment).all()):
-                break
-            arms[role] = {"sha256": digests[role], "count": acc.count,
-                          "mean": acc.mean.tolist(),
-                          "comoment": acc.comoment.tolist()}
-        else:
-            meta["arms"] = arms
+    if all(np.isfinite(acc.mean).all() and np.isfinite(acc.comoment).all()
+           for _, acc in arms.values()):
+        meta["arms"] = {role: {"sha256": digest, "count": acc.count,
+                               "mean": acc.mean.tolist(),
+                               "comoment": acc.comoment.tolist()}
+                        for role, (digest, acc) in arms.items()}
     return (json.dumps(meta, indent=2, allow_nan=False) + "\n").encode()
 
 
-def write_records(records: ShotRecords, prefix: str | Path,
-                  r_l: float | None = None) -> dict[str, Path]:
-    """Write both arms and the sidecar; returns the paths by role.
+def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
+               prefix: str | Path, n_pulses: int, seed: int | None = None,
+               params_hash: str | None = None,
+               r_l: float | None = None) -> dict[str, Path]:
+    """Write a record set from each arm's chunks; returns the paths by role.
 
-    ``r_l``, the optical transmission the records were simulated at, is
-    stored in the sidecar for readers given no other value.  Records
-    holding a non-finite value, or arms of different lengths, are refused
-    before any file is created, since reading would refuse the files.
-    Each arm is formatted, hashed and written to a temp file on its own
-    thread, then the sidecar; the three are renamed into place only once
-    all are written, so a failed write leaves a previous set under
-    ``prefix`` as it was, and no temp file."""
-    for role in ARM_ROLES:
-        finite = np.isfinite(getattr(records, role)).all(axis=1)
-        if not finite.all():
-            raise RecordError(f"{role} arm: row {int(np.argmin(finite))} "
-                              "holds a non-finite value; not written")
-    if records.no_atoms.shape[0] != records.n_shots:
-        raise RecordError(
-            f"arms disagree on the shot count: {records.n_shots} with_atoms, "
-            f"{records.no_atoms.shape[0]} no_atoms; not written")
+    ``chunks_of(role)`` gives the role's (count, n_pulses) chunks in shot
+    order; a chunk may be overwritten once the next is asked for.  Each
+    arm runs one pipeline on its own thread: every chunk is checked
+    finite, accumulated, formatted, hashed and written to a temp file,
+    then the sidecar is written from the accumulators and digests.  The
+    three files are renamed into place only once all are written, so a
+    failed write, a non-finite value (a ``RecordError`` naming its row)
+    or arms of different lengths leave a previous set under ``prefix``
+    as it was, and no temp file."""
     prefix = Path(prefix)
     paths = {
         "with_atoms": prefix.with_name(prefix.name + ".with_atoms.csv"),
@@ -187,16 +197,21 @@ def write_records(records: ShotRecords, prefix: str | Path,
 
     temps: dict[str, str] = {}  # written, not yet renamed, by key
 
-    def write_arm(role: str) -> str:
-        digest = hashlib.sha256()
-        temps[role] = _write_temp(
-            paths[role], _hashed(_format_arm(getattr(records, role)), digest))
-        return digest.hexdigest()
+    def write_arm(role: str) -> tuple[str, MomentAccumulator]:
+        acc, digest = MomentAccumulator(n_pulses), hashlib.sha256()
+        temps[role] = _write_temp(paths[role], _arm_pieces(
+            chunks_of(role), role, n_pulses, acc, digest))
+        return digest.hexdigest(), acc
 
     try:
-        digests = dict(zip(ARM_ROLES, map_arms(write_arm)))
-        temps["meta"] = _write_temp(paths["meta"],
-                                    _sidecar(records, r_l, digests))
+        arms = dict(zip(ARM_ROLES, map_arms(write_arm)))
+        counts = [acc.count for _, acc in arms.values()]
+        if counts[0] != counts[1]:
+            raise RecordError(
+                f"arms disagree on the shot count: {counts[0]} with_atoms, "
+                f"{counts[1]} no_atoms; not written")
+        temps["meta"] = _write_temp(paths["meta"], _sidecar(
+            arms, n_pulses, seed, params_hash, r_l))
         for key in (*ARM_ROLES, "meta"):  # none before all are written
             os.replace(temps[key], paths[key])
             del temps[key]
@@ -207,7 +222,28 @@ def write_records(records: ShotRecords, prefix: str | Path,
     return paths
 
 
-def _read_arm(path: Path) -> np.ndarray:
+def write_records(records: ShotRecords, prefix: str | Path,
+                  r_l: float | None = None) -> dict[str, Path]:
+    """Write both arms and the sidecar; returns the paths by role.
+
+    ``r_l``, the optical transmission the records were simulated at, is
+    stored in the sidecar for readers given no other value.  The arms
+    are fed to :func:`write_arms` ``CHUNK_SHOTS`` rows at a time, so the
+    files are those a streamed write of the same values gives; records
+    holding a non-finite value, or arms of different lengths, are
+    refused as it refuses them."""
+    return write_arms(lambda role: chunk_views(getattr(records, role)),
+                      prefix, records.n_pulses, records.seed,
+                      records.params_hash, r_l)
+
+
+def _read_arm(path: Path) -> Iterator[np.ndarray]:
+    """Parse an arm's CSV ``CHUNK_SHOTS`` data rows at a time, yielding
+    each chunk's (count, n_pulses) values as a new array.  The header,
+    the column count, finite values and a ``shot`` column running 0, 1,
+    ..., n-1 across chunks are checked on the way; a file without data
+    rows is refused at its end."""
+    start = 0  # rows yielded so far
     try:
         with open(path) as handle:
             header = handle.readline().strip()
@@ -216,36 +252,51 @@ def _read_arm(path: Path) -> np.ndarray:
                 _COLUMNS[:1], _COLUMNS[:2], _COLUMNS[:3]
             }:
                 raise RecordError(f"{path}: unrecognized header {header!r}")
-            with warnings.catch_warnings():
-                # a file without data rows is refused below instead
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            while True:
+                with warnings.catch_warnings():
+                    # the end of the file is found by reading no data, and
+                    # a blank line is no row, as max_rows counts rows
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data",
+                        UserWarning)
+                    warnings.filterwarnings(
+                        "ignore", r"Input line \d+ contained no data",
+                        UserWarning)
+                    data = np.loadtxt(handle, delimiter=",", ndmin=2,
+                                      max_rows=CHUNK_SHOTS)
+                if data.size == 0:
+                    break
+                if data.shape[1] != len(fields):
+                    raise RecordError(
+                        f"{path}: expected {len(fields)} columns of data, "
+                        f"got shape {data.shape}")
+                finite = np.isfinite(data).all(axis=1)
+                if not finite.all():
+                    row = start + int(np.argmin(finite))
+                    raise RecordError(f"{path}: row {row} (line {row + 2}) "
+                                      f"holds a non-finite value")
+                shots = data[:, 0]
+                misplaced = np.flatnonzero(
+                    shots != np.arange(start, start + len(shots)))
+                if misplaced.size:
+                    row = start + int(misplaced[0])
+                    raise RecordError(
+                        f"{path}: row {row} (line {row + 2}) has shot index "
+                        f"{shots[row - start]:g}, expected {row}")
+                yield data[:, 1:]
+                start += len(data)
+                if len(data) < CHUNK_SHOTS:
+                    break
     except RecordError:
         raise
     except OSError as exc:
         raise RecordError(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:
-        raise RecordError(f"{path}: {exc}") from None
-    if data.size == 0:
+        # loadtxt counts rows from the start of the chunk it parses
+        where = f" (in the chunk from row {start}, line {start + 2})"
+        raise RecordError(f"{path}: {exc}{where if start else ''}") from None
+    if start == 0:
         raise RecordError(f"{path}: no data rows")
-    if data.shape[1] != len(fields):
-        raise RecordError(
-            f"{path}: expected {len(fields)} columns of data, got shape "
-            f"{data.shape}"
-        )
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise RecordError(f"{path}: row {row} (line {row + 2}) holds a "
-                          f"non-finite value")
-    shots = data[:, 0]
-    misplaced = np.flatnonzero(shots != np.arange(shots.size))
-    if misplaced.size:
-        row = int(misplaced[0])
-        raise RecordError(f"{path}: row {row} (line {row + 2}) has shot "
-                          f"index {shots[row]:g}, expected {row}")
-    return _frozen(data[:, 1:])  # owned and read-only: ShotRecords keeps it
 
 
 def sibling_meta_path(with_atoms_path: str | Path) -> Path | None:
@@ -284,22 +335,47 @@ def _read_meta(meta_path: str | Path) -> dict:
     return meta
 
 
+def _check_counts(meta: dict, meta_path, role: str, n_shots: int,
+                  n_pulses: int) -> None:
+    for field, count in (("n_pulses", n_pulses), ("n_shots", n_shots)):
+        if meta and meta[field] != count:
+            raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
+                              f"{field[2:]}, {role} data has {count}")
+
+
 def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
                  meta_path: str | Path | None = None) -> ShotRecords:
-    """Load both arms; the sidecar (when given) supplies seed and params
-    hash, and each arm's shape is checked against its counts."""
-    with_atoms = _read_arm(Path(with_atoms_path))
-    no_atoms = _read_arm(Path(no_atoms_path))
+    """Load both arms, each the parsed chunks one after the other; the
+    sidecar (when given) supplies seed and params hash, and each arm's
+    shape is checked against its counts."""
     meta = {} if meta_path is None else _read_meta(meta_path)
-    for role, rows in zip(ARM_ROLES, (with_atoms, no_atoms)):
-        for field, count in (("n_pulses", rows.shape[1]),
-                             ("n_shots", rows.shape[0])):
-            if meta and meta[field] != count:
-                raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
-                                  f"{field[2:]}, {role} data has {count}")
-    return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms,
-                       seed=meta.get("seed"),
+    arms = []
+    for role, path in zip(ARM_ROLES, (with_atoms_path, no_atoms_path)):
+        rows = np.concatenate(list(_read_arm(Path(path))))
+        _check_counts(meta, meta_path, role, *rows.shape)
+        rows.setflags(write=False)  # owned and read-only: ShotRecords keeps it
+        arms.append(rows)
+    return ShotRecords(*arms, seed=meta.get("seed"),
                        params_hash=meta.get("params_hash"))
+
+
+def read_moments(with_atoms_path: str | Path, no_atoms_path: str | Path,
+                 meta_path: str | Path | None = None
+                 ) -> tuple[MomentSet, MomentSet]:
+    """Both arms' moments, each arm parsed and accumulated chunk by chunk,
+    never held whole: the bits of ``sample_moments`` of
+    :func:`read_records`, after the same checks of each file and of the
+    sidecar's counts (when given)."""
+    meta = {} if meta_path is None else _read_meta(meta_path)
+    moments = []
+    for role, path in zip(ARM_ROLES, (with_atoms_path, no_atoms_path)):
+        chunks = _read_arm(Path(path))
+        acc = MomentAccumulator.of(next(chunks))  # a file has one or more
+        for chunk in chunks:
+            acc.update(chunk)
+        _check_counts(meta, meta_path, role, acc.count, acc.mean.size)
+        moments.append(acc.moments())
+    return tuple(moments)
 
 
 @dataclass(frozen=True)
@@ -360,6 +436,9 @@ def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
     if not (np.isfinite(mean).all() and np.isfinite(comoment).all()):
         raise RecordError(f"{meta_path}: arm summary holds a non-finite "
                           f"value")
+    if (comoment != comoment.T).any() or (comoment.diagonal() < 0.0).any():
+        raise RecordError(f"{meta_path}: arm comoment must be symmetric with "
+                          f"a nonnegative diagonal")
     acc = MomentAccumulator(n_pulses)
     acc.count, acc.mean, acc.comoment = count, mean, comoment
     return acc.moments()

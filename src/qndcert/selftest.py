@@ -38,14 +38,13 @@ from .core import (
     make_initial_state,
 )
 from .dynamics import ExperimentParams, NoiseModel, apply_pulse, propagate
-from .montecarlo import empirical_check, simulate_shots
+from .montecarlo import empirical_check, simulate_moments
 from .statistics import (
     conditional_variance_from_stats,
     delta_stats,
     meter_moments,
     no_atoms_moments,
     predicted_moments,
-    sample_moments,
     squeezing_condition,
 )
 
@@ -288,14 +287,14 @@ def _suite_sampling(n_shots: int, seed: int, sign: float) -> SuiteResult:
 
 
 def _suite_sampled_ratio(n_shots: int, seed: int, sign: float) -> SuiteResult:
-    # Simulated records survive the full delta pipeline end to end.
+    # Sampled moments survive the full delta pipeline end to end.
     layout = Layout(3)
     params = ExperimentParams.from_kappa(sign * 1.0, mean_sx=50.0,
                                          mean_jx=50.0, r_a=0.8, r_l=0.9)
     initial = make_initial_state(AtomicBlock.coherent(100.0),
                                  OpticalBlock.coherent(100.0, 3), layout)
-    records = simulate_shots(params, NoiseModel.zero(), initial, n_shots, seed)
-    measured, reference = sample_moments(records)
+    measured, reference = simulate_moments(params, NoiseModel.zero(), initial,
+                                           n_shots, seed)
     delta = delta_stats(measured, reference, params.r_l)
     ratio = delta.d_cov_pr / delta.d_cov_pq
     ok = abs(ratio - params.r_a) < 0.15

@@ -17,6 +17,15 @@ moments' errors; by Isserlis' theorem, for n Gaussian shots,
 Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1).  ``se`` is the root
 of Sigma's diagonal; a set given ``se`` alone has Sigma = diag(se**2).
 
+Sample moments are accumulated in chunks of ``CHUNK_SHOTS`` (16384)
+shots, the one grain of the whole program: the sampler draws, the writer
+formats and the reader parses arms in these chunks, and every route to
+an arm's moments feeds a :class:`MomentAccumulator` the same chunks --
+the sampler's as drawn, the sidecar's as written, a CSV's as parsed, and
+``MomentAccumulator.of`` on a whole arm -- so all of them give the same
+bits.  A pipeline holds one chunk per arm, never a whole arm, so memory
+does not grow with the shot count.
+
 Delta statistics subtract the reference, scaled by the optical
 transmission squared,
 
@@ -37,7 +46,7 @@ import itertools
 import math
 import threading
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -46,6 +55,7 @@ from .dynamics import ExperimentParams, NoiseModel
 from .errors import DimensionMismatchError, UndefinedInputError
 
 __all__ = [
+    "CHUNK_SHOTS",
     "MomentSet",
     "DeltaStats",
     "ShotRecords",
@@ -190,6 +200,10 @@ class DeltaStats(_MeterCovariance):
 # The two arms of a record set, in the order every result lists them.
 ARM_ROLES = ("with_atoms", "no_atoms")
 
+# Shots per chunk: the one grain of sampling, writing, parsing and moment
+# accumulation (see the module docstring).
+CHUNK_SHOTS = 16384
+
 
 @dataclass(frozen=True)
 class ShotRecords:
@@ -265,6 +279,13 @@ def map_arms(fn: Callable[[str], _T]) -> tuple[_T, _T]:
     return with_atoms, no_atoms["result"]
 
 
+def chunk_views(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """``rows`` as consecutive views of ``CHUNK_SHOTS`` rows, the last
+    possibly shorter."""
+    for start in range(0, len(rows), CHUNK_SHOTS):
+        yield rows[start:start + CHUNK_SHOTS]
+
+
 class MomentAccumulator:
     """Streaming mean and covariance over rows, mergeable across chunks.
 
@@ -280,9 +301,12 @@ class MomentAccumulator:
 
     @classmethod
     def of(cls, rows: np.ndarray) -> "MomentAccumulator":
-        """An accumulator fed all of ``rows`` in one update."""
-        acc = cls(np.shape(rows)[1])
-        acc.update(rows)
+        """An accumulator fed ``rows`` ``CHUNK_SHOTS`` at a time, as every
+        streamed arm is fed, so it holds the same bits."""
+        rows = np.asarray(rows, dtype=float)
+        acc = cls(rows.shape[1])
+        for chunk in chunk_views(rows):
+            acc.update(chunk)
         return acc
 
     def update(self, rows: np.ndarray) -> None:
@@ -299,6 +323,10 @@ class MomentAccumulator:
         self._combine(n_b, mean_b, centered.T @ centered)
 
     def merge(self, other: "MomentAccumulator") -> None:
+        if other.mean.size != self.mean.size:
+            raise DimensionMismatchError(
+                f"cannot merge {other.mean.size} columns into "
+                f"{self.mean.size}")
         self._combine(other.count, other.mean, other.comoment)
 
     def _combine(self, n_b: int, mean_b: np.ndarray, com_b: np.ndarray) -> None:

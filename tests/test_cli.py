@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ import qndcert.recordio
 from qndcert import params_hash
 from qndcert.cli import main
 from qndcert.config import load_config
+from qndcert.statistics import CHUNK_SHOTS
 
 
 def _write_config(directory, name, **overrides):
@@ -33,10 +35,11 @@ def _write_config(directory, name, **overrides):
     return path
 
 
-def _simulate(directory, config):
+def _simulate(directory, config, n_shots=None):
     prefix = directory / "run"
+    shots = [] if n_shots is None else ["--shots", str(n_shots)]
     assert main(["simulate", "--config", str(config),
-                 "--out", str(prefix)]) == 0
+                 "--out", str(prefix), *shots]) == 0
     return {
         "records": str(directory / "run.with_atoms.csv"),
         "no_atoms": str(directory / "run.no_atoms.csv"),
@@ -561,6 +564,34 @@ class TestSidecarMoments:
         assert "19999 shots" in err and "20000 shots" in err
 
 
+class TestImpossibleComoment:
+    """A stored comoment must be one a set of rows can give: symmetric,
+    with no negative diagonal entry.  Either flaw is bad input (exit 2,
+    naming the sidecar); it once gave a traceback (exit 1) or was read
+    from its upper triangle alone (exit 0)."""
+
+    @pytest.mark.parametrize("entry, value", [((0, 0), -5.0),
+                                              ((0, 1), 1e9)],
+                             ids=["negative-variance", "asymmetric"])
+    @pytest.mark.parametrize("command", ["stats", "certify"])
+    def test_refused_with_exit_2(self, ideal_run, tmp_path, capsys, entry,
+                                 value, command):
+        run = _copy_run(ideal_run, tmp_path)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        row, col = entry
+        meta["arms"]["with_atoms"]["comoment"][row][col] = value
+        meta_path.write_text(json.dumps(meta))
+        argv = [command, *_record_args(run)]
+        if command == "certify":
+            argv += ["--config", run["config"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {meta_path}: ")
+        assert "comoment" in captured.err
+
+
 class TestSidecarTypes:
     """A sidecar count, seed or hash of the wrong type is bad input: exit 2
     before any figure is printed."""
@@ -590,6 +621,56 @@ class TestSidecarTypes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {meta_path}: ")
         assert f"{next(iter(edit))} must be" in captured.err
+
+
+def _serial_arms(fn):
+    return fn("with_atoms"), fn("no_atoms")
+
+
+def _peak_bytes(argv, code=0):
+    """Peak traced memory of ``main(argv)``, which must exit ``code``."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([str(arg) for arg in argv]) == code
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """Every arm streams through in ``CHUNK_SHOTS`` chunks, so a command's
+    peak memory does not grow with the shot count: at 16 chunks per arm
+    it is within 10% of the peak at 4.  The arms run one after the other
+    here, so that the peak does not hang on how the two threads' chunks
+    happen to overlap."""
+
+    @pytest.fixture(autouse=True)
+    def serial_arms(self, monkeypatch):
+        monkeypatch.setattr(qndcert.recordio, "map_arms", _serial_arms)
+
+    def test_simulate(self, tmp_path):
+        config = _write_config(tmp_path, "cfg.json", r_a=0.8, r_l=0.9,
+                               noise={"33": 2.0, "35": 0.5, "55": 4.0})
+        argv = ["simulate", "--config", config, "--shots"]
+        _peak_bytes([*argv, 1000, "--out", tmp_path / "warm"])
+        peaks = [_peak_bytes([*argv, n_chunks * CHUNK_SHOTS,
+                              "--out", tmp_path / f"run{n_chunks}"])
+                 for n_chunks in (4, 16)]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_parsing_certify(self, tmp_path):
+        # one pulse, a third of the text of three: inconclusive (exit 2),
+        # after parsing every row
+        config = _write_config(tmp_path, "cfg.json", n_pulses=1)
+        peaks = []
+        for n_shots in (100, 4 * CHUNK_SHOTS, 16 * CHUNK_SHOTS):  # warm-up
+            run = _simulate(tmp_path, config, n_shots)
+            pathlib.Path(run["meta"]).unlink()
+            peaks.append(_peak_bytes(["certify", *_record_args(run),
+                                      "--config", config], code=2))
+        assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 class TestSelftest:
@@ -624,14 +705,32 @@ class TestSelftest:
         assert "passed" not in captured.out
 
 
-def test_module_entry_point():
+def _child_env():
     # the child imports the same package as this process, however it was found
     package_root = str(pathlib.Path(qndcert.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qndcert", "--help"],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "certify" in proc.stdout
+
+
+def test_import_leaves_heavy_modules_out():
+    # start-up is part of every command: an executor (concurrent.futures,
+    # which imports logging) cost about 8 ms of it, and a queue or scipy
+    # would add more
+    heavy = ["concurrent.futures", "logging", "queue", "scipy"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, qndcert; print([m for m in {heavy!r} "
+         f"if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

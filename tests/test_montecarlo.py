@@ -24,8 +24,13 @@ from qndcert import (
     simulate_arm,
     simulate_shots,
 )
-from qndcert.montecarlo import CHUNK_SHOTS, _psd_factor
-from qndcert.statistics import map_arms
+from qndcert.montecarlo import CHUNK_SHOTS, _psd_factor, arm_chunks
+from qndcert.statistics import (
+    ARM_ROLES,
+    MomentAccumulator,
+    delta_stats,
+    map_arms,
+)
 
 
 class TestDeterminism:
@@ -211,8 +216,8 @@ class TestRecordOwnership:
             tracemalloc.stop()
         size = records.with_atoms.nbytes + records.no_atoms.nbytes
         assert size == 2_400_000
-        # the sampler's temporaries add about 0.65 MB; a second copy of
-        # both arms would put the peak at 2 * size or above
+        # each arm's chunk buffer and draws add about 0.95 MB together; a
+        # second copy of both arms would put the peak at 2 * size or above
         assert peak < 1.5 * size
 
     def test_caller_array_is_copied(self):
@@ -236,6 +241,29 @@ class TestRecordOwnership:
         for arm in (records.with_atoms, records.no_atoms):
             with pytest.raises(ValueError, match="read-only"):
                 arm[0, 0] = 0.0
+
+
+class TestStreamedMemory:
+    def test_empirical_check_is_flat_in_the_shot_count(self, noisy_set,
+                                                       monkeypatch):
+        # each arm is accumulated chunk by chunk: the peak at 16 chunks
+        # per arm is within 10% of the peak at 4.  The arms run one after
+        # the other, so that the peak does not hang on how the two
+        # threads' chunks happen to overlap.
+        monkeypatch.setattr(qndcert.montecarlo, "map_arms",
+                            lambda fn: (fn("with_atoms"), fn("no_atoms")))
+        empirical_check(*noisy_set, n_shots=1000, seed=1)  # warm-up
+        peaks = []
+        for n_chunks in (4, 16):
+            tracemalloc.start()
+            try:
+                check = empirical_check(*noisy_set,
+                                        n_shots=n_chunks * CHUNK_SHOTS, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert check.passed
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestParamsHash:
@@ -340,3 +368,73 @@ class TestConvergence:
             small += abs(np.var(rows[:1000, 0], ddof=1) - 50.0)
             large += abs(np.var(rows[:, 0], ddof=1) - 50.0)
         assert large < small / 3.0
+
+
+def _chunk_accumulators(params, noise, initial, n_chunks, seed):
+    """One accumulator per ``CHUNK_SHOTS`` chunk of each arm, by role."""
+    arms = {}
+    for role in ARM_ROLES:
+        arms[role] = []
+        for chunk in arm_chunks(params, noise, initial, n_chunks * CHUNK_SHOTS,
+                                seed, with_atoms=role == "with_atoms"):
+            acc = MomentAccumulator(chunk.shape[1])
+            acc.update(chunk)
+            arms[role].append(acc)
+    return arms
+
+
+def _merged(accs, skip=None):
+    total = MomentAccumulator(accs[0].mean.size)
+    for index, acc in enumerate(accs):
+        if index != skip:
+            total.merge(acc)
+    return total
+
+
+def _views(with_atoms, no_atoms, r_l):
+    """Each arm's moments and the deltas, as (label, moment set) pairs."""
+    measured, reference = with_atoms.moments(), no_atoms.moments()
+    return [("with_atoms", measured), ("no_atoms", reference),
+            ("delta", delta_stats(measured, reference, r_l))]
+
+
+class TestChunkJackknife:
+    """The delete-one-chunk jackknife over the sampler's chunks is a
+    model-free standard error for every moment; Isserlis' Sigma, which
+    gives ``se``, must agree with it.  With g = 32 chunks a jackknife SE
+    scatters by about 1/sqrt(2 (g - 1)) = 13% of itself, so each ratio
+    must lie in [0.5, 1.5] (about 4 of those either side of 1) and each
+    configuration's mean ratio in [0.8, 1.2]."""
+
+    N_CHUNKS = 32
+
+    @pytest.mark.parametrize("kappa, r_a, noise", [
+        (1.0, 0.8, {(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0}),
+        (2.0, 0.99, {(3, 3): 20.0}),
+    ], ids=["readme-config", "r_a-0.99-n33-20"])
+    def test_matches_isserlis(self, kappa, r_a, noise):
+        params = ExperimentParams.from_kappa(kappa, mean_sx=50.0,
+                                             mean_jx=50.0, r_a=r_a, r_l=0.9)
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        arms = _chunk_accumulators(params, NoiseModel.from_entries(noise),
+                                   initial, self.N_CHUNKS, 1207)
+        g = self.N_CHUNKS
+        full = _views(_merged(arms["with_atoms"]), _merged(arms["no_atoms"]),
+                      params.r_l)
+        left_out = [_views(_merged(arms["with_atoms"], skip=i),
+                           _merged(arms["no_atoms"], skip=i), params.r_l)
+                    for i in range(g)]
+        ratios = {}
+        for k, (label, moments) in enumerate(full):
+            for name, se in moments.se.items():
+                values = np.array([getattr(views[k][1], name)
+                                   for views in left_out])
+                jackknife = np.sqrt((g - 1) / g
+                                    * np.sum((values - values.mean()) ** 2))
+                ratios[f"{label}.{name}"] = jackknife / se
+        assert len(ratios) == 6 + 6 + 5
+        for key, ratio in ratios.items():
+            assert 0.5 <= ratio <= 1.5, (key, ratios)
+        assert 0.8 <= np.mean(list(ratios.values())) <= 1.2, ratios

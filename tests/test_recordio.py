@@ -23,13 +23,15 @@ from qndcert import (
     simulate_shots,
     write_records,
 )
-from qndcert import recordio
-from qndcert.montecarlo import CHUNK_SHOTS
+from qndcert import params_hash, recordio
+from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks, simulate_moments
+from qndcert.recordfmt import format_rows
 from qndcert.recordio import (
     SUB_BLOCK_ROWS,
-    _format_arm,
+    read_moments,
     read_summary,
     sibling_meta_path,
+    write_arms,
     write_atomic,
 )
 
@@ -266,6 +268,59 @@ class TestSummary:
                          paths["meta"])
 
 
+class TestOneGrain:
+    """Every route to an arm's moments accumulates the same ``CHUNK_SHOTS``
+    chunks, and a streamed write is the in-memory write: same bits."""
+
+    @pytest.mark.parametrize("n_shots", [CHUNK_SHOTS - 1,
+                                         2 * CHUNK_SHOTS + 5])
+    def test_every_route_gives_the_same_moments(self, tmp_path, noisy_set,
+                                                n_shots):
+        params, noise, initial = noisy_set
+        records = simulate_shots(params, noise, initial, n_shots, 3)
+        paths = write_records(records, tmp_path / "run")
+        csvs = paths["with_atoms"], paths["no_atoms"]
+        routes = {
+            "streamed": simulate_moments(params, noise, initial, n_shots, 3),
+            "sidecar": read_summary(*csvs, paths["meta"]).moments,
+            "parsed": read_moments(*csvs),
+            "parsed whole": sample_moments(read_records(*csvs)),
+        }
+        for name, moments in routes.items():
+            for got, want in zip(moments, sample_moments(records)):
+                assert got.n_shots == want.n_shots == n_shots, name
+                np.testing.assert_array_equal(got.cov, want.cov, name)
+                np.testing.assert_array_equal(got.moment_cov, want.moment_cov,
+                                              name)
+
+    @pytest.mark.parametrize("n_shots", [1, CHUNK_SHOTS + 1])
+    def test_streamed_write_equals_in_memory_write(self, tmp_path, noisy_set,
+                                                   n_shots):
+        params, noise, initial = noisy_set
+        records = simulate_shots(params, noise, initial, n_shots, 8)
+        in_memory = write_records(records, tmp_path / "a", r_l=0.9)
+        streamed = write_arms(
+            lambda role: arm_chunks(params, noise, initial, n_shots, 8,
+                                    with_atoms=role == "with_atoms"),
+            tmp_path / "b", 3, 8, params_hash(params, noise, initial), 0.9)
+        for key, path in in_memory.items():
+            assert streamed[key].read_bytes() == path.read_bytes(), key
+
+    def test_streamed_non_finite_value_names_its_row(self, tmp_path):
+        # a chunk past the first: the global row is named, nothing is left
+        def chunks(role):
+            for start in range(0, 3 * CHUNK_SHOTS, CHUNK_SHOTS):
+                chunk = np.ones((CHUNK_SHOTS, 2))
+                if role == "no_atoms" and start == CHUNK_SHOTS:
+                    chunk[7, 1] = np.inf
+                yield chunk
+
+        with pytest.raises(RecordError, match=rf"no_atoms arm: row "
+                                              rf"{CHUNK_SHOTS + 7} holds"):
+            write_arms(chunks, tmp_path / "run", 2)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSidecarFields:
     """Counts, seed and hash in a sidecar must have the types the writer
     gives them; anything else is refused by both readers."""
@@ -355,6 +410,34 @@ class TestReadValidation:
                            match=rf"bad\.csv: row {bad_row} .*shot index "
                                  rf"{shots[bad_row]}, expected {bad_row}"):
             read_records(bad, bad)
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "holds a non-finite value"),
+        ("shot", "has shot index 0, expected"),
+    ])
+    def test_rows_are_counted_across_chunks(self, tmp_path, value, message):
+        # the bad row lies in the second parsed chunk
+        bad_row = CHUNK_SHOTS + 2
+        lines = [f"{shot},1.5\n" for shot in range(CHUNK_SHOTS + 5)]
+        lines[bad_row] = (f"{bad_row},nan\n" if value == "nan"
+                          else "0,1.5\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("shot,p_y\n" + "".join(lines))
+        with pytest.raises(RecordError,
+                           match=rf"row {bad_row} \(line {bad_row + 2}\) "
+                                 rf"{message}"):
+            read_moments(bad, bad)
+
+    def test_parse_error_names_its_chunk(self, tmp_path):
+        lines = [f"{shot},1.5\n" for shot in range(CHUNK_SHOTS + 5)]
+        lines[CHUNK_SHOTS + 3] = f"{CHUNK_SHOTS + 3},oops\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("shot,p_y\n" + "".join(lines))
+        with pytest.raises(RecordError,
+                           match=rf"'oops'.* at row 3, column 2\. \(in the "
+                                 rf"chunk from row {CHUNK_SHOTS}, line "
+                                 rf"{CHUNK_SHOTS + 2}\)"):
+            read_moments(bad, bad)
 
     def test_empty_data(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -447,11 +530,12 @@ class TestWriteValidation:
 
 def _serial_files(records, r_l):
     """The bytes of each file of a record set, made one arm after the
-    other."""
+    other, each arm's rows formatted in one piece."""
     files, arms = {}, {}
     for role in ("with_atoms", "no_atoms"):
         rows = getattr(records, role)
-        files[role] = b"".join(_format_arm(rows))
+        header = "shot," + ",".join(["p_y", "q_y", "r_y"][:rows.shape[1]])
+        files[role] = (header + "\n").encode() + format_rows(rows, 0)
         acc = MomentAccumulator.of(rows)
         arms[role] = {"sha256": hashlib.sha256(files[role]).hexdigest(),
                       "count": acc.count, "mean": acc.mean.tolist(),
@@ -507,14 +591,13 @@ class TestArmThreads:
         records = simulate_shots(params, noise, initial, 3000, 2)
         bad_rows = getattr(records, failing)
 
-        def format_arm(rows, _format=recordio._format_arm):
-            pieces = _format(rows)
-            if rows is bad_rows:
-                yield next(pieces)
+        def format_piece(rows, first_shot, _format=recordio.format_rows):
+            # the failing arm's second piece: its first is written
+            if first_shot > 0 and np.shares_memory(rows, bad_rows):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            yield from pieces
+            return _format(rows, first_shot)
 
-        monkeypatch.setattr(recordio, "_format_arm", format_arm)
+        monkeypatch.setattr(recordio, "format_rows", format_piece)
         with pytest.raises(OSError, match="No space left"):
             write_records(records, tmp_path / "run")
         assert {role: path.read_bytes()
@@ -575,10 +658,12 @@ class TestReadMemory:
         assert size == 960_000
         for arm in (records.with_atoms, records.no_atoms):
             assert arm.flags.owndata and not arm.flags.writeable
-        # one arm's parse array (shot column included) and its copy add
-        # about 0.7 * size; keeping both parse arrays alive beside the
-        # copies puts the peak above 2.3 * size
-        assert peak < 2 * size
+        # each arm is its parsed chunks joined once: the second arm's
+        # chunk arrays (shot column included, 2/3 of size) and the joined
+        # arm sit beside the first arm, about 1.67 * size; copying each
+        # chunk before the join, or the joined arm after it, puts the peak
+        # at 2 * size or above
+        assert peak < 1.8 * size
 
 
 class TestAtomicWrite:

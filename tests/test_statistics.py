@@ -8,6 +8,7 @@ import pytest
 from qndcert import (
     AtomicBlock,
     DeltaStats,
+    DimensionMismatchError,
     ExperimentParams,
     Layout,
     MomentAccumulator,
@@ -232,6 +233,18 @@ class TestMomentAccumulator:
         assert left.count == whole.count
         np.testing.assert_allclose(left.covariance, whole.covariance,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("n_rows", [0, 10])
+    def test_merge_refuses_another_width(self, n_rows):
+        # a full one used to raise numpy's broadcast error, and an empty
+        # one was merged silently
+        acc = MomentAccumulator(2)
+        acc.update(np.ones((5, 2)))
+        other = MomentAccumulator(3)
+        other.update(np.arange(3.0 * n_rows).reshape(n_rows, 3))
+        with pytest.raises(DimensionMismatchError, match="3 columns"):
+            acc.merge(other)
+        assert acc.count == 5
 
     def test_covariance_needs_two_rows(self):
         acc = MomentAccumulator(2)
