@@ -9,7 +9,8 @@ no-atoms reference) are inverted to certify or refute QND behaviour.
 Typical entry points: :func:`make_initial_state` and :func:`apply_pulse`
 for the covariance-matrix model, :func:`predicted_moments` and
 :func:`delta_stats` for the closed-form statistics, :func:`certify` for
-the verdicts, and :func:`simulate_shots` for synthetic records.
+the verdicts, :func:`simulate_moments` for sampled moments, and
+:func:`write_arms` and :func:`read_moments` for record files.
 """
 
 from types import ModuleType as _ModuleType
@@ -71,24 +72,21 @@ from .montecarlo import (
     EmpiricalCheck,
     empirical_check,
     params_hash,
-    simulate_arm,
-    simulate_shots,
+    simulate_moments,
 )
-from .recordio import read_records, write_records
+from .recordio import read_moments, write_arms
 from .report import dump_json, exit_code, report_to_dict
 from .selftest import SuiteResult, closed_form_error, run_selftest
 from .statistics import (
     DeltaStats,
     MomentAccumulator,
     MomentSet,
-    ShotRecords,
     SqueezingVerdict,
     conditional_variance_from_stats,
     delta_stats,
     meter_moments,
     no_atoms_moments,
     predicted_moments,
-    sample_moments,
     squeezing_condition,
 )
 

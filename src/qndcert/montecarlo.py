@@ -33,9 +33,7 @@ pipelines side by side, the with-atoms arm on the calling thread and the
 no-atoms arm on one worker thread (:func:`qndcert.statistics.map_arms`);
 numpy releases the GIL in the draws and products, so the arms overlap.
 There is no thread-count option: the two arms are the natural grain,
-and every extra thread holds its own malloc arena.  :func:`simulate_arm`
-and :func:`simulate_shots` join the chunks into whole arms, the
-in-memory API.
+and every extra thread holds its own malloc arena.
 
 Memory rule: a pipeline holds one chunk, never an arm, so its memory
 does not grow with the shot count.  Each chunk is a view into one buffer
@@ -61,7 +59,6 @@ from .statistics import (
     CHUNK_SHOTS,
     MomentAccumulator,
     MomentSet,
-    ShotRecords,
     map_arms,
     no_atoms_moments,
     predicted_moments,
@@ -70,8 +67,6 @@ from .statistics import (
 __all__ = [
     "CHUNK_SHOTS",
     "arm_chunks",
-    "simulate_arm",
-    "simulate_shots",
     "simulate_moments",
     "params_hash",
     "CheckRow",
@@ -166,20 +161,6 @@ def _draw_chunks(offset: np.ndarray, gains: list[np.ndarray], n_shots: int,
         yield meters
 
 
-def simulate_arm(params: ExperimentParams, noise: NoiseModel,
-                 initial: GaussianState, n_shots: int, seed: int,
-                 with_atoms: bool = True) -> np.ndarray:
-    """Meter outcomes of one arm, shape (n_shots, n_pulses): the chunks of
-    :func:`arm_chunks`, one after the other."""
-    chunks = arm_chunks(params, noise, initial, n_shots, seed, with_atoms)
-    out = np.empty((n_shots, initial.layout.n_pulses))
-    start = 0
-    for chunk in chunks:
-        out[start:start + len(chunk)] = chunk
-        start += len(chunk)
-    return out
-
-
 def params_hash(params: ExperimentParams, noise: NoiseModel,
                 initial: GaussianState) -> str:
     """Short stable digest of the model a record set was drawn from."""
@@ -193,26 +174,13 @@ def params_hash(params: ExperimentParams, noise: NoiseModel,
     return h.hexdigest()[:16]
 
 
-def simulate_shots(params: ExperimentParams, noise: NoiseModel,
-                   initial: GaussianState, n_shots: int,
-                   seed: int) -> ShotRecords:
-    """Both arms off one master seed, bundled with their metadata; each
-    arm is drawn on its own thread."""
-    with_atoms, no_atoms = map_arms(
-        lambda role: simulate_arm(params, noise, initial, n_shots, seed,
-                                  with_atoms=role == "with_atoms"))
-    for arm in (with_atoms, no_atoms):
-        arm.setflags(write=False)  # handed over: ShotRecords keeps, not copies
-    return ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms, seed=seed,
-                       params_hash=params_hash(params, noise, initial))
-
-
 def simulate_moments(params: ExperimentParams, noise: NoiseModel,
                      initial: GaussianState, n_shots: int,
                      seed: int) -> tuple[MomentSet, MomentSet]:
     """Sampled moments of (probe arm, reference arm): each arm's chunks
     are accumulated as they are drawn, on its own thread, so no arm is
-    held whole.  The bits of ``sample_moments(simulate_shots(...))``."""
+    held whole.  At the same seed these are the bits that the sidecar of
+    ``qndc simulate`` stores and that parsing its CSVs gives."""
     def sampled(role: str) -> MomentSet:
         acc = MomentAccumulator(initial.layout.n_pulses)
         for chunk in arm_chunks(params, noise, initial, n_shots, seed,

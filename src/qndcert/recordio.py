@@ -21,17 +21,15 @@ accumulates it, formats it in ``SUB_BLOCK_ROWS`` (2048) row pieces,
 hashes the pieces and streams them to disk; the sidecar is written from
 the two accumulators and digests once both CSVs are written.  It renames
 none of the three files into place before all three are written: a
-write that fails part way leaves the previous set whole.
-:func:`write_records` feeds an in-memory record set through the same
-pipeline, ``CHUNK_SHOTS`` rows at a time.  On reading, ``_read_arm``
-parses ``CHUNK_SHOTS`` data rows at a time with every check;
-:func:`read_moments` accumulates the chunks and :func:`read_records`
-joins them.  Reading stays serial: ``loadtxt`` holds the GIL.
+write that fails part way leaves the previous set whole.  On reading,
+``_read_arm`` parses ``CHUNK_SHOTS`` data rows at a time with every
+check, and :func:`read_moments` accumulates the chunks.  Reading stays
+serial: ``loadtxt`` holds the GIL.
 
 Memory rule: no pipeline holds an arm, so ``qndc simulate`` and a
 ``qndc`` command that parses the CSVs take the same memory at any shot
 count; each arm holds one chunk and a formatter's piece, or one parsed
-chunk and the next.  Only the in-memory API holds whole arms.
+chunk and the next.
 
 The sidecar (schema 2) also holds an ``arms`` block: per role, the
 sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
@@ -45,11 +43,12 @@ Otherwise, and for sidecars of schema 1 or without an ``arms`` block
 (written when a summary is not finite), the caller parses the CSVs with
 :func:`read_moments`.
 
-Writing refuses records holding a non-finite value, and reading refuses
-a file whose values are not all finite or whose ``shot`` column is not
-0, 1, ..., n-1, and a sidecar whose counts are not integers (pulses 1
-to 3), seed not a nonnegative integer or null, hash not a string, or
-stored comoment not symmetric with a nonnegative diagonal.
+Writing refuses records holding a non-finite value or arms of different
+shot counts.  Reading refuses a file whose values are not all finite or
+whose ``shot`` column is not 0, 1, ..., n-1, arms of different shot
+counts, and a sidecar whose counts are not integers (pulses 1 to 3),
+seed not a nonnegative integer or null, hash not a string, or stored
+comoment not symmetric with a nonnegative diagonal.
 """
 
 from __future__ import annotations
@@ -72,8 +71,6 @@ from .statistics import (
     CHUNK_SHOTS,
     MomentAccumulator,
     MomentSet,
-    ShotRecords,
-    chunk_views,
     map_arms,
 )
 
@@ -81,8 +78,6 @@ __all__ = [
     "RecordSummary",
     "write_atomic",
     "write_arms",
-    "write_records",
-    "read_records",
     "read_moments",
     "read_summary",
     "sibling_meta_path",
@@ -149,6 +144,12 @@ def _arm_pieces(chunks: Iterable[np.ndarray], role: str, n_pulses: int,
         start += len(chunk)
 
 
+def _check_shot_counts(counts: list[int], tail: str = "") -> None:
+    if counts[0] != counts[1]:
+        raise RecordError(f"arms disagree on the shot count: {counts[0]} "
+                          f"with_atoms, {counts[1]} no_atoms{tail}")
+
+
 def _sidecar(arms: dict[str, tuple[str, MomentAccumulator]], n_pulses: int,
              seed: int | None, params_hash: str | None,
              r_l: float | None) -> bytes:
@@ -205,11 +206,8 @@ def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
 
     try:
         arms = dict(zip(ARM_ROLES, map_arms(write_arm)))
-        counts = [acc.count for _, acc in arms.values()]
-        if counts[0] != counts[1]:
-            raise RecordError(
-                f"arms disagree on the shot count: {counts[0]} with_atoms, "
-                f"{counts[1]} no_atoms; not written")
+        _check_shot_counts([acc.count for _, acc in arms.values()],
+                           "; not written")
         temps["meta"] = _write_temp(paths["meta"], _sidecar(
             arms, n_pulses, seed, params_hash, r_l))
         for key in (*ARM_ROLES, "meta"):  # none before all are written
@@ -220,21 +218,6 @@ def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
             os.unlink(tmp)
         raise
     return paths
-
-
-def write_records(records: ShotRecords, prefix: str | Path,
-                  r_l: float | None = None) -> dict[str, Path]:
-    """Write both arms and the sidecar; returns the paths by role.
-
-    ``r_l``, the optical transmission the records were simulated at, is
-    stored in the sidecar for readers given no other value.  The arms
-    are fed to :func:`write_arms` ``CHUNK_SHOTS`` rows at a time, so the
-    files are those a streamed write of the same values gives; records
-    holding a non-finite value, or arms of different lengths, are
-    refused as it refuses them."""
-    return write_arms(lambda role: chunk_views(getattr(records, role)),
-                      prefix, records.n_pulses, records.seed,
-                      records.params_hash, r_l)
 
 
 def _read_arm(path: Path) -> Iterator[np.ndarray]:
@@ -343,39 +326,26 @@ def _check_counts(meta: dict, meta_path, role: str, n_shots: int,
                               f"{field[2:]}, {role} data has {count}")
 
 
-def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
-                 meta_path: str | Path | None = None) -> ShotRecords:
-    """Load both arms, each the parsed chunks one after the other; the
-    sidecar (when given) supplies seed and params hash, and each arm's
-    shape is checked against its counts."""
-    meta = {} if meta_path is None else _read_meta(meta_path)
-    arms = []
-    for role, path in zip(ARM_ROLES, (with_atoms_path, no_atoms_path)):
-        rows = np.concatenate(list(_read_arm(Path(path))))
-        _check_counts(meta, meta_path, role, *rows.shape)
-        rows.setflags(write=False)  # owned and read-only: ShotRecords keeps it
-        arms.append(rows)
-    return ShotRecords(*arms, seed=meta.get("seed"),
-                       params_hash=meta.get("params_hash"))
-
-
 def read_moments(with_atoms_path: str | Path, no_atoms_path: str | Path,
                  meta_path: str | Path | None = None
                  ) -> tuple[MomentSet, MomentSet]:
     """Both arms' moments, each arm parsed and accumulated chunk by chunk,
-    never held whole: the bits of ``sample_moments`` of
-    :func:`read_records`, after the same checks of each file and of the
-    sidecar's counts (when given)."""
+    never held whole.  Each file gets every check of ``_read_arm``; the
+    arms must agree on the shot count and, when a sidecar is given, with
+    its shot and pulse counts."""
     meta = {} if meta_path is None else _read_meta(meta_path)
-    moments = []
+    accs = []
     for role, path in zip(ARM_ROLES, (with_atoms_path, no_atoms_path)):
         chunks = _read_arm(Path(path))
-        acc = MomentAccumulator.of(next(chunks))  # a file has one or more
+        first = next(chunks)  # a file has one or more
+        acc = MomentAccumulator(first.shape[1])
+        acc.update(first)
         for chunk in chunks:
             acc.update(chunk)
         _check_counts(meta, meta_path, role, acc.count, acc.mean.size)
-        moments.append(acc.moments())
-    return tuple(moments)
+        accs.append(acc)
+    _check_shot_counts([acc.count for acc in accs])
+    return tuple(acc.moments() for acc in accs)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ of Sigma's diagonal; a set given ``se`` alone has Sigma = diag(se**2).
 
 Sample moments are accumulated in chunks of ``CHUNK_SHOTS`` (16384)
 shots, the one grain of the whole program: the sampler draws, the writer
-formats and the reader parses arms in these chunks, and every route to
-an arm's moments feeds a :class:`MomentAccumulator` the same chunks --
-the sampler's as drawn, the sidecar's as written, a CSV's as parsed, and
-``MomentAccumulator.of`` on a whole arm -- so all of them give the same
-bits.  A pipeline holds one chunk per arm, never a whole arm, so memory
-does not grow with the shot count.
+formats and the reader parses arms in these chunks, and
+:meth:`MomentAccumulator.update` folds in any rows it is given
+``CHUNK_SHOTS`` at a time, so every route to an arm's moments -- the
+sampler's chunks as drawn, the sidecar's as written, a CSV's as parsed,
+or one whole array -- gives the same bits.  A pipeline holds one chunk
+per arm, never a whole arm, so memory does not grow with the shot count.
 
 Delta statistics subtract the reference, scaled by the optical
 transmission squared,
@@ -45,8 +45,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from dataclasses import FrozenInstanceError
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "CHUNK_SHOTS",
     "MomentSet",
     "DeltaStats",
-    "ShotRecords",
     "ARM_ROLES",
     "map_arms",
     "MomentAccumulator",
@@ -67,7 +66,6 @@ __all__ = [
     "predicted_moments",
     "no_atoms_moments",
     "delta_stats",
-    "sample_moments",
     "conditional_variance_from_stats",
     "squeezing_condition",
 ]
@@ -205,45 +203,6 @@ ARM_ROLES = ("with_atoms", "no_atoms")
 CHUNK_SHOTS = 16384
 
 
-@dataclass(frozen=True)
-class ShotRecords:
-    """Per-shot meter outcomes for both arms.
-
-    Rows are shots, columns are (p_y[, q_y[, r_y]]).  ``seed`` and
-    ``params_hash`` travel with simulated data and are None for records
-    loaded without metadata.  An arm given as a read-only float array
-    that owns its memory, as the sampler hands over, is kept as it is;
-    any other is copied, so later writes to it cannot reach the records.
-    """
-
-    with_atoms: np.ndarray
-    no_atoms: np.ndarray
-    seed: int | None = None
-    params_hash: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in ARM_ROLES:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.flags.writeable or not arr.flags.owndata:
-                arr = np.array(arr)  # a copy: the caller can still write
-            if arr.ndim != 2 or not 1 <= arr.shape[1] <= 3 or arr.shape[0] < 1:
-                raise DimensionMismatchError(
-                    f"{name} must be a nonempty (n_shots, n_pulses<=3) array, "
-                    f"got shape {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.with_atoms.shape[1] != self.no_atoms.shape[1]:
-            raise DimensionMismatchError("arms disagree on the pulse count")
-
-    @property
-    def n_pulses(self) -> int:
-        return self.with_atoms.shape[1]
-
-    @property
-    def n_shots(self) -> int:
-        return self.with_atoms.shape[0]
-
-
 _T = TypeVar("_T")
 
 
@@ -279,19 +238,11 @@ def map_arms(fn: Callable[[str], _T]) -> tuple[_T, _T]:
     return with_atoms, no_atoms["result"]
 
 
-def chunk_views(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """``rows`` as consecutive views of ``CHUNK_SHOTS`` rows, the last
-    possibly shorter."""
-    for start in range(0, len(rows), CHUNK_SHOTS):
-        yield rows[start:start + CHUNK_SHOTS]
-
-
 class MomentAccumulator:
-    """Streaming mean and covariance over rows, mergeable across chunks.
+    """Streaming mean and covariance over rows.
 
-    Keeps (count, mean, centered comoment) and combines partial results
-    with the standard pairwise update, so feeding the data in any chunking
-    gives the same moments up to rounding.
+    Keeps (count, mean, centered comoment) and folds each chunk in with
+    the standard pairwise update.
     """
 
     def __init__(self, n_cols: int):
@@ -299,45 +250,26 @@ class MomentAccumulator:
         self.mean = np.zeros(n_cols)
         self.comoment = np.zeros((n_cols, n_cols))
 
-    @classmethod
-    def of(cls, rows: np.ndarray) -> "MomentAccumulator":
-        """An accumulator fed ``rows`` ``CHUNK_SHOTS`` at a time, as every
-        streamed arm is fed, so it holds the same bits."""
-        rows = np.asarray(rows, dtype=float)
-        acc = cls(rows.shape[1])
-        for chunk in chunk_views(rows):
-            acc.update(chunk)
-        return acc
-
     def update(self, rows: np.ndarray) -> None:
+        """Fold in ``rows``, ``CHUNK_SHOTS`` at a time: the grain every
+        arm is streamed in, so a whole array gives the bits its chunks
+        give."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.mean.size:
             raise DimensionMismatchError(
                 f"expected (n, {self.mean.size}) rows, got {rows.shape}"
             )
-        if rows.shape[0] == 0:
-            return
-        n_b = rows.shape[0]
-        mean_b = rows.mean(axis=0)
-        centered = rows - mean_b
-        self._combine(n_b, mean_b, centered.T @ centered)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        if other.mean.size != self.mean.size:
-            raise DimensionMismatchError(
-                f"cannot merge {other.mean.size} columns into "
-                f"{self.mean.size}")
-        self._combine(other.count, other.mean, other.comoment)
-
-    def _combine(self, n_b: int, mean_b: np.ndarray, com_b: np.ndarray) -> None:
-        if n_b == 0:
-            return
-        n_a = self.count
-        n = n_a + n_b
-        delta = mean_b - self.mean
-        self.mean = self.mean + delta * (n_b / n)
-        self.comoment = self.comoment + com_b + np.outer(delta, delta) * (n_a * n_b / n)
-        self.count = n
+        for start in range(0, rows.shape[0], CHUNK_SHOTS):
+            chunk = rows[start:start + CHUNK_SHOTS]
+            n_a, n_b = self.count, chunk.shape[0]
+            n = n_a + n_b
+            mean_b = chunk.mean(axis=0)
+            centered = chunk - mean_b
+            delta = mean_b - self.mean
+            self.mean = self.mean + delta * (n_b / n)
+            self.comoment = (self.comoment + centered.T @ centered
+                             + np.outer(delta, delta) * (n_a * n_b / n))
+            self.count = n
 
     @property
     def covariance(self) -> np.ndarray:
@@ -443,12 +375,6 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
         moment_cov[m, m] = with_atoms[0, 0]
     return DeltaStats._of(measured.cov - scale * reference.cov,
                           moment_cov=moment_cov)
-
-
-def sample_moments(records: ShotRecords) -> tuple[MomentSet, MomentSet]:
-    """Unbiased sample moments of (probe arm, reference arm)."""
-    return (MomentAccumulator.of(records.with_atoms).moments(),
-            MomentAccumulator.of(records.no_atoms).moments())
 
 
 def conditional_variance_from_stats(delta: DeltaStats, var_p: float,

@@ -40,14 +40,17 @@ from qndcert import (
     no_atoms_moments,
     nonclassicality,
     predicted_moments,
+    params_hash,
     propagate,
-    read_records,
+    read_moments,
     run_selftest,
-    simulate_shots,
+    simulate_moments,
     squeezing_condition,
-    write_records,
+    write_arms,
 )
 from qndcert.cli import main
+from qndcert.montecarlo import arm_chunks
+from qndcert.recordio import read_summary
 
 
 def _announce(capsys, number, label, word, detail):
@@ -212,10 +215,13 @@ def test_criterion_4_monte_carlo_agreement(capsys):
         truth = predicted_moments(params, noise, initial).var_p
         sizes = (1_000, 10_000, 100_000, 1_000_000)
         errors = np.zeros((24, len(sizes)))
+        column = np.empty(sizes[-1])
         for run in range(errors.shape[0]):
-            records = simulate_shots(params, noise, initial, sizes[-1],
-                                     seed=41_000 + run)
-            column = records.with_atoms[:, 0]
+            filled = 0
+            for chunk in arm_chunks(params, noise, initial, sizes[-1],
+                                    seed=41_000 + run):
+                column[filled:filled + len(chunk)] = chunk[:, 0]
+                filled += len(chunk)
             for j, n in enumerate(sizes):
                 errors[run, j] = abs(np.var(column[:n], ddof=1) - truth)
         slope = np.polyfit(np.log10(sizes),
@@ -331,23 +337,34 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
     detail = {}
     with _gate(capsys, 7, "determinism and persistence", detail):
         params, noise, initial = _param_set_b()
-        first = simulate_shots(params, noise, initial, 512, seed=77)
-        again = simulate_shots(params, noise, initial, 512, seed=77)
-        for sub, records in (("a", first), ("b", again)):
+        model_hash = params_hash(params, noise, initial)
+
+        def draw(role):
+            return arm_chunks(params, noise, initial, 512, seed=77,
+                              with_atoms=role == "with_atoms")
+
+        for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
-            write_records(records, tmp_path / sub / "run")
+            paths = write_arms(draw, tmp_path / sub / "run", 3, 77,
+                               model_hash)
         for name in ("run.with_atoms.csv", "run.no_atoms.csv",
                      "run.meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
-        loaded = read_records(tmp_path / "a" / "run.with_atoms.csv",
-                              tmp_path / "a" / "run.no_atoms.csv",
-                              tmp_path / "a" / "run.meta.json")
-        assert np.array_equal(loaded.with_atoms, first.with_atoms)
-        assert np.array_equal(loaded.no_atoms, first.no_atoms)
-        assert loaded.seed == 77
-        assert loaded.params_hash == first.params_hash
+        # 512 shots are one chunk per arm
+        for role in ("with_atoms", "no_atoms"):
+            loaded = np.loadtxt(paths[role], delimiter=",", skiprows=1)
+            assert np.array_equal(loaded[:, 1:], next(draw(role)))
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.seed == 77
+        assert summary.params_hash == model_hash
+        drawn = simulate_moments(params, noise, initial, 512, seed=77)
+        for got, want in zip(read_moments(paths["with_atoms"],
+                                          paths["no_atoms"], paths["meta"]),
+                             drawn):
+            assert np.array_equal(got.cov, want.cov)
 
         suites = run_selftest()
         failed = [s.name for s in suites if not s.passed]

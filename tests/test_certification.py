@@ -21,8 +21,7 @@ from qndcert import (
     nonclassicality,
     predicted_moments,
     report_to_dict,
-    sample_moments,
-    simulate_shots,
+    simulate_moments,
 )
 from qndcert.selftest import _draw_model
 
@@ -381,8 +380,8 @@ def _sampled_report(n_pulses, kappa=1.0, r_a=1.0, n33=0.0, seed=5):
                                          r_a=r_a)
     noise = NoiseModel.from_entries({(3, 3): n33}) if n33 else \
         NoiseModel.zero()
-    measured, reference = sample_moments(
-        simulate_shots(params, noise, initial, 20_000, seed))
+    measured, reference = simulate_moments(params, noise, initial, 20_000,
+                                           seed)
     delta = delta_stats(measured, reference, params.r_l)
     return certify(delta, measured.var_p, kappa, 25.0, 25.0,
                    var_p_se=measured.se_of("var_p"))
@@ -437,8 +436,8 @@ def _coverage_ratios(r_a, noise, n_seeds=400, n_shots=4000, kappa=2.0):
                                  OpticalBlock.coherent(100.0, 3), Layout(3))
     values, ses = [], []
     for seed in range(n_seeds):
-        measured, reference = sample_moments(simulate_shots(
-            params, NoiseModel.from_entries(noise), initial, n_shots, seed))
+        measured, reference = simulate_moments(
+            params, NoiseModel.from_entries(noise), initial, n_shots, seed)
         report = certify(delta_stats(measured, reference, params.r_l),
                          measured.var_p, kappa, 25.0, 25.0,
                          var_p_se=measured.se_of("var_p"))

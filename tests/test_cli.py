@@ -234,6 +234,18 @@ class TestBadRecords:
         assert "shots:" not in captured.out
         assert "no_atoms" in captured.err and "1000" in captured.err
 
+    def test_arms_of_unequal_length_are_refused(self, tmp_path, capsys):
+        # without a sidecar nothing else holds the arms to one shot count
+        (tmp_path / "x.csv").write_text("shot,p_y\n0,1.0\n1,2.0\n2,4.0\n")
+        (tmp_path / "y.csv").write_text("shot,p_y\n0,1.0\n1,3.0\n")
+        code = main(["stats", "--records", str(tmp_path / "x.csv"),
+                     "--no-atoms-records", str(tmp_path / "y.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "shots:" not in captured.out
+        assert ("arms disagree on the shot count: 3 with_atoms, 2 no_atoms"
+                in captured.err)
+
 
 class TestEstimate:
     def test_recovers_losses_and_noise(self, lossy_run, tmp_path, capsys):

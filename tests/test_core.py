@@ -212,13 +212,18 @@ def test_public_names_are_the_imported_ones():
 
     names = qndcert.__all__
     assert names == sorted(set(names))
-    assert {"certify", "MomentSet", "delta_stats", "write_records"} <= set(names)
+    assert {"certify", "MomentSet", "delta_stats", "simulate_moments",
+            "write_arms", "read_moments"} <= set(names)
     for name in names:
         assert not name.startswith("_")
         assert not isinstance(getattr(qndcert, name), type(qndcert))
     # submodules, helpers of the package itself and deleted API stay out
-    assert not {"statistics", "ModuleType", "estimate_kappa_from_means"} \
-        & set(names)
+    assert not {"statistics", "ModuleType", "estimate_kappa_from_means",
+                "ShotRecords", "simulate_arm", "simulate_shots",
+                "write_records", "read_records", "sample_moments",
+                "chunk_views"} & set(names)
+    for name in ("of", "merge"):
+        assert not hasattr(qndcert.MomentAccumulator, name)
     namespace = {}
     exec("from qndcert import *", namespace)
     assert set(names) <= namespace.keys()

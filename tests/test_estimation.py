@@ -14,8 +14,7 @@ from qndcert import (
     invert_three_pulse,
     no_atoms_moments,
     predicted_moments,
-    sample_moments,
-    simulate_shots,
+    simulate_moments,
 )
 from qndcert.estimation import _route_se
 
@@ -184,8 +183,8 @@ class TestJointStandardErrors:
 
     def test_route_errors_match_hand_gradients(self, noisy_set):
         params, noise, initial = noisy_set
-        measured, reference = sample_moments(
-            simulate_shots(params, noise, initial, 20_000, 3))
+        measured, reference = simulate_moments(params, noise, initial,
+                                               20_000, 3)
         delta = delta_stats(measured, reference, params.r_l)
         names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
         sigma = np.array(delta._sigma(names))

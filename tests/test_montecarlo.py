@@ -1,3 +1,4 @@
+import json
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -15,15 +16,14 @@ from qndcert import (
     NoiseModel,
     OpticalBlock,
     SamplerUnsupportedError,
-    ShotRecords,
     empirical_check,
     interaction_matrix,
+    load_config,
     make_initial_state,
     params_hash,
-    sample_moments,
-    simulate_arm,
-    simulate_shots,
+    simulate_moments,
 )
+from qndcert.cli import main
 from qndcert.montecarlo import CHUNK_SHOTS, _psd_factor, arm_chunks
 from qndcert.statistics import (
     ARM_ROLES,
@@ -33,44 +33,52 @@ from qndcert.statistics import (
 )
 
 
+def _first_chunk(params, noise, initial, n_shots, seed, with_atoms=True):
+    return next(arm_chunks(params, noise, initial, n_shots, seed,
+                           with_atoms=with_atoms))
+
+
 class TestDeterminism:
     def test_same_seed_same_draws(self, noisy_set):
         params, noise, initial = noisy_set
-        a = simulate_arm(params, noise, initial, 500, 99)
-        b = simulate_arm(params, noise, initial, 500, 99)
-        np.testing.assert_array_equal(a, b)
+        for a, b in zip(arm_chunks(params, noise, initial, CHUNK_SHOTS + 5,
+                                   99),
+                        arm_chunks(params, noise, initial, CHUNK_SHOTS + 5,
+                                   99), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self, noisy_set):
         params, noise, initial = noisy_set
-        a = simulate_arm(params, noise, initial, 500, 99)
-        b = simulate_arm(params, noise, initial, 500, 100)
+        a = _first_chunk(params, noise, initial, 500, 99)
+        b = _first_chunk(params, noise, initial, 500, 100)
         assert not np.array_equal(a, b)
 
     def test_arms_use_distinct_streams(self, ideal_set):
         params, noise, initial = ideal_set
-        records = simulate_shots(params, noise, initial, 500, 99)
-        assert not np.array_equal(records.with_atoms, records.no_atoms)
+        assert not np.array_equal(
+            _first_chunk(params, noise, initial, 500, 99),
+            _first_chunk(params, noise, initial, 500, 99, with_atoms=False))
 
     def test_chunks_are_independent_of_total_length(self, ideal_set):
         # each 16384-shot chunk owns a fixed substream, so a longer run
         # reproduces the shorter run's chunks verbatim
         params, noise, initial = ideal_set
-        short = simulate_arm(params, noise, initial, CHUNK_SHOTS, 7)
-        longer = simulate_arm(params, noise, initial, CHUNK_SHOTS + 2000, 7)
-        np.testing.assert_array_equal(longer[:CHUNK_SHOTS], short)
+        short = _first_chunk(params, noise, initial, CHUNK_SHOTS, 7)
+        longer = _first_chunk(params, noise, initial, CHUNK_SHOTS + 2000, 7)
+        np.testing.assert_array_equal(longer, short)
 
     def test_noise_free_prefix_identity(self, lossy_set):
         # without per-pulse noise draws, even partial chunks agree
         params, noise, initial = lossy_set
         assert noise.is_zero
-        short = simulate_arm(params, noise, initial, 100, 7)
-        longer = simulate_arm(params, noise, initial, 2000, 7)
+        short = _first_chunk(params, noise, initial, 100, 7)
+        longer = _first_chunk(params, noise, initial, 2000, 7)
         np.testing.assert_array_equal(longer[:100], short)
 
     def test_shot_count_validation(self, ideal_set):
         params, noise, initial = ideal_set
         with pytest.raises(ValueError):
-            simulate_arm(params, noise, initial, 0, 1)
+            arm_chunks(params, noise, initial, 0, 1)
 
 
 def _stepwise_arm(params, noise, initial, n_shots, seed, with_atoms=True):
@@ -78,7 +86,7 @@ def _stepwise_arm(params, noise, initial, n_shots, seed, with_atoms=True):
     through each pulse map in turn, with the pulse's noise kick added onto
     the spin block and the active pulse block, and the meter components
     are read off at the end.  It consumes the same (arm, chunk) substreams
-    in the same order as ``simulate_arm``."""
+    in the same order as :func:`arm_chunks`."""
     layout = initial.layout
     if not with_atoms:
         params = replace(params, g_tau=0.0, r_a=1.0, r_l=1.0)
@@ -132,17 +140,21 @@ class TestAgainstStepwisePropagation:
                                              r_a=0.8, r_l=0.9)
         n_shots = CHUNK_SHOTS + 5 if n_pulses == 3 else 700
         for with_atoms in (True, False):
-            got = simulate_arm(params, noise, initial, n_shots, 41,
-                               with_atoms=with_atoms)
             want = _stepwise_arm(params, noise, initial, n_shots, 41,
                                  with_atoms=with_atoms)
             scale = np.abs(want).max(axis=0)
-            assert np.all(np.abs(got - want) <= 1e-12 * scale), with_atoms
+            start = 0
+            for got in arm_chunks(params, noise, initial, n_shots, 41,
+                                  with_atoms=with_atoms):
+                part = want[start:start + len(got)]
+                assert np.all(np.abs(got - part) <= 1e-12 * scale), with_atoms
+                start += len(got)
+            assert start == n_shots
 
 
 class TestArmThreads:
-    """Both arms are drawn side by side; the values must be those of two
-    calls made one after the other."""
+    """Both arms are drawn and accumulated side by side; the moments must
+    be those of the two arms run one after the other."""
 
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     @pytest.mark.parametrize("noise", [NoiseModel.zero(), _DENSE_NOISE],
@@ -154,15 +166,18 @@ class TestArmThreads:
             OpticalBlock.coherent(100.0, n_pulses), Layout(n_pulses))
         params = ExperimentParams.from_kappa(1.3, mean_sx=50.0, mean_jx=40.0,
                                              r_a=0.8, r_l=0.9)
-        records = simulate_shots(params, noise, initial, n_shots, 23)
-        for with_atoms, got in ((True, records.with_atoms),
-                                (False, records.no_atoms)):
-            want = simulate_arm(params, noise, initial, n_shots, 23,
-                                with_atoms=with_atoms)
-            np.testing.assert_array_equal(got, want)
+        moments = simulate_moments(params, noise, initial, n_shots, 23)
+        for role, got in zip(ARM_ROLES, moments):
+            acc = MomentAccumulator(n_pulses)
+            for chunk in arm_chunks(params, noise, initial, n_shots, 23,
+                                    with_atoms=role == "with_atoms"):
+                acc.update(chunk)
+            np.testing.assert_array_equal(got.cov, acc.moments().cov)
+            np.testing.assert_array_equal(got.moment_cov,
+                                          acc.moments().moment_cov)
 
     def test_split_draws_consume_the_substream_in_order(self):
-        # simulate_arm draws a chunk's variates a few rows at a time
+        # arm_chunks draws a chunk's variates a few rows at a time
         key = np.random.SeedSequence(entropy=5, spawn_key=(0, 3))
         whole = np.random.default_rng(key).standard_normal((1000, 7))
         rng = np.random.default_rng(key)
@@ -173,7 +188,7 @@ class TestArmThreads:
                                          ("with_atoms", "no_atoms")])
     def test_first_failure_in_role_order_reaches_the_caller(
             self, ideal_set, monkeypatch, failing):
-        real = qndcert.montecarlo.simulate_arm
+        real = qndcert.montecarlo.arm_chunks
 
         def arm(*args, with_atoms):
             role = "with_atoms" if with_atoms else "no_atoms"
@@ -181,10 +196,10 @@ class TestArmThreads:
                 raise SamplerUnsupportedError(role)
             return real(*args, with_atoms=with_atoms)
 
-        monkeypatch.setattr(qndcert.montecarlo, "simulate_arm", arm)
+        monkeypatch.setattr(qndcert.montecarlo, "arm_chunks", arm)
         threads = threading.active_count()
         with pytest.raises(SamplerUnsupportedError) as caught:
-            simulate_shots(*ideal_set, 100, 1)
+            simulate_moments(*ideal_set, 100, 1)
         assert str(caught.value) == failing[0]
         assert threading.active_count() == threads
 
@@ -200,47 +215,6 @@ class TestArmThreads:
         (first, ident_a), (second, ident_b) = map_arms(meet)
         assert (first, second) == ("with_atoms", "no_atoms")
         assert ident_a == threading.get_ident() != ident_b
-
-
-class TestRecordOwnership:
-    """The sampler's arrays become the records without a copy; an array
-    a caller can still write to is copied."""
-
-    def test_sampler_arrays_are_held_once(self, ideal_set):
-        simulate_shots(*ideal_set, 1000, 1)  # first-call allocations
-        tracemalloc.start()
-        try:
-            records = simulate_shots(*ideal_set, 50_000, 11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = records.with_atoms.nbytes + records.no_atoms.nbytes
-        assert size == 2_400_000
-        # each arm's chunk buffer and draws add about 0.95 MB together; a
-        # second copy of both arms would put the peak at 2 * size or above
-        assert peak < 1.5 * size
-
-    def test_caller_array_is_copied(self):
-        rows = np.arange(12.0).reshape(4, 3)
-        records = ShotRecords(with_atoms=rows, no_atoms=rows)
-        rows[0, 0] = -1.0
-        assert records.with_atoms[0, 0] == records.no_atoms[0, 0] == 0.0
-        assert rows.flags.writeable
-
-    def test_read_only_view_is_copied(self):
-        # the view cannot be written, but its base still can
-        base = np.arange(12.0).reshape(4, 3)
-        view = base.view()
-        view.setflags(write=False)
-        records = ShotRecords(with_atoms=view, no_atoms=view)
-        base[0, 0] = -1.0
-        assert records.with_atoms[0, 0] == 0.0
-
-    def test_records_are_read_only(self, ideal_set):
-        records = simulate_shots(*ideal_set, 10, 1)
-        for arm in (records.with_atoms, records.no_atoms):
-            with pytest.raises(ValueError, match="read-only"):
-                arm[0, 0] = 0.0
 
 
 class TestStreamedMemory:
@@ -279,13 +253,21 @@ class TestParamsHash:
         assert params_hash(replace(params, r_a=0.81), noise, initial) != base
         assert params_hash(params, NoiseModel.zero(), initial) != base
 
-    def test_recorded_in_simulation_output(self, ideal_set):
-        params, noise, initial = ideal_set
-        records = simulate_shots(params, noise, initial, 10, 3)
-        assert records.params_hash == params_hash(params, noise, initial)
-        assert records.seed == 3
-        assert records.n_shots == 10
-        assert records.n_pulses == 3
+    def test_recorded_in_simulation_output(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "n_pulses": 3, "coupling": {"kappa": 1.0},
+            "atoms": {"n_atoms": 100.0}, "light": {"n_photons": 100.0},
+            "n_shots": 10, "seed": 3}))
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        meta = json.loads((tmp_path / "run.meta.json").read_text())
+        config = load_config(config_path)
+        assert meta["params_hash"] == params_hash(
+            config.params, config.noise, config.initial_state())
+        assert meta["seed"] == 3
+        assert meta["n_shots"] == 10
+        assert meta["n_pulses"] == 3
 
 
 class TestSampledStatistics:
@@ -307,8 +289,8 @@ class TestSampledStatistics:
         # the no-atoms arm must depend on the input light alone
         params, noise, initial = noisy_set
         plain = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0)
-        a = simulate_arm(params, noise, initial, 300, 11, with_atoms=False)
-        b = simulate_arm(plain, NoiseModel.zero(), initial, 300, 11,
+        a = _first_chunk(params, noise, initial, 300, 11, with_atoms=False)
+        b = _first_chunk(plain, NoiseModel.zero(), initial, 300, 11,
                          with_atoms=False)
         np.testing.assert_array_equal(a, b)
 
@@ -319,23 +301,25 @@ class TestSampledStatistics:
         mean = np.asarray(initial.mean).copy()
         mean[layout.index("J_z")] = 4.0
         displaced = GaussianState(layout, mean, initial.cov)
-        rows = simulate_arm(params, noise, displaced, 40000, 13)
-        assert rows[:, 0].mean() == pytest.approx(4.0, abs=0.15)
-        assert rows[:, 2].mean() == pytest.approx(4.0, abs=0.15)
+        acc = MomentAccumulator(3)
+        for chunk in arm_chunks(params, noise, displaced, 40000, 13):
+            acc.update(chunk)
+        assert acc.mean[0] == pytest.approx(4.0, abs=0.15)
+        assert acc.mean[2] == pytest.approx(4.0, abs=0.15)
 
 
 class TestDegenerateCovariances:
     def test_singular_input_is_fine(self, ideal_set):
         # coherent blocks have exactly zero variance along x
         params, noise, initial = ideal_set
-        rows = simulate_arm(params, noise, initial, 1000, 17)
+        rows = _first_chunk(params, noise, initial, 1000, 17)
         assert np.isfinite(rows).all()
 
     def test_fully_deterministic_input(self):
         layout = Layout(1)
         initial = GaussianState(layout, np.zeros(6), np.zeros((6, 6)))
         params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0)
-        rows = simulate_arm(params, NoiseModel.zero(), initial, 50, 19)
+        rows = _first_chunk(params, NoiseModel.zero(), initial, 50, 19)
         np.testing.assert_array_equal(rows, np.zeros((50, 1)))
 
     def test_deterministic_moments_zscore_exactly(self):
@@ -354,7 +338,7 @@ class TestDegenerateCovariances:
         initial = GaussianState(layout, np.zeros(6), cov, check_psd=False)
         params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0)
         with pytest.raises(SamplerUnsupportedError):
-            simulate_arm(params, NoiseModel.zero(), initial, 10, 1)
+            arm_chunks(params, NoiseModel.zero(), initial, 10, 1)
 
 
 class TestConvergence:
@@ -364,9 +348,12 @@ class TestConvergence:
         params, noise, initial = ideal_set
         small = large = 0.0
         for seed in range(29, 35):
-            rows = simulate_arm(params, noise, initial, 100000, seed)
-            small += abs(np.var(rows[:1000, 0], ddof=1) - 50.0)
-            large += abs(np.var(rows[:, 0], ddof=1) - 50.0)
+            acc = MomentAccumulator(3)
+            for chunk in arm_chunks(params, noise, initial, 100000, seed):
+                if acc.count == 0:
+                    small += abs(np.var(chunk[:1000, 0], ddof=1) - 50.0)
+                acc.update(chunk)
+            large += abs(acc.covariance[0, 0] - 50.0)
         assert large < small / 3.0
 
 
@@ -383,11 +370,17 @@ def _chunk_accumulators(params, noise, initial, n_chunks, seed):
     return arms
 
 
-def _merged(accs, skip=None):
-    total = MomentAccumulator(accs[0].mean.size)
-    for index, acc in enumerate(accs):
-        if index != skip:
-            total.merge(acc)
+def _pooled(accs, skip=None):
+    """An accumulator holding the chunks of ``accs`` but the one at
+    ``skip``, pooled by the textbook formula (Chan et al.)."""
+    kept = [acc for index, acc in enumerate(accs) if index != skip]
+    total = MomentAccumulator(kept[0].mean.size)
+    total.count = sum(acc.count for acc in kept)
+    total.mean = sum(acc.count * acc.mean for acc in kept) / total.count
+    total.comoment = sum(
+        acc.comoment + acc.count * np.outer(acc.mean - total.mean,
+                                            acc.mean - total.mean)
+        for acc in kept)
     return total
 
 
@@ -421,10 +414,10 @@ class TestChunkJackknife:
         arms = _chunk_accumulators(params, NoiseModel.from_entries(noise),
                                    initial, self.N_CHUNKS, 1207)
         g = self.N_CHUNKS
-        full = _views(_merged(arms["with_atoms"]), _merged(arms["no_atoms"]),
+        full = _views(_pooled(arms["with_atoms"]), _pooled(arms["no_atoms"]),
                       params.r_l)
-        left_out = [_views(_merged(arms["with_atoms"], skip=i),
-                           _merged(arms["no_atoms"], skip=i), params.r_l)
+        left_out = [_views(_pooled(arms["with_atoms"], skip=i),
+                           _pooled(arms["no_atoms"], skip=i), params.r_l)
                     for i in range(g)]
         ratios = {}
         for k, (label, moments) in enumerate(full):

@@ -1,0 +1,19 @@
+"""The README's Python example runs as printed."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    # 100k shots at seed 11: certified, with this conditional variance
+    assert out.getvalue() == "True 0.46326789478022695\n"

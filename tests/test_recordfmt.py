@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qndcert import ShotRecords, write_records
 from qndcert.montecarlo import CHUNK_SHOTS
 from qndcert.recordfmt import format_rows
-from qndcert.recordio import SUB_BLOCK_ROWS
+from qndcert.recordio import SUB_BLOCK_ROWS, write_arms
 
 
 def _reference(rows, first_shot=0):
@@ -107,8 +106,8 @@ def test_files_equal_row_by_row_text_across_blocks(tmp_path, n_shots):
     rng = np.random.default_rng(n_shots)
     rows = rng.normal(0, 3, (n_shots, 3))
     rows[::997, 1] = 1e-5 * rng.normal(size=rows[::997, 1].shape)
-    paths = write_records(ShotRecords(with_atoms=rows, no_atoms=rows[:, ::-1]),
-                          tmp_path / "run")
-    for role, arm in (("with_atoms", rows), ("no_atoms", rows[:, ::-1])):
+    arms = {"with_atoms": rows, "no_atoms": rows[:, ::-1]}
+    paths = write_arms(lambda role: [arms[role]], tmp_path / "run", 3)
+    for role, arm in arms.items():
         expected = b"shot,p_y,q_y,r_y\n" + _reference(arm)
         assert paths[role].read_bytes() == expected

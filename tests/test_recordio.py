@@ -1,10 +1,10 @@
 import errno
 import hashlib
+import itertools
 import json
 import os
 import stat
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,12 +16,8 @@ from qndcert import (
     MomentAccumulator,
     OpticalBlock,
     RecordError,
-    ShotRecords,
+    delta_stats,
     make_initial_state,
-    read_records,
-    sample_moments,
-    simulate_shots,
-    write_records,
 )
 from qndcert import params_hash, recordio
 from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks, simulate_moments
@@ -34,34 +30,66 @@ from qndcert.recordio import (
     write_arms,
     write_atomic,
 )
+from qndcert.statistics import ARM_ROLES
+
+SMALL_HASH = "0123456789abcdef"
+
+
+def _drawn(param_set, n_shots, seed):
+    """Each arm's shots of a run of at most one chunk, by role."""
+    assert n_shots <= CHUNK_SHOTS
+    return {role: np.array(next(arm_chunks(*param_set, n_shots, seed,
+                                           with_atoms=role == "with_atoms")))
+            for role in ARM_ROLES}
 
 
 @pytest.fixture
-def small_records(noisy_set):
-    params, noise, initial = noisy_set
-    return simulate_shots(params, noise, initial, 64, 21)
+def small_rows(noisy_set):
+    return _drawn(noisy_set, 64, 21)
+
+
+def _write(rows, prefix, r_l=None):
+    """Write ``rows`` (by role), one chunk per arm, as seed 21."""
+    return write_arms(lambda role: [rows[role]], prefix,
+                      rows["with_atoms"].shape[1], 21, SMALL_HASH, r_l)
+
+
+def _write_run(param_set, n_shots, seed, prefix, r_l=None):
+    """Write a run as ``qndc simulate`` does, chunk by chunk."""
+    params, noise, initial = param_set
+    return write_arms(
+        lambda role: arm_chunks(params, noise, initial, n_shots, seed,
+                                with_atoms=role == "with_atoms"),
+        prefix, initial.layout.n_pulses, seed,
+        params_hash(params, noise, initial), r_l)
+
+
+def _assert_parsed(path, chunks):
+    """The CSV at ``path`` parses to ``chunks``, one by one, bit for bit."""
+    for got, want in itertools.zip_longest(recordio._read_arm(path), chunks):
+        assert got is not None and want is not None
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRoundTrip:
-    def test_exact(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
-        back = read_records(paths["with_atoms"], paths["no_atoms"],
-                            paths["meta"])
-        np.testing.assert_array_equal(back.with_atoms,
-                                      small_records.with_atoms)
-        np.testing.assert_array_equal(back.no_atoms, small_records.no_atoms)
-        assert back.seed == 21
-        assert back.params_hash == small_records.params_hash
+    def test_exact(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
+        for role in ARM_ROLES:
+            _assert_parsed(paths[role], [small_rows[role]])
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+                               paths["meta"])
+        assert summary.seed == 21
+        assert summary.params_hash == SMALL_HASH
 
-    def test_without_sidecar(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
-        back = read_records(paths["with_atoms"], paths["no_atoms"])
-        np.testing.assert_array_equal(back.with_atoms,
-                                      small_records.with_atoms)
-        assert back.seed is None
+    def test_without_sidecar(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
+        summary = read_summary(paths["with_atoms"], paths["no_atoms"])
+        assert summary.seed is None
+        for got in read_moments(paths["with_atoms"], paths["no_atoms"]):
+            assert got.n_shots == 64
 
-    def test_file_layout(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_file_layout(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         assert paths["with_atoms"].name == "run.with_atoms.csv"
         text = paths["with_atoms"].read_text()
         lines = text.splitlines()
@@ -70,16 +98,16 @@ class TestRoundTrip:
         assert len(lines) == 65
         assert text.endswith("\n")
 
-    def test_sidecar_contents(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_sidecar_contents(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         assert meta["kind"] == "shot_records"
         assert meta["n_shots"] == 64
         assert meta["n_pulses"] == 3
         assert meta["seed"] == 21
 
-    def test_sibling_discovery(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_sibling_discovery(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         assert sibling_meta_path(paths["with_atoms"]) == paths["meta"]
         assert sibling_meta_path(tmp_path / "other.csv") is None
         (tmp_path / "lone.with_atoms.csv").write_text("shot,p_y\n0,1.0\n")
@@ -102,40 +130,38 @@ class TestFormat:
     )
 
     def test_golden_bytes(self, tmp_path):
-        records = ShotRecords(with_atoms=self.EDGE_VALUES,
-                              no_atoms=self.EDGE_VALUES[::-1])
+        rows = {"with_atoms": self.EDGE_VALUES,
+                "no_atoms": self.EDGE_VALUES[::-1]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            paths = write_records(records, tmp_path / "edge")
+            paths = _write(rows, tmp_path / "edge")
         # the summaries overflow, so the sidecar leaves them out
         assert "arms" not in json.loads(paths["meta"].read_text())
         assert paths["with_atoms"].read_bytes() == self.EDGE_TEXT.encode()
-        back = read_records(paths["with_atoms"], paths["no_atoms"])
-        np.testing.assert_array_equal(back.with_atoms, self.EDGE_VALUES)
-        np.testing.assert_array_equal(np.signbit(back.with_atoms),
+        for role in ARM_ROLES:
+            _assert_parsed(paths[role], [rows[role]])
+        (parsed,) = recordio._read_arm(paths["with_atoms"])
+        np.testing.assert_array_equal(np.signbit(parsed),
                                       np.signbit(self.EDGE_VALUES))
-        np.testing.assert_array_equal(back.no_atoms, self.EDGE_VALUES[::-1])
 
     def test_shot_index_continues_across_blocks(self, tmp_path, noisy_set):
         params, noise, initial = noisy_set
         n_shots = CHUNK_SHOTS + 5
-        records = simulate_shots(params, noise, initial, n_shots, 4)
-        paths = write_records(records, tmp_path / "big")
+        paths = _write_run(noisy_set, n_shots, 4, tmp_path / "big")
         lines = paths["with_atoms"].read_text().splitlines()
         assert len(lines) == n_shots + 1
         shots = [int(line.split(",", 1)[0]) for line in lines[1:]]
         assert shots == list(range(n_shots))
-        back = read_records(paths["with_atoms"], paths["no_atoms"],
-                            paths["meta"])
-        np.testing.assert_array_equal(back.with_atoms, records.with_atoms)
-        np.testing.assert_array_equal(back.no_atoms, records.no_atoms)
+        for role in ARM_ROLES:
+            _assert_parsed(paths[role], arm_chunks(
+                params, noise, initial, n_shots, 4,
+                with_atoms=role == "with_atoms"))
 
 
-def _run_of(n_pulses, n_shots, seed, params, noise):
-    initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                 OpticalBlock.coherent(100.0, n_pulses),
-                                 Layout(n_pulses))
-    return simulate_shots(params, noise, initial, n_shots, seed)
+def _initial(n_pulses):
+    return make_initial_state(AtomicBlock.coherent(100.0),
+                              OpticalBlock.coherent(100.0, n_pulses),
+                              Layout(n_pulses))
 
 
 def _edit_byte(path, offset, new):
@@ -151,20 +177,20 @@ class TestSummary:
     def test_sidecar_moments_equal_parsed_moments(self, tmp_path, noisy_set,
                                                   n_pulses, n_shots):
         params, noise, _ = noisy_set
-        records = _run_of(n_pulses, n_shots, 7, params, noise)
-        paths = write_records(records, tmp_path / "run")
+        paths = _write_run((params, noise, _initial(n_pulses)), n_shots, 7,
+                           tmp_path / "run")
         summary = read_summary(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
         assert summary.moments_source == "sidecar"
-        parsed = sample_moments(read_records(
-            paths["with_atoms"], paths["no_atoms"], paths["meta"]))
+        parsed = read_moments(paths["with_atoms"], paths["no_atoms"],
+                              paths["meta"])
         for stored, reference in zip(summary.moments, parsed):
             assert stored.n_shots == reference.n_shots == n_shots
             assert stored.entries() == reference.entries()
             assert stored.se == reference.se
 
-    def test_sidecar_holds_digests_and_r_l(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run", r_l=0.9)
+    def test_sidecar_holds_digests_and_r_l(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run", r_l=0.9)
         meta = json.loads(paths["meta"].read_text())
         assert meta["schema_version"] == 2
         assert meta["r_l"] == 0.9
@@ -175,22 +201,22 @@ class TestSummary:
         summary = read_summary(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
         assert summary.r_l == 0.9 and summary.seed == 21
-        assert summary.params_hash == small_records.params_hash
+        assert summary.params_hash == SMALL_HASH
 
     def test_sidecar_is_byte_identical_across_reruns(self, tmp_path,
-                                                     small_records):
-        first = write_records(small_records, tmp_path / "a", r_l=0.9)
-        second = write_records(small_records, tmp_path / "b", r_l=0.9)
+                                                     small_rows):
+        first = _write(small_rows, tmp_path / "a", r_l=0.9)
+        second = _write(small_rows, tmp_path / "b", r_l=0.9)
         assert first["meta"].read_bytes() == second["meta"].read_bytes()
 
-    def test_no_sidecar_means_parsing(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_no_sidecar_means_parsing(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         summary = read_summary(paths["with_atoms"], paths["no_atoms"])
         assert summary.moments is None and summary.stale == ()
         assert summary.moments_source == "parsed"
 
-    def test_schema_1_sidecar_still_reads(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_schema_1_sidecar_still_reads(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         del meta["arms"], meta["r_l"]
         meta["schema_version"] = 1
@@ -199,20 +225,21 @@ class TestSummary:
                                paths["meta"])
         assert summary.moments is None and summary.stale == ()
         assert summary.seed == 21 and summary.r_l is None
-        back = read_records(paths["with_atoms"], paths["no_atoms"],
-                            paths["meta"])
-        assert back.params_hash == small_records.params_hash
+        assert summary.params_hash == SMALL_HASH
+        for got in read_moments(paths["with_atoms"], paths["no_atoms"],
+                                paths["meta"]):
+            assert got.n_shots == 64
 
-    def test_swapped_arms_are_parsed(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_swapped_arms_are_parsed(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         summary = read_summary(paths["no_atoms"], paths["with_atoms"],
                                paths["meta"])
         assert summary.moments is None
         assert summary.stale == (paths["no_atoms"], paths["with_atoms"])
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
-    def test_edited_byte_is_parsed(self, tmp_path, small_records, role):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_edited_byte_is_parsed(self, tmp_path, small_rows, role):
+        paths = _write(small_rows, tmp_path / "run")
         data = paths[role].read_bytes()
         offset = len(data) - 5  # the 14th digit of the last value
         assert chr(data[offset]).isdigit()
@@ -221,15 +248,13 @@ class TestSummary:
         summary = read_summary(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
         assert summary.moments is None and summary.stale == (paths[role],)
-        back = read_records(paths["with_atoms"], paths["no_atoms"],
-                            paths["meta"])
-        assert not np.array_equal(getattr(back, role),
-                                  getattr(small_records, role))
+        (parsed,) = recordio._read_arm(paths[role])
+        assert not np.array_equal(parsed, small_rows[role])
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
     def test_stale_sidecar_gives_only_its_digests(self, tmp_path,
-                                                  small_records, role):
-        paths = write_records(small_records, tmp_path / "run", r_l=0.9)
+                                                  small_rows, role):
+        paths = _write(small_rows, tmp_path / "run", r_l=0.9)
         with open(paths[role], "ab") as handle:
             handle.write(b"\n")
         summary = read_summary(paths["with_atoms"], paths["no_atoms"],
@@ -239,15 +264,15 @@ class TestSummary:
             (None, None, None)
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
-    def test_edit_to_non_numeric_is_refused(self, tmp_path, small_records,
+    def test_edit_to_non_numeric_is_refused(self, tmp_path, small_rows,
                                             role):
-        paths = write_records(small_records, tmp_path / "run")
+        paths = _write(small_rows, tmp_path / "run")
         _edit_byte(paths[role], 200, "x")
         summary = read_summary(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
         assert summary.stale == (paths[role],)
         with pytest.raises(RecordError, match=paths[role].name):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     @pytest.mark.parametrize("field, value, message", [
@@ -257,9 +282,9 @@ class TestSummary:
         ("mean", [0.0, float("nan"), 0.0], "non-finite"),
         ("comoment", "x", "malformed"),
     ])
-    def test_bad_summary_is_refused(self, tmp_path, small_records, field,
+    def test_bad_summary_is_refused(self, tmp_path, small_rows, field,
                                     value, message):
-        paths = write_records(small_records, tmp_path / "run")
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         meta["arms"]["with_atoms"][field] = value
         paths["meta"].write_text(json.dumps(meta))
@@ -270,24 +295,29 @@ class TestSummary:
 
 class TestOneGrain:
     """Every route to an arm's moments accumulates the same ``CHUNK_SHOTS``
-    chunks, and a streamed write is the in-memory write: same bits."""
+    chunks, however its rows arrive: same bits."""
 
     @pytest.mark.parametrize("n_shots", [CHUNK_SHOTS - 1,
                                          2 * CHUNK_SHOTS + 5])
     def test_every_route_gives_the_same_moments(self, tmp_path, noisy_set,
                                                 n_shots):
         params, noise, initial = noisy_set
-        records = simulate_shots(params, noise, initial, n_shots, 3)
-        paths = write_records(records, tmp_path / "run")
+        paths = _write_run(noisy_set, n_shots, 3, tmp_path / "run")
         csvs = paths["with_atoms"], paths["no_atoms"]
+
+        def whole(path):
+            acc = MomentAccumulator(3)
+            acc.update(np.concatenate(list(recordio._read_arm(path))))
+            return acc.moments()
+
         routes = {
-            "streamed": simulate_moments(params, noise, initial, n_shots, 3),
             "sidecar": read_summary(*csvs, paths["meta"]).moments,
             "parsed": read_moments(*csvs),
-            "parsed whole": sample_moments(read_records(*csvs)),
+            "parsed whole": tuple(whole(path) for path in csvs),
         }
+        streamed = simulate_moments(params, noise, initial, n_shots, 3)
         for name, moments in routes.items():
-            for got, want in zip(moments, sample_moments(records)):
+            for got, want in zip(moments, streamed):
                 assert got.n_shots == want.n_shots == n_shots, name
                 np.testing.assert_array_equal(got.cov, want.cov, name)
                 np.testing.assert_array_equal(got.moment_cov, want.moment_cov,
@@ -296,15 +326,30 @@ class TestOneGrain:
     @pytest.mark.parametrize("n_shots", [1, CHUNK_SHOTS + 1])
     def test_streamed_write_equals_in_memory_write(self, tmp_path, noisy_set,
                                                    n_shots):
+        # the sampler's chunks, and the same arm handed over as one array
         params, noise, initial = noisy_set
-        records = simulate_shots(params, noise, initial, n_shots, 8)
-        in_memory = write_records(records, tmp_path / "a", r_l=0.9)
-        streamed = write_arms(
-            lambda role: arm_chunks(params, noise, initial, n_shots, 8,
-                                    with_atoms=role == "with_atoms"),
-            tmp_path / "b", 3, 8, params_hash(params, noise, initial), 0.9)
-        for key, path in in_memory.items():
-            assert streamed[key].read_bytes() == path.read_bytes(), key
+        streamed = _write_run(noisy_set, n_shots, 8, tmp_path / "a", r_l=0.9)
+        arms = {role: np.concatenate([chunk.copy() for chunk in arm_chunks(
+                    params, noise, initial, n_shots, 8,
+                    with_atoms=role == "with_atoms")])
+                for role in ARM_ROLES}
+        in_memory = write_arms(lambda role: [arms[role]], tmp_path / "b", 3, 8,
+                               params_hash(params, noise, initial), 0.9)
+        for key, path in streamed.items():
+            assert in_memory[key].read_bytes() == path.read_bytes(), key
+
+    def test_oversized_chunk_keeps_the_grain(self, tmp_path):
+        # one chunk of more than CHUNK_SHOTS rows per arm: the sidecar's
+        # summaries are the parsed moments, bit for bit (summed in one
+        # piece, they differed in the last bits)
+        rng = np.random.default_rng(8)
+        rows = {role: rng.normal(3.0, 7.0, (20_000, 3)) for role in ARM_ROLES}
+        paths = write_arms(lambda role: [rows[role]], tmp_path / "run", 3)
+        csvs = paths["with_atoms"], paths["no_atoms"]
+        stored = read_summary(*csvs, paths["meta"]).moments
+        for got, want in zip(stored, read_moments(*csvs), strict=True):
+            np.testing.assert_array_equal(got.cov, want.cov)
+            np.testing.assert_array_equal(got.moment_cov, want.moment_cov)
 
     def test_streamed_non_finite_value_names_its_row(self, tmp_path):
         # a chunk past the first: the global row is named, nothing is left
@@ -331,9 +376,9 @@ class TestSidecarFields:
         ("n_shots", "64"), ("seed", 21.5), ("seed", -1), ("seed", True),
         ("seed", "21"), ("params_hash", 5), ("params_hash", ["x"]),
     ])
-    def test_bad_field_is_refused(self, tmp_path, small_records, field,
+    def test_bad_field_is_refused(self, tmp_path, small_rows, field,
                                   value):
-        paths = write_records(small_records, tmp_path / "run")
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         meta[field] = value
         paths["meta"].write_text(json.dumps(meta))
@@ -341,13 +386,13 @@ class TestSidecarFields:
             read_summary(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
         with pytest.raises(RecordError, match=f"{field} must be"):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     @pytest.mark.parametrize("value", [64.0, True, "64", None])
-    def test_non_integer_arm_count_is_refused(self, tmp_path, small_records,
+    def test_non_integer_arm_count_is_refused(self, tmp_path, small_rows,
                                               value):
-        paths = write_records(small_records, tmp_path / "run")
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         for role in ("with_atoms", "no_atoms"):
             meta["arms"][role]["count"] = value
@@ -358,9 +403,9 @@ class TestSidecarFields:
 
     @pytest.mark.parametrize("seed, params_hash", [(0, None), (None, "ab")])
     def test_null_and_boundary_values_are_accepted(self, tmp_path,
-                                                   small_records, seed,
+                                                   small_rows, seed,
                                                    params_hash):
-        paths = write_records(small_records, tmp_path / "run")
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         meta["seed"], meta["params_hash"] = seed, params_hash
         paths["meta"].write_text(json.dumps(meta))
@@ -373,7 +418,7 @@ class TestSidecarFields:
 class TestReadValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="nope"):
-            read_records(tmp_path / "nope.csv", tmp_path / "nope2.csv")
+            read_moments(tmp_path / "nope.csv", tmp_path / "nope2.csv")
 
     def test_wrong_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -381,13 +426,13 @@ class TestReadValidation:
         good = tmp_path / "good.csv"
         good.write_text("shot,p_y\n0,1.0\n")
         with pytest.raises(RecordError, match="header"):
-            read_records(bad, good)
+            read_moments(bad, good)
 
     def test_corrupt_number(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,p_y\n0,1.0\n1,oops\n")
         with pytest.raises(RecordError):
-            read_records(bad, bad)
+            read_moments(bad, bad)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, value):
@@ -395,7 +440,7 @@ class TestReadValidation:
         bad.write_text(f"shot,p_y,q_y\n0,1.0,2.0\n1,3.0,{value}\n")
         with pytest.raises(RecordError,
                            match=r"bad\.csv: row 1 .*non-finite"):
-            read_records(bad, bad)
+            read_moments(bad, bad)
 
     @pytest.mark.parametrize("shots, bad_row", [
         ([0, 1, 1, 3], 2),
@@ -409,7 +454,7 @@ class TestReadValidation:
         with pytest.raises(RecordError,
                            match=rf"bad\.csv: row {bad_row} .*shot index "
                                  rf"{shots[bad_row]}, expected {bad_row}"):
-            read_records(bad, bad)
+            read_moments(bad, bad)
 
     @pytest.mark.parametrize("value, message", [
         ("nan", "holds a non-finite value"),
@@ -445,105 +490,117 @@ class TestReadValidation:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(RecordError, match="bad.csv: no data rows"):
-                read_records(bad, bad)
+                read_moments(bad, bad)
         assert caught == []
 
     def test_arm_shape_mismatch(self, tmp_path):
         a = tmp_path / "a.csv"
-        a.write_text("shot,p_y,q_y\n0,1.0,2.0\n")
+        a.write_text("shot,p_y,q_y\n0,1.0,2.0\n1,3.0,4.0\n")
         b = tmp_path / "b.csv"
-        b.write_text("shot,p_y\n0,1.0\n")
-        with pytest.raises(ValueError):
-            read_records(a, b)
+        b.write_text("shot,p_y\n0,1.0\n1,3.0\n")
+        with pytest.raises(ValueError, match="pulse count"):
+            delta_stats(*read_moments(a, b), 1.0)
 
-    def test_meta_shot_count_mismatch(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_arms_of_unequal_length_are_refused(self, tmp_path):
+        # without a sidecar nothing else holds the arms to one shot count
+        a = tmp_path / "a.csv"
+        a.write_text("shot,p_y\n0,1.0\n1,2.0\n2,4.0\n")
+        b = tmp_path / "b.csv"
+        b.write_text("shot,p_y\n0,1.0\n1,3.0\n")
+        with pytest.raises(RecordError, match="^arms disagree on the shot "
+                                              "count: 3 with_atoms, 2 "
+                                              "no_atoms$"):
+            read_moments(a, b)
+
+    def test_meta_shot_count_mismatch(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         meta["n_shots"] = 9999
         paths["meta"].write_text(json.dumps(meta))
         with pytest.raises(RecordError, match="9999"):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
     def test_meta_shot_count_is_checked_for_each_arm(self, tmp_path,
-                                                     small_records, role):
-        paths = write_records(small_records, tmp_path / "run")
+                                                     small_rows, role):
+        paths = _write(small_rows, tmp_path / "run")
         lines = paths[role].read_text().splitlines(keepends=True)
         paths[role].write_text("".join(lines[:33]))
         with pytest.raises(RecordError,
                            match=rf"64 shots, {role} data has 32"):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     def test_meta_pulse_count_is_checked_for_each_arm(self, tmp_path,
-                                                      small_records,
+                                                      small_rows,
                                                       noisy_set):
         params, noise, _ = noisy_set
-        paths = write_records(small_records, tmp_path / "run")
-        other = write_records(_run_of(2, 64, 5, params, noise),
-                              tmp_path / "other")
+        paths = _write(small_rows, tmp_path / "run")
+        other = _write_run((params, noise, _initial(2)), 64, 5,
+                           tmp_path / "other")
         paths["no_atoms"].write_bytes(other["no_atoms"].read_bytes())
         with pytest.raises(RecordError,
                            match=r"3 pulses, no_atoms data has 2"):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
-    def test_meta_wrong_kind(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_meta_wrong_kind(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         paths["meta"].write_text('{"kind": "something_else"}')
         with pytest.raises(RecordError, match="sidecar"):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
-    def test_meta_bad_json_reports_position(self, tmp_path, small_records):
-        paths = write_records(small_records, tmp_path / "run")
+    def test_meta_bad_json_reports_position(self, tmp_path, small_rows):
+        paths = _write(small_rows, tmp_path / "run")
         paths["meta"].write_text("{broken")
         with pytest.raises(RecordError, match=r":1:2:"):
-            read_records(paths["with_atoms"], paths["no_atoms"],
+            read_moments(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
 
 class TestWriteValidation:
     @pytest.mark.parametrize("arm", ["with_atoms", "no_atoms"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_is_refused(self, tmp_path, small_records, arm,
+    def test_non_finite_value_is_refused(self, tmp_path, small_rows, arm,
                                          value):
-        arrays = {"with_atoms": small_records.with_atoms.copy(),
-                  "no_atoms": small_records.no_atoms.copy()}
-        arrays[arm][5, 1] = value
-        records = ShotRecords(**arrays, seed=small_records.seed,
-                              params_hash=small_records.params_hash)
+        small_rows[arm][5, 1] = value
         with pytest.raises(RecordError, match=rf"{arm}.*row 5.*non-finite"):
-            write_records(records, tmp_path / "run")
+            _write(small_rows, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
 
     def test_arms_of_different_lengths_are_refused(self, tmp_path,
-                                                   small_records):
-        records = ShotRecords(with_atoms=small_records.with_atoms,
-                              no_atoms=small_records.no_atoms[:32],
-                              seed=small_records.seed)
+                                                   small_rows):
+        small_rows["no_atoms"] = small_rows["no_atoms"][:32]
         with pytest.raises(RecordError, match=r"64 with_atoms.*32 no_atoms"):
-            write_records(records, tmp_path / "run")
+            _write(small_rows, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
 
 
-def _serial_files(records, r_l):
-    """The bytes of each file of a record set, made one arm after the
-    other, each arm's rows formatted in one piece."""
+def _serial_files(param_set, n_shots, seed, r_l):
+    """The bytes of each file of a run written as ``qndc simulate`` writes
+    it, made one arm after the other, each chunk formatted in one piece."""
+    params, noise, initial = param_set
+    n_pulses = initial.layout.n_pulses
     files, arms = {}, {}
-    for role in ("with_atoms", "no_atoms"):
-        rows = getattr(records, role)
-        header = "shot," + ",".join(["p_y", "q_y", "r_y"][:rows.shape[1]])
-        files[role] = (header + "\n").encode() + format_rows(rows, 0)
-        acc = MomentAccumulator.of(rows)
+    for role in ARM_ROLES:
+        header = "shot," + ",".join(["p_y", "q_y", "r_y"][:n_pulses])
+        pieces, start = [(header + "\n").encode()], 0
+        acc = MomentAccumulator(n_pulses)
+        for chunk in arm_chunks(params, noise, initial, n_shots, seed,
+                                with_atoms=role == "with_atoms"):
+            pieces.append(format_rows(chunk, start))
+            acc.update(chunk)
+            start += len(chunk)
+        files[role] = b"".join(pieces)
         arms[role] = {"sha256": hashlib.sha256(files[role]).hexdigest(),
                       "count": acc.count, "mean": acc.mean.tolist(),
                       "comoment": acc.comoment.tolist()}
-    meta = {"schema_version": 2, "kind": "shot_records",
-            "seed": records.seed, "n_shots": records.n_shots,
-            "n_pulses": records.n_pulses,
-            "params_hash": records.params_hash, "r_l": r_l, "arms": arms}
+    meta = {"schema_version": 2, "kind": "shot_records", "seed": seed,
+            "n_shots": n_shots, "n_pulses": n_pulses,
+            "params_hash": params_hash(params, noise, initial), "r_l": r_l,
+            "arms": arms}
     files["meta"] = (json.dumps(meta, indent=2) + "\n").encode()
     return files
 
@@ -558,21 +615,21 @@ class TestArmThreads:
     def test_equals_serial_write(self, tmp_path, noisy_set, n_pulses,
                                  n_shots):
         params, noise, _ = noisy_set
-        records = _run_of(n_pulses, n_shots, 6, params, noise)
-        paths = write_records(records, tmp_path / "run", r_l=0.9)
-        for role, data in _serial_files(records, 0.9).items():
+        run = params, noise, _initial(n_pulses)
+        paths = _write_run(run, n_shots, 6, tmp_path / "run", r_l=0.9)
+        for role, data in _serial_files(run, n_shots, 6, 0.9).items():
             assert paths[role].read_bytes() == data, role
 
     @pytest.mark.parametrize("blocked", [("no_atoms",), ("with_atoms",),
                                          ("with_atoms", "no_atoms")])
-    def test_failed_arm_reaches_the_caller(self, tmp_path, small_records,
+    def test_failed_arm_reaches_the_caller(self, tmp_path, small_rows,
                                            blocked):
         # a directory where an arm's CSV should go makes its rename fail
         for role in blocked:
             (tmp_path / f"run.{role}.csv").mkdir()
         threads = threading.active_count()
         with pytest.raises(IsADirectoryError) as caught:
-            write_records(small_records, tmp_path / "run")
+            _write(small_rows, tmp_path / "run")
         first = tmp_path / f"run.{blocked[0]}.csv"
         assert caught.value.filename2 == str(first)
         assert threading.active_count() == threads
@@ -584,12 +641,10 @@ class TestArmThreads:
                                                  monkeypatch, failing):
         # one arm's formatting runs out of disk space part way through a
         # rewrite: the set written before must survive whole
-        params, noise, initial = noisy_set
-        old_paths = write_records(
-            simulate_shots(params, noise, initial, 3000, 1), tmp_path / "run")
+        old_paths = _write(_drawn(noisy_set, 3000, 1), tmp_path / "run")
         before = {role: path.read_bytes() for role, path in old_paths.items()}
-        records = simulate_shots(params, noise, initial, 3000, 2)
-        bad_rows = getattr(records, failing)
+        rows = _drawn(noisy_set, 3000, 2)
+        bad_rows = rows[failing]
 
         def format_piece(rows, first_shot, _format=recordio.format_rows):
             # the failing arm's second piece: its first is written
@@ -599,7 +654,7 @@ class TestArmThreads:
 
         monkeypatch.setattr(recordio, "format_rows", format_piece)
         with pytest.raises(OSError, match="No space left"):
-            write_records(records, tmp_path / "run")
+            _write(rows, tmp_path / "run")
         assert {role: path.read_bytes()
                 for role, path in old_paths.items()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -616,9 +671,9 @@ def umask_022():
 
 
 class TestFileModes:
-    def test_record_set_follows_the_umask(self, tmp_path, small_records,
+    def test_record_set_follows_the_umask(self, tmp_path, small_rows,
                                           umask_022):
-        paths = write_records(small_records, tmp_path / "run")
+        paths = _write(small_rows, tmp_path / "run")
         for path in paths.values():
             assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
@@ -631,39 +686,14 @@ class TestFileModes:
         write_atomic(target, b"{}")  # a replacement gets the umask's mode
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
-    def test_a_tighter_umask_is_kept(self, tmp_path, small_records):
+    def test_a_tighter_umask_is_kept(self, tmp_path, small_rows):
         old = os.umask(0o077)
         try:
-            paths = write_records(small_records, tmp_path / "run")
+            paths = _write(small_rows, tmp_path / "run")
         finally:
             os.umask(old)
         for path in paths.values():
             assert stat.S_IMODE(path.stat().st_mode) == 0o600, path.name
-
-
-class TestReadMemory:
-    def test_parsed_arms_are_held_once(self, tmp_path, noisy_set):
-        params, noise, initial = noisy_set
-        paths = write_records(simulate_shots(params, noise, initial,
-                                             20_000, 11), tmp_path / "run")
-        read_records(paths["with_atoms"], paths["no_atoms"])  # warm up
-        tracemalloc.start()
-        try:
-            records = read_records(paths["with_atoms"], paths["no_atoms"],
-                                   paths["meta"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = records.with_atoms.nbytes + records.no_atoms.nbytes
-        assert size == 960_000
-        for arm in (records.with_atoms, records.no_atoms):
-            assert arm.flags.owndata and not arm.flags.writeable
-        # each arm is its parsed chunks joined once: the second arm's
-        # chunk arrays (shot column included, 2/3 of size) and the joined
-        # arm sit beside the first arm, about 1.67 * size; copying each
-        # chunk before the join, or the joined arm after it, puts the peak
-        # at 2 * size or above
-        assert peak < 1.8 * size
 
 
 class TestAtomicWrite:
@@ -681,8 +711,8 @@ class TestAtomicWrite:
 
     def test_values_survive_at_full_precision(self, tmp_path, noisy_set):
         # %.17g repr round-trips every double exactly
-        params, noise, initial = noisy_set
-        records = simulate_shots(params, noise, initial, 16, 2)
-        paths = write_records(records, tmp_path / "p")
-        back = read_records(paths["with_atoms"], paths["no_atoms"])
-        assert (back.with_atoms == records.with_atoms).all()
+        rows = _drawn(noisy_set, 16, 2)
+        paths = _write(rows, tmp_path / "p")
+        for role in ARM_ROLES:
+            (parsed,) = recordio._read_arm(paths[role])
+            assert (parsed == rows[role]).all()

@@ -15,7 +15,6 @@ from qndcert import (
     MomentSet,
     NoiseModel,
     OpticalBlock,
-    ShotRecords,
     closed_form_error,
     delta_stats,
     get_entry,
@@ -24,12 +23,12 @@ from qndcert import (
     no_atoms_moments,
     predicted_moments,
     propagate,
-    sample_moments,
-    simulate_shots,
+    simulate_moments,
     squeezing_condition,
 )
 from qndcert import selftest, statistics
-from qndcert.montecarlo import CHUNK_SHOTS
+from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks
+from qndcert.statistics import ARM_ROLES
 from qndcert.report import delta_to_dict
 
 from conftest import random_psd
@@ -220,30 +219,27 @@ class TestMomentAccumulator:
         np.testing.assert_allclose(acc.covariance, np.cov(rows, rowvar=False),
                                    rtol=1e-10)
 
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(37)
-        rows = rng.normal(size=(3000, 2))
-        whole = MomentAccumulator(2)
+    @pytest.mark.parametrize("n_rows", [CHUNK_SHOTS, 2 * CHUNK_SHOTS + 5])
+    def test_whole_array_is_fed_in_chunks(self, n_rows):
+        # one update of a whole array gives the bits of its CHUNK_SHOTS
+        # chunks fed one by one, as every streamed arm is fed
+        rng = np.random.default_rng(n_rows)
+        rows = rng.normal(3.0, 7.0, (n_rows, 3))
+        whole = MomentAccumulator(3)
         whole.update(rows)
-        left = MomentAccumulator(2)
-        right = MomentAccumulator(2)
-        left.update(rows[:1100])
-        right.update(rows[1100:])
-        left.merge(right)
-        assert left.count == whole.count
-        np.testing.assert_allclose(left.covariance, whole.covariance,
-                                   rtol=1e-12)
+        chunked = MomentAccumulator(3)
+        for start in range(0, n_rows, CHUNK_SHOTS):
+            chunked.update(rows[start:start + CHUNK_SHOTS])
+        assert whole.count == chunked.count == n_rows
+        np.testing.assert_array_equal(whole.mean, chunked.mean)
+        np.testing.assert_array_equal(whole.comoment, chunked.comoment)
 
-    @pytest.mark.parametrize("n_rows", [0, 10])
-    def test_merge_refuses_another_width(self, n_rows):
-        # a full one used to raise numpy's broadcast error, and an empty
-        # one was merged silently
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (0, 3)])
+    def test_update_refuses_another_width(self, shape):
         acc = MomentAccumulator(2)
         acc.update(np.ones((5, 2)))
-        other = MomentAccumulator(3)
-        other.update(np.arange(3.0 * n_rows).reshape(n_rows, 3))
-        with pytest.raises(DimensionMismatchError, match="3 columns"):
-            acc.merge(other)
+        with pytest.raises(DimensionMismatchError, match=r"\(n, 2\) rows"):
+            acc.update(np.ones(shape))
         assert acc.count == 5
 
     def test_covariance_needs_two_rows(self):
@@ -253,13 +249,18 @@ class TestMomentAccumulator:
             acc.covariance
 
 
+def _moments_of(rows):
+    acc = MomentAccumulator(rows.shape[1])
+    acc.update(rows)
+    return acc.moments()
+
+
 class TestSampleMoments:
     def test_matches_direct_estimators(self):
         rng = np.random.default_rng(41)
         with_atoms = rng.normal(size=(400, 3)) * 2.0
         no_atoms = rng.normal(size=(400, 3))
-        records = ShotRecords(with_atoms=with_atoms, no_atoms=no_atoms)
-        measured, reference = sample_moments(records)
+        measured, reference = _moments_of(with_atoms), _moments_of(no_atoms)
         assert measured.n_shots == 400
         # every label against the entry of np.cov it must name
         pairs = {"var_p": (0, 0), "var_q": (1, 1), "var_r": (2, 2),
@@ -281,16 +282,14 @@ class TestSampleMoments:
     def test_variance_standard_error_formula(self):
         rng = np.random.default_rng(43)
         rows = rng.normal(size=(250, 3))
-        records = ShotRecords(with_atoms=rows, no_atoms=rows.copy())
-        measured, _ = sample_moments(records)
+        measured = _moments_of(rows)
         expected = measured.var_p * np.sqrt(2.0 / (250 - 1))
         assert measured.se["var_p"] == pytest.approx(expected, rel=1e-12)
 
     def test_covariance_standard_error_formula(self):
         rng = np.random.default_rng(47)
         rows = rng.normal(size=(250, 2))
-        records = ShotRecords(with_atoms=rows, no_atoms=rows.copy())
-        measured, _ = sample_moments(records)
+        measured = _moments_of(rows)
         expected = np.sqrt(
             (measured.var_p * measured.var_q + measured.cov_pq ** 2)
             / (250 - 1))
@@ -331,11 +330,13 @@ _OLD_DELTA_NAMES = {
 }
 
 
-def _old_sample_moments(rows):
-    acc = MomentAccumulator.of(rows)
+def _old_sample_moments(chunks, n_pulses):
+    acc = MomentAccumulator(n_pulses)
+    for chunk in chunks:
+        acc.update(chunk)
     n, cov = acc.count, acc.covariance
     values, ses = {}, {}
-    for name, j, k in _OLD_PAIRS[rows.shape[1]]:
+    for name, j, k in _OLD_PAIRS[n_pulses]:
         c = float(cov[j, k])
         values[name] = c
         if j == k:
@@ -382,14 +383,19 @@ def _old_delta_stats(measured, reference, r_l):
     return values, ses or None
 
 
-def _records(n_pulses, n_shots, seed):
+def _run(n_pulses):
     params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
                                          r_a=0.8, r_l=0.9)
     noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0})
     initial = make_initial_state(AtomicBlock.coherent(100.0),
                                  OpticalBlock.coherent(100.0, n_pulses),
                                  Layout(n_pulses))
-    return simulate_shots(params, noise, initial, n_shots, seed)
+    return params, noise, initial
+
+
+def _sampled(n_pulses, n_shots, seed):
+    """Sampled (probe arm, reference arm) moments of the README model."""
+    return simulate_moments(*_run(n_pulses), n_shots, seed)
 
 
 def _random_model(rng, n_pulses):
@@ -435,11 +441,12 @@ class TestMeterCovarianceExactness:
                                          50_000])
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     def test_sample_moments_and_deltas(self, n_pulses, n_shots):
-        records = _records(n_pulses, n_shots, seed=n_pulses + n_shots)
-        measured, reference = sample_moments(records)
-        for moments, rows in ((measured, records.with_atoms),
-                              (reference, records.no_atoms)):
-            values, ses = _old_sample_moments(rows)
+        seed = n_pulses + n_shots
+        measured, reference = _sampled(n_pulses, n_shots, seed)
+        for moments, role in zip((measured, reference), ARM_ROLES):
+            values, ses = _old_sample_moments(arm_chunks(
+                *_run(n_pulses), n_shots, seed,
+                with_atoms=role == "with_atoms"), n_pulses)
             _assert_same(moments.entries(), values)
             _assert_same_se(moments.se, ses)
             assert moments.n_shots == n_shots
@@ -472,7 +479,7 @@ class TestMeterCovarianceExactness:
 
     @pytest.mark.parametrize("n_shots", [2, 50_000])
     def test_d_cov_qr_is_carried_but_not_reported(self, n_shots):
-        measured, reference = sample_moments(_records(3, n_shots, seed=5))
+        measured, reference = _sampled(3, n_shots, seed=5)
         r_l = 0.9
         delta = delta_stats(measured, reference, r_l)
         expected = measured.cov_qr - r_l**2 * reference.cov_qr
@@ -494,7 +501,7 @@ class TestMeterCovarianceExactness:
         assert "d_cov_qr" not in given.entries()
 
     def test_moments_are_read_only(self):
-        measured, _ = sample_moments(_records(3, 100, seed=9))
+        measured, _ = _sampled(3, 100, seed=9)
         delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=2.0, d_cov_pq=0.5)
         for moments, names in ((measured, ["var_p", "cov_qr"]),
                                (delta, ["d_var_p", "d_var_r"])):
@@ -509,7 +516,7 @@ class TestMeterCovarianceExactness:
         assert measured.var_p == measured.cov[0, 0]
 
     def test_pickle_and_copy_keep_every_bit(self):
-        measured, _ = sample_moments(_records(3, 1000, seed=4))
+        measured, _ = _sampled(3, 1000, seed=4)
         for clone in (pickle.loads(pickle.dumps(measured)),
                       copy.deepcopy(measured)):
             assert type(clone) is MomentSet
@@ -564,8 +571,7 @@ class TestErrorCovariance:
 
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     def test_isserlis_per_arm(self, n_pulses):
-        records = _records(n_pulses, 3000, seed=12)
-        for moments in sample_moments(records):
+        for moments in _sampled(n_pulses, 3000, seed=12):
             n, cov = moments.n_shots, moments.cov
             pairs = [pair for pair in _OLD_PAIRS[n_pulses]]
             assert moments.moment_cov.shape == (len(pairs),) * 2
@@ -586,7 +592,7 @@ class TestErrorCovariance:
         # covariance estimate is about 0.08 of it)
         samples, predicted = [], []
         for seed in range(300):
-            moments, _ = sample_moments(_records(3, 500, seed))
+            moments, _ = _sampled(3, 500, seed)
             samples.append(list(moments.entries().values()))
             predicted.append(moments.moment_cov)
         spread = np.cov(np.array(samples), rowvar=False)
@@ -598,7 +604,7 @@ class TestErrorCovariance:
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     def test_deltas_add_the_arms_and_var_p_comes_from_the_probe(self,
                                                                n_pulses):
-        measured, reference = sample_moments(_records(n_pulses, 2000, 8))
+        measured, reference = _sampled(n_pulses, 2000, 8)
         r_l = 0.7
         delta = delta_stats(measured, reference, r_l)
         names = list(measured.entries())  # the delta's, d_cov_qr included
