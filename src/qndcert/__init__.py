@@ -47,9 +47,7 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
-    DegenerateCaseError,
     DimensionMismatchError,
-    InconsistentDataError,
     LayoutError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
@@ -63,9 +61,6 @@ from .errors import (
 from .estimation import (
     EstimatedModel,
     EstimatedNoise,
-    estimate_noise,
-    estimate_ra_from_cov,
-    estimate_ra_from_var,
     invert_three_pulse,
 )
 from .montecarlo import (

@@ -33,15 +33,6 @@ class UninformativeCouplingError(QndError):
     estimators built on it carry no information."""
 
 
-class DegenerateCaseError(QndError):
-    """An estimator hit a 0/0 combination that admits no unique answer."""
-
-
-class InconsistentDataError(QndError):
-    """Measured statistics violate a structural constraint of the model
-    (e.g. a squared-ratio estimate comes out negative)."""
-
-
 class SamplerUnsupportedError(QndError):
     """A matrix handed to the sampler is too indefinite to factor."""
 

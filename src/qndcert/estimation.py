@@ -1,7 +1,8 @@
 """Recovering model parameters from measured delta statistics.
 
 A three-pulse run overdetermines the single-pulse model, which is what
-makes certification possible without trusting the apparatus model:
+makes certification possible without trusting the apparatus model.
+:func:`invert_three_pulse` is the one entry point.  It gives
 
 * atomic survival r_A from the covariance ratio
   d_cov(P,R) / d_cov(P,Q)  (primary: linear in the deltas),
@@ -11,9 +12,12 @@ makes certification possible without trusting the apparatus model:
   forms, given the calibrated kappa and input spin variance.
 
 Disagreement between the two r_A routes is a model-consistency
-diagnostic, not an error.  Both routes, their difference and the
-variance floor take their standard errors from one Jacobian over the
-deltas' error covariance (see :mod:`qndcert.statistics`).
+diagnostic, not an error.  One function of the five delta moments the
+routes read, ``_routes``, writes each route quantity once: the primary
+r_A and d_var_q - d_var_p take their values from it, and every route
+quantity its standard error, through
+:func:`~qndcert.statistics._propagate_se`: one Jacobian over the deltas'
+error covariance (see :mod:`qndcert.statistics`).
 """
 
 from __future__ import annotations
@@ -21,12 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateCaseError,
-    InconsistentDataError,
-    UndefinedInputError,
-    UninformativeCouplingError,
-)
+from .errors import UndefinedInputError, UninformativeCouplingError
 from .statistics import (
     DeltaStats,
     _propagate_se,
@@ -36,70 +35,12 @@ from .statistics import (
 __all__ = [
     "EstimatedNoise",
     "EstimatedModel",
-    "estimate_ra_from_cov",
-    "estimate_ra_from_var",
-    "estimate_noise",
     "invert_three_pulse",
 ]
 
 # Width, in combined standard errors, inside which a quantity is treated
 # as indistinguishable from zero by invert_three_pulse.
 _FLOOR_SIGMAS = 3.0
-
-
-def _require_three(delta: DeltaStats, what: str) -> None:
-    if delta.n_pulses != 3:
-        raise UndefinedInputError(f"{what} needs three pulses, got {delta.n_pulses}")
-
-
-def estimate_ra_from_cov(delta: DeltaStats, noise_floor: float = 0.0) -> float:
-    """Atomic survival from the covariance ratio d_cov_pr / d_cov_pq.
-
-    ``noise_floor`` is an absolute threshold on |d_cov_pq| (typically a
-    multiple of its standard error); at or below it the ratio carries no
-    information and :class:`UninformativeCouplingError` is raised.
-    """
-    _require_three(delta, "covariance-ratio estimate")
-    if abs(delta.d_cov_pq) <= noise_floor:
-        raise UninformativeCouplingError(
-            f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
-            f"floor {noise_floor:.6g}"
-        )
-    return delta.d_cov_pr / delta.d_cov_pq
-
-
-def estimate_ra_from_var(delta: DeltaStats, noise_floor: float = 0.0) -> float:
-    """Atomic survival from variance differences:
-    r_A = sqrt((d_var_r - d_var_q) / (d_var_q - d_var_p)).
-
-    Raises
-    ------
-    DegenerateCaseError
-        Both differences sit within ``noise_floor`` of zero (0/0: any
-        r_A is consistent, e.g. a lossless noiseless run).
-    InconsistentDataError
-        The ratio is negative, or only the denominator vanishes; no
-        survival factor can produce that.
-    """
-    _require_three(delta, "variance-ratio estimate")
-    num = delta.d_var_r - delta.d_var_q
-    den = delta.d_var_q - delta.d_var_p
-    if abs(den) <= noise_floor:
-        if abs(num) <= noise_floor:
-            raise DegenerateCaseError(
-                "variance differences both at the noise floor; r_A "
-                "unconstrained by this route"
-            )
-        raise InconsistentDataError(
-            f"d_var_q - d_var_p = {den:.6g} vanishes while "
-            f"d_var_r - d_var_q = {num:.6g} does not"
-        )
-    ratio = num / den
-    if ratio < 0.0:
-        raise InconsistentDataError(
-            f"squared survival estimate is negative ({ratio:.6g})"
-        )
-    return math.sqrt(ratio)
 
 
 @dataclass(frozen=True)
@@ -114,29 +55,6 @@ class EstimatedNoise:
     n35: float
     n55: float
     negative_entries: tuple[str, ...] = ()
-
-
-def estimate_noise(delta: DeltaStats, kappa: float, j33: float,
-                   r_a: float) -> EstimatedNoise:
-    """Invert the closed-form moments for the three noise entries:
-
-        N55 = d_var_p - kappa**2 j33
-        N33 = (d_var_q - d_var_p + kappa**2 j33 (1 - r_a**2)) / kappa**2
-        N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
-
-    Needs at least two pulses and a nonzero calibrated kappa.
-    """
-    if delta.n_pulses < 2:
-        raise UndefinedInputError("noise inversion needs at least two pulses")
-    if kappa == 0.0:
-        raise UndefinedInputError("kappa must be nonzero to invert the noise")
-    k2 = kappa * kappa
-    n55 = delta.d_var_p - k2 * j33
-    n33 = (delta.d_var_q - delta.d_var_p + k2 * j33 * (1.0 - r_a * r_a)) / k2
-    n35 = (delta.d_cov_pq - k2 * j33 * r_a) / kappa
-    negative = tuple(name for name, value in (("n33", n33), ("n55", n55))
-                     if value < 0.0)
-    return EstimatedNoise(n33=n33, n35=n35, n55=n55, negative_entries=negative)
 
 
 @dataclass(frozen=True)
@@ -161,33 +79,31 @@ class EstimatedModel:
     warnings: tuple[str, ...] = ()
 
 
-# The delta moments both r_a routes read, in input order.
+# The delta moments both r_a routes read, in input order, and the route
+# quantities in standard-error order: the last two exist only where the
+# measured variance ratio is positive.
 _ROUTE_INPUTS = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
+_ROUTE_KEYS = ("r_a", "d_var_q - d_var_p", "r_a_from_var",
+               "r_a - r_a_from_var")
 
 
-def _route_se(delta: DeltaStats) -> dict[str, float]:
-    """Standard errors of ``r_a`` and of ``d_var_q - d_var_p`` and, where
-    the variance ratio is positive, of ``r_a_from_var`` and
-    ``r_a - r_a_from_var``: one Jacobian over the deltas' Sigma."""
-    values = [getattr(delta, name) for name in _ROUTE_INPUTS]
-    num, den = values[2] - values[1], values[1] - values[0]
-    ratio = num / den if den else 0.0
-    # ratio / (2 sqrt(measured ratio)) has the slope of sqrt(ratio) there,
-    # and stays defined where a perturbed ratio turns negative
-    two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
+def _routes(v, two_root: float = 0.0) -> dict[str, float]:
+    """The route quantities from v, the moments ``_ROUTE_INPUTS`` names:
+    the values of ``r_a`` and ``d_var_q - d_var_p`` and, through
+    :func:`~qndcert.statistics._propagate_se`, every key's standard error.
 
-    def routes(v):
-        d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr = v
-        out = {"r_a": d_cov_pr / d_cov_pq,
-               "d_var_q - d_var_p": d_var_q - d_var_p}
-        if two_root:
-            out["r_a_from_var"] = ((d_var_r - d_var_q) / (d_var_q - d_var_p)
-                                   / two_root)
-            out["r_a - r_a_from_var"] = out["r_a"] - out["r_a_from_var"]
-        return out
-
-    return _propagate_se(routes, values, delta._sigma(_ROUTE_INPUTS),
-                         tuple(routes(values)))
+    Given ``two_root`` = 2 sqrt(measured variance ratio) > 0, the
+    variance route enters as ratio / two_root: that has the slope of
+    sqrt(ratio) at the measured ratio, and stays defined where a
+    perturbed ratio turns negative.
+    """
+    d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr = v
+    out = {"r_a": d_cov_pr / d_cov_pq, "d_var_q - d_var_p": d_var_q - d_var_p}
+    if two_root:
+        out["r_a_from_var"] = ((d_var_r - d_var_q) / (d_var_q - d_var_p)
+                               / two_root)
+        out["r_a - r_a_from_var"] = out["r_a"] - out["r_a_from_var"]
+    return out
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
@@ -198,22 +114,51 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     as zero when deciding whether a ratio is usable (no-op for analytic
     inputs, which carry no standard errors).  Failure of the primary
     covariance route propagates as an exception; failure of the
-    variance cross-check degrades to ``r_a_from_var=None`` plus a
-    warning.
+    variance cross-check, r_A = sqrt((d_var_r - d_var_q) /
+    (d_var_q - d_var_p)), degrades to ``r_a_from_var=None`` plus a
+    warning.  The noise entries invert the closed forms
+
+        N55 = d_var_p - kappa**2 j33
+        N33 = (d_var_q - d_var_p + kappa**2 j33 (1 - r_a**2)) / kappa**2
+        N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
+
+    at the primary r_a and a nonzero calibrated kappa.
     """
-    _require_three(delta, "three-pulse inversion")
+    if delta.n_pulses != 3:
+        raise UndefinedInputError(
+            f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
+    floor_pq = _FLOOR_SIGMAS * delta.se_of("d_cov_pq", 0.0)
+    if abs(delta.d_cov_pq) <= floor_pq:
+        raise UninformativeCouplingError(
+            f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
+            f"floor {floor_pq:.6g}"
+        )
+    values = [getattr(delta, name) for name in _ROUTE_INPUTS]
+    measured = _routes(values)
+    r_a, den = measured["r_a"], measured["d_var_q - d_var_p"]
+    num = delta.d_var_r - delta.d_var_q
+    ratio = num / den if den else 0.0
+    two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
+    se = {} if delta.moment_cov is None else _propagate_se(
+        lambda v: _routes(v, two_root), values, delta._sigma(_ROUTE_INPUTS),
+        _ROUTE_KEYS if two_root else _ROUTE_KEYS[:2])
     warnings: list[str] = []
 
-    floor_pq = _FLOOR_SIGMAS * delta.se_of("d_cov_pq", 0.0)
-    r_a = estimate_ra_from_cov(delta, noise_floor=floor_pq)
-    se = {} if delta.moment_cov is None else _route_se(delta)
-
     var_floor = _FLOOR_SIGMAS * se.get("d_var_q - d_var_p", 0.0)
-    r_a_from_var = None
-    try:
-        r_a_from_var = estimate_ra_from_var(delta, noise_floor=var_floor)
-    except (DegenerateCaseError, InconsistentDataError) as exc:
-        warnings.append(f"variance route for r_a unavailable: {exc}")
+    r_a_from_var = unavailable = None
+    if abs(den) <= var_floor:
+        # 0/0 admits any r_A, e.g. a lossless noiseless run; x/0 none
+        unavailable = (
+            "variance differences both at the noise floor; r_A "
+            "unconstrained by this route" if abs(num) <= var_floor else
+            f"d_var_q - d_var_p = {den:.6g} vanishes while "
+            f"d_var_r - d_var_q = {num:.6g} does not")
+    elif ratio < 0.0:
+        unavailable = f"squared survival estimate is negative ({ratio:.6g})"
+    else:
+        r_a_from_var = math.sqrt(ratio)
+    if unavailable:
+        warnings.append(f"variance route for r_a unavailable: {unavailable}")
 
     discrepancy = None
     if r_a_from_var is not None:
@@ -228,8 +173,15 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if not 0.0 <= r_a <= 1.0:
         warnings.append(f"r_a estimate {r_a:.6g} outside [0, 1]")
 
-    noise = estimate_noise(delta, kappa, j33, r_a)
-    for name in noise.negative_entries:
+    if kappa == 0.0:
+        raise UndefinedInputError("kappa must be nonzero to invert the noise")
+    k2 = kappa * kappa
+    n33 = (den + k2 * j33 * (1.0 - r_a * r_a)) / k2
+    n35 = (delta.d_cov_pq - k2 * j33 * r_a) / kappa
+    n55 = delta.d_var_p - k2 * j33
+    negative = tuple(name for name, value in (("n33", n33), ("n55", n55))
+                     if value < 0.0)
+    for name in negative:
         warnings.append(f"noise diagonal {name} estimated negative")
 
     cond_var = conditional_variance_from_stats(delta, var_p, kappa, j33)
@@ -239,7 +191,8 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         r_a_from_var=r_a_from_var,
         r_a_from_var_se=se.get("r_a_from_var") if r_a_from_var else None,
         r_a_discrepancy=discrepancy,
-        noise=noise,
+        noise=EstimatedNoise(n33=n33, n35=n35, n55=n55,
+                             negative_entries=negative),
         cond_var_jz=cond_var,
         warnings=tuple(warnings),
     )

@@ -144,9 +144,9 @@ def _arm_pieces(chunks: Iterable[np.ndarray], role: str, n_pulses: int,
         start += len(chunk)
 
 
-def _check_shot_counts(counts: list[int], tail: str = "") -> None:
+def _check_arms_agree(what: str, counts: list[int], tail: str = "") -> None:
     if counts[0] != counts[1]:
-        raise RecordError(f"arms disagree on the shot count: {counts[0]} "
+        raise RecordError(f"arms disagree on the {what}: {counts[0]} "
                           f"with_atoms, {counts[1]} no_atoms{tail}")
 
 
@@ -206,8 +206,9 @@ def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
 
     try:
         arms = dict(zip(ARM_ROLES, map_arms(write_arm)))
-        _check_shot_counts([acc.count for _, acc in arms.values()],
-                           "; not written")
+        _check_arms_agree("shot count",
+                          [acc.count for _, acc in arms.values()],
+                          "; not written")
         temps["meta"] = _write_temp(paths["meta"], _sidecar(
             arms, n_pulses, seed, params_hash, r_l))
         for key in (*ARM_ROLES, "meta"):  # none before all are written
@@ -331,8 +332,8 @@ def read_moments(with_atoms_path: str | Path, no_atoms_path: str | Path,
                  ) -> tuple[MomentSet, MomentSet]:
     """Both arms' moments, each arm parsed and accumulated chunk by chunk,
     never held whole.  Each file gets every check of ``_read_arm``; the
-    arms must agree on the shot count and, when a sidecar is given, with
-    its shot and pulse counts."""
+    arms must agree on the shot and pulse counts and, when a sidecar is
+    given, with its own."""
     meta = {} if meta_path is None else _read_meta(meta_path)
     accs = []
     for role, path in zip(ARM_ROLES, (with_atoms_path, no_atoms_path)):
@@ -344,7 +345,8 @@ def read_moments(with_atoms_path: str | Path, no_atoms_path: str | Path,
             acc.update(chunk)
         _check_counts(meta, meta_path, role, acc.count, acc.mean.size)
         accs.append(acc)
-    _check_shot_counts([acc.count for acc in accs])
+    _check_arms_agree("shot count", [acc.count for acc in accs])
+    _check_arms_agree("pulse count", [acc.mean.size for acc in accs])
     return tuple(acc.moments() for acc in accs)
 
 

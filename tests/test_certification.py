@@ -12,6 +12,7 @@ from qndcert import (
     OpticalBlock,
     UndefinedInputError,
     certify,
+    conditional_variance_from_stats,
     delta_stats,
     dump_json,
     exit_code,
@@ -470,6 +471,32 @@ class TestStandardErrorCoverage:
         for key in ("dx2_m", "dx2_s_given_m", "dx2_s") + unclipped \
                 + _ESTIMATES:
             assert 0.85 <= ratios[key] <= 1.15, (key, ratios)
+
+    def test_false_certification_rate_at_the_boundary(self):
+        # j0 puts the true dx2_s_given_m at exactly 1, so a gate at z = 1
+        # should pass P(Z > 1) = 0.159 of runs; 400 seeds give that share
+        # a standard deviation of 0.018, and [0.10, 0.22] spans 3.2 of them
+        # either side
+        params = ExperimentParams.from_kappa(2.0, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        exact = predicted_moments(params, noise, initial)
+        j0 = conditional_variance_from_stats(
+            delta_stats(exact, no_atoms_moments(params, initial), params.r_l),
+            exact.var_p, 2.0, 25.0) / 0.8
+        passed = []
+        for seed in range(400):
+            measured, reference = simulate_moments(params, noise, initial,
+                                                   4000, seed)
+            report = certify(delta_stats(measured, reference, params.r_l),
+                             measured.var_p, 2.0, 25.0, j0, z_threshold=1.0,
+                             var_p_se=measured.se_of("var_p"))
+            passed.append(report.verdict_state_prep is True)
+        assert 0.10 <= np.mean(passed) <= 0.22, np.mean(passed)
 
 
 class TestReportSerialization:

@@ -246,6 +246,19 @@ class TestBadRecords:
         assert ("arms disagree on the shot count: 3 with_atoms, 2 no_atoms"
                 in captured.err)
 
+    def test_arms_of_unequal_width_are_refused(self, tmp_path, capsys):
+        # refused while reading, before any calibration is assumed
+        (tmp_path / "x.csv").write_text("shot,p_y,q_y\n0,1.0,2.0\n"
+                                        "1,3.0,4.0\n")
+        (tmp_path / "y.csv").write_text("shot,p_y\n0,1.0\n1,3.0\n")
+        code = main(["stats", "--records", str(tmp_path / "x.csv"),
+                     "--no-atoms-records", str(tmp_path / "y.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: arms disagree on the pulse count: "
+                                "2 with_atoms, 1 no_atoms\n")
+
 
 class TestEstimate:
     def test_recovers_losses_and_noise(self, lossy_run, tmp_path, capsys):

@@ -221,7 +221,9 @@ def test_public_names_are_the_imported_ones():
     assert not {"statistics", "ModuleType", "estimate_kappa_from_means",
                 "ShotRecords", "simulate_arm", "simulate_shots",
                 "write_records", "read_records", "sample_moments",
-                "chunk_views"} & set(names)
+                "chunk_views", "estimate_ra_from_cov", "estimate_ra_from_var",
+                "estimate_noise", "DegenerateCaseError",
+                "InconsistentDataError"} & set(names)
     for name in ("of", "merge"):
         assert not hasattr(qndcert.MomentAccumulator, name)
     namespace = {}

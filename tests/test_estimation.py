@@ -1,22 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from qndcert import (
-    DegenerateCaseError,
     DeltaStats,
-    InconsistentDataError,
     UndefinedInputError,
     UninformativeCouplingError,
     delta_stats,
-    estimate_noise,
-    estimate_ra_from_cov,
-    estimate_ra_from_var,
     invert_three_pulse,
     no_atoms_moments,
     predicted_moments,
     simulate_moments,
 )
-from qndcert.estimation import _route_se
+from qndcert.estimation import _routes
+from qndcert.statistics import _propagate_se
 
 
 def _analytic_delta(param_set):
@@ -26,62 +24,92 @@ def _analytic_delta(param_set):
                        params.r_l), measured
 
 
+def _invert(delta, var_p=50.0, kappa=1.0, j33=25.0):
+    return invert_three_pulse(delta, var_p, kappa=kappa, j33=j33)
+
+
 class TestSurvivalEstimators:
+    """Both r_a routes of the inversion, and each way the variance route
+    can fail without failing the inversion."""
+
     def test_covariance_ratio_recovers_exactly(self, noisy_set):
-        delta, _ = _analytic_delta(noisy_set)
-        assert estimate_ra_from_cov(delta) == pytest.approx(0.8, rel=1e-12)
+        delta, measured = _analytic_delta(noisy_set)
+        assert _invert(delta, measured.var_p).r_a == pytest.approx(
+            0.8, rel=1e-12)
 
     def test_variance_ratio_recovers_exactly(self, noisy_set):
-        delta, _ = _analytic_delta(noisy_set)
-        assert estimate_ra_from_var(delta) == pytest.approx(0.8, rel=1e-12)
+        delta, measured = _analytic_delta(noisy_set)
+        assert _invert(delta, measured.var_p).r_a_from_var == pytest.approx(
+            0.8, rel=1e-12)
 
     def test_both_routes_agree_without_noise(self, lossy_set):
-        delta, _ = _analytic_delta(lossy_set)
-        assert estimate_ra_from_cov(delta) == pytest.approx(0.8, rel=1e-12)
-        assert estimate_ra_from_var(delta) == pytest.approx(0.8, rel=1e-12)
+        delta, measured = _analytic_delta(lossy_set)
+        model = _invert(delta, measured.var_p)
+        assert model.r_a == pytest.approx(0.8, rel=1e-12)
+        assert model.r_a_from_var == pytest.approx(0.8, rel=1e-12)
+        assert model.r_a_discrepancy == pytest.approx(0.0, abs=1e-12)
 
     def test_uninformative_coupling_raises(self):
+        # |d_cov_pq| = 0.001 sits inside 3 se = 0.012 of zero
         delta = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=1.0, d_var_r=1.0,
-                           d_cov_pq=0.001, d_cov_pr=0.0005)
-        with pytest.raises(UninformativeCouplingError):
-            estimate_ra_from_cov(delta, noise_floor=0.01)
+                           d_cov_pq=0.001, d_cov_pr=0.0005,
+                           se={"d_cov_pq": 0.004})
+        with pytest.raises(UninformativeCouplingError,
+                           match=r"^\|d_cov_pq\| = 0.001 at or below the "
+                                 r"noise floor 0.012$"):
+            _invert(delta)
 
     def test_variance_route_degenerate_for_ideal_run(self, ideal_set):
-        # lossless noiseless data: both differences are exactly zero
-        delta, _ = _analytic_delta(ideal_set)
-        with pytest.raises(DegenerateCaseError):
-            estimate_ra_from_var(delta)
+        # lossless noiseless data: both differences are exactly zero (0/0)
+        delta, measured = _analytic_delta(ideal_set)
+        model = _invert(delta, measured.var_p)
+        assert model.r_a_from_var is None
+        assert model.r_a_discrepancy is None
+        assert model.warnings[0] == (
+            "variance route for r_a unavailable: variance differences both "
+            "at the noise floor; r_A unconstrained by this route")
 
     def test_variance_route_rejects_contradiction(self):
+        # only the denominator vanishes: no survival factor gives that
         delta = DeltaStats(n_pulses=3, d_var_p=10.0, d_var_q=10.0,
                            d_var_r=14.0, d_cov_pq=5.0, d_cov_pr=4.0)
-        with pytest.raises(InconsistentDataError):
-            estimate_ra_from_var(delta)
+        model = _invert(delta)
+        assert model.r_a == 0.8
+        assert model.r_a_from_var is None
+        assert model.warnings[0] == (
+            "variance route for r_a unavailable: d_var_q - d_var_p = 0 "
+            "vanishes while d_var_r - d_var_q = 4 does not")
 
     def test_variance_route_rejects_negative_square(self):
         delta = DeltaStats(n_pulses=3, d_var_p=10.0, d_var_q=16.0,
                            d_var_r=10.0, d_cov_pq=5.0, d_cov_pr=4.0)
-        with pytest.raises(InconsistentDataError):
-            estimate_ra_from_var(delta)
+        model = _invert(delta)
+        assert model.r_a == 0.8
+        assert model.r_a_from_var is None
+        assert model.warnings[0] == (
+            "variance route for r_a unavailable: squared survival estimate "
+            "is negative (-1)")
 
     def test_needs_three_pulses(self):
         delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=2.0, d_cov_pq=1.0)
-        with pytest.raises(UndefinedInputError):
-            estimate_ra_from_cov(delta)
+        with pytest.raises(UndefinedInputError,
+                           match="^three-pulse inversion needs three pulses, "
+                                 "got 2$"):
+            _invert(delta)
 
 
 class TestNoiseInversion:
     def test_recovers_injected_entries(self, noisy_set):
-        delta, _ = _analytic_delta(noisy_set)
-        noise = estimate_noise(delta, kappa=1.0, j33=25.0, r_a=0.8)
+        delta, measured = _analytic_delta(noisy_set)
+        noise = _invert(delta, measured.var_p).noise
         assert noise.n33 == pytest.approx(2.0, rel=1e-12)
         assert noise.n35 == pytest.approx(0.5, rel=1e-12)
         assert noise.n55 == pytest.approx(4.0, rel=1e-12)
         assert noise.negative_entries == ()
 
     def test_zero_noise_comes_back_zero(self, lossy_set):
-        delta, _ = _analytic_delta(lossy_set)
-        noise = estimate_noise(delta, kappa=1.0, j33=25.0, r_a=0.8)
+        delta, measured = _analytic_delta(lossy_set)
+        noise = _invert(delta, measured.var_p).noise
         assert noise.n33 == pytest.approx(0.0, abs=1e-12)
         assert noise.n35 == pytest.approx(0.0, abs=1e-12)
         assert noise.n55 == pytest.approx(0.0, abs=1e-12)
@@ -89,14 +117,18 @@ class TestNoiseInversion:
     def test_negative_diagonals_flagged_not_hidden(self):
         delta = DeltaStats(n_pulses=3, d_var_p=20.0, d_var_q=19.0,
                            d_var_r=18.4, d_cov_pq=20.0, d_cov_pr=16.0)
-        noise = estimate_noise(delta, kappa=1.0, j33=25.0, r_a=0.8)
-        assert noise.n55 == pytest.approx(-5.0)
-        assert "n55" in noise.negative_entries
+        model = _invert(delta)
+        assert model.r_a == 0.8
+        assert model.noise.n55 == pytest.approx(-5.0)
+        assert model.noise.negative_entries == ("n55",)
+        assert model.warnings == ("noise diagonal n55 estimated negative",)
 
     def test_needs_nonzero_kappa(self, noisy_set):
-        delta, _ = _analytic_delta(noisy_set)
-        with pytest.raises(UndefinedInputError):
-            estimate_noise(delta, kappa=0.0, j33=25.0, r_a=0.8)
+        delta, measured = _analytic_delta(noisy_set)
+        with pytest.raises(UndefinedInputError,
+                           match="^kappa must be nonzero to invert the "
+                                 "noise$"):
+            _invert(delta, measured.var_p, kappa=0.0)
 
 
 class TestFullInversion:
@@ -199,8 +231,11 @@ class TestJointStandardErrors:
                                       1.0 / den, 0.0, 0.0]) / (2.0 * root),
         }
         grads["r_a - r_a_from_var"] = grads["r_a"] - grads["r_a_from_var"]
-        se = _route_se(delta)
-        assert list(se) == list(grads)
+        values = [p, q, r, c_pq, c_pr]
+        two_root = 2.0 * math.sqrt(num / den)
+        assert list(_routes(values, two_root)) == list(grads)
+        se = _propagate_se(lambda v: _routes(v, two_root), values,
+                           delta._sigma(names), tuple(grads))
         for key, grad in grads.items():
             assert se[key] == pytest.approx(np.sqrt(grad @ sigma @ grad),
                                             rel=1e-6), key

@@ -494,12 +494,13 @@ class TestReadValidation:
         assert caught == []
 
     def test_arm_shape_mismatch(self, tmp_path):
+        # arms read as separate record sets still meet delta_stats' refusal
         a = tmp_path / "a.csv"
         a.write_text("shot,p_y,q_y\n0,1.0,2.0\n1,3.0,4.0\n")
         b = tmp_path / "b.csv"
         b.write_text("shot,p_y\n0,1.0\n1,3.0\n")
-        with pytest.raises(ValueError, match="pulse count"):
-            delta_stats(*read_moments(a, b), 1.0)
+        with pytest.raises(ValueError, match="pulse count: 2 vs 1"):
+            delta_stats(read_moments(a, a)[0], read_moments(b, b)[1], 1.0)
 
     def test_arms_of_unequal_length_are_refused(self, tmp_path):
         # without a sidecar nothing else holds the arms to one shot count
@@ -509,6 +510,17 @@ class TestReadValidation:
         b.write_text("shot,p_y\n0,1.0\n1,3.0\n")
         with pytest.raises(RecordError, match="^arms disagree on the shot "
                                               "count: 3 with_atoms, 2 "
+                                              "no_atoms$"):
+            read_moments(a, b)
+
+    def test_arms_of_unequal_width_are_refused(self, tmp_path):
+        # without a sidecar nothing else holds the arms to one pulse count
+        a = tmp_path / "a.csv"
+        a.write_text("shot,p_y,q_y\n0,1.0,2.0\n1,3.0,4.0\n")
+        b = tmp_path / "b.csv"
+        b.write_text("shot,p_y\n0,1.0\n1,3.0\n")
+        with pytest.raises(RecordError, match="^arms disagree on the pulse "
+                                              "count: 2 with_atoms, 1 "
                                               "no_atoms$"):
             read_moments(a, b)
 
