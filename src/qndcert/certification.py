@@ -278,7 +278,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         Calibrated coupling, input spin variance, projection-noise scale.
     z_threshold : float
         Gate width in standard errors; also sets the noise floor below
-        which delta covariances count as uninformative.
+        which delta covariances count as uninformative, for the gate and
+        for the model inversion alike.
     """
     if j33 < 0.0:
         raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
@@ -319,7 +320,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     route = _R_A_ASSUMED if n >= 2 and var_p > 0.0 else _METER_ONLY
     if n == 3 and informative:
         try:
-            estimates = invert_three_pulse(delta, var_p, kappa, j33)
+            estimates = invert_three_pulse(delta, var_p, kappa, j33,
+                                           z_threshold=z_threshold)
             warns.extend(estimates.warnings)
         except QndError as exc:
             reasons.append(f"model inversion failed: {exc}")

@@ -11,7 +11,9 @@ index map and the meter labels are built once per pulse count, as
 module tables for n = 1..3, so a label lookup is one dict access.
 States carry a mean vector and a symmetric covariance matrix over these
 components; covariances are symmetrized on construction so every
-downstream consumer can rely on exact symmetry.
+downstream consumer can rely on exact symmetry.  A state holds one
+read-only copy of each: the symmetrized covariance is itself a new
+array, so it is frozen as it is, and only the mean is copied.
 
 Positivity is checked on construction: eigenvalues below ``-1e-9 * trace``
 raise when the ``QNDC_STRICT_PSD=1`` environment variable is set and emit a
@@ -67,16 +69,17 @@ def _as_square(matrix, size: int, what: str) -> np.ndarray:
 
 
 def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
-    gap = float(abs(matrix - matrix.T).max()) if matrix.size else 0.0
+    """A new, read-only, exactly symmetric copy of ``matrix``."""
+    # A contiguous transpose: numpy is slower on the strided view.
+    transpose = matrix.T.copy()
+    # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
+    # largest entry is its largest magnitude
+    gap = float((matrix - transpose).max()) if matrix.size else 0.0
     if gap > SYMMETRY_ATOL:
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
-    # Exactly symmetric output; (a + a) / 2 == a, so symmetric input is
-    # returned bit-identical.
-    return (matrix + matrix.T) / 2.0
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
+    # (a + a) / 2 == a, so symmetric input is copied bit-identical.
+    out = matrix + transpose
+    out /= 2.0
     out.setflags(write=False)
     return out
 
@@ -142,7 +145,7 @@ class AtomicBlock:
         cov = _require_symmetric(_as_square(self.cov, 3, "atomic covariance"),
                                  "atomic covariance")
         object.__setattr__(self, "mean_jx", float(self.mean_jx))
-        object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "cov", cov)
 
     @classmethod
     def coherent(cls, n_atoms: float) -> "AtomicBlock":
@@ -181,7 +184,7 @@ class OpticalBlock:
             )
         cov = _require_symmetric(cov, "optical covariance")
         object.__setattr__(self, "mean_sx", float(self.mean_sx))
-        object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "cov", cov)
 
     @property
     def n_pulses(self) -> int:
@@ -207,7 +210,7 @@ class GaussianState:
     """Mean vector and symmetric covariance over a :class:`Layout`.
 
     The covariance is symmetrized on construction and both arrays are
-    frozen, so states can be shared without defensive copies.
+    frozen copies, so states can be shared without defensive copies.
     """
 
     layout: Layout
@@ -217,15 +220,15 @@ class GaussianState:
 
     def __post_init__(self) -> None:
         dim = self.layout.dimension
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)  # a copy: never the caller's
         if mean.shape != (dim,):
             raise DimensionMismatchError(
                 f"mean must have shape ({dim},), got {mean.shape}"
             )
-        cov = _require_symmetric(_as_square(self.cov, dim, "covariance"),
-                                 "covariance")
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(cov))
+        mean.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", _require_symmetric(
+            _as_square(self.cov, dim, "covariance"), "covariance"))
         if self.check_psd:
             _validate_psd(self.cov)
 
@@ -236,6 +239,8 @@ class GaussianState:
 
 def _validate_psd(cov: np.ndarray) -> None:
     min_eig = float(np.linalg.eigvalsh(cov)[0])
+    if min_eig >= 0.0:  # inside every tolerance: no trace needed
+        return
     tol = PSD_RTOL * max(float(cov.trace()), 0.0)
     if min_eig < -tol:
         message = (

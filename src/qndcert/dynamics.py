@@ -18,18 +18,32 @@ pulses not yet arrived are untouched, so the matrix for pulse 2 is the
 pulse-1 matrix conjugated by the permutation that swaps the two pulse
 blocks (and likewise for pulse 3).
 
+Where these entries sit depends only on the pulse count and the pulse,
+so their flat positions are module tables, built once for every
+(pulse count, pulse) pair like :mod:`qndcert.core`'s label tables: a
+call copies the identity or zeros and puts its values there, with no
+slicing or label lookup of its own.
+
 kappa = g*tau*<S_x> and kappa_b = g*tau*<J_x> are fixed at their
 calibration values; neither is rescaled as atoms or photons are lost.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .core import GaussianState, Layout, _require_symmetric
+from .core import (
+    _INDEX,
+    AXES,
+    PULSE_NAMES,
+    GaussianState,
+    Layout,
+    _require_symmetric,
+)
 from .errors import LayoutError
 
 __all__ = [
@@ -109,9 +123,8 @@ class NoiseModel:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (6, 6):
             raise ValueError(f"noise matrix must be 6x6, got {matrix.shape}")
-        matrix = _require_symmetric(matrix, "noise matrix")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix",
+                           _require_symmetric(matrix, "noise matrix"))
 
     @classmethod
     def zero(cls) -> "NoiseModel":
@@ -147,49 +160,82 @@ class NoiseModel:
         return not np.any(self.matrix)
 
 
-def _check_pulse(pulse: int, layout: Layout) -> None:
-    if not 1 <= pulse <= layout.n_pulses:
+class _PulseTables(NamedTuple):
+    """Flat positions, in a (dimension x dimension) matrix, of one
+    pulse's entries; the pulse block is ``a`` = 3 pulse .. 3 pulse + 2."""
+
+    identity: np.ndarray  # the identity M starts from
+    # M's scaled blocks [:3, :3] and [a, a]: their diagonals, then their
+    # off-diagonals; then the coupling entries (S_y of the pulse, J_z)
+    # and (J_y, S_z of the pulse)
+    interaction: np.ndarray
+    # N's 6x6 grid over (J_x, J_y, J_z, a), row-major
+    noise: np.ndarray
+
+
+def _pulse_tables(n_pulses: int, pulse: int) -> _PulseTables:
+    dim = 3 * (1 + n_pulses)
+    index = _INDEX[n_pulses]
+    name = PULSE_NAMES[pulse - 1]
+    spin = [index[f"J_{axis}"] for axis in AXES]
+    active = [index[f"{name}_{axis}"] for axis in AXES]
+
+    def grid(rows, cols):
+        return [row * dim + col for row in rows for col in cols]
+
+    diagonal = [i * dim + i for i in spin + active]
+    off_diagonal = [cell for cell in grid(spin, spin) + grid(active, active)
+                    if cell not in diagonal]
+    coupling = [index[f"{name}_y"] * dim + index["J_z"],
+                index["J_y"] * dim + index[f"{name}_z"]]
+    return _PulseTables(
+        identity=np.eye(dim),
+        interaction=np.array(diagonal + off_diagonal + coupling),
+        noise=np.array(grid(spin + active, spin + active)))
+
+
+_TABLES = {(n, pulse): _pulse_tables(n, pulse)
+           for n in (1, 2, 3) for pulse in range(1, n + 1)}
+
+
+def _tables(pulse: int, layout: Layout) -> _PulseTables:
+    try:  # an integer pulse only: 1.0 hashes like 1
+        return _TABLES[layout.n_pulses, operator.index(pulse)]
+    except (KeyError, TypeError):
         raise LayoutError(
             f"pulse must be in 1..{layout.n_pulses}, got {pulse}"
-        )
+        ) from None
 
 
 def interaction_matrix(params: ExperimentParams, pulse: int, layout: Layout,
                        coupling_sign: float = 1.0) -> np.ndarray:
     """Linear one-pulse map M_k for ``pulse`` k (1-based).
 
-    Identity on every inactive pulse block; the spin diagonal carries r_A,
-    the active block diagonal carries r_L, and the two coupling entries
-    carry kappa (meter) and kappa_b (back-action).
+    Identity on every inactive pulse block; the spin block is r_A times
+    the 3x3 identity, the active block r_L times it (so r = -0.0 puts
+    -0.0 off the block diagonal too), and the two coupling entries carry
+    kappa (meter) and kappa_b (back-action).
 
     ``coupling_sign`` flips both coupling entries.  It exists so the
     self-test can demonstrate that measured moments do not depend on the
     sign convention of the interaction; production callers leave it at +1.
     """
-    _check_pulse(pulse, layout)
-    dim = layout.dimension
-    m = np.eye(dim)
-    m[:3, :3] *= params.r_a
-    active = layout.block_slice(pulse)
-    m[active, active] = params.r_l * np.eye(3)
-    meter_row = active.start + 1  # S_y of the active pulse
-    sz_col = active.start + 2     # S_z of the active pulse
-    jz = layout.index("J_z")
-    jy = layout.index("J_y")
-    m[meter_row, jz] = coupling_sign * params.kappa
-    m[jy, sz_col] = coupling_sign * params.kappa_back
+    tables = _tables(pulse, layout)
+    r_a, r_l = params.r_a, params.r_l
+    m = tables.identity.copy()
+    # r times eye(3): r on the diagonal, 0.0 * r (-0.0 at r = -0.0) off it
+    m.put(tables.interaction,
+          [r_a] * 3 + [r_l] * 3 + [0.0 * r_a] * 6 + [0.0 * r_l] * 6
+          + [coupling_sign * params.kappa, coupling_sign * params.kappa_back])
     return m
 
 
 def noise_matrix(noise: NoiseModel, pulse: int, layout: Layout) -> np.ndarray:
     """Embed the 6x6 per-pulse noise onto the full layout for ``pulse``."""
-    _check_pulse(pulse, layout)
-    active = layout.block_slice(pulse)
-    out = np.zeros((layout.dimension, layout.dimension))
-    out[:3, :3] = noise.matrix[:3, :3]
-    out[:3, active] = noise.matrix[:3, 3:]
-    out[active, :3] = noise.matrix[3:, :3]
-    out[active, active] = noise.matrix[3:, 3:]
+    tables = _tables(pulse, layout)
+    dim = layout.dimension
+    out = np.zeros((dim, dim))
+    out.put(tables.noise, noise.matrix)
     return out
 
 

@@ -38,11 +38,6 @@ __all__ = [
     "invert_three_pulse",
 ]
 
-# Width, in combined standard errors, inside which a quantity is treated
-# as indistinguishable from zero by invert_three_pulse.
-_FLOOR_SIGMAS = 3.0
-
-
 @dataclass(frozen=True)
 class EstimatedNoise:
     """Per-pulse noise entries recovered from delta statistics.
@@ -107,12 +102,16 @@ def _routes(v, two_root: float = 0.0) -> dict[str, float]:
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
-                       j33: float) -> EstimatedModel:
+                       j33: float, *,
+                       z_threshold: float = 3.0) -> EstimatedModel:
     """Full model inversion of a three-pulse run.
 
-    Quantities within ``3`` combined standard errors of zero are treated
-    as zero when deciding whether a ratio is usable (no-op for analytic
-    inputs, which carry no standard errors).  Failure of the primary
+    Quantities within ``z_threshold`` combined standard errors of zero
+    are treated as zero when deciding whether a ratio is usable, and two
+    r_A routes further apart than that disagree (no-op for analytic
+    inputs, which carry no standard errors); :func:`~qndcert.certify`
+    passes its gate width, so a coupling it judges informative is one
+    the inversion uses.  Failure of the primary
     covariance route propagates as an exception; failure of the
     variance cross-check, r_A = sqrt((d_var_r - d_var_q) /
     (d_var_q - d_var_p)), degrades to ``r_a_from_var=None`` plus a
@@ -127,7 +126,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if delta.n_pulses != 3:
         raise UndefinedInputError(
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
-    floor_pq = _FLOOR_SIGMAS * delta.se_of("d_cov_pq", 0.0)
+    floor_pq = z_threshold * delta.se_of("d_cov_pq", 0.0)
     if abs(delta.d_cov_pq) <= floor_pq:
         raise UninformativeCouplingError(
             f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
@@ -144,7 +143,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         _ROUTE_KEYS if two_root else _ROUTE_KEYS[:2])
     warnings: list[str] = []
 
-    var_floor = _FLOOR_SIGMAS * se.get("d_var_q - d_var_p", 0.0)
+    var_floor = z_threshold * se.get("d_var_q - d_var_p", 0.0)
     r_a_from_var = unavailable = None
     if abs(den) <= var_floor:
         # 0/0 admits any r_A, e.g. a lossless noiseless run; x/0 none
@@ -164,7 +163,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if r_a_from_var is not None:
         discrepancy = abs(r_a - r_a_from_var)
         combined = se.get("r_a - r_a_from_var", 0.0)
-        if combined > 0.0 and discrepancy > _FLOOR_SIGMAS * combined:
+        if combined > 0.0 and discrepancy > z_threshold * combined:
             warnings.append(
                 f"r_a routes disagree: {r_a:.6g} vs {r_a_from_var:.6g} "
                 f"({discrepancy / combined:.2f} combined se)"

@@ -81,7 +81,8 @@ class _MeterCovariance:
     ``_also_in_sigma``) beside it, and one attribute per moment name.
     Leaving out an unreported name puts NaN in ``cov``; it reads None."""
 
-    __slots__ = ("cov", "n_pulses", "n_shots", "se", "moment_cov")
+    __slots__ = ("cov", "n_pulses", "n_shots", "se", "moment_cov",
+                 "_sigma_full")
     _unreported: tuple[str, ...] = ()
     _also_in_sigma: tuple[str, ...] = ()
     _nonnegative = False  # refuse a negative variance
@@ -138,7 +139,7 @@ class _MeterCovariance:
                   for name in cls._reported[n]}
         if moment_cov is not None:
             moment_cov.setflags(write=False)
-        fields = [cov, n, n_shots, se, moment_cov]
+        fields = [cov, n, n_shots, se, moment_cov, None]  # Sigma's rows
         for name, (j, k) in cls._entries.items():
             value = rows[j][k] if k < n else None
             if value != value and name in cls._unreported:
@@ -172,8 +173,12 @@ class _MeterCovariance:
         return default if self.se is None else self.se.get(name, default)
 
     def _sigma(self, names) -> list[list[float]]:
-        """Sigma over ``names``, as rows; a name it lacks has no error."""
-        full = self.moment_cov.tolist()
+        """Sigma over ``names``, as new rows; a name it lacks has no
+        error.  Sigma's own rows are built on the first call and kept."""
+        full = self._sigma_full
+        if full is None:
+            full = self.moment_cov.tolist()
+            _MeterCovariance._sigma_full.__set__(self, full)
         rows = [self._sigma_rows[self.n_pulses].get(name) for name in names]
         return [[0.0 if i is None or j is None else full[i][j] for j in rows]
                 for i in rows]
@@ -321,23 +326,24 @@ def predicted_moments(params: ExperimentParams, noise: NoiseModel,
             "closed forms require a zero atom-light cross block in the input"
         )
     n = initial.layout.n_pulses
-    kappa = params.kappa
+    kappa, r_a, r_l = params.kappa, params.r_a, params.r_l
+    n33, n35, n55 = noise.n33, noise.n35, noise.n55
     j33 = get_entry(initial, "J_z", "J_z")
     meters = initial.layout.meter_slice
     rows = initial.cov[meters, meters].tolist()  # the input light, C
     # Spin variance entering each pulse.
     a = [j33]
     for _ in range(n - 1):
-        a.append(params.r_a ** 2 * a[-1] + noise.n33)
+        a.append(r_a ** 2 * a[-1] + n33)
     for j in range(n):
         for k in range(j, n):
-            light = params.r_l ** 2 * rows[j][k]
+            light = r_l ** 2 * rows[j][k]
             if j == k:
-                rows[j][k] = light + kappa * kappa * a[k] + noise.n55
+                rows[j][k] = light + kappa * kappa * a[k] + n55
             else:
                 rows[j][k] = rows[k][j] = (
-                    light + kappa * kappa * params.r_a ** (k - j) * a[j]
-                    + kappa * params.r_a ** (k - 1 - j) * noise.n35)
+                    light + kappa * kappa * r_a ** (k - j) * a[j]
+                    + kappa * r_a ** (k - 1 - j) * n35)
     return MomentSet._of(np.array(rows), rows=rows)
 
 
@@ -420,10 +426,16 @@ def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
     inputs = [i for i, row in enumerate(sigma) if row[i] != 0.0]
     slopes = {}  # by input, the slope of each key
     for i in inputs:
-        h = max(1e-6 * abs(values[i]), 1e-9)
-        up = fn(values[:i] + [values[i] + h] + values[i + 1:])
-        down = fn(values[:i] + [values[i] - h] + values[i + 1:])
-        slopes[i] = [(up[key] - down[key]) / (2.0 * h) for key in keys]
+        x = values[i]
+        h = max(1e-6 * abs(x), 1e-9)
+        point = values.copy()
+        point[i] = x + h
+        up = fn(point)
+        point = values.copy()
+        point[i] = x - h
+        down = fn(point)
+        two_h = 2.0 * h
+        slopes[i] = [(up[key] - down[key]) / two_h for key in keys]
     sds = [(slopes[i], math.sqrt(sigma[i][i])) for i in inputs]
     pairs = [(slopes[i], slopes[j], 2.0 * sigma[i][j]) for i, j
              in itertools.combinations(inputs, 2) if sigma[i][j] != 0.0]

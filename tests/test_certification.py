@@ -206,6 +206,50 @@ class TestCertify:
         assert report.inconclusive
         assert exit_code(report) == 2
 
+    @pytest.mark.parametrize("z", [1.0, 2.0])
+    def test_inversion_floor_is_the_gate_width(self, ideal_set, z):
+        # the couplings are 2 standard errors from zero: informative below
+        # z = 2, so the inversion certify runs must use that floor too
+        delta, var_p = _delta_of(ideal_set)
+        se = {name: abs(delta.d_cov_pq) / 2.0 for name in delta.entries()}
+        delta = DeltaStats(n_pulses=3, se=se, **delta.entries())
+        report = certify(delta, var_p, 1.0, 25.0, 25.0, z_threshold=z,
+                         var_p_se=1.0)
+        if z < 2.0:
+            assert report.reasons == ()
+            assert report.estimates is not None
+            assert report.estimates.r_a == pytest.approx(1.0, rel=1e-12)
+            assert report.nonclassical.r_a_assumed is None
+        else:
+            assert report.estimates is None
+            assert report.reasons[0].startswith("uninformative coupling")
+        assert not any("model inversion failed" in r for r in report.reasons)
+
+    def test_sampled_runs_never_fail_the_inversion_past_the_gate(self):
+        # kappa 0.1 puts d_cov_pq within a few standard errors of zero at
+        # 2000 shots; wherever the gate at z = 1 passes it, the inversion
+        # certify runs must not refuse it as uninformative
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        # the README config's loss and noise
+        params = ExperimentParams.from_kappa(0.1, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        passed = 0
+        for seed in range(20):
+            measured, reference = simulate_moments(params, noise, initial,
+                                                   2000, seed)
+            delta = delta_stats(measured, reference, params.r_l)
+            report = certify(delta, measured.var_p, 0.1, 25.0, 25.0,
+                             z_threshold=1.0,
+                             var_p_se=measured.se_of("var_p"))
+            if report.nonclassical.r_a_assumed is None:  # exact route
+                passed += 1
+                assert report.estimates is not None, report.reasons
+        assert passed >= 5
+
     def test_two_pulse_run_gives_reduced_report(self):
         delta = DeltaStats(n_pulses=2, d_var_p=25.0, d_var_q=25.0,
                            d_cov_pq=25.0)

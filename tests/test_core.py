@@ -207,6 +207,43 @@ class TestGaussianState:
             state.mean[0] = 1.0
 
 
+class TestOneCopyPerState:
+    def test_state_never_aliases_its_inputs(self):
+        rng = np.random.default_rng(3)
+        mean = rng.normal(size=6)
+        cov = np.eye(6) * 2.0
+        state = GaussianState(Layout(1), mean, cov)
+        assert not np.shares_memory(state.mean, mean)
+        assert not np.shares_memory(state.cov, cov)
+        mean[0] = cov[0, 0] = 99.0  # the caller's arrays stay the caller's
+        assert state.mean[0] != 99.0 and state.cov[0, 0] == 2.0
+        # read-only inputs, and another state's arrays, are copied too
+        again = GaussianState(Layout(1), state.mean, state.cov)
+        assert not np.shares_memory(again.mean, state.mean)
+        assert not np.shares_memory(again.cov, state.cov)
+        for array in (state.mean, state.cov, again.mean, again.cov):
+            assert not array.flags.writeable
+            assert array.dtype == np.float64
+
+    def test_integer_inputs_become_float_copies(self):
+        state = GaussianState(Layout(1), np.arange(6), np.eye(6, dtype=int))
+        assert state.mean.dtype == state.cov.dtype == np.float64
+        assert not state.cov.flags.writeable
+
+    def test_blocks_and_noise_hold_their_own_frozen_copy(self):
+        from qndcert import NoiseModel
+        cov = np.diag([0.0, 25.0, 25.0])
+        light = np.eye(3) * 25.0
+        noise = np.eye(6)
+        held = (AtomicBlock(mean_jx=50.0, cov=cov).cov,
+                OpticalBlock(mean_sx=50.0, cov=light).cov,
+                NoiseModel(noise).matrix)
+        for given, kept in zip((cov, light, noise), held):
+            assert not np.shares_memory(kept, given)
+            assert not kept.flags.writeable
+            assert (kept == given).all()
+
+
 def test_public_names_are_the_imported_ones():
     import qndcert
 

@@ -162,6 +162,92 @@ class TestNoiseEmbedding:
                 assert (got == expected).all()
 
 
+def _reference_interaction(params, pulse, layout, coupling_sign=1.0):
+    """M built by slices and label lookups: the reference whose bits the
+    index tables must give."""
+    m = np.eye(layout.dimension)
+    m[:3, :3] *= params.r_a
+    active = layout.block_slice(pulse)
+    m[active, active] = params.r_l * np.eye(3)
+    m[active.start + 1, layout.index("J_z")] = coupling_sign * params.kappa
+    m[layout.index("J_y"), active.start + 2] = (coupling_sign
+                                                * params.kappa_back)
+    return m
+
+
+def _reference_noise(noise, pulse, layout):
+    active = layout.block_slice(pulse)
+    out = np.zeros((layout.dimension, layout.dimension))
+    out[:3, :3] = noise.matrix[:3, :3]
+    out[:3, active] = noise.matrix[:3, 3:]
+    out[active, :3] = noise.matrix[3:, :3]
+    out[active, active] = noise.matrix[3:, 3:]
+    return out
+
+
+def _same_bits(a, b):
+    """Equal shape and dtype, and every float equal bit for bit, so the
+    sign of each zero counts."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+class TestTablesKeepTheBits:
+    """The per-layout index tables against the slice construction."""
+
+    @staticmethod
+    def _params(rng, survival):
+        kappa, back = rng.uniform(0.1, 3.0, size=2)
+        return ExperimentParams(g_tau=kappa / 50.0, mean_sx=50.0,
+                                mean_jx=back * 50.0 / kappa,
+                                r_a=survival[0], r_l=survival[1])
+
+    @pytest.mark.parametrize("survival", [(0.8, 0.9), (1.0, 1.0),
+                                          (0.0, 0.0), (-0.0, -0.0),
+                                          (-0.0, 0.7), (0.6, -0.0)],
+                             ids=["lossy", "lossless", "zero", "minus-zero",
+                                  "minus-zero-r_a", "minus-zero-r_l"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_maps_and_pulses_equal_the_slices(self, n_pulses, sign,
+                                              survival):
+        layout = Layout(n_pulses)
+        rng = np.random.default_rng(7 * n_pulses)
+        params = self._params(rng, survival)
+        noise = NoiseModel(random_psd(rng, 6, 3.0))
+        state = GaussianState(layout, rng.normal(size=layout.dimension),
+                              random_psd(rng, layout.dimension, 10.0))
+        for pulse in range(1, n_pulses + 1):
+            m = interaction_matrix(params, pulse, layout, sign)
+            assert _same_bits(m, _reference_interaction(params, pulse,
+                                                        layout, sign))
+            assert _same_bits(noise_matrix(noise, pulse, layout),
+                              _reference_noise(noise, pulse, layout))
+            out = apply_pulse(state, params, noise, pulse, sign)
+            m = _reference_interaction(params, pulse, layout, sign)
+            n = _reference_noise(noise, pulse, layout)
+            assert _same_bits(out.mean, m @ state.mean)
+            cov = m @ state.cov @ m.T + n
+            assert _same_bits(out.cov, (cov + cov.T) / 2.0)
+
+    def test_minus_zero_survival_signs_the_whole_block(self):
+        # -0.0 times eye(3): all nine entries of both blocks are -0.0
+        params = ExperimentParams(g_tau=0.02, mean_sx=50.0, mean_jx=40.0,
+                                  r_a=-0.0, r_l=-0.0)
+        m = interaction_matrix(params, 2, Layout(3))
+        minus_zero = (m == 0.0) & np.signbit(m)
+        assert minus_zero.sum() == 18
+        assert minus_zero[:3, :3].all() and minus_zero[6:9, 6:9].all()
+
+    def test_unknown_pulse_is_a_layout_error(self):
+        params = ExperimentParams(g_tau=0.02, mean_sx=50.0, mean_jx=40.0)
+        for pulse in (0, 4, -1, 1.0, "1"):
+            with pytest.raises(LayoutError, match="pulse must be in 1..3"):
+                interaction_matrix(params, pulse, Layout(3))
+            with pytest.raises(LayoutError, match="pulse must be in 1..3"):
+                noise_matrix(NoiseModel.zero(), pulse, Layout(3))
+
+
 class TestApplyPulse:
     def test_matches_hand_propagation_on_random_state(self):
         layout = Layout(1)

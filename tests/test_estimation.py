@@ -59,6 +59,17 @@ class TestSurvivalEstimators:
                                  r"noise floor 0.012$"):
             _invert(delta)
 
+    def test_floor_width_is_z_threshold(self):
+        # 0.001 is 0.25 se from zero: inside a floor of 0.2 se it is not
+        delta = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=2.0, d_var_r=2.64,
+                           d_cov_pq=0.001, d_cov_pr=0.0008,
+                           se={"d_cov_pq": 0.004})
+        with pytest.raises(UninformativeCouplingError,
+                           match=r"noise floor 0.0012$"):
+            invert_three_pulse(delta, 50.0, 1.0, 25.0, z_threshold=0.3)
+        model = invert_three_pulse(delta, 50.0, 1.0, 25.0, z_threshold=0.2)
+        assert model.r_a == pytest.approx(0.8, rel=1e-12)
+
     def test_variance_route_degenerate_for_ideal_run(self, ideal_set):
         # lossless noiseless data: both differences are exactly zero (0/0)
         delta, measured = _analytic_delta(ideal_set)

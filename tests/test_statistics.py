@@ -637,6 +637,71 @@ class TestErrorCovariance:
         assert MomentSet(n_pulses=1, var_p=1.0).moment_cov is None
 
 
+class TestSigmaRowsBuiltOnce:
+    """Sigma's Python rows are built on construction; what ``se`` and
+    ``_sigma`` give from them equals what the array gives."""
+
+    @staticmethod
+    def _reference_sigma(moments, names):
+        # Sigma's rows read from the array on each call
+        full = moments.moment_cov.tolist()
+        rows = [moments._sigma_rows[moments.n_pulses].get(name)
+                for name in names]
+        return [[0.0 if i is None or j is None else full[i][j] for j in rows]
+                for i in rows]
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_rows_and_standard_errors_equal_the_array(self, n_pulses):
+        measured, reference = _sampled(n_pulses, 2000, 8)
+        delta = delta_stats(measured, reference, 0.7)
+        hand = DeltaStats(n_pulses=n_pulses, se=dict(delta.se),
+                          **delta.entries())
+        for moments in (measured, reference, delta, hand):
+            n = moments.n_pulses
+            names = [*moments._sigma_rows[n], "absent"]
+            got = moments._sigma(names)
+            assert got == self._reference_sigma(moments, names)
+            assert got is not moments._sigma(names)  # callers may edit it
+            sds = np.sqrt(moments.moment_cov.diagonal())
+            index = moments._sigma_rows[n]
+            assert moments.se == {name: sds[index[name]]
+                                  for name in moments._reported[n]}
+
+    def test_inversion_and_certify_errors_equal_the_arrays(self):
+        from qndcert import certify, invert_three_pulse
+        from qndcert.estimation import _ROUTE_INPUTS, _ROUTE_KEYS, _routes
+        measured, reference = _sampled(3, 2000, 8)
+        delta = delta_stats(measured, reference, 0.9)
+        values = [getattr(delta, name) for name in _ROUTE_INPUTS]
+        # each key's error is its own sum: r_a's does not need the
+        # variance route, which this run's noise leaves unavailable
+        se = statistics._propagate_se(
+            _routes, values, self._reference_sigma(delta, _ROUTE_INPUTS),
+            _ROUTE_KEYS[:2])
+        model = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
+        assert model.r_a_se == se["r_a"]
+        report = certify(delta, measured.var_p, 1.0, 25.0, 25.0,
+                         var_p_se=measured.se["var_p"])
+        assert report.se == report_se_from_array(report, delta)
+
+
+def report_se_from_array(report, delta):
+    """``certify``'s standard errors, Sigma read from the array."""
+    from qndcert.certification import _INPUTS, _figures, _inputs
+    sigma = TestSigmaRowsBuiltOnce._reference_sigma(delta,
+                                                    _INPUTS + ("var_p",))
+    sd = report.var_p_se
+    rescale = sd / np.sqrt(sigma[4][4])
+    for i in range(4):
+        sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
+    sigma[4][4] = sd * sd
+    k2 = report.kappa * report.kappa
+    route = tuple(report.se)
+    return statistics._propagate_se(
+        lambda v: _figures(v, k2, report.j33, report.j0, route),
+        _inputs(delta, report.var_p), sigma, route)
+
+
 class TestPropagation:
     """``statistics._propagate_se``: sqrt(diag(J Sigma J^T))."""
 
