@@ -19,9 +19,8 @@ from .certification import (
     CertificationReport,
     FiguresOfMerit,
     NonClassicality,
+    SqueezingVerdict,
     certify,
-    holland_figures,
-    nonclassicality,
 )
 from .conditioning import (
     condition_on_component,
@@ -76,13 +75,11 @@ from .statistics import (
     DeltaStats,
     MomentAccumulator,
     MomentSet,
-    SqueezingVerdict,
     conditional_variance_from_stats,
     delta_stats,
     meter_moments,
     no_atoms_moments,
     predicted_moments,
-    squeezing_condition,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,9 @@
 """Certification figures and verdicts from measured statistics.
 
+:func:`certify` is the one entry point: it checks the calibration once,
+decides once which route the run supports, and forms every figure below
+on that route.
+
 Three squared-correlation transfer figures grade the measurement chain
 (input spin -> meter, input spin -> output spin, output spin -> meter),
 
@@ -19,7 +23,17 @@ dx2_s_given_m < 1 certifies conditional state preparation beyond the
 projection noise; dx2_s * dx2_m < 1 certifies an information-damage
 tradeoff no classical meter chain can reach.  dx2_s may legitimately be
 negative when atom loss dominates; it is reported signed and clipped to
-zero only inside the product.
+zero only inside the product.  The readout squeezed the spin below its
+input variance exactly when the squeezing margin
+
+    d_cov_pq**2 - var_p (d_var_q - d_var_p)
+
+is positive.
+
+The route is exact when the run has three pulses, an informative
+coupling and a positive var_p; with two or more pulses and a positive
+var_p the state-prep figure assumes r_a = 1 (survival not identifiable);
+otherwise only dx2_m is formed.
 
 With sampled inputs every verdict is gated: a criterion counts as
 certified only when its margin to 1 exceeds ``z_threshold`` propagated
@@ -38,23 +52,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import QndError, UndefinedInputError
 from .estimation import EstimatedModel, invert_three_pulse
-from .statistics import (
-    DeltaStats,
-    SqueezingVerdict,
-    _conditional_variance,
-    _propagate_se,
-    squeezing_condition,
-)
+from .statistics import DeltaStats, _conditional_variance, _propagate_se
 
 __all__ = [
     "FiguresOfMerit",
     "NonClassicality",
+    "SqueezingVerdict",
     "CertificationReport",
-    "holland_figures",
-    "nonclassicality",
     "certify",
 ]
 
@@ -70,17 +78,14 @@ class FiguresOfMerit:
     undefined: dict[str, str]
 
 
-def holland_figures(delta: DeltaStats, var_p: float, kappa: float,
-                    j33: float) -> FiguresOfMerit:
-    """Squared-correlation transfer figures from measured statistics.
+def _transfer_figures(delta: DeltaStats, var_p: float, k2: float,
+                      j33: float) -> FiguresOfMerit:
+    """The transfer figures (module docstring forms), k2 = kappa**2.
 
     Entries whose denominators are unavailable or zero come back None
     instead of raising, so reduced (one- or two-pulse) runs still get
     whatever is defined.
     """
-    if j33 < 0.0:
-        raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
-    k2 = kappa * kappa
     undefined: dict[str, str] = {}
     values: dict[str, float | None] = {
         "c2_in_meter": None, "c2_in_out": None, "c2_out_meter": None,
@@ -161,11 +166,15 @@ def _figures(v, k2: float, j33: float, j0: float,
 
 @dataclass(frozen=True)
 class NonClassicality:
-    """Input-referred uncertainty figures.
+    """Input-referred uncertainty figures; a figure off the run's route
+    is None.
 
     ``r_a_assumed`` is set (to 1) when the run could not identify the
     atomic survival and the state-prep figure was normalized under that
     assumption; None means the exact three-pulse route was used.
+    ``product_sm`` is the squared uncertainty product
+    max(0, dx2_s) * max(0, dx2_m); comparing it against 1 is the
+    information-damage criterion.
     """
 
     dx2_s_given_m: float | None
@@ -176,54 +185,12 @@ class NonClassicality:
     warnings: tuple[str, ...] = ()
 
 
-def nonclassicality(delta: DeltaStats, var_p: float, kappa: float,
-                    j33: float, j0: float) -> NonClassicality:
-    """Exact three-pulse non-classicality figures (module docstring forms).
+class SqueezingVerdict(NamedTuple):
+    """Conditional spin squeezing: ``margin`` is the squeezing margin of
+    the module docstring, and ``squeezed`` whether it is positive."""
 
-    ``product_sm`` is the squared uncertainty product
-    max(0, dx2_s) * max(0, dx2_m); comparing it against 1 is the
-    information-damage criterion.
-    """
-    if delta.n_pulses != 3:
-        raise UndefinedInputError("non-classicality figures need three pulses")
-    if kappa == 0.0:
-        raise UndefinedInputError("kappa must be nonzero")
-    if j0 <= 0.0:
-        raise UndefinedInputError(f"j0 must be positive, got {j0}")
-    if j33 < 0.0:
-        raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
-    if var_p <= 0.0:
-        raise UndefinedInputError(f"var_p must be positive, got {var_p}")
-    if delta.d_cov_pr == 0.0:
-        raise UndefinedInputError("d_cov_pr is zero; spin-meter ratio undefined")
-
-    return _nonclassicality(delta, var_p, kappa, j33, j0, _EXACT)
-
-
-def _nonclassicality(delta: DeltaStats, var_p: float, kappa: float,
-                     j33: float, j0: float,
-                     route: tuple[str, ...]) -> NonClassicality:
-    """The figures of ``route``, unchecked; a figure off the route is
-    None.  Off the exact route the survival factor is not identifiable:
-    dx2_m stays exact, the state-prep figure assumes r_a = 1 (on
-    ``_R_A_ASSUMED``), and the product, hence the info-damage criterion,
-    is unavailable."""
-    figures = {**dict.fromkeys(_EXACT),
-               **_figures(_inputs(delta, var_p), kappa * kappa, j33, j0, route)}
-    warnings = []
-    if route == _EXACT:
-        for name, cause in (("dx2_s", "loss dominates added spin noise"),
-                            ("dx2_m", "sampled var_p below kappa**2*j33")):
-            if figures[name] < 0.0:
-                warnings.append(f"{name} is negative ({cause}); clipped to "
-                                "zero inside the uncertainty product")
-    r_a_assumed = None
-    if route == _R_A_ASSUMED:
-        r_a_assumed = 1.0
-        warnings.append("state-prep figure normalized with r_a assumed 1 "
-                        "(survival not identifiable from this run)")
-    return NonClassicality(**figures, r_a_assumed=r_a_assumed,
-                           warnings=tuple(warnings))
+    squeezed: bool
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -289,6 +256,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         raise UndefinedInputError("kappa must be nonzero")
 
     n = delta.n_pulses
+    k2 = kappa * kappa
+    positive = var_p > 0.0
     reasons: list[str] = []
     warns: list[str] = []
     gated = delta.se is not None
@@ -312,36 +281,58 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
             f"full certification needs three pulses, run has {n}; "
             "reduced report"
         )
-
-    figures = holland_figures(delta, var_p, kappa, j33)
+    figures = _transfer_figures(delta, var_p, k2, j33)
 
     estimates: EstimatedModel | None = None
-    ncl: NonClassicality | None = None
-    route = _R_A_ASSUMED if n >= 2 and var_p > 0.0 else _METER_ONLY
-    if n == 3 and informative:
+    exact = n == 3 and informative
+    if exact:
         try:
             estimates = invert_three_pulse(delta, var_p, kappa, j33,
                                            z_threshold=z_threshold)
             warns.extend(estimates.warnings)
         except QndError as exc:
             reasons.append(f"model inversion failed: {exc}")
-        try:
-            ncl = nonclassicality(delta, var_p, kappa, j33, j0)
-            route = _EXACT
-        except UndefinedInputError as exc:
-            reasons.append(f"non-classicality figures unavailable: {exc}")
-    if ncl is None:
-        ncl = _nonclassicality(delta, var_p, kappa, j33, j0, route)
-    warns.extend(ncl.warnings)
+        # A negative floor (z_threshold or a hand-given se below 0) lets
+        # a zero d_cov_pr through the gate; the ratio is then undefined.
+        unavailable = (f"var_p must be positive, got {var_p}" if not positive
+                       else "d_cov_pr is zero; spin-meter ratio undefined"
+                       if delta.d_cov_pr == 0.0 else None)
+        if unavailable:
+            exact = False
+            reasons.append("non-classicality figures unavailable: "
+                           + unavailable)
+    # The one route decision (module docstring).
+    route = (_EXACT if exact else
+             _R_A_ASSUMED if n >= 2 and positive else _METER_ONLY)
+
+    inputs = _inputs(delta, var_p)
+    ncl_values = {**dict.fromkeys(_EXACT),
+                  **_figures(inputs, k2, j33, j0, route)}
+    ncl_warnings = []
+    if route == _EXACT:
+        for name, cause in (("dx2_s", "loss dominates added spin noise"),
+                            ("dx2_m", "sampled var_p below kappa**2*j33")):
+            if ncl_values[name] < 0.0:
+                ncl_warnings.append(f"{name} is negative ({cause}); clipped "
+                                    "to zero inside the uncertainty product")
+    elif route == _R_A_ASSUMED:
+        ncl_warnings.append("state-prep figure normalized with r_a assumed 1 "
+                            "(survival not identifiable from this run)")
+    ncl = NonClassicality(
+        **ncl_values, r_a_assumed=1.0 if route == _R_A_ASSUMED else None,
+        warnings=tuple(ncl_warnings))
+    warns.extend(ncl_warnings)
 
     squeezing: SqueezingVerdict | None = None
-    if n >= 2:
-        try:
-            squeezing = squeezing_condition(delta, var_p)
-        except UndefinedInputError as exc:
-            reasons.append(f"squeezing test unavailable: {exc}")
-    else:
+    if n < 2:
         reasons.append("squeezing test needs two pulses")
+    elif not positive:
+        reasons.append("squeezing test unavailable: var_p must be positive, "
+                       f"got {var_p}")
+    else:
+        margin = delta.d_cov_pq ** 2 - var_p * (delta.d_var_q - delta.d_var_p)
+        squeezing = SqueezingVerdict(squeezed=margin > 0.0,
+                                     margin=float(margin))
 
     # Standard errors of the route's figures, by first-order propagation
     # of the inputs' joint covariance.
@@ -354,10 +345,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         for i in range(4):
             sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
         sigma[4][4] = sd * sd
-        k2 = kappa * kappa
         se_map = _propagate_se(
-            lambda v: _figures(v, k2, j33, j0, route), _inputs(delta, var_p),
-            sigma, route)
+            lambda v: _figures(v, k2, j33, j0, route), inputs, sigma, route)
 
     def gate(value: float | None, se_key: str) -> bool | None:
         if value is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,7 +216,6 @@ class GaussianState:
     layout: Layout
     mean: np.ndarray
     cov: np.ndarray
-    check_psd: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = self.layout.dimension
@@ -229,8 +228,7 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _require_symmetric(
             _as_square(self.cov, dim, "covariance"), "covariance"))
-        if self.check_psd:
-            _validate_psd(self.cov)
+        _validate_psd(self.cov)
 
     @property
     def dimension(self) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .certification import CertificationReport
@@ -43,23 +44,7 @@ def delta_to_dict(delta: DeltaStats) -> dict:
 
 
 def estimates_to_dict(estimates: EstimatedModel | None) -> dict | None:
-    if estimates is None:
-        return None
-    return {
-        "r_a": estimates.r_a,
-        "r_a_se": estimates.r_a_se,
-        "r_a_from_var": estimates.r_a_from_var,
-        "r_a_from_var_se": estimates.r_a_from_var_se,
-        "r_a_discrepancy": estimates.r_a_discrepancy,
-        "noise": {
-            "n33": estimates.noise.n33,
-            "n35": estimates.noise.n35,
-            "n55": estimates.noise.n55,
-            "negative_entries": list(estimates.noise.negative_entries),
-        },
-        "cond_var_jz": estimates.cond_var_jz,
-        "warnings": list(estimates.warnings),
-    }
+    return None if estimates is None else asdict(estimates)
 
 
 def _records_meta(records: RecordSummary | None,
@@ -108,12 +93,7 @@ def report_to_dict(report: CertificationReport,
         "delta": delta_to_dict(report.delta),
         "var_p": report.var_p,
         "var_p_se": report.var_p_se,
-        "figures": {
-            "c2_in_meter": report.figures.c2_in_meter,
-            "c2_in_out": report.figures.c2_in_out,
-            "c2_out_meter": report.figures.c2_out_meter,
-            "undefined": dict(report.figures.undefined),
-        },
+        "figures": asdict(report.figures),
         "estimates": estimates_to_dict(report.estimates),
         "nonclassicality": {
             "dx2_s_given_m": ncl.dx2_s_given_m,
@@ -122,10 +102,8 @@ def report_to_dict(report: CertificationReport,
             "product_sm": ncl.product_sm,
             "r_a_assumed": ncl.r_a_assumed,
         },
-        "squeezing": None if report.squeezing is None else {
-            "squeezed": report.squeezing.squeezed,
-            "margin": report.squeezing.margin,
-        },
+        "squeezing": None if report.squeezing is None
+        else report.squeezing._asdict(),
         "se": dict(report.se),
         "verdicts": {
             "state_prep": report.verdict_state_prep,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import holland_figures, nonclassicality
+from .certification import certify
 from .conditioning import (
     condition_on_component,
     conditional_variance_general,
@@ -45,7 +45,6 @@ from .statistics import (
     meter_moments,
     no_atoms_moments,
     predicted_moments,
-    squeezing_condition,
 )
 
 __all__ = ["SuiteResult", "closed_form_error", "run_selftest"]
@@ -120,7 +119,8 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
     and its matrix route: meter moments against :func:`propagate`, the
     conditional spin variance (model and measured-statistics forms) against
     rank-1 conditioning on the first meter, and the correlation and
-    uncertainty figures against their definitions in matrix entries.
+    uncertainty figures of one :func:`certify` report against their
+    definitions in matrix entries.
     Each error is relative to the larger of the expected value and a
     small scale, so legitimate zeros do not blow it up.
     """
@@ -148,7 +148,8 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
     # Correlation figures against their matrix definitions.
     t33 = get_entry(after_one, "J_z", "J_z")
     t35 = get_entry(after_one, "J_z", "P_y")
-    figures = holland_figures(delta, var_p, kappa, j33)
+    report = certify(delta, var_p, kappa, j33, j0)
+    figures = report.figures
     worst = max(worst, _err(figures.c2_in_meter,
                             (kappa * j33) ** 2 / (j33 * var_p), 1e-3))
     worst = max(worst, _err(figures.c2_in_out,
@@ -157,7 +158,7 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
                             t35 * t35 / (t33 * var_p), 1e-3))
 
     # Uncertainty figures, compared in matrix units (times j0).
-    ncl = nonclassicality(delta, var_p, kappa, j33, j0)
+    ncl = report.nonclassical
     worst = max(worst, _err(ncl.dx2_s_given_m * params.r_a * j0,
                             cond_direct, scale=1e-3 * j33))
     worst = max(worst, _err(ncl.dx2_m * kappa * kappa * j0,
@@ -179,8 +180,8 @@ def _suite_reference_values(sign: float) -> SuiteResult:
     predicted = predicted_moments(params, noise, initial)
     reference = no_atoms_moments(params, initial)
     delta = delta_stats(predicted, reference, params.r_l)
-    figures = holland_figures(delta, predicted.var_p, kappa, 25.0)
-    ncl = nonclassicality(delta, predicted.var_p, kappa, 25.0, 25.0)
+    report = certify(delta, predicted.var_p, kappa, 25.0, 25.0)
+    figures, ncl = report.figures, report.nonclassical
     checks = {
         "var_p": (predicted.var_p, 50.0),
         "var_q": (predicted.var_q, 50.0),
@@ -198,8 +199,7 @@ def _suite_reference_values(sign: float) -> SuiteResult:
         "dx2_s_given_m": (ncl.dx2_s_given_m, 0.5),
         "dx2_m": (ncl.dx2_m, 1.0),
         "dx2_s": (ncl.dx2_s, 0.0),
-        "squeezing_margin": (squeezing_condition(delta, predicted.var_p).margin,
-                             625.0),
+        "squeezing_margin": (report.squeezing.margin, 625.0),
     }
     worst = max(abs(got - want) / max(abs(want), 1.0)
                 for got, want in checks.values())
@@ -245,7 +245,7 @@ def _suite_delta_identity(n_sets: int, seed: int, sign: float,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for index in range(n_sets):
-        params, noise, initial, _ = _draw_model(
+        params, noise, initial, j0 = _draw_model(
             rng, with_noise=index % 3 != 0, sign=sign, r_l_max=0.9)
         j33 = get_entry(initial, "J_z", "J_z")
         c22 = get_entry(initial, "P_y", "P_y")
@@ -258,7 +258,8 @@ def _suite_delta_identity(n_sets: int, seed: int, sign: float,
         worst = max(worst, _err(
             cond, conditional_variance_general(params, noise, j33, c22),
             scale=1e-3 * j33))
-        margin = squeezing_condition(delta, predicted.var_p).margin
+        margin = certify(delta, predicted.var_p, params.kappa, j33,
+                         j0).squeezing.margin
         # Same inequality, two forms: margin > 0 iff conditioned < input.
         if abs(margin) > 1e-6 * predicted.var_p * j33:
             if (margin > 0.0) != (cond < j33):

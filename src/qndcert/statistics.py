@@ -46,7 +46,7 @@ import itertools
 import math
 import threading
 from dataclasses import FrozenInstanceError
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -61,13 +61,11 @@ __all__ = [
     "ARM_ROLES",
     "map_arms",
     "MomentAccumulator",
-    "SqueezingVerdict",
     "meter_moments",
     "predicted_moments",
     "no_atoms_moments",
     "delta_stats",
     "conditional_variance_from_stats",
-    "squeezing_condition",
 ]
 
 # Moment name -> its meter covariance entry (j, k), j <= k, in report order.
@@ -131,8 +129,8 @@ class _MeterCovariance:
         n = len(rows)
         cov.setflags(write=False)
         if moment_cov is None and se is not None:
-            moment_cov = np.diag(np.square(
-                [se.get(name, 0.0) for name in cls._sigma_rows[n]]))
+            moment_cov = np.diag(np.square(np.array(
+                [se.get(name, 0.0) for name in cls._sigma_rows[n]], float)))
         elif se is None and moment_cov is not None:
             sds = np.sqrt(moment_cov.diagonal()).tolist()
             se = {name: sds[cls._sigma_rows[n][name]]
@@ -448,27 +446,3 @@ def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
             total += slope_i[k] * twice * slope_j[k]
         se[key] = math.sqrt(max(total, 0.0))
     return se
-
-
-class SqueezingVerdict(NamedTuple):
-    squeezed: bool
-    margin: float
-
-
-def squeezing_condition(delta: DeltaStats, var_p: float) -> SqueezingVerdict:
-    """Conditional spin squeezing test on measured statistics.
-
-    The readout reduced the spin variance below its input value exactly
-    when
-
-        d_cov_pq**2 > var_p * (d_var_q - d_var_p)
-
-    The returned margin is the difference of the two sides; positive
-    margin means squeezed.
-    """
-    if delta.n_pulses < 2:
-        raise UndefinedInputError("squeezing test needs at least two pulses")
-    if var_p <= 0.0:
-        raise UndefinedInputError(f"var_p must be positive, got {var_p}")
-    margin = delta.d_cov_pq ** 2 - var_p * (delta.d_var_q - delta.d_var_p)
-    return SqueezingVerdict(squeezed=margin > 0.0, margin=float(margin))

@@ -33,19 +33,16 @@ from qndcert import (
     empirical_check,
     exit_code,
     get_entry,
-    holland_figures,
     invert_three_pulse,
     make_initial_state,
     meter_moments,
     no_atoms_moments,
-    nonclassicality,
     predicted_moments,
     params_hash,
     propagate,
     read_moments,
     run_selftest,
     simulate_moments,
-    squeezing_condition,
     write_arms,
 )
 from qndcert.cli import main
@@ -145,8 +142,8 @@ def test_criterion_2_ideal_exact_values(capsys):
         predicted = predicted_moments(params, noise, initial)
         delta = delta_stats(predicted, no_atoms_moments(params, initial),
                             params.r_l)
-        figures = holland_figures(delta, predicted.var_p, 1.0, 25.0)
-        ncl = nonclassicality(delta, predicted.var_p, 1.0, 25.0, 25.0)
+        report = certify(delta, predicted.var_p, 1.0, 25.0, 25.0)
+        figures, ncl = report.figures, report.nonclassical
         checks = {
             "cond_ideal": (conditional_variance_ideal(25.0, 25.0, 1.0), 12.5),
             "cond_general": (
@@ -159,7 +156,7 @@ def test_criterion_2_ideal_exact_values(capsys):
             "dx2_s_given_m": (ncl.dx2_s_given_m, 0.5),
         }
         worst = max(abs(got - want) for got, want in checks.values())
-        verdict = squeezing_condition(delta, predicted.var_p)
+        verdict = report.squeezing
         detail["note"] = (f"{len(checks)} quantities, max abs err "
                           f"{worst:.2e}, squeezing margin {verdict.margin:g}")
         assert worst <= 1e-12
@@ -283,7 +280,7 @@ def _figure_bundle(params, noise, initial, j33, j0):
     delta = delta_stats(predicted, no_atoms_moments(params, initial),
                         params.r_l)
     report = certify(delta, predicted.var_p, abs(params.kappa), j33, j0)
-    figures = holland_figures(delta, predicted.var_p, abs(params.kappa), j33)
+    figures = report.figures
     values = dict(predicted.entries())
     values["cond"] = conditional_variance_from_stats(
         delta, predicted.var_p, abs(params.kappa), j33)

@@ -16,10 +16,8 @@ from qndcert import (
     delta_stats,
     dump_json,
     exit_code,
-    holland_figures,
     make_initial_state,
     no_atoms_moments,
-    nonclassicality,
     predicted_moments,
     report_to_dict,
     simulate_moments,
@@ -35,10 +33,14 @@ def _delta_of(param_set):
     return delta, measured.var_p
 
 
+def _figures_of(delta, var_p, kappa=1.0, j33=25.0, j0=25.0):
+    return certify(delta, var_p, kappa, j33, j0).figures
+
+
 class TestHollandFigures:
     def test_ideal_values(self, ideal_set):
         delta, var_p = _delta_of(ideal_set)
-        figures = holland_figures(delta, var_p, 1.0, 25.0)
+        figures = _figures_of(delta, var_p)
         assert figures.c2_in_meter == pytest.approx(0.5, abs=1e-13)
         assert figures.c2_in_out == pytest.approx(1.0, abs=1e-13)
         assert figures.c2_out_meter == pytest.approx(0.5, abs=1e-13)
@@ -46,7 +48,7 @@ class TestHollandFigures:
 
     def test_noisy_values(self, noisy_set):
         delta, var_p = _delta_of(noisy_set)
-        figures = holland_figures(delta, var_p, 1.0, 25.0)
+        figures = _figures_of(delta, var_p)
         assert figures.c2_in_meter == pytest.approx(25.0 / 49.25, rel=1e-12)
         assert figures.c2_in_out == pytest.approx(400.0 / 450.0, rel=1e-12)
         assert figures.c2_out_meter == pytest.approx(420.25 / 886.5, rel=1e-12)
@@ -54,51 +56,57 @@ class TestHollandFigures:
     def test_losses_only_keep_in_out_transfer_perfect(self, lossy_set):
         # pure loss: the surviving spin is still perfectly read out
         delta, var_p = _delta_of(lossy_set)
-        figures = holland_figures(delta, var_p, 1.0, 25.0)
+        figures = _figures_of(delta, var_p)
         assert figures.c2_in_out == pytest.approx(1.0, rel=1e-12)
         assert figures.c2_in_meter == pytest.approx(25.0 / 45.25, rel=1e-12)
 
     def test_single_pulse_run_gets_partial_figures(self):
         delta = DeltaStats(n_pulses=1, d_var_p=25.0)
-        figures = holland_figures(delta, 50.0, 1.0, 25.0)
+        figures = _figures_of(delta, 50.0)
         assert figures.c2_in_meter == 0.5
         assert figures.c2_in_out is None
         assert figures.c2_out_meter is None
         assert "needs" in figures.undefined["c2_in_out"]
 
     def test_zero_coupling_degenerates_quietly(self):
-        delta = DeltaStats(n_pulses=3, d_var_p=0.0, d_var_q=0.0, d_var_r=0.0,
+        # no measured coupling, and d_var_q - d_var_p = -kappa**2 j33
+        # empties the output spin variance bracket
+        delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=0.0, d_var_r=0.0,
                            d_cov_pq=0.0, d_cov_pr=0.0)
-        figures = holland_figures(delta, 25.0, 0.0, 25.0)
-        assert figures.c2_in_meter == 0.0
+        figures = _figures_of(delta, 25.0)
+        assert figures.c2_in_meter == 1.0
         assert figures.c2_in_out is None
         assert "zero output spin variance" in figures.undefined["c2_in_out"]
 
     def test_vanishing_cross_correlation(self):
-        # added noise inflates var_q, so the bracket survives kappa = 0
+        # the bracket is nonzero, so only c2_in_out needs d_cov_pq
         delta = DeltaStats(n_pulses=3, d_var_p=0.0, d_var_q=4.0, d_var_r=4.0,
                            d_cov_pq=0.0, d_cov_pr=0.0)
-        figures = holland_figures(delta, 25.0, 0.0, 25.0)
+        figures = _figures_of(delta, 25.0)
         assert figures.c2_out_meter == 0.0
         assert figures.c2_in_out is None
         assert figures.undefined["c2_in_out"] == "d_cov_pq is zero"
 
     def test_nonpositive_var_p(self):
         delta = DeltaStats(n_pulses=1, d_var_p=1.0)
-        figures = holland_figures(delta, 0.0, 1.0, 25.0)
+        figures = _figures_of(delta, 0.0)
         assert figures.c2_in_meter is None
         assert "var_p" in figures.undefined["c2_in_meter"]
 
     def test_negative_j33_rejected(self):
         delta = DeltaStats(n_pulses=1, d_var_p=1.0)
         with pytest.raises(UndefinedInputError):
-            holland_figures(delta, 50.0, 1.0, -1.0)
+            _figures_of(delta, 50.0, j33=-1.0)
+
+
+def _nonclassical_of(delta, var_p, j0=25.0):
+    return certify(delta, var_p, 1.0, 25.0, j0).nonclassical
 
 
 class TestNonClassicality:
     def test_ideal_values(self, ideal_set):
         delta, var_p = _delta_of(ideal_set)
-        ncl = nonclassicality(delta, var_p, 1.0, 25.0, 25.0)
+        ncl = _nonclassical_of(delta, var_p)
         assert ncl.dx2_s_given_m == pytest.approx(0.5, abs=1e-13)
         assert ncl.dx2_m == pytest.approx(1.0, abs=1e-13)
         assert ncl.dx2_s == pytest.approx(0.0, abs=1e-13)
@@ -107,7 +115,7 @@ class TestNonClassicality:
 
     def test_noisy_values(self, noisy_set):
         delta, var_p = _delta_of(noisy_set)
-        ncl = nonclassicality(delta, var_p, 1.0, 25.0, 25.0)
+        ncl = _nonclassical_of(delta, var_p)
         assert ncl.dx2_s_given_m == pytest.approx(9.467005076142131 / 20.0,
                                                   rel=1e-12)
         assert ncl.dx2_m == pytest.approx(0.97, rel=1e-12)
@@ -117,7 +125,7 @@ class TestNonClassicality:
 
     def test_pure_loss_values(self, lossy_set):
         delta, var_p = _delta_of(lossy_set)
-        ncl = nonclassicality(delta, var_p, 1.0, 25.0, 25.0)
+        ncl = _nonclassical_of(delta, var_p)
         assert ncl.dx2_s_given_m == pytest.approx(
             (16.0 - 400.0 / 45.25) / 20.0, rel=1e-12)
         assert ncl.dx2_m == pytest.approx(0.81, rel=1e-12)
@@ -126,29 +134,47 @@ class TestNonClassicality:
     def test_projection_noise_scale_enters_linearly(self, noisy_set):
         # doubling j0 halves every input-referred figure
         delta, var_p = _delta_of(noisy_set)
-        base = nonclassicality(delta, var_p, 1.0, 25.0, 25.0)
-        wide = nonclassicality(delta, var_p, 1.0, 25.0, 50.0)
+        base = _nonclassical_of(delta, var_p)
+        wide = _nonclassical_of(delta, var_p, j0=50.0)
         assert wide.dx2_s_given_m == pytest.approx(base.dx2_s_given_m / 2.0,
                                                    rel=1e-12)
         assert wide.dx2_m == pytest.approx(base.dx2_m / 2.0, rel=1e-12)
         assert wide.dx2_s == pytest.approx(base.dx2_s / 2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"kappa": 0.0}, {"j0": 0.0}, {"j0": -1.0}, {"j33": -1.0},
-        {"var_p": 0.0},
-    ])
-    def test_input_validation(self, noisy_set, kwargs):
-        delta, var_p = _delta_of(noisy_set)
-        base = {"delta": delta, "var_p": var_p, "kappa": 1.0,
-                "j33": 25.0, "j0": 25.0}
-        base.update(kwargs)
-        with pytest.raises(UndefinedInputError):
-            nonclassicality(**base)
-
     def test_two_pulse_run_rejected(self):
+        # a two-pulse run gets no exact figures: r_a is assumed, and the
+        # figures that need the measured survival are absent
         delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=1.0, d_cov_pq=1.0)
-        with pytest.raises(UndefinedInputError):
-            nonclassicality(delta, 50.0, 1.0, 25.0, 25.0)
+        ncl = _nonclassical_of(delta, 50.0)
+        assert ncl.r_a_assumed == 1.0
+        assert ncl.dx2_s is None
+        assert ncl.product_sm is None
+
+    def test_nonpositive_var_p_leaves_dx2_m_alone(self, noisy_set):
+        delta, _ = _delta_of(noisy_set)
+        report = certify(delta, 0.0, 1.0, 25.0, 25.0)
+        ncl = report.nonclassical
+        assert ncl.dx2_m == -1.0
+        assert (ncl.dx2_s_given_m, ncl.dx2_s, ncl.product_sm) == (None,) * 3
+        assert ncl.r_a_assumed is None
+        assert report.squeezing is None
+        assert report.reasons[-2:] == (
+            "non-classicality figures unavailable: var_p must be positive, "
+            "got 0.0",
+            "squeezing test unavailable: var_p must be positive, got 0.0")
+        assert report.inconclusive
+
+    def test_nan_var_p_is_not_positive(self, noisy_set):
+        # one test of var_p > 0 decides the route: NaN gets no exact
+        # figures and no squeezing test, with the reasons saying why
+        delta, _ = _delta_of(noisy_set)
+        report = certify(delta, float("nan"), 1.0, 25.0, 25.0)
+        assert report.nonclassical.dx2_s_given_m is None
+        assert report.squeezing is None
+        assert report.reasons[-2:] == (
+            "non-classicality figures unavailable: var_p must be positive, "
+            "got nan",
+            "squeezing test unavailable: var_p must be positive, got nan")
 
 
 class TestCertify:
@@ -279,8 +305,20 @@ class TestCertify:
             assert key in report.se
         assert report.se["dx2_s_given_m"] > 0.0
 
+    def test_negative_floor_keeps_a_zero_d_cov_pr_off_the_exact_route(self):
+        # z < 0 passes a zero d_cov_pr through the gate; the spin-meter
+        # ratio is still undefined, so the figures fall back to r_a = 1
+        delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=20.0,
+                           d_var_r=16.0, d_cov_pq=20.0, d_cov_pr=0.0,
+                           se={"d_cov_pq": 1.0, "d_cov_pr": 1.0})
+        report = certify(delta, 50.0, 1.0, 25.0, 25.0, z_threshold=-1.0)
+        assert report.nonclassical.r_a_assumed == 1.0
+        assert report.reasons[-1] == (
+            "non-classicality figures unavailable: d_cov_pr is zero; "
+            "spin-meter ratio undefined")
+
     @pytest.mark.parametrize("kwargs", [
-        {"kappa": 0.0}, {"j0": 0.0}, {"j33": -1.0},
+        {"kappa": 0.0}, {"j0": 0.0}, {"j33": -1.0}, {"j0": -1.0},
     ])
     def test_input_validation(self, ideal_set, kwargs):
         delta, var_p = _delta_of(ideal_set)

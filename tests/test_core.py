@@ -260,7 +260,9 @@ def test_public_names_are_the_imported_ones():
                 "write_records", "read_records", "sample_moments",
                 "chunk_views", "estimate_ra_from_cov", "estimate_ra_from_var",
                 "estimate_noise", "DegenerateCaseError",
-                "InconsistentDataError"} & set(names)
+                "InconsistentDataError", "holland_figures", "nonclassicality",
+                "squeezing_condition"} & set(names)
+    assert "SqueezingVerdict" in names
     for name in ("of", "merge"):
         assert not hasattr(qndcert.MomentAccumulator, name)
     namespace = {}

@@ -15,6 +15,7 @@ from qndcert import (
     Layout,
     NoiseModel,
     OpticalBlock,
+    PositivityWarning,
     SamplerUnsupportedError,
     empirical_check,
     interaction_matrix,
@@ -335,7 +336,8 @@ class TestDegenerateCovariances:
     def test_indefinite_covariance_rejected(self):
         layout = Layout(1)
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5])
-        initial = GaussianState(layout, np.zeros(6), cov, check_psd=False)
+        with pytest.warns(PositivityWarning):
+            initial = GaussianState(layout, np.zeros(6), cov)
         params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0)
         with pytest.raises(SamplerUnsupportedError):
             arm_chunks(params, NoiseModel.zero(), initial, 10, 1)

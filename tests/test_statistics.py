@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pickle
 
@@ -15,6 +16,7 @@ from qndcert import (
     MomentSet,
     NoiseModel,
     OpticalBlock,
+    certify,
     closed_form_error,
     delta_stats,
     get_entry,
@@ -24,9 +26,8 @@ from qndcert import (
     predicted_moments,
     propagate,
     simulate_moments,
-    squeezing_condition,
 )
-from qndcert import selftest, statistics
+from qndcert import certification, selftest, statistics
 from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks
 from qndcert.statistics import ARM_ROLES
 from qndcert.report import delta_to_dict
@@ -187,6 +188,28 @@ class TestClosedFormError:
                             lambda *args: original(*args) * (1.0 + 1e-6))
         assert closed_form_error(*noisy_set, 25.0) > 1e-9
 
+    @pytest.mark.parametrize("helper, name", [
+        ("_figures", "dx2_m"), ("_figures", "dx2_s_given_m"),
+        ("_figures", "dx2_s"), ("_transfer_figures", "c2_in_meter"),
+        ("_transfer_figures", "c2_in_out"),
+        ("_transfer_figures", "c2_out_meter"),
+    ])
+    def test_perturbed_certification_figure_is_caught(self, noisy_set,
+                                                      monkeypatch, helper,
+                                                      name):
+        original = getattr(certification, helper)
+
+        def perturbed(*args):
+            figures = original(*args)
+            if isinstance(figures, dict):
+                return {**figures, name: figures[name] * (1.0 + 1e-6)}
+            return dataclasses.replace(
+                figures, **{name: getattr(figures, name) * (1.0 + 1e-6)})
+
+        assert closed_form_error(*noisy_set, 25.0) <= 1e-9
+        monkeypatch.setattr(certification, helper, perturbed)
+        assert closed_form_error(*noisy_set, 25.0) > 1e-9
+
 
 class TestMomentSetValidation:
     def test_missing_field_for_pulse_count(self):
@@ -302,7 +325,7 @@ class TestSqueezing:
         measured = predicted_moments(params, noise, initial)
         delta = delta_stats(measured, no_atoms_moments(params, initial),
                             params.r_l)
-        verdict = squeezing_condition(delta, measured.var_p)
+        verdict = certify(delta, measured.var_p, 1.0, 25.0, 25.0).squeezing
         assert verdict.squeezed
         assert verdict.margin == pytest.approx(625.0, abs=1e-9)
 
@@ -310,7 +333,7 @@ class TestSqueezing:
         # meter that learns nothing but still kicks the spin
         delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=30.0,
                            d_cov_pq=0.5)
-        verdict = squeezing_condition(delta, 50.0)
+        verdict = certify(delta, 50.0, 1.0, 25.0, 25.0).squeezing
         assert not verdict.squeezed
         assert verdict.margin < 0.0
 
@@ -635,6 +658,20 @@ class TestErrorCovariance:
             delta.moment_cov, np.diag([0.0, 0.3 * 0.3, 0.1 * 0.1, 0.0]))
         assert delta.se == {"d_var_q": 0.3, "d_cov_pq": 0.1}
         assert MomentSet(n_pulses=1, var_p=1.0).moment_cov is None
+
+    @pytest.mark.parametrize("cls, values", [
+        (MomentSet, {"var_p": 4.0}),
+        (DeltaStats, {"d_var_p": 4.0}),
+    ])
+    def test_integer_standard_errors_give_a_float_sigma(self, cls, values):
+        # integer squares wrap in int64 past 3.04e9; Sigma must not
+        name = next(iter(values))
+        se = {name: 4_000_000_000}
+        moments = cls(n_pulses=1, se=se, **values)
+        assert moments.moment_cov.dtype == np.float64
+        assert moments.moment_cov[0, 0] == 1.6e19
+        assert moments.se == {name: 4_000_000_000}
+        assert type(moments.se[name]) is int
 
 
 class TestSigmaRowsBuiltOnce:
