@@ -10,7 +10,10 @@ Typical entry points: :func:`make_initial_state` and :func:`apply_pulse`
 for the covariance-matrix model, :func:`predicted_moments` and
 :func:`delta_stats` for the closed-form statistics, :func:`certify` for
 the verdicts, :func:`simulate_moments` for sampled moments, and
-:func:`write_arms` and :func:`read_moments` for record files.
+:func:`write_arms` and :func:`read_records` for record files:
+``read_records(with_atoms_csv, no_atoms_csv).moments`` are both arms'
+moments, from the sidecar's summaries when they match the files, else
+parsed.
 """
 
 from types import ModuleType as _ModuleType
@@ -68,7 +71,7 @@ from .montecarlo import (
     params_hash,
     simulate_moments,
 )
-from .recordio import read_moments, write_arms
+from .recordio import read_records, write_arms
 from .report import dump_json, exit_code, report_to_dict
 from .selftest import SuiteResult, closed_form_error, run_selftest
 from .statistics import (

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import QndError, UndefinedInputError
-from .estimation import EstimatedModel, invert_three_pulse
+from .estimation import EstimatedModel, _check_gate_width, invert_three_pulse
 from .statistics import DeltaStats, _conditional_variance, _propagate_se
 
 __all__ = [
@@ -244,9 +244,9 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     kappa, j33, j0 : float
         Calibrated coupling, input spin variance, projection-noise scale.
     z_threshold : float
-        Gate width in standard errors; also sets the noise floor below
-        which delta covariances count as uninformative, for the gate and
-        for the model inversion alike.
+        Gate width in standard errors, finite and nonnegative; also sets
+        the noise floor below which delta covariances count as
+        uninformative, for the gate and for the model inversion alike.
     """
     if j33 < 0.0:
         raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
@@ -254,6 +254,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         raise UndefinedInputError(f"j0 must be positive, got {j0}")
     if kappa == 0.0:
         raise UndefinedInputError("kappa must be nonzero")
+    _check_gate_width(z_threshold)
 
     n = delta.n_pulses
     k2 = kappa * kappa
@@ -292,15 +293,10 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
             warns.extend(estimates.warnings)
         except QndError as exc:
             reasons.append(f"model inversion failed: {exc}")
-        # A negative floor (z_threshold or a hand-given se below 0) lets
-        # a zero d_cov_pr through the gate; the ratio is then undefined.
-        unavailable = (f"var_p must be positive, got {var_p}" if not positive
-                       else "d_cov_pr is zero; spin-meter ratio undefined"
-                       if delta.d_cov_pr == 0.0 else None)
-        if unavailable:
+        if not positive:
             exact = False
-            reasons.append("non-classicality figures unavailable: "
-                           + unavailable)
+            reasons.append("non-classicality figures unavailable: var_p "
+                           f"must be positive, got {var_p}")
     # The one route decision (module docstring).
     route = (_EXACT if exact else
              _R_A_ASSUMED if n >= 2 and positive else _METER_ONLY)

@@ -22,13 +22,7 @@ from .certification import CertificationReport, certify
 from .config import ExperimentConfig, check_number, load_config
 from .errors import ConfigError, QndError, RecordError
 from .montecarlo import arm_chunks, params_hash
-from .recordio import (
-    RecordSummary,
-    read_moments,
-    read_summary,
-    sibling_meta_path,
-    write_arms,
-)
+from .recordio import RecordSet, read_records, sibling_meta_path, write_arms
 from .report import (
     delta_to_dict,
     dump_json,
@@ -124,31 +118,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_delta(args) -> tuple[MomentSet, MomentSet, DeltaStats, float,
-                               RecordSummary]:
-    """Both arms' moments, from the sidecar's summaries when they match the
-    CSVs by digest and by parsing the CSVs otherwise, and the delta
-    statistics at ``r_l`` from the flag (or config), else a sidecar no
-    CSV contradicts, else 1.0."""
+def _load_delta(args) -> tuple[RecordSet, DeltaStats, float]:
+    """The record set (:func:`read_records`) and its delta statistics at
+    ``r_l`` from the flag (or config), else a sidecar no CSV contradicts,
+    else 1.0."""
     meta = args.meta
     if meta is None:
         meta = sibling_meta_path(args.records)
-    summary = read_summary(args.records, args.no_atoms_records, meta)
-    for path in summary.stale:
+    records = read_records(args.records, args.no_atoms_records, meta)
+    for path in records.stale:
         print(f"warning: {path} differs from its sidecar digest; moments "
               f"recomputed from the CSV", file=sys.stderr)
-    if summary.moments is not None:
-        measured, reference = summary.moments
-    else:
-        measured, reference = read_moments(args.records,
-                                           args.no_atoms_records,
-                                           None if summary.stale else meta)
-    r_l = args.r_l if args.r_l is not None else summary.r_l
+    r_l = args.r_l if args.r_l is not None else records.r_l
     if r_l is None:
         print("warning: --r-l not given; assuming r_l = 1.0", file=sys.stderr)
         r_l = 1.0
-    delta = delta_stats(measured, reference, r_l)
-    return measured, reference, delta, r_l, summary
+    return records, delta_stats(*records.moments, r_l), r_l
 
 
 def _print_moment_table(measured: MomentSet, reference: MomentSet,
@@ -186,7 +171,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    measured, reference, delta, r_l, _ = _load_delta(args)
+    records, delta, r_l = _load_delta(args)
+    measured, reference = records.moments
     _print_moment_table(measured, reference, delta)
     if args.out is not None:
         payload = {
@@ -205,7 +191,8 @@ def _cmd_stats(args) -> int:
 def _cmd_estimate(args) -> int:
     from .estimation import invert_three_pulse
 
-    measured, _, delta, r_l, _ = _load_delta(args)
+    records, delta, r_l = _load_delta(args)
+    measured = records.moments[0]
     estimates = invert_three_pulse(delta, measured.var_p, args.kappa, args.j33)
     se = f" +- {estimates.r_a_se:.4f}" if estimates.r_a_se is not None else ""
     print(f"r_a (covariance ratio): {estimates.r_a:.6f}{se}")
@@ -284,7 +271,8 @@ def _cmd_certify(args) -> int:
     if z is None:
         z = config.z_threshold if config is not None else 3.0
 
-    measured, reference, delta, r_l, records = _load_delta(args)
+    records, delta, r_l = _load_delta(args)
+    measured = records.moments[0]
     if config is not None and records.params_hash is None:
         print("warning: records carry no params_hash; --config model not "
               "checked against them", file=sys.stderr)
@@ -300,8 +288,7 @@ def _cmd_certify(args) -> int:
                      var_p_se=measured.se_of("var_p"))
     _print_report(report)
     if args.out is not None:
-        dump_json(report_to_dict(report, moments=(measured, reference),
-                                 records=records, r_l=r_l), args.out)
+        dump_json(report_to_dict(report, records=records, r_l=r_l), args.out)
         print(f"wrote {args.out}")
     status = exit_code(report)
     if status == 0:

@@ -207,18 +207,15 @@ def _tables(pulse: int, layout: Layout) -> _PulseTables:
         ) from None
 
 
-def interaction_matrix(params: ExperimentParams, pulse: int, layout: Layout,
-                       coupling_sign: float = 1.0) -> np.ndarray:
+def interaction_matrix(params: ExperimentParams, pulse: int,
+                       layout: Layout) -> np.ndarray:
     """Linear one-pulse map M_k for ``pulse`` k (1-based).
 
     Identity on every inactive pulse block; the spin block is r_A times
     the 3x3 identity, the active block r_L times it (so r = -0.0 puts
     -0.0 off the block diagonal too), and the two coupling entries carry
-    kappa (meter) and kappa_b (back-action).
-
-    ``coupling_sign`` flips both coupling entries.  It exists so the
-    self-test can demonstrate that measured moments do not depend on the
-    sign convention of the interaction; production callers leave it at +1.
+    kappa (meter) and kappa_b (back-action); negating ``g_tau`` flips
+    both, the opposite sign convention of the interaction.
     """
     tables = _tables(pulse, layout)
     r_a, r_l = params.r_a, params.r_l
@@ -226,7 +223,7 @@ def interaction_matrix(params: ExperimentParams, pulse: int, layout: Layout,
     # r times eye(3): r on the diagonal, 0.0 * r (-0.0 at r = -0.0) off it
     m.put(tables.interaction,
           [r_a] * 3 + [r_l] * 3 + [0.0 * r_a] * 6 + [0.0 * r_l] * 6
-          + [coupling_sign * params.kappa, coupling_sign * params.kappa_back])
+          + [params.kappa, params.kappa_back])
     return m
 
 
@@ -240,10 +237,9 @@ def noise_matrix(noise: NoiseModel, pulse: int, layout: Layout) -> np.ndarray:
 
 
 def apply_pulse(state: GaussianState, params: ExperimentParams,
-                noise: NoiseModel, pulse: int,
-                coupling_sign: float = 1.0) -> GaussianState:
+                noise: NoiseModel, pulse: int) -> GaussianState:
     """Propagate a state through one pulse: M cov M' + N and M mean."""
-    m = interaction_matrix(params, pulse, state.layout, coupling_sign)
+    m = interaction_matrix(params, pulse, state.layout)
     n = noise_matrix(noise, pulse, state.layout)
     return GaussianState(
         layout=state.layout,
@@ -253,8 +249,7 @@ def apply_pulse(state: GaussianState, params: ExperimentParams,
 
 
 def propagate(params: ExperimentParams, noise: NoiseModel,
-              initial: GaussianState,
-              coupling_sign: float = 1.0) -> GaussianState:
+              initial: GaussianState) -> GaussianState:
     """Run ``initial`` through every pulse of its layout, in order.
 
     This brute-force matrix route is the oracle the closed forms are
@@ -262,6 +257,5 @@ def propagate(params: ExperimentParams, noise: NoiseModel,
     """
     state = initial
     for pulse in range(1, initial.layout.n_pulses + 1):
-        state = apply_pulse(state, params, noise, pulse,
-                            coupling_sign=coupling_sign)
+        state = apply_pulse(state, params, noise, pulse)
     return state

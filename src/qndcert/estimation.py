@@ -101,6 +101,14 @@ def _routes(v, two_root: float = 0.0) -> dict[str, float]:
     return out
 
 
+def _check_gate_width(z_threshold: float) -> None:
+    """Refuse a gate width that could make a noise floor negative or NaN,
+    the rule ``--z`` follows."""
+    if not 0.0 <= z_threshold < math.inf:
+        raise UndefinedInputError(f"z_threshold must be finite and "
+                                  f"nonnegative, got {z_threshold}")
+
+
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
                        j33: float, *,
                        z_threshold: float = 3.0) -> EstimatedModel:
@@ -126,6 +134,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if delta.n_pulses != 3:
         raise UndefinedInputError(
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
+    _check_gate_width(z_threshold)
     floor_pq = z_threshold * delta.se_of("d_cov_pq", 0.0)
     if abs(delta.d_cov_pq) <= floor_pq:
         raise UninformativeCouplingError(

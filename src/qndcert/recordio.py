@@ -23,7 +23,7 @@ the two accumulators and digests once both CSVs are written.  It renames
 none of the three files into place before all three are written: a
 write that fails part way leaves the previous set whole.  On reading,
 ``_read_arm`` parses ``CHUNK_SHOTS`` data rows at a time with every
-check, and :func:`read_moments` accumulates the chunks.  Reading stays
+check, and :func:`read_records` accumulates the chunks.  Reading stays
 serial: ``loadtxt`` holds the GIL.
 
 Memory rule: no pipeline holds an arm, so ``qndc simulate`` and a
@@ -36,12 +36,14 @@ sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
 (``count``, ``mean``, ``comoment``) after its chunks.  Parsing the CSV
 feeds the same values in the same chunks, so it gives the same bits.
 Sidecars written before the chunk pipeline hold one-shot summaries,
-which differ in the last bits; they still read.  :func:`read_summary`
-hashes the CSVs it is given; when both digests match the sidecar's, the
-arms' moments come from the stored summaries and no CSV is parsed.
-Otherwise, and for sidecars of schema 1 or without an ``arms`` block
-(written when a summary is not finite), the caller parses the CSVs with
-:func:`read_moments`.
+which differ in the last bits; they still read.  :func:`read_records`
+is the one reader: it hashes the CSVs it is given and reads and checks
+the sidecar once.  When both digests match the sidecar's, the arms'
+moments come from the stored summaries and no CSV is parsed.  Otherwise,
+and for sidecars of schema 1 or without an ``arms`` block (written when
+a summary is not finite), it parses the CSVs; its ``RecordSet`` says
+which (``moments_source``) and names the CSVs a stored digest
+contradicts (``stale``).
 
 Writing refuses records holding a non-finite value or arms of different
 shot counts.  Reading refuses a file whose values are not all finite or
@@ -75,11 +77,10 @@ from .statistics import (
 )
 
 __all__ = [
-    "RecordSummary",
+    "RecordSet",
     "write_atomic",
     "write_arms",
-    "read_moments",
-    "read_summary",
+    "read_records",
     "sibling_meta_path",
 ]
 
@@ -329,61 +330,6 @@ def _read_meta(meta_path: str | Path) -> dict:
     return meta
 
 
-def _check_counts(meta: dict, meta_path, role: str, n_shots: int,
-                  n_pulses: int) -> None:
-    for field, count in (("n_pulses", n_pulses), ("n_shots", n_shots)):
-        if meta and meta[field] != count:
-            raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
-                              f"{field[2:]}, {role} data has {count}")
-
-
-def read_moments(with_atoms_path: str | Path, no_atoms_path: str | Path,
-                 meta_path: str | Path | None = None
-                 ) -> tuple[MomentSet, MomentSet]:
-    """Both arms' moments, each arm parsed and accumulated chunk by chunk,
-    never held whole.  Each file gets every check of ``_read_arm``; the
-    arms must agree on the shot and pulse counts and, when a sidecar is
-    given, with its own."""
-    meta = {} if meta_path is None else _read_meta(meta_path)
-    accs = []
-    for role, path in zip(ARM_ROLES, (with_atoms_path, no_atoms_path)):
-        chunks = _read_arm(Path(path))
-        first = next(chunks)  # a file has one or more
-        acc = MomentAccumulator(first.shape[1])
-        acc.update(first)
-        for chunk in chunks:
-            acc.update(chunk)
-        _check_counts(meta, meta_path, role, acc.count, acc.mean.size)
-        accs.append(acc)
-    _check_arms_agree("shot count", [acc.count for acc in accs])
-    _check_arms_agree("pulse count", [acc.mean.size for acc in accs])
-    return tuple(acc.moments() for acc in accs)
-
-
-@dataclass(frozen=True)
-class RecordSummary:
-    """What a record set's sidecar and digests say, before any parsing.
-
-    ``sha256`` holds each CSV's digest by role.  ``moments`` holds the
-    (with-atoms, no-atoms) moments when the sidecar's stored summaries
-    match both digests, else None; ``stale`` lists the CSVs whose digest
-    differs from the one the sidecar stored for them.  A sidecar that a
-    CSV contradicts supplies nothing else: ``seed``, ``params_hash`` and
-    ``r_l`` are then None.
-    """
-
-    sha256: dict[str, str]
-    seed: int | None = None
-    params_hash: str | None = None
-    r_l: float | None = None
-    moments: tuple[MomentSet, MomentSet] | None = None
-    stale: tuple[Path, ...] = ()
-
-    @property
-    def moments_source(self) -> str:
-        return "parsed" if self.moments is None else "sidecar"
-
-
 def _file_sha256(path: Path) -> str:
     digest = hashlib.sha256()
     try:
@@ -426,16 +372,68 @@ def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
     return acc.moments()
 
 
-def read_summary(with_atoms_path: str | Path, no_atoms_path: str | Path,
-                 meta_path: str | Path | None = None) -> RecordSummary:
-    """Hash both CSVs in fixed-size chunks and read the sidecar (when
-    given); see :class:`RecordSummary`.  No CSV is parsed."""
+@dataclass(frozen=True)
+class RecordSet:
+    """Both arms' moments, with what the record set's digests and sidecar
+    say about them.
+
+    ``moments`` holds the (with-atoms, no-atoms) moments; ``moments_source``
+    says where they came from: ``"sidecar"`` when its stored summaries
+    match both digests, else ``"parsed"``.  ``sha256`` holds each CSV's
+    digest by role, and ``stale`` the CSVs whose digest differs from the
+    one the sidecar stored for them.  A sidecar that a CSV contradicts
+    supplies nothing else: ``seed``, ``params_hash`` and ``r_l`` are then
+    None, as without a sidecar.
+    """
+
+    moments: tuple[MomentSet, MomentSet]
+    moments_source: str
+    sha256: dict[str, str]
+    seed: int | None = None
+    params_hash: str | None = None
+    r_l: float | None = None
+    stale: tuple[Path, ...] = ()
+
+
+def _parsed_moments(paths: dict[str, Path], meta: dict,
+                    meta_path) -> tuple[MomentSet, MomentSet]:
+    """Both arms' moments, each arm parsed and accumulated chunk by chunk,
+    never held whole.  Each file gets every check of ``_read_arm``; the
+    arms must agree on the shot and pulse counts and with ``meta``'s own,
+    when it has any."""
+    accs = []
+    for role, path in paths.items():
+        chunks = _read_arm(path)
+        first = next(chunks)  # a file has one or more
+        acc = MomentAccumulator(first.shape[1])
+        acc.update(first)
+        for chunk in chunks:
+            acc.update(chunk)
+        for field, count in (("n_pulses", acc.mean.size),
+                             ("n_shots", acc.count)):
+            if meta and meta[field] != count:
+                raise RecordError(f"{meta_path}: sidecar says {meta[field]} "
+                                  f"{field[2:]}, {role} data has {count}")
+        accs.append(acc)
+    _check_arms_agree("shot count", [acc.count for acc in accs])
+    _check_arms_agree("pulse count", [acc.mean.size for acc in accs])
+    return tuple(acc.moments() for acc in accs)
+
+
+def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
+                 meta_path: str | Path | None = None) -> RecordSet:
+    """Read a record set; see :class:`RecordSet`.
+
+    Both CSVs are hashed in fixed-size chunks and the sidecar, when given,
+    is read and checked once.  When both digests match the sidecar's, the
+    moments come from its stored summaries and no CSV is parsed;
+    otherwise each CSV is parsed with every check of ``_read_arm``, and
+    held to the sidecar's shot and pulse counts unless a CSV contradicts
+    it."""
     paths = {"with_atoms": Path(with_atoms_path),
              "no_atoms": Path(no_atoms_path)}
     sha256 = {role: _file_sha256(path) for role, path in paths.items()}
-    if meta_path is None:
-        return RecordSummary(sha256)
-    meta = _read_meta(meta_path)
+    meta = {} if meta_path is None else _read_meta(meta_path)
     r_l = meta.get("r_l")
     if r_l is not None:
         try:
@@ -448,11 +446,13 @@ def read_summary(with_atoms_path: str | Path, no_atoms_path: str | Path,
         raise RecordError(f"{meta_path}: malformed arms block")
     stale = tuple(path for role, path in paths.items()
                   if role in arms and arms[role].get("sha256") != sha256[role])
-    if stale:
-        return RecordSummary(sha256, stale=stale)
-    moments = None
+    if stale:  # a sidecar that a CSV contradicts supplies nothing
+        meta, arms, r_l = {}, {}, None
     if all(role in arms for role in ARM_ROLES):
         moments = tuple(_stored_moments(meta, arms[role], meta_path)
                         for role in ARM_ROLES)
-    return RecordSummary(sha256, meta.get("seed"), meta.get("params_hash"),
-                         r_l, moments)
+        source = "sidecar"
+    else:
+        moments, source = _parsed_moments(paths, meta, meta_path), "parsed"
+    return RecordSet(moments, source, sha256, meta.get("seed"),
+                     meta.get("params_hash"), r_l, stale)

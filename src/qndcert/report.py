@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .certification import CertificationReport
 from .estimation import EstimatedModel
-from .recordio import RecordSummary, write_atomic
+from .recordio import RecordSet, write_atomic
 from .statistics import DeltaStats, MomentSet
 
 __all__ = [
@@ -47,31 +47,30 @@ def estimates_to_dict(estimates: EstimatedModel | None) -> dict | None:
     return None if estimates is None else asdict(estimates)
 
 
-def _records_meta(records: RecordSummary | None,
-                  moments: tuple[MomentSet, MomentSet] | None) -> dict | None:
-    if records is None or moments is None:
+def _records_meta(records: RecordSet | None) -> dict | None:
+    if records is None:
         return None
     return {
         "seed": records.seed,
         "params_hash": records.params_hash,
-        "n_shots": moments[0].n_shots,
-        "n_pulses": moments[0].n_pulses,
+        "n_shots": records.moments[0].n_shots,
+        "n_pulses": records.moments[0].n_pulses,
         "sha256": dict(records.sha256),
         "moments_source": records.moments_source,
     }
 
 
 def report_to_dict(report: CertificationReport,
-                   moments: tuple[MomentSet, MomentSet] | None = None,
-                   records: RecordSummary | None = None,
+                   records: RecordSet | None = None,
                    r_l: float | None = None) -> dict:
     """Full report as a stable, versioned JSON-ready dict.
 
-    ``moments`` and ``records`` add the measured context when the report
-    came from shot data: the records block names the record set (seed,
-    params hash, sizes, each CSV's sha256) and whether the moments came
-    from its sidecar or from parsing the CSVs.  ``r_l`` echoes the
-    reference scaling used for the delta statistics.
+    ``records``, the :func:`~qndcert.recordio.read_records` result the
+    report came from, adds the measured context: both arms' moments, and
+    a records block naming the record set (seed, params hash, sizes, each
+    CSV's sha256) and whether the moments came from its sidecar or from
+    parsing the CSVs.  ``r_l`` echoes the reference scaling used for the
+    delta statistics.
     """
     ncl = report.nonclassical
     out = {
@@ -86,9 +85,9 @@ def report_to_dict(report: CertificationReport,
             "r_l": r_l,
             "z_threshold": report.z_threshold,
         },
-        "moments": None if moments is None else {
-            "with_atoms": moments_to_dict(moments[0]),
-            "no_atoms": moments_to_dict(moments[1]),
+        "moments": None if records is None else {
+            "with_atoms": moments_to_dict(records.moments[0]),
+            "no_atoms": moments_to_dict(records.moments[1]),
         },
         "delta": delta_to_dict(report.delta),
         "var_p": report.var_p,
@@ -118,7 +117,7 @@ def report_to_dict(report: CertificationReport,
         "inconclusive": report.inconclusive,
         "reasons": list(report.reasons),
         "warnings": list(report.warnings),
-        "records": _records_meta(records, moments),
+        "records": _records_meta(records),
     }
     return out
 

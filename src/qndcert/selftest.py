@@ -19,7 +19,7 @@ must then fail).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,17 +224,17 @@ def _suite_sign_invariance(n_sets: int, seed: int) -> SuiteResult:
         params, noise, initial, _ = _draw_model(rng, with_noise=index % 2 == 0,
                                                 sign=1.0)
         base = meter_moments(propagate(params, noise, initial))
+        mirrored = replace(params, g_tau=-params.g_tau)
         if noise.n35 == 0.0:
             # The coupling sign alone is unobservable without cross noise.
-            flipped = meter_moments(
-                propagate(params, noise, initial, coupling_sign=-1.0))
+            flipped = meter_moments(propagate(mirrored, noise, initial))
         else:
             # Full convention flip: coupling sign together with the sign
             # of the spin-light noise cross block.
             signs = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
             noise_flipped = NoiseModel(signs @ noise.matrix @ signs)
-            flipped = meter_moments(
-                propagate(params, noise_flipped, initial, coupling_sign=-1.0))
+            flipped = meter_moments(propagate(mirrored, noise_flipped,
+                                              initial))
         worst = max(worst, _err(flipped.cov, base.cov, scale=1e-3))
     return SuiteResult("coupling-sign-invariance", worst <= 1e-12,
                        f"{n_sets} parameter sets, max rel err {worst:.2e}")

@@ -117,6 +117,10 @@ class _MeterCovariance:
         if se is not None and not se.keys() <= cls._reported[n_pulses].keys():
             extra = sorted(se.keys() - cls._reported[n_pulses].keys())
             raise ValueError(f"standard errors for absent moments: {extra}")
+        for name, value in (se or {}).items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"standard error of {name} must be finite "
+                                 f"and nonnegative, got {value}")
         return cls._of(np.array(rows), n_shots, se, rows)
 
     @classmethod

@@ -40,14 +40,13 @@ from qndcert import (
     predicted_moments,
     params_hash,
     propagate,
-    read_moments,
+    read_records,
     run_selftest,
     simulate_moments,
     write_arms,
 )
 from qndcert.cli import main
 from qndcert.montecarlo import arm_chunks
-from qndcert.recordio import read_summary
 
 
 def _announce(capsys, number, label, word, detail):
@@ -308,17 +307,18 @@ def test_criterion_6_coupling_sign_insensitivity(capsys):
                 noise = noise_override
             j33 = get_entry(initial, "J_z", "J_z")
 
+            mirrored = ExperimentParams(
+                g_tau=-params.g_tau, mean_sx=params.mean_sx,
+                mean_jx=params.mean_jx, r_a=params.r_a, r_l=params.r_l)
+
             # the propagated matrices themselves
-            forward = meter_moments(propagate(params, noise, initial, 1.0))
-            flipped = meter_moments(propagate(params, noise, initial, -1.0))
+            forward = meter_moments(propagate(params, noise, initial))
+            flipped = meter_moments(propagate(mirrored, noise, initial))
             for name, value in forward.entries().items():
                 worst = max(worst, abs(value - getattr(flipped, name))
                             / max(1.0, abs(value)))
 
             # every closed-form quantity and every verdict
-            mirrored = ExperimentParams(
-                g_tau=-params.g_tau, mean_sx=params.mean_sx,
-                mean_jx=params.mean_jx, r_a=params.r_a, r_l=params.r_l)
             values, flags = _figure_bundle(params, noise, initial, j33, 25.0)
             values_m, flags_m = _figure_bundle(mirrored, noise, initial,
                                                j33, 25.0)
@@ -353,15 +353,17 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
         for role in ("with_atoms", "no_atoms"):
             loaded = np.loadtxt(paths[role], delimiter=",", skiprows=1)
             assert np.array_equal(loaded[:, 1:], next(draw(role)))
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
-                               paths["meta"])
-        assert summary.seed == 77
-        assert summary.params_hash == model_hash
         drawn = simulate_moments(params, noise, initial, 512, seed=77)
-        for got, want in zip(read_moments(paths["with_atoms"],
-                                          paths["no_atoms"], paths["meta"]),
-                             drawn):
-            assert np.array_equal(got.cov, want.cov)
+        for meta in (paths["meta"], None):
+            records = read_records(paths["with_atoms"], paths["no_atoms"],
+                                   meta)
+            assert records.moments_source == ("parsed" if meta is None
+                                              else "sidecar")
+            assert records.seed == (None if meta is None else 77)
+            assert records.params_hash == (None if meta is None
+                                           else model_hash)
+            for got, want in zip(records.moments, drawn, strict=True):
+                assert np.array_equal(got.cov, want.cov)
 
         suites = run_selftest()
         failed = [s.name for s in suites if not s.passed]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -306,19 +307,24 @@ class TestCertify:
         assert report.se["dx2_s_given_m"] > 0.0
 
     def test_negative_floor_keeps_a_zero_d_cov_pr_off_the_exact_route(self):
-        # z < 0 passes a zero d_cov_pr through the gate; the spin-meter
-        # ratio is still undefined, so the figures fall back to r_a = 1
-        delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=20.0,
-                           d_var_r=16.0, d_cov_pq=20.0, d_cov_pr=0.0,
-                           se={"d_cov_pq": 1.0, "d_cov_pr": 1.0})
-        report = certify(delta, 50.0, 1.0, 25.0, 25.0, z_threshold=-1.0)
-        assert report.nonclassical.r_a_assumed == 1.0
-        assert report.reasons[-1] == (
-            "non-classicality figures unavailable: d_cov_pr is zero; "
-            "spin-meter ratio undefined")
+        # a negative gate width or standard error would let a zero
+        # d_cov_pr through the gate: each is refused before any figure
+        values = dict(n_pulses=3, d_var_p=25.0, d_var_q=20.0, d_var_r=16.0,
+                      d_cov_pq=20.0, d_cov_pr=0.0)
+        delta = DeltaStats(**values, se={"d_cov_pq": 1.0, "d_cov_pr": 1.0})
+        with pytest.raises(UndefinedInputError,
+                           match="^z_threshold must be finite and "
+                                 "nonnegative, got -1.0$"):
+            certify(delta, 50.0, 1.0, 25.0, 25.0, z_threshold=-1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="^standard error of "
+                                                 "d_cov_pr must be finite"):
+                DeltaStats(**values, se={"d_cov_pq": 1.0, "d_cov_pr": bad})
 
     @pytest.mark.parametrize("kwargs", [
         {"kappa": 0.0}, {"j0": 0.0}, {"j33": -1.0}, {"j0": -1.0},
+        {"z_threshold": -1.0}, {"z_threshold": math.nan},
+        {"z_threshold": math.inf},
     ])
     def test_input_validation(self, ideal_set, kwargs):
         delta, var_p = _delta_of(ideal_set)

@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 import qndcert
+import qndcert.cli
 import qndcert.recordio
 from qndcert import params_hash
 from qndcert.cli import main
@@ -576,6 +577,44 @@ class TestSidecarMoments:
         assert captured.out == expected
         assert captured.err == (f"warning: {path} differs from its sidecar "
                                 f"digest; moments recomputed from the CSV\n")
+
+    def test_parsing_reads_the_sidecar_once(self, tmp_path, monkeypatch,
+                                            capsys):
+        config = _write_config(tmp_path, "cfg.json", n_shots=3000)
+        run = _simulate(tmp_path, config)
+        meta_path = pathlib.Path(run["meta"])
+        meta = json.loads(meta_path.read_text())
+        del meta["arms"]
+        meta_path.write_text(json.dumps(meta))
+        calls = []
+
+        def read_meta(path, _read=qndcert.recordio._read_meta):
+            calls.append(path)
+            return _read(path)
+
+        monkeypatch.setattr(qndcert.recordio, "_read_meta", read_meta)
+        assert main(["stats", *_record_args(run)]) == 0
+        assert "shots: 3000 per arm" in capsys.readouterr().out
+        assert calls == [meta_path]
+
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["estimate", "--kappa", "1", "--j33", "25"],
+        ["certify", "--kappa", "1", "--j33", "25", "--j0", "25"],
+    ], ids=["stats", "estimate", "certify"])
+    def test_each_command_reads_the_records_once(self, ideal_run,
+                                                 monkeypatch, capsys,
+                                                 command):
+        calls = []
+
+        def read_records(*args, **kwargs):
+            calls.append((args, kwargs))
+            return qndcert.recordio.read_records(*args, **kwargs)
+
+        monkeypatch.setattr(qndcert.cli, "read_records", read_records)
+        assert main([*command, *_record_args(ideal_run)]) == 0
+        capsys.readouterr()
+        assert calls == [((ideal_run["records"], ideal_run["no_atoms"],
+                           pathlib.Path(ideal_run["meta"])), {})]
 
     def test_inconsistent_summary_is_refused(self, ideal_run, tmp_path,
                                              capsys):

@@ -250,18 +250,19 @@ def test_public_names_are_the_imported_ones():
     names = qndcert.__all__
     assert names == sorted(set(names))
     assert {"certify", "MomentSet", "delta_stats", "simulate_moments",
-            "write_arms", "read_moments"} <= set(names)
+            "write_arms", "read_records"} <= set(names)
     for name in names:
         assert not name.startswith("_")
         assert not isinstance(getattr(qndcert, name), type(qndcert))
     # submodules, helpers of the package itself and deleted API stay out
     assert not {"statistics", "ModuleType", "estimate_kappa_from_means",
                 "ShotRecords", "simulate_arm", "simulate_shots",
-                "write_records", "read_records", "sample_moments",
-                "chunk_views", "estimate_ra_from_cov", "estimate_ra_from_var",
+                "write_records", "sample_moments", "chunk_views",
+                "estimate_ra_from_cov", "estimate_ra_from_var",
                 "estimate_noise", "DegenerateCaseError",
                 "InconsistentDataError", "holland_figures", "nonclassicality",
-                "squeezing_condition"} & set(names)
+                "squeezing_condition", "read_moments", "read_summary",
+                "RecordSummary"} & set(names)
     assert "SqueezingVerdict" in names
     for name in ("of", "merge"):
         assert not hasattr(qndcert.MomentAccumulator, name)

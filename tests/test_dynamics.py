@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,16 +164,15 @@ class TestNoiseEmbedding:
                 assert (got == expected).all()
 
 
-def _reference_interaction(params, pulse, layout, coupling_sign=1.0):
+def _reference_interaction(params, pulse, layout):
     """M built by slices and label lookups: the reference whose bits the
     index tables must give."""
     m = np.eye(layout.dimension)
     m[:3, :3] *= params.r_a
     active = layout.block_slice(pulse)
     m[active, active] = params.r_l * np.eye(3)
-    m[active.start + 1, layout.index("J_z")] = coupling_sign * params.kappa
-    m[layout.index("J_y"), active.start + 2] = (coupling_sign
-                                                * params.kappa_back)
+    m[active.start + 1, layout.index("J_z")] = params.kappa
+    m[layout.index("J_y"), active.start + 2] = params.kappa_back
     return m
 
 
@@ -213,18 +214,19 @@ class TestTablesKeepTheBits:
                                               survival):
         layout = Layout(n_pulses)
         rng = np.random.default_rng(7 * n_pulses)
-        params = self._params(rng, survival)
+        unsigned = self._params(rng, survival)
+        params = dataclasses.replace(unsigned, g_tau=sign * unsigned.g_tau)
         noise = NoiseModel(random_psd(rng, 6, 3.0))
         state = GaussianState(layout, rng.normal(size=layout.dimension),
                               random_psd(rng, layout.dimension, 10.0))
         for pulse in range(1, n_pulses + 1):
-            m = interaction_matrix(params, pulse, layout, sign)
+            m = interaction_matrix(params, pulse, layout)
             assert _same_bits(m, _reference_interaction(params, pulse,
-                                                        layout, sign))
+                                                        layout))
             assert _same_bits(noise_matrix(noise, pulse, layout),
                               _reference_noise(noise, pulse, layout))
-            out = apply_pulse(state, params, noise, pulse, sign)
-            m = _reference_interaction(params, pulse, layout, sign)
+            out = apply_pulse(state, params, noise, pulse)
+            m = _reference_interaction(params, pulse, layout)
             n = _reference_noise(noise, pulse, layout)
             assert _same_bits(out.mean, m @ state.mean)
             cov = m @ state.cov @ m.T + n

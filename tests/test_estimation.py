@@ -70,6 +70,17 @@ class TestSurvivalEstimators:
         model = invert_three_pulse(delta, 50.0, 1.0, 25.0, z_threshold=0.2)
         assert model.r_a == pytest.approx(0.8, rel=1e-12)
 
+    @pytest.mark.parametrize("z_threshold", [-1.0, math.nan, math.inf])
+    def test_gate_width_must_be_finite_and_nonnegative(self, z_threshold):
+        delta = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=2.0, d_var_r=2.64,
+                           d_cov_pq=0.001, d_cov_pr=0.0008,
+                           se={"d_cov_pq": 0.004})
+        with pytest.raises(UndefinedInputError,
+                           match="^z_threshold must be finite and "
+                                 "nonnegative, got"):
+            invert_three_pulse(delta, 50.0, 1.0, 25.0,
+                               z_threshold=z_threshold)
+
     def test_variance_route_degenerate_for_ideal_run(self, ideal_set):
         # lossless noiseless data: both differences are exactly zero (0/0)
         delta, measured = _analytic_delta(ideal_set)

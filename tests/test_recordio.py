@@ -24,8 +24,7 @@ from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks, simulate_moments
 from qndcert.recordfmt import format_rows
 from qndcert.recordio import (
     SUB_BLOCK_ROWS,
-    read_moments,
-    read_summary,
+    read_records,
     sibling_meta_path,
     write_arms,
     write_atomic,
@@ -76,16 +75,17 @@ class TestRoundTrip:
         paths = _write(small_rows, tmp_path / "run")
         for role in ARM_ROLES:
             _assert_parsed(paths[role], [small_rows[role]])
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert summary.seed == 21
-        assert summary.params_hash == SMALL_HASH
+        assert records.seed == 21
+        assert records.params_hash == SMALL_HASH
 
     def test_without_sidecar(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"])
-        assert summary.seed is None
-        for got in read_moments(paths["with_atoms"], paths["no_atoms"]):
+        records = read_records(paths["with_atoms"], paths["no_atoms"])
+        assert records.seed is None
+        assert records.moments_source == "parsed"
+        for got in records.moments:
             assert got.n_shots == 64
 
     def test_file_layout(self, tmp_path, small_rows):
@@ -164,6 +164,17 @@ def _initial(n_pulses):
                               Layout(n_pulses))
 
 
+def _without_arms(meta):
+    """A copy of sidecar ``meta`` without its ``arms`` block: readers then
+    parse the CSVs and hold them to its counts."""
+    return {key: value for key, value in meta.items() if key != "arms"}
+
+
+def _drop_arms(meta_path):
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps(_without_arms(meta)))
+
+
 def _edit_byte(path, offset, new):
     data = bytearray(path.read_bytes())
     data[offset] = ord(new)
@@ -179,12 +190,12 @@ class TestSummary:
         params, noise, _ = noisy_set
         paths = _write_run((params, noise, _initial(n_pulses)), n_shots, 7,
                            tmp_path / "run")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert summary.moments_source == "sidecar"
-        parsed = read_moments(paths["with_atoms"], paths["no_atoms"],
-                              paths["meta"])
-        for stored, reference in zip(summary.moments, parsed):
+        assert records.moments_source == "sidecar"
+        parsed = read_records(paths["with_atoms"], paths["no_atoms"])
+        assert parsed.moments_source == "parsed"
+        for stored, reference in zip(records.moments, parsed.moments):
             assert stored.n_shots == reference.n_shots == n_shots
             assert stored.entries() == reference.entries()
             assert stored.se == reference.se
@@ -198,10 +209,10 @@ class TestSummary:
             digest = hashlib.sha256(paths[role].read_bytes()).hexdigest()
             assert meta["arms"][role]["sha256"] == digest
             assert meta["arms"][role]["count"] == 64
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert summary.r_l == 0.9 and summary.seed == 21
-        assert summary.params_hash == SMALL_HASH
+        assert records.r_l == 0.9 and records.seed == 21
+        assert records.params_hash == SMALL_HASH
 
     def test_sidecar_is_byte_identical_across_reruns(self, tmp_path,
                                                      small_rows):
@@ -211,9 +222,8 @@ class TestSummary:
 
     def test_no_sidecar_means_parsing(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"])
-        assert summary.moments is None and summary.stale == ()
-        assert summary.moments_source == "parsed"
+        records = read_records(paths["with_atoms"], paths["no_atoms"])
+        assert records.moments_source == "parsed" and records.stale == ()
 
     def test_schema_1_sidecar_still_reads(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
@@ -221,21 +231,20 @@ class TestSummary:
         del meta["arms"], meta["r_l"]
         meta["schema_version"] = 1
         paths["meta"].write_text(json.dumps(meta, indent=2) + "\n")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert summary.moments is None and summary.stale == ()
-        assert summary.seed == 21 and summary.r_l is None
-        assert summary.params_hash == SMALL_HASH
-        for got in read_moments(paths["with_atoms"], paths["no_atoms"],
-                                paths["meta"]):
+        assert records.moments_source == "parsed" and records.stale == ()
+        assert records.seed == 21 and records.r_l is None
+        assert records.params_hash == SMALL_HASH
+        for got in records.moments:
             assert got.n_shots == 64
 
     def test_swapped_arms_are_parsed(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
-        summary = read_summary(paths["no_atoms"], paths["with_atoms"],
+        records = read_records(paths["no_atoms"], paths["with_atoms"],
                                paths["meta"])
-        assert summary.moments is None
-        assert summary.stale == (paths["no_atoms"], paths["with_atoms"])
+        assert records.moments_source == "parsed"
+        assert records.stale == (paths["no_atoms"], paths["with_atoms"])
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
     def test_edited_byte_is_parsed(self, tmp_path, small_rows, role):
@@ -245,9 +254,10 @@ class TestSummary:
         assert chr(data[offset]).isdigit()
         _edit_byte(paths[role], offset, "7" if data[offset] != ord("7")
                    else "8")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert summary.moments is None and summary.stale == (paths[role],)
+        assert records.moments_source == "parsed"
+        assert records.stale == (paths[role],)
         (parsed,) = recordio._read_arm(paths[role])
         assert not np.array_equal(parsed, small_rows[role])
 
@@ -257,10 +267,10 @@ class TestSummary:
         paths = _write(small_rows, tmp_path / "run", r_l=0.9)
         with open(paths[role], "ab") as handle:
             handle.write(b"\n")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert summary.stale == (paths[role],)
-        assert (summary.seed, summary.params_hash, summary.r_l) == \
+        assert records.stale == (paths[role],)
+        assert (records.seed, records.params_hash, records.r_l) == \
             (None, None, None)
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
@@ -268,11 +278,8 @@ class TestSummary:
                                             role):
         paths = _write(small_rows, tmp_path / "run")
         _edit_byte(paths[role], 200, "x")
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
-                               paths["meta"])
-        assert summary.stale == (paths[role],)
         with pytest.raises(RecordError, match=paths[role].name):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     @pytest.mark.parametrize("field, value, message", [
@@ -289,7 +296,7 @@ class TestSummary:
         meta["arms"]["with_atoms"][field] = value
         paths["meta"].write_text(json.dumps(meta))
         with pytest.raises(RecordError, match=message):
-            read_summary(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
 
@@ -311,8 +318,8 @@ class TestOneGrain:
             return acc.moments()
 
         routes = {
-            "sidecar": read_summary(*csvs, paths["meta"]).moments,
-            "parsed": read_moments(*csvs),
+            "sidecar": read_records(*csvs, paths["meta"]).moments,
+            "parsed": read_records(*csvs).moments,
             "parsed whole": tuple(whole(path) for path in csvs),
         }
         streamed = simulate_moments(params, noise, initial, n_shots, 3)
@@ -346,8 +353,9 @@ class TestOneGrain:
         rows = {role: rng.normal(3.0, 7.0, (20_000, 3)) for role in ARM_ROLES}
         paths = write_arms(lambda role: [rows[role]], tmp_path / "run", 3)
         csvs = paths["with_atoms"], paths["no_atoms"]
-        stored = read_summary(*csvs, paths["meta"]).moments
-        for got, want in zip(stored, read_moments(*csvs), strict=True):
+        stored = read_records(*csvs, paths["meta"]).moments
+        for got, want in zip(stored, read_records(*csvs).moments,
+                             strict=True):
             np.testing.assert_array_equal(got.cov, want.cov)
             np.testing.assert_array_equal(got.moment_cov, want.moment_cov)
 
@@ -368,7 +376,8 @@ class TestOneGrain:
 
 class TestSidecarFields:
     """Counts, seed and hash in a sidecar must have the types the writer
-    gives them; anything else is refused by both readers."""
+    gives them; anything else is refused, whether or not the CSVs are
+    parsed."""
 
     @pytest.mark.parametrize("field, value", [
         ("n_pulses", 3.0), ("n_pulses", True), ("n_pulses", 4),
@@ -381,13 +390,11 @@ class TestSidecarFields:
         paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         meta[field] = value
-        paths["meta"].write_text(json.dumps(meta))
-        with pytest.raises(RecordError, match=f"{field} must be"):
-            read_summary(paths["with_atoms"], paths["no_atoms"],
-                         paths["meta"])
-        with pytest.raises(RecordError, match=f"{field} must be"):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
-                         paths["meta"])
+        for edit in (meta, _without_arms(meta)):
+            paths["meta"].write_text(json.dumps(edit))
+            with pytest.raises(RecordError, match=f"{field} must be"):
+                read_records(paths["with_atoms"], paths["no_atoms"],
+                             paths["meta"])
 
     @pytest.mark.parametrize("value", [64.0, True, "64", None])
     def test_non_integer_arm_count_is_refused(self, tmp_path, small_rows,
@@ -398,7 +405,7 @@ class TestSidecarFields:
             meta["arms"][role]["count"] = value
         paths["meta"].write_text(json.dumps(meta))
         with pytest.raises(RecordError, match="arm count must be an integer"):
-            read_summary(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     @pytest.mark.parametrize("seed, params_hash", [(0, None), (None, "ab")])
@@ -409,16 +416,16 @@ class TestSidecarFields:
         meta = json.loads(paths["meta"].read_text())
         meta["seed"], meta["params_hash"] = seed, params_hash
         paths["meta"].write_text(json.dumps(meta))
-        summary = read_summary(paths["with_atoms"], paths["no_atoms"],
+        records = read_records(paths["with_atoms"], paths["no_atoms"],
                                paths["meta"])
-        assert (summary.seed, summary.params_hash) == (seed, params_hash)
-        assert summary.moments_source == "sidecar"
+        assert (records.seed, records.params_hash) == (seed, params_hash)
+        assert records.moments_source == "sidecar"
 
 
 class TestReadValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="nope"):
-            read_moments(tmp_path / "nope.csv", tmp_path / "nope2.csv")
+            read_records(tmp_path / "nope.csv", tmp_path / "nope2.csv")
 
     def test_wrong_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -426,13 +433,13 @@ class TestReadValidation:
         good = tmp_path / "good.csv"
         good.write_text("shot,p_y\n0,1.0\n")
         with pytest.raises(RecordError, match="header"):
-            read_moments(bad, good)
+            read_records(bad, good)
 
     def test_corrupt_number(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,p_y\n0,1.0\n1,oops\n")
         with pytest.raises(RecordError):
-            read_moments(bad, bad)
+            read_records(bad, bad)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, value):
@@ -440,7 +447,7 @@ class TestReadValidation:
         bad.write_text(f"shot,p_y,q_y\n0,1.0,2.0\n1,3.0,{value}\n")
         with pytest.raises(RecordError,
                            match=r"bad\.csv: row 1 .*non-finite"):
-            read_moments(bad, bad)
+            read_records(bad, bad)
 
     @pytest.mark.parametrize("shots, bad_row", [
         ([0, 1, 1, 3], 2),
@@ -454,7 +461,7 @@ class TestReadValidation:
         with pytest.raises(RecordError,
                            match=rf"bad\.csv: row {bad_row} .*shot index "
                                  rf"{shots[bad_row]}, expected {bad_row}"):
-            read_moments(bad, bad)
+            read_records(bad, bad)
 
     @pytest.mark.parametrize("value, message", [
         ("nan", "holds a non-finite value"),
@@ -471,7 +478,7 @@ class TestReadValidation:
         with pytest.raises(RecordError,
                            match=rf"row {bad_row} \(line {bad_row + 2}\) "
                                  rf"{message}"):
-            read_moments(bad, bad)
+            read_records(bad, bad)
 
     def test_parse_error_names_its_chunk(self, tmp_path):
         lines = [f"{shot},1.5\n" for shot in range(CHUNK_SHOTS + 5)]
@@ -482,7 +489,7 @@ class TestReadValidation:
                            match=rf"'oops'.* at row 3, column 2\. \(in the "
                                  rf"chunk from row {CHUNK_SHOTS}, line "
                                  rf"{CHUNK_SHOTS + 2}\)"):
-            read_moments(bad, bad)
+            read_records(bad, bad)
 
     def test_empty_data(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -490,7 +497,7 @@ class TestReadValidation:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(RecordError, match="bad.csv: no data rows"):
-                read_moments(bad, bad)
+                read_records(bad, bad)
         assert caught == []
 
     def test_arm_shape_mismatch(self, tmp_path):
@@ -500,7 +507,8 @@ class TestReadValidation:
         b = tmp_path / "b.csv"
         b.write_text("shot,p_y\n0,1.0\n1,3.0\n")
         with pytest.raises(ValueError, match="pulse count: 2 vs 1"):
-            delta_stats(read_moments(a, a)[0], read_moments(b, b)[1], 1.0)
+            delta_stats(read_records(a, a).moments[0],
+                        read_records(b, b).moments[1], 1.0)
 
     def test_arms_of_unequal_length_are_refused(self, tmp_path):
         # without a sidecar nothing else holds the arms to one shot count
@@ -511,7 +519,7 @@ class TestReadValidation:
         with pytest.raises(RecordError, match="^arms disagree on the shot "
                                               "count: 3 with_atoms, 2 "
                                               "no_atoms$"):
-            read_moments(a, b)
+            read_records(a, b)
 
     def test_arms_of_unequal_width_are_refused(self, tmp_path):
         # without a sidecar nothing else holds the arms to one pulse count
@@ -522,26 +530,27 @@ class TestReadValidation:
         with pytest.raises(RecordError, match="^arms disagree on the pulse "
                                               "count: 2 with_atoms, 1 "
                                               "no_atoms$"):
-            read_moments(a, b)
+            read_records(a, b)
 
     def test_meta_shot_count_mismatch(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
         meta = json.loads(paths["meta"].read_text())
         meta["n_shots"] = 9999
-        paths["meta"].write_text(json.dumps(meta))
+        paths["meta"].write_text(json.dumps(_without_arms(meta)))
         with pytest.raises(RecordError, match="9999"):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
     def test_meta_shot_count_is_checked_for_each_arm(self, tmp_path,
                                                      small_rows, role):
         paths = _write(small_rows, tmp_path / "run")
+        _drop_arms(paths["meta"])
         lines = paths[role].read_text().splitlines(keepends=True)
         paths[role].write_text("".join(lines[:33]))
         with pytest.raises(RecordError,
                            match=rf"64 shots, {role} data has 32"):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     def test_meta_pulse_count_is_checked_for_each_arm(self, tmp_path,
@@ -549,26 +558,27 @@ class TestReadValidation:
                                                       noisy_set):
         params, noise, _ = noisy_set
         paths = _write(small_rows, tmp_path / "run")
+        _drop_arms(paths["meta"])
         other = _write_run((params, noise, _initial(2)), 64, 5,
                            tmp_path / "other")
         paths["no_atoms"].write_bytes(other["no_atoms"].read_bytes())
         with pytest.raises(RecordError,
                            match=r"3 pulses, no_atoms data has 2"):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     def test_meta_wrong_kind(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
         paths["meta"].write_text('{"kind": "something_else"}')
         with pytest.raises(RecordError, match="sidecar"):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
     def test_meta_bad_json_reports_position(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
         paths["meta"].write_text("{broken")
         with pytest.raises(RecordError, match=r":1:2:"):
-            read_moments(paths["with_atoms"], paths["no_atoms"],
+            read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pickle
 
 import numpy as np
@@ -576,6 +577,20 @@ class TestMeterCovarianceExactness:
                           d_var_r=1.0, d_cov_pq=1.0, d_cov_pr=1.0,
                           se={"d_cov_qr": 0.1}),
          r"standard errors for absent moments: \['d_cov_qr'\]"),
+        (MomentSet, dict(n_pulses=2, var_p=1.0, var_q=1.0, cov_pq=0.0,
+                         se={"var_q": -0.5}),
+         "standard error of var_q must be finite and nonnegative, got -0.5"),
+        (MomentSet, dict(n_pulses=1, var_p=1.0, se={"var_p": math.inf}),
+         "standard error of var_p must be finite and nonnegative, got inf"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=1.0, d_var_q=1.0, d_var_r=1.0,
+                          d_cov_pq=1.0, d_cov_pr=0.0,
+                          se={"d_cov_pq": 1.0, "d_cov_pr": math.nan}),
+         "standard error of d_cov_pr must be finite and nonnegative, got nan"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=25.0, d_var_q=20.0,
+                          d_var_r=16.0, d_cov_pq=0.0, d_cov_pr=16.0,
+                          se={"d_cov_pq": -1.0, "d_cov_pr": 1.0}),
+         r"standard error of d_cov_pq must be finite and nonnegative, "
+         r"got -1\.0"),
     ])
     def test_keyword_refusals_keep_their_messages(self, cls, kwargs,
                                                   message):
