@@ -56,7 +56,12 @@ from typing import NamedTuple
 
 from .errors import QndError, UndefinedInputError
 from .estimation import EstimatedModel, _check_gate_width, invert_three_pulse
-from .statistics import DeltaStats, _conditional_variance, _propagate_se
+from .statistics import (
+    DeltaStats,
+    _calibration_k2,
+    _conditional_variance,
+    _propagate_se,
+)
 
 __all__ = [
     "FiguresOfMerit",
@@ -242,7 +247,9 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     var_p : float
         Probe-arm first-meter variance, with optional ``var_p_se``.
     kappa, j33, j0 : float
-        Calibrated coupling, input spin variance, projection-noise scale.
+        Calibrated coupling, input spin variance, projection-noise scale:
+        finite, with no product of ``kappa**2`` out of floating-point
+        range, or every figure would be undefined.
     z_threshold : float
         Gate width in standard errors, finite and nonnegative; also sets
         the noise floor below which delta covariances count as
@@ -254,10 +261,10 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         raise UndefinedInputError(f"j0 must be positive, got {j0}")
     if kappa == 0.0:
         raise UndefinedInputError("kappa must be nonzero")
+    k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
 
     n = delta.n_pulses
-    k2 = kappa * kappa
     positive = var_p > 0.0
     reasons: list[str] = []
     warns: list[str] = []

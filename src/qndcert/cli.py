@@ -108,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=150)
     p_self.add_argument("--shots", type=_flag("shots", 2, kind=int),
                         default=20000)
-    p_self.add_argument("--seed", type=int, default=20250819)
+    p_self.add_argument("--seed", type=_flag("seed", 0, kind=int),
+                        default=20250819)
     p_self.add_argument("--flip-coupling-sign", action="store_true",
                         help="debug: run under the opposite coupling sign "
                              "(all suites must still pass)")

@@ -69,7 +69,11 @@ def _number(raw: dict, field: str, default=None, minimum=None, maximum=None,
     value = raw[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{field}: must be finite, got an integer of "
+                          f"more than 308 digits") from None
     if not math.isfinite(value):
         raise ConfigError(f"{field}: must be finite, got {value}")
     if minimum is not None and value < minimum:
@@ -111,6 +115,8 @@ def _matrix(value, size: int, field: str) -> np.ndarray:
         raise ConfigError(
             f"{field}: must be {size}x{size}, got shape {out.shape}"
         )
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{field}: entries must be finite")
     return out
 
 
@@ -160,9 +166,7 @@ def _parse_noise(raw: dict) -> NoiseModel:
         i, j = int(key[0]), int(key[1])
         if not (1 <= i <= 6 and 1 <= j <= 6):
             raise ConfigError(f"noise.{key}: indices must be in 1..6")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"noise.{key}: must be a number, got {value!r}")
-        entries[(i, j)] = float(value)
+        entries[(i, j)] = check_number(f"noise.{key}", value)
     return NoiseModel.from_entries(entries)
 
 

@@ -22,6 +22,7 @@ raise when the ``QNDC_STRICT_PSD=1`` environment variable is set and emit a
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     PositivityWarning,
+    UndefinedInputError,
 )
 
 PULSE_NAMES = ("P", "Q", "R")
@@ -68,20 +70,36 @@ def _as_square(matrix, size: int, what: str) -> np.ndarray:
     return out
 
 
-def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
-    """A new, read-only, exactly symmetric copy of ``matrix``."""
+def _require_finite(matrix: np.ndarray, what: str) -> None:
+    if not np.isfinite(matrix).all():
+        raise UndefinedInputError(f"{what} holds a non-finite entry")
+
+
+def _symmetrized(matrix: np.ndarray, what: str) -> np.ndarray:
+    """A new, read-only, exactly symmetric copy of ``matrix``, refusing an
+    asymmetric or non-finite one at no cost to the others.  An infinite
+    entry on the diagonal or in a symmetric pair is refused after numpy
+    warns of ``inf - inf``."""
     # A contiguous transpose: numpy is slower on the strided view.
     transpose = matrix.T.copy()
     # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
-    # largest entry is its largest magnitude
+    # largest entry is its largest magnitude; a NaN entry makes it NaN
     gap = float((matrix - transpose).max()) if matrix.size else 0.0
-    if gap > SYMMETRY_ATOL:
+    if not gap <= SYMMETRY_ATOL:
+        _require_finite(matrix, what)
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
     # (a + a) / 2 == a, so symmetric input is copied bit-identical.
     out = matrix + transpose
     out /= 2.0
     out.setflags(write=False)
     return out
+
+
+def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
+    """:func:`_symmetrized` of a matrix whose entries are all checked
+    finite first, so that no warning comes before the refusal."""
+    _require_finite(matrix, what)
+    return _symmetrized(matrix, what)
 
 
 @dataclass(frozen=True)
@@ -224,9 +242,14 @@ class GaussianState:
             raise DimensionMismatchError(
                 f"mean must have shape ({dim},), got {mean.shape}"
             )
+        # a NaN fails every comparison, so the PSD check would let it by
+        if not math.isfinite(sum(mean.tolist())) and \
+                not np.isfinite(mean).all():  # not a sum that overflows
+            raise UndefinedInputError("mean holds a non-finite entry")
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _require_symmetric(
+        # built at every pulse: no finiteness pass of its own
+        object.__setattr__(self, "cov", _symmetrized(
             _as_square(self.cov, dim, "covariance"), "covariance"))
         _validate_psd(self.cov)
 

@@ -24,8 +24,9 @@ class NotPositiveSemidefiniteError(QndError, ValueError):
 
 
 class UndefinedInputError(QndError, ValueError):
-    """A closed-form expression was evaluated at a point where it is undefined
-    (zero denominator, negative variance input, and similar)."""
+    """An input at which the model or a closed-form expression is undefined
+    (a non-finite number, a zero denominator, a negative variance input,
+    and similar)."""
 
 
 class UninformativeCouplingError(QndError):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .errors import UndefinedInputError, UninformativeCouplingError
 from .statistics import (
     DeltaStats,
+    _calibration_k2,
     _propagate_se,
     conditional_variance_from_stats,
 )
@@ -129,7 +130,9 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         N33 = (d_var_q - d_var_p + kappa**2 j33 (1 - r_a**2)) / kappa**2
         N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
 
-    at the primary r_a and a nonzero calibrated kappa.
+    at the primary r_a and a nonzero calibrated kappa, at which, with
+    j33, the noise entries are defined (finite, with no product of kappa**2
+    out of floating-point range).
     """
     if delta.n_pulses != 3:
         raise UndefinedInputError(
@@ -183,7 +186,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
 
     if kappa == 0.0:
         raise UndefinedInputError("kappa must be nonzero to invert the noise")
-    k2 = kappa * kappa
+    k2 = _calibration_k2(kappa, j33)
     n33 = (den + k2 * j33 * (1.0 - r_a * r_a)) / k2
     n35 = (delta.d_cov_pq - k2 * j33 * r_a) / kappa
     n55 = delta.d_var_p - k2 * j33

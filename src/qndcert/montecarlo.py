@@ -38,10 +38,15 @@ and every extra thread holds its own malloc arena.
 Memory rule: a pipeline holds one chunk, never an arm, so its memory
 does not grow with the shot count.  Each chunk is a view into one buffer
 per arm that the next chunk overwrites, and a chunk's variates are drawn
-``_DRAW_ROWS`` (1024) rows at a time; row-major draws consume a
-substream in the same order however they are split, so no value
-changes.  At three pulses the buffer is 0.4 MB and the draws under
-0.1 MB per arm.
+``_DRAW_ROWS`` (4096) rows at a time; row-major draws consume a
+substream in the same order however they are split, so no draw changes.
+The product of a block of draws with its gain can change in the last
+bits with the block's row count: 4096 gives the records of 1024, on
+every configuration checked, where 8192 moved a two-pulse record.  At
+three pulses the buffer is 0.4 MB and the draws at most
+0.5 MB per arm, below what formatting a piece of records takes
+(:mod:`qndcert.recordio`); four draws per chunk and noise source keep
+the numpy calls that the two arms' threads interleave few.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ __all__ = [
 
 # Rows of variates drawn at a time within a chunk; see the module
 # docstring's memory rule.
-_DRAW_ROWS = 1024
+_DRAW_ROWS = 4096
 
 _ARM_IDS = {True: 0, False: 1}
 

@@ -11,25 +11,37 @@ product with the exactly representable ``10**(16 - X)`` is split into
 ``p + e`` by Dekker's error-free product with Veltkamp splitting (Dekker,
 "A floating-point technique for extending the available precision",
 Numer. Math. 18, 1971).  ``X`` starts from ``floor(log10|x|)`` and is
-corrected exactly by comparing ``p + e`` with 1e16 and 1e17; since
-``p >= 1e16 > 2**53`` is an integer, rounding ``e`` (ties to even on the
-exact half) rounds the product.  ``D`` never rounds up to 10**17, which
-would move ``X``: that needs ``|x|`` within 5e-18 (relative) below a
-power of ten, and the closest double below each of 1e-6 .. 1e17 is at
-least 4.5e-17 (relative) below it.
+corrected exactly by comparing ``p + e`` with 1e16 and 1e17.  Since
+``p >= 1e16 > 2**53`` is an even integer, ``D = p + rint(e)``: ``rint``
+rounds the exact half to even, and so rounds the product.  ``D`` never
+rounds up to 10**17, which would move ``X``: that needs ``|x|`` within
+5e-18 (relative) below a power of ten, and the closest double below each
+of 1e-6 .. 1e17 is at least 4.5e-17 (relative) below it.
 
 The characters of a value depend only on ``D``'s digits and on
-``(X, sign, significant digits)``.  A table keyed by that triple gives,
-per output position, which byte of a per-value source row (the 17 digit
-characters, a few constant characters and the separator) goes there, and
-how many positions are used.  A byte gather, 2048 fields at a time,
-writes every field straight into its place in the block's output lines,
-once the per-value temporaries are freed; a prefix mask per field, and a
-suffix mask for the ``shot`` column's right-aligned digits, compact the
-block into one ``bytes`` object.
+``(X, sign, significant digits)``.  Each value has a 28-byte slot in its
+row of the block's output lines.  The slot first holds the value's
+source bytes: the 17 digit characters, written four at a time as native
+words, a few constant characters, the separator and a NUL.  A table keyed
+by that triple gives, per slot position, which source byte goes there,
+the NUL past the text's end; a byte gather, ``_GATHER`` fields at a time,
+puts every field's text in place, and dropping the NULs, and the ones
+left of the ``shot`` column's right-aligned digits, compacts the block.
+
+Every other step is one numpy pass over the whole block, so a block of a
+few thousand rows costs a few dozen numpy calls, and two threads that
+format side by side seldom wait for each other's interpreter work.
+Memory, per row of ``k`` values: the lines, ``28 k`` bytes and 8 to 16
+for the ``shot`` column; the significands' float temporaries, six
+doubles and an index per value, the peak of the first steps, freed
+before the lines are made; the digit groups as int32; and at the end the
+mask and the compacted text.  That is about 250 bytes a row at
+``k = 3``, of which the text itself is about 63, plus the gather's fixed
+460 kB.
 
 Zero, subnormals, ``|x| < 1e-6`` and ``|x| >= 1e17`` are formatted one
-by one with ``'%.17g' % v`` and spliced into their field.
+by one with ``'%.17g' % v`` and written to their slot, which the gather
+leaves as it is.
 """
 
 from __future__ import annotations
@@ -38,24 +50,26 @@ import numpy as np
 
 __all__ = ["format_rows"]
 
-# The longest '%.17g' text, -4.9406564584124654e-324, and a separator
-_FIELD = 25
 _MIN_X, _MAX_X = -6, 16  # fixed notation for X >= -4, exponent notation below
-_POW10 = 10.0 ** np.arange(_MAX_X - _MIN_X + 1)  # exact: 5**22 < 2**53
+# 10**s at s = 16 - X: exact, since 5**22 < 2**53
+_POW10 = 10.0 ** np.arange(_MAX_X - _MIN_X + 1)
 _VELTKAMP = 134217729.0  # 2**27 + 1
-# Fields gathered at a time: bounds the byte-index array at 400 kB.
-_GATHER = 2048
 
-# A value's source row, 32 bytes: a 4-digit word holding the leading digit
-# in its last byte, four 4-digit words, then the constants and separator.
+# A value's slot, seven native words: a word holding the leading digit in
+# its last byte, four 4-digit words, then the constants, the separator and
+# a NUL.  The gather turns it into the value's text, NUL padded.
+_FIELD = 28
 _DIGIT0 = 3
 _CONSTANTS = b"-.0e56"
 _CONST0 = _DIGIT0 + 17
 _SEPARATOR = _CONST0 + len(_CONSTANTS)
+_NUL = _SEPARATOR + 1
 _MINUS, _POINT, _ZERO, _E = (_CONST0 + _CONSTANTS.index(c) for c in b"-.0e")
-_SOURCE = 32
-_CONSTANT_ROW = np.frombuffer(_CONSTANTS.ljust(_SOURCE - _CONST0, b"\0"),
-                              np.uint8)
+# The slot's last two words, for an inner and for the last column.
+_TAIL = np.frombuffer(b"".join(_CONSTANTS + separator + b"\0"
+                               for separator in (b",", b"\n")),
+                      np.uint32).reshape(2, 2)
+_COMMA = np.frombuffer(b",\0\0\0", np.uint32)[0]
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +83,6 @@ def _group_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _WORD4, _TRAILING4 = _group_tables()
-_PREFIX = np.arange(_FIELD) < np.arange(_FIELD + 1)[:, None]
 
 
 def _layout(x: int, negative: bool, digits: int) -> list[int]:
@@ -89,151 +102,167 @@ def _layout(x: int, negative: bool, digits: int) -> list[int]:
     return out + [_SEPARATOR]
 
 
-def _key(x, negative, digits):
-    """Pattern-table row: by exponent, then sign, then significant digits,
-    the order in which :func:`_pattern_table` lists the layouts."""
-    return ((x - _MIN_X) * 2 + negative) * 17 + digits - 1
-
-
 def _pattern_table() -> tuple[np.ndarray, np.ndarray]:
-    """Source byte per output position, and the field length, by key."""
-    patterns, lengths = [], []
-    for x in range(_MIN_X, _MAX_X + 1):  # in _key order
+    """Source byte per slot position by key, and the key of each
+    (s = 16 - X, sign) at 17 significant digits.  A key lists the layouts
+    by exponent, then sign, then significant digits; one more key, the
+    last, leaves a slot as it is."""
+    patterns = []
+    for x in range(_MIN_X, _MAX_X + 1):
         for negative in (False, True):
             for digits in range(1, 18):
                 source = _layout(x, negative, digits)
-                lengths.append(len(source))
-                patterns.append(source + [0] * (_FIELD - len(source)))
-    return np.array(patterns, np.int16), np.array(lengths)
+                patterns.append(source + [_NUL] * (_FIELD - len(source)))
+    patterns.append(list(range(_FIELD)))
+    s = np.arange(_MAX_X - _MIN_X + 1)[:, None]
+    keys = ((_MAX_X - _MIN_X - s) * 2 + np.arange(2)) * 17 + 16
+    return np.array(patterns, np.intp), keys.astype(np.int16)
 
 
-_PATTERNS, _LENGTHS = _pattern_table()
+_PATTERNS, _KEYS = _pattern_table()
+_VERBATIM = len(_PATTERNS) - 1
+# Fields gathered at a time: bounds the byte-index array at 460 kB.
+_GATHER = 2048
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
-    """``(p, e)`` with ``p = fl(a * b)`` and ``p + e == a * b`` exactly."""
+    """``(p, e)`` with ``p = fl(a * b)`` and ``p + e == a * b`` exactly;
+    ``a`` and ``b`` are overwritten."""
     p = a * b
-    c = _VELTKAMP * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _VELTKAMP * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    a_hi = a * _VELTKAMP
+    t = a_hi - a
+    a_hi -= t  # c - (c - a)
+    a -= a_hi  # a_lo
+    b_hi = b * _VELTKAMP
+    np.subtract(b_hi, b, out=t)
+    b_hi -= t
+    b -= b_hi  # b_lo
+    # ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in that order
+    e = np.multiply(a_hi, b_hi, out=t)
+    e -= p
+    a_hi *= b
+    e += a_hi
+    b_hi *= a
+    e += b_hi
+    a *= b
+    e += a
+    return p, e
 
 
-def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decimal exponent ``X`` and significand ``D`` (10**16 <= D < 10**17)
-    of ``%.17g`` for each ``a`` from 10**-6 up to 1e17."""
-    x = np.clip(np.floor(np.log10(a)), _MIN_X, _MAX_X).astype(np.int64)
-    p, e = _two_product(a, _POW10[_MAX_X - x])
-    shift = (((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.int64)
-             - ((p < 1e16) | ((p == 1e16) & (e < 0))))
-    moved = np.flatnonzero(shift)
-    if moved.size:
-        x[moved] += shift[moved]
-        p[moved], e[moved] = _two_product(a[moved], _POW10[_MAX_X - x[moved]])
-    floor = np.floor(e)
-    d = p.astype(np.int64) + floor.astype(np.int64)
-    rest = e - floor
-    d += (rest > 0.5) | ((rest == 0.5) & ((d & 1) == 1))
-    return x, d
+def _significands(values: np.ndarray):
+    """``s = 16 - X`` and ``D`` of ``%.17g`` for each value, and the mask of
+    the values in the range that has them (None when all are)."""
+    a = np.abs(values)
+    fast = None
+    if not (a.min() > 1e-6 and a.max() < 1e17):  # 1e-6 lies below 10**-6
+        fast = (a > 1e-6) & (a < 1e17)
+        a[~fast] = 1.0
+    t = np.log10(a)
+    np.floor(t, out=t)
+    np.clip(t, _MIN_X, _MAX_X, out=t)
+    np.subtract(_MAX_X, t, out=t)
+    s = t.astype(np.intp)
+    p, e = _two_product(a, np.take(_POW10, s, out=t))
+    if p.max() >= 1e17 or p.min() <= 1e16:
+        shift = (((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
+                 - ((p < 1e16) | ((p == 1e16) & (e < 0))))
+        moved = np.flatnonzero(shift)
+        if moved.size:
+            s[moved] -= shift[moved]
+            p[moved], e[moved] = _two_product(np.abs(values[moved]),
+                                              _POW10[s[moved]])
+    np.rint(e, out=e)
+    d = p.astype(np.int64)
+    d += e.astype(np.int64)
+    return s, d, fast
 
 
-def _divmod(x: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.divmod(x, c)`` for a positive scalar ``c``, the same values:
-    one ``//`` and a multiply-subtract, which numpy runs faster on int64
-    than its ``divmod`` or ``%``."""
-    q = x // c
-    return q, x - q * c
+def _digit_groups(d: np.ndarray) -> np.ndarray:
+    """Each significand's leading digit and four 4-digit groups, as an
+    (n, 5) int32 array."""
+    groups = np.empty((d.size, 5), np.int32)
+    high, low = np.empty(d.size, np.int32), np.empty(d.size, np.int32)
+    np.divmod(d, 10 ** 8, out=(high, low))
+    np.divmod(high, 10 ** 8, out=(groups[:, 0], high))
+    np.divmod(high, 10 ** 4, out=(groups[:, 1], groups[:, 2]))
+    np.divmod(low, 10 ** 4, out=(groups[:, 3], groups[:, 4]))
+    return groups
 
 
-def _shot_column(first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right-aligned digit characters of ``first .. first + n - 1`` and
-    the mask of the ones ``%d`` prints."""
-    shots = np.arange(first, first + n, dtype=np.int64)
+def _trailing_zeros(groups: np.ndarray) -> np.ndarray:
+    """Each significand's count of trailing zeros: from its last group,
+    and from the groups before only where the ones after are zero."""
+    trailing = _TRAILING4[groups[:, 4]]
+    deeper = np.flatnonzero(groups[:, 4] == 0)
+    for column in (3, 2, 1):  # the leading digit is never 0
+        if not deeper.size:
+            break
+        group = groups[deeper, column]
+        trailing[deeper] += _TRAILING4[group]
+        deeper = deeper[group == 0]
+    return trailing
+
+
+def _lines(first: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block's (n, width) output lines, each holding the ``shot``
+    column's right-aligned digits, NUL on their left, and its comma, and
+    each value slot's last two words; and the (n, k, 7) words of the value
+    slots."""
     width = len(str(first + n - 1))
     groups = -(-width // 4)
-    words = np.empty((n, groups), np.uint32)
-    rest = shots
+    template = np.zeros(groups + 1 + k * _FIELD // 4, np.uint32)
+    template[groups] = _COMMA
+    template[groups + 1:].reshape(k, -1)[:, 5:] = _TAIL[[0] * (k - 1) + [1]]
+    line = np.empty((n, 4 * template.size), np.uint8)
+    words = line.view(np.uint32)
+    words[...] = template  # one pass: a row copied to every row
+    rest = np.arange(first, first + n, dtype=np.int64)
     for column in range(groups - 1, -1, -1):
-        rest, group = _divmod(rest, 10000)
+        rest, group = np.divmod(rest, 10000)
         words[:, column] = _WORD4[group]
-    chars = words.view(np.uint8)[:, 4 * groups - width:]
-    blank = np.full(n, width - 1)
-    for power in range(1, width):
-        blank -= shots >= 10 ** power
-    suffix = np.arange(width) >= np.arange(width)[:, None]
-    return chars, suffix.take(blank, axis=0)
+    for digits in range(1, width + 1):  # the rows whose shot has `digits`
+        low = max(first, 10 ** (digits - 1) if digits > 1 else 0) - first
+        high = min(first + n, 10 ** digits) - first
+        if low < high:
+            line[low:high, :4 * groups - digits] = 0
+    return line, words[:, groups + 1:].reshape(n, k, _FIELD // 4)
 
 
-def _source_rows(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each significand's 32-byte source row, with the separator of its
-    column, and its count of significant digits."""
-    top, low = _divmod(d, 10 ** 16)
-    high, low = _divmod(low, 10 ** 8)
-    groups = _divmod(high, 10 ** 4) + _divmod(low, 10 ** 4)
-    words = np.empty((d.size, _SOURCE // 4), np.uint32)
-    words[:, 0] = _WORD4[top]
-    trailing = np.zeros(d.size, np.int64)
-    zero = np.ones(d.size, bool)
-    for column in range(4, 0, -1):
-        group = groups[column - 1]
-        words[:, column] = _WORD4[group]
-        trailing += zero * _TRAILING4[group]
-        zero &= group == 0
-    chars = words.view(np.uint8)
-    chars[:, _CONST0:] = _CONSTANT_ROW
-    by_column = chars.reshape(-1, k, _SOURCE)
-    by_column[:, :, _SEPARATOR] = ord(",")
-    by_column[:, -1, _SEPARATOR] = ord("\n")
-    return chars, 17 - trailing
-
-
-def _fill_fields(rows: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Write each value of the (n, k) ``rows``, as its ``%.17g`` text and
-    separator, to the start of its ``_FIELD`` bytes in the (n, k,
-    ``_FIELD``) ``fields``; return the text lengths, row-major."""
-    k = rows.shape[1]
-    values = rows.ravel()
-    a = np.abs(values)
-    fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 lies below 10**-6
-    x, d = _significands(a if fast.all() else np.where(fast, a, 1.0))
-    chars, digits = _source_rows(d, k)
-    key = _key(x, np.signbit(values), digits)
-    del a, x, d, digits  # not held through the gather
-
-    flat = chars.ravel()
-    step = _GATHER // k  # rows per gather
-    for row in range(0, rows.shape[0], step):
-        start = row * k
-        pattern = _PATTERNS.take(key[start:start + step * k], axis=0)
-        index = (np.arange(start, start + len(pattern)) * _SOURCE)[:, None]
-        fields[row:row + step] = flat.take(index + pattern).reshape(
-            -1, k, _FIELD)
-    lengths = _LENGTHS.take(key)
-    for i in np.flatnonzero(~fast):
-        text = b"%.17g" % values[i] + (b"\n" if i % k == k - 1 else b",")
-        fields[i // k, i % k, :len(text)] = np.frombuffer(text, np.uint8)
-        lengths[i] = len(text)
-    return lengths
-
-
-def format_rows(rows: np.ndarray, first_shot: int) -> bytes:
+def format_rows(rows: np.ndarray, first_shot: int) -> memoryview:
     """``("%d," + ",".join(["%.17g"] * k) + "\\n") % row`` for each row of
     the (n, k) float array ``rows``, the shot column counting from
-    ``first_shot``, as one ``bytes`` object."""
+    ``first_shot``, as one bytes-like object: a memoryview of the
+    compacted lines, which ``hashlib`` and files take without a copy."""
     rows = np.ascontiguousarray(rows, dtype=float)
     n, k = rows.shape
-    shot_chars, shot_mask = _shot_column(first_shot, n)
-    width = shot_chars.shape[1]
-    line = np.empty((n, width + 1 + k * _FIELD), np.uint8)
-    line[:, :width] = shot_chars
-    line[:, width] = ord(",")
-    # a view: the fields are gathered straight into the line
-    lengths = _fill_fields(rows, line[:, width + 1:].reshape(n, k, _FIELD))
-    mask = np.empty(line.shape, bool)
-    mask[:, :width] = shot_mask
-    mask[:, width] = True
-    mask[:, width + 1:] = _PREFIX.take(lengths, axis=0).reshape(n, k * _FIELD)
-    return line[mask].tobytes()
+    if not rows.size:
+        return memoryview(b"")
+    values = rows.ravel()
+    # each temporary is deleted once spent, so the peak is one step's
+    s, d, fast = _significands(values)
+    key = _KEYS[s, np.signbit(values).view(np.uint8)]
+    del s
+    groups = _digit_groups(d)
+    del d
+    key -= _trailing_zeros(groups)
+    line, slots = _lines(first_shot, n, k)
+    slots[:, :, :5] = _WORD4[groups.reshape(n, k, 5)]
+    del groups
+    fields = slots.view(np.uint8)
+    if fast is not None:
+        for i in np.flatnonzero(~fast):
+            text = b"%.17g" % values[i] + (b"\n" if i % k == k - 1 else b",")
+            field = fields[i // k, i % k]
+            field[:len(text)] = np.frombuffer(text, np.uint8)
+            field[len(text):] = 0
+            key[i] = _VERBATIM
+    flat, step = line.ravel(), max(1, _GATHER // k)  # rows per gather
+    bases = np.arange(0, line.size, line.shape[1])[:, None] + (
+        line.shape[1] - _FIELD * np.arange(k, 0, -1))
+    for row in range(0, n, step):
+        index = _PATTERNS.take(key[row * k:(row + step) * k], axis=0)
+        index += bases[row:row + step].reshape(-1, 1)
+        fields[row:row + step] = flat.take(index).reshape(-1, k, _FIELD)
+        del index
+    del key, bases
+    return memoryview(line[line != 0])

@@ -17,7 +17,7 @@ Every arm is one chunk pipeline with ``CHUNK_SHOTS`` (16384) shots as
 its grain.  :func:`write_arms` takes each arm's chunks, as
 :func:`qndcert.montecarlo.arm_chunks` draws them, and on the arm's own
 thread (:func:`qndcert.statistics.map_arms`) checks each chunk finite,
-accumulates it, formats it in ``SUB_BLOCK_ROWS`` (2048) row pieces,
+accumulates it, formats it in ``SUB_BLOCK_ROWS`` (4096) row pieces,
 hashes the pieces and streams them to disk; the sidecar is written from
 the two accumulators and digests once both CSVs are written.  It renames
 none of the three files into place before all three are written: a
@@ -29,7 +29,10 @@ serial: ``loadtxt`` holds the GIL.
 Memory rule: no pipeline holds an arm, so ``qndc simulate`` and a
 ``qndc`` command that parses the CSVs take the same memory at any shot
 count; each arm holds one chunk and a formatter's piece, or one parsed
-chunk and the next.
+chunk and the next.  A piece is as many rows as the formatter can take
+in about 1 MB at three pulses (:mod:`qndcert.recordfmt`): few pieces
+mean few numpy calls, so the two arms' threads overlap.  A whole chunk
+does not fit: its text alone is 1 MB.
 
 The sidecar (schema 2) also holds an ``arms`` block: per role, the
 sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
@@ -89,7 +92,8 @@ _COLUMNS = ("p_y", "q_y", "r_y")
 _HASH_BLOCK_BYTES = 1 << 18
 # Rows formatted per piece: the formatter's temporaries, and so the
 # writer's peak memory, grow with it; one arm's formatter per thread.
-SUB_BLOCK_ROWS = 2048
+# See the module docstring's memory rule.
+SUB_BLOCK_ROWS = 4096
 
 
 def _write_temp(path: Path, data: bytes | Iterable[bytes]) -> str:
@@ -132,7 +136,8 @@ def _nonfinite_row(rows: np.ndarray) -> int | None:
 
 
 def _arm_pieces(chunks: Iterable[np.ndarray], role: str, n_pulses: int,
-                acc: MomentAccumulator, digest) -> Iterator[bytes]:
+                acc: MomentAccumulator,
+                digest) -> Iterator[bytes | memoryview]:
     """Yield an arm's CSV bytes from its chunks: the header line, then each
     chunk in pieces of ``SUB_BLOCK_ROWS`` rows, shot numbers running on
     across chunks.  Each chunk is checked finite and fed to ``acc`` before
@@ -152,6 +157,7 @@ def _arm_pieces(chunks: Iterable[np.ndarray], role: str, n_pulses: int,
             piece = format_rows(chunk[row:row + SUB_BLOCK_ROWS], start + row)
             digest.update(piece)
             yield piece
+            del piece  # freed before the next piece is formatted
         start += len(chunk)
 
 

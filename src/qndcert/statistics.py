@@ -392,7 +392,8 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
         j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
 
     ``var_p`` is the probe-arm meter variance (not reference-subtracted).
-    Needs at least two pulses.
+    Needs at least two pulses, and a calibration at which the figure is
+    defined (``_calibration_k2``).
     """
     if delta.n_pulses < 2:
         raise UndefinedInputError(
@@ -400,10 +401,37 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
         )
     if kappa == 0.0:
         raise UndefinedInputError("kappa must be nonzero")
+    k2 = _calibration_k2(kappa, j33)
     if var_p <= 0.0:
         raise UndefinedInputError(f"var_p must be positive, got {var_p}")
     return _conditional_variance(delta.d_var_p, delta.d_var_q,
-                                 delta.d_cov_pq, var_p, kappa * kappa, j33)
+                                 delta.d_cov_pq, var_p, k2, j33)
+
+
+def _calibration_k2(kappa: float, j33: float,
+                    j0: float | None = None) -> float:
+    """``kappa**2``, once the calibration is one at which the figures are
+    defined: ``kappa``, ``j33`` and ``j0`` finite, and ``kappa**2`` and its
+    products with ``j33`` and ``j0`` neither overflowing nor underflowing
+    to 0 from nonzero factors.  ``kappa`` must already be nonzero."""
+    kappa, j33 = float(kappa), float(j33)  # Python floats overflow quietly
+    k2 = kappa * kappa
+    if 0.0 < k2 < math.inf and 0.0 < k2 * j33 < math.inf and (
+            j0 is None or 0.0 < k2 * float(j0) < math.inf):
+        return k2  # the common case, in a few comparisons
+    j0 = None if j0 is None else float(j0)
+    for name, value in (("kappa", kappa), ("j33", j33), ("j0", j0)):
+        if value is not None and not math.isfinite(value):
+            raise UndefinedInputError(f"{name} must be finite, got {value}")
+    for name, value, factor in (("kappa**2", k2, kappa),
+                                ("kappa**2 * j33", k2 * j33, j33),
+                                ("kappa**2 * j0", k2 * (j0 or 0.0), j0)):
+        if math.isinf(value) or value == 0.0 and factor:
+            raise UndefinedInputError(
+                f"{name} = {value:g} {'overflows' if value else 'underflows'}"
+                f" (kappa = {kappa:g}, j33 = {j33:g}"
+                + ("" if j0 is None else f", j0 = {j0:g}") + ")")
+    return k2
 
 
 def _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33):

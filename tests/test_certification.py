@@ -325,6 +325,12 @@ class TestCertify:
         {"kappa": 0.0}, {"j0": 0.0}, {"j33": -1.0}, {"j0": -1.0},
         {"z_threshold": -1.0}, {"z_threshold": math.nan},
         {"z_threshold": math.inf},
+        # calibration at which every figure is undefined: these gave a
+        # confident "no", or a ZeroDivisionError for kappa 1e-170
+        {"kappa": math.nan}, {"kappa": math.inf}, {"kappa": 1e200},
+        {"kappa": 1e-170}, {"j33": math.nan}, {"j0": math.nan},
+        {"j0": math.inf}, {"kappa": 2.0, "j33": 1e308},
+        {"kappa": 2.0, "j0": 1e308},
     ])
     def test_input_validation(self, ideal_set, kwargs):
         delta, var_p = _delta_of(ideal_set)

@@ -110,6 +110,15 @@ class TestSimulate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_is_refused(self, tmp_path, ideal_run,
+                                          capsys):
+        # an OSError from the writer is bad input too: exit 2, no traceback
+        (tmp_path / "file").write_text("")
+        code = main(["simulate", "--config", ideal_run["config"],
+                     "--out", str(tmp_path / "file" / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_rejects_zero_shots(self, tmp_path, ideal_run):
         assert main(["simulate", "--config", ideal_run["config"],
                      "--out", str(tmp_path / "run"), "--shots", "0"]) == 2
@@ -437,6 +446,17 @@ class TestRLInput:
                      "--out", str(tmp_path / "run")]) == 2
         assert "r_l: must be finite" in capsys.readouterr().err
 
+    def test_simulate_refuses_a_non_finite_noise_entry(self, tmp_path,
+                                                       capsys):
+        # the records came out byte-identical to those without noise
+        config = _write_config(tmp_path, "nan.json",
+                               noise={"33": float("nan")})
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "noise.33: must be finite" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["nan.json"]
+
 
 _CALIBRATION = ["--kappa", "1.0", "--j33", "25", "--j0", "25"]
 
@@ -474,6 +494,23 @@ class TestCalibrationFlags:
         captured = capsys.readouterr()
         assert f"argument {flag}" in captured.err
         assert "n33=" not in captured.out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--kappa", "1e-300", "--j33", "25"],
+         "kappa**2 = 0 underflows"),
+        (["estimate", "--kappa", "1e170", "--j33", "25"],
+         "kappa**2 = inf overflows"),
+        (["certify", "--kappa", "1e200", "--j33", "25", "--j0", "25"],
+         "kappa**2 = inf overflows"),
+    ])
+    def test_calibration_out_of_range_is_refused(self, lossy_run, capsys,
+                                                 argv, message):
+        # finite flags whose products leave floating-point range: these
+        # ended in a traceback, in nan estimates, or in "certified: no"
+        assert main([argv[0], *_record_args(lossy_run), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "certified:" not in captured.out and "n33=" not in captured.out
 
     def test_boundary_values_are_accepted(self, ideal_run, capsys):
         assert main(["certify", *_record_args(ideal_run), "--kappa", "1.0",
@@ -724,6 +761,17 @@ class TestStreamedMemory:
                  for n_chunks in (4, 16)]
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    def test_simulate_peak_is_bounded(self, tmp_path):
+        # each arm holds its chunk, its draws and one formatted piece; with
+        # 2048-row pieces at 480 bytes of scratch a row this peaked at
+        # 1.70 MB, and larger pieces must not grow it
+        config = _write_config(tmp_path, "cfg.json", r_a=0.8, r_l=0.9,
+                               noise={"33": 2.0, "35": 0.5, "55": 4.0})
+        argv = ["simulate", "--config", config, "--shots", 50_000, "--out"]
+        _peak_bytes([*argv, tmp_path / "warm"])
+        peak = _peak_bytes([*argv, tmp_path / "run"])
+        assert peak <= 1.7e6, peak
+
     def test_parsing_certify(self, tmp_path):
         # one pulse, a third of the text of three: inconclusive (exit 2),
         # after parsing every row
@@ -757,7 +805,8 @@ class TestSelftest:
 
     @pytest.mark.parametrize("args", [
         ["--sets", "0"], ["--sets", "-1"], ["--shots", "1"], ["--shots", "0"],
-        ["--sets", "0", "--corrupt-delta"],
+        ["--sets", "0", "--corrupt-delta"], ["--seed", "-1"],
+        ["--sets", "1" + "0" * 400],
     ])
     def test_nothing_to_check_is_a_usage_error(self, capsys, args):
         # "0 parameter sets" used to pass, and hid --corrupt-delta

@@ -147,6 +147,40 @@ class TestValidation:
         with pytest.raises(ConfigError, match="z_threshold"):
             load_config(_write(tmp_path, dict(BASE, z_threshold=True)))
 
+    @pytest.mark.parametrize("payload, message", [
+        (dict(BASE, noise={"33": float("nan")}), r"noise\.33: must be finite"),
+        (dict(BASE, noise={"35": float("inf")}), r"noise\.35: must be finite"),
+        (dict(BASE, noise=np.full((6, 6), np.nan).tolist()),
+         r"noise: entries must be finite"),
+        (dict(BASE, atoms={"mean_jx": 50.0,
+                           "cov": [[0.0, 0.0, 0.0], [0.0, 25.0, float("nan")],
+                                   [0.0, float("nan"), 25.0]]}),
+         r"atoms\.cov: entries must be finite"),
+        (dict(BASE, light={"mean_sx": 50.0,
+                           "cov": np.diag([0.0, 25.0, float("inf")] * 3
+                                          ).tolist()}),
+         r"light\.cov: entries must be finite"),
+        (dict(BASE, noise={"33": "2"}), r"noise\.33: must be a number"),
+        (dict(BASE, noise=2.0), "noise: must be an entry map or a 6x6 matrix"),
+        ({k: v for k, v in BASE.items() if k != "light"},
+         "light: required section"),
+        (dict(BASE, atoms={"mean_jx": 50.0}),
+         "atoms: expected n_atoms, or mean_jx with cov"),
+        (dict(BASE, light={"mean_sx": 0.0,
+                           "cov": np.diag([0.0, 25.0, 25.0] * 3).tolist()}),
+         "coupling.kappa: needs a nonzero light mean_sx"),
+        ([BASE], "top level must be an object"),
+        # beyond the float range: float() raised OverflowError, a traceback
+        (dict(BASE, seed=10 ** 400), "seed: must be finite"),
+        (dict(BASE, noise={"33": -10 ** 400}), r"noise\.33: must be finite"),
+    ])
+    def test_refusal_names_the_field(self, tmp_path, payload, message):
+        path = tmp_path / "cfg.json"
+        # json writes NaN and Infinity, which Python's JSON reader accepts
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     @pytest.mark.parametrize("field", ["r_l", "r_a", "j33", "z_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])

@@ -11,6 +11,7 @@ from qndcert import (
     NotSymmetricError,
     OpticalBlock,
     PositivityWarning,
+    UndefinedInputError,
     get_entry,
     make_initial_state,
 )
@@ -113,6 +114,15 @@ class TestBlocks:
         with pytest.raises(NotSymmetricError):
             AtomicBlock(mean_jx=50.0, cov=cov)
 
+    @pytest.mark.parametrize("block, size", [(AtomicBlock, 3),
+                                             (OpticalBlock, 6)])
+    def test_non_finite_cov_rejected(self, block, size):
+        cov = np.eye(size)
+        cov[1, 2] = cov[2, 1] = np.nan
+        with pytest.raises(UndefinedInputError,
+                           match="covariance holds a non-finite entry"):
+            block(50.0, cov)
+
     def test_atomic_cov_shape(self):
         with pytest.raises(DimensionMismatchError):
             AtomicBlock(mean_jx=50.0, cov=np.eye(4))
@@ -166,6 +176,27 @@ class TestGaussianState:
     def test_mean_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             GaussianState(Layout(1), np.zeros(5), np.eye(6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["mean", "cov diagonal",
+                                       "cov off-diagonal", "cov one side"])
+    def test_non_finite_entries_rejected(self, value, where):
+        # a NaN fails every comparison, so it passed the symmetry and PSD
+        # checks and reached the sampler
+        mean, cov = np.zeros(6), np.eye(6)
+        if where == "mean":
+            mean[2] = value
+        elif where == "cov diagonal":
+            cov[2, 2] = value
+        elif where == "cov off-diagonal":
+            cov[1, 2] = cov[2, 1] = value
+        else:
+            cov[1, 2] = value
+        # a state is built at every pulse, so its covariance gets no
+        # finiteness pass of its own: numpy warns of inf - inf first
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(UndefinedInputError, match="non-finite"):
+            GaussianState(Layout(1), mean, cov)
 
     def test_indefinite_cov_warns_by_default(self):
         cov = np.eye(6)

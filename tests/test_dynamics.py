@@ -11,6 +11,7 @@ from qndcert import (
     LayoutError,
     NoiseModel,
     OpticalBlock,
+    UndefinedInputError,
     apply_pulse,
     get_entry,
     interaction_matrix,
@@ -74,6 +75,19 @@ class TestNoiseModel:
         matrix[2, 4] = 0.5
         with pytest.raises(ValueError):
             NoiseModel(matrix)
+
+    @pytest.mark.parametrize("entries", [{(3, 3): np.nan}, {(3, 5): np.inf},
+                                         {(5, 5): -np.inf}])
+    def test_entries_must_be_finite(self, entries):
+        # a NaN entry used to give a NaN eigenvalue, whose column the
+        # sampler dropped: the records came out as if without noise
+        with pytest.raises(UndefinedInputError,
+                           match="noise matrix holds a non-finite entry"):
+            NoiseModel.from_entries(entries)
+
+    def test_all_nan_matrix_rejected(self):
+        with pytest.raises(UndefinedInputError, match="non-finite"):
+            NoiseModel(np.full((6, 6), np.nan))
 
 
 class TestInteractionMatrix:

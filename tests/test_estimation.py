@@ -7,6 +7,7 @@ from qndcert import (
     DeltaStats,
     UndefinedInputError,
     UninformativeCouplingError,
+    conditional_variance_from_stats,
     delta_stats,
     invert_three_pulse,
     no_atoms_moments,
@@ -151,6 +152,37 @@ class TestNoiseInversion:
                            match="^kappa must be nonzero to invert the "
                                  "noise$"):
             _invert(delta, measured.var_p, kappa=0.0)
+
+
+# Calibration at which the figures are undefined: not finite, or kappa**2
+# and its products with j33 out of floating-point range.  These used to
+# come back as nan or inf estimates, or as a ZeroDivisionError.
+_BAD_CALIBRATION = [
+    ({"kappa": math.nan}, "kappa must be finite"),
+    ({"kappa": math.inf}, "kappa must be finite"),
+    ({"j33": math.nan}, "j33 must be finite"),
+    ({"kappa": 1e200}, r"kappa\*\*2 = inf"),
+    ({"kappa": 1e-170}, r"kappa\*\*2 = 0 underflows"),
+    ({"kappa": 2.0, "j33": 1e308}, r"kappa\*\*2 \* j33 = inf"),
+    ({"kappa": 1e-160, "j33": 1e-10}, r"kappa\*\*2 \* j33 = 0 underflows"),
+]
+
+
+class TestCalibrationRange:
+    @pytest.mark.parametrize("calibration, message", _BAD_CALIBRATION)
+    def test_inversion_refuses(self, noisy_set, calibration, message):
+        delta, measured = _analytic_delta(noisy_set)
+        with pytest.raises(UndefinedInputError, match=message):
+            _invert(delta, measured.var_p, **calibration)
+
+    @pytest.mark.parametrize("calibration, message", _BAD_CALIBRATION)
+    def test_conditional_variance_refuses(self, noisy_set, calibration,
+                                          message):
+        delta, measured = _analytic_delta(noisy_set)
+        arguments = {"kappa": 1.0, "j33": 25.0, **calibration}
+        with pytest.raises(UndefinedInputError, match=message):
+            conditional_variance_from_stats(delta, measured.var_p,
+                                            **arguments)
 
 
 class TestFullInversion:

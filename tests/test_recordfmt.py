@@ -90,6 +90,10 @@ class TestAgainstPercentFormatting:
         values = rng.uniform(1, 10, 6000) * 10.0 ** rng.integers(-7, 18, 6000)
         _assert_formats_like_reference(_both_signs(values), k=3)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_rows(self, k):
+        assert format_rows(np.empty((0, k)), 7) == b""
+
     @pytest.mark.parametrize("first_shot", [0, 9, 9995, 99_990, 999_999,
                                             10 ** 12 - 3])
     def test_shot_column_crosses_digit_counts(self, first_shot):

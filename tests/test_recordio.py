@@ -282,6 +282,17 @@ class TestSummary:
             read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
+    @pytest.mark.parametrize("arms", [[], {"with_atoms": 5}])
+    def test_malformed_arms_block_is_refused(self, tmp_path, small_rows,
+                                             arms):
+        paths = _write(small_rows, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        meta["arms"] = arms
+        paths["meta"].write_text(json.dumps(meta))
+        with pytest.raises(RecordError, match="malformed arms block"):
+            read_records(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
+
     @pytest.mark.parametrize("field, value, message", [
         ("count", 63, "disagrees"),
         ("mean", [0.0, 0.0], "disagrees"),
@@ -439,6 +450,14 @@ class TestReadValidation:
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,p_y\n0,1.0\n1,oops\n")
         with pytest.raises(RecordError):
+            read_records(bad, bad)
+
+    def test_more_columns_than_the_header_names(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("shot,p_y\n0,1.0,2.0\n1,3.0,4.0\n")
+        with pytest.raises(RecordError, match=r"bad\.csv: expected 2 "
+                                              r"columns of data, got shape "
+                                              r"\(2, 3\)"):
             read_records(bad, bad)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -663,9 +682,10 @@ class TestArmThreads:
                                                  monkeypatch, failing):
         # one arm's formatting runs out of disk space part way through a
         # rewrite: the set written before must survive whole
-        old_paths = _write(_drawn(noisy_set, 3000, 1), tmp_path / "run")
+        n_shots = SUB_BLOCK_ROWS + 1000  # two pieces
+        old_paths = _write(_drawn(noisy_set, n_shots, 1), tmp_path / "run")
         before = {role: path.read_bytes() for role, path in old_paths.items()}
-        rows = _drawn(noisy_set, 3000, 2)
+        rows = _drawn(noisy_set, n_shots, 2)
         bad_rows = rows[failing]
 
         def format_piece(rows, first_shot, _format=recordio.format_rows):
