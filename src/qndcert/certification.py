@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import QndError, UndefinedInputError
 from .estimation import EstimatedModel, _check_gate_width, invert_three_pulse
 from .statistics import (
     DeltaStats,
@@ -178,8 +177,8 @@ class NonClassicality:
     atomic survival and the state-prep figure was normalized under that
     assumption; None means the exact three-pulse route was used.
     ``product_sm`` is the squared uncertainty product
-    max(0, dx2_s) * max(0, dx2_m); comparing it against 1 is the
-    information-damage criterion.
+    max(0, dx2_s) * max(0, dx2_m), the information-damage criterion
+    against 1; the report's ``warnings`` name a factor clipped to 0.
     """
 
     dx2_s_given_m: float | None
@@ -187,7 +186,6 @@ class NonClassicality:
     dx2_s: float | None
     product_sm: float | None
     r_a_assumed: float | None = None
-    warnings: tuple[str, ...] = ()
 
 
 class SqueezingVerdict(NamedTuple):
@@ -247,20 +245,16 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     var_p : float
         Probe-arm first-meter variance, with optional ``var_p_se``.
     kappa, j33, j0 : float
-        Calibrated coupling, input spin variance, projection-noise scale:
-        finite, with no product of ``kappa**2`` out of floating-point
-        range, or every figure would be undefined.
+        Calibrated coupling, input spin variance, projection-noise scale;
+        checked first, by the one rule ``statistics._calibration_k2``.
     z_threshold : float
         Gate width in standard errors, finite and nonnegative; also sets
         the noise floor below which delta covariances count as
         uninformative, for the gate and for the model inversion alike.
+
+    The inversion runs on the exact route only, which excludes all it
+    refuses; a verdict whose standard error is not finite is None.
     """
-    if j33 < 0.0:
-        raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
-    if j0 <= 0.0:
-        raise UndefinedInputError(f"j0 must be positive, got {j0}")
-    if kappa == 0.0:
-        raise UndefinedInputError("kappa must be nonzero")
     k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
 
@@ -270,19 +264,14 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     warns: list[str] = []
     gated = delta.se is not None
 
-    def floor(name: str) -> float:
-        se = delta.se_of(name)
-        return z_threshold * se if se else 0.0
-
     informative = True
     for name in ("d_cov_pq", "d_cov_pr")[:n - 1]:
-        if abs(getattr(delta, name)) <= floor(name):
+        size = abs(getattr(delta, name))
+        floor = z_threshold * delta.se_of(name, 0.0)  # the inversion's too
+        if size <= floor:
             informative = False
-            reasons.append(
-                f"uninformative coupling: |{name}| = "
-                f"{abs(getattr(delta, name)):.6g} at or below its noise "
-                f"floor {floor(name):.6g}"
-            )
+            reasons.append(f"uninformative coupling: |{name}| = {size:.6g} "
+                           f"at or below its noise floor {floor:.6g}")
             break
     if n < 3:
         reasons.append(
@@ -291,40 +280,32 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         )
     figures = _transfer_figures(delta, var_p, k2, j33)
 
-    estimates: EstimatedModel | None = None
     exact = n == 3 and informative
-    if exact:
-        try:
-            estimates = invert_three_pulse(delta, var_p, kappa, j33,
-                                           z_threshold=z_threshold)
-            warns.extend(estimates.warnings)
-        except QndError as exc:
-            reasons.append(f"model inversion failed: {exc}")
-        if not positive:
-            exact = False
-            reasons.append("non-classicality figures unavailable: var_p "
-                           f"must be positive, got {var_p}")
+    if exact and not positive:
+        reasons.append("non-classicality figures unavailable: var_p "
+                       f"must be positive, got {var_p}")
     # The one route decision (module docstring).
-    route = (_EXACT if exact else
+    route = (_EXACT if exact and positive else
              _R_A_ASSUMED if n >= 2 and positive else _METER_ONLY)
 
     inputs = _inputs(delta, var_p)
     ncl_values = {**dict.fromkeys(_EXACT),
                   **_figures(inputs, k2, j33, j0, route)}
-    ncl_warnings = []
+    estimates: EstimatedModel | None = None
     if route == _EXACT:
+        estimates = invert_three_pulse(delta, var_p, kappa, j33,
+                                       z_threshold=z_threshold)
+        warns.extend(estimates.warnings)
         for name, cause in (("dx2_s", "loss dominates added spin noise"),
                             ("dx2_m", "sampled var_p below kappa**2*j33")):
             if ncl_values[name] < 0.0:
-                ncl_warnings.append(f"{name} is negative ({cause}); clipped "
-                                    "to zero inside the uncertainty product")
+                warns.append(f"{name} is negative ({cause}); clipped to "
+                             "zero inside the uncertainty product")
     elif route == _R_A_ASSUMED:
-        ncl_warnings.append("state-prep figure normalized with r_a assumed 1 "
-                            "(survival not identifiable from this run)")
+        warns.append("state-prep figure normalized with r_a assumed 1 "
+                     "(survival not identifiable from this run)")
     ncl = NonClassicality(
-        **ncl_values, r_a_assumed=1.0 if route == _R_A_ASSUMED else None,
-        warnings=tuple(ncl_warnings))
-    warns.extend(ncl_warnings)
+        **ncl_values, r_a_assumed=1.0 if route == _R_A_ASSUMED else None)
 
     squeezing: SqueezingVerdict | None = None
     if n < 2:
@@ -352,9 +333,12 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
             lambda v: _figures(v, k2, j33, j0, route), inputs, sigma, route)
 
     def gate(value: float | None, se_key: str) -> bool | None:
-        if value is None:
+        se = se_map.get(se_key, 0.0)
+        if value is not None and not se < math.inf:  # NaN or inf
+            reasons.append(f"standard error of {se_key} is not finite "
+                           f"({se}); its verdict is undecided")
             return None
-        return (1.0 - value) > z_threshold * se_map.get(se_key, 0.0)
+        return None if value is None else (1.0 - value) > z_threshold * se
 
     def point(value: float | None) -> bool | None:
         return None if value is None else value < 1.0

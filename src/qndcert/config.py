@@ -15,7 +15,8 @@ Schema (top level; unknown keys are rejected)::
     }
 
 Validation failures raise ConfigError naming the offending field; JSON
-syntax errors carry the line and column.
+syntax errors carry the line and column.  The model's own refusals, such
+as an asymmetric covariance block, come as ConfigError too.
 """
 
 from __future__ import annotations
@@ -202,7 +203,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
+    try:
+        config = _parse(raw)
+        config.initial_state()  # surface block inconsistencies now
+    except (QndError, ValueError) as exc:  # a ConfigError keeps its words
+        raise ConfigError(str(exc)) from None
+    return config
 
+
+def _parse(raw: dict) -> ExperimentConfig:
     n_pulses = _integer(raw, "n_pulses")
     if n_pulses not in (1, 2, 3):
         raise ConfigError(f"n_pulses: must be 1, 2 or 3, got {n_pulses}")
@@ -222,22 +231,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         j0 = atomic.css_variance
     else:
         raise ConfigError("j0: required when atoms have zero mean polarization")
-    try:
-        config = ExperimentConfig(
-            n_pulses=n_pulses,
-            n_shots=_integer(raw, "n_shots", default=100000, minimum=2),
-            seed=_integer(raw, "seed", default=1, minimum=0),
-            params=params,
-            noise=noise,
-            atomic=atomic,
-            optical=optical,
-            j33=j33,
-            j0=j0,
-            z_threshold=_number(raw, "z_threshold", default=3.0, minimum=0.0),
-        )
-        config.initial_state()  # surface block inconsistencies now
-    except ConfigError:
-        raise
-    except (QndError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return config
+    return ExperimentConfig(
+        n_pulses=n_pulses,
+        n_shots=_integer(raw, "n_shots", default=100000, minimum=2),
+        seed=_integer(raw, "seed", default=1, minimum=0),
+        params=params,
+        noise=noise,
+        atomic=atomic,
+        optical=optical,
+        j33=j33,
+        j0=j0,
+        z_threshold=_number(raw, "z_threshold", default=3.0, minimum=0.0),
+    )

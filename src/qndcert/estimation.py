@@ -115,14 +115,15 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
                        z_threshold: float = 3.0) -> EstimatedModel:
     """Full model inversion of a three-pulse run.
 
-    Quantities within ``z_threshold`` combined standard errors of zero
-    are treated as zero when deciding whether a ratio is usable, and two
-    r_A routes further apart than that disagree (no-op for analytic
-    inputs, which carry no standard errors); :func:`~qndcert.certify`
-    passes its gate width, so a coupling it judges informative is one
-    the inversion uses.  Failure of the primary
-    covariance route propagates as an exception; failure of the
-    variance cross-check, r_A = sqrt((d_var_r - d_var_q) /
+    The pulse count, the gate width and then the calibration, by the rule
+    ``certify`` applies too, are checked first.  Quantities within
+    ``z_threshold`` combined standard errors of zero are treated as zero
+    when deciding whether a ratio is usable, and two r_A routes further
+    apart than that disagree (no-op for analytic inputs, which carry no
+    standard errors); :func:`~qndcert.certify` passes its gate width, so
+    a coupling it judges informative is one the inversion uses.  Failure
+    of the primary covariance route propagates as an exception; failure
+    of the variance cross-check, r_A = sqrt((d_var_r - d_var_q) /
     (d_var_q - d_var_p)), degrades to ``r_a_from_var=None`` plus a
     warning.  The noise entries invert the closed forms
 
@@ -130,14 +131,14 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         N33 = (d_var_q - d_var_p + kappa**2 j33 (1 - r_a**2)) / kappa**2
         N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
 
-    at the primary r_a and a nonzero calibrated kappa, at which, with
-    j33, the noise entries are defined (finite, with no product of kappa**2
-    out of floating-point range).
+    at the primary r_a; ``cond_var_jz`` is
+    :func:`~qndcert.conditional_variance_from_stats`.
     """
     if delta.n_pulses != 3:
         raise UndefinedInputError(
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
     _check_gate_width(z_threshold)
+    k2 = _calibration_k2(kappa, j33)
     floor_pq = z_threshold * delta.se_of("d_cov_pq", 0.0)
     if abs(delta.d_cov_pq) <= floor_pq:
         raise UninformativeCouplingError(
@@ -184,9 +185,6 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if not 0.0 <= r_a <= 1.0:
         warnings.append(f"r_a estimate {r_a:.6g} outside [0, 1]")
 
-    if kappa == 0.0:
-        raise UndefinedInputError("kappa must be nonzero to invert the noise")
-    k2 = _calibration_k2(kappa, j33)
     n33 = (den + k2 * j33 * (1.0 - r_a * r_a)) / k2
     n35 = (delta.d_cov_pq - k2 * j33 * r_a) / kappa
     n55 = delta.d_var_p - k2 * j33

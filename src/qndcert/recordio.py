@@ -49,11 +49,12 @@ which (``moments_source``) and names the CSVs a stored digest
 contradicts (``stale``).
 
 Writing refuses records holding a non-finite value or arms of different
-shot counts.  Reading refuses a file whose values are not all finite or
-whose ``shot`` column is not 0, 1, ..., n-1, arms of different shot
-counts, and a sidecar whose counts are not integers (pulses 1 to 3),
-seed not a nonnegative integer or null, hash not a string, or stored
-comoment not symmetric with a nonnegative diagonal.
+shot counts.  Reading refuses a file whose values are not all finite,
+whose parsed mean or comoment overflows, or whose ``shot`` column is not
+0, 1, ..., n-1, arms of different shot counts, and a sidecar whose
+counts are not integers (pulses 1 to 3), seed not a nonnegative integer
+or null, hash not a string, or stored comoment not symmetric with a
+nonnegative diagonal.
 """
 
 from __future__ import annotations
@@ -404,17 +405,21 @@ class RecordSet:
 def _parsed_moments(paths: dict[str, Path], meta: dict,
                     meta_path) -> tuple[MomentSet, MomentSet]:
     """Both arms' moments, each arm parsed and accumulated chunk by chunk,
-    never held whole.  Each file gets every check of ``_read_arm``; the
-    arms must agree on the shot and pulse counts and with ``meta``'s own,
-    when it has any."""
+    never held whole.  Each file gets every check of ``_read_arm``, and a
+    finite mean and comoment; the arms must agree on the shot and pulse
+    counts and with ``meta``'s own, when it has any."""
     accs = []
     for role, path in paths.items():
         chunks = _read_arm(path)
         first = next(chunks)  # a file has one or more
         acc = MomentAccumulator(first.shape[1])
-        acc.update(first)
-        for chunk in chunks:
-            acc.update(chunk)
+        with np.errstate(all="ignore"):  # a sum may overflow: refused below
+            acc.update(first)
+            for chunk in chunks:
+                acc.update(chunk)
+        if not all(np.isfinite(a).all() for a in (acc.mean, acc.comoment)):
+            raise RecordError(f"{path}: the mean or comoment of its values "
+                              f"overflows")
         for field, count in (("n_pulses", acc.mean.size),
                              ("n_shots", acc.count)):
             if meta and meta[field] != count:

@@ -72,7 +72,6 @@ def report_to_dict(report: CertificationReport,
     parsing the CSVs.  ``r_l`` echoes the reference scaling used for the
     delta statistics.
     """
-    ncl = report.nonclassical
     out = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "certification_report",
@@ -94,13 +93,7 @@ def report_to_dict(report: CertificationReport,
         "var_p_se": report.var_p_se,
         "figures": asdict(report.figures),
         "estimates": estimates_to_dict(report.estimates),
-        "nonclassicality": {
-            "dx2_s_given_m": ncl.dx2_s_given_m,
-            "dx2_m": ncl.dx2_m,
-            "dx2_s": ncl.dx2_s,
-            "product_sm": ncl.product_sm,
-            "r_a_assumed": ncl.r_a_assumed,
-        },
+        "nonclassicality": asdict(report.nonclassical),
         "squeezing": None if report.squeezing is None
         else report.squeezing._asdict(),
         "se": dict(report.se),

@@ -50,9 +50,10 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .config import check_r_l
 from .core import GaussianState, Layout, get_entry
 from .dynamics import ExperimentParams, NoiseModel
-from .errors import DimensionMismatchError, UndefinedInputError
+from .errors import ConfigError, DimensionMismatchError, UndefinedInputError
 
 __all__ = [
     "CHUNK_SHOTS",
@@ -108,7 +109,10 @@ class _MeterCovariance:
                 if k < n_pulses and name not in cls._unreported:
                     raise ValueError(f"{name} required for n_pulses={n_pulses}")
             elif k < n_pulses:
-                rows[j][k] = rows[k][j] = float(value)
+                value = float(value)
+                if not -math.inf < value < math.inf:
+                    raise ValueError(f"{name} must be finite, got {value}")
+                rows[j][k] = rows[k][j] = value
             else:
                 raise ValueError(f"{name} not defined for n_pulses={n_pulses}")
         if values:
@@ -365,9 +369,14 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
                 r_l: float) -> DeltaStats:
     """Subtract the r_L**2-scaled reference from the measured moments.
 
+    ``r_l`` follows the rule of ``--r-l`` (:func:`~qndcert.config.check_r_l`).
     When both arms carry error covariances, the deltas get Sigma_with +
     r_L**4 Sigma_no (the arms independent), and var_p's row Sigma_with's.
     """
+    try:
+        r_l = check_r_l(r_l)
+    except ConfigError as exc:
+        raise UndefinedInputError(str(exc)) from None
     n = measured.n_pulses
     if n != reference.n_pulses:
         raise DimensionMismatchError(
@@ -392,15 +401,13 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
         j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
 
     ``var_p`` is the probe-arm meter variance (not reference-subtracted).
-    Needs at least two pulses, and a calibration at which the figure is
-    defined (``_calibration_k2``).
+    Needs two pulses, then a calibration (``_calibration_k2``), then a
+    positive ``var_p``.
     """
     if delta.n_pulses < 2:
         raise UndefinedInputError(
             "measured conditional variance needs at least two pulses"
         )
-    if kappa == 0.0:
-        raise UndefinedInputError("kappa must be nonzero")
     k2 = _calibration_k2(kappa, j33)
     if var_p <= 0.0:
         raise UndefinedInputError(f"var_p must be positive, got {var_p}")
@@ -410,16 +417,24 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
 
 def _calibration_k2(kappa: float, j33: float,
                     j0: float | None = None) -> float:
-    """``kappa**2``, once the calibration is one at which the figures are
-    defined: ``kappa``, ``j33`` and ``j0`` finite, and ``kappa**2`` and its
-    products with ``j33`` and ``j0`` neither overflowing nor underflowing
-    to 0 from nonzero factors.  ``kappa`` must already be nonzero."""
+    """``kappa**2``, by the one calibration rule, which ``certify``,
+    ``invert_three_pulse`` and ``conditional_variance_from_stats`` apply
+    first.  In order, it refuses: ``j33`` negative, ``j0`` (if given) not
+    positive, ``kappa`` zero, any of them not finite, and ``kappa**2`` or
+    its products with ``j33`` and ``j0`` overflowing, or underflowing to
+    0 from nonzero factors.  Valid input takes the first comparisons."""
     kappa, j33 = float(kappa), float(j33)  # Python floats overflow quietly
     k2 = kappa * kappa
     if 0.0 < k2 < math.inf and 0.0 < k2 * j33 < math.inf and (
             j0 is None or 0.0 < k2 * float(j0) < math.inf):
         return k2  # the common case, in a few comparisons
     j0 = None if j0 is None else float(j0)
+    if j33 < 0.0:
+        raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
+    if j0 is not None and j0 <= 0.0:
+        raise UndefinedInputError(f"j0 must be positive, got {j0}")
+    if kappa == 0.0:
+        raise UndefinedInputError("kappa must be nonzero")
     for name, value in (("kappa", kappa), ("j33", j33), ("j0", j0)):
         if value is not None and not math.isfinite(value):
             raise UndefinedInputError(f"{name} must be finite, got {value}")

@@ -116,13 +116,14 @@ class TestNonClassicality:
 
     def test_noisy_values(self, noisy_set):
         delta, var_p = _delta_of(noisy_set)
-        ncl = _nonclassical_of(delta, var_p)
+        report = certify(delta, var_p, 1.0, 25.0, 25.0)
+        ncl = report.nonclassical
         assert ncl.dx2_s_given_m == pytest.approx(9.467005076142131 / 20.0,
                                                   rel=1e-12)
         assert ncl.dx2_m == pytest.approx(0.97, rel=1e-12)
         assert ncl.dx2_s == pytest.approx(-0.35, rel=1e-12)
         assert ncl.product_sm == 0.0
-        assert any("negative" in w for w in ncl.warnings)
+        assert any(w.startswith("dx2_s is negative") for w in report.warnings)
 
     def test_pure_loss_values(self, lossy_set):
         delta, var_p = _delta_of(lossy_set)
@@ -163,6 +164,10 @@ class TestNonClassicality:
             "non-classicality figures unavailable: var_p must be positive, "
             "got 0.0",
             "squeezing test unavailable: var_p must be positive, got 0.0")
+        # the route is decided before the inversion, which is not run
+        assert report.estimates is None
+        assert not any(r.startswith("model inversion failed")
+                       for r in report.reasons)
         assert report.inconclusive
 
     def test_nan_var_p_is_not_positive(self, noisy_set):
@@ -321,16 +326,11 @@ class TestCertify:
                                                  "d_cov_pr must be finite"):
                 DeltaStats(**values, se={"d_cov_pq": 1.0, "d_cov_pr": bad})
 
+    # A bad calibration: test_estimation.py's TestCalibrationRange, for
+    # certify and the other two entry points that take one.
     @pytest.mark.parametrize("kwargs", [
-        {"kappa": 0.0}, {"j0": 0.0}, {"j33": -1.0}, {"j0": -1.0},
         {"z_threshold": -1.0}, {"z_threshold": math.nan},
         {"z_threshold": math.inf},
-        # calibration at which every figure is undefined: these gave a
-        # confident "no", or a ZeroDivisionError for kappa 1e-170
-        {"kappa": math.nan}, {"kappa": math.inf}, {"kappa": 1e200},
-        {"kappa": 1e-170}, {"j33": math.nan}, {"j0": math.nan},
-        {"j0": math.inf}, {"kappa": 2.0, "j33": 1e308},
-        {"kappa": 2.0, "j0": 1e308},
     ])
     def test_input_validation(self, ideal_set, kwargs):
         delta, var_p = _delta_of(ideal_set)
@@ -429,6 +429,33 @@ class TestStandardErrorExactness:
             report = certify(delta, 4.0, 1.0, 2.0, 3.0, var_p_se=1e-3)
         assert report.se["dx2_s"] == np.inf
         assert report.se["product_sm"] == np.inf
+        assert report.verdict_info_damage is None  # undecided, never "no"
+        assert report.inconclusive
+
+    def test_non_finite_standard_error_leaves_the_verdict_undecided(self):
+        # j33 = 1e308 keeps kappa**2 j33 finite, but the state-prep
+        # figure's error overflows to NaN: its verdict is undecided, and
+        # the run inconclusive rather than a confident "no"
+        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        measured, reference = simulate_moments(params, noise, initial,
+                                               20_000, 5)
+        delta = delta_stats(measured, reference, params.r_l)
+        with pytest.warns(RuntimeWarning):  # numpy: overflow, then nan
+            report = certify(delta, measured.var_p, 1.0, 1e308, 25.0,
+                             var_p_se=measured.se_of("var_p"))
+        assert math.isnan(report.se["dx2_s_given_m"])
+        assert report.verdict_state_prep is None
+        assert report.verdict_full_qnd is None
+        assert report.inconclusive
+        assert exit_code(report) == 2
+        assert ("standard error of dx2_s_given_m is not finite (nan); "
+                "its verdict is undecided") in report.reasons
 
 
 def _hand_se(report):

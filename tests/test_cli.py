@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qndcert
@@ -270,6 +271,29 @@ class TestBadRecords:
                                 "2 with_atoms, 1 no_atoms\n")
 
 
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["estimate", "--kappa", "1", "--j33", "25", "--r-l", "1"],
+    ])
+    def test_records_whose_moments_overflow_are_refused(self, tmp_path,
+                                                        capsys, command):
+        # finite values whose squares overflow: the moments were a table
+        # of nan and the estimates nan, each with exit 0
+        rng = np.random.default_rng(5)
+        for name, scale in (("x.csv", 1e160), ("y.csv", 1.0)):
+            rows = rng.normal(size=(2000, 3)) * scale
+            (tmp_path / name).write_text("shot,p_y,q_y,r_y\n" + "".join(
+                f"{i},{p!r},{q!r},{r!r}\n" for i, (p, q, r)
+                in enumerate(rows.tolist())))
+        code = main([command[0], "--records", str(tmp_path / "x.csv"),
+                     "--no-atoms-records", str(tmp_path / "y.csv"),
+                     *command[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {tmp_path / 'x.csv'}: the mean or "
+                                f"comoment of its values overflows\n")
+
+
 class TestEstimate:
     def test_recovers_losses_and_noise(self, lossy_run, tmp_path, capsys):
         out_path = tmp_path / "est.json"
@@ -511,6 +535,20 @@ class TestCalibrationFlags:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "certified:" not in captured.out and "n33=" not in captured.out
+
+    def test_non_finite_standard_error_is_inconclusive(self, lossy_run,
+                                                       capsys):
+        # kappa**2 j33 is finite, but the state-prep figure's standard
+        # error overflows to NaN: that verdict is undecided, not "FAIL"
+        with pytest.warns(RuntimeWarning):  # numpy: overflow, then nan
+            code = main(["certify", *_record_args(lossy_run), "--kappa", "1",
+                         "--j33", "1e308", "--j0", "25"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "verdict state_prep:  UNDECIDED (gated)" in out
+        assert ("note: standard error of dx2_s_given_m is not finite (nan); "
+                "its verdict is undecided") in out
+        assert out.endswith("certified: inconclusive\n")
 
     def test_boundary_values_are_accepted(self, ideal_run, capsys):
         assert main(["certify", *_record_args(ideal_run), "--kappa", "1.0",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qndcert import (
+    DeltaStats,
     GaussianState,
     Layout,
     UndefinedInputError,
@@ -88,6 +89,30 @@ class TestConditionalVariance:
     def test_ideal_rejects_zero_denominator(self):
         with pytest.raises(UndefinedInputError):
             conditional_variance_ideal(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("form, j33, c22, message", [
+        ("ideal", -1.0, 25.0, "variances must be nonnegative, got j33=-1.0, "
+                              "c22=25.0"),
+        ("general", 25.0, -1.0, "variances must be nonnegative, got "
+                                "j33=25.0, c22=-1.0"),
+        # kappa 1, r_l 1, no noise: var_p = j33 + c22
+        ("general", 0.0, 0.0, "conditional variance undefined: meter "
+                              "variance var_p == 0"),
+    ])
+    def test_refusals(self, ideal_set, form, j33, c22, message):
+        params, noise, _ = ideal_set
+        with pytest.raises(UndefinedInputError, match=f"^{message}$"):
+            if form == "ideal":
+                conditional_variance_ideal(j33, c22, params.kappa)
+            else:
+                conditional_variance_general(params, noise, j33, c22)
+
+    def test_measured_form_needs_two_pulses(self):
+        delta = DeltaStats(n_pulses=1, d_var_p=25.0)
+        with pytest.raises(UndefinedInputError,
+                           match="^measured conditional variance needs at "
+                                 "least two pulses$"):
+            conditional_variance_from_stats(delta, 50.0, 1.0, 25.0)
 
     def test_general_reduces_to_ideal(self, ideal_set):
         params, _, _ = ideal_set

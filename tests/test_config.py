@@ -173,6 +173,25 @@ class TestValidation:
         # beyond the float range: float() raised OverflowError, a traceback
         (dict(BASE, seed=10 ** 400), "seed: must be finite"),
         (dict(BASE, noise={"33": -10 ** 400}), r"noise\.33: must be finite"),
+        ({k: v for k, v in BASE.items() if k != "atoms"},
+         "atoms: required section"),
+        ({k: v for k, v in BASE.items() if k != "coupling"},
+         "coupling: required section"),
+        (dict(BASE, light={"n_photons": 100.0, "mean_sx": 50.0}),
+         "light: n_photons cannot be combined with other keys"),
+        (dict(BASE, light={"mean_sx": 50.0}),
+         "light: expected n_photons, or mean_sx with cov"),
+        ({k: v for k, v in BASE.items() if k != "n_pulses"},
+         "n_pulses: required"),
+        (dict(BASE, n_pulses=2.5), "n_pulses: must be an integer, got 2.5"),
+        (dict(BASE, atoms={"mean_jx": 50.0, "cov": "x"}),
+         r"atoms\.cov: must be a numeric matrix"),
+        # the model's own refusal, as a ConfigError: it was a
+        # NotSymmetricError, raised past the config's wrap
+        (dict(BASE, atoms={"mean_jx": 50.0,
+                           "cov": [[0.0, 0.0, 0.0], [0.0, 25.0, 1.0],
+                                   [0.0, 0.0, 25.0]]}),
+         "atomic covariance departs from symmetry"),
     ])
     def test_refusal_names_the_field(self, tmp_path, payload, message):
         path = tmp_path / "cfg.json"

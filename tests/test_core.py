@@ -70,6 +70,12 @@ class TestLayout:
         with pytest.raises(LayoutError):
             Layout(1).index("Q_y")
 
+    @pytest.mark.parametrize("block", [-1, 3])
+    def test_block_outside_the_layout(self, block):
+        with pytest.raises(LayoutError,
+                           match=f"^block must be in 0..2, got {block}$"):
+            Layout(2).block_slice(block)
+
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     def test_tables_equal_the_generated_labels(self, n_pulses):
         # The layout's label tables against the generator and tuple search
@@ -134,6 +140,11 @@ class TestBlocks:
     def test_negative_photon_number(self):
         with pytest.raises(ValueError):
             OpticalBlock.coherent(-1.0, 1)
+
+    def test_negative_atom_number(self):
+        with pytest.raises(ValueError,
+                           match="^n_atoms must be nonnegative, got -1.0$"):
+            AtomicBlock.coherent(-1)
 
     def test_blocks_are_frozen(self):
         block = AtomicBlock.coherent(100.0)

@@ -85,6 +85,11 @@ class TestNoiseModel:
                            match="noise matrix holds a non-finite entry"):
             NoiseModel.from_entries(entries)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (36,)])
+    def test_must_be_6x6(self, shape):
+        with pytest.raises(ValueError, match="^noise matrix must be 6x6"):
+            NoiseModel(np.zeros(shape))
+
     def test_all_nan_matrix_rejected(self):
         with pytest.raises(UndefinedInputError, match="non-finite"):
             NoiseModel(np.full((6, 6), np.nan))

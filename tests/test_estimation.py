@@ -7,6 +7,7 @@ from qndcert import (
     DeltaStats,
     UndefinedInputError,
     UninformativeCouplingError,
+    certify,
     conditional_variance_from_stats,
     delta_stats,
     invert_three_pulse,
@@ -149,40 +150,56 @@ class TestNoiseInversion:
     def test_needs_nonzero_kappa(self, noisy_set):
         delta, measured = _analytic_delta(noisy_set)
         with pytest.raises(UndefinedInputError,
-                           match="^kappa must be nonzero to invert the "
-                                 "noise$"):
+                           match="^kappa must be nonzero$"):
             _invert(delta, measured.var_p, kappa=0.0)
 
 
-# Calibration at which the figures are undefined: not finite, or kappa**2
-# and its products with j33 out of floating-point range.  These used to
-# come back as nan or inf estimates, or as a ZeroDivisionError.
+# Calibration at which the figures are undefined: a sign no variance or
+# coupling can have, not finite, or kappa**2 and its products with j33
+# and j0 out of floating-point range.  These used to come back as nan or
+# inf estimates, or as a ZeroDivisionError; a negative j33 gave numbers.
 _BAD_CALIBRATION = [
-    ({"kappa": math.nan}, "kappa must be finite"),
-    ({"kappa": math.inf}, "kappa must be finite"),
-    ({"j33": math.nan}, "j33 must be finite"),
-    ({"kappa": 1e200}, r"kappa\*\*2 = inf"),
-    ({"kappa": 1e-170}, r"kappa\*\*2 = 0 underflows"),
-    ({"kappa": 2.0, "j33": 1e308}, r"kappa\*\*2 \* j33 = inf"),
-    ({"kappa": 1e-160, "j33": 1e-10}, r"kappa\*\*2 \* j33 = 0 underflows"),
+    ({"kappa": 0.0}, "^kappa must be nonzero$"),
+    ({"j33": -1.0}, "^j33 must be nonnegative, got -1.0$"),
+    ({"j0": 0.0}, "^j0 must be positive, got 0.0$"),
+    ({"j0": -1.0}, "^j0 must be positive, got -1.0$"),
+    ({"kappa": math.nan}, "^kappa must be finite, got nan$"),
+    ({"kappa": math.inf}, "^kappa must be finite, got inf$"),
+    ({"j33": math.nan}, "^j33 must be finite, got nan$"),
+    ({"j33": math.inf}, "^j33 must be finite, got inf$"),
+    ({"j0": math.nan}, "^j0 must be finite, got nan$"),
+    ({"j0": math.inf}, "^j0 must be finite, got inf$"),
+    ({"kappa": 1e200}, r"^kappa\*\*2 = inf overflows"),
+    ({"kappa": 1e-170}, r"^kappa\*\*2 = 0 underflows"),
+    ({"kappa": 2.0, "j33": 1e308}, r"^kappa\*\*2 \* j33 = inf overflows"),
+    ({"kappa": 1e-160, "j33": 1e-10},
+     r"^kappa\*\*2 \* j33 = 0 underflows"),
+    ({"kappa": 2.0, "j0": 1e308}, r"^kappa\*\*2 \* j0 = inf overflows"),
 ]
+
+# The entry points that take a calibration, each called with it.
+_CALIBRATED = {
+    "certify": lambda delta, var_p, kappa, j33, j0:
+        certify(delta, var_p, kappa, j33, j0),
+    "invert_three_pulse": lambda delta, var_p, kappa, j33, j0:
+        invert_three_pulse(delta, var_p, kappa, j33),
+    "conditional_variance_from_stats": lambda delta, var_p, kappa, j33, j0:
+        conditional_variance_from_stats(delta, var_p, kappa, j33),
+}
 
 
 class TestCalibrationRange:
-    @pytest.mark.parametrize("calibration, message", _BAD_CALIBRATION)
-    def test_inversion_refuses(self, noisy_set, calibration, message):
+    @pytest.mark.parametrize("entry, calibration, message", [
+        (entry, calibration, message) for entry in _CALIBRATED
+        for calibration, message in _BAD_CALIBRATION
+        if entry == "certify" or "j0" not in calibration])
+    def test_every_entry_point_refuses(self, noisy_set, entry, calibration,
+                                       message):
+        # one rule for all three: the same refusal, word for word
         delta, measured = _analytic_delta(noisy_set)
+        arguments = {"kappa": 1.0, "j33": 25.0, "j0": 25.0, **calibration}
         with pytest.raises(UndefinedInputError, match=message):
-            _invert(delta, measured.var_p, **calibration)
-
-    @pytest.mark.parametrize("calibration, message", _BAD_CALIBRATION)
-    def test_conditional_variance_refuses(self, noisy_set, calibration,
-                                          message):
-        delta, measured = _analytic_delta(noisy_set)
-        arguments = {"kappa": 1.0, "j33": 25.0, **calibration}
-        with pytest.raises(UndefinedInputError, match=message):
-            conditional_variance_from_stats(delta, measured.var_p,
-                                            **arguments)
+            _CALIBRATED[entry](delta, measured.var_p, **arguments)
 
 
 class TestFullInversion:

@@ -586,6 +586,27 @@ class TestReadValidation:
             read_records(paths["with_atoms"], paths["no_atoms"],
                          paths["meta"])
 
+    @pytest.mark.parametrize("role", ["with_atoms", "no_atoms"])
+    def test_moments_that_overflow_are_refused(self, tmp_path, role):
+        # each value is finite, but its square is not: refused by name,
+        # with no numpy warning on the way
+        paths = {name: tmp_path / f"{name}.csv" for name in ARM_ROLES}
+        for name, path in paths.items():
+            value = 1e160 if name == role else 1.0
+            path.write_text(f"shot,p_y\n0,{value}\n1,{-value}\n")
+        with pytest.raises(RecordError, match=f"^{paths[role]}: the mean or "
+                                              f"comoment of its values "
+                                              f"overflows$"):
+            read_records(paths["with_atoms"], paths["no_atoms"])
+
+    def test_unreadable_paths_are_refused(self, tmp_path, small_rows):
+        # a directory where a file should be: refused by name, exit 2
+        with pytest.raises(RecordError, match=f"^{tmp_path}: Is a directory$"):
+            list(recordio._read_arm(tmp_path))
+        paths = _write(small_rows, tmp_path / "run")
+        with pytest.raises(RecordError, match=f"^{tmp_path}: Is a directory$"):
+            read_records(paths["with_atoms"], paths["no_atoms"], tmp_path)
+
     def test_meta_wrong_kind(self, tmp_path, small_rows):
         paths = _write(small_rows, tmp_path / "run")
         paths["meta"].write_text('{"kind": "something_else"}')

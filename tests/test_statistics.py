@@ -17,6 +17,7 @@ from qndcert import (
     MomentSet,
     NoiseModel,
     OpticalBlock,
+    UndefinedInputError,
     certify,
     closed_form_error,
     delta_stats,
@@ -159,6 +160,21 @@ class TestDeltaStats:
         assert delta.se_of("d_var_p") == pytest.approx(
             np.hypot(0.3, 0.25 * 0.4))
 
+    @pytest.mark.parametrize("r_l, message", [
+        (-3.0, "r_l: must be >= 0.0, got -3.0"),
+        (7.0, "r_l: must be <= 1.0, got 7.0"),
+        (math.nan, "r_l: must be finite, got nan"),
+        (math.inf, "r_l: must be finite, got inf"),
+    ])
+    def test_r_l_follows_the_config_rule(self, noisy_set, r_l, message):
+        # r_l -3 certified a noisy set, and 7 or NaN failed it with
+        # confidence: delta_stats takes the rule the flag and config take
+        params, noise, initial = noisy_set
+        measured, reference = simulate_moments(params, noise, initial,
+                                               2000, 5)
+        with pytest.raises(UndefinedInputError, match=f"^{message}$"):
+            delta_stats(measured, reference, r_l)
+
     def test_arm_shape_mismatch(self):
         measured = MomentSet(n_pulses=2, var_p=1.0, var_q=1.0, cov_pq=0.0)
         reference = MomentSet(n_pulses=1, var_p=1.0)
@@ -271,6 +287,9 @@ class TestMomentAccumulator:
         acc.update(np.ones((1, 2)))
         with pytest.raises(ValueError):
             acc.covariance
+        with pytest.raises(UndefinedInputError,
+                           match="^need at least 2 shots per arm$"):
+            acc.moments()
 
 
 def _moments_of(rows):
@@ -591,6 +610,22 @@ class TestMeterCovarianceExactness:
                           se={"d_cov_pq": -1.0, "d_cov_pr": 1.0}),
          r"standard error of d_cov_pq must be finite and nonnegative, "
          r"got -1\.0"),
+        # a non-finite moment, refused as a non-finite standard error is
+        (MomentSet, dict(n_pulses=1, var_p=math.nan), "var_p must be finite, "
+                                                      "got nan"),
+        (MomentSet, dict(n_pulses=2, var_p=1.0, var_q=math.inf, cov_pq=0.0),
+         "var_q must be finite, got inf"),
+        (MomentSet, dict(n_pulses=2, var_p=1.0, var_q=1.0, cov_pq=-math.inf),
+         "cov_pq must be finite, got -inf"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=math.nan, d_var_q=1.0,
+                          d_var_r=1.0, d_cov_pq=1.0, d_cov_pr=1.0),
+         "d_var_p must be finite, got nan"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=1.0, d_var_q=1.0, d_var_r=1.0,
+                          d_cov_pq=1.0, d_cov_pr=-math.inf),
+         "d_cov_pr must be finite, got -inf"),
+        (DeltaStats, dict(n_pulses=3, d_var_p=1.0, d_var_q=1.0, d_var_r=1.0,
+                          d_cov_pq=1.0, d_cov_pr=1.0, d_cov_qr=math.nan),
+         "d_cov_qr must be finite, got nan"),
     ])
     def test_keyword_refusals_keep_their_messages(self, cls, kwargs,
                                                   message):
