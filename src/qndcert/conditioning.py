@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GaussianState
+from .core import GaussianState, _derived_state
 from .dynamics import ExperimentParams, NoiseModel
 from .errors import UndefinedInputError
 
@@ -61,7 +61,7 @@ def condition_on_component(state: GaussianState, label: str,
     mean = state.mean
     if outcome is not None:
         mean = mean + col * ((float(outcome) - mean[i]) / var)
-    return GaussianState(layout=state.layout, mean=mean, cov=cov)
+    return _derived_state(state, mean, cov)
 
 
 def conditional_variance_ideal(j33: float, c22: float, kappa: float) -> float:

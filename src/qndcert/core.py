@@ -15,9 +15,19 @@ downstream consumer can rely on exact symmetry.  A state holds one
 read-only copy of each: the symmetrized covariance is itself a new
 array, so it is frozen as it is, and only the mean is copied.
 
-Positivity is checked on construction: eigenvalues below ``-1e-9 * trace``
-raise when the ``QNDC_STRICT_PSD=1`` environment variable is set and emit a
-:class:`~qndcert.errors.PositivityWarning` otherwise.
+Positivity is checked where it can fail: on every state built directly
+(``GaussianState(...)``, :func:`make_initial_state`, a loaded config).
+Eigenvalues below ``-1e-9 * trace`` raise when the ``QNDC_STRICT_PSD=1``
+environment variable is set and emit a
+:class:`~qndcert.errors.PositivityWarning` otherwise.  A pulse
+(``cov -> M cov M' + N``) and a conditioning step (a Schur complement)
+take a positive-semidefinite (PSD) state to a PSD state whenever the
+added noise N is PSD, so a state they derive is checked only when its
+parent warned or the pulse's noise matrix is not PSD, which a
+:class:`~qndcert.dynamics.NoiseModel` decides once, when it is built.
+A derived covariance is symmetric in exact arithmetic, so it is
+symmetrized with no absolute symmetry gap: the rounding of ``M cov M'``
+grows with the state's magnitude.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +98,11 @@ def _symmetrized(matrix: np.ndarray, what: str) -> np.ndarray:
     if not gap <= SYMMETRY_ATOL:
         _require_finite(matrix, what)
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
+    return _symmetric_part(matrix, transpose)
+
+
+def _symmetric_part(matrix: np.ndarray, transpose: np.ndarray) -> np.ndarray:
+    """``(matrix + transpose) / 2``, read-only."""
     # (a + a) / 2 == a, so symmetric input is copied bit-identical.
     out = matrix + transpose
     out /= 2.0
@@ -229,11 +244,15 @@ class GaussianState:
 
     The covariance is symmetrized on construction and both arrays are
     frozen copies, so states can be shared without defensive copies.
+    ``_psd`` records whether the state is known positive semidefinite:
+    its own check passed without a warning, or a PSD-preserving map
+    derived it from a known-PSD state.
     """
 
     layout: Layout
     mean: np.ndarray
     cov: np.ndarray
+    _psd: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = self.layout.dimension
@@ -242,35 +261,74 @@ class GaussianState:
             raise DimensionMismatchError(
                 f"mean must have shape ({dim},), got {mean.shape}"
             )
-        # a NaN fails every comparison, so the PSD check would let it by
-        if not math.isfinite(sum(mean.tolist())) and \
-                not np.isfinite(mean).all():  # not a sum that overflows
-            raise UndefinedInputError("mean holds a non-finite entry")
+        _require_finite_mean(mean)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        # built at every pulse: no finiteness pass of its own
         object.__setattr__(self, "cov", _symmetrized(
             _as_square(self.cov, dim, "covariance"), "covariance"))
-        _validate_psd(self.cov)
+        # Level 4: the caller of the generated __init__ that built the state.
+        object.__setattr__(self, "_psd", _validate_psd(self.cov, 4))
 
     @property
     def dimension(self) -> int:
         return self.layout.dimension
 
 
-def _validate_psd(cov: np.ndarray) -> None:
+def _require_finite_mean(mean: np.ndarray) -> None:
+    # a NaN fails every comparison, so the PSD check would let it by
+    if not math.isfinite(sum(mean.tolist())) and \
+            not np.isfinite(mean).all():  # not a sum that overflows
+        raise UndefinedInputError("mean holds a non-finite entry")
+
+
+def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
+                   noise_psd: bool = True) -> GaussianState:
+    """The state that a pulse (``M cov M' + N``, whose noise N is PSD when
+    ``noise_psd``) or a Schur complement takes ``parent`` to, holding
+    ``mean`` and the symmetric part of ``cov``.  Both maps keep a PSD
+    state PSD, so the positivity check runs only when ``parent`` is not
+    known PSD or ``noise_psd`` is false.  ``cov`` is symmetric in exact
+    arithmetic, so no absolute symmetry gap is asked of it; ``mean`` and
+    ``cov`` are fresh arrays, or the parent's frozen ones, and are taken
+    over without a copy."""
+    _require_finite_mean(mean)
+    _require_finite(cov, "covariance")
+    mean.setflags(write=False)
+    # A contiguous transpose, as in _symmetrized: the same bits, faster.
+    sym = _symmetric_part(cov, cov.T.copy())
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "layout", parent.layout)
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", sym)
+    # Level 3: the pulse or conditioning call that derived the state.
+    object.__setattr__(state, "_psd", (parent._psd and noise_psd)
+                       or _validate_psd(sym, 3))
+    return state
+
+
+def _psd_violation(cov: np.ndarray) -> str | None:
+    """Why ``cov`` is not PSD within ``PSD_RTOL * trace``, or None."""
     min_eig = float(np.linalg.eigvalsh(cov)[0])
     if min_eig >= 0.0:  # inside every tolerance: no trace needed
-        return
+        return None
     tol = PSD_RTOL * max(float(cov.trace()), 0.0)
-    if min_eig < -tol:
-        message = (
-            f"covariance has eigenvalue {min_eig:.6e} below tolerance {-tol:.6e}"
-        )
-        if strict_psd_enabled():
-            raise NotPositiveSemidefiniteError(message)
-        # Level 4: the caller of the generated __init__ that built the state.
-        warnings.warn(message, PositivityWarning, stacklevel=4)
+    if min_eig >= -tol:
+        return None
+    return (f"covariance has eigenvalue {min_eig:.6e} below tolerance "
+            f"{-tol:.6e}")
+
+
+def _validate_psd(cov: np.ndarray, stacklevel: int) -> bool:
+    """True when ``cov`` is PSD within tolerance.  Otherwise raise in
+    strict mode, or warn, attributing the warning ``stacklevel`` frames
+    up, and return False."""
+    message = _psd_violation(cov)
+    if message is None:
+        return True
+    if strict_psd_enabled():
+        raise NotPositiveSemidefiniteError(message)
+    warnings.warn(message, PositivityWarning, stacklevel=stacklevel)
+    return False
 
 
 def make_initial_state(atomic: AtomicBlock, optical: OpticalBlock,

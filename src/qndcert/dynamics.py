@@ -31,7 +31,7 @@ calibration values; neither is rescaled as atoms or photons are lost.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -42,6 +42,8 @@ from .core import (
     PULSE_NAMES,
     GaussianState,
     Layout,
+    _derived_state,
+    _psd_violation,
     _require_symmetric,
 )
 from .errors import LayoutError
@@ -115,16 +117,24 @@ class NoiseModel:
     and meter-noise channels; the matrix is not required to be positive
     semidefinite here (estimators may produce slightly indefinite fits),
     only the sampler insists on factorability.
+
+    Whether it is PSD, within the states' ``PSD_RTOL * trace``, is decided
+    once here and kept in ``_psd``: a pulse with PSD noise takes a PSD
+    state to a PSD state, so :func:`apply_pulse` checks the state it
+    derives only when this noise is indefinite or the input state was
+    not known PSD.
     """
 
     matrix: np.ndarray
+    _psd: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (6, 6):
             raise ValueError(f"noise matrix must be 6x6, got {matrix.shape}")
-        object.__setattr__(self, "matrix",
-                           _require_symmetric(matrix, "noise matrix"))
+        matrix = _require_symmetric(matrix, "noise matrix")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_psd", _psd_violation(matrix) is None)
 
     @classmethod
     def zero(cls) -> "NoiseModel":
@@ -241,11 +251,8 @@ def apply_pulse(state: GaussianState, params: ExperimentParams,
     """Propagate a state through one pulse: M cov M' + N and M mean."""
     m = interaction_matrix(params, pulse, state.layout)
     n = noise_matrix(noise, pulse, state.layout)
-    return GaussianState(
-        layout=state.layout,
-        mean=m @ state.mean,
-        cov=m @ state.cov @ m.T + n,
-    )
+    return _derived_state(state, m @ state.mean, m @ state.cov @ m.T + n,
+                          noise._psd)
 
 
 def propagate(params: ExperimentParams, noise: NoiseModel,

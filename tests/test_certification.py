@@ -547,21 +547,50 @@ _FIGURES = ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")
 _ESTIMATES = ("r_a", "r_a_from_var")
 
 
-def _coverage_ratios(r_a, noise, n_seeds=400, n_shots=4000, kappa=2.0):
+_README_NOISE = {(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0}
+
+
+def _coverage_params(r_a):
+    return ExperimentParams.from_kappa(2.0, mean_sx=50.0, mean_jx=50.0,
+                                       r_a=r_a, r_l=0.9)
+
+
+def _coverage_initial():
+    return make_initial_state(AtomicBlock.coherent(100.0),
+                              OpticalBlock.coherent(100.0, 3), Layout(3))
+
+
+@pytest.fixture(scope="module")
+def ensemble():
+    """``draw(r_a, noise)``: (measured, reference) moments of seeds
+    0..399 at 4000 shots of the coherent 100-atom / 100-photon model at
+    kappa 2 and r_l = 0.9, drawn once per model and shared by every test
+    that asks for the same one."""
+    drawn = {}
+
+    def draw(r_a, noise):
+        key = (r_a, tuple(sorted(noise.items())))
+        if key not in drawn:
+            params, initial = _coverage_params(r_a), _coverage_initial()
+            drawn[key] = [
+                simulate_moments(params, NoiseModel.from_entries(noise),
+                                 initial, 4000, seed)
+                for seed in range(400)]
+        return drawn[key]
+
+    return draw
+
+
+def _coverage_ratios(r_a, draws):
     """Mean reported standard error over the run-to-run standard deviation
-    of each figure and of both r_a estimates, over ``n_seeds`` seeded
-    runs of the coherent 100-atom / 100-photon model at r_l = 0.9; also
-    the fraction of runs whose ``product_sm`` is clipped to 0."""
-    params = ExperimentParams.from_kappa(kappa, mean_sx=50.0, mean_jx=50.0,
-                                         r_a=r_a, r_l=0.9)
-    initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                 OpticalBlock.coherent(100.0, 3), Layout(3))
+    of each figure and of both r_a estimates, over the seeded ``draws`` of
+    the coherent 100-atom / 100-photon model at r_l = 0.9; also the
+    fraction of runs whose ``product_sm`` is clipped to 0."""
+    params = _coverage_params(r_a)
     values, ses = [], []
-    for seed in range(n_seeds):
-        measured, reference = simulate_moments(
-            params, NoiseModel.from_entries(noise), initial, n_shots, seed)
+    for measured, reference in draws:
         report = certify(delta_stats(measured, reference, params.r_l),
-                         measured.var_p, kappa, 25.0, 25.0,
+                         measured.var_p, 2.0, 25.0, 25.0,
                          var_p_se=measured.se_of("var_p"))
         assert tuple(report.se) == _FIGURES
         estimates = report.estimates
@@ -583,36 +612,31 @@ class TestStandardErrorCoverage:
     3.5%, and [0.85, 1.15] leaves four of those either side of 1."""
 
     @pytest.mark.parametrize("r_a, noise, unclipped", [
-        (0.8, {(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0}, ()),
+        (0.8, _README_NOISE, ()),
         (0.99, {(3, 3): 20.0}, ("product_sm",)),
     ], ids=["readme-config", "r_a-0.99-n33-20"])
-    def test_mean_se_matches_the_spread(self, r_a, noise, unclipped):
-        ratios, clipped = _coverage_ratios(r_a, noise)
+    def test_mean_se_matches_the_spread(self, ensemble, r_a, noise,
+                                        unclipped):
+        ratios, clipped = _coverage_ratios(r_a, ensemble(r_a, noise))
         assert clipped == (0.0 if unclipped else 1.0)
         for key in ("dx2_m", "dx2_s_given_m", "dx2_s") + unclipped \
                 + _ESTIMATES:
             assert 0.85 <= ratios[key] <= 1.15, (key, ratios)
 
-    def test_false_certification_rate_at_the_boundary(self):
+    def test_false_certification_rate_at_the_boundary(self, ensemble):
         # j0 puts the true dx2_s_given_m at exactly 1, so a gate at z = 1
         # should pass P(Z > 1) = 0.159 of runs; 400 seeds give that share
         # a standard deviation of 0.018, and [0.10, 0.22] spans 3.2 of them
-        # either side
-        params = ExperimentParams.from_kappa(2.0, mean_sx=50.0, mean_jx=50.0,
-                                             r_a=0.8, r_l=0.9)
-        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
-                                         (5, 5): 4.0})
-        initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                     OpticalBlock.coherent(100.0, 3),
-                                     Layout(3))
+        # either side.  The runs are the readme-config coverage draws.
+        params = _coverage_params(0.8)
+        noise = NoiseModel.from_entries(_README_NOISE)
+        initial = _coverage_initial()
         exact = predicted_moments(params, noise, initial)
         j0 = conditional_variance_from_stats(
             delta_stats(exact, no_atoms_moments(params, initial), params.r_l),
             exact.var_p, 2.0, 25.0) / 0.8
         passed = []
-        for seed in range(400):
-            measured, reference = simulate_moments(params, noise, initial,
-                                                   4000, seed)
+        for measured, reference in ensemble(0.8, _README_NOISE):
             report = certify(delta_stats(measured, reference, params.r_l),
                              measured.var_p, 2.0, 25.0, j0, z_threshold=1.0,
                              var_p_se=measured.se_of("var_p"))
