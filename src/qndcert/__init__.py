@@ -53,7 +53,6 @@ from .errors import (
     LayoutError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
-    PositivityWarning,
     QndError,
     RecordError,
     SamplerUnsupportedError,

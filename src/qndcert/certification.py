@@ -60,6 +60,7 @@ from .statistics import (
     _calibration_k2,
     _conditional_variance,
     _propagate_se,
+    _require_finite_squares,
 )
 
 __all__ = [
@@ -252,11 +253,15 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         the noise floor below which delta covariances count as
         uninformative, for the gate and for the model inversion alike.
 
-    The inversion runs on the exact route only, which excludes all it
-    refuses; a verdict whose standard error is not finite is None.
+    After the calibration and the gate width, a moment or ``var_p``
+    whose square overflows is refused.  The inversion runs on the exact
+    route only, which excludes all it refuses; a verdict whose standard
+    error is not finite is None.
     """
     k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
+    inputs = _inputs(delta, var_p)
+    _require_finite_squares(dict(zip(_INPUTS + ("var_p",), inputs)))
 
     n = delta.n_pulses
     positive = var_p > 0.0
@@ -288,7 +293,6 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     route = (_EXACT if exact and positive else
              _R_A_ASSUMED if n >= 2 and positive else _METER_ONLY)
 
-    inputs = _inputs(delta, var_p)
     ncl_values = {**dict.fromkeys(_EXACT),
                   **_figures(inputs, k2, j33, j0, route)}
     estimates: EstimatedModel | None = None

@@ -15,27 +15,26 @@ downstream consumer can rely on exact symmetry.  A state holds one
 read-only copy of each: the symmetrized covariance is itself a new
 array, so it is frozen as it is, and only the mean is copied.
 
-Positivity is checked where it can fail: on every state built directly
-(``GaussianState(...)``, :func:`make_initial_state`, a loaded config).
-Eigenvalues below ``-1e-9 * trace`` raise when the ``QNDC_STRICT_PSD=1``
-environment variable is set and emit a
-:class:`~qndcert.errors.PositivityWarning` otherwise.  A pulse
+Positivity is one rule, checked where it can fail.  A covariance that
+enters the program (``GaussianState(...)``, :func:`make_initial_state`,
+a loaded config) is refused with
+:class:`~qndcert.errors.NotPositiveSemidefiniteError` when its least
+eigenvalue is below ``-PSD_RTOL * trace``.  A pulse
 (``cov -> M cov M' + N``) and a conditioning step (a Schur complement)
 take a positive-semidefinite (PSD) state to a PSD state whenever the
-added noise N is PSD, so a state they derive is checked only when its
-parent warned or the pulse's noise matrix is not PSD, which a
+added noise N is PSD, so a state they derive is checked only when the
+pulse's noise matrix is not PSD, which a
 :class:`~qndcert.dynamics.NoiseModel` decides once, when it is built.
-A derived covariance is symmetric in exact arithmetic, so it is
-symmetrized with no absolute symmetry gap: the rounding of ``M cov M'``
-grows with the state's magnitude.
+Every state is therefore PSD within the tolerance.  A derived
+covariance is symmetric in exact arithmetic, so it is symmetrized with
+no absolute symmetry gap: the rounding of ``M cov M'`` grows with the
+state's magnitude.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .errors import (
     LayoutError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
-    PositivityWarning,
     UndefinedInputError,
 )
 
@@ -53,11 +51,6 @@ AXES = ("x", "y", "z")
 
 SYMMETRY_ATOL = 1e-12
 PSD_RTOL = 1e-9
-
-
-def strict_psd_enabled() -> bool:
-    """True when QNDC_STRICT_PSD=1, turning PSD warnings into errors."""
-    return os.environ.get("QNDC_STRICT_PSD", "0") == "1"
 
 
 # Per-pulse-count tables, built once: component labels, label -> index
@@ -243,16 +236,13 @@ class GaussianState:
     """Mean vector and symmetric covariance over a :class:`Layout`.
 
     The covariance is symmetrized on construction and both arrays are
-    frozen copies, so states can be shared without defensive copies.
-    ``_psd`` records whether the state is known positive semidefinite:
-    its own check passed without a warning, or a PSD-preserving map
-    derived it from a known-PSD state.
+    frozen copies, so states can be shared without defensive copies.  A
+    covariance that is not PSD within ``PSD_RTOL * trace`` is refused.
     """
 
     layout: Layout
     mean: np.ndarray
     cov: np.ndarray
-    _psd: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = self.layout.dimension
@@ -264,10 +254,10 @@ class GaussianState:
         _require_finite_mean(mean)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _symmetrized(
-            _as_square(self.cov, dim, "covariance"), "covariance"))
-        # Level 4: the caller of the generated __init__ that built the state.
-        object.__setattr__(self, "_psd", _validate_psd(self.cov, 4))
+        cov = _symmetrized(_as_square(self.cov, dim, "covariance"),
+                           "covariance")
+        _require_psd(cov)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def dimension(self) -> int:
@@ -286,8 +276,8 @@ def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
     """The state that a pulse (``M cov M' + N``, whose noise N is PSD when
     ``noise_psd``) or a Schur complement takes ``parent`` to, holding
     ``mean`` and the symmetric part of ``cov``.  Both maps keep a PSD
-    state PSD, so the positivity check runs only when ``parent`` is not
-    known PSD or ``noise_psd`` is false.  ``cov`` is symmetric in exact
+    state PSD, and every state is PSD, so the positivity check runs only
+    when ``noise_psd`` is false.  ``cov`` is symmetric in exact
     arithmetic, so no absolute symmetry gap is asked of it; ``mean`` and
     ``cov`` are fresh arrays, or the parent's frozen ones, and are taken
     over without a copy."""
@@ -300,35 +290,29 @@ def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
     object.__setattr__(state, "layout", parent.layout)
     object.__setattr__(state, "mean", mean)
     object.__setattr__(state, "cov", sym)
-    # Level 3: the pulse or conditioning call that derived the state.
-    object.__setattr__(state, "_psd", (parent._psd and noise_psd)
-                       or _validate_psd(sym, 3))
+    if not noise_psd:
+        _require_psd(sym)
     return state
 
 
-def _psd_violation(cov: np.ndarray) -> str | None:
-    """Why ``cov`` is not PSD within ``PSD_RTOL * trace``, or None."""
+def _psd_violation(cov: np.ndarray, what: str) -> str | None:
+    """Why ``cov``, named ``what``, is not PSD within ``PSD_RTOL *
+    trace``, or None."""
     min_eig = float(np.linalg.eigvalsh(cov)[0])
     if min_eig >= 0.0:  # inside every tolerance: no trace needed
         return None
     tol = PSD_RTOL * max(float(cov.trace()), 0.0)
     if min_eig >= -tol:
         return None
-    return (f"covariance has eigenvalue {min_eig:.6e} below tolerance "
+    return (f"{what} has eigenvalue {min_eig:.6e} below tolerance "
             f"{-tol:.6e}")
 
 
-def _validate_psd(cov: np.ndarray, stacklevel: int) -> bool:
-    """True when ``cov`` is PSD within tolerance.  Otherwise raise in
-    strict mode, or warn, attributing the warning ``stacklevel`` frames
-    up, and return False."""
-    message = _psd_violation(cov)
-    if message is None:
-        return True
-    if strict_psd_enabled():
+def _require_psd(cov: np.ndarray) -> None:
+    """Refuse a covariance unless it is PSD within ``PSD_RTOL * trace``."""
+    message = _psd_violation(cov, "covariance")
+    if message is not None:
         raise NotPositiveSemidefiniteError(message)
-    warnings.warn(message, PositivityWarning, stacklevel=stacklevel)
-    return False
 
 
 def make_initial_state(atomic: AtomicBlock, optical: OpticalBlock,

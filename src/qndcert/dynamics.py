@@ -26,6 +26,11 @@ slicing or label lookup of its own.
 
 kappa = g*tau*<S_x> and kappa_b = g*tau*<J_x> are fixed at their
 calibration values; neither is rescaled as atoms or photons are lost.
+
+A pulse with positive-semidefinite (PSD) noise keeps a PSD state PSD,
+so :func:`apply_pulse` checks the state it derives only when the
+:class:`NoiseModel` is indefinite, as a fitted one may be, and refuses
+one that is not PSD (``NotPositiveSemidefiniteError``).
 """
 
 from __future__ import annotations
@@ -115,14 +120,12 @@ class NoiseModel:
     The same matrix is added at every pulse (embedded onto the spin block
     and the active pulse's block).  Entries may correlate the spin-noise
     and meter-noise channels; the matrix is not required to be positive
-    semidefinite here (estimators may produce slightly indefinite fits),
-    only the sampler insists on factorability.
+    semidefinite here (estimators may produce slightly indefinite fits).
 
     Whether it is PSD, within the states' ``PSD_RTOL * trace``, is decided
-    once here and kept in ``_psd``: a pulse with PSD noise takes a PSD
-    state to a PSD state, so :func:`apply_pulse` checks the state it
-    derives only when this noise is indefinite or the input state was
-    not known PSD.
+    once here and kept in ``_psd``: :func:`apply_pulse` checks the state
+    it derives only when this noise is indefinite, and the sampler
+    refuses indefinite noise.
     """
 
     matrix: np.ndarray
@@ -134,7 +137,8 @@ class NoiseModel:
             raise ValueError(f"noise matrix must be 6x6, got {matrix.shape}")
         matrix = _require_symmetric(matrix, "noise matrix")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_psd", _psd_violation(matrix) is None)
+        object.__setattr__(self, "_psd",
+                           _psd_violation(matrix, "noise matrix") is None)
 
     @classmethod
     def zero(cls) -> "NoiseModel":

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ class NotSymmetricError(QndError, ValueError):
 
 
 class NotPositiveSemidefiniteError(QndError, ValueError):
-    """A covariance failed the PSD check while strict checking is enabled."""
+    """A covariance has an eigenvalue below ``-PSD_RTOL * trace``."""
 
 
 class UndefinedInputError(QndError, ValueError):
@@ -45,8 +45,3 @@ class ConfigError(QndError, ValueError):
 
 class RecordError(QndError, ValueError):
     """A shot-record file is malformed or inconsistent with its sidecar."""
-
-
-class PositivityWarning(UserWarning):
-    """Covariance has an eigenvalue below the PSD tolerance; emitted instead
-    of an exception when strict checking is off."""

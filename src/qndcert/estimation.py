@@ -29,8 +29,8 @@ from .errors import UndefinedInputError, UninformativeCouplingError
 from .statistics import (
     DeltaStats,
     _calibration_k2,
+    _checked_conditional_variance,
     _propagate_se,
-    conditional_variance_from_stats,
 )
 
 __all__ = [
@@ -132,7 +132,8 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
 
     at the primary r_a; ``cond_var_jz`` is
-    :func:`~qndcert.conditional_variance_from_stats`.
+    :func:`~qndcert.conditional_variance_from_stats` at the calibration
+    checked above, with its refusals of var_p and d_cov_pq.
     """
     if delta.n_pulses != 3:
         raise UndefinedInputError(
@@ -193,7 +194,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     for name in negative:
         warnings.append(f"noise diagonal {name} estimated negative")
 
-    cond_var = conditional_variance_from_stats(delta, var_p, kappa, j33)
+    cond_var = _checked_conditional_variance(delta, var_p, k2, j33)
     return EstimatedModel(
         r_a=r_a,
         r_a_se=se.get("r_a"),

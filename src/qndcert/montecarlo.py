@@ -17,6 +17,12 @@ matrix product per noise source onto the meter columns.  The readout is
 built from ``interaction_matrix`` alone, never from the closed-form
 moments, so the sampler stays an independent check of them.
 
+Both factors come from an eigendecomposition, whose negative
+eigenvalues clip to 0.  The sampler has no positivity tolerance of its
+own: every state is PSD within :mod:`qndcert.core`'s ``PSD_RTOL *
+trace``, and noise that a :class:`~qndcert.dynamics.NoiseModel` found
+indefinite by the same rule is refused.
+
 Generation is chunked: :func:`arm_chunks` yields an arm's outcomes
 ``CHUNK_SHOTS`` (16384) shots at a time, and every chunk gets its own
 random substream keyed by (arm, chunk index) off one master seed.  Each
@@ -57,7 +63,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import GaussianState
+from .core import GaussianState, _psd_violation
 from .dynamics import ExperimentParams, NoiseModel, interaction_matrix
 from .errors import SamplerUnsupportedError
 from .statistics import (
@@ -86,19 +92,11 @@ _DRAW_ROWS = 4096
 _ARM_IDS = {True: 0, False: 1}
 
 
-def _psd_factor(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Factor A with A @ A.T == matrix, dropping null directions.
-
-    Eigenvalues below -1e-9 (scaled by the trace for large matrices)
-    are rejected; small negatives above that are rounding and clip to 0.
-    """
+def _psd_factor(matrix: np.ndarray) -> np.ndarray:
+    """Factor A with A @ A.T == matrix, dropping null directions, for a
+    matrix that is PSD within ``PSD_RTOL * trace``: its negative
+    eigenvalues are rounding, and clip to 0."""
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    floor = -1e-9 * max(1.0, float(np.trace(matrix)))
-    if eigvals[0] < floor:
-        raise SamplerUnsupportedError(
-            f"{what} has eigenvalue {eigvals[0]:.6g} below {floor:.6g}; "
-            "cannot be sampled"
-        )
     eigvals = np.clip(eigvals, 0.0, None)
     keep = eigvals > 0.0
     return eigvecs[:, keep] * np.sqrt(eigvals[keep])
@@ -119,7 +117,8 @@ def arm_chunks(params: ExperimentParams, noise: NoiseModel,
     so a consumer must be done with it before asking for the next.
     ``with_atoms=False`` runs the no-atoms reference variant (coupling
     off, r_A = r_L = 1, zero noise) on its own substream family.  The
-    model is checked and the readout built here, before any chunk.
+    model is checked and the readout built here, before any chunk: noise
+    that is not PSD is refused (``SamplerUnsupportedError``).
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
@@ -138,10 +137,13 @@ def arm_chunks(params: ExperimentParams, noise: NoiseModel,
     readouts.reverse()
     offset = readouts[0] @ initial.mean
     # (variates, n_pulses) gains, in the order each chunk draws them.
-    initial_factor = _psd_factor(initial.cov, "initial covariance")
-    gains = [(readouts[0] @ initial_factor).T]
+    gains = [(readouts[0] @ _psd_factor(initial.cov)).T]
     if not noise.is_zero:
-        noise_factor = _psd_factor(noise.matrix, "noise matrix")
+        if not noise._psd:
+            raise SamplerUnsupportedError(
+                f"{_psd_violation(noise.matrix, 'noise matrix')}; "
+                "cannot be sampled")
+        noise_factor = _psd_factor(noise.matrix)
         for pulse in pulses:
             block = layout.block_slice(pulse)
             rows = np.r_[0:3, block.start:block.stop]

@@ -54,7 +54,9 @@ whose parsed mean or comoment overflows, or whose ``shot`` column is not
 0, 1, ..., n-1, arms of different shot counts, and a sidecar whose
 counts are not integers (pulses 1 to 3), seed not a nonnegative integer
 or null, hash not a string, or stored comoment not symmetric with a
-nonnegative diagonal.
+nonnegative diagonal.  It refuses an arm, parsed or stored, whose
+moments' error covariance (Isserlis' Sigma, products of two moments)
+overflows, naming the CSV or the sidecar.
 """
 
 from __future__ import annotations
@@ -376,7 +378,18 @@ def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
                           f"a nonnegative diagonal")
     acc = MomentAccumulator(n_pulses)
     acc.count, acc.mean, acc.comoment = count, mean, comoment
-    return acc.moments()
+    return _finite_moments(acc, meta_path)
+
+
+def _finite_moments(acc: MomentAccumulator, path: str | Path) -> MomentSet:
+    """``acc``'s moments; an error covariance that overflows is refused,
+    naming ``path``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        moments = acc.moments()
+    if not np.isfinite(moments.moment_cov).all():
+        raise RecordError(f"{path}: the error covariance of its moments "
+                          f"overflows")
+    return moments
 
 
 @dataclass(frozen=True)
@@ -428,7 +441,8 @@ def _parsed_moments(paths: dict[str, Path], meta: dict,
         accs.append(acc)
     _check_arms_agree("shot count", [acc.count for acc in accs])
     _check_arms_agree("pulse count", [acc.mean.size for acc in accs])
-    return tuple(acc.moments() for acc in accs)
+    return tuple(_finite_moments(acc, path)
+                 for acc, path in zip(accs, paths.values()))
 
 
 def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,

@@ -402,17 +402,35 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
 
     ``var_p`` is the probe-arm meter variance (not reference-subtracted).
     Needs two pulses, then a calibration (``_calibration_k2``), then a
-    positive ``var_p``.
+    positive ``var_p`` and a ``d_cov_pq`` whose square does not overflow.
     """
     if delta.n_pulses < 2:
         raise UndefinedInputError(
             "measured conditional variance needs at least two pulses"
         )
-    k2 = _calibration_k2(kappa, j33)
-    if var_p <= 0.0:
+    return _checked_conditional_variance(delta, var_p,
+                                         _calibration_k2(kappa, j33), j33)
+
+
+def _checked_conditional_variance(delta: DeltaStats, var_p: float, k2: float,
+                                  j33: float) -> float:
+    """:func:`conditional_variance_from_stats` at a checked calibration,
+    k2 = kappa**2: it refuses a ``var_p`` that is not positive (NaN
+    included) and a ``d_cov_pq`` whose square overflows."""
+    if not var_p > 0.0:
         raise UndefinedInputError(f"var_p must be positive, got {var_p}")
+    _require_finite_squares({"d_cov_pq": delta.d_cov_pq})
     return _conditional_variance(delta.d_var_p, delta.d_var_q,
                                  delta.d_cov_pq, var_p, k2, j33)
+
+
+def _require_finite_squares(values: dict[str, float]) -> None:
+    """Refuse a value, by name, whose square overflows: Python's ``x ** 2``
+    raises there, where ``x * x`` gives inf.  NaN passes."""
+    for name, value in values.items():
+        if math.isinf(value * value):
+            raise UndefinedInputError(
+                f"{name} = {value:g} is out of range: its square overflows")
 
 
 def _calibration_k2(kappa: float, j33: float,
@@ -458,9 +476,11 @@ def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     """Standard errors sqrt(diag(J Sigma J^T)) of the figures ``keys`` of
     the dict ``fn(values)``, for the input covariance ``sigma`` (rows):
     J by central differences, two calls of ``fn`` per input of nonzero
-    variance, in Python floats.  Where Python raises on a zero
-    denominator or an overflow, float64 scalars give inf and a
-    RuntimeWarning instead."""
+    variance, in Python floats.  Input x steps by 1e-6 |x|, or by 1e-6
+    times its standard error where x is 0: no step is absolute, so
+    inputs and Sigma scaled by powers of two give the same bits.  Where
+    Python raises on a zero denominator or an overflow, float64 scalars
+    give inf and a RuntimeWarning instead."""
     try:
         return _jacobian_se(fn, [float(x) for x in values], sigma, keys)
     except ArithmeticError:
@@ -472,7 +492,7 @@ def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
     slopes = {}  # by input, the slope of each key
     for i in inputs:
         x = values[i]
-        h = max(1e-6 * abs(x), 1e-9)
+        h = 1e-6 * (abs(x) or math.sqrt(sigma[i][i]))
         point = values.copy()
         point[i] = x + h
         up = fn(point)

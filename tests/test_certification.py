@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qndcert import (
     AtomicBlock,
@@ -17,12 +19,14 @@ from qndcert import (
     delta_stats,
     dump_json,
     exit_code,
+    MomentAccumulator,
     make_initial_state,
     no_atoms_moments,
     predicted_moments,
     report_to_dict,
     simulate_moments,
 )
+from qndcert.montecarlo import arm_chunks
 from qndcert.selftest import _draw_model
 
 
@@ -326,6 +330,20 @@ class TestCertify:
                                                  "d_cov_pr must be finite"):
                 DeltaStats(**values, se={"d_cov_pq": 1.0, "d_cov_pr": bad})
 
+    @pytest.mark.parametrize("var_p, d_var_q, message", [
+        (1e200, 2.0, r"^var_p = 1e\+200 is out of range: its square "
+                     r"overflows$"),
+        (4.0, -2e154, r"^d_var_q = -2e\+154 is out of range"),
+    ])
+    def test_inputs_whose_squares_overflow_are_refused(self, var_p, d_var_q,
+                                                       message):
+        # the figures square each input; d_cov_pq's case, where Python's
+        # float ** raised an OverflowError, is in test_estimation.py
+        delta = DeltaStats(3, d_var_p=1.0, d_var_q=d_var_q, d_var_r=2.5,
+                           d_cov_pq=3.0, d_cov_pr=1.0)
+        with pytest.raises(UndefinedInputError, match=message):
+            certify(delta, var_p, 1.0, 2.0, 3.0)
+
     # A bad calibration: test_estimation.py's TestCalibrationRange, for
     # certify and the other two entry points that take one.
     @pytest.mark.parametrize("kwargs", [
@@ -420,17 +438,26 @@ class TestStandardErrorExactness:
         assert zero_inputs == 96
         assert routes >= 1  # the r_a = 1 fallback is covered too
 
-    def test_zero_denominator_gives_inf_with_a_warning(self):
+    def test_inputs_near_1e_9_step_by_their_own_scale(self):
+        # d_cov_pr = 1e-9 sat on the step's old absolute floor, so the
+        # lower point hit the pole at d_cov_pr = 0: dx2_s's error was inf
+        # at this scale and finite at 2**80 times it
+        values = {"d_var_p": 1.0, "d_var_q": 2.0, "d_var_r": 2.5,
+                  "d_cov_pq": 3.0, "d_cov_pr": 1e-9}
         se = {"d_var_p": 0.1, "d_var_q": 0.1, "d_var_r": 0.1,
               "d_cov_pq": 1e-12, "d_cov_pr": 1e-13}
-        delta = DeltaStats(n_pulses=3, d_var_p=1.0, d_var_q=2.0, d_var_r=2.5,
-                           d_cov_pq=3.0, d_cov_pr=1e-9, se=se)
-        with pytest.warns(RuntimeWarning, match="divide by zero"):
-            report = certify(delta, 4.0, 1.0, 2.0, 3.0, var_p_se=1e-3)
-        assert report.se["dx2_s"] == np.inf
-        assert report.se["product_sm"] == np.inf
-        assert report.verdict_info_damage is None  # undecided, never "no"
-        assert report.inconclusive
+        reports = []
+        for s in (0, 40):
+            scale = 4.0 ** s
+            delta = DeltaStats(
+                n_pulses=3, **{k: v * scale for k, v in values.items()},
+                se={k: v * scale for k, v in se.items()})
+            reports.append(certify(delta, 4.0 * scale, 2.0 ** s, 2.0, 3.0,
+                                   var_p_se=1e-3 * scale))
+        base, scaled = reports
+        assert all(math.isfinite(se) for se in base.se.values())
+        assert scaled.se == base.se
+        assert scaled.nonclassical == base.nonclassical
 
     def test_non_finite_standard_error_leaves_the_verdict_undecided(self):
         # j33 = 1e308 keeps kappa**2 j33 finite, but the state-prep
@@ -642,6 +669,65 @@ class TestStandardErrorCoverage:
                              var_p_se=measured.se_of("var_p"))
             passed.append(report.verdict_state_prep is True)
         assert 0.10 <= np.mean(passed) <= 0.22, np.mean(passed)
+
+
+_REGIMES = {"readme-config": (0.8, _README_NOISE),
+            "r_a-0.99-n33-20": (0.99, {(3, 3): 20.0})}
+
+
+@pytest.fixture(scope="module")
+def regime_rows():
+    """Each coverage regime's records at seed 0, 4000 shots: the
+    (with-atoms, no-atoms) rows."""
+    rows = {}
+    for name, (r_a, noise) in _REGIMES.items():
+        rows[name] = [np.concatenate([chunk.copy() for chunk in arm_chunks(
+            _coverage_params(r_a), NoiseModel.from_entries(noise),
+            _coverage_initial(), 4000, 0, with_atoms=with_atoms)])
+            for with_atoms in (True, False)]
+    return rows
+
+
+def _report_at_scale(rows, s):
+    """certify on ``rows`` times 2**s, read with kappa in the same unit."""
+    arms = []
+    for arm in rows:
+        acc = MomentAccumulator(3)
+        acc.update(arm * 2.0 ** s)
+        arms.append(acc.moments())
+    measured, reference = arms
+    return certify(delta_stats(measured, reference, 0.9), measured.var_p,
+                   2.0 * 2.0 ** s, 25.0, 25.0,
+                   var_p_se=measured.se_of("var_p"))
+
+
+class TestUnitInvariance:
+    """Records in any unit, by a power of two 2**s, with kappa in that
+    unit: the product of a float and a power of two is exact, so every
+    figure, error, verdict and reason keeps its bits, and each quantity
+    in meter units scales exactly."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(sorted(_REGIMES)), st.integers(-60, 60))
+    @example("readme-config", -19)
+    @example("readme-config", -60)
+    @example("r_a-0.99-n33-20", 60)
+    def test_reports_keep_their_bits(self, regime_rows, regime, s):
+        base = _report_at_scale(regime_rows[regime], 0)
+        scaled = _report_at_scale(regime_rows[regime], s)
+        for key in ("figures", "nonclassical", "se", "verdict_state_prep",
+                    "verdict_info_damage", "verdict_full_qnd",
+                    "inconclusive", "reasons", "warnings"):
+            assert getattr(scaled, key) == getattr(base, key), key
+        for key in ("r_a", "r_a_se", "r_a_from_var", "r_a_from_var_se",
+                    "cond_var_jz"):
+            assert getattr(scaled.estimates, key) == \
+                getattr(base.estimates, key), key
+        noise, base_noise = scaled.estimates.noise, base.estimates.noise
+        assert noise.n33 == base_noise.n33
+        assert noise.n35 == base_noise.n35 * 2.0 ** s
+        assert noise.n55 == base_noise.n55 * 4.0 ** s
+        assert scaled.squeezing.margin == base.squeezing.margin * 16.0 ** s
 
 
 class TestReportSerialization:

@@ -19,6 +19,7 @@ import qndcert.recordio
 from qndcert import params_hash
 from qndcert.cli import main
 from qndcert.config import load_config
+from qndcert.montecarlo import arm_chunks
 from qndcert.statistics import CHUNK_SHOTS
 
 
@@ -271,16 +272,25 @@ class TestBadRecords:
                                 "2 with_atoms, 1 no_atoms\n")
 
 
+    @pytest.mark.parametrize("scale, cause", [
+        (1e160, "the mean or comoment of its values overflows"),
+        (1e100, "the error covariance of its moments overflows"),
+    ], ids=["comoment", "error-covariance"])
     @pytest.mark.parametrize("command", [
         ["stats"], ["estimate", "--kappa", "1", "--j33", "25", "--r-l", "1"],
+        ["certify", "--kappa", "1", "--j33", "25", "--j0", "25"],
     ])
     def test_records_whose_moments_overflow_are_refused(self, tmp_path,
-                                                        capsys, command):
+                                                        capsys, command,
+                                                        scale, cause):
         # finite values whose squares overflow: the moments were a table
-        # of nan and the estimates nan, each with exit 0
+        # of nan and the estimates nan, each with exit 0.  Near 1e100 the
+        # moments' error covariance, a product of two moments, overflowed:
+        # stats printed "+- inf" with exit 0, and certify ended in an
+        # OverflowError
         rng = np.random.default_rng(5)
-        for name, scale in (("x.csv", 1e160), ("y.csv", 1.0)):
-            rows = rng.normal(size=(2000, 3)) * scale
+        for name, factor in (("x.csv", scale), ("y.csv", 1.0)):
+            rows = rng.normal(size=(2000, 3)) * factor
             (tmp_path / name).write_text("shot,p_y,q_y,r_y\n" + "".join(
                 f"{i},{p!r},{q!r},{r!r}\n" for i, (p, q, r)
                 in enumerate(rows.tolist())))
@@ -290,8 +300,17 @@ class TestBadRecords:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {tmp_path / 'x.csv'}: the mean or "
-                                f"comoment of its values overflows\n")
+        assert captured.err == f"error: {tmp_path / 'x.csv'}: {cause}\n"
+
+    def test_stored_moments_whose_errors_overflow_are_refused(self, tmp_path,
+                                                              capsys):
+        argv = _write_scaled(tmp_path, "big", 1e100, 2000, sidecar=True)
+        assert main(["stats", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {tmp_path / 'big.meta.json'}: the "
+                                f"error covariance of its moments "
+                                f"overflows\n")
 
 
 class TestEstimate:
@@ -554,6 +573,102 @@ class TestCalibrationFlags:
         assert main(["certify", *_record_args(ideal_run), "--kappa", "1.0",
                      "--j33", "0", "--j0", "25", "--z", "0"]) in (0, 2, 10)
         assert "certified:" in capsys.readouterr().out
+
+
+class TestIndefiniteModel:
+    """A config whose covariance is not positive semidefinite is refused
+    where it is loaded: one error line and exit 2, where it used to warn
+    and run on."""
+
+    def _config(self, directory):
+        return _write_config(directory, "indefinite.json", atoms={
+            "mean_jx": 50.0,
+            "cov": [[0.0, 0.0, 0.0], [0.0, 25.0, 0.0], [0.0, 0.0, -1.0]]})
+
+    def test_simulate(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: covariance has eigenvalue "
+                                       "-1.000000e+00 below tolerance")
+        assert captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["indefinite.json"]
+
+    def test_certify_with_config(self, ideal_run, tmp_path, capsys):
+        config = self._config(tmp_path)
+        assert main(["certify", "--config", str(config),
+                     *_record_args(ideal_run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: covariance has eigenvalue")
+        assert captured.err.count("\n") == 1
+
+    def test_simulate_refuses_indefinite_noise(self, tmp_path, capsys):
+        # a noise model may be indefinite; the sampler refuses it
+        config = _write_config(tmp_path, "noise.json", noise={"33": -50.0})
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: noise matrix has eigenvalue "
+                                       "-5.000000e+01")
+        assert captured.err.endswith("; cannot be sampled\n")
+        assert captured.err.count("\n") == 1
+
+
+_README_MODEL = {"r_a": 0.8, "r_l": 0.9,
+                 "noise": {"33": 2.0, "35": 0.5, "55": 4.0}}
+
+
+def _write_scaled(directory, name, factor, n_shots=20000, sidecar=False):
+    """The README model's records at seed 5, every value times ``factor``,
+    with or without their sidecar; returns the record arguments."""
+    config = load_config(_write_config(directory, "readme.json",
+                                       **_README_MODEL))
+    initial = config.initial_state()
+    paths = qndcert.write_arms(
+        lambda role: (chunk * factor for chunk in arm_chunks(
+            config.params, config.noise, initial, n_shots, 5,
+            with_atoms=role == "with_atoms")),
+        directory / name, 3)
+    if not sidecar:
+        paths["meta"].unlink()
+    return ["--records", str(paths["with_atoms"]),
+            "--no-atoms-records", str(paths["no_atoms"]), "--r-l", "0.9"]
+
+
+class TestRecordUnits:
+    """Records read in another unit, 2**s times the first, with kappa in
+    that unit too, give the same figures, errors and verdicts."""
+
+    def test_records_at_two_to_the_minus_19(self, tmp_path, capsys):
+        # var_p near 1.8e-10, as for a detector read in volts: the
+        # standard errors' absolute step of 1e-9 made state_prep FAIL
+        reports = {}
+        for s in (0, -19):
+            argv = _write_scaled(tmp_path, f"s{s}", 2.0 ** s)
+            out_path = tmp_path / f"s{s}.json"
+            code = main(["certify", *argv, "--kappa", repr(2.0 ** s),
+                         "--j33", "25", "--j0", "25", "--out", str(out_path)])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            assert out.endswith("certified: yes\n")
+            reports[s] = json.loads(out_path.read_text())
+        base, scaled = reports[0], reports[-19]
+        for key in ("figures", "nonclassicality", "se", "verdicts",
+                    "point_verdicts", "inconclusive", "reasons", "warnings"):
+            assert scaled[key] == base[key], key
+        for key in ("r_a", "r_a_se", "r_a_from_var", "cond_var_jz"):
+            assert scaled["estimates"][key] == base["estimates"][key], key
+        noise = scaled["estimates"]["noise"]
+        base_noise = base["estimates"]["noise"]
+        assert noise["n33"] == base_noise["n33"]
+        assert noise["n35"] == base_noise["n35"] * 2.0 ** -19
+        assert noise["n55"] == base_noise["n55"] * 2.0 ** -38
+        assert scaled["squeezing"]["margin"] == \
+            base["squeezing"]["margin"] * 2.0 ** -76
 
 
 class TestStaleSidecar:

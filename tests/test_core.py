@@ -10,11 +10,11 @@ from qndcert import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     OpticalBlock,
-    PositivityWarning,
     UndefinedInputError,
     get_entry,
     make_initial_state,
 )
+from qndcert.core import PSD_RTOL
 
 
 class TestLayout:
@@ -209,29 +209,31 @@ class TestGaussianState:
                 pytest.raises(UndefinedInputError, match="non-finite"):
             GaussianState(Layout(1), mean, cov)
 
-    def test_indefinite_cov_warns_by_default(self):
+    def test_indefinite_cov_is_refused(self, monkeypatch):
+        # one rule, with no switch: this warned unless QNDC_STRICT_PSD=1
+        monkeypatch.delenv("QNDC_STRICT_PSD", raising=False)
         cov = np.eye(6)
         cov[5, 5] = -1.0
-        with pytest.warns(PositivityWarning):
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="eigenvalue -1.000000e\\+00 below"):
             GaussianState(Layout(1), np.zeros(6), cov)
 
-    def test_positivity_warning_names_the_constructing_line(self):
-        cov = np.eye(6)
-        cov[5, 5] = -1.0
-        with pytest.warns(PositivityWarning) as caught:
-            GaussianState(Layout(1), np.zeros(6), cov)  # the line warned
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-        with open(__file__) as handle:
-            line = handle.readlines()[caught[0].lineno - 1]
-        assert line.rstrip().endswith("# the line warned")
-
-    def test_indefinite_cov_raises_in_strict_mode(self, monkeypatch):
-        monkeypatch.setenv("QNDC_STRICT_PSD", "1")
-        cov = np.eye(6)
-        cov[5, 5] = -1.0
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_tolerance_is_relative_to_the_trace(self, scale):
+        # the least eigenvalue may reach -PSD_RTOL * trace, and no further
+        cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]) * scale
+        tol = PSD_RTOL * 5.0 * scale
+        cov[5, 5] = -0.5 * tol
+        GaussianState(Layout(1), np.zeros(6), cov)
+        cov[5, 5] = -2.0 * tol
         with pytest.raises(NotPositiveSemidefiniteError):
             GaussianState(Layout(1), np.zeros(6), cov)
+
+    def test_initial_state_is_refused_by_its_blocks(self):
+        atomic = AtomicBlock(50.0, np.diag([0.0, 25.0, -1.0]))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            make_initial_state(atomic, OpticalBlock.coherent(100.0, 1),
+                               Layout(1))
 
     def test_tiny_negative_eigenvalue_tolerated_silently(self):
         # round-off scale relative to the trace must not trip the check

@@ -15,6 +15,7 @@ from qndcert import (
     predicted_moments,
     simulate_moments,
 )
+from qndcert import estimation, statistics
 from qndcert.estimation import _routes
 from qndcert.statistics import _propagate_se
 
@@ -200,6 +201,46 @@ class TestCalibrationRange:
         arguments = {"kappa": 1.0, "j33": 25.0, "j0": 25.0, **calibration}
         with pytest.raises(UndefinedInputError, match=message):
             _CALIBRATED[entry](delta, measured.var_p, **arguments)
+
+
+class TestAfterTheCalibration:
+    """Past the calibration, both entry points that form the conditional
+    variance refuse alike: a ``var_p`` that is not positive, and a
+    ``d_cov_pq`` whose square overflows."""
+
+    @pytest.mark.parametrize("var_p", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("entry", ["invert_three_pulse",
+                                       "conditional_variance_from_stats"])
+    def test_var_p_not_positive_is_refused(self, noisy_set, entry, var_p):
+        # a NaN passed "var_p <= 0.0", and cond_var_jz came back NaN
+        delta, _ = _analytic_delta(noisy_set)
+        with pytest.raises(UndefinedInputError,
+                           match=f"^var_p must be positive, got {var_p}$"):
+            _CALIBRATED[entry](delta, var_p, 1.0, 25.0, 25.0)
+
+    @pytest.mark.parametrize("entry", list(_CALIBRATED))
+    def test_d_cov_pq_whose_square_overflows_is_refused(self, entry):
+        # Python's float ** raised an OverflowError at d_cov_pq ** 2
+        delta = DeltaStats(3, d_var_p=1.0, d_var_q=2.0, d_var_r=2.5,
+                           d_cov_pq=3e154, d_cov_pr=1.0)
+        with pytest.raises(UndefinedInputError,
+                           match=r"^d_cov_pq = 3e\+154 is out of range: "
+                                 r"its square overflows$"):
+            _CALIBRATED[entry](delta, 4.0, 1.0, 2.0, 3.0)
+
+    def test_inversion_applies_the_calibration_rule_once(self, noisy_set,
+                                                         monkeypatch):
+        calls = []
+
+        def counted(*args, _rule=statistics._calibration_k2):
+            calls.append(args)
+            return _rule(*args)
+
+        monkeypatch.setattr(statistics, "_calibration_k2", counted)
+        monkeypatch.setattr(estimation, "_calibration_k2", counted)
+        delta, measured = _analytic_delta(noisy_set)
+        _invert(delta, measured.var_p)
+        assert calls == [(1.0, 25.0)]
 
 
 class TestFullInversion:

@@ -15,7 +15,6 @@ from qndcert import (
     Layout,
     NoiseModel,
     OpticalBlock,
-    PositivityWarning,
     SamplerUnsupportedError,
     empirical_check,
     interaction_matrix,
@@ -94,9 +93,8 @@ def _stepwise_arm(params, noise, initial, n_shots, seed, with_atoms=True):
         noise = NoiseModel.zero()
     pulses = range(1, layout.n_pulses + 1)
     maps = [interaction_matrix(params, pulse, layout) for pulse in pulses]
-    initial_factor = _psd_factor(initial.cov, "initial covariance")
-    noise_factor = (None if noise.is_zero
-                    else _psd_factor(noise.matrix, "noise matrix"))
+    initial_factor = _psd_factor(initial.cov)
+    noise_factor = None if noise.is_zero else _psd_factor(noise.matrix)
     arm = 0 if with_atoms else 1
     out = np.empty((n_shots, layout.n_pulses))
     for chunk, start in enumerate(range(0, n_shots, CHUNK_SHOTS)):
@@ -333,14 +331,23 @@ class TestDegenerateCovariances:
         assert check.passed
         assert check.max_abs_z == 0.0
 
-    def test_indefinite_covariance_rejected(self):
-        layout = Layout(1)
-        cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5])
-        with pytest.warns(PositivityWarning):
-            initial = GaussianState(layout, np.zeros(6), cov)
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    def test_indefinite_noise_is_refused(self, scale):
+        # a trace of 1e-12 and an eigenvalue of -1e-15: the sampler's own
+        # floor, -1e-9 max(1, trace), let this through; the rule is relative
+        matrix = np.diag([0.0, 0.0, 0.5, 0.0, 0.5, 0.0]) * scale
+        matrix[2, 4] = matrix[4, 2] = 0.5 * scale + 1e-3 * scale
+        noise = NoiseModel(matrix)
+        assert not noise._psd
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 1),
+                                     Layout(1))
         params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0)
-        with pytest.raises(SamplerUnsupportedError):
-            arm_chunks(params, NoiseModel.zero(), initial, 10, 1)
+        with pytest.raises(SamplerUnsupportedError,
+                           match="noise matrix has eigenvalue"):
+            arm_chunks(params, noise, initial, 10, 1)
+        # the reference arm samples no noise
+        arm_chunks(params, noise, initial, 10, 1, with_atoms=False)
 
 
 class TestConvergence:

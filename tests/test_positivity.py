@@ -1,14 +1,13 @@
 """Where positivity is checked.
 
-A state built directly is checked for positive semidefiniteness; a pulse
-(``M cov M' + N``) or a conditioning step (a Schur complement) keeps a
-PSD state PSD whenever its noise is PSD, so the state it derives is
-checked only when its parent warned or its noise is indefinite.  A
-derived covariance is symmetric in exact arithmetic, so it is held to no
-absolute symmetry gap: rounding in ``M cov M'`` grows with the state.
+A state built directly is refused unless it is positive semidefinite
+(PSD) within ``PSD_RTOL * trace``; a pulse (``M cov M' + N``) or a
+conditioning step (a Schur complement) keeps a PSD state PSD whenever
+its noise is PSD, so the state it derives is checked only when its noise
+is indefinite.  A derived covariance is symmetric in exact arithmetic,
+so it is held to no absolute symmetry gap: rounding in ``M cov M'``
+grows with the state.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -23,14 +22,12 @@ from qndcert import (
     NoiseModel,
     NotPositiveSemidefiniteError,
     OpticalBlock,
-    PositivityWarning,
     apply_pulse,
     condition_on_component,
     interaction_matrix,
     make_initial_state,
     noise_matrix,
 )
-from qndcert import dynamics
 from qndcert.core import PSD_RTOL
 
 from conftest import random_psd
@@ -129,44 +126,37 @@ class TestLargeEnsembles:
 
 
 class TestCheckedWhereItCanFail:
-    def _indefinite_initial(self):
-        """The coherent 100-atom model with var(J_x) = -1: every pulse
-        scales it by r_a**2, so every derived state stays indefinite."""
+    def test_indefinite_state_is_refused_where_it_is_built(self,
+                                                           monkeypatch):
+        # it used to warn, and every state derived from it warned again
+        monkeypatch.delenv("QNDC_STRICT_PSD", raising=False)
         initial = make_initial_state(AtomicBlock.coherent(100.0),
                                      OpticalBlock.coherent(100.0, 3),
                                      Layout(3))
         cov = initial.cov.copy()
         cov[0, 0] = -1.0
-        return cov
+        with pytest.raises(NotPositiveSemidefiniteError, match="eigenvalue"):
+            GaussianState(Layout(3), np.zeros(12), cov)
 
-    def test_warned_state_warns_at_every_derived_state(self, noisy_set):
-        params, noise, _ = noisy_set
-        cov = self._indefinite_initial()
-        with pytest.warns(PositivityWarning) as caught:
-            initial = GaussianState(Layout(3), np.zeros(12), cov)
-            states = _pulses_and_condition(params, noise, initial)
-        # each state's own check warns exactly where its eigenvalues do
-        below = [float(np.linalg.eigvalsh(state.cov)[0])
-                 < -PSD_RTOL * state.cov.trace()
-                 for state in [initial] + states]
-        assert all(below)
-        assert len(caught) == len(below) == 5
-        # the pulses' warnings name the call that derived the state
-        assert caught[1].filename == dynamics.__file__
-
-    def test_indefinite_noise_is_checked(self, ideal_set):
+    def test_indefinite_noise_is_refused(self, ideal_set, monkeypatch):
+        monkeypatch.delenv("QNDC_STRICT_PSD", raising=False)
         params, _, initial = ideal_set
         noise = NoiseModel.from_entries({(3, 3): -50.0})  # not refused
-        with pytest.warns(PositivityWarning, match="eigenvalue"):
+        assert not noise._psd
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="covariance has eigenvalue"):
             apply_pulse(initial, params, noise, 1)
 
-    def test_indefinite_noise_raises_in_strict_mode(self, ideal_set,
-                                                    monkeypatch):
-        monkeypatch.setenv("QNDC_STRICT_PSD", "1")
+    def test_indefinite_noise_that_leaves_the_state_psd_passes(
+            self, ideal_set):
+        # a fitted noise matrix a little indefinite: the state it derives
+        # is checked, and passes
         params, _, initial = ideal_set
-        noise = NoiseModel.from_entries({(3, 3): -50.0})
-        with pytest.raises(NotPositiveSemidefiniteError):
-            apply_pulse(initial, params, noise, 1)
+        noise = NoiseModel.from_entries({(3, 3): -1.0, (5, 5): 4.0})
+        assert not noise._psd
+        state = apply_pulse(initial, params, noise, 1)
+        assert float(np.linalg.eigvalsh(state.cov)[0]) >= \
+            -PSD_RTOL * state.cov.trace()
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(_SEED, st.booleans(), _N_ATOMS, _KAPPA, _SURVIVAL, _SURVIVAL)
@@ -175,9 +165,7 @@ class TestCheckedWhereItCanFail:
         models = [_criterion_one_model(seed, with_noise),
                   _coherent_model(n_atoms, kappa, r_a, r_l, seed)]
         for params, noise, initial in models:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", PositivityWarning)
-                states = _pulses_and_condition(params, noise, initial)
+            states = _pulses_and_condition(params, noise, initial)
             for state in states:
                 min_eig = float(np.linalg.eigvalsh(state.cov)[0])
                 assert min_eig >= -PSD_RTOL * state.cov.trace()
