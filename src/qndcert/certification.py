@@ -8,10 +8,13 @@ Three squared-correlation transfer figures grade the measurement chain
 (input spin -> meter, input spin -> output spin, output spin -> meter),
 
     C2_in_meter  = kappa**2 j33 / var_p
-    C2_in_out    = kappa**2 j33 d_cov_pr**2 / (d_cov_pq**2 B)
-    C2_out_meter = d_cov_pq**2 / (var_p B),      B = d_var_q - d_var_p + kappa**2 j33
+    C2_in_out    = (kappa**2 j33 / B) (d_cov_pr / d_cov_pq)**2
+    C2_out_meter = (d_cov_pq / var_p) (d_cov_pq / B)
 
-and three input-referred uncertainty figures, normalized to the
+with B = d_var_q - d_var_p + kappa**2 j33: each a product of ratios of
+terms in one unit, so records and kappa in another unit give the same
+bits.  A figure that cannot be formed, or is not finite, is None with
+its reason.  Three input-referred uncertainty figures, normalized to the
 projection noise j0 = |<J_x>|/2, decide non-classicality:
 
     dx2_s_given_m = (d_cov_pq / d_cov_pr)
@@ -54,7 +57,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .estimation import EstimatedModel, _check_gate_width, invert_three_pulse
+from .estimation import EstimatedModel, _check_gate_width, _inversion
 from .statistics import (
     DeltaStats,
     _calibration_k2,
@@ -87,9 +90,9 @@ def _transfer_figures(delta: DeltaStats, var_p: float, k2: float,
                       j33: float) -> FiguresOfMerit:
     """The transfer figures (module docstring forms), k2 = kappa**2.
 
-    Entries whose denominators are unavailable or zero come back None
-    instead of raising, so reduced (one- or two-pulse) runs still get
-    whatever is defined.
+    Entries whose denominators are unavailable or zero, or whose value is
+    not finite, come back None instead of raising, so reduced (one- or
+    two-pulse) runs still get whatever is defined.
     """
     undefined: dict[str, str] = {}
     values: dict[str, float | None] = {
@@ -104,16 +107,17 @@ def _transfer_figures(delta: DeltaStats, var_p: float, k2: float,
     if delta.n_pulses < 2:
         undefined["c2_in_out"] = "needs three pulses"
         undefined["c2_out_meter"] = "needs two pulses"
-        return FiguresOfMerit(undefined=undefined, **values)
+        return _finite_figures(values, undefined)
 
     bracket = delta.d_var_q - delta.d_var_p + k2 * j33
     if bracket == 0.0:
         undefined["c2_in_out"] = "zero output spin variance bracket"
         undefined["c2_out_meter"] = "zero output spin variance bracket"
-        return FiguresOfMerit(undefined=undefined, **values)
+        return _finite_figures(values, undefined)
 
     if var_p > 0.0:
-        values["c2_out_meter"] = delta.d_cov_pq ** 2 / (var_p * bracket)
+        values["c2_out_meter"] = ((delta.d_cov_pq / var_p)
+                                  * (delta.d_cov_pq / bracket))
     else:
         undefined["c2_out_meter"] = f"var_p = {var_p:.6g} is not positive"
 
@@ -122,8 +126,19 @@ def _transfer_figures(delta: DeltaStats, var_p: float, k2: float,
     elif delta.d_cov_pq == 0.0:
         undefined["c2_in_out"] = "d_cov_pq is zero"
     else:
-        values["c2_in_out"] = (k2 * j33 * delta.d_cov_pr ** 2
-                               / (delta.d_cov_pq ** 2 * bracket))
+        r_a = delta.d_cov_pr / delta.d_cov_pq
+        values["c2_in_out"] = k2 * j33 / bracket * (r_a * r_a)
+    return _finite_figures(values, undefined)
+
+
+def _finite_figures(values: dict[str, float | None],
+                    undefined: dict[str, str]) -> FiguresOfMerit:
+    """The figures ``values``, each one that is not finite None with its
+    reason in ``undefined``."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            values[name] = None
+            undefined[name] = f"out of floating-point range ({value})"
     return FiguresOfMerit(undefined=undefined, **values)
 
 
@@ -255,8 +270,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
 
     After the calibration and the gate width, a moment or ``var_p``
     whose square overflows is refused.  The inversion runs on the exact
-    route only, which excludes all it refuses; a verdict whose standard
-    error is not finite is None.
+    route only, which meets each of its checks, so it runs past them; a
+    verdict whose standard error is not finite is None.
     """
     k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
@@ -297,8 +312,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
                   **_figures(inputs, k2, j33, j0, route)}
     estimates: EstimatedModel | None = None
     if route == _EXACT:
-        estimates = invert_three_pulse(delta, var_p, kappa, j33,
-                                       z_threshold=z_threshold)
+        estimates = _inversion(delta, var_p, kappa, k2, j33, z_threshold)
         warns.extend(estimates.warnings)
         for name, cause in (("dx2_s", "loss dominates added spin noise"),
                             ("dx2_m", "sampled var_p below kappa**2*j33")):

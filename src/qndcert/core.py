@@ -10,10 +10,13 @@ dimension ``3 * (1 + n_pulses)``.  Its component labels, the label ->
 index map and the meter labels are built once per pulse count, as
 module tables for n = 1..3, so a label lookup is one dict access.
 States carry a mean vector and a symmetric covariance matrix over these
-components; covariances are symmetrized on construction so every
-downstream consumer can rely on exact symmetry.  A state holds one
-read-only copy of each: the symmetrized covariance is itself a new
-array, so it is frozen as it is, and only the mean is copied.
+components.  A matrix that enters the program (a state's covariance, a
+block, a noise matrix) is checked finite, so that no numpy warning comes
+first, then symmetric within ``SYMMETRY_RTOL`` times its largest
+magnitude, a rule with no unit, and symmetrized, so every downstream
+consumer can rely on exact symmetry.  A state holds one read-only copy
+of each: the symmetrized covariance is itself a new array, so it is
+frozen as it is, and only the mean is copied.
 
 Positivity is one rule, checked where it can fail.  A covariance that
 enters the program (``GaussianState(...)``, :func:`make_initial_state`,
@@ -49,7 +52,7 @@ from .errors import (
 PULSE_NAMES = ("P", "Q", "R")
 AXES = ("x", "y", "z")
 
-SYMMETRY_ATOL = 1e-12
+SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-9
 
 
@@ -78,18 +81,18 @@ def _require_finite(matrix: np.ndarray, what: str) -> None:
         raise UndefinedInputError(f"{what} holds a non-finite entry")
 
 
-def _symmetrized(matrix: np.ndarray, what: str) -> np.ndarray:
-    """A new, read-only, exactly symmetric copy of ``matrix``, refusing an
-    asymmetric or non-finite one at no cost to the others.  An infinite
-    entry on the diagonal or in a symmetric pair is refused after numpy
-    warns of ``inf - inf``."""
+def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
+    """A new, read-only, exactly symmetric copy of ``matrix``, the check of
+    every entering matrix: it refuses a non-finite entry, so that no
+    numpy warning comes first, then a departure from symmetry beyond
+    ``SYMMETRY_RTOL`` times its largest magnitude."""
+    _require_finite(matrix, what)
     # A contiguous transpose: numpy is slower on the strided view.
     transpose = matrix.T.copy()
     # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
-    # largest entry is its largest magnitude; a NaN entry makes it NaN
-    gap = float((matrix - transpose).max()) if matrix.size else 0.0
-    if not gap <= SYMMETRY_ATOL:
-        _require_finite(matrix, what)
+    # largest entry is its largest magnitude
+    gap = float((matrix - transpose).max())
+    if gap > SYMMETRY_RTOL * float(abs(matrix).max()):
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
     return _symmetric_part(matrix, transpose)
 
@@ -101,13 +104,6 @@ def _symmetric_part(matrix: np.ndarray, transpose: np.ndarray) -> np.ndarray:
     out /= 2.0
     out.setflags(write=False)
     return out
-
-
-def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
-    """:func:`_symmetrized` of a matrix whose entries are all checked
-    finite first, so that no warning comes before the refusal."""
-    _require_finite(matrix, what)
-    return _symmetrized(matrix, what)
 
 
 @dataclass(frozen=True)
@@ -254,8 +250,8 @@ class GaussianState:
         _require_finite_mean(mean)
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        cov = _symmetrized(_as_square(self.cov, dim, "covariance"),
-                           "covariance")
+        cov = _require_symmetric(_as_square(self.cov, dim, "covariance"),
+                                 "covariance")
         _require_psd(cov)
         object.__setattr__(self, "cov", cov)
 
@@ -284,7 +280,7 @@ def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
     _require_finite_mean(mean)
     _require_finite(cov, "covariance")
     mean.setflags(write=False)
-    # A contiguous transpose, as in _symmetrized: the same bits, faster.
+    # A contiguous transpose, as in _require_symmetric: the same bits.
     sym = _symmetric_part(cov, cov.T.copy())
     state = object.__new__(GaussianState)
     object.__setattr__(state, "layout", parent.layout)

@@ -29,8 +29,9 @@ from .errors import UndefinedInputError, UninformativeCouplingError
 from .statistics import (
     DeltaStats,
     _calibration_k2,
-    _checked_conditional_variance,
+    _conditional_variance,
     _propagate_se,
+    _require_conditioning,
 )
 
 __all__ = [
@@ -115,25 +116,23 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
                        z_threshold: float = 3.0) -> EstimatedModel:
     """Full model inversion of a three-pulse run.
 
-    The pulse count, the gate width and then the calibration, by the rule
-    ``certify`` applies too, are checked first.  Quantities within
-    ``z_threshold`` combined standard errors of zero are treated as zero
-    when deciding whether a ratio is usable, and two r_A routes further
-    apart than that disagree (no-op for analytic inputs, which carry no
-    standard errors); :func:`~qndcert.certify` passes its gate width, so
-    a coupling it judges informative is one the inversion uses.  Failure
-    of the primary covariance route propagates as an exception; failure
-    of the variance cross-check, r_A = sqrt((d_var_r - d_var_q) /
-    (d_var_q - d_var_p)), degrades to ``r_a_from_var=None`` plus a
-    warning.  The noise entries invert the closed forms
+    Checked first, in order: the pulse count, the gate width, the
+    calibration by the rule ``certify`` applies too, ``|d_cov_pq|``
+    against its noise floor, a positive ``var_p`` and a finite
+    ``d_cov_pq**2``; :func:`~qndcert.certify` runs the inversion past them.
+    Quantities within ``z_threshold`` combined standard errors of zero
+    are treated as zero when deciding whether a ratio is usable, and two
+    r_A routes further apart than that disagree (no-op for analytic
+    inputs, which carry no standard errors).  A failed variance route,
+    r_A = sqrt((d_var_r - d_var_q) / (d_var_q - d_var_p)), gives
+    ``r_a_from_var=None`` and a warning.  The noise entries invert
 
         N55 = d_var_p - kappa**2 j33
         N33 = (d_var_q - d_var_p + kappa**2 j33 (1 - r_a**2)) / kappa**2
         N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
 
-    at the primary r_a; ``cond_var_jz`` is
-    :func:`~qndcert.conditional_variance_from_stats` at the calibration
-    checked above, with its refusals of var_p and d_cov_pq.
+    at the primary r_a = d_cov_pr / d_cov_pq; ``cond_var_jz`` is
+    :func:`~qndcert.conditional_variance_from_stats`.
     """
     if delta.n_pulses != 3:
         raise UndefinedInputError(
@@ -146,6 +145,13 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
             f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
             f"floor {floor_pq:.6g}"
         )
+    _require_conditioning(delta, var_p)
+    return _inversion(delta, var_p, kappa, k2, j33, z_threshold)
+
+
+def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
+               j33: float, z_threshold: float) -> EstimatedModel:
+    """:func:`invert_three_pulse` past its checks, at k2 = kappa**2."""
     values = [getattr(delta, name) for name in _ROUTE_INPUTS]
     measured = _routes(values)
     r_a, den = measured["r_a"], measured["d_var_q - d_var_p"]
@@ -194,7 +200,6 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     for name in negative:
         warnings.append(f"noise diagonal {name} estimated negative")
 
-    cond_var = _checked_conditional_variance(delta, var_p, k2, j33)
     return EstimatedModel(
         r_a=r_a,
         r_a_se=se.get("r_a"),
@@ -203,6 +208,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         r_a_discrepancy=discrepancy,
         noise=EstimatedNoise(n33=n33, n35=n35, n55=n55,
                              negative_entries=negative),
-        cond_var_jz=cond_var,
+        cond_var_jz=_conditional_variance(delta.d_var_p, delta.d_var_q,
+                                          delta.d_cov_pq, var_p, k2, j33),
         warnings=tuple(warnings),
     )

@@ -382,13 +382,18 @@ def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
 
 
 def _finite_moments(acc: MomentAccumulator, path: str | Path) -> MomentSet:
-    """``acc``'s moments; an error covariance that overflows is refused,
-    naming ``path``."""
+    """``acc``'s moments; an error covariance that overflows, or that has
+    underflowed to a zero error for a nonzero moment, is refused, naming
+    ``path``."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         moments = acc.moments()
     if not np.isfinite(moments.moment_cov).all():
         raise RecordError(f"{path}: the error covariance of its moments "
                           f"overflows")
+    if any(value and not moments.se[name]
+           for name, value in moments.entries().items()):
+        raise RecordError(f"{path}: the error covariance of its moments "
+                          f"underflows")
     return moments
 
 

@@ -401,27 +401,25 @@ def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
         j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
 
     ``var_p`` is the probe-arm meter variance (not reference-subtracted).
-    Needs two pulses, then a calibration (``_calibration_k2``), then a
-    positive ``var_p`` and a ``d_cov_pq`` whose square does not overflow.
+    Needs two pulses, a calibration (``_calibration_k2``), then a positive
+    ``var_p`` and a finite ``d_cov_pq**2``, as ``invert_three_pulse`` does.
     """
     if delta.n_pulses < 2:
         raise UndefinedInputError(
             "measured conditional variance needs at least two pulses"
         )
-    return _checked_conditional_variance(delta, var_p,
-                                         _calibration_k2(kappa, j33), j33)
+    k2 = _calibration_k2(kappa, j33)
+    _require_conditioning(delta, var_p)
+    return _conditional_variance(delta.d_var_p, delta.d_var_q,
+                                 delta.d_cov_pq, var_p, k2, j33)
 
 
-def _checked_conditional_variance(delta: DeltaStats, var_p: float, k2: float,
-                                  j33: float) -> float:
-    """:func:`conditional_variance_from_stats` at a checked calibration,
-    k2 = kappa**2: it refuses a ``var_p`` that is not positive (NaN
+def _require_conditioning(delta: DeltaStats, var_p: float) -> None:
+    """Refuse, past the calibration, a ``var_p`` that is not positive (NaN
     included) and a ``d_cov_pq`` whose square overflows."""
     if not var_p > 0.0:
         raise UndefinedInputError(f"var_p must be positive, got {var_p}")
     _require_finite_squares({"d_cov_pq": delta.d_cov_pq})
-    return _conditional_variance(delta.d_var_p, delta.d_var_q,
-                                 delta.d_cov_pq, var_p, k2, j33)
 
 
 def _require_finite_squares(values: dict[str, float]) -> None:

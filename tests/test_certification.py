@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -26,6 +27,7 @@ from qndcert import (
     report_to_dict,
     simulate_moments,
 )
+from qndcert import certification, estimation, statistics
 from qndcert.montecarlo import arm_chunks
 from qndcert.selftest import _draw_model
 
@@ -357,6 +359,38 @@ class TestCertify:
         base.update(kwargs)
         with pytest.raises(UndefinedInputError):
             certify(**base)
+
+    def test_exact_route_checks_each_precondition_once(self, monkeypatch):
+        # the exact route ran invert_three_pulse, which checked the gate
+        # width, the calibration and d_cov_pq's square again
+        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        measured, reference = simulate_moments(params, noise, initial,
+                                               20_000, 5)
+        delta = delta_stats(measured, reference, params.r_l)
+        calls = collections.Counter()
+        names = ("_calibration_k2", "_check_gate_width",
+                 "_require_finite_squares")
+        for module in (statistics, estimation, certification):
+            for name in names:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        report = certify(delta, measured.var_p, 1.0, 25.0, 25.0,
+                         var_p_se=measured.se_of("var_p"))
+        assert report.estimates is not None  # the exact route
+        assert calls == dict.fromkeys(names, 1)
 
 
 def _array_route_se(report, delta, var_p, var_p_se):
@@ -712,7 +746,14 @@ class TestUnitInvariance:
     @example("readme-config", -19)
     @example("readme-config", -60)
     @example("r_a-0.99-n33-20", 60)
+    @example("readme-config", -200)
+    @example("r_a-0.99-n33-20", -200)
+    @example("readme-config", 200)
+    @example("r_a-0.99-n33-20", 250)
     def test_reports_keep_their_bits(self, regime_rows, regime, s):
+        # at s = -200, 200 and 250, c2_in_out's old form, whose terms
+        # scale by 2**(6 s), under- or overflowed: a ZeroDivisionError at
+        # -200, and a NaN that no reason explained at 200 and 250
         base = _report_at_scale(regime_rows[regime], 0)
         scaled = _report_at_scale(regime_rows[regime], s)
         for key in ("figures", "nonclassical", "se", "verdict_state_prep",

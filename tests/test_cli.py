@@ -643,20 +643,21 @@ class TestRecordUnits:
     """Records read in another unit, 2**s times the first, with kappa in
     that unit too, give the same figures, errors and verdicts."""
 
-    def test_records_at_two_to_the_minus_19(self, tmp_path, capsys):
-        # var_p near 1.8e-10, as for a detector read in volts: the
-        # standard errors' absolute step of 1e-9 made state_prep FAIL
+    @staticmethod
+    def _assert_scaled_run(directory, capsys, s):
+        """certify on the records times 2**s, with kappa 2**s, keeps the
+        unit run's report, and scales its meter-unit estimates exactly."""
         reports = {}
-        for s in (0, -19):
-            argv = _write_scaled(tmp_path, f"s{s}", 2.0 ** s)
-            out_path = tmp_path / f"s{s}.json"
-            code = main(["certify", *argv, "--kappa", repr(2.0 ** s),
+        for t in (0, s):
+            argv = _write_scaled(directory, f"s{t}", 2.0 ** t)
+            out_path = directory / f"s{t}.json"
+            code = main(["certify", *argv, "--kappa", repr(2.0 ** t),
                          "--j33", "25", "--j0", "25", "--out", str(out_path)])
             out = capsys.readouterr().out
             assert code == 0, out
             assert out.endswith("certified: yes\n")
-            reports[s] = json.loads(out_path.read_text())
-        base, scaled = reports[0], reports[-19]
+            reports[t] = json.loads(out_path.read_text())
+        base, scaled = reports[0], reports[s]
         for key in ("figures", "nonclassicality", "se", "verdicts",
                     "point_verdicts", "inconclusive", "reasons", "warnings"):
             assert scaled[key] == base[key], key
@@ -665,10 +666,37 @@ class TestRecordUnits:
         noise = scaled["estimates"]["noise"]
         base_noise = base["estimates"]["noise"]
         assert noise["n33"] == base_noise["n33"]
-        assert noise["n35"] == base_noise["n35"] * 2.0 ** -19
-        assert noise["n55"] == base_noise["n55"] * 2.0 ** -38
+        assert noise["n35"] == base_noise["n35"] * 2.0 ** s
+        assert noise["n55"] == base_noise["n55"] * 2.0 ** (2 * s)
         assert scaled["squeezing"]["margin"] == \
-            base["squeezing"]["margin"] * 2.0 ** -76
+            base["squeezing"]["margin"] * 2.0 ** (4 * s)
+
+    def test_records_at_two_to_the_minus_19(self, tmp_path, capsys):
+        # var_p near 1.8e-10, as for a detector read in volts: the
+        # standard errors' absolute step of 1e-9 made state_prep FAIL
+        self._assert_scaled_run(tmp_path, capsys, -19)
+
+    def test_records_at_two_to_the_minus_200(self, tmp_path, capsys):
+        # c2_in_out's denominator d_cov_pq**2 * bracket, about 2**-1200,
+        # underflowed to 0: a ZeroDivisionError traceback, exit 1
+        self._assert_scaled_run(tmp_path, capsys, -200)
+
+    @pytest.mark.parametrize("command, sidecar", [("stats", False),
+                                                  ("certify", True)])
+    def test_error_covariance_that_underflows_is_refused(
+            self, tmp_path, capsys, command, sidecar):
+        # values near 1e-90: var_p near 1e-179, whose Isserlis variance
+        # underflows to 0, so every se read 0.0 and stats exited 0
+        argv = _write_scaled(tmp_path, "tiny", 2.0 ** -300, sidecar=sidecar)
+        if sidecar:
+            argv += ["--kappa", repr(2.0 ** -300), "--j33", "25",
+                     "--j0", "25"]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        named = tmp_path / ("tiny.meta.json" if sidecar
+                            else "tiny.with_atoms.csv")
+        assert captured.err == (f"error: {named}: the error covariance of "
+                                f"its moments underflows\n")
 
 
 class TestStaleSidecar:

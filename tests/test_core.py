@@ -7,6 +7,7 @@ from qndcert import (
     GaussianState,
     Layout,
     LayoutError,
+    NoiseModel,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     OpticalBlock,
@@ -203,10 +204,8 @@ class TestGaussianState:
             cov[1, 2] = cov[2, 1] = value
         else:
             cov[1, 2] = value
-        # a state is built at every pulse, so its covariance gets no
-        # finiteness pass of its own: numpy warns of inf - inf first
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(UndefinedInputError, match="non-finite"):
+        # finite first, then symmetric: no numpy warning comes first
+        with pytest.raises(UndefinedInputError, match="non-finite"):
             GaussianState(Layout(1), mean, cov)
 
     def test_indefinite_cov_is_refused(self, monkeypatch):
@@ -249,6 +248,37 @@ class TestGaussianState:
             state.cov[0, 0] = 1.0
         with pytest.raises(ValueError):
             state.mean[0] = 1.0
+
+
+class TestUnitFreeSymmetryRule:
+    """An entering matrix may depart from symmetry by a fixed fraction of
+    its largest entry, so its unit does not decide whether it is
+    accepted."""
+
+    BUILD = {
+        "block": lambda m: AtomicBlock(50.0, m[:3, :3]),
+        "state": lambda m: GaussianState(Layout(1), np.zeros(6), m),
+        "noise": NoiseModel,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    @pytest.mark.parametrize("gap, accepted", [
+        (0.1, False), (2e-12, False), (0.5e-12, True), (2.0 ** -53, True)],
+        ids=["10%", "2e-12", "0.5e-12", "one-ulp"])
+    def test_power_of_two_scale_keeps_the_decision(self, kind, gap, accepted):
+        # largest entry 1, and (2, 1) departs from (1, 2) by ``gap``: one
+        # ulp of 0.5 is 2**-53
+        matrix = np.eye(6) + 0.5 * (np.eye(6, k=1) + np.eye(6, k=-1))
+        matrix[2, 1] += gap
+        decisions = {}
+        for s in range(-60, 61):
+            try:
+                self.BUILD[kind](matrix * 2.0 ** s)
+                decisions[s] = True
+            except NotSymmetricError:
+                decisions[s] = False
+        assert decisions[0] is accepted
+        assert [s for s, d in decisions.items() if d is not accepted] == []
 
 
 class TestOneCopyPerState:
