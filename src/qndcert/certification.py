@@ -47,8 +47,9 @@ J^T)), J by central differences of the same function.  The inputs share
 shots, so Sigma, their error covariance, is Isserlis' within each arm,
 Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1), summed over the two
 independent arms (:mod:`qndcert.statistics`); var_p's variance is
-``var_p_se**2``.  The mean reported error is 0.85 to 1.15 times the
-run-to-run spread of its figure (seeded runs, 4k shots, 400 seeds).
+``var_p_se**2`` if given, else the delta's own.  The mean reported
+error is 0.85 to 1.15 times the run-to-run spread of its figure (seeded
+runs, 4k shots, 400 seeds).
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         Reference-subtracted moments, with their error covariance for
         sampled data (enables gating).
     var_p : float
-        Probe-arm first-meter variance, with optional ``var_p_se``.
+        Probe-arm first-meter variance.
     kappa, j33, j0 : float
         Calibrated coupling, input spin variance, projection-noise scale;
         checked first, by the one rule ``statistics._calibration_k2``.
@@ -267,11 +268,18 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         Gate width in standard errors, finite and nonnegative; also sets
         the noise floor below which delta covariances count as
         uninformative, for the gate and for the model inversion alike.
+    var_p_se : float, optional
+        ``var_p``'s standard error; its row of Sigma is scaled to it.
+        When None, the delta's own row of Sigma (the probe arm's) gives
+        it, and the report holds that value.
 
     After the calibration and the gate width, a moment or ``var_p``
-    whose square overflows is refused.  The inversion runs on the exact
-    route only, which meets each of its checks, so it runs past them; a
-    verdict whose standard error is not finite is None.
+    whose square overflows is refused.  The noise floors and the
+    standard errors both read the delta's Sigma.  The inversion runs on
+    the exact route only, which meets each of its checks, so it runs
+    past them; its warnings are the report's ``warnings``, and its
+    ``estimates`` carry none.  A verdict whose standard error is not
+    finite is None.
     """
     k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
@@ -282,12 +290,13 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     positive = var_p > 0.0
     reasons: list[str] = []
     warns: list[str] = []
-    gated = delta.se is not None
+    se = delta.se  # read once: a new dict at each read
+    gated = se is not None
 
     informative = True
     for name in ("d_cov_pq", "d_cov_pr")[:n - 1]:
         size = abs(getattr(delta, name))
-        floor = z_threshold * delta.se_of(name, 0.0)  # the inversion's too
+        floor = z_threshold * se[name] if gated else 0.0  # the inversion's
         if size <= floor:
             informative = False
             reasons.append(f"uninformative coupling: |{name}| = {size:.6g} "
@@ -312,8 +321,9 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
                   **_figures(inputs, k2, j33, j0, route)}
     estimates: EstimatedModel | None = None
     if route == _EXACT:
-        estimates = _inversion(delta, var_p, kappa, k2, j33, z_threshold)
-        warns.extend(estimates.warnings)
+        # its warnings go to the report's list, the one that holds them
+        estimates = _inversion(delta, var_p, kappa, k2, j33, z_threshold,
+                               warns)
         for name, cause in (("dx2_s", "loss dominates added spin noise"),
                             ("dx2_m", "sampled var_p below kappa**2*j33")):
             if ncl_values[name] < 0.0:
@@ -341,8 +351,10 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     se_map: dict[str, float] = {}
     if gated:
         sigma = delta._sigma(_INPUTS + ("var_p",))
+        if var_p_se is None:  # the delta's own: var_p's row of Sigma
+            var_p_se = math.sqrt(sigma[4][4])
         # var_p's variance is var_p_se**2; its correlations are kept
-        sd = abs(var_p_se or 0.0)
+        sd = abs(var_p_se)
         rescale = sd / math.sqrt(sigma[4][4]) if sigma[4][4] else 0.0
         for i in range(4):
             sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale

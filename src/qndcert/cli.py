@@ -285,8 +285,7 @@ def _cmd_certify(args) -> int:
                 f"records were simulated from a different model: sidecar "
                 f"params_hash {records.params_hash}, --config {args.config} "
                 f"gives {expected}")
-    report = certify(delta, measured.var_p, kappa, j33, j0, z_threshold=z,
-                     var_p_se=measured.se_of("var_p"))
+    report = certify(delta, measured.var_p, kappa, j33, j0, z_threshold=z)
     _print_report(report)
     if args.out is not None:
         dump_json(report_to_dict(report, records=records, r_l=r_l), args.out)

@@ -54,6 +54,8 @@ AXES = ("x", "y", "z")
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-9
+# Past this magnitude, the sum of an entry and its mirror may overflow.
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 # Per-pulse-count tables, built once: component labels, label -> index
@@ -92,16 +94,26 @@ def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
     # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
     # largest entry is its largest magnitude
     gap = float((matrix - transpose).max())
-    if gap > SYMMETRY_RTOL * float(abs(matrix).max()):
+    largest = float(abs(matrix).max())
+    if gap > SYMMETRY_RTOL * largest:
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
-    return _symmetric_part(matrix, transpose)
+    return _symmetric_part(matrix, transpose, largest > _HALF_MAX)
 
 
-def _symmetric_part(matrix: np.ndarray, transpose: np.ndarray) -> np.ndarray:
-    """``(matrix + transpose) / 2``, read-only."""
+def _symmetric_part(matrix: np.ndarray, transpose: np.ndarray,
+                    near_max: bool = False) -> np.ndarray:
+    """``(matrix + transpose) / 2``, read-only.  With ``near_max`` (an
+    entry past ``_HALF_MAX``), each sum that overflows is taken as
+    ``matrix / 2 + transpose / 2`` instead: exact at that size."""
     # (a + a) / 2 == a, so symmetric input is copied bit-identical.
-    out = matrix + transpose
-    out /= 2.0
+    if near_max:
+        with np.errstate(over="ignore"):
+            out = (matrix + transpose) / 2.0
+        over = np.isinf(out)
+        out[over] = matrix[over] / 2.0 + transpose[over] / 2.0
+    else:
+        out = matrix + transpose
+        out /= 2.0
     out.setflags(write=False)
     return out
 

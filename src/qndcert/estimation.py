@@ -150,8 +150,10 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
 
 
 def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
-               j33: float, z_threshold: float) -> EstimatedModel:
-    """:func:`invert_three_pulse` past its checks, at k2 = kappa**2."""
+               j33: float, z_threshold: float,
+               sink: list[str] | None = None) -> EstimatedModel:
+    """:func:`invert_three_pulse` past its checks, at k2 = kappa**2.  A
+    given ``sink`` takes the warnings, and the model then carries none."""
     values = [getattr(delta, name) for name in _ROUTE_INPUTS]
     measured = _routes(values)
     r_a, den = measured["r_a"], measured["d_var_q - d_var_p"]
@@ -161,7 +163,7 @@ def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
     se = {} if delta.moment_cov is None else _propagate_se(
         lambda v: _routes(v, two_root), values, delta._sigma(_ROUTE_INPUTS),
         _ROUTE_KEYS if two_root else _ROUTE_KEYS[:2])
-    warnings: list[str] = []
+    warnings: list[str] = [] if sink is None else sink
 
     var_floor = z_threshold * se.get("d_var_q - d_var_p", 0.0)
     r_a_from_var = unavailable = None
@@ -210,5 +212,5 @@ def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
                              negative_entries=negative),
         cond_var_jz=_conditional_variance(delta.d_var_p, delta.d_var_q,
                                           delta.d_cov_pq, var_p, k2, j33),
-        warnings=tuple(warnings),
+        warnings=() if sink is not None else tuple(warnings),
     )

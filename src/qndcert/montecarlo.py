@@ -227,9 +227,9 @@ class EmpiricalCheck:
 
 def _compare(arm: str, sampled: MomentSet, predicted: MomentSet) -> list[CheckRow]:
     rows = []
-    for name, expected in predicted.entries().items():
+    for (name, expected), se in zip(predicted.entries().items(),
+                                    sampled.se.values()):
         got = getattr(sampled, name)
-        se = sampled.se[name]
         if se > 0.0:
             z = (got - expected) / se
         else:

@@ -390,8 +390,8 @@ def _finite_moments(acc: MomentAccumulator, path: str | Path) -> MomentSet:
     if not np.isfinite(moments.moment_cov).all():
         raise RecordError(f"{path}: the error covariance of its moments "
                           f"overflows")
-    if any(value and not moments.se[name]
-           for name, value in moments.entries().items()):
+    if any(value and not se for value, se
+           in zip(moments.entries().values(), moments.se.values())):
         raise RecordError(f"{path}: the error covariance of its moments "
                           f"underflows")
     return moments

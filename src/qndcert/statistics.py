@@ -14,8 +14,11 @@ moment name is a read-only view of entry (j, k), j <= k, as listed in
 
 A sampled set carries ``moment_cov``, the covariance Sigma of its
 moments' errors; by Isserlis' theorem, for n Gaussian shots,
-Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1).  ``se`` is the root
-of Sigma's diagonal; a set given ``se`` alone has Sigma = diag(se**2).
+Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1).  Sigma is the one
+holder of the standard errors: ``se`` reads the root of its diagonal, by
+reported name, into a new dict at each read.  A set given ``se`` by
+keyword has Sigma = diag(se**2), 0 for a name not given; an ``se`` whose
+square Sigma cannot hold (it overflows or underflows) is refused.
 
 Sample moments are accumulated in chunks of ``CHUNK_SHOTS`` (16384)
 shots, the one grain of the whole program: the sampler draws, the writer
@@ -75,13 +78,12 @@ _ENTRIES = {"var_p": (0, 0), "var_q": (1, 1), "var_r": (2, 2),
 
 
 class _MeterCovariance:
-    """A read-only ``cov`` with ``n_pulses``, ``n_shots``, ``se`` (by
-    reported name) and ``moment_cov`` (Sigma over every entry, then
-    ``_also_in_sigma``) beside it, and one attribute per moment name.
-    Leaving out an unreported name puts NaN in ``cov``; it reads None."""
+    """A read-only ``cov`` with ``n_pulses``, ``n_shots`` and ``moment_cov``
+    (Sigma over every entry, then ``_also_in_sigma``; ``se`` reads its
+    diagonal) beside it, and one attribute per moment name.  Leaving
+    out an unreported name puts NaN in ``cov``; it reads None."""
 
-    __slots__ = ("cov", "n_pulses", "n_shots", "se", "moment_cov",
-                 "_sigma_full")
+    __slots__ = ("cov", "n_pulses", "n_shots", "moment_cov")
     _unreported: tuple[str, ...] = ()
     _also_in_sigma: tuple[str, ...] = ()
     _nonnegative = False  # refuse a negative variance
@@ -125,27 +127,24 @@ class _MeterCovariance:
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"standard error of {name} must be finite "
                                  f"and nonnegative, got {value}")
-        return cls._of(np.array(rows), n_shots, se, rows)
+            sd = float(value)
+            if math.sqrt(sd * sd) != sd:  # Sigma = diag(se**2) cannot hold it
+                raise ValueError(f"standard error of {name} = {value:g} has "
+                                 f"a square out of floating-point range")
+        moment_cov = None if se is None else np.diag(np.square(np.array(
+            [se.get(name, 0.0) for name in cls._sigma_rows[n_pulses]], float)))
+        return cls._of(np.array(rows), n_shots, moment_cov)
 
     @classmethod
     def _of(cls, cov: np.ndarray, n_shots: int | None = None,
-            se: dict[str, float] | None = None, rows: list | None = None,
             moment_cov: np.ndarray | None = None):
-        """Wrap and freeze the new array ``cov`` and ``moment_cov``, or
-        diag(se**2); ``rows`` is ``cov.tolist()``."""
-        rows = cov.tolist() if rows is None else rows
+        """Wrap and freeze the new arrays ``cov`` and ``moment_cov``."""
+        rows = cov.tolist()
         n = len(rows)
         cov.setflags(write=False)
-        if moment_cov is None and se is not None:
-            moment_cov = np.diag(np.square(np.array(
-                [se.get(name, 0.0) for name in cls._sigma_rows[n]], float)))
-        elif se is None and moment_cov is not None:
-            sds = np.sqrt(moment_cov.diagonal()).tolist()
-            se = {name: sds[cls._sigma_rows[n][name]]
-                  for name in cls._reported[n]}
         if moment_cov is not None:
             moment_cov.setflags(write=False)
-        fields = [cov, n, n_shots, se, moment_cov, None]  # Sigma's rows
+        fields = [cov, n, n_shots, moment_cov]
         for name, (j, k) in cls._entries.items():
             value = rows[j][k] if k < n else None
             if value != value and name in cls._unreported:
@@ -163,8 +162,7 @@ class _MeterCovariance:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return self._of, (np.array(self.cov), self.n_shots, self.se, None,
-                          self.moment_cov)
+        return self._of, (np.array(self.cov), self.n_shots, self.moment_cov)
 
     def __repr__(self) -> str:
         fields = f"{self.entries()}, n_shots={self.n_shots}, se={self.se}"
@@ -175,16 +173,21 @@ class _MeterCovariance:
         return {name: getattr(self, name)
                 for name in self._reported[self.n_pulses]}
 
+    @property
+    def se(self) -> dict[str, float] | None:
+        """Standard errors by reported name (Sigma's first rows, in order),
+        the root of Sigma's diagonal, as a new dict; None without Sigma."""
+        if self.moment_cov is None:
+            return None
+        return dict(zip(self._reported[self.n_pulses],
+                        np.sqrt(self.moment_cov.diagonal()).tolist()))
+
     def se_of(self, name: str, default: float | None = None) -> float | None:
-        return default if self.se is None else self.se.get(name, default)
+        return (self.se or {}).get(name, default)
 
     def _sigma(self, names) -> list[list[float]]:
-        """Sigma over ``names``, as new rows; a name it lacks has no
-        error.  Sigma's own rows are built on the first call and kept."""
-        full = self._sigma_full
-        if full is None:
-            full = self.moment_cov.tolist()
-            _MeterCovariance._sigma_full.__set__(self, full)
+        """Sigma over ``names``, as new rows; a name it lacks has no error."""
+        full = self.moment_cov.tolist()
         rows = [self._sigma_rows[self.n_pulses].get(name) for name in names]
         return [[0.0 if i is None or j is None else full[i][j] for j in rows]
                 for i in rows]
@@ -192,7 +195,7 @@ class _MeterCovariance:
 
 class MomentSet(_MeterCovariance):
     """Second moments of the meters of one arm; sample estimates set
-    ``n_shots`` and ``se``, analytic predictions leave both None."""
+    ``n_shots`` and ``moment_cov``, analytic predictions leave both None."""
 
     __slots__ = tuple(_ENTRIES)
     _nonnegative = True
@@ -300,7 +303,7 @@ class MomentAccumulator:
                          in MomentSet._reported[self.mean.size]]).T
         moment_cov = (cov[np.ix_(j, j)] * cov[np.ix_(k, k)]
                       + cov[np.ix_(j, k)] * cov[np.ix_(k, j)]) / (n - 1)
-        return MomentSet._of(cov, n, moment_cov=moment_cov)
+        return MomentSet._of(cov, n, moment_cov)
 
 
 def meter_moments(state: GaussianState) -> MomentSet:
@@ -350,7 +353,7 @@ def predicted_moments(params: ExperimentParams, noise: NoiseModel,
                 rows[j][k] = rows[k][j] = (
                     light + kappa * kappa * r_a ** (k - j) * a[j]
                     + kappa * r_a ** (k - 1 - j) * n35)
-    return MomentSet._of(np.array(rows), rows=rows)
+    return MomentSet._of(np.array(rows))
 
 
 def no_atoms_moments(params: ExperimentParams,
@@ -390,8 +393,8 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
         moment_cov[:m, :m] = with_atoms + scale * scale * reference.moment_cov
         moment_cov[m, :m] = moment_cov[:m, m] = with_atoms[0]
         moment_cov[m, m] = with_atoms[0, 0]
-    return DeltaStats._of(measured.cov - scale * reference.cov,
-                          moment_cov=moment_cov)
+    return DeltaStats._of(measured.cov - scale * reference.cov, None,
+                          moment_cov)
 
 
 def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
@@ -478,11 +481,14 @@ def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     times its standard error where x is 0: no step is absolute, so
     inputs and Sigma scaled by powers of two give the same bits.  Where
     Python raises on a zero denominator or an overflow, float64 scalars
-    give inf and a RuntimeWarning instead."""
+    give inf or NaN instead, without a warning: a caller names a standard
+    error that is not finite where it counts."""
     try:
         return _jacobian_se(fn, [float(x) for x in values], sigma, keys)
     except ArithmeticError:
-        return _jacobian_se(fn, [np.float64(x) for x in values], sigma, keys)
+        with np.errstate(all="ignore"):
+            return _jacobian_se(fn, [np.float64(x) for x in values], sigma,
+                                keys)
 
 
 def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:

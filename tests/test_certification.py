@@ -1,6 +1,8 @@
 import collections
+import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from qndcert import (
     delta_stats,
     dump_json,
     exit_code,
+    invert_three_pulse,
     MomentAccumulator,
     make_initial_state,
     no_atoms_moments,
@@ -38,6 +41,18 @@ def _delta_of(param_set):
     delta = delta_stats(measured, no_atoms_moments(params, initial),
                         params.r_l)
     return delta, measured.var_p
+
+
+@pytest.fixture(scope="module")
+def readme_set():
+    """The README model sampled at 20 000 shots, seed 5: (measured, delta)."""
+    params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
+                                         r_a=0.8, r_l=0.9)
+    noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5, (5, 5): 4.0})
+    initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                 OpticalBlock.coherent(100.0, 3), Layout(3))
+    measured, reference = simulate_moments(params, noise, initial, 20_000, 5)
+    return measured, delta_stats(measured, reference, params.r_l)
 
 
 def _figures_of(delta, var_p, kappa=1.0, j33=25.0, j0=25.0):
@@ -360,19 +375,11 @@ class TestCertify:
         with pytest.raises(UndefinedInputError):
             certify(**base)
 
-    def test_exact_route_checks_each_precondition_once(self, monkeypatch):
+    def test_exact_route_checks_each_precondition_once(self, monkeypatch,
+                                                       readme_set):
         # the exact route ran invert_three_pulse, which checked the gate
         # width, the calibration and d_cov_pq's square again
-        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
-                                             r_a=0.8, r_l=0.9)
-        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
-                                         (5, 5): 4.0})
-        initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                     OpticalBlock.coherent(100.0, 3),
-                                     Layout(3))
-        measured, reference = simulate_moments(params, noise, initial,
-                                               20_000, 5)
-        delta = delta_stats(measured, reference, params.r_l)
+        measured, delta = readme_set
         calls = collections.Counter()
         names = ("_calibration_k2", "_check_gate_width",
                  "_require_finite_squares")
@@ -391,6 +398,58 @@ class TestCertify:
                          var_p_se=measured.se_of("var_p"))
         assert report.estimates is not None  # the exact route
         assert calls == dict.fromkeys(names, 1)
+
+
+class TestOneHolderPerStandardError:
+    """Sigma holds each standard error once: the noise floors, the errors
+    and the report read it, and nothing a caller edits reaches it."""
+
+    def test_editing_se_leaves_certify_unchanged(self, readme_set):
+        # the edit made the next certify report an uninformative coupling
+        # with a noise floor of 3e+09 and no verdict, while Sigma still
+        # held d_cov_pq's own error
+        measured, delta = readme_set
+        delta = copy.deepcopy(delta)  # the fixture's stays as drawn
+        before = dump_json(report_to_dict(certify(
+            delta, measured.var_p, 1.0, 25.0, 25.0,
+            var_p_se=measured.se["var_p"])))
+        delta.se["d_cov_pq"] = 1e9
+        assert delta.se["d_cov_pq"] == math.sqrt(delta.moment_cov[3, 3])
+        assert dump_json(report_to_dict(certify(
+            delta, measured.var_p, 1.0, 25.0, 25.0,
+            var_p_se=measured.se["var_p"]))) == before
+
+    def test_var_p_error_comes_from_the_delta_unless_given(self, readme_set):
+        # without var_p_se, var_p's error was dropped: dx2_m's was 0.0
+        measured, delta = readme_set
+        given = certify(delta, measured.var_p, 1.0, 25.0, 25.0,
+                        var_p_se=measured.se["var_p"])
+        report = certify(delta, measured.var_p, 1.0, 25.0, 25.0)
+        assert report.se["dx2_m"] == pytest.approx(0.0197, abs=5e-5)
+        assert report.se["dx2_s_given_m"] == pytest.approx(0.0347, abs=5e-5)
+        assert report.var_p_se == measured.se["var_p"]
+        assert dump_json(report_to_dict(report)) == \
+            dump_json(report_to_dict(given))
+        # a delta given its errors by keyword has no var_p row to read
+        hand = DeltaStats(n_pulses=3, se=delta.se, **delta.entries())
+        report = certify(hand, measured.var_p, 1.0, 25.0, 25.0)
+        assert report.var_p_se == 0.0 and report.se["dx2_m"] == 0.0
+
+    def test_each_inversion_warning_is_listed_once(self, readme_set):
+        # certify copied them into its warnings and kept them in its
+        # estimates, so the JSON report held each twice
+        measured, delta = readme_set
+        report = certify(delta, measured.var_p, 1.0, 1e308, 25.0,
+                         var_p_se=measured.se["var_p"])
+        assert report.estimates is not None
+        assert report.estimates.warnings == ()
+        assert "noise diagonal n55 estimated negative" in report.warnings
+        text = dump_json(report_to_dict(report))
+        for line in report.warnings:
+            assert text.count(json.dumps(line)) == 1, line
+        # the inversion on its own keeps them
+        assert "noise diagonal n55 estimated negative" in invert_three_pulse(
+            delta, measured.var_p, 1.0, 1e308).warnings
 
 
 def _array_route_se(report, delta, var_p, var_p_se):
@@ -493,21 +552,15 @@ class TestStandardErrorExactness:
         assert scaled.se == base.se
         assert scaled.nonclassical == base.nonclassical
 
-    def test_non_finite_standard_error_leaves_the_verdict_undecided(self):
+    def test_non_finite_standard_error_leaves_the_verdict_undecided(
+            self, readme_set):
         # j33 = 1e308 keeps kappa**2 j33 finite, but the state-prep
         # figure's error overflows to NaN: its verdict is undecided, and
-        # the run inconclusive rather than a confident "no"
-        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
-                                             r_a=0.8, r_l=0.9)
-        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
-                                         (5, 5): 4.0})
-        initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                     OpticalBlock.coherent(100.0, 3),
-                                     Layout(3))
-        measured, reference = simulate_moments(params, noise, initial,
-                                               20_000, 5)
-        delta = delta_stats(measured, reference, params.r_l)
-        with pytest.warns(RuntimeWarning):  # numpy: overflow, then nan
+        # the run inconclusive rather than a confident "no"; the reason
+        # says so, and numpy warns of nothing
+        measured, delta = readme_set
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = certify(delta, measured.var_p, 1.0, 1e308, 25.0,
                              var_p_se=measured.se_of("var_p"))
         assert math.isnan(report.se["dx2_s_given_m"])

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -558,16 +559,41 @@ class TestCalibrationFlags:
     def test_non_finite_standard_error_is_inconclusive(self, lossy_run,
                                                        capsys):
         # kappa**2 j33 is finite, but the state-prep figure's standard
-        # error overflows to NaN: that verdict is undecided, not "FAIL"
-        with pytest.warns(RuntimeWarning):  # numpy: overflow, then nan
+        # error overflows to NaN: that verdict is undecided, not "FAIL";
+        # the note says so, and no numpy warning reaches stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["certify", *_record_args(lossy_run), "--kappa", "1",
                          "--j33", "1e308", "--j0", "25"])
         assert code == 2
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "RuntimeWarning" not in err
         assert "verdict state_prep:  UNDECIDED (gated)" in out
         assert ("note: standard error of dx2_s_given_m is not finite (nan); "
                 "its verdict is undecided") in out
         assert out.endswith("certified: inconclusive\n")
+
+    def test_report_lists_each_warning_once(self, lossy_run, tmp_path,
+                                            capsys):
+        # certify --out held each inversion warning twice: in the
+        # top-level warnings and in estimates.warnings
+        report, model = tmp_path / "report.json", tmp_path / "model.json"
+        assert main(["certify", *_record_args(lossy_run), "--kappa", "1",
+                     "--j33", "1e308", "--j0", "25",
+                     "--out", str(report)]) == 2
+        assert main(["estimate", *_record_args(lossy_run), "--kappa", "1",
+                     "--j33", "1e308", "--out", str(model)]) == 0
+        err = capsys.readouterr().err
+        text = report.read_text()
+        payload = json.loads(text)
+        line = "noise diagonal n55 estimated negative"
+        assert line in payload["warnings"]
+        assert payload["estimates"]["warnings"] == []
+        for warning in payload["warnings"]:
+            assert text.count(json.dumps(warning)) == 1, warning
+        assert f"warning: {line}" in err
+        # estimate keeps its own
+        assert line in json.loads(model.read_text())["estimates"]["warnings"]
 
     def test_boundary_values_are_accepted(self, ideal_run, capsys):
         assert main(["certify", *_record_args(ideal_run), "--kappa", "1.0",

@@ -281,6 +281,41 @@ class TestUnitFreeSymmetryRule:
         assert [s for s, d in decisions.items() if d is not accepted] == []
 
 
+class TestNearTheFloatMaximum:
+    """A finite, symmetric matrix with entries past half the float
+    maximum is held as given: its symmetric part must not overflow."""
+
+    BUILD = {
+        "block": lambda m: AtomicBlock(1.0, m[:3, :3]).cov,
+        "noise": lambda m: NoiseModel(m).matrix,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_symmetric_matrix_keeps_its_bits(self, kind):
+        # runs under filterwarnings = error: numpy's "overflow encountered
+        # in add" failed it, and the held diagonal was inf
+        matrix = np.diag([0.0, 1e308, 1e308, 1.0, 5e-324, 2.0])
+        matrix[1, 2] = matrix[2, 1] = 9e307  # PSD, and the sum overflows
+        matrix[0, 1] = matrix[1, 0] = 3.0
+        held = self.BUILD[kind](matrix)
+        size = len(held)
+        assert held.tobytes() == matrix[:size, :size].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_asymmetric_entries_are_halved_first(self, kind):
+        # (a + b) overflows; a / 2 + b / 2 is exact at this size and is
+        # the rounded mean of the two; a finite sum keeps (a + b) / 2
+        a = 1.5e308
+        b = np.nextafter(a, np.inf)
+        matrix = np.eye(6)
+        matrix[1, 2], matrix[2, 1] = a, b
+        matrix[0, 0] = 1.0 + 2.0 ** -52
+        held = self.BUILD[kind](matrix)
+        assert held[1, 2] == held[2, 1] == a / 2.0 + b / 2.0
+        assert a <= held[1, 2] <= b
+        assert held[0, 0] == matrix[0, 0] and held[1, 1] == 1.0
+
+
 class TestOneCopyPerState:
     def test_state_never_aliases_its_inputs(self):
         rng = np.random.default_rng(3)

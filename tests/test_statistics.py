@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -610,6 +611,14 @@ class TestMeterCovarianceExactness:
                           se={"d_cov_pq": -1.0, "d_cov_pr": 1.0}),
          r"standard error of d_cov_pq must be finite and nonnegative, "
          r"got -1\.0"),
+        # a standard error whose square Sigma = diag(se**2) cannot hold
+        (MomentSet, dict(n_pulses=1, var_p=1.0, se={"var_p": 1e200}),
+         r"standard error of var_p = 1e\+200 has a square out of "
+         r"floating-point range"),
+        (DeltaStats, dict(n_pulses=2, d_var_p=1.0, d_var_q=1.0,
+                          d_cov_pq=1.0, se={"d_cov_pq": 1e-170}),
+         "standard error of d_cov_pq = 1e-170 has a square out of "
+         "floating-point range"),
         # a non-finite moment, refused as a non-finite standard error is
         (MomentSet, dict(n_pulses=1, var_p=math.nan), "var_p must be finite, "
                                                       "got nan"),
@@ -706,8 +715,48 @@ class TestErrorCovariance:
                            d_cov_pq=0.5, se={"d_var_q": 0.3, "d_cov_pq": 0.1})
         np.testing.assert_array_equal(
             delta.moment_cov, np.diag([0.0, 0.3 * 0.3, 0.1 * 0.1, 0.0]))
-        assert delta.se == {"d_var_q": 0.3, "d_cov_pq": 0.1}
+        # every reported name, 0.0 where none was given
+        assert delta.se == {"d_var_p": 0.0, "d_var_q": 0.3, "d_cov_pq": 0.1}
         assert MomentSet(n_pulses=1, var_p=1.0).moment_cov is None
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_standard_errors_read_sigmas_diagonal(self, n_pulses):
+        measured, reference = _sampled(n_pulses, 2000, 8)
+        delta = delta_stats(measured, reference, 0.7)
+        rng = np.random.default_rng(n_pulses)
+        keyword = [cls(n_pulses=n_pulses, se={
+            name: value for name, value in zip(
+                moments.entries(), rng.uniform(0.0, 2.0, size=6).tolist())
+            if rng.uniform() < 0.6}, **moments.entries())
+            for cls, moments in ((MomentSet, measured), (DeltaStats, delta))]
+        for moments in (measured, reference, delta, *keyword):
+            rows = moments._sigma_rows[n_pulses]
+            want = {name: math.sqrt(moments.moment_cov[rows[name],
+                                                       rows[name]])
+                    for name in moments.entries()}
+            assert moments.se == want
+            assert all(type(value) is float for value in moments.se.values())
+
+    def test_keyword_standard_errors_read_back_as_given(self):
+        # every reported name, 0.0 where none was given, each given value
+        # with its own bits
+        given = {"d_var_p": 0.1, "d_cov_pr": 3.0 ** 0.5,
+                 "d_var_r": 2.0 ** -500}
+        delta = DeltaStats(n_pulses=3, se=given, d_var_p=1.0, d_var_q=1.0,
+                           d_var_r=1.0, d_cov_pq=0.5, d_cov_pr=0.25)
+        assert delta.se == {"d_var_p": 0.1, "d_var_q": 0.0,
+                            "d_var_r": 2.0 ** -500, "d_cov_pq": 0.0,
+                            "d_cov_pr": 3.0 ** 0.5}
+        assert list(delta.se) == list(delta.entries())
+
+    def test_se_is_a_new_dict_that_edits_do_not_reach(self):
+        measured, reference = _sampled(3, 2000, 8)
+        delta = delta_stats(measured, reference, 0.9)
+        before = delta.se
+        edited = delta.se
+        edited["d_cov_pq"] = 1e9
+        assert delta.se == before and delta.se is not delta.se
+        assert delta.se_of("d_cov_pq") == before["d_cov_pq"]
 
     @pytest.mark.parametrize("cls, values", [
         (MomentSet, {"var_p": 4.0}),
@@ -720,13 +769,12 @@ class TestErrorCovariance:
         moments = cls(n_pulses=1, se=se, **values)
         assert moments.moment_cov.dtype == np.float64
         assert moments.moment_cov[0, 0] == 1.6e19
-        assert moments.se == {name: 4_000_000_000}
-        assert type(moments.se[name]) is int
+        assert moments.se == {name: 4e9}
+        assert type(moments.se[name]) is float
 
 
-class TestSigmaRowsBuiltOnce:
-    """Sigma's Python rows are built on construction; what ``se`` and
-    ``_sigma`` give from them equals what the array gives."""
+class TestSigmaRowsReadTheArray:
+    """What ``se`` and ``_sigma`` give equals what the array gives."""
 
     @staticmethod
     def _reference_sigma(moments, names):
@@ -775,8 +823,8 @@ class TestSigmaRowsBuiltOnce:
 def report_se_from_array(report, delta):
     """``certify``'s standard errors, Sigma read from the array."""
     from qndcert.certification import _INPUTS, _figures, _inputs
-    sigma = TestSigmaRowsBuiltOnce._reference_sigma(delta,
-                                                    _INPUTS + ("var_p",))
+    sigma = TestSigmaRowsReadTheArray._reference_sigma(
+        delta, _INPUTS + ("var_p",))
     sd = report.var_p_se
     rescale = sd / np.sqrt(sigma[4][4])
     for i in range(4):
@@ -814,10 +862,11 @@ class TestPropagation:
         assert se["y"] == pytest.approx(1.0, rel=1e-9)
         assert len(calls) == 2 and all(point[0] == 2.0 for point in calls)
 
-    def test_overflow_gives_inf_with_a_warning(self):
+    def test_overflow_gives_inf_without_a_warning(self):
         # just below sqrt(max float): squaring the upper point overflows,
-        # which Python raises on and float64 turns into inf
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # which Python raises on and float64 turns into inf, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             se = statistics._propagate_se(lambda v: {"y": v[0] ** 2},
                                           [1.3407807e154], [[1.0]], ("y",))
         assert se["y"] == np.inf
