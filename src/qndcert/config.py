@@ -16,7 +16,8 @@ Schema (top level; unknown keys are rejected)::
 
 Validation failures raise ConfigError naming the offending field; JSON
 syntax errors carry the line and column.  The model's own refusals, such
-as an asymmetric covariance block, come as ConfigError too.
+as an asymmetric covariance block, come as ConfigError too.  A loaded
+config holds the initial state that it built and checked.
 """
 
 from __future__ import annotations
@@ -47,18 +48,14 @@ class ExperimentConfig:
     seed: int
     params: ExperimentParams
     noise: NoiseModel
-    atomic: AtomicBlock
-    optical: OpticalBlock
+    initial: GaussianState
     j33: float
     j0: float
     z_threshold: float
 
-    @property
-    def layout(self) -> Layout:
-        return Layout(self.n_pulses)
-
     def initial_state(self) -> GaussianState:
-        return make_initial_state(self.atomic, self.optical, self.layout)
+        """The pre-interaction state, built and checked at load."""
+        return self.initial
 
 
 def _number(raw: dict, field: str, default=None, minimum=None, maximum=None,
@@ -121,33 +118,23 @@ def _matrix(value, size: int, field: str) -> np.ndarray:
     return out
 
 
-def _parse_atoms(raw: dict) -> AtomicBlock:
-    section = raw.get("atoms")
+def _parse_block(raw: dict, name: str, n_pulses: int) -> AtomicBlock | OpticalBlock:
+    """The ``atoms`` or ``light`` section as its block: coherent from a
+    count, or a mean with its covariance; the light covers ``n_pulses``."""
+    block, count, mean = {"atoms": (AtomicBlock, "n_atoms", "mean_jx"),
+                          "light": (OpticalBlock, "n_photons", "mean_sx")}[name]
+    pulses = (n_pulses,) if name == "light" else ()
+    section = raw.get(name)
     if not isinstance(section, dict):
-        raise ConfigError("atoms: required section")
-    if "n_atoms" in section:
-        if set(section) != {"n_atoms"}:
-            raise ConfigError("atoms: n_atoms cannot be combined with other keys")
-        return AtomicBlock.coherent(_number(section, "n_atoms", minimum=0.0))
-    if set(section) != {"mean_jx", "cov"}:
-        raise ConfigError("atoms: expected n_atoms, or mean_jx with cov")
-    return AtomicBlock(mean_jx=_number(section, "mean_jx"),
-                       cov=_matrix(section["cov"], 3, "atoms.cov"))
-
-
-def _parse_light(raw: dict, n_pulses: int) -> OpticalBlock:
-    section = raw.get("light")
-    if not isinstance(section, dict):
-        raise ConfigError("light: required section")
-    if "n_photons" in section:
-        if set(section) != {"n_photons"}:
-            raise ConfigError("light: n_photons cannot be combined with other keys")
-        return OpticalBlock.coherent(_number(section, "n_photons", minimum=0.0),
-                                     n_pulses)
-    if set(section) != {"mean_sx", "cov"}:
-        raise ConfigError("light: expected n_photons, or mean_sx with cov")
-    return OpticalBlock(mean_sx=_number(section, "mean_sx"),
-                        cov=_matrix(section["cov"], 3 * n_pulses, "light.cov"))
+        raise ConfigError(f"{name}: required section")
+    if count in section:
+        if set(section) != {count}:
+            raise ConfigError(f"{name}: {count} cannot be combined with other keys")
+        return block.coherent(_number(section, count, minimum=0.0), *pulses)
+    if set(section) != {mean, "cov"}:
+        raise ConfigError(f"{name}: expected {count}, or {mean} with cov")
+    return block(_number(section, mean), _matrix(
+        section["cov"], 3 * n_pulses if pulses else 3, f"{name}.cov"))
 
 
 def _parse_noise(raw: dict) -> NoiseModel:
@@ -204,19 +191,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
     try:
-        config = _parse(raw)
-        config.initial_state()  # surface block inconsistencies now
+        return _parse(raw)
     except (QndError, ValueError) as exc:  # a ConfigError keeps its words
         raise ConfigError(str(exc)) from None
-    return config
 
 
 def _parse(raw: dict) -> ExperimentConfig:
     n_pulses = _integer(raw, "n_pulses")
     if n_pulses not in (1, 2, 3):
         raise ConfigError(f"n_pulses: must be 1, 2 or 3, got {n_pulses}")
-    atomic = _parse_atoms(raw)
-    optical = _parse_light(raw, n_pulses)
+    atomic, optical = (_parse_block(raw, name, n_pulses)
+                       for name in ("atoms", "light"))
     noise = _parse_noise(raw)
     g_tau = _parse_coupling(raw, optical.mean_sx)
     r_a = _number(raw, "r_a", default=1.0, minimum=0.0, maximum=1.0)
@@ -237,9 +222,9 @@ def _parse(raw: dict) -> ExperimentConfig:
         seed=_integer(raw, "seed", default=1, minimum=0),
         params=params,
         noise=noise,
-        atomic=atomic,
-        optical=optical,
         j33=j33,
         j0=j0,
         z_threshold=_number(raw, "z_threshold", default=3.0, minimum=0.0),
+        # built last, so that every field's own refusal comes first
+        initial=make_initial_state(atomic, optical, Layout(n_pulses)),
     )

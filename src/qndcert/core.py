@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -91,13 +92,20 @@ def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
     _require_finite(matrix, what)
     # A contiguous transpose: numpy is slower on the strided view.
     transpose = matrix.T.copy()
-    # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
-    # largest entry is its largest magnitude
-    gap = float((matrix - transpose).max())
     largest = float(abs(matrix).max())
-    if gap > SYMMETRY_RTOL * largest:
+    near_max = largest > _HALF_MAX
+    # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
+    # largest entry is its largest magnitude.  Past _HALF_MAX it may
+    # overflow, so the halves are compared: exact at that size.
+    if near_max:
+        half = float((matrix / 2.0 - transpose / 2.0).max())
+        refused, gap = half > SYMMETRY_RTOL * (largest / 2.0), 2 * Decimal(half)
+    else:
+        gap = float((matrix - transpose).max())
+        refused = gap > SYMMETRY_RTOL * largest
+    if refused:
         raise NotSymmetricError(f"{what} departs from symmetry by {gap:.3e}")
-    return _symmetric_part(matrix, transpose, largest > _HALF_MAX)
+    return _symmetric_part(matrix, transpose, near_max)
 
 
 def _symmetric_part(matrix: np.ndarray, transpose: np.ndarray,
@@ -305,11 +313,15 @@ def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
 
 def _psd_violation(cov: np.ndarray, what: str) -> str | None:
     """Why ``cov``, named ``what``, is not PSD within ``PSD_RTOL *
-    trace``, or None."""
+    trace``, or None.  Where the trace overflows, the tolerance sums the
+    diagonal scaled by ``PSD_RTOL`` instead."""
     min_eig = float(np.linalg.eigvalsh(cov)[0])
     if min_eig >= 0.0:  # inside every tolerance: no trace needed
         return None
-    tol = PSD_RTOL * max(float(cov.trace()), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+        tol = PSD_RTOL * max(float(cov.trace()), 0.0)
+    if not math.isfinite(tol):
+        tol = max(float((cov.diagonal() * PSD_RTOL).sum()), 0.0)
     if min_eig >= -tol:
         return None
     return (f"{what} has eigenvalue {min_eig:.6e} below tolerance "

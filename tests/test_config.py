@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qndcert import ConfigError, load_config
+from qndcert import ConfigError, core, load_config
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -40,6 +40,24 @@ class TestLoading:
         state = config.initial_state()
         assert state.dimension == 12
         assert state.mean[0] == 50.0
+
+    def test_initial_state_is_checked_once_and_held(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        check = core._require_psd
+        monkeypatch.setattr(core, "_require_psd",
+                            lambda cov: calls.append(cov) or check(cov))
+        config = load_config(_write(tmp_path, BASE))
+        assert len(calls) == 1
+        state = config.initial_state()
+        assert config.initial_state() is state
+        assert len(calls) == 1
+        assert state.cov is calls[0]
+
+    def test_config_holds_no_separate_blocks(self, tmp_path):
+        config = load_config(_write(tmp_path, BASE))
+        for name in ("atomic", "optical", "layout"):
+            assert not hasattr(config, name)
 
     def test_explicit_blocks_and_noise(self, tmp_path):
         payload = {
@@ -102,7 +120,15 @@ class TestValidation:
 
     def test_atoms_forms_are_exclusive(self, tmp_path):
         payload = dict(BASE, atoms={"n_atoms": 100.0, "mean_jx": 50.0})
-        with pytest.raises(ConfigError, match="atoms"):
+        with pytest.raises(ConfigError, match="^atoms: n_atoms cannot be "
+                           "combined with other keys$"):
+            load_config(_write(tmp_path, payload))
+
+    def test_light_forms_are_exclusive(self, tmp_path):
+        # one parser reads both sections, each in its own words
+        payload = dict(BASE, light={"n_photons": 100.0, "mean_sx": 50.0})
+        with pytest.raises(ConfigError, match="^light: n_photons cannot be "
+                           "combined with other keys$"):
             load_config(_write(tmp_path, payload))
 
     def test_light_cov_shape_must_match_pulses(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from qndcert import (
     AtomicBlock,
     DimensionMismatchError,
+    ExperimentParams,
     GaussianState,
     Layout,
     LayoutError,
@@ -11,11 +12,13 @@ from qndcert import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     OpticalBlock,
+    SamplerUnsupportedError,
     UndefinedInputError,
     get_entry,
     make_initial_state,
 )
 from qndcert.core import PSD_RTOL
+from qndcert.montecarlo import arm_chunks
 
 
 class TestLayout:
@@ -252,8 +255,14 @@ class TestGaussianState:
 
 class TestUnitFreeSymmetryRule:
     """An entering matrix may depart from symmetry by a fixed fraction of
-    its largest entry, so its unit does not decide whether it is
-    accepted."""
+    its largest entry, and from positivity by a fixed fraction of its
+    trace, so its unit does not decide whether it is accepted."""
+
+    # Every power-of-two scale at which the entries and their departure
+    # stay normal and finite: the smallest departure, one ulp of 0.5, is
+    # 2**-53, so it is normal from 2**-969; the largest entry, 1, is
+    # finite to 2**1023, which is past half the float maximum.
+    SCALES = range(-1022 + 53, 1024)
 
     BUILD = {
         "block": lambda m: AtomicBlock(50.0, m[:3, :3]),
@@ -271,7 +280,7 @@ class TestUnitFreeSymmetryRule:
         matrix = np.eye(6) + 0.5 * (np.eye(6, k=1) + np.eye(6, k=-1))
         matrix[2, 1] += gap
         decisions = {}
-        for s in range(-60, 61):
+        for s in self.SCALES:
             try:
                 self.BUILD[kind](matrix * 2.0 ** s)
                 decisions[s] = True
@@ -279,6 +288,39 @@ class TestUnitFreeSymmetryRule:
                 decisions[s] = False
         assert decisions[0] is accepted
         assert [s for s, d in decisions.items() if d is not accepted] == []
+
+    PSD = {
+        "state": lambda m: _accepted(NotPositiveSemidefiniteError,
+                                     GaussianState, Layout(1), np.zeros(6), m),
+        "noise": lambda m: NoiseModel(m)._psd,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PSD))
+    @pytest.mark.parametrize("least, accepted", [
+        (-4.0, False), (-0.25, True), (0.0, True)],
+        ids=["4-tolerances-below", "quarter-tolerance-below", "psd"])
+    def test_power_of_two_scale_keeps_the_positivity_decision(
+            self, kind, least, accepted):
+        # eigenvalues 1..5, and one ``least`` tolerances (PSD_RTOL *
+        # trace) from 0, in a rotated basis: eigenvalues up to 5 * 2**s
+        # stay finite to 2**1021, where the trace overflows
+        rotation = np.linalg.qr(np.random.default_rng(7).normal(
+            size=(6, 6)))[0]
+        eigenvalues = [least * PSD_RTOL * 15.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        matrix = (rotation * eigenvalues) @ rotation.T
+        matrix = (matrix + matrix.T) / 2.0
+        decisions = {s: self.PSD[kind](matrix * 2.0 ** s)
+                     for s in range(self.SCALES.start, 1022)}
+        assert decisions[0] is accepted
+        assert [s for s, d in decisions.items() if d is not accepted] == []
+
+
+def _accepted(error, build, *args) -> bool:
+    try:
+        build(*args)
+    except error:
+        return False
+    return True
 
 
 class TestNearTheFloatMaximum:
@@ -300,6 +342,41 @@ class TestNearTheFloatMaximum:
         held = self.BUILD[kind](matrix)
         size = len(held)
         assert held.tobytes() == matrix[:size, :size].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_asymmetry_past_half_the_maximum_is_refused_finitely(self, kind):
+        # m - m' overflowed: numpy warned, and the gap read "inf"
+        matrix = np.eye(6)
+        matrix[1, 2], matrix[2, 1] = 1e308, -1e308
+        with pytest.raises(NotSymmetricError) as refused:
+            self.BUILD[kind](matrix)
+        assert str(refused.value).endswith("departs from symmetry by 2.000e+308")
+
+    @staticmethod
+    def _indefinite_past_the_maximum():
+        # the trace, 2e308, overflows; the least eigenvalue is -5e307
+        matrix = np.zeros((6, 6))
+        matrix[2, 2] = matrix[4, 4] = 1e308
+        matrix[2, 4] = matrix[4, 2] = -1.5e308
+        return matrix
+
+    def test_indefinite_matrix_past_the_maximum(self):
+        matrix = self._indefinite_past_the_maximum()
+        assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(-5e307)
+        assert not NoiseModel(matrix)._psd
+
+    def test_indefinite_noise_past_the_maximum_is_not_sampled(self):
+        noise = NoiseModel(self._indefinite_past_the_maximum())
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 1), Layout(1))
+        with pytest.raises(SamplerUnsupportedError, match="noise matrix"):
+            arm_chunks(ExperimentParams(0.02, 50.0, 50.0), noise, initial, 10,
+                       seed=1)
+
+    def test_indefinite_state_past_the_maximum_is_refused(self):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            GaussianState(Layout(1), np.zeros(6),
+                          self._indefinite_past_the_maximum())
 
     @pytest.mark.parametrize("kind", sorted(BUILD))
     def test_asymmetric_entries_are_halved_first(self, kind):
