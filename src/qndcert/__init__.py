@@ -77,7 +77,6 @@ from .statistics import (
     DeltaStats,
     MomentAccumulator,
     MomentSet,
-    conditional_variance_from_stats,
     delta_stats,
     meter_moments,
     no_atoms_moments,

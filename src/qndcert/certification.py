@@ -17,13 +17,14 @@ bits.  A figure that cannot be formed, or is not finite, is None with
 its reason.  Three input-referred uncertainty figures, normalized to the
 projection noise j0 = |<J_x>|/2, decide non-classicality:
 
-    dx2_s_given_m = (d_cov_pq / d_cov_pr)
-                    * [j33/j0 + (d_var_q - d_var_p - d_cov_pq**2/var_p)/(kappa**2 j0)]
+    dx2_s_given_m = (d_cov_pq / d_cov_pr) * [j33/j0 + (d_var_q - d_var_p
+                    - d_cov_pq (d_cov_pq / var_p)) / (kappa**2 j0)]
     dx2_m         = (var_p - kappa**2 j33) / (kappa**2 j0)
-    dx2_s         = d_cov_pq (d_var_q - d_var_p) / (d_cov_pr kappa**2 j0)
+    dx2_s         = (d_cov_pq / d_cov_pr) ((d_var_q - d_var_p) / (kappa**2 j0))
 
-dx2_s_given_m < 1 certifies conditional state preparation beyond the
-projection noise; dx2_s * dx2_m < 1 certifies an information-damage
+Like the transfer figures, each is a product of ratios of terms in one
+unit.  dx2_s_given_m < 1 certifies conditional state preparation beyond
+the projection noise; dx2_s * dx2_m < 1 certifies an information-damage
 tradeoff no classical meter chain can reach.  dx2_s may legitimately be
 negative when atom loss dominates; it is reported signed and clipped to
 zero only inside the product.  The readout squeezed the spin below its
@@ -179,7 +180,7 @@ def _figures(v, k2: float, j33: float, j0: float,
         figures["dx2_s_given_m"] = cond / j0
         return figures
     figures["dx2_s_given_m"] = (d_cov_pq / d_cov_pr) * cond / j0
-    dx2_s = d_cov_pq * (d_var_q - d_var_p) / (d_cov_pr * k2 * j0)
+    dx2_s = (d_cov_pq / d_cov_pr) * ((d_var_q - d_var_p) / (k2 * j0))
     figures["dx2_s"] = dx2_s
     figures["product_sm"] = max(0.0, dx2_s) * max(0.0, figures["dx2_m"])
     return figures

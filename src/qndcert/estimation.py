@@ -9,7 +9,12 @@ makes certification possible without trusting the apparatus model.
 * r_A again from the variance-difference ratio
   (d_var_r - d_var_q) / (d_var_q - d_var_p) = r_A**2  (cross-check),
 * the noise entries N33, N35, N55 by direct inversion of the closed
-  forms, given the calibrated kappa and input spin variance.
+  forms, given the calibrated kappa and input spin variance,
+* the spin variance conditioned on the first meter, ``cond_var_jz``.
+
+It and :func:`~qndcert.certify` are the two readers of measured
+statistics: each forms the conditional variance once, by
+``statistics._conditional_variance``.
 
 Disagreement between the two r_A routes is a model-consistency
 diagnostic, not an error.  One function of the five delta moments the
@@ -31,7 +36,7 @@ from .statistics import (
     _calibration_k2,
     _conditional_variance,
     _propagate_se,
-    _require_conditioning,
+    _require_finite_squares,
 )
 
 __all__ = [
@@ -131,8 +136,10 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
         N33 = (d_var_q - d_var_p + kappa**2 j33 (1 - r_a**2)) / kappa**2
         N35 = (d_cov_pq - kappa**2 j33 r_a) / kappa
 
-    at the primary r_a = d_cov_pr / d_cov_pq; ``cond_var_jz`` is
-    :func:`~qndcert.conditional_variance_from_stats`.
+    at the primary r_a = d_cov_pr / d_cov_pq, and ``cond_var_jz``, the
+    spin variance after the first readout, from measured statistics only:
+
+        j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
     """
     if delta.n_pulses != 3:
         raise UndefinedInputError(
@@ -145,7 +152,9 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
             f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
             f"floor {floor_pq:.6g}"
         )
-    _require_conditioning(delta, var_p)
+    if not var_p > 0.0:
+        raise UndefinedInputError(f"var_p must be positive, got {var_p}")
+    _require_finite_squares({"d_cov_pq": delta.d_cov_pq})
     return _inversion(delta, var_p, kappa, k2, j33, z_threshold)
 
 

@@ -38,9 +38,9 @@ from .core import (
     make_initial_state,
 )
 from .dynamics import ExperimentParams, NoiseModel, apply_pulse, propagate
+from .estimation import invert_three_pulse
 from .montecarlo import empirical_check, simulate_moments
 from .statistics import (
-    conditional_variance_from_stats,
     delta_stats,
     meter_moments,
     no_atoms_moments,
@@ -117,8 +117,8 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
                       initial: GaussianState, j0: float) -> float:
     """Worst relative disagreement, on one model, between every closed form
     and its matrix route: meter moments against :func:`propagate`, the
-    conditional spin variance (model and measured-statistics forms) against
-    rank-1 conditioning on the first meter, and the correlation and
+    conditional spin variance (the model form, and the measured-statistics
+    form of :func:`invert_three_pulse`) against rank-1 conditioning on the first meter, and the correlation and
     uncertainty figures of one :func:`certify` report against their
     definitions in matrix entries.
     Each error is relative to the larger of the expected value and a
@@ -142,7 +142,7 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
     delta = delta_stats(predicted, no_atoms_moments(params, initial),
                         params.r_l)
     worst = max(worst, _err(
-        conditional_variance_from_stats(delta, var_p, kappa, j33),
+        invert_three_pulse(delta, var_p, kappa, j33).cond_var_jz,
         cond_direct, scale=1e-3 * j33))
 
     # Correlation figures against their matrix definitions.
@@ -191,8 +191,8 @@ def _suite_reference_values(sign: float) -> SuiteResult:
         "d_var_q": (delta.d_var_q, 25.0),
         "d_cov_pr": (delta.d_cov_pr, 25.0),
         "cond_ideal": (conditional_variance_ideal(25.0, 25.0, 1.0), 12.5),
-        "cond_stats": (conditional_variance_from_stats(
-            delta, predicted.var_p, kappa, 25.0), 12.5),
+        "cond_stats": (invert_three_pulse(
+            delta, predicted.var_p, kappa, 25.0).cond_var_jz, 12.5),
         "c2_in_meter": (figures.c2_in_meter, 0.5),
         "c2_in_out": (figures.c2_in_out, 1.0),
         "c2_out_meter": (figures.c2_out_meter, 0.5),
@@ -253,8 +253,8 @@ def _suite_delta_identity(n_sets: int, seed: int, sign: float,
         reference = no_atoms_moments(params, initial)
         r_l = math.sqrt(params.r_l) if corrupt else params.r_l
         delta = delta_stats(predicted, reference, r_l)
-        cond = conditional_variance_from_stats(delta, predicted.var_p,
-                                               params.kappa, j33)
+        cond = invert_three_pulse(delta, predicted.var_p, params.kappa,
+                                  j33).cond_var_jz
         worst = max(worst, _err(
             cond, conditional_variance_general(params, noise, j33, c22),
             scale=1e-3 * j33))

@@ -69,7 +69,6 @@ __all__ = [
     "predicted_moments",
     "no_atoms_moments",
     "delta_stats",
-    "conditional_variance_from_stats",
 ]
 
 # Moment name -> its meter covariance entry (j, k), j <= k, in report order.
@@ -397,34 +396,6 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
                           moment_cov)
 
 
-def conditional_variance_from_stats(delta: DeltaStats, var_p: float,
-                                    kappa: float, j33: float) -> float:
-    """Spin variance after the first readout, from measured statistics only:
-
-        j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
-
-    ``var_p`` is the probe-arm meter variance (not reference-subtracted).
-    Needs two pulses, a calibration (``_calibration_k2``), then a positive
-    ``var_p`` and a finite ``d_cov_pq**2``, as ``invert_three_pulse`` does.
-    """
-    if delta.n_pulses < 2:
-        raise UndefinedInputError(
-            "measured conditional variance needs at least two pulses"
-        )
-    k2 = _calibration_k2(kappa, j33)
-    _require_conditioning(delta, var_p)
-    return _conditional_variance(delta.d_var_p, delta.d_var_q,
-                                 delta.d_cov_pq, var_p, k2, j33)
-
-
-def _require_conditioning(delta: DeltaStats, var_p: float) -> None:
-    """Refuse, past the calibration, a ``var_p`` that is not positive (NaN
-    included) and a ``d_cov_pq`` whose square overflows."""
-    if not var_p > 0.0:
-        raise UndefinedInputError(f"var_p must be positive, got {var_p}")
-    _require_finite_squares({"d_cov_pq": delta.d_cov_pq})
-
-
 def _require_finite_squares(values: dict[str, float]) -> None:
     """Refuse a value, by name, whose square overflows: Python's ``x ** 2``
     raises there, where ``x * x`` gives inf.  NaN passes."""
@@ -436,9 +407,8 @@ def _require_finite_squares(values: dict[str, float]) -> None:
 
 def _calibration_k2(kappa: float, j33: float,
                     j0: float | None = None) -> float:
-    """``kappa**2``, by the one calibration rule, which ``certify``,
-    ``invert_three_pulse`` and ``conditional_variance_from_stats`` apply
-    first.  In order, it refuses: ``j33`` negative, ``j0`` (if given) not
+    """``kappa**2``, by the one calibration rule, which ``certify`` and
+    ``invert_three_pulse``, its two callers, apply first.  In order, it refuses: ``j33`` negative, ``j0`` (if given) not
     positive, ``kappa`` zero, any of them not finite, and ``kappa**2`` or
     its products with ``j33`` and ``j0`` overflowing, or underflowing to
     0 from nonzero factors.  Valid input takes the first comparisons."""
@@ -469,8 +439,16 @@ def _calibration_k2(kappa: float, j33: float,
 
 
 def _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33):
-    # The docstring form above, with k2 = kappa**2; unchecked.
-    return j33 + (d_var_q - d_var_p - d_cov_pq ** 2 / var_p) / k2
+    """Spin variance after the first readout, from measured statistics
+    only, with k2 = kappa**2 and ``var_p`` the probe arm's (not
+    reference-subtracted); unchecked:
+
+        j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
+
+    ``d_cov_pq**2 / var_p`` is formed as ``d_cov_pq (d_cov_pq / var_p)``,
+    whose terms stay in range where records are scaled far from unit.
+    """
+    return j33 + (d_var_q - d_var_p - d_cov_pq * (d_cov_pq / var_p)) / k2
 
 
 def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:

@@ -26,7 +26,6 @@ from qndcert import (
     apply_pulse,
     certify,
     closed_form_error,
-    conditional_variance_from_stats,
     conditional_variance_general,
     conditional_variance_ideal,
     delta_stats,
@@ -147,8 +146,7 @@ def test_criterion_2_ideal_exact_values(capsys):
             "cond_ideal": (conditional_variance_ideal(25.0, 25.0, 1.0), 12.5),
             "cond_general": (
                 conditional_variance_general(params, noise, 25.0, 25.0), 12.5),
-            "cond_measured": (conditional_variance_from_stats(
-                delta, predicted.var_p, 1.0, 25.0), 12.5),
+            "cond_measured": (report.estimates.cond_var_jz, 12.5),
             "c2_in_out": (figures.c2_in_out, 1.0),
             "dx2_s": (ncl.dx2_s, 0.0),
             "dx2_m": (ncl.dx2_m, 1.0),
@@ -281,8 +279,7 @@ def _figure_bundle(params, noise, initial, j33, j0):
     report = certify(delta, predicted.var_p, abs(params.kappa), j33, j0)
     figures = report.figures
     values = dict(predicted.entries())
-    values["cond"] = conditional_variance_from_stats(
-        delta, predicted.var_p, abs(params.kappa), j33)
+    values["cond"] = report.estimates.cond_var_jz
     for name in ("c2_in_meter", "c2_in_out", "c2_out_meter"):
         values[name] = getattr(figures, name)
     ncl = report.nonclassical

@@ -18,12 +18,12 @@ from qndcert import (
     OpticalBlock,
     UndefinedInputError,
     certify,
-    conditional_variance_from_stats,
     delta_stats,
     dump_json,
     exit_code,
     invert_three_pulse,
     MomentAccumulator,
+    MomentSet,
     make_initial_state,
     no_atoms_moments,
     predicted_moments,
@@ -468,13 +468,13 @@ def _array_route_se(report, delta, var_p, var_p_se):
         return (v[5] - k2 * j33) / (k2 * j0)
 
     def f_cond(v):
-        return j33 + (v[1] - v[0] - v[3] ** 2 / v[5]) / k2
+        return j33 + (v[1] - v[0] - v[3] * (v[3] / v[5])) / k2
 
     def f_sgm(v):
         return (v[3] / v[4]) * f_cond(v) / j0 if exact_route else f_cond(v) / j0
 
     def f_s(v):
-        return v[3] * (v[1] - v[0]) / (v[4] * k2 * j0)
+        return (v[3] / v[4]) * ((v[1] - v[0]) / (k2 * j0))
 
     def f_prod(v):
         return max(0.0, f_s(v)) * max(0.0, f_m(v))
@@ -746,9 +746,9 @@ class TestStandardErrorCoverage:
         noise = NoiseModel.from_entries(_README_NOISE)
         initial = _coverage_initial()
         exact = predicted_moments(params, noise, initial)
-        j0 = conditional_variance_from_stats(
+        j0 = invert_three_pulse(
             delta_stats(exact, no_atoms_moments(params, initial), params.r_l),
-            exact.var_p, 2.0, 25.0) / 0.8
+            exact.var_p, 2.0, 25.0).cond_var_jz / 0.8
         passed = []
         for measured, reference in ensemble(0.8, _README_NOISE):
             report = certify(delta_stats(measured, reference, params.r_l),
@@ -822,6 +822,31 @@ class TestUnitInvariance:
         assert noise.n35 == base_noise.n35 * 2.0 ** s
         assert noise.n55 == base_noise.n55 * 4.0 ** s
         assert scaled.squeezing.margin == base.squeezing.margin * 16.0 ** s
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_analytic_moments_far_below_unit_scale(self, kappa):
+        # at 2**-540, dx2_s's denominator d_cov_pr kappa**2 j0 underflowed
+        # to 0: a ZeroDivisionError at kappa 1.  And d_cov_pq**2 lost
+        # bits, so cond_var_jz read 8.904 for 9.467.  The squeezing
+        # margin, a difference of moments squared, is left out.
+        params = ExperimentParams.from_kappa(kappa, mean_sx=50.0,
+                                             mean_jx=50.0, r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries(_README_NOISE)
+        initial = _coverage_initial()
+        reports = []
+        for s in (0, -540):
+            measured, reference = (
+                MomentSet(3, **{name: value * 2.0 ** s for name, value
+                                in moments.entries().items()})
+                for moments in (predicted_moments(params, noise, initial),
+                                no_atoms_moments(params, initial)))
+            reports.append(certify(delta_stats(measured, reference, 0.9),
+                                   measured.var_p, kappa * 2.0 ** (s / 2),
+                                   25.0, 25.0))
+        base, scaled = reports
+        for key in ("figures", "nonclassical", "reasons", "warnings"):
+            assert getattr(scaled, key) == getattr(base, key), key
+        assert scaled.estimates.cond_var_jz == base.estimates.cond_var_jz
 
 
 class TestReportSerialization:

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from qndcert import (
-    DeltaStats,
     GaussianState,
     Layout,
     UndefinedInputError,
     apply_pulse,
     condition_on_component,
-    conditional_variance_from_stats,
     conditional_variance_general,
     conditional_variance_ideal,
     delta_stats,
     get_entry,
+    invert_three_pulse,
     no_atoms_moments,
     predicted_moments,
 )
@@ -107,13 +106,6 @@ class TestConditionalVariance:
             else:
                 conditional_variance_general(params, noise, j33, c22)
 
-    def test_measured_form_needs_two_pulses(self):
-        delta = DeltaStats(n_pulses=1, d_var_p=25.0)
-        with pytest.raises(UndefinedInputError,
-                           match="^measured conditional variance needs at "
-                                 "least two pulses$"):
-            conditional_variance_from_stats(delta, 50.0, 1.0, 25.0)
-
     def test_general_reduces_to_ideal(self, ideal_set):
         params, _, _ = ideal_set
         from qndcert import NoiseModel
@@ -136,8 +128,8 @@ class TestConditionalVariance:
         measured = predicted_moments(params, noise, initial)
         delta = delta_stats(measured, no_atoms_moments(params, initial),
                             params.r_l)
-        from_stats = conditional_variance_from_stats(delta, measured.var_p,
-                                                     params.kappa, 25.0)
+        from_stats = invert_three_pulse(delta, measured.var_p, params.kappa,
+                                        25.0).cond_var_jz
         assert from_stats == pytest.approx(
             conditional_variance_general(params, noise, 25.0, 25.0),
             rel=1e-12)

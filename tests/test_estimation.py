@@ -8,7 +8,6 @@ from qndcert import (
     UndefinedInputError,
     UninformativeCouplingError,
     certify,
-    conditional_variance_from_stats,
     delta_stats,
     invert_three_pulse,
     no_atoms_moments,
@@ -184,8 +183,6 @@ _CALIBRATED = {
         certify(delta, var_p, kappa, j33, j0),
     "invert_three_pulse": lambda delta, var_p, kappa, j33, j0:
         invert_three_pulse(delta, var_p, kappa, j33),
-    "conditional_variance_from_stats": lambda delta, var_p, kappa, j33, j0:
-        conditional_variance_from_stats(delta, var_p, kappa, j33),
 }
 
 
@@ -196,7 +193,7 @@ class TestCalibrationRange:
         if entry == "certify" or "j0" not in calibration])
     def test_every_entry_point_refuses(self, noisy_set, entry, calibration,
                                        message):
-        # one rule for all three: the same refusal, word for word
+        # one rule for both: the same refusal, word for word
         delta, measured = _analytic_delta(noisy_set)
         arguments = {"kappa": 1.0, "j33": 25.0, "j0": 25.0, **calibration}
         with pytest.raises(UndefinedInputError, match=message):
@@ -204,19 +201,17 @@ class TestCalibrationRange:
 
 
 class TestAfterTheCalibration:
-    """Past the calibration, both entry points that form the conditional
-    variance refuse alike: a ``var_p`` that is not positive, and a
-    ``d_cov_pq`` whose square overflows."""
+    """Past the calibration, the inversion refuses a ``var_p`` that is not
+    positive, and both entry points a ``d_cov_pq`` whose square
+    overflows."""
 
     @pytest.mark.parametrize("var_p", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("entry", ["invert_three_pulse",
-                                       "conditional_variance_from_stats"])
-    def test_var_p_not_positive_is_refused(self, noisy_set, entry, var_p):
+    def test_var_p_not_positive_is_refused(self, noisy_set, var_p):
         # a NaN passed "var_p <= 0.0", and cond_var_jz came back NaN
         delta, _ = _analytic_delta(noisy_set)
         with pytest.raises(UndefinedInputError,
                            match=f"^var_p must be positive, got {var_p}$"):
-            _CALIBRATED[entry](delta, var_p, 1.0, 25.0, 25.0)
+            invert_three_pulse(delta, var_p, 1.0, 25.0)
 
     @pytest.mark.parametrize("entry", list(_CALIBRATED))
     def test_d_cov_pq_whose_square_overflows_is_refused(self, entry):
