@@ -41,7 +41,7 @@ _TOP_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     n_pulses: int
     n_shots: int

@@ -176,7 +176,7 @@ class Layout:
         return slice(self.index("P_y"), None, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicBlock:
     """Collective-spin input: mean x-polarization and 3x3 covariance."""
 
@@ -209,7 +209,7 @@ class AtomicBlock:
         return abs(self.mean_jx) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalBlock:
     """Stokes input for all pulses: mean x-polarization (shared) and the
     3n x 3n covariance, which may correlate different pulses."""
@@ -247,7 +247,7 @@ class OpticalBlock:
         return cls(mean_sx=n_photons / 2.0, cov=cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Mean vector and symmetric covariance over a :class:`Layout`.
 

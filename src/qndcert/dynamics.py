@@ -113,7 +113,7 @@ class ExperimentParams:
                    r_a=r_a, r_l=r_l)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Symmetric 6x6 per-pulse noise over (J_x, J_y, J_z, S_x, S_y, S_z).
 
@@ -129,7 +129,7 @@ class NoiseModel:
     """
 
     matrix: np.ndarray
-    _psd: bool = field(init=False, repr=False, compare=False)
+    _psd: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)

@@ -284,20 +284,13 @@ class MomentAccumulator:
                              + np.outer(delta, delta) * (n_a * n_b / n))
             self.count = n
 
-    @property
-    def covariance(self) -> np.ndarray:
-        """Unbiased (n-1 normalized) covariance of everything seen so far."""
-        if self.count < 2:
-            raise UndefinedInputError("need at least 2 rows for a covariance")
-        return self.comoment / (self.count - 1)
-
     def moments(self) -> MomentSet:
-        """Unbiased sample moments of the rows seen, with their error
-        covariance (Isserlis, see the module docstring)."""
+        """Unbiased (n-1 normalized) sample moments of the rows seen, with
+        their error covariance (Isserlis, see the module docstring)."""
         n = self.count
         if n < 2:
             raise UndefinedInputError("need at least 2 shots per arm")
-        cov = self.covariance
+        cov = self.comoment / (n - 1)
         j, k = np.array([_ENTRIES[name] for name
                          in MomentSet._reported[self.mean.size]]).T
         moment_cov = (cov[np.ix_(j, j)] * cov[np.ix_(k, k)]

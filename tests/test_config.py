@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -53,6 +54,19 @@ class TestLoading:
         assert config.initial_state() is state
         assert len(calls) == 1
         assert state.cov is calls[0]
+
+    def test_configs_compare_and_hash_by_identity(self, tmp_path):
+        # the generated __eq__ compared numpy arrays: == raised ValueError,
+        # and hash() a TypeError on the unhashable arrays
+        path = _write(tmp_path, BASE)
+        config = load_config(path)
+        assert (config == load_config(path)) is False
+        assert config == config
+        state = config.initial_state()
+        for value in (config, config.noise, state, core.AtomicBlock.coherent(
+                100.0), core.OpticalBlock.coherent(100.0, 3)):
+            assert {value: 1}[value] == 1
+            assert (value == copy.copy(value)) is False
 
     def test_config_holds_no_separate_blocks(self, tmp_path):
         config = load_config(_write(tmp_path, BASE))

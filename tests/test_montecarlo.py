@@ -362,7 +362,7 @@ class TestConvergence:
                 if acc.count == 0:
                     small += abs(np.var(chunk[:1000, 0], ddof=1) - 50.0)
                 acc.update(chunk)
-            large += abs(acc.covariance[0, 0] - 50.0)
+            large += abs(acc.moments().cov[0, 0] - 50.0)
         assert large < small / 3.0
 
 
