@@ -118,9 +118,9 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
     """Worst relative disagreement, on one model, between every closed form
     and its matrix route: meter moments against :func:`propagate`, the
     conditional spin variance (the model form, and the measured-statistics
-    form of :func:`invert_three_pulse`) against rank-1 conditioning on the first meter, and the correlation and
-    uncertainty figures of one :func:`certify` report against their
-    definitions in matrix entries.
+    form of :func:`invert_three_pulse`) against rank-1 conditioning on the
+    first meter, and the correlation and uncertainty figures of one
+    :func:`certify` report against their definitions in matrix entries.
     Each error is relative to the larger of the expected value and a
     small scale, so legitimate zeros do not blow it up.
     """

@@ -400,11 +400,12 @@ def _require_finite_squares(values: dict[str, float]) -> None:
 
 def _calibration_k2(kappa: float, j33: float,
                     j0: float | None = None) -> float:
-    """``kappa**2``, by the one calibration rule, which ``certify`` and
-    ``invert_three_pulse``, its two callers, apply first.  In order, it refuses: ``j33`` negative, ``j0`` (if given) not
-    positive, ``kappa`` zero, any of them not finite, and ``kappa**2`` or
-    its products with ``j33`` and ``j0`` overflowing, or underflowing to
-    0 from nonzero factors.  Valid input takes the first comparisons."""
+    """``kappa**2``, by the one calibration rule, which its two callers,
+    ``certify`` and ``invert_three_pulse``, apply first.  In order, it
+    refuses: ``j33`` negative, ``j0`` (if given) not positive, ``kappa``
+    zero, any of them not finite, and ``kappa**2`` or its products with
+    ``j33`` and ``j0`` overflowing, or underflowing to 0 from nonzero
+    factors.  Valid input takes the first comparisons."""
     kappa, j33 = float(kappa), float(j33)  # Python floats overflow quietly
     k2 = kappa * kappa
     if 0.0 < k2 < math.inf and 0.0 < k2 * j33 < math.inf and (

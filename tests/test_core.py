@@ -448,7 +448,8 @@ def test_public_names_are_the_imported_ones():
                 "estimate_noise", "DegenerateCaseError",
                 "InconsistentDataError", "holland_figures", "nonclassicality",
                 "squeezing_condition", "read_moments", "read_summary",
-                "RecordSummary", "conditional_variance_from_stats"} & set(names)
+                "RecordSummary",
+                "conditional_variance_from_stats"} & set(names)
     assert "SqueezingVerdict" in names
     for name in ("of", "merge", "covariance"):
         assert not hasattr(qndcert.MomentAccumulator, name)
