@@ -12,9 +12,9 @@ makes certification possible without trusting the apparatus model.
   forms, given the calibrated kappa and input spin variance,
 * the spin variance conditioned on the first meter, ``cond_var_jz``.
 
-It and :func:`~qndcert.certify` are the two readers of measured
-statistics: each forms the conditional variance once, by
-``statistics._conditional_variance``.
+:func:`invert_three_pulse` and :func:`~qndcert.certify` are the only
+readers of measured statistics, and both form the conditional variance
+by ``statistics._conditional_variance``.
 
 Disagreement between the two r_A routes is a model-consistency
 diagnostic, not an error.  One function of the five delta moments the

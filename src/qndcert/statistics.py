@@ -433,15 +433,11 @@ def _calibration_k2(kappa: float, j33: float,
 
 
 def _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33):
-    """Spin variance after the first readout, from measured statistics
-    only, with k2 = kappa**2 and ``var_p`` the probe arm's (not
-    reference-subtracted); unchecked:
-
-        j33 + (d_var_q - d_var_p - d_cov_pq**2 / var_p) / kappa**2
-
-    ``d_cov_pq**2 / var_p`` is formed as ``d_cov_pq (d_cov_pq / var_p)``,
-    whose terms stay in range where records are scaled far from unit.
-    """
+    """``cond_var_jz`` of :func:`~qndcert.invert_three_pulse`, unchecked,
+    at k2 = kappa**2, with ``var_p`` the probe arm's (not
+    reference-subtracted).  ``d_cov_pq**2 / var_p`` is formed as
+    ``d_cov_pq (d_cov_pq / var_p)``, whose terms stay in range where the
+    records' unit is far from the meter's."""
     return j33 + (d_var_q - d_var_p - d_cov_pq * (d_cov_pq / var_p)) / k2
 
 
