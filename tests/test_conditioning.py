@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from qndcert import (
+    DeltaStats,
     GaussianState,
     Layout,
     UndefinedInputError,
     apply_pulse,
+    certify,
     condition_on_component,
     conditional_variance_general,
     conditional_variance_ideal,
@@ -133,6 +135,46 @@ class TestConditionalVariance:
         assert from_stats == pytest.approx(
             conditional_variance_general(params, noise, 25.0, 25.0),
             rel=1e-12)
+
+    @pytest.mark.parametrize("set_name", ["ideal_set", "lossy_set",
+                                          "noisy_set"])
+    @pytest.mark.parametrize("reader", ["invert_three_pulse", "certify",
+                                        "certify-two-pulses"])
+    def test_every_reader_agrees_with_the_model_form(self, request, reader,
+                                                     set_name):
+        # the places the README names for the measured conditional
+        # variance: the inversion, certify's estimates, and on two
+        # pulses dx2_s_given_m times j0
+        params, noise, initial = request.getfixturevalue(set_name)
+        measured = predicted_moments(params, noise, initial)
+        delta = delta_stats(measured, no_atoms_moments(params, initial),
+                            params.r_l)
+        if reader == "invert_three_pulse":
+            value = invert_three_pulse(delta, measured.var_p, params.kappa,
+                                       25.0).cond_var_jz
+        elif reader == "certify":
+            value = certify(delta, measured.var_p, params.kappa, 25.0,
+                            20.0).estimates.cond_var_jz
+        else:
+            two = DeltaStats(2, d_var_p=delta.d_var_p, d_var_q=delta.d_var_q,
+                             d_cov_pq=delta.d_cov_pq)
+            value = certify(two, measured.var_p, params.kappa, 25.0,
+                            20.0).nonclassical.dx2_s_given_m * 20.0
+        assert value == pytest.approx(
+            conditional_variance_general(params, noise, 25.0, 25.0),
+            rel=1e-12)
+
+    def test_measured_form_needs_two_pulses(self):
+        # one pulse has no second meter to condition: no figure, no
+        # estimate, and the inversion refuses
+        delta = DeltaStats(n_pulses=1, d_var_p=25.0)
+        report = certify(delta, 50.0, 1.0, 25.0, 20.0)
+        assert report.estimates is None
+        assert report.nonclassical.dx2_s_given_m is None
+        with pytest.raises(UndefinedInputError,
+                           match="^three-pulse inversion needs three "
+                                 "pulses, got 1$"):
+            invert_three_pulse(delta, 50.0, 1.0, 25.0)
 
     def test_known_lossy_value(self, lossy_set):
         params, noise, initial = lossy_set
