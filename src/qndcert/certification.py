@@ -32,7 +32,9 @@ input variance exactly when the squeezing margin
 
     d_cov_pq**2 - var_p (d_var_q - d_var_p)
 
-is positive.
+is positive.  It is decided by the sign of margin / var_p, as
+d_cov_pq (d_cov_pq / var_p) > d_var_q - d_var_p, whose terms stay in
+range far from unit scale, where the reported margin underflows.
 
 The route is exact when the run has three pulses, an informative
 coupling and a positive var_p; with two or more pulses and a positive
@@ -208,7 +210,8 @@ class NonClassicality:
 
 class SqueezingVerdict(NamedTuple):
     """Conditional spin squeezing: ``margin`` is the squeezing margin of
-    the module docstring, and ``squeezed`` whether it is positive."""
+    the module docstring, and ``squeezed`` whether it is positive, by
+    the ratio form there, which holds where ``margin`` underflows."""
 
     squeezed: bool
     margin: float
@@ -276,11 +279,11 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
 
     After the calibration and the gate width, a moment or ``var_p``
     whose square overflows is refused.  The noise floors and the
-    standard errors both read the delta's Sigma.  The inversion runs on
-    the exact route only, which meets each of its checks, so it runs
-    past them; its warnings are the report's ``warnings``, and its
-    ``estimates`` carry none.  A verdict whose standard error is not
-    finite is None.
+    standard errors both read the delta's Sigma, in one call.  The
+    inversion runs on the exact route only, which meets each of its
+    checks, so it runs past them; its warnings are the report's
+    ``warnings``, and its ``estimates`` carry none.  A verdict whose
+    standard error is not finite is None.
     """
     k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
@@ -291,13 +294,14 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     positive = var_p > 0.0
     reasons: list[str] = []
     warns: list[str] = []
-    se = delta.se  # read once: a new dict at each read
-    gated = se is not None
+    gated = delta.moment_cov is not None
+    sigma = delta._sigma(_INPUTS + ("var_p",)) if gated else None
 
     informative = True
     for name in ("d_cov_pq", "d_cov_pr")[:n - 1]:
         size = abs(getattr(delta, name))
-        floor = z_threshold * se[name] if gated else 0.0  # the inversion's
+        i = _INPUTS.index(name)  # the inversion's floor, from Sigma
+        floor = z_threshold * math.sqrt(sigma[i][i]) if gated else 0.0
         if size <= floor:
             informative = False
             reasons.append(f"uninformative coupling: |{name}| = {size:.6g} "
@@ -343,15 +347,15 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         reasons.append("squeezing test unavailable: var_p must be positive, "
                        f"got {var_p}")
     else:
-        margin = delta.d_cov_pq ** 2 - var_p * (delta.d_var_q - delta.d_var_p)
-        squeezing = SqueezingVerdict(squeezed=margin > 0.0,
-                                     margin=float(margin))
+        d_cov_pq, d_var_diff = delta.d_cov_pq, delta.d_var_q - delta.d_var_p
+        squeezing = SqueezingVerdict(
+            squeezed=d_cov_pq * (d_cov_pq / var_p) > d_var_diff,
+            margin=float(d_cov_pq ** 2 - var_p * d_var_diff))
 
     # Standard errors of the route's figures, by first-order propagation
     # of the inputs' joint covariance.
     se_map: dict[str, float] = {}
     if gated:
-        sigma = delta._sigma(_INPUTS + ("var_p",))
         if var_p_se is None:  # the delta's own: var_p's row of Sigma
             var_p_se = math.sqrt(sigma[4][4])
         # var_p's variance is var_p_se**2; its correlations are kept

@@ -144,9 +144,9 @@ def _print_moment_table(measured: MomentSet, reference: MomentSet,
     ref = reference.entries()
     for name, value in measured.entries().items():
         print(f"{name:14s}{value:14.6f}{ref[name]:14.6f}")
+    se = delta.se
     for name, value in delta.entries().items():
-        se = delta.se_of(name)
-        tail = f"  +- {se:.6f}" if se is not None else ""
+        tail = f"  +- {se[name]:.6f}" if se is not None else ""
         print(f"{name:14s}{value:14.6f}{tail}")
 
 
@@ -335,10 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except QndError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QndError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,8 @@ Moore-Penrose (rank-1 Schur) formula
     cov -> cov - (cov e_i)(cov e_i)' / cov_ii
 
 which is a no-op when cov_ii = 0 (nothing to learn from a deterministic
-outcome).  When the numeric outcome is supplied the mean gains the usual
-Kalman shift (cov e_i)(y - mean_i)/cov_ii; without it only the covariance
-contracts, which is all the certification statistics need.
+outcome).  The update does not depend on the outcome, and the
+certification reads only covariances, so the mean is kept.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-def condition_on_component(state: GaussianState, label: str,
-                           outcome: float | None = None) -> GaussianState:
+def condition_on_component(state: GaussianState, label: str) -> GaussianState:
     """Condition ``state`` on a perfect readout of component ``label``.
 
     Parameters
@@ -36,17 +34,13 @@ def condition_on_component(state: GaussianState, label: str,
         State to condition; not modified.
     label : str
         Component label, e.g. ``"P_y"``.
-    outcome : float, optional
-        Measured value.  When given, the returned mean is the conditional
-        mean for that outcome; when omitted the mean is unchanged (the
-        covariance update does not depend on the outcome).
 
     Returns
     -------
     GaussianState
-        Conditioned state.  The measured component ends with exactly zero
-        variance and zero correlations, so conditioning twice on the same
-        label is idempotent.
+        Conditioned state, with ``state``'s mean.  The measured component
+        ends with exactly zero variance and zero correlations, so
+        conditioning twice on the same label is idempotent.
     """
     i = state.layout.index(label)
     var = float(state.cov[i, i])
@@ -58,10 +52,7 @@ def condition_on_component(state: GaussianState, label: str,
     # residue so idempotence and readback are exact.
     cov[i, :] = 0.0
     cov[:, i] = 0.0
-    mean = state.mean
-    if outcome is not None:
-        mean = mean + col * ((float(outcome) - mean[i]) / var)
-    return _derived_state(state, mean, cov)
+    return _derived_state(state, state.mean, cov)
 
 
 def conditional_variance_ideal(j33: float, c22: float, kappa: float) -> float:

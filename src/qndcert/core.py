@@ -140,10 +140,6 @@ class Layout:
     def dimension(self) -> int:
         return 3 * (1 + self.n_pulses)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return _LABELS[self.n_pulses]
-
     def index(self, label: str) -> int:
         """0-based position of a component label such as ``\"P_y\"``."""
         try:
@@ -165,10 +161,6 @@ class Layout:
     def meter_labels(self) -> tuple[str, ...]:
         """y-component labels of each pulse, in measurement order."""
         return _METER_LABELS[self.n_pulses]
-
-    @property
-    def meter_indices(self) -> tuple[int, ...]:
-        return tuple(self.index(label) for label in self.meter_labels)
 
     @property
     def meter_slice(self) -> slice:
@@ -274,10 +266,6 @@ class GaussianState:
                                  "covariance")
         _require_psd(cov)
         object.__setattr__(self, "cov", cov)
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.dimension
 
 
 def _require_finite_mean(mean: np.ndarray) -> None:

@@ -146,7 +146,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
     _check_gate_width(z_threshold)
     k2 = _calibration_k2(kappa, j33)
-    floor_pq = z_threshold * delta.se_of("d_cov_pq", 0.0)
+    floor_pq = z_threshold * (delta.se or {}).get("d_cov_pq", 0.0)
     if abs(delta.d_cov_pq) <= floor_pq:
         raise UninformativeCouplingError(
             f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "

@@ -181,9 +181,6 @@ class _MeterCovariance:
         return dict(zip(self._reported[self.n_pulses],
                         np.sqrt(self.moment_cov.diagonal()).tolist()))
 
-    def se_of(self, name: str, default: float | None = None) -> float | None:
-        return (self.se or {}).get(name, default)
-
     def _sigma(self, names) -> list[list[float]]:
         """Sigma over ``names``, as new rows; a name it lacks has no error."""
         full = self.moment_cov.tolist()

@@ -297,7 +297,7 @@ class TestCertify:
             delta = delta_stats(measured, reference, params.r_l)
             report = certify(delta, measured.var_p, 0.1, 25.0, 25.0,
                              z_threshold=1.0,
-                             var_p_se=measured.se_of("var_p"))
+                             var_p_se=measured.se["var_p"])
             if report.nonclassical.r_a_assumed is None:  # exact route
                 passed += 1
                 assert report.estimates is not None, report.reasons
@@ -395,7 +395,7 @@ class TestCertify:
 
                 monkeypatch.setattr(module, name, counted)
         report = certify(delta, measured.var_p, 1.0, 25.0, 25.0,
-                         var_p_se=measured.se_of("var_p"))
+                         var_p_se=measured.se["var_p"])
         assert report.estimates is not None  # the exact route
         assert calls == dict.fromkeys(names, 1)
 
@@ -458,7 +458,8 @@ def _array_route_se(report, delta, var_p, var_p_se):
     reproduce bit for bit."""
     values = np.array([delta.d_var_p, delta.d_var_q, delta.d_var_r,
                        delta.d_cov_pq, delta.d_cov_pr, var_p])
-    ses = np.array([delta.se_of(name) or 0.0 for name in
+    se = delta.se or {}
+    ses = np.array([se.get(name, 0.0) for name in
                     ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")]
                    + [var_p_se or 0.0])
     k2, j33, j0 = report.kappa * report.kappa, report.j33, report.j0
@@ -562,7 +563,7 @@ class TestStandardErrorExactness:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = certify(delta, measured.var_p, 1.0, 1e308, 25.0,
-                             var_p_se=measured.se_of("var_p"))
+                             var_p_se=measured.se["var_p"])
         assert math.isnan(report.se["dx2_s_given_m"])
         assert report.verdict_state_prep is None
         assert report.verdict_full_qnd is None
@@ -620,7 +621,7 @@ def _sampled_report(n_pulses, kappa=1.0, r_a=1.0, n33=0.0, seed=5):
                                            seed)
     delta = delta_stats(measured, reference, params.r_l)
     return certify(delta, measured.var_p, kappa, 25.0, 25.0,
-                   var_p_se=measured.se_of("var_p"))
+                   var_p_se=measured.se["var_p"])
 
 
 class TestStandardErrorCorrectness:
@@ -705,7 +706,7 @@ def _coverage_ratios(r_a, draws):
     for measured, reference in draws:
         report = certify(delta_stats(measured, reference, params.r_l),
                          measured.var_p, 2.0, 25.0, 25.0,
-                         var_p_se=measured.se_of("var_p"))
+                         var_p_se=measured.se["var_p"])
         assert tuple(report.se) == _FIGURES
         estimates = report.estimates
         values.append([getattr(report.nonclassical, key) for key in _FIGURES]
@@ -753,7 +754,7 @@ class TestStandardErrorCoverage:
         for measured, reference in ensemble(0.8, _README_NOISE):
             report = certify(delta_stats(measured, reference, params.r_l),
                              measured.var_p, 2.0, 25.0, j0, z_threshold=1.0,
-                             var_p_se=measured.se_of("var_p"))
+                             var_p_se=measured.se["var_p"])
             passed.append(report.verdict_state_prep is True)
         assert 0.10 <= np.mean(passed) <= 0.22, np.mean(passed)
 
@@ -785,7 +786,7 @@ def _report_at_scale(rows, s):
     measured, reference = arms
     return certify(delta_stats(measured, reference, 0.9), measured.var_p,
                    2.0 * 2.0 ** s, 25.0, 25.0,
-                   var_p_se=measured.se_of("var_p"))
+                   var_p_se=measured.se["var_p"])
 
 
 class TestUnitInvariance:
@@ -828,13 +829,15 @@ class TestUnitInvariance:
         # at 2**-540, dx2_s's denominator d_cov_pr kappa**2 j0 underflowed
         # to 0: a ZeroDivisionError at kappa 1.  And d_cov_pq**2 lost
         # bits, so cond_var_jz read 8.904 for 9.467.  The squeezing
-        # margin, a difference of moments squared, is left out.
+        # margin, a difference of moments squared, is left out, but its
+        # verdict is kept: at 2**-560 the margin underflowed to 0, and
+        # squeezed read False.
         params = ExperimentParams.from_kappa(kappa, mean_sx=50.0,
                                              mean_jx=50.0, r_a=0.8, r_l=0.9)
         noise = NoiseModel.from_entries(_README_NOISE)
         initial = _coverage_initial()
         reports = []
-        for s in (0, -540):
+        for s in (0, -540, -560):
             measured, reference = (
                 MomentSet(3, **{name: value * 2.0 ** s for name, value
                                 in moments.entries().items()})
@@ -843,10 +846,13 @@ class TestUnitInvariance:
             reports.append(certify(delta_stats(measured, reference, 0.9),
                                    measured.var_p, kappa * 2.0 ** (s / 2),
                                    25.0, 25.0))
-        base, scaled = reports
-        for key in ("figures", "nonclassical", "reasons", "warnings"):
-            assert getattr(scaled, key) == getattr(base, key), key
-        assert scaled.estimates.cond_var_jz == base.estimates.cond_var_jz
+        base = reports[0]
+        assert base.squeezing.squeezed
+        for scaled in reports[1:]:
+            for key in ("figures", "nonclassical", "reasons", "warnings"):
+                assert getattr(scaled, key) == getattr(base, key), key
+            assert scaled.estimates.cond_var_jz == base.estimates.cond_var_jz
+            assert scaled.squeezing.squeezed == base.squeezing.squeezed
 
 
 class TestReportSerialization:

@@ -56,17 +56,7 @@ class TestConditionOnComponent:
         out = condition_on_component(state, "P_y")  # var(P_y) = 0
         np.testing.assert_array_equal(out.cov, state.cov)
 
-    def test_outcome_shifts_the_mean(self, ideal_set):
-        params, noise, initial = ideal_set
-        state = apply_pulse(initial, params, noise, 1)
-        out = condition_on_component(state, "P_y", outcome=5.0)
-        i = state.layout.index("P_y")
-        jz = state.layout.index("J_z")
-        gain = get_entry(state, "J_z", "P_y") / get_entry(state, "P_y", "P_y")
-        assert out.mean[jz] == pytest.approx(gain * 5.0)
-        assert out.mean[i] == pytest.approx(5.0)
-
-    def test_without_outcome_mean_is_kept(self, ideal_set):
+    def test_mean_is_kept(self, ideal_set):
         params, noise, initial = ideal_set
         state = apply_pulse(initial, params, noise, 1)
         out = condition_on_component(state, "P_y")

@@ -39,7 +39,7 @@ class TestLoading:
     def test_initial_state_assembles(self, tmp_path):
         config = load_config(_write(tmp_path, BASE))
         state = config.initial_state()
-        assert state.dimension == 12
+        assert state.layout.dimension == 12
         assert state.mean[0] == 50.0
 
     def test_initial_state_is_checked_once_and_held(self, tmp_path,

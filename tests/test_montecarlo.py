@@ -24,9 +24,15 @@ from qndcert import (
     simulate_moments,
 )
 from qndcert.cli import main
-from qndcert.montecarlo import CHUNK_SHOTS, _psd_factor, arm_chunks
+from qndcert.montecarlo import (
+    CheckRow,
+    EmpiricalCheck,
+    _psd_factor,
+    arm_chunks,
+)
 from qndcert.statistics import (
     ARM_ROLES,
+    CHUNK_SHOTS,
     MomentAccumulator,
     delta_stats,
     map_arms,
@@ -110,7 +116,7 @@ def _stepwise_arm(params, noise, initial, n_shots, seed, with_atoms=True):
                 rows = np.r_[0:3, block.start:block.stop]
                 kick = rng.standard_normal((count, noise_factor.shape[1]))
                 x[:, rows] += kick @ noise_factor.T
-        out[start:start + count] = x[:, list(layout.meter_indices)]
+        out[start:start + count] = x[:, layout.meter_slice]
     return out
 
 
@@ -277,6 +283,15 @@ class TestSampledStatistics:
     def test_moments_match_predictions_noisy(self, noisy_set):
         check = empirical_check(*noisy_set, n_shots=20000, seed=5)
         assert check.passed, max(check.rows, key=lambda r: abs(r.z))
+
+    @pytest.mark.parametrize("z, passed", [
+        (5.0, True), (-5.0, True), (np.nextafter(5.0, np.inf), False),
+        (-np.nextafter(5.0, np.inf), False), (np.inf, False)])
+    def test_the_bound_is_five_standard_errors(self, z, passed):
+        assert qndcert.montecarlo.Z_MAX == 5.0
+        rows = (CheckRow("with_atoms", "var_p", 1.0, 1.0, 1.0, 0.0),
+                CheckRow("no_atoms", "var_q", 1.0, 1.0 + z, 1.0, float(z)))
+        assert EmpiricalCheck(rows).passed is passed
 
     def test_check_covers_both_arms_and_all_moments(self, ideal_set):
         check = empirical_check(*ideal_set, n_shots=2000, seed=5)

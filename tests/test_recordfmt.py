@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qndcert.montecarlo import CHUNK_SHOTS
+from qndcert.statistics import CHUNK_SHOTS
 from qndcert.recordfmt import format_rows
 from qndcert.recordio import SUB_BLOCK_ROWS, write_arms
 

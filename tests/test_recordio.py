@@ -20,7 +20,7 @@ from qndcert import (
     make_initial_state,
 )
 from qndcert import params_hash, recordio
-from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks, simulate_moments
+from qndcert.montecarlo import arm_chunks, simulate_moments
 from qndcert.recordfmt import format_rows
 from qndcert.recordio import (
     SUB_BLOCK_ROWS,
@@ -29,7 +29,7 @@ from qndcert.recordio import (
     write_arms,
     write_atomic,
 )
-from qndcert.statistics import ARM_ROLES
+from qndcert.statistics import ARM_ROLES, CHUNK_SHOTS
 
 SMALL_HASH = "0123456789abcdef"
 

@@ -31,8 +31,8 @@ from qndcert import (
     simulate_moments,
 )
 from qndcert import certification, selftest, statistics
-from qndcert.montecarlo import CHUNK_SHOTS, arm_chunks
-from qndcert.statistics import ARM_ROLES
+from qndcert.montecarlo import arm_chunks
+from qndcert.statistics import ARM_ROLES, CHUNK_SHOTS
 from qndcert.report import delta_to_dict
 
 from conftest import random_psd
@@ -158,7 +158,7 @@ class TestDeltaStats:
                               se={"var_p": 0.4})
         delta = delta_stats(measured, reference, 0.5)
         assert delta.d_var_p == pytest.approx(50.0 - 0.25 * 25.0)
-        assert delta.se_of("d_var_p") == pytest.approx(
+        assert delta.se["d_var_p"] == pytest.approx(
             np.hypot(0.3, 0.25 * 0.4))
 
     @pytest.mark.parametrize("r_l, message", [
@@ -754,7 +754,6 @@ class TestErrorCovariance:
         edited = delta.se
         edited["d_cov_pq"] = 1e9
         assert delta.se == before and delta.se is not delta.se
-        assert delta.se_of("d_cov_pq") == before["d_cov_pq"]
 
     @pytest.mark.parametrize("cls, values", [
         (MomentSet, {"var_p": 4.0}),
