@@ -41,9 +41,9 @@ coupling and a positive var_p; with two or more pulses and a positive
 var_p the state-prep figure assumes r_a = 1 (survival not identifiable);
 otherwise only dx2_m is formed.
 
-With sampled inputs every verdict is gated: a criterion counts as
-certified only when its margin to 1 exceeds ``z_threshold`` propagated
-standard errors.  One function, ``_figures``, defines each uncertainty
+Every verdict is gated: a criterion counts as certified only when its
+margin to 1 exceeds ``z_threshold`` propagated standard errors (0.0 for
+exact inputs).  One function, ``_figures``, defines each uncertainty
 figure from the input vector (d_var_p, d_var_q, d_cov_pq, d_cov_pr,
 var_p); it gives the value, and the standard error sqrt(diag(J Sigma
 J^T)), J by central differences of the same function.  The inputs share
@@ -222,10 +222,10 @@ class CertificationReport:
     """Everything :func:`certify` concluded, in one verdict bundle.
 
     ``verdict_*`` are the gated verdicts (margin beyond z_threshold
-    standard errors when errors are available); ``point_*`` compare the
-    point values against 1 with no gate.  A None verdict means the run
-    cannot decide that criterion, and ``inconclusive`` is set exactly
-    when the full-QND verdict is None.
+    standard errors; ``gated`` is False when no input carries error);
+    ``point_*`` compare the point values against 1 with no gate.  A None
+    verdict means the run cannot decide that criterion, and
+    ``inconclusive`` is set exactly when the full-QND verdict is None.
     """
 
     n_pulses: int
@@ -234,7 +234,7 @@ class CertificationReport:
     j0: float
     z_threshold: float
     var_p: float
-    var_p_se: float | None
+    var_p_se: float
     delta: DeltaStats
     figures: FiguresOfMerit
     estimates: EstimatedModel | None
@@ -261,8 +261,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     Parameters
     ----------
     delta : DeltaStats
-        Reference-subtracted moments, with their error covariance for
-        sampled data (enables gating).
+        Reference-subtracted moments, with their error covariance (zero
+        for exact data, Isserlis' for sampled data).
     var_p : float
         Probe-arm first-meter variance.
     kappa, j33, j0 : float
@@ -294,14 +294,13 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     positive = var_p > 0.0
     reasons: list[str] = []
     warns: list[str] = []
-    gated = delta.moment_cov is not None
-    sigma = delta._sigma(_INPUTS + ("var_p",)) if gated else None
+    sigma = delta._sigma(_INPUTS + ("var_p",))
 
     informative = True
     for name in ("d_cov_pq", "d_cov_pr")[:n - 1]:
         size = abs(getattr(delta, name))
         i = _INPUTS.index(name)  # the inversion's floor, from Sigma
-        floor = z_threshold * math.sqrt(sigma[i][i]) if gated else 0.0
+        floor = z_threshold * math.sqrt(sigma[i][i])
         if size <= floor:
             informative = False
             reasons.append(f"uninformative coupling: |{name}| = {size:.6g} "
@@ -354,18 +353,16 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
 
     # Standard errors of the route's figures, by first-order propagation
     # of the inputs' joint covariance.
-    se_map: dict[str, float] = {}
-    if gated:
-        if var_p_se is None:  # the delta's own: var_p's row of Sigma
-            var_p_se = math.sqrt(sigma[4][4])
-        # var_p's variance is var_p_se**2; its correlations are kept
-        sd = abs(var_p_se)
-        rescale = sd / math.sqrt(sigma[4][4]) if sigma[4][4] else 0.0
-        for i in range(4):
-            sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
-        sigma[4][4] = sd * sd
-        se_map = _propagate_se(
-            lambda v: _figures(v, k2, j33, j0, route), inputs, sigma, route)
+    if var_p_se is None:  # the delta's own: var_p's row of Sigma
+        var_p_se = math.sqrt(sigma[4][4])
+    # var_p's variance is var_p_se**2; its correlations are kept
+    sd = abs(var_p_se)
+    rescale = sd / math.sqrt(sigma[4][4]) if sigma[4][4] else 0.0
+    for i in range(4):
+        sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
+    sigma[4][4] = sd * sd
+    se_map = _propagate_se(
+        lambda v: _figures(v, k2, j33, j0, route), inputs, sigma, route)
 
     def gate(value: float | None, se_key: str) -> bool | None:
         se = se_map.get(se_key, 0.0)
@@ -402,7 +399,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         nonclassical=ncl,
         squeezing=squeezing,
         se=se_map,
-        gated=gated,
+        gated=any(sigma[i][i] for i in range(5)),  # some input has error
         verdict_state_prep=verdict_state_prep,
         verdict_info_damage=verdict_info_damage,
         verdict_full_qnd=verdict_full,

@@ -144,10 +144,8 @@ def _print_moment_table(measured: MomentSet, reference: MomentSet,
     ref = reference.entries()
     for name, value in measured.entries().items():
         print(f"{name:14s}{value:14.6f}{ref[name]:14.6f}")
-    se = delta.se
-    for name, value in delta.entries().items():
-        tail = f"  +- {se[name]:.6f}" if se is not None else ""
-        print(f"{name:14s}{value:14.6f}{tail}")
+    for (name, value), se in zip(delta.entries().items(), delta.se.values()):
+        print(f"{name:14s}{value:14.6f}  +- {se:.6f}")
 
 
 def _cmd_simulate(args) -> int:
@@ -195,8 +193,8 @@ def _cmd_estimate(args) -> int:
     records, delta, r_l = _load_delta(args)
     measured = records.moments[0]
     estimates = invert_three_pulse(delta, measured.var_p, args.kappa, args.j33)
-    se = f" +- {estimates.r_a_se:.4f}" if estimates.r_a_se is not None else ""
-    print(f"r_a (covariance ratio): {estimates.r_a:.6f}{se}")
+    print(f"r_a (covariance ratio): {estimates.r_a:.6f} "
+          f"+- {estimates.r_a_se:.4f}")
     if estimates.r_a_from_var is not None:
         print(f"r_a (variance ratio):   {estimates.r_a_from_var:.6f}")
     noise = estimates.noise

@@ -67,12 +67,12 @@ class EstimatedModel:
     route and its discrepancy are diagnostics and may be None when that
     route is degenerate for the data at hand.  Standard errors are
     first-order propagations of the deltas' joint error covariance
-    (Isserlis within each arm, the two arms independent), and are None
-    for analytic inputs.
+    (Isserlis within each arm, the two arms independent), and are 0.0
+    for exact inputs; ``r_a_from_var_se`` is None with its route.
     """
 
     r_a: float
-    r_a_se: float | None
+    r_a_se: float
     r_a_from_var: float | None
     r_a_from_var_se: float | None
     r_a_discrepancy: float | None
@@ -127,8 +127,8 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     ``d_cov_pq**2``; :func:`~qndcert.certify` runs the inversion past them.
     Quantities within ``z_threshold`` combined standard errors of zero
     are treated as zero when deciding whether a ratio is usable, and two
-    r_A routes further apart than that disagree (no-op for analytic
-    inputs, which carry no standard errors).  A failed variance route,
+    r_A routes further apart than that disagree (no-op for exact inputs,
+    whose standard errors are 0).  A failed variance route,
     r_A = sqrt((d_var_r - d_var_q) / (d_var_q - d_var_p)), gives
     ``r_a_from_var=None`` and a warning.  The noise entries invert
 
@@ -146,7 +146,8 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
     _check_gate_width(z_threshold)
     k2 = _calibration_k2(kappa, j33)
-    floor_pq = z_threshold * (delta.se or {}).get("d_cov_pq", 0.0)
+    i = DeltaStats._sigma_rows[3]["d_cov_pq"]  # its row of Sigma
+    floor_pq = z_threshold * math.sqrt(delta.moment_cov[i, i])
     if abs(delta.d_cov_pq) <= floor_pq:
         raise UninformativeCouplingError(
             f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
@@ -169,12 +170,12 @@ def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
     num = delta.d_var_r - delta.d_var_q
     ratio = num / den if den else 0.0
     two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
-    se = {} if delta.moment_cov is None else _propagate_se(
+    se = _propagate_se(
         lambda v: _routes(v, two_root), values, delta._sigma(_ROUTE_INPUTS),
         _ROUTE_KEYS if two_root else _ROUTE_KEYS[:2])
     warnings: list[str] = [] if sink is None else sink
 
-    var_floor = z_threshold * se.get("d_var_q - d_var_p", 0.0)
+    var_floor = z_threshold * se["d_var_q - d_var_p"]
     r_a_from_var = unavailable = None
     if abs(den) <= var_floor:
         # 0/0 admits any r_A, e.g. a lossless noiseless run; x/0 none
@@ -213,7 +214,7 @@ def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
 
     return EstimatedModel(
         r_a=r_a,
-        r_a_se=se.get("r_a"),
+        r_a_se=se["r_a"],
         r_a_from_var=r_a_from_var,
         r_a_from_var_se=se.get("r_a_from_var") if r_a_from_var else None,
         r_a_discrepancy=discrepancy,

@@ -214,17 +214,17 @@ class CheckRow:
 @dataclass(frozen=True)
 class EmpiricalCheck:
     """Sampled-vs-predicted comparison for every meter moment of both
-    arms; ``passed`` means every |z| stayed within ``Z_MAX``."""
+    arms; ``passed`` means every |z| (none NaN) stayed within ``Z_MAX``."""
 
     rows: tuple[CheckRow, ...]
 
     @property
     def max_abs_z(self) -> float:
-        return max(abs(row.z) for row in self.rows)
+        return float(np.max(np.abs([row.z for row in self.rows])))
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_z <= Z_MAX
+        return all(abs(row.z) <= Z_MAX for row in self.rows)
 
 
 def _compare(arm: str, sampled: MomentSet, predicted: MomentSet) -> list[CheckRow]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,18 +30,11 @@ EXIT_INCONCLUSIVE = 2
 
 
 def moments_to_dict(moments: MomentSet) -> dict:
-    out: dict = dict(moments.entries())
-    out["n_shots"] = moments.n_shots
-    if moments.se is not None:
-        out["se"] = dict(moments.se)
-    return out
+    return {**moments.entries(), "n_shots": moments.n_shots, "se": moments.se}
 
 
 def delta_to_dict(delta: DeltaStats) -> dict:
-    out: dict = dict(delta.entries())
-    if delta.se is not None:
-        out["se"] = dict(delta.se)
-    return out
+    return {**delta.entries(), "se": delta.se}
 
 
 def estimates_to_dict(estimates: EstimatedModel | None) -> dict | None:
@@ -72,7 +66,7 @@ def report_to_dict(report: CertificationReport,
     parsing the CSVs.  ``r_l`` echoes the reference scaling used for the
     delta statistics.
     """
-    out = {
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "certification_report",
         "n_pulses": report.n_pulses,
@@ -112,7 +106,6 @@ def report_to_dict(report: CertificationReport,
         "warnings": list(report.warnings),
         "records": _records_meta(records),
     }
-    return out
 
 
 def exit_code(report: CertificationReport) -> int:
@@ -122,9 +115,18 @@ def exit_code(report: CertificationReport) -> int:
     return EXIT_CERTIFIED if report.verdict_full_qnd else EXIT_NOT_CERTIFIED
 
 
+def _finite(value):
+    """``value`` with each non-finite float None; no list here holds one."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return value if finite else None
+
+
 def dump_json(data: dict, path: str | Path | None = None) -> str:
-    """Serialize; write atomically when a path is given."""
-    text = json.dumps(data, indent=2) + "\n"
+    """Serialize as strict JSON, a non-finite float (a reason names it) as
+    null; write atomically when a path is given."""
+    text = json.dumps(_finite(data), indent=2, allow_nan=False) + "\n"
     if path is not None:
         write_atomic(Path(path), text.encode())
     return text

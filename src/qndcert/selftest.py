@@ -281,7 +281,7 @@ def _suite_sampling(n_shots: int, seed: int, sign: float) -> SuiteResult:
                                  OpticalBlock.coherent(100.0, 3), layout)
     checks = [empirical_check(params, noise, initial, n_shots, seed + offset)
               for offset, (params, noise) in enumerate(configurations)]
-    worst = max(check.max_abs_z for check in checks)
+    worst = float(np.max([check.max_abs_z for check in checks]))
     return SuiteResult("sampling-agreement",
                        all(check.passed for check in checks),
                        f"2 configurations x {n_shots} shots, max |z| {worst:.2f}")

@@ -12,13 +12,13 @@ pulses, meters in measurement order), held by a :class:`MomentSet`; each
 moment name is a read-only view of entry (j, k), j <= k, as listed in
 ``_ENTRIES``, and reads None where the pulse count has no such entry.
 
-A sampled set carries ``moment_cov``, the covariance Sigma of its
-moments' errors; by Isserlis' theorem, for n Gaussian shots,
-Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1).  Sigma is the one
-holder of the standard errors: ``se`` reads the root of its diagonal, by
-reported name, into a new dict at each read.  A set given ``se`` by
-keyword has Sigma = diag(se**2), 0 for a name not given; an ``se`` whose
-square Sigma cannot hold (it overflows or underflows) is refused.
+Every set carries ``moment_cov``, the covariance Sigma of its moments'
+errors: Isserlis' for a sampled set (n Gaussian shots, Cov(S_ij, S_kl) =
+(S_ik S_jl + S_il S_jk) / (n - 1)), and 0 for an exact one.  Sigma is
+the one holder of the standard errors: ``se`` reads the root of its
+diagonal, by reported name, into a new dict at each read.  A set given
+``se`` by keyword has Sigma = diag(se**2), 0 for a name not given, so 0
+without ``se``; an ``se`` whose square Sigma cannot hold is refused.
 
 Sample moments are accumulated in chunks of ``CHUNK_SHOTS`` (16384)
 shots, the one grain of the whole program: the sampler draws, the writer
@@ -101,7 +101,7 @@ class _MeterCovariance:
              *cls._also_in_sigma])} for n in (1, 2, 3)}
 
     def __new__(cls, n_pulses: int, *, n_shots: int | None = None,
-                se: dict[str, float] | None = None, **values: float | None):
+                se: dict[str, float] = {}, **values: float | None):
         Layout(n_pulses)  # refuses a bad pulse count (a ValueError)
         rows = [[np.nan] * n_pulses for _ in range(n_pulses)]
         for name, (j, k) in cls._entries.items():
@@ -119,10 +119,10 @@ class _MeterCovariance:
         if values:
             raise TypeError(f"{cls.__name__}() got an unexpected keyword "
                             f"argument {min(values)!r}")
-        if se is not None and not se.keys() <= cls._reported[n_pulses].keys():
+        if not se.keys() <= cls._reported[n_pulses].keys():
             extra = sorted(se.keys() - cls._reported[n_pulses].keys())
             raise ValueError(f"standard errors for absent moments: {extra}")
-        for name, value in (se or {}).items():
+        for name, value in se.items():
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"standard error of {name} must be finite "
                                  f"and nonnegative, got {value}")
@@ -130,19 +130,24 @@ class _MeterCovariance:
             if math.sqrt(sd * sd) != sd:  # Sigma = diag(se**2) cannot hold it
                 raise ValueError(f"standard error of {name} = {value:g} has "
                                  f"a square out of floating-point range")
-        moment_cov = None if se is None else np.diag(np.square(np.array(
+        moment_cov = np.diag(np.square(np.array(
             [se.get(name, 0.0) for name in cls._sigma_rows[n_pulses]], float)))
         return cls._of(np.array(rows), n_shots, moment_cov)
 
     @classmethod
-    def _of(cls, cov: np.ndarray, n_shots: int | None = None,
-            moment_cov: np.ndarray | None = None):
+    def _exact(cls, cov: np.ndarray):
+        """Wrap and freeze the new array ``cov``, exact: Sigma = 0."""
+        m = len(cls._sigma_rows[len(cov)])
+        return cls._of(cov, None, np.zeros((m, m)))
+
+    @classmethod
+    def _of(cls, cov: np.ndarray, n_shots: int | None,
+            moment_cov: np.ndarray):
         """Wrap and freeze the new arrays ``cov`` and ``moment_cov``."""
         rows = cov.tolist()
         n = len(rows)
         cov.setflags(write=False)
-        if moment_cov is not None:
-            moment_cov.setflags(write=False)
+        moment_cov.setflags(write=False)
         fields = [cov, n, n_shots, moment_cov]
         for name, (j, k) in cls._entries.items():
             value = rows[j][k] if k < n else None
@@ -173,11 +178,9 @@ class _MeterCovariance:
                 for name in self._reported[self.n_pulses]}
 
     @property
-    def se(self) -> dict[str, float] | None:
+    def se(self) -> dict[str, float]:
         """Standard errors by reported name (Sigma's first rows, in order),
-        the root of Sigma's diagonal, as a new dict; None without Sigma."""
-        if self.moment_cov is None:
-            return None
+        the root of Sigma's diagonal, as a new dict; all 0.0 when exact."""
         return dict(zip(self._reported[self.n_pulses],
                         np.sqrt(self.moment_cov.diagonal()).tolist()))
 
@@ -190,8 +193,8 @@ class _MeterCovariance:
 
 
 class MomentSet(_MeterCovariance):
-    """Second moments of the meters of one arm; sample estimates set
-    ``n_shots`` and ``moment_cov``, analytic predictions leave both None."""
+    """Second moments of the meters of one arm; a sample estimate sets
+    ``n_shots`` and ``moment_cov``, an exact one has None and Sigma 0."""
 
     __slots__ = tuple(_ENTRIES)
     _nonnegative = True
@@ -300,7 +303,7 @@ def meter_moments(state: GaussianState) -> MomentSet:
     covariance matrix; with :func:`~qndcert.dynamics.propagate` this is the
     matrix route that :func:`predicted_moments` is checked against."""
     meters = state.layout.meter_slice
-    return MomentSet._of(state.cov[meters, meters].copy())
+    return MomentSet._exact(state.cov[meters, meters].copy())
 
 
 def predicted_moments(params: ExperimentParams, noise: NoiseModel,
@@ -342,7 +345,7 @@ def predicted_moments(params: ExperimentParams, noise: NoiseModel,
                 rows[j][k] = rows[k][j] = (
                     light + kappa * kappa * r_a ** (k - j) * a[j]
                     + kappa * r_a ** (k - 1 - j) * n35)
-    return MomentSet._of(np.array(rows))
+    return MomentSet._exact(np.array(rows))
 
 
 def no_atoms_moments(params: ExperimentParams,
@@ -362,8 +365,8 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
     """Subtract the r_L**2-scaled reference from the measured moments.
 
     ``r_l`` follows the rule of ``--r-l`` (:func:`~qndcert.config.check_r_l`).
-    When both arms carry error covariances, the deltas get Sigma_with +
-    r_L**4 Sigma_no (the arms independent), and var_p's row Sigma_with's.
+    The deltas get Sigma_with + r_L**4 Sigma_no (the arms independent,
+    an exact arm's 0), and var_p's row Sigma_with's.
     """
     try:
         r_l = check_r_l(r_l)
@@ -374,14 +377,12 @@ def delta_stats(measured: MomentSet, reference: MomentSet,
         raise DimensionMismatchError(
             f"arms disagree on pulse count: {n} vs {reference.n_pulses}")
     scale = r_l * r_l
-    moment_cov = None
-    if measured.moment_cov is not None and reference.moment_cov is not None:
-        with_atoms = measured.moment_cov
-        m = len(with_atoms)  # the deltas, in MomentSet's order; then var_p
-        moment_cov = np.empty((m + 1, m + 1))
-        moment_cov[:m, :m] = with_atoms + scale * scale * reference.moment_cov
-        moment_cov[m, :m] = moment_cov[:m, m] = with_atoms[0]
-        moment_cov[m, m] = with_atoms[0, 0]
+    with_atoms = measured.moment_cov
+    m = len(with_atoms)  # the deltas, in MomentSet's order; then var_p
+    moment_cov = np.empty((m + 1, m + 1))
+    moment_cov[:m, :m] = with_atoms + scale * scale * reference.moment_cov
+    moment_cov[m, :m] = moment_cov[:m, m] = with_atoms[0]
+    moment_cov[m, m] = with_atoms[0, 0]
     return DeltaStats._of(measured.cov - scale * reference.cov, None,
                           moment_cov)
 

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -450,6 +451,109 @@ class TestOneHolderPerStandardError:
         # the inversion on its own keeps them
         assert "noise diagonal n55 estimated negative" in invert_three_pulse(
             delta, measured.var_p, 1.0, 1e308).warnings
+
+
+class TestExactInputsHaveZeroError:
+    """An exact input (closed forms, the matrix route, a keyword set
+    without ``se=``) has Sigma = 0: one representation of no error."""
+
+    def test_closed_form_reference_keeps_the_sampled_errors(self):
+        # the closed-form reference arm had no Sigma, so the delta had
+        # none: the README model at 4000 shots (seed 11) certified
+        # ungated, with no standard error at all
+        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        measured, _ = simulate_moments(params, noise, initial, 4000, 11)
+        delta = delta_stats(measured, no_atoms_moments(params, initial),
+                            params.r_l)
+        # Sigma_with alone, with var_p's row from it
+        with_atoms = measured.moment_cov
+        sigma = np.block([[with_atoms, with_atoms[:, :1]],
+                          [with_atoms[:1], with_atoms[:1, :1]]])
+        np.testing.assert_array_equal(delta.moment_cov, sigma)
+        assert delta.se == {f"d_{name}": value for name, value
+                            in measured.se.items() if name != "cov_qr"}
+        report = certify(delta, measured.var_p, 1.0, 25.0, 25.0)
+        assert report.gated
+        assert report.var_p_se == measured.se["var_p"]
+        # Sigma's rows of the figures' inputs: d_var_p, d_var_q,
+        # d_cov_pq, d_cov_pr and the probe arm's var_p
+        rows = [0, 1, 3, 4, 6]
+        expected = statistics._propagate_se(
+            lambda v: certification._figures(v, 1.0, 25.0, 25.0,
+                                             certification._EXACT),
+            certification._inputs(delta, measured.var_p),
+            sigma[np.ix_(rows, rows)].tolist(), certification._EXACT)
+        assert report.se == pytest.approx(expected, rel=1e-12)
+        assert report.se["dx2_s_given_m"] > 0.0
+
+    def test_empty_se_keyword_is_the_same_set(self, noisy_set):
+        params, noise, initial = noisy_set
+        predicted = predicted_moments(params, noise, initial)
+        reference = no_atoms_moments(params, initial)
+        texts, fields = [], []
+        for keywords in ({"se": {}}, {}):
+            measured, ref = (MomentSet(n_pulses=3, **keywords,
+                                       **arm.entries())
+                             for arm in (predicted, reference))
+            delta = delta_stats(measured, ref, params.r_l)
+            given = DeltaStats(n_pulses=3, **keywords, **delta.entries())
+            for stats in (delta, given):
+                report = certify(stats, measured.var_p, 1.0, 25.0, 25.0)
+                texts.append(dump_json(report_to_dict(report)))
+                fields.append([getattr(report, field.name) for field
+                               in dataclasses.fields(report)
+                               if field.name != "delta"])
+        assert texts[0] == texts[2] and texts[1] == texts[3]
+        assert fields[0] == fields[2] and fields[1] == fields[3]
+        assert '"gated": false' in texts[0]
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3])
+    def test_exact_input_reports_zero_error(self, noisy_set, n_pulses):
+        params, noise, _ = noisy_set
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, n_pulses),
+                                     Layout(n_pulses))
+        measured = predicted_moments(params, noise, initial)
+        reference = no_atoms_moments(params, initial)
+        keyword = MomentSet(n_pulses=n_pulses, **measured.entries())
+        delta = delta_stats(measured, reference, params.r_l)
+        for exact in (measured, reference, keyword, delta):
+            assert exact.se == dict.fromkeys(exact.entries(), 0.0)
+            assert exact.moment_cov.shape[0] >= len(exact.entries())
+            assert not exact.moment_cov.any()
+        report = certify(delta, measured.var_p, 1.0, 25.0, 25.0)
+        assert report.var_p_se == 0.0
+        assert not report.gated
+        assert report.se and set(report.se.values()) == {0.0}
+        if n_pulses == 3:
+            assert report.estimates.r_a_se == 0.0
+            assert invert_three_pulse(delta, measured.var_p, 1.0,
+                                      25.0).r_a_se == 0.0
+
+    def test_readers_of_measured_statistics_take_sigma_alone(
+            self, readme_set, monkeypatch):
+        # the inversion's d_cov_pq floor read the .se dict, which copies
+        # Sigma's diagonal; both readers now index Sigma itself
+        measured, delta = readme_set
+        want = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
+        report = dump_json(report_to_dict(certify(
+            delta, measured.var_p, 1.0, 25.0, 25.0)))
+
+        def refuse(self):
+            raise AssertionError(".se read")
+
+        monkeypatch.setattr(statistics._MeterCovariance, "se",
+                            property(refuse))
+        assert invert_three_pulse(delta, measured.var_p, 1.0, 25.0) == want
+        got = certify(delta, measured.var_p, 1.0, 25.0, 25.0)
+        monkeypatch.undo()
+        assert dump_json(report_to_dict(got)) == report
 
 
 def _array_route_se(report, delta, var_p, var_p_se):

@@ -595,6 +595,27 @@ class TestCalibrationFlags:
         # estimate keeps its own
         assert line in json.loads(model.read_text())["estimates"]["warnings"]
 
+    def test_out_files_are_strict_json(self, lossy_run, tmp_path, capsys):
+        # a standard error that is not finite was written as the bare
+        # token NaN, which strict JSON readers refuse; it is null, and
+        # the report's reasons name it
+        report, model = tmp_path / "report.json", tmp_path / "model.json"
+        assert main(["certify", *_record_args(lossy_run), "--kappa", "1",
+                     "--j33", "1e308", "--j0", "25",
+                     "--out", str(report)]) == 2
+        assert main(["estimate", *_record_args(lossy_run), "--kappa", "1",
+                     "--j33", "1e308", "--out", str(model)]) == 0
+        capsys.readouterr()
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        payload = json.loads(report.read_text(), parse_constant=refuse)
+        json.loads(model.read_text(), parse_constant=refuse)
+        assert payload["se"]["dx2_s_given_m"] is None
+        assert ("standard error of dx2_s_given_m is not finite (nan); its "
+                "verdict is undecided") in payload["reasons"]
+
     def test_boundary_values_are_accepted(self, ideal_run, capsys):
         assert main(["certify", *_record_args(ideal_run), "--kappa", "1.0",
                      "--j33", "0", "--j0", "25", "--z", "0"]) in (0, 2, 10)

@@ -248,7 +248,8 @@ class TestFullInversion:
         assert model.noise.n35 == pytest.approx(0.5, rel=1e-12)
         assert model.noise.n55 == pytest.approx(4.0, rel=1e-12)
         assert model.cond_var_jz == pytest.approx(9.467005076142131, rel=1e-12)
-        assert model.r_a_se is None  # analytic input carries no errors
+        # an exact input's errors are 0.0, not absent
+        assert model.r_a_se == model.r_a_from_var_se == 0.0
         assert model.warnings == ()
 
     def test_ideal_input_degrades_gracefully(self, ideal_set):

@@ -23,6 +23,7 @@ from qndcert import (
     params_hash,
     simulate_moments,
 )
+from qndcert import selftest
 from qndcert.cli import main
 from qndcert.montecarlo import (
     CheckRow,
@@ -292,6 +293,30 @@ class TestSampledStatistics:
         rows = (CheckRow("with_atoms", "var_p", 1.0, 1.0, 1.0, 0.0),
                 CheckRow("no_atoms", "var_q", 1.0, 1.0 + z, 1.0, float(z)))
         assert EmpiricalCheck(rows).passed is passed
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_nan_z_fails_in_any_row_order(self, order):
+        # max() skipped a NaN that was not the first row: (0, NaN)
+        # passed with max |z| 0.0, while (NaN, 0) failed
+        rows = (CheckRow("with_atoms", "var_p", 1.0, 1.0, 1.0, 0.0),
+                CheckRow("no_atoms", "var_q", 1.0, np.nan, 1.0, np.nan))
+        check = EmpiricalCheck(rows[::order])
+        assert check.passed is False
+        assert np.isnan(check.max_abs_z)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_selftest_names_a_nan_z_in_any_order(self, monkeypatch, order):
+        # the sampling suite's detail line took max() over the checks and
+        # read "max |z| 0.00" on a failing run whose NaN check came second
+        rows = (CheckRow("with_atoms", "var_p", 1.0, 1.0, 1.0, 0.0),
+                CheckRow("no_atoms", "var_q", 1.0, np.nan, 1.0, np.nan))
+        checks = iter([EmpiricalCheck(rows[:1]), EmpiricalCheck(rows[1:])][
+            ::order])
+        monkeypatch.setattr(selftest, "empirical_check",
+                            lambda *args: next(checks))
+        result = selftest._suite_sampling(100, 5, 1.0)
+        assert result.passed is False
+        assert result.detail.endswith("max |z| nan")
 
     def test_check_covers_both_arms_and_all_moments(self, ideal_set):
         check = empirical_check(*ideal_set, n_shots=2000, seed=5)

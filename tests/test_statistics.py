@@ -419,10 +419,9 @@ def _old_delta_stats(measured, reference, r_l):
         moment = name[2:]
         values[name] = (getattr(measured, moment)
                         - scale * getattr(reference, moment))
-        if measured.se is not None and reference.se is not None:
-            ses[name] = float(np.hypot(measured.se[moment],
-                                       scale * reference.se[moment]))
-    return values, ses or None
+        ses[name] = float(np.hypot(measured.se[moment],
+                                   scale * reference.se[moment]))
+    return values, ses
 
 
 def _run(n_pulses):
@@ -513,11 +512,14 @@ class TestMeterCovarianceExactness:
                          _old_meter_moments(propagated))
             reference = no_atoms_moments(params, initial)
             _assert_same(reference.entries(), _old_meter_moments(initial))
-            assert predicted.se is reference.se is None
+            for exact in (predicted, reference):
+                assert not exact.moment_cov.any()
+                _assert_same(exact.se, dict.fromkeys(exact.entries(), 0.0))
             delta = delta_stats(predicted, reference, params.r_l)
             values, ses = _old_delta_stats(predicted, reference, params.r_l)
             _assert_same(delta.entries(), values)
-            assert delta.se is ses is None
+            assert not delta.moment_cov.any()
+            _assert_same(delta.se, ses)
 
     @pytest.mark.parametrize("n_shots", [2, 50_000])
     def test_d_cov_qr_is_carried_but_not_reported(self, n_shots):
@@ -715,7 +717,10 @@ class TestErrorCovariance:
             delta.moment_cov, np.diag([0.0, 0.3 * 0.3, 0.1 * 0.1, 0.0]))
         # every reported name, 0.0 where none was given
         assert delta.se == {"d_var_p": 0.0, "d_var_q": 0.3, "d_cov_pq": 0.1}
-        assert MomentSet(n_pulses=1, var_p=1.0).moment_cov is None
+        # without se=, the same as se={}: Sigma = 0
+        exact = MomentSet(n_pulses=1, var_p=1.0)
+        np.testing.assert_array_equal(exact.moment_cov, np.zeros((1, 1)))
+        assert exact.se == {"var_p": 0.0}
 
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     def test_standard_errors_read_sigmas_diagonal(self, n_pulses):
