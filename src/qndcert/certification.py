@@ -98,48 +98,33 @@ def _transfer_figures(delta: DeltaStats, var_p: float, k2: float,
     not finite, come back None instead of raising, so reduced (one- or
     two-pulse) runs still get whatever is defined.
     """
+    values: dict[str, float | None] = dict.fromkeys(
+        ("c2_in_meter", "c2_in_out", "c2_out_meter"))
     undefined: dict[str, str] = {}
-    values: dict[str, float | None] = {
-        "c2_in_meter": None, "c2_in_out": None, "c2_out_meter": None,
-    }
-
     if var_p > 0.0:
         values["c2_in_meter"] = k2 * j33 / var_p
     else:
         undefined["c2_in_meter"] = f"var_p = {var_p:.6g} is not positive"
-
     if delta.n_pulses < 2:
         undefined["c2_in_out"] = "needs three pulses"
         undefined["c2_out_meter"] = "needs two pulses"
-        return _finite_figures(values, undefined)
-
-    bracket = delta.d_var_q - delta.d_var_p + k2 * j33
-    if bracket == 0.0:
-        undefined["c2_in_out"] = "zero output spin variance bracket"
-        undefined["c2_out_meter"] = "zero output spin variance bracket"
-        return _finite_figures(values, undefined)
-
-    if var_p > 0.0:
-        values["c2_out_meter"] = ((delta.d_cov_pq / var_p)
-                                  * (delta.d_cov_pq / bracket))
+    elif (bracket := delta.d_var_q - delta.d_var_p + k2 * j33) == 0.0:
+        undefined["c2_in_out"] = undefined["c2_out_meter"] = (
+            "zero output spin variance bracket")
     else:
-        undefined["c2_out_meter"] = f"var_p = {var_p:.6g} is not positive"
-
-    if delta.n_pulses < 3:
-        undefined["c2_in_out"] = "needs three pulses"
-    elif delta.d_cov_pq == 0.0:
-        undefined["c2_in_out"] = "d_cov_pq is zero"
-    else:
-        r_a = delta.d_cov_pr / delta.d_cov_pq
-        values["c2_in_out"] = k2 * j33 / bracket * (r_a * r_a)
-    return _finite_figures(values, undefined)
-
-
-def _finite_figures(values: dict[str, float | None],
-                    undefined: dict[str, str]) -> FiguresOfMerit:
-    """The figures ``values``, each one that is not finite None with its
-    reason in ``undefined``."""
-    for name, value in values.items():
+        if var_p > 0.0:
+            values["c2_out_meter"] = ((delta.d_cov_pq / var_p)
+                                      * (delta.d_cov_pq / bracket))
+        else:
+            undefined["c2_out_meter"] = undefined["c2_in_meter"]  # var_p's
+        if delta.n_pulses < 3:
+            undefined["c2_in_out"] = "needs three pulses"
+        elif delta.d_cov_pq == 0.0:
+            undefined["c2_in_out"] = "d_cov_pq is zero"
+        else:
+            r_a = delta.d_cov_pr / delta.d_cov_pq
+            values["c2_in_out"] = k2 * j33 / bracket * (r_a * r_a)
+    for name, value in values.items():  # the one exit: each figure finite
         if value is not None and not math.isfinite(value):
             values[name] = None
             undefined[name] = f"out of floating-point range ({value})"

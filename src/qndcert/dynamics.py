@@ -35,6 +35,7 @@ one that is not PSD (``NotPositiveSemidefiniteError``).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
@@ -88,6 +89,10 @@ class ExperimentParams:
     r_l: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("g_tau", "mean_sx", "mean_jx"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("r_a", "r_l"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -249,7 +249,8 @@ def empirical_check(params: ExperimentParams, noise: NoiseModel,
                     seed: int) -> EmpiricalCheck:
     """Simulate both arms and z-score every sampled moment against its
     closed-form prediction (:func:`simulate_moments`: no arm is held
-    whole); the check passes when every |z| is at most ``Z_MAX``."""
+    whole); the check passes when every |z| is at most ``Z_MAX``, and an
+    arm whose Sigma is out of range is refused (``UndefinedInputError``)."""
     sampled_atoms, sampled_ref = simulate_moments(params, noise, initial,
                                                   n_shots, seed)
     rows = _compare("with_atoms", sampled_atoms,

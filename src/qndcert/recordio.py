@@ -49,14 +49,13 @@ which (``moments_source``) and names the CSVs a stored digest
 contradicts (``stale``).
 
 Writing refuses records holding a non-finite value or arms of different
-shot counts.  Reading refuses a file whose values are not all finite,
-whose parsed mean or comoment overflows, or whose ``shot`` column is not
-0, 1, ..., n-1, arms of different shot counts, and a sidecar whose
-counts are not integers (pulses 1 to 3), seed not a nonnegative integer
-or null, hash not a string, or stored comoment not symmetric with a
-nonnegative diagonal.  It refuses an arm, parsed or stored, whose
-moments' error covariance (Isserlis' Sigma, products of two moments)
-overflows, naming the CSV or the sidecar.
+shot counts.  Reading checks the files' own formats: a CSV's values
+finite and its ``shot`` column 0, 1, ..., n-1, the arms' shot counts
+equal, and a sidecar's ``schema_version`` (1 or 2), integer counts
+(pulses 1 to 3), seed (a nonnegative integer or null), hash (a string
+or null) and a finite summary of its own counts.  Each arm's moments,
+parsed or stored, then meet :meth:`MomentAccumulator.moments`'s rule,
+whose refusal names the CSV or the sidecar.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .config import check_r_l
-from .errors import ConfigError, RecordError
+from .errors import ConfigError, RecordError, UndefinedInputError
 from .recordfmt import format_rows
 from .statistics import (
     ARM_ROLES,
@@ -154,8 +153,7 @@ def _arm_pieces(chunks: Iterable[np.ndarray], role: str, n_pulses: int,
         if bad is not None:
             raise RecordError(f"{role} arm: row {start + bad}"
                               " holds a non-finite value; not written")
-        with np.errstate(all="ignore"):  # a sum may overflow: see _sidecar
-            acc.update(chunk)
+        acc.update(chunk)
         for row in range(0, len(chunk), SUB_BLOCK_ROWS):
             piece = format_rows(chunk[row:row + SUB_BLOCK_ROWS], start + row)
             digest.update(piece)
@@ -324,8 +322,11 @@ def _read_meta(meta_path: str | Path) -> dict:
     if not isinstance(meta, dict) or meta.get("kind") != "shot_records":
         raise RecordError(f"{meta_path}: not a shot-records sidecar")
     # JSON keeps integers apart from floats and bools: type(v) is int.
+    version = meta.get("schema_version")
     n_pulses, seed = meta.get("n_pulses"), meta.get("seed")
     for field, valid, rule in (
+            ("schema_version", type(version) is int and 1 <= version <= 2,
+             "1 or 2"),
             ("n_shots", type(meta.get("n_shots")) is int, "an integer"),
             ("n_pulses", type(n_pulses) is int and 1 <= n_pulses <= 3,
              "1, 2 or 3"),
@@ -373,28 +374,17 @@ def _stored_moments(meta: dict, arm: dict, meta_path: str | Path) -> MomentSet:
     if not (np.isfinite(mean).all() and np.isfinite(comoment).all()):
         raise RecordError(f"{meta_path}: arm summary holds a non-finite "
                           f"value")
-    if (comoment != comoment.T).any() or (comoment.diagonal() < 0.0).any():
-        raise RecordError(f"{meta_path}: arm comoment must be symmetric with "
-                          f"a nonnegative diagonal")
     acc = MomentAccumulator(n_pulses)
     acc.count, acc.mean, acc.comoment = count, mean, comoment
-    return _finite_moments(acc, meta_path)
+    return _arm_moments(acc, meta_path)
 
 
-def _finite_moments(acc: MomentAccumulator, path: str | Path) -> MomentSet:
-    """``acc``'s moments; an error covariance that overflows, or that has
-    underflowed to a zero error for a nonzero moment, is refused, naming
-    ``path``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        moments = acc.moments()
-    if not np.isfinite(moments.moment_cov).all():
-        raise RecordError(f"{path}: the error covariance of its moments "
-                          f"overflows")
-    if any(value and not se for value, se
-           in zip(moments.entries().values(), moments.se.values())):
-        raise RecordError(f"{path}: the error covariance of its moments "
-                          f"underflows")
-    return moments
+def _arm_moments(acc: MomentAccumulator, path: str | Path) -> MomentSet:
+    """``acc.moments()``, its refusal a ``RecordError`` naming ``path``."""
+    try:
+        return acc.moments()
+    except UndefinedInputError as exc:
+        raise RecordError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -423,21 +413,17 @@ class RecordSet:
 def _parsed_moments(paths: dict[str, Path], meta: dict,
                     meta_path) -> tuple[MomentSet, MomentSet]:
     """Both arms' moments, each arm parsed and accumulated chunk by chunk,
-    never held whole.  Each file gets every check of ``_read_arm``, and a
-    finite mean and comoment; the arms must agree on the shot and pulse
-    counts and with ``meta``'s own, when it has any."""
+    never held whole.  Each file gets every check of ``_read_arm``; the
+    arms must agree on the shot and pulse counts and with ``meta``'s own,
+    when it has any."""
     accs = []
     for role, path in paths.items():
         chunks = _read_arm(path)
         first = next(chunks)  # a file has one or more
         acc = MomentAccumulator(first.shape[1])
-        with np.errstate(all="ignore"):  # a sum may overflow: refused below
-            acc.update(first)
-            for chunk in chunks:
-                acc.update(chunk)
-        if not all(np.isfinite(a).all() for a in (acc.mean, acc.comoment)):
-            raise RecordError(f"{path}: the mean or comoment of its values "
-                              f"overflows")
+        acc.update(first)
+        for chunk in chunks:
+            acc.update(chunk)
         for field, count in (("n_pulses", acc.mean.size),
                              ("n_shots", acc.count)):
             if meta and meta[field] != count:
@@ -446,7 +432,7 @@ def _parsed_moments(paths: dict[str, Path], meta: dict,
         accs.append(acc)
     _check_arms_agree("shot count", [acc.count for acc in accs])
     _check_arms_agree("pulse count", [acc.mean.size for acc in accs])
-    return tuple(_finite_moments(acc, path)
+    return tuple(_arm_moments(acc, path)
                  for acc, path in zip(accs, paths.values()))
 
 

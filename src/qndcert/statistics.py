@@ -28,6 +28,8 @@ formats and the reader parses arms in these chunks, and
 sampler's chunks as drawn, the sidecar's as written, a CSV's as parsed,
 or one whole array -- gives the same bits.  A pipeline holds one chunk
 per arm, never a whole arm, so memory does not grow with the shot count.
+:meth:`MomentAccumulator.moments` is the one rule, on every route, for
+whether an arm's state gives moments and a Sigma in range.
 
 Delta statistics subtract the reference, scaled by the optical
 transmission squared,
@@ -254,8 +256,9 @@ def map_arms(fn: Callable[[str], _T]) -> tuple[_T, _T]:
 class MomentAccumulator:
     """Streaming mean and covariance over rows.
 
-    Keeps (count, mean, centered comoment) and folds each chunk in with
-    the standard pairwise update.
+    Keeps (count, mean, centered comoment), folded from chunks with the
+    standard pairwise update or read from a sidecar summary; either way,
+    :meth:`moments` is the one rule for the arm's moments.
     """
 
     def __init__(self, n_cols: int):
@@ -266,35 +269,54 @@ class MomentAccumulator:
     def update(self, rows: np.ndarray) -> None:
         """Fold in ``rows``, ``CHUNK_SHOTS`` at a time: the grain every
         arm is streamed in, so a whole array gives the bits its chunks
-        give."""
+        give.  A sum that overflows does so without a warning:
+        :meth:`moments` refuses it."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.mean.size:
             raise DimensionMismatchError(
                 f"expected (n, {self.mean.size}) rows, got {rows.shape}"
             )
-        for start in range(0, rows.shape[0], CHUNK_SHOTS):
-            chunk = rows[start:start + CHUNK_SHOTS]
-            n_a, n_b = self.count, chunk.shape[0]
-            n = n_a + n_b
-            mean_b = chunk.mean(axis=0)
-            centered = chunk - mean_b
-            delta = mean_b - self.mean
-            self.mean = self.mean + delta * (n_b / n)
-            self.comoment = (self.comoment + centered.T @ centered
-                             + np.outer(delta, delta) * (n_a * n_b / n))
-            self.count = n
+        with np.errstate(all="ignore"):
+            for start in range(0, rows.shape[0], CHUNK_SHOTS):
+                chunk = rows[start:start + CHUNK_SHOTS]
+                n_a, n_b = self.count, chunk.shape[0]
+                n = n_a + n_b
+                mean_b = chunk.mean(axis=0)
+                centered = chunk - mean_b
+                delta = mean_b - self.mean
+                self.mean = self.mean + delta * (n_b / n)
+                self.comoment = (self.comoment + centered.T @ centered
+                                 + np.outer(delta, delta) * (n_a * n_b / n))
+                self.count = n
 
     def moments(self) -> MomentSet:
         """Unbiased (n-1 normalized) sample moments of the rows seen, with
-        their error covariance (Isserlis, see the module docstring)."""
-        n = self.count
+        their error covariance Sigma (Isserlis, see the module docstring).
+        Refused (``UndefinedInputError``), in order: fewer than 2 shots, a
+        mean or comoment not finite, a comoment not symmetric or with a
+        negative diagonal, a Sigma that overflows or underflows to a zero
+        error for a nonzero moment.  No numpy warning escapes."""
+        n, mean, comoment = self.count, self.mean, self.comoment
         if n < 2:
             raise UndefinedInputError("need at least 2 shots per arm")
-        cov = self.comoment / (n - 1)
+        if not (np.isfinite(mean).all() and np.isfinite(comoment).all()):
+            raise UndefinedInputError(
+                "the mean or comoment of its values overflows")
+        if (comoment != comoment.T).any() or (comoment.diagonal() < 0.0).any():
+            raise UndefinedInputError("arm comoment must be symmetric with "
+                                      "a nonnegative diagonal")
+        cov = comoment / (n - 1)
         j, k = np.array([_ENTRIES[name] for name
-                         in MomentSet._reported[self.mean.size]]).T
-        moment_cov = (cov[np.ix_(j, j)] * cov[np.ix_(k, k)]
-                      + cov[np.ix_(j, k)] * cov[np.ix_(k, j)]) / (n - 1)
+                         in MomentSet._reported[mean.size]]).T
+        with np.errstate(all="ignore"):  # refused below
+            moment_cov = (cov[np.ix_(j, j)] * cov[np.ix_(k, k)]
+                          + cov[np.ix_(j, k)] * cov[np.ix_(k, j)]) / (n - 1)
+        if not np.isfinite(moment_cov).all():
+            raise UndefinedInputError(
+                "the error covariance of its moments overflows")
+        if ((moment_cov.diagonal() == 0.0) & (cov[j, k] != 0.0)).any():
+            raise UndefinedInputError(
+                "the error covariance of its moments underflows")
         return MomentSet._of(cov, n, moment_cov)
 
 

@@ -116,6 +116,29 @@ class TestHollandFigures:
         assert figures.c2_in_meter is None
         assert "var_p" in figures.undefined["c2_in_meter"]
 
+    def test_figure_out_of_range_is_none_with_its_reason(self):
+        # kappa**2 j33 / var_p at var_p = 5e-324 is inf: the one exit
+        # names it after the reasons the pulse count gives
+        delta = DeltaStats(n_pulses=1, d_var_p=25.0)
+        figures = _figures_of(delta, 5e-324)
+        assert figures.c2_in_meter is None
+        assert list(figures.undefined.items()) == [
+            ("c2_in_out", "needs three pulses"),
+            ("c2_out_meter", "needs two pulses"),
+            ("c2_in_meter", "out of floating-point range (inf)")]
+
+    def test_figures_out_of_range_are_named_in_figure_order(self):
+        # d_cov_pr / d_cov_pq overflows, and so does c2_in_meter; the
+        # finite c2_out_meter is kept
+        delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=30.0,
+                           d_var_r=30.0, d_cov_pq=1e-160, d_cov_pr=1e150)
+        figures = _figures_of(delta, 5e-324)
+        assert figures.c2_out_meter == pytest.approx(1e-160 / 5e-324
+                                                     * 1e-160 / 30.0)
+        assert list(figures.undefined.items()) == [
+            ("c2_in_meter", "out of floating-point range (inf)"),
+            ("c2_in_out", "out of floating-point range (inf)")]
+
     def test_negative_j33_rejected(self):
         delta = DeltaStats(n_pulses=1, d_var_p=1.0)
         with pytest.raises(UndefinedInputError):

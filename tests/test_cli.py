@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, in process via main()."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 import qndcert
 import qndcert.cli
 import qndcert.recordio
+import qndcert.selftest
 from qndcert import params_hash
 from qndcert.cli import main
 from qndcert.config import load_config
@@ -271,6 +273,31 @@ class TestBadRecords:
         assert captured.out == ""
         assert captured.err == ("error: arms disagree on the pulse count: "
                                 "2 with_atoms, 1 no_atoms\n")
+
+    @pytest.mark.parametrize("source", ["csv", "sidecar"])
+    def test_arms_of_one_shot_are_refused_naming_the_file(
+            self, ideal_run, tmp_path, capsys, source):
+        # the refusal named no file: "error: need at least 2 shots per arm"
+        if source == "csv":
+            for name in ("x.csv", "y.csv"):
+                (tmp_path / name).write_text("shot,p_y\n0,1.0\n")
+            argv = ["--records", str(tmp_path / "x.csv"),
+                    "--no-atoms-records", str(tmp_path / "y.csv")]
+            named = tmp_path / "x.csv"
+        else:
+            run = _copy_run(ideal_run, tmp_path)
+            named = pathlib.Path(run["meta"])
+            meta = json.loads(named.read_text())
+            meta["n_shots"] = 1
+            for arm in meta["arms"].values():
+                arm["count"] = 1
+            named.write_text(json.dumps(meta))
+            argv = _record_args(run)
+        assert main(["stats", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {named}: need at least 2 shots per "
+                                f"arm\n")
 
 
     @pytest.mark.parametrize("scale, cause", [
@@ -928,6 +955,7 @@ class TestSidecarTypes:
     @pytest.mark.parametrize("edit", [
         {"n_pulses": 3.0}, {"n_shots": 20000.0}, {"seed": 11.5},
         {"seed": -3}, {"params_hash": 7}, {"count": 20000.0},
+        {"schema_version": 99},
     ])
     @pytest.mark.parametrize("command", ["stats", "certify"])
     def test_refused_with_exit_2(self, ideal_run, tmp_path, capsys, edit,
@@ -1029,6 +1057,39 @@ class TestSelftest:
                      "--seed", "5", "--corrupt-delta"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  delta-subtraction-identity" in out
+
+    def test_a_crashed_suite_fails_the_run(self, capsys, monkeypatch):
+        # no random model is ever informative: the suites that draw one
+        # crash, and a crashed suite is a failed suite
+        monkeypatch.setattr(qndcert.selftest, "_informative",
+                            lambda *model: False)
+        results = {result.name: result for result
+                   in qndcert.selftest.run_selftest(n_sets=1, n_shots=200)}
+        crashed = results["closed-form-vs-pipeline"]
+        assert crashed.passed is False
+        assert crashed.detail == ("crashed: RuntimeError('could not draw an "
+                                  "informative random model')")
+        assert results["reference-values"].passed
+        assert main(["selftest", "--sets", "1", "--shots", "200"]) == 1
+        assert "FAIL  closed-form-vs-pipeline" in capsys.readouterr().out
+
+    def test_margin_sign_against_conditioned_variance(self, monkeypatch):
+        # the squeezing margin's sign must agree with whether the
+        # conditioned spin variance fell below its input; a flipped
+        # margin fails the identity suite
+        original = qndcert.selftest.certify
+
+        def flipped(*args):
+            report = original(*args)
+            squeezing = report.squeezing._replace(
+                margin=-report.squeezing.margin)
+            return dataclasses.replace(report, squeezing=squeezing)
+
+        assert qndcert.selftest._suite_delta_identity(6, 5, 1.0, False).passed
+        monkeypatch.setattr(qndcert.selftest, "certify", flipped)
+        result = qndcert.selftest._suite_delta_identity(6, 5, 1.0, False)
+        assert result.passed is False
+        assert result.detail.endswith("max rel err 1.00e+00")
 
 
     @pytest.mark.parametrize("args", [

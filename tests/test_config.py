@@ -132,6 +132,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="coupling"):
             load_config(_write(tmp_path, payload))
 
+    def test_coupling_that_overflows_is_refused(self, tmp_path):
+        # kappa / mean_sx = 1e310: simulate printed numpy warnings, then
+        # refused its first record row as non-finite
+        payload = dict(BASE, n_pulses=1, coupling={"kappa": 1e300},
+                       light={"mean_sx": 1e-10, "cov": np.eye(3).tolist()})
+        with pytest.raises(ConfigError,
+                           match="^g_tau must be finite, got inf$"):
+            load_config(_write(tmp_path, payload))
+
     def test_atoms_forms_are_exclusive(self, tmp_path):
         payload = dict(BASE, atoms={"n_atoms": 100.0, "mean_jx": 50.0})
         with pytest.raises(ConfigError, match="^atoms: n_atoms cannot be "

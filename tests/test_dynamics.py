@@ -53,6 +53,16 @@ class TestExperimentParams:
             ExperimentParams(g_tau=0.01, mean_sx=50.0, mean_jx=50.0,
                              **{field: value})
 
+    @pytest.mark.parametrize("field", ["g_tau", "mean_sx", "mean_jx"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_couplings_and_polarizations_finite(self, field, value):
+        # A NaN coupling would give all-NaN moments, an infinite
+        # polarization a numpy warning in apply_pulse; both refused here.
+        fields = {"g_tau": 0.02, "mean_sx": 50.0, "mean_jx": 40.0}
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be finite, got {value}$"):
+            ExperimentParams(**{**fields, field: value})
+
 
 class TestNoiseModel:
     def test_from_entries_symmetrizes(self):

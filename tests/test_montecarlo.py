@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from qndcert import (
     NoiseModel,
     OpticalBlock,
     SamplerUnsupportedError,
+    UndefinedInputError,
     empirical_check,
     interaction_matrix,
     load_config,
@@ -345,6 +347,27 @@ class TestSampledStatistics:
             acc.update(chunk)
         assert acc.mean[0] == pytest.approx(4.0, abs=0.15)
         assert acc.mean[2] == pytest.approx(4.0, abs=0.15)
+
+
+class TestArmOutOfRange:
+    """The sampler's arms meet the reader's rule: at atom variance 1e160
+    every sampled standard error was inf, so every z was 0 and the check
+    passed against any prediction, while the same model's records were
+    refused on reading."""
+
+    @pytest.mark.parametrize("run", [simulate_moments, empirical_check])
+    def test_error_covariance_that_overflows_is_refused(self, noisy_set,
+                                                        run):
+        params, noise, _ = noisy_set
+        initial = make_initial_state(AtomicBlock(50.0, np.eye(3) * 1e160),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedInputError,
+                               match="^the error covariance of its moments "
+                                     "overflows$"):
+                run(params, noise, initial, 20000, 5)
 
 
 class TestDegenerateCovariances:

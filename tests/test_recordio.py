@@ -386,15 +386,19 @@ class TestOneGrain:
 
 
 class TestSidecarFields:
-    """Counts, seed and hash in a sidecar must have the types the writer
-    gives them; anything else is refused, whether or not the CSVs are
-    parsed."""
+    """Schema version, counts, seed and hash in a sidecar must have the
+    types and values the writer gives them; anything else is refused,
+    whether or not the CSVs are parsed."""
 
     @pytest.mark.parametrize("field, value", [
         ("n_pulses", 3.0), ("n_pulses", True), ("n_pulses", 4),
         ("n_pulses", None), ("n_shots", 64.0), ("n_shots", False),
         ("n_shots", "64"), ("seed", 21.5), ("seed", -1), ("seed", True),
         ("seed", "21"), ("params_hash", 5), ("params_hash", ["x"]),
+        # a later schema must not be read as if it were schema 2
+        ("schema_version", 3), ("schema_version", 99), ("schema_version", 0),
+        ("schema_version", 2.0), ("schema_version", True),
+        ("schema_version", None),
     ])
     def test_bad_field_is_refused(self, tmp_path, small_rows, field,
                                   value):
@@ -518,6 +522,29 @@ class TestReadValidation:
             with pytest.raises(RecordError, match="bad.csv: no data rows"):
                 read_records(bad, bad)
         assert caught == []
+
+    def test_one_row_arms_are_refused_naming_the_csv(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("shot,p_y\n0,1.0\n")
+        b = tmp_path / "b.csv"
+        b.write_text("shot,p_y\n0,3.0\n")
+        with pytest.raises(RecordError,
+                           match=f"^{a}: need at least 2 shots per arm$"):
+            read_records(a, b)
+
+    def test_sidecar_of_one_shot_arms_is_refused_naming_it(self, tmp_path,
+                                                           small_rows):
+        # the digests match, so the stored summaries are read
+        paths = _write(small_rows, tmp_path / "run")
+        meta = json.loads(paths["meta"].read_text())
+        meta["n_shots"] = 1
+        for arm in meta["arms"].values():
+            arm["count"] = 1
+        paths["meta"].write_text(json.dumps(meta))
+        with pytest.raises(RecordError, match=f"^{paths['meta']}: need at "
+                                              f"least 2 shots per arm$"):
+            read_records(paths["with_atoms"], paths["no_atoms"],
+                         paths["meta"])
 
     def test_arm_shape_mismatch(self, tmp_path):
         # arms read as separate record sets still meet delta_stats' refusal
@@ -766,6 +793,17 @@ class TestAtomicWrite:
         write_atomic(target, b"new")
         assert target.read_text() == "new"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_rename_leaves_the_target_and_no_temp_file(self,
+                                                              tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept")
+        with pytest.raises(IsADirectoryError):
+            write_atomic(target, b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept"
 
     def test_creates_parent_directories(self, tmp_path):
         target = tmp_path / "a" / "b" / "out.txt"

@@ -242,6 +242,13 @@ class TestMomentSetValidation:
         with pytest.raises(ValueError):
             MomentSet(n_pulses=1, var_p=-1.0)
 
+    def test_repr_names_entries_shots_and_errors(self):
+        moments = MomentSet(n_pulses=2, n_shots=10, var_p=2.0, var_q=3.0,
+                            cov_pq=0.5, se={"var_p": 0.25})
+        assert repr(moments) == (
+            "MomentSet({'var_p': 2.0, 'var_q': 3.0, 'cov_pq': 0.5}, "
+            "n_shots=10, se={'var_p': 0.25, 'var_q': 0.0, 'cov_pq': 0.0})")
+
     def test_delta_allows_negative_differences(self):
         # reference subtraction can legitimately go below zero
         delta = DeltaStats(n_pulses=1, d_var_p=-3.0)
@@ -289,6 +296,44 @@ class TestMomentAccumulator:
         with pytest.raises(UndefinedInputError,
                            match="^need at least 2 shots per arm$"):
             acc.moments()
+
+    @pytest.mark.parametrize("mean, comoment, message", [
+        ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]],
+         "the mean or comoment of its values overflows"),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]],
+         "the mean or comoment of its values overflows"),
+        ([0.0, 0.0], [[1.0, 0.5], [0.25, 1.0]],
+         "arm comoment must be symmetric with a nonnegative diagonal"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]],
+         "arm comoment must be symmetric with a nonnegative diagonal"),
+        ([0.0, 0.0], [[1e160, 0.0], [0.0, 1.0]],
+         "the error covariance of its moments overflows"),
+        ([0.0, 0.0], [[1e-170, 0.0], [0.0, 1.0]],
+         "the error covariance of its moments underflows"),
+    ], ids=["mean-nan", "comoment-inf", "asymmetric", "negative-variance",
+            "sigma-overflows", "sigma-underflows"])
+    def test_moments_refuses_a_state_no_rows_give(self, mean, comoment,
+                                                  message):
+        # the one rule for an arm, whether its state was folded from
+        # rows or read from a sidecar summary; no numpy warning escapes
+        acc = MomentAccumulator(2)
+        acc.count = 10
+        acc.mean, acc.comoment = np.array(mean), np.array(comoment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedInputError, match=f"^{message}$"):
+                acc.moments()
+
+    def test_update_folds_an_overflow_quietly(self):
+        # the sums overflow without a warning; moments() refuses them
+        acc = MomentAccumulator(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc.update(np.array([[1e160], [-1e160]]))
+            with pytest.raises(UndefinedInputError,
+                               match="^the mean or comoment of its values "
+                                     "overflows$"):
+                acc.moments()
 
 
 def _moments_of(rows):
