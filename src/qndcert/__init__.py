@@ -55,7 +55,6 @@ from .errors import (
     NotSymmetricError,
     QndError,
     RecordError,
-    SamplerUnsupportedError,
     UndefinedInputError,
     UninformativeCouplingError,
 )

@@ -8,7 +8,7 @@ Schema (top level; unknown keys are rejected)::
       "atoms":    {"n_atoms": 100},       # or {"mean_jx": 50.0, "cov": [[..3x3..]]}
       "light":    {"n_photons": 100},     # or {"mean_sx": 50.0, "cov": [[..3n x 3n..]]}
       "r_a": 1.0, "r_l": 1.0,             # optional, default 1
-      "noise": {"33": 2.0, "35": 0.5},    # optional; 1-based entry keys, or a 6x6 list
+      "noise": {"33": 2.0, "35": 0.5, "55": 4.0},  # optional, PSD; 1-based keys or 6x6
       "n_shots": 100000, "seed": 1,       # optional defaults
       "j33": null, "j0": null,            # optional calibration overrides
       "z_threshold": 3.0                  # optional
@@ -16,8 +16,8 @@ Schema (top level; unknown keys are rejected)::
 
 Validation failures raise ConfigError naming the offending field; JSON
 syntax errors carry the line and column.  The model's own refusals, such
-as an asymmetric covariance block, come as ConfigError too.  A loaded
-config holds the initial state that it built and checked.
+as an asymmetric block or an indefinite noise matrix, come as ConfigError
+too.  A loaded config holds the initial state that it built and checked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import AtomicBlock, GaussianState, Layout, OpticalBlock, make_initial_state
-from .dynamics import ExperimentParams, NoiseModel
+from .dynamics import ExperimentParams, NoiseModel, _g_tau
 from .errors import ConfigError, QndError
 
 __all__ = ["ExperimentConfig", "check_number", "check_r_l", "load_config"]
@@ -165,11 +165,11 @@ def _parse_coupling(raw: dict, mean_sx: float) -> float:
     if set(section) == {"g_tau"}:
         return _number(section, "g_tau")
     if set(section) == {"kappa"}:
-        if mean_sx == 0.0:
-            raise ConfigError(
-                "coupling.kappa: needs a nonzero light mean_sx to infer g_tau"
-            )
-        return _number(section, "kappa") / mean_sx
+        kappa = _number(section, "kappa")
+        try:
+            return _g_tau(kappa, mean_sx)
+        except ValueError as exc:
+            raise ConfigError(f"coupling.kappa: {exc}") from None
     raise ConfigError("coupling: exactly one of g_tau or kappa")
 
 

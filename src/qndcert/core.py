@@ -18,20 +18,17 @@ consumer can rely on exact symmetry.  A state holds one read-only copy
 of each: the symmetrized covariance is itself a new array, so it is
 frozen as it is, and only the mean is copied.
 
-Positivity is one rule, checked where it can fail.  A covariance that
-enters the program (``GaussianState(...)``, :func:`make_initial_state`,
-a loaded config) is refused with
-:class:`~qndcert.errors.NotPositiveSemidefiniteError` when its least
-eigenvalue is below ``-PSD_RTOL * trace``.  A pulse
+Positivity is one rule, checked where a covariance enters.  A state's
+covariance (``GaussianState(...)``, :func:`make_initial_state`, a loaded
+config) and a :class:`~qndcert.dynamics.NoiseModel`'s matrix are
+refused with :class:`~qndcert.errors.NotPositiveSemidefiniteError` when
+the least eigenvalue is below ``-PSD_RTOL * trace``.  A pulse
 (``cov -> M cov M' + N``) and a conditioning step (a Schur complement)
-take a positive-semidefinite (PSD) state to a PSD state whenever the
-added noise N is PSD, so a state they derive is checked only when the
-pulse's noise matrix is not PSD, which a
-:class:`~qndcert.dynamics.NoiseModel` decides once, when it is built.
-Every state is therefore PSD within the tolerance.  A derived
-covariance is symmetric in exact arithmetic, so it is symmetrized with
-no absolute symmetry gap: the rounding of ``M cov M'`` grows with the
-state's magnitude.
+take a positive-semidefinite (PSD) state to a PSD state, since every
+noise N is PSD, so a state they derive is not checked again: every
+state is PSD within the tolerance.  A derived covariance is symmetric
+in exact arithmetic, so it is symmetrized with no absolute symmetry
+gap: the rounding of ``M cov M'`` grows with the state's magnitude.
 """
 
 from __future__ import annotations
@@ -264,7 +261,7 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         cov = _require_symmetric(_as_square(self.cov, dim, "covariance"),
                                  "covariance")
-        _require_psd(cov)
+        _require_psd(cov, "covariance")
         object.__setattr__(self, "cov", cov)
 
 
@@ -275,13 +272,12 @@ def _require_finite_mean(mean: np.ndarray) -> None:
         raise UndefinedInputError("mean holds a non-finite entry")
 
 
-def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
-                   noise_psd: bool = True) -> GaussianState:
-    """The state that a pulse (``M cov M' + N``, whose noise N is PSD when
-    ``noise_psd``) or a Schur complement takes ``parent`` to, holding
-    ``mean`` and the symmetric part of ``cov``.  Both maps keep a PSD
-    state PSD, and every state is PSD, so the positivity check runs only
-    when ``noise_psd`` is false.  ``cov`` is symmetric in exact
+def _derived_state(parent: GaussianState, mean: np.ndarray,
+                   cov: np.ndarray) -> GaussianState:
+    """The state that a pulse (``M cov M' + N``, N PSD) or a Schur
+    complement takes ``parent`` to, holding ``mean`` and the symmetric
+    part of ``cov``.  Both maps keep a PSD state PSD, and every state is
+    PSD, so no positivity check runs.  ``cov`` is symmetric in exact
     arithmetic, so no absolute symmetry gap is asked of it; ``mean`` and
     ``cov`` are fresh arrays, or the parent's frozen ones, and are taken
     over without a copy."""
@@ -294,33 +290,23 @@ def _derived_state(parent: GaussianState, mean: np.ndarray, cov: np.ndarray,
     object.__setattr__(state, "layout", parent.layout)
     object.__setattr__(state, "mean", mean)
     object.__setattr__(state, "cov", sym)
-    if not noise_psd:
-        _require_psd(sym)
     return state
 
 
-def _psd_violation(cov: np.ndarray, what: str) -> str | None:
-    """Why ``cov``, named ``what``, is not PSD within ``PSD_RTOL *
-    trace``, or None.  Where the trace overflows, the tolerance sums the
-    diagonal scaled by ``PSD_RTOL`` instead."""
+def _require_psd(cov: np.ndarray, what: str) -> None:
+    """Refuse ``cov``, named ``what``, unless it is PSD within
+    ``PSD_RTOL * trace``; where the trace overflows, the tolerance sums
+    the diagonal scaled by ``PSD_RTOL`` instead."""
     min_eig = float(np.linalg.eigvalsh(cov)[0])
     if min_eig >= 0.0:  # inside every tolerance: no trace needed
-        return None
+        return
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
         tol = PSD_RTOL * max(float(cov.trace()), 0.0)
     if not math.isfinite(tol):
         tol = max(float((cov.diagonal() * PSD_RTOL).sum()), 0.0)
-    if min_eig >= -tol:
-        return None
-    return (f"{what} has eigenvalue {min_eig:.6e} below tolerance "
-            f"{-tol:.6e}")
-
-
-def _require_psd(cov: np.ndarray) -> None:
-    """Refuse a covariance unless it is PSD within ``PSD_RTOL * trace``."""
-    message = _psd_violation(cov, "covariance")
-    if message is not None:
-        raise NotPositiveSemidefiniteError(message)
+    if min_eig < -tol:
+        raise NotPositiveSemidefiniteError(
+            f"{what} has eigenvalue {min_eig:.6e} below tolerance {-tol:.6e}")
 
 
 def make_initial_state(atomic: AtomicBlock, optical: OpticalBlock,

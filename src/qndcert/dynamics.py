@@ -27,17 +27,18 @@ slicing or label lookup of its own.
 kappa = g*tau*<S_x> and kappa_b = g*tau*<J_x> are fixed at their
 calibration values; neither is rescaled as atoms or photons are lost.
 
-A pulse with positive-semidefinite (PSD) noise keeps a PSD state PSD,
-so :func:`apply_pulse` checks the state it derives only when the
-:class:`NoiseModel` is indefinite, as a fitted one may be, and refuses
-one that is not PSD (``NotPositiveSemidefiniteError``).
+A :class:`NoiseModel` refuses a matrix that is not positive
+semidefinite (PSD) within :mod:`qndcert.core`'s ``PSD_RTOL * trace``
+(``NotPositiveSemidefiniteError``) when it is built.  A pulse with PSD
+noise keeps a PSD state PSD, so :func:`apply_pulse` does not check the
+state it derives.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -49,7 +50,7 @@ from .core import (
     GaussianState,
     Layout,
     _derived_state,
-    _psd_violation,
+    _require_psd,
     _require_symmetric,
 )
 from .errors import LayoutError
@@ -97,6 +98,9 @@ class ExperimentParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        _in_range("kappa = g_tau * mean_sx", self.g_tau, "*", self.mean_sx)
+        _in_range("kappa_back = g_tau * mean_jx", self.g_tau, "*",
+                  self.mean_jx)
 
     @property
     def kappa(self) -> float:
@@ -112,10 +116,27 @@ class ExperimentParams:
     def from_kappa(cls, kappa: float, mean_sx: float, mean_jx: float,
                    r_a: float = 1.0, r_l: float = 1.0) -> "ExperimentParams":
         """Build from the meter coupling instead of the raw rate."""
-        if mean_sx == 0.0:
-            raise ValueError("mean_sx must be nonzero to infer g_tau from kappa")
-        return cls(g_tau=kappa / mean_sx, mean_sx=mean_sx, mean_jx=mean_jx,
-                   r_a=r_a, r_l=r_l)
+        return cls(g_tau=_g_tau(kappa, mean_sx), mean_sx=mean_sx,
+                   mean_jx=mean_jx, r_a=r_a, r_l=r_l)
+
+
+def _in_range(what: str, a: float, op: str, b: float) -> float:
+    """``a op b`` (``*`` or ``/``), refused (ValueError naming ``what``)
+    where it overflows, or underflows to 0 from nonzero ``a`` and ``b``."""
+    a, b = float(a), float(b)
+    value = a * b if op == "*" else a / b
+    if math.isinf(value) or (value == 0.0 and a != 0.0 and b != 0.0):
+        fault = "underflows to 0" if value == 0.0 else "overflows"
+        raise ValueError(f"{what} {fault}: {a!r} {op} {b!r}")
+    return value
+
+
+def _g_tau(kappa: float, mean_sx: float) -> float:
+    """The g_tau of meter weight ``kappa`` at ``mean_sx``: the one rule of
+    ``ExperimentParams.from_kappa`` and a config's ``coupling.kappa``."""
+    if mean_sx == 0.0:
+        raise ValueError("needs a nonzero light mean_sx to infer g_tau")
+    return _in_range("g_tau = kappa / mean_sx", kappa, "/", mean_sx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,26 +145,20 @@ class NoiseModel:
 
     The same matrix is added at every pulse (embedded onto the spin block
     and the active pulse's block).  Entries may correlate the spin-noise
-    and meter-noise channels; the matrix is not required to be positive
-    semidefinite here (estimators may produce slightly indefinite fits).
-
-    Whether it is PSD, within the states' ``PSD_RTOL * trace``, is decided
-    once here and kept in ``_psd``: :func:`apply_pulse` checks the state
-    it derives only when this noise is indefinite, and the sampler
-    refuses indefinite noise.
+    and meter-noise channels.  The matrix is a covariance, so it is
+    checked as a state's is: finite, symmetric, and PSD within
+    ``PSD_RTOL * trace`` (``NotPositiveSemidefiniteError`` otherwise).
     """
 
     matrix: np.ndarray
-    _psd: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.shape != (6, 6):
             raise ValueError(f"noise matrix must be 6x6, got {matrix.shape}")
         matrix = _require_symmetric(matrix, "noise matrix")
+        _require_psd(matrix, "noise matrix")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_psd",
-                           _psd_violation(matrix, "noise matrix") is None)
 
     @classmethod
     def zero(cls) -> "NoiseModel":
@@ -260,8 +275,7 @@ def apply_pulse(state: GaussianState, params: ExperimentParams,
     """Propagate a state through one pulse: M cov M' + N and M mean."""
     m = interaction_matrix(params, pulse, state.layout)
     n = noise_matrix(noise, pulse, state.layout)
-    return _derived_state(state, m @ state.mean, m @ state.cov @ m.T + n,
-                          noise._psd)
+    return _derived_state(state, m @ state.mean, m @ state.cov @ m.T + n)
 
 
 def propagate(params: ExperimentParams, noise: NoiseModel,

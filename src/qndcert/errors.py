@@ -34,10 +34,6 @@ class UninformativeCouplingError(QndError):
     estimators built on it carry no information."""
 
 
-class SamplerUnsupportedError(QndError):
-    """A matrix handed to the sampler is too indefinite to factor."""
-
-
 class ConfigError(QndError, ValueError):
     """Configuration file could not be parsed or validated. The message
     names the offending field or the line/column of the syntax error."""

@@ -18,10 +18,10 @@ built from ``interaction_matrix`` alone, never from the closed-form
 moments, so the sampler stays an independent check of them.
 
 Both factors come from an eigendecomposition, whose negative
-eigenvalues clip to 0.  The sampler has no positivity tolerance of its
-own: every state is PSD within :mod:`qndcert.core`'s ``PSD_RTOL *
-trace``, and noise that a :class:`~qndcert.dynamics.NoiseModel` found
-indefinite by the same rule is refused.
+eigenvalues clip to 0.  The sampler has no positivity check of its own:
+every state and every :class:`~qndcert.dynamics.NoiseModel` is PSD
+within :mod:`qndcert.core`'s ``PSD_RTOL * trace``, so those eigenvalues
+are rounding.
 
 Generation is chunked: :func:`arm_chunks` yields an arm's outcomes
 ``CHUNK_SHOTS`` (16384) shots at a time, and every chunk gets its own
@@ -63,9 +63,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import GaussianState, _psd_violation
+from .core import GaussianState
 from .dynamics import ExperimentParams, NoiseModel, interaction_matrix
-from .errors import SamplerUnsupportedError
 from .statistics import (
     CHUNK_SHOTS,
     MomentAccumulator,
@@ -105,11 +104,6 @@ def _psd_factor(matrix: np.ndarray) -> np.ndarray:
     return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
 
-def _reference_variant(params: ExperimentParams) -> ExperimentParams:
-    # Coupling off, lossless: the pulse maps collapse to the identity.
-    return replace(params, g_tau=0.0, r_a=1.0, r_l=1.0)
-
-
 def arm_chunks(params: ExperimentParams, noise: NoiseModel,
                initial: GaussianState, n_shots: int, seed: int,
                with_atoms: bool = True) -> Iterator[np.ndarray]:
@@ -120,14 +114,14 @@ def arm_chunks(params: ExperimentParams, noise: NoiseModel,
     so a consumer must be done with it before asking for the next.
     ``with_atoms=False`` runs the no-atoms reference variant (coupling
     off, r_A = r_L = 1, zero noise) on its own substream family.  The
-    model is checked and the readout built here, before any chunk: noise
-    that is not PSD is refused (``SamplerUnsupportedError``).
+    readout is built here, before any chunk.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
     layout = initial.layout
     if not with_atoms:
-        params = _reference_variant(params)
+        # coupling off, lossless: the pulse maps collapse to the identity
+        params = replace(params, g_tau=0.0, r_a=1.0, r_l=1.0)
         noise = NoiseModel.zero()
 
     pulses = range(1, layout.n_pulses + 1)
@@ -142,10 +136,6 @@ def arm_chunks(params: ExperimentParams, noise: NoiseModel,
     # (variates, n_pulses) gains, in the order each chunk draws them.
     gains = [(readouts[0] @ _psd_factor(initial.cov)).T]
     if not noise.is_zero:
-        if not noise._psd:
-            raise SamplerUnsupportedError(
-                f"{_psd_violation(noise.matrix, 'noise matrix')}; "
-                "cannot be sampled")
         noise_factor = _psd_factor(noise.matrix)
         for pulse in pulses:
             block = layout.block_slice(pulse)

@@ -680,16 +680,60 @@ class TestIndefiniteModel:
         assert captured.err.startswith("error: covariance has eigenvalue")
         assert captured.err.count("\n") == 1
 
-    def test_simulate_refuses_indefinite_noise(self, tmp_path, capsys):
-        # a noise model may be indefinite; the sampler refuses it
-        config = _write_config(tmp_path, "noise.json", noise={"33": -50.0})
-        assert main(["simulate", "--config", str(config),
-                     "--out", str(tmp_path / "run")]) == 2
+    # N33 < 0; and N35 with N55 = 0, the config module's schema example
+    # until its N55 was added
+    INDEFINITE_NOISE = pytest.mark.parametrize("noise, least", [
+        ({"33": -50.0}, "-5.000000e+01"), ({"33": 2.0, "35": 0.5},
+                                           "-1.180340e-01")],
+        ids=["n33", "n35"])
+
+    def _refused_at_load(self, command, args, tmp_path, capsys, noise,
+                         least):
+        config = _write_config(tmp_path, "noise.json", noise=noise)
+        assert main([command, "--config", str(config), *args]) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("error: noise matrix has eigenvalue "
-                                       "-5.000000e+01")
-        assert captured.err.endswith("; cannot be sampled\n")
+                                       f"{least} below tolerance ")
         assert captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["noise.json"]
+
+    @INDEFINITE_NOISE
+    def test_simulate_refuses_indefinite_noise(self, tmp_path, capsys,
+                                               noise, least):
+        # the config loaded, and the sampler refused its noise
+        self._refused_at_load("simulate", ["--out", str(tmp_path / "run")],
+                              tmp_path, capsys, noise, least)
+
+    @INDEFINITE_NOISE
+    def test_certify_with_config_refuses_indefinite_noise(
+            self, ideal_run, tmp_path, capsys, noise, least):
+        # the config loaded, and certify ran on it
+        self._refused_at_load("certify", _record_args(ideal_run), tmp_path,
+                              capsys, noise, least)
+
+
+@pytest.mark.parametrize("overrides, refusal", [
+    # numpy warned "invalid value encountered in matmul", then the
+    # sampler refused a record row as non-finite
+    ({"coupling": {"g_tau": 1e300}, "light": {"n_photons": 1e100}},
+     "kappa = g_tau * mean_sx overflows: "),
+    # g_tau came out 0.0, and simulate ran with the coupling off
+    ({"coupling": {"kappa": 1e-200}, "light": {"n_photons": 1e200}},
+     "coupling.kappa: g_tau = kappa / mean_sx underflows to 0: ")],
+    ids=["overflow", "underflow"])
+def test_simulate_refuses_a_coupling_out_of_range(tmp_path, capsys,
+                                                  overrides, refusal):
+    config = _write_config(tmp_path, "coupling.json", **overrides)
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {refusal}")
+    assert captured.err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["coupling.json"]
 
 
 _README_MODEL = {"r_a": 0.8, "r_l": 0.9,

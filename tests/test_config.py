@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ class TestLoading:
         calls = []
         check = core._require_psd
         monkeypatch.setattr(core, "_require_psd",
-                            lambda cov: calls.append(cov) or check(cov))
+                            lambda cov, what: calls.append(cov)
+                            or check(cov, what))
         config = load_config(_write(tmp_path, BASE))
         assert len(calls) == 1
         state = config.initial_state()
@@ -132,13 +134,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="coupling"):
             load_config(_write(tmp_path, payload))
 
-    def test_coupling_that_overflows_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("kappa, light, refusal", [
         # kappa / mean_sx = 1e310: simulate printed numpy warnings, then
-        # refused its first record row as non-finite
-        payload = dict(BASE, n_pulses=1, coupling={"kappa": 1e300},
-                       light={"mean_sx": 1e-10, "cov": np.eye(3).tolist()})
-        with pytest.raises(ConfigError,
-                           match="^g_tau must be finite, got inf$"):
+        # refused its first record row as non-finite; the refusal named
+        # g_tau, a field this config does not give
+        (1e300, {"mean_sx": 1e-10, "cov": np.eye(3).tolist()},
+         "coupling.kappa: g_tau = kappa / mean_sx overflows: "),
+        # 2e-400 gave g_tau 0.0: simulate ran with the coupling off
+        (1e-200, {"n_photons": 1e200},
+         "coupling.kappa: g_tau = kappa / mean_sx underflows to 0: ")])
+    def test_coupling_out_of_range_is_refused(self, tmp_path, kappa, light,
+                                              refusal):
+        payload = dict(BASE, n_pulses=1, coupling={"kappa": kappa},
+                       light=light)
+        with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}"):
+            load_config(_write(tmp_path, payload))
+
+    def test_coupling_weight_that_overflows_is_refused(self, tmp_path):
+        payload = dict(BASE, coupling={"g_tau": 1e300},
+                       light={"n_photons": 1e100})
+        with pytest.raises(ConfigError, match="^kappa = g_tau \\* mean_sx "
+                           "overflows: "):
             load_config(_write(tmp_path, payload))
 
     def test_atoms_forms_are_exclusive(self, tmp_path):

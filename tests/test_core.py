@@ -9,7 +9,6 @@ import qndcert
 from qndcert import (
     AtomicBlock,
     DimensionMismatchError,
-    ExperimentParams,
     GaussianState,
     Layout,
     LayoutError,
@@ -17,13 +16,11 @@ from qndcert import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
     OpticalBlock,
-    SamplerUnsupportedError,
     UndefinedInputError,
     get_entry,
     make_initial_state,
 )
 from qndcert.core import PSD_RTOL
-from qndcert.montecarlo import arm_chunks
 
 
 class TestLayout:
@@ -291,7 +288,8 @@ class TestUnitFreeSymmetryRule:
     PSD = {
         "state": lambda m: _accepted(NotPositiveSemidefiniteError,
                                      GaussianState, Layout(1), np.zeros(6), m),
-        "noise": lambda m: NoiseModel(m)._psd,
+        "noise": lambda m: _accepted(NotPositiveSemidefiniteError,
+                                     NoiseModel, m),
     }
 
     @pytest.mark.parametrize("kind", sorted(PSD))
@@ -359,18 +357,28 @@ class TestNearTheFloatMaximum:
         matrix[2, 4] = matrix[4, 2] = -1.5e308
         return matrix
 
-    def test_indefinite_matrix_past_the_maximum(self):
+    @staticmethod
+    def _asymmetric_past_half_the_maximum():
+        # (a + b) overflows; a / 2 + b / 2 is exact at this size and is
+        # the rounded mean of the two; a finite sum keeps (a + b) / 2
+        a = 1.5e308
+        matrix = np.eye(6)
+        matrix[1, 2], matrix[2, 1] = a, np.nextafter(a, np.inf)
+        matrix[0, 0] = 1.0 + 2.0 ** -52
+        return matrix
+
+    def test_indefinite_noise_past_the_maximum_is_refused(self):
+        # it was accepted, flagged indefinite, and refused by the sampler
         matrix = self._indefinite_past_the_maximum()
         assert np.linalg.eigvalsh(matrix)[0] == pytest.approx(-5e307)
-        assert not NoiseModel(matrix)._psd
-
-    def test_indefinite_noise_past_the_maximum_is_not_sampled(self):
-        noise = NoiseModel(self._indefinite_past_the_maximum())
-        initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                     OpticalBlock.coherent(100.0, 1), Layout(1))
-        with pytest.raises(SamplerUnsupportedError, match="noise matrix"):
-            arm_chunks(ExperimentParams(0.02, 50.0, 50.0), noise, initial, 10,
-                       seed=1)
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="^noise matrix has eigenvalue -5.000000e"
+                                 "\\+307 below tolerance"):
+            NoiseModel(matrix)
+        # an indefinite one whose entries are halved first
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="^noise matrix has eigenvalue"):
+            NoiseModel(self._asymmetric_past_half_the_maximum())
 
     def test_indefinite_state_past_the_maximum_is_refused(self):
         with pytest.raises(NotPositiveSemidefiniteError):
@@ -379,17 +387,13 @@ class TestNearTheFloatMaximum:
 
     @pytest.mark.parametrize("kind", sorted(BUILD))
     def test_asymmetric_entries_are_halved_first(self, kind):
-        # (a + b) overflows; a / 2 + b / 2 is exact at this size and is
-        # the rounded mean of the two; a finite sum keeps (a + b) / 2
-        a = 1.5e308
-        b = np.nextafter(a, np.inf)
-        matrix = np.eye(6)
-        matrix[1, 2], matrix[2, 1] = a, b
-        matrix[0, 0] = 1.0 + 2.0 ** -52
+        matrix = self._asymmetric_past_half_the_maximum()
+        a, b = matrix[1, 2], matrix[2, 1]
+        matrix[1, 1] = matrix[2, 2] = b  # PSD, as a noise matrix must be
         held = self.BUILD[kind](matrix)
         assert held[1, 2] == held[2, 1] == a / 2.0 + b / 2.0
         assert a <= held[1, 2] <= b
-        assert held[0, 0] == matrix[0, 0] and held[1, 1] == 1.0
+        assert held[0, 0] == matrix[0, 0] and held[1, 1] == b
 
 
 class TestOneCopyPerState:
@@ -446,7 +450,7 @@ def test_public_names_are_the_imported_ones():
                 "estimate_noise", "DegenerateCaseError",
                 "InconsistentDataError", "holland_figures", "nonclassicality",
                 "squeezing_condition", "read_moments", "read_summary",
-                "RecordSummary",
+                "RecordSummary", "SamplerUnsupportedError",
                 "conditional_variance_from_stats"} & set(names)
     assert "SqueezingVerdict" in names
     for name in ("of", "merge", "covariance"):
@@ -463,6 +467,13 @@ def test_public_names_are_the_imported_ones():
                         (qndcert.EmpiricalCheck, "z_max")):
         assert not hasattr(owner, name), (owner, name)
     assert "z_max" not in qndcert.EmpiricalCheck.__dataclass_fields__
+    # a noise matrix is PSD where it is built: no flag, no second refusal
+    assert list(qndcert.NoiseModel.__dataclass_fields__) == ["matrix"]
+    assert not hasattr(qndcert.NoiseModel.zero(), "_psd")
+    assert not hasattr(qndcert.errors, "SamplerUnsupportedError")
+    assert not hasattr(qndcert.core, "_psd_violation")
+    assert "noise_psd" not in inspect.signature(
+        qndcert.core._derived_state).parameters
     assert "CHUNK_SHOTS" not in qndcert.montecarlo.__all__  # statistics'
     for fn, keyword in ((qndcert.condition_on_component, "outcome"),
                         (qndcert.empirical_check, "z_max")):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qndcert import (
     Layout,
     LayoutError,
     NoiseModel,
+    NotPositiveSemidefiniteError,
     OpticalBlock,
     UndefinedInputError,
     apply_pulse,
@@ -46,6 +48,31 @@ class TestExperimentParams:
         with pytest.raises(ValueError):
             ExperimentParams.from_kappa(1.0, mean_sx=0.0, mean_jx=10.0)
 
+    @pytest.mark.parametrize("fields, refusal", [
+        ((1e300, 1e100, 1.0), "kappa = g_tau * mean_sx overflows"),
+        ((-1e300, 1.0, 1e100), "kappa_back = g_tau * mean_jx overflows"),
+        ((1e-200, 1e-200, 1.0), "kappa = g_tau * mean_sx underflows to 0"),
+        ((1e-200, 1.0, -1e-200),
+         "kappa_back = g_tau * mean_jx underflows to 0")])
+    def test_coupling_weights_stay_in_range(self, fields, refusal):
+        # kappa 1e400 gave infinite predicted variances and a sampler
+        # whose records held NaN; kappa 1e-400 turned the coupling off
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}: "):
+            ExperimentParams(*fields)
+
+    @pytest.mark.parametrize("fields", [(0.0, 1e300, 1e300),
+                                        (1e300, 0.0, 0.0), (0.02, 50.0, 0.0)])
+    def test_a_zero_factor_gives_a_zero_weight(self, fields):
+        params = ExperimentParams(*fields)
+        assert 0.0 in (params.kappa, params.kappa_back)
+
+    @pytest.mark.parametrize("kappa, mean_sx, refusal", [
+        (1e300, 1e-10, "g_tau = kappa / mean_sx overflows"),
+        (1e-200, 5e199, "g_tau = kappa / mean_sx underflows to 0")])
+    def test_from_kappa_keeps_g_tau_in_range(self, kappa, mean_sx, refusal):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}: "):
+            ExperimentParams.from_kappa(kappa, mean_sx=mean_sx, mean_jx=1.0)
+
     @pytest.mark.parametrize("field,value", [("r_a", -0.1), ("r_a", 1.1),
                                              ("r_l", -0.1), ("r_l", 2.0)])
     def test_survival_fractions_bounded(self, field, value):
@@ -66,12 +93,20 @@ class TestExperimentParams:
 
 class TestNoiseModel:
     def test_from_entries_symmetrizes(self):
-        noise = NoiseModel.from_entries({(3, 5): 0.5, (3, 3): 2.0})
+        noise = NoiseModel.from_entries({(3, 5): 0.5, (3, 3): 2.0,
+                                         (5, 5): 4.0})
         assert noise.matrix[2, 4] == 0.5
         assert noise.matrix[4, 2] == 0.5
         assert noise.n33 == 2.0
         assert noise.n35 == 0.5
-        assert noise.n55 == 0.0
+        assert noise.n55 == 4.0
+
+    def test_indefinite_entries_are_refused(self):
+        # with N55 = 0, N35 = 0.5 makes the matrix indefinite
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="^noise matrix has eigenvalue "
+                                 "-1.180340e-01 below tolerance"):
+            NoiseModel.from_entries({(3, 5): 0.5, (3, 3): 2.0})
 
     def test_entry_index_range(self):
         with pytest.raises(ValueError):
@@ -182,7 +217,9 @@ class TestNoiseEmbedding:
         rng = np.random.default_rng(40 + n_pulses)
         for _ in range(20):
             raw = rng.normal(scale=rng.uniform(0.1, 10.0), size=(6, 6))
-            noise = NoiseModel(raw + raw.T)
+            with pytest.raises(NotPositiveSemidefiniteError):
+                NoiseModel(raw + raw.T)
+            noise = NoiseModel(raw @ raw.T)
             for pulse in range(1, n_pulses + 1):
                 active = layout.block_slice(pulse)
                 idx = np.r_[0:3, active.start:active.stop]

@@ -15,8 +15,8 @@ from qndcert import (
     GaussianState,
     Layout,
     NoiseModel,
+    NotPositiveSemidefiniteError,
     OpticalBlock,
-    SamplerUnsupportedError,
     UndefinedInputError,
     empirical_check,
     interaction_matrix,
@@ -201,12 +201,12 @@ class TestArmThreads:
         def arm(*args, with_atoms):
             role = "with_atoms" if with_atoms else "no_atoms"
             if role in failing:
-                raise SamplerUnsupportedError(role)
+                raise UndefinedInputError(role)
             return real(*args, with_atoms=with_atoms)
 
         monkeypatch.setattr(qndcert.montecarlo, "arm_chunks", arm)
         threads = threading.active_count()
-        with pytest.raises(SamplerUnsupportedError) as caught:
+        with pytest.raises(UndefinedInputError) as caught:
             simulate_moments(*ideal_set, 100, 1)
         assert str(caught.value) == failing[0]
         assert threading.active_count() == threads
@@ -397,20 +397,14 @@ class TestDegenerateCovariances:
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
     def test_indefinite_noise_is_refused(self, scale):
         # a trace of 1e-12 and an eigenvalue of -1e-15: the sampler's own
-        # floor, -1e-9 max(1, trace), let this through; the rule is relative
+        # floor, -1e-9 max(1, trace), let this through; the rule is
+        # relative, and refuses the matrix where it is built, so no
+        # sampler sees it
         matrix = np.diag([0.0, 0.0, 0.5, 0.0, 0.5, 0.0]) * scale
         matrix[2, 4] = matrix[4, 2] = 0.5 * scale + 1e-3 * scale
-        noise = NoiseModel(matrix)
-        assert not noise._psd
-        initial = make_initial_state(AtomicBlock.coherent(100.0),
-                                     OpticalBlock.coherent(100.0, 1),
-                                     Layout(1))
-        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0)
-        with pytest.raises(SamplerUnsupportedError,
-                           match="noise matrix has eigenvalue"):
-            arm_chunks(params, noise, initial, 10, 1)
-        # the reference arm samples no noise
-        arm_chunks(params, noise, initial, 10, 1, with_atoms=False)
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="^noise matrix has eigenvalue"):
+            NoiseModel(matrix)
 
 
 class TestConvergence:
