@@ -16,6 +16,7 @@ certification ran but failed, 2 on inconclusive runs and on bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .certification import CertificationReport, certify
@@ -63,6 +64,7 @@ def _flag(field: str, minimum=None, maximum=None, positive=False,
     return parse
 
 
+@functools.cache  # parse_args leaves it as it was: one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qndc",

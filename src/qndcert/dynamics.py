@@ -166,13 +166,16 @@ class NoiseModel:
 
     @classmethod
     def from_entries(cls, entries: Mapping[tuple[int, int], float]) -> "NoiseModel":
-        """Build from 1-based (row, col) entries; symmetry is implied."""
+        """Build from 1-based (row, col) entries; an entry's mirror is
+        implied unless given, so a pair that disagrees is refused as
+        asymmetric, as in a full matrix."""
         matrix = np.zeros((6, 6))
         for (i, j), value in entries.items():
             if not (1 <= i <= 6 and 1 <= j <= 6):
                 raise ValueError(f"noise entry index {(i, j)} outside 1..6")
             matrix[i - 1, j - 1] = value
-            matrix[j - 1, i - 1] = value
+            if (j, i) not in entries:
+                matrix[j - 1, i - 1] = value
         return cls(matrix)
 
     # Entries the measurement statistics actually depend on, in 1-based

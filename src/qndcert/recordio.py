@@ -23,8 +23,9 @@ the two accumulators and digests once both CSVs are written.  It renames
 none of the three files into place before all three are written: a
 write that fails part way leaves the previous set whole.  On reading,
 ``_read_arm`` parses ``CHUNK_SHOTS`` data rows at a time with every
-check, and :func:`read_records` accumulates the chunks.  Reading stays
-serial: ``loadtxt`` holds the GIL.
+check, and :func:`read_records` accumulates the chunks.  Its hashing
+runs one arm per thread; parsing stays serial, since ``loadtxt`` holds
+the GIL.
 
 Memory rule: no pipeline holds an arm, so ``qndc simulate`` and a
 ``qndc`` command that parses the CSVs take the same memory at any shot
@@ -341,11 +342,14 @@ def _read_meta(meta_path: str | Path) -> dict:
 
 
 def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
+    """The file's sha256, read through one reused buffer: a new block per
+    read would grow the malloc arena of the thread that hashes."""
+    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK_BYTES)
+    view = memoryview(block)
     try:
         with open(path, "rb") as handle:
-            for block in iter(lambda: handle.read(_HASH_BLOCK_BYTES), b""):
-                digest.update(block)
+            while size := handle.readinto(block):
+                digest.update(view[:size])
     except OSError as exc:
         raise RecordError(f"{path}: {exc.strerror or exc}") from None
     return digest.hexdigest()
@@ -440,7 +444,8 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
                  meta_path: str | Path | None = None) -> RecordSet:
     """Read a record set; see :class:`RecordSet`.
 
-    Both CSVs are hashed in fixed-size chunks and the sidecar, when given,
+    Both CSVs are hashed in fixed-size blocks, one arm per thread
+    (:func:`qndcert.statistics.map_arms`), and the sidecar, when given,
     is read and checked once.  When both digests match the sidecar's, the
     moments come from its stored summaries and no CSV is parsed;
     otherwise each CSV is parsed with every check of ``_read_arm``, and
@@ -448,7 +453,8 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     it."""
     paths = {"with_atoms": Path(with_atoms_path),
              "no_atoms": Path(no_atoms_path)}
-    sha256 = {role: _file_sha256(path) for role, path in paths.items()}
+    sha256 = dict(zip(ARM_ROLES,
+                      map_arms(lambda role: _file_sha256(paths[role]))))
     meta = {} if meta_path is None else _read_meta(meta_path)
     r_l = meta.get("r_l")
     if r_l is not None:

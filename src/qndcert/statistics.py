@@ -224,7 +224,8 @@ _T = TypeVar("_T")
 def map_arms(fn: Callable[[str], _T]) -> tuple[_T, _T]:
     """``fn(role)`` for each of ``ARM_ROLES``, the arms side by side: the
     no-atoms call on a worker thread, the with-atoms call on the calling
-    thread.
+    thread.  Its callers: ``simulate_moments`` samples the arms,
+    ``write_arms`` writes them and ``read_records`` hashes their CSVs.
 
     Returns the results in role order.  Both calls finish before this
     returns or raises; if either raised, the first failure in role order

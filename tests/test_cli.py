@@ -682,36 +682,56 @@ class TestIndefiniteModel:
 
     # N33 < 0; and N35 with N55 = 0, the config module's schema example
     # until its N55 was added
-    INDEFINITE_NOISE = pytest.mark.parametrize("noise, least", [
-        ({"33": -50.0}, "-5.000000e+01"), ({"33": 2.0, "35": 0.5},
-                                           "-1.180340e-01")],
+    INDEFINITE_NOISE = pytest.mark.parametrize("noise, error", [
+        ({"33": -50.0}, "noise matrix has eigenvalue -5.000000e+01 below "
+                        "tolerance "),
+        ({"33": 2.0, "35": 0.5}, "noise matrix has eigenvalue -1.180340e-01 "
+                                 "below tolerance ")],
         ids=["n33", "n35"])
+    # "35" and "53" disagree: the later one used to load
+    DISAGREEING_NOISE = pytest.mark.parametrize("noise, error", [
+        ({"33": 2.0, "35": 0.5, "53": 0.7, "55": 4.0},
+         "noise matrix departs from symmetry by 2.000e-01\n"),
+        ({"33": 2.0, "53": 0.7, "35": 0.5, "55": 4.0},
+         "noise matrix departs from symmetry by 2.000e-01\n")],
+        ids=["35-first", "53-first"])
 
     def _refused_at_load(self, command, args, tmp_path, capsys, noise,
-                         least):
+                         error):
         config = _write_config(tmp_path, "noise.json", noise=noise)
         assert main([command, "--config", str(config), *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: noise matrix has eigenvalue "
-                                       f"{least} below tolerance ")
+        assert captured.err.startswith(f"error: {error}")
         assert captured.err.count("\n") == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             ["noise.json"]
 
     @INDEFINITE_NOISE
     def test_simulate_refuses_indefinite_noise(self, tmp_path, capsys,
-                                               noise, least):
+                                               noise, error):
         # the config loaded, and the sampler refused its noise
         self._refused_at_load("simulate", ["--out", str(tmp_path / "run")],
-                              tmp_path, capsys, noise, least)
+                              tmp_path, capsys, noise, error)
 
     @INDEFINITE_NOISE
     def test_certify_with_config_refuses_indefinite_noise(
-            self, ideal_run, tmp_path, capsys, noise, least):
+            self, ideal_run, tmp_path, capsys, noise, error):
         # the config loaded, and certify ran on it
         self._refused_at_load("certify", _record_args(ideal_run), tmp_path,
-                              capsys, noise, least)
+                              capsys, noise, error)
+
+    @DISAGREEING_NOISE
+    def test_simulate_refuses_disagreeing_noise_entries(
+            self, tmp_path, capsys, noise, error):
+        self._refused_at_load("simulate", ["--out", str(tmp_path / "run")],
+                              tmp_path, capsys, noise, error)
+
+    @DISAGREEING_NOISE
+    def test_certify_with_config_refuses_disagreeing_noise_entries(
+            self, ideal_run, tmp_path, capsys, noise, error):
+        self._refused_at_load("certify", _record_args(ideal_run), tmp_path,
+                              capsys, noise, error)
 
 
 @pytest.mark.parametrize("overrides, refusal", [
@@ -1180,3 +1200,49 @@ def test_import_leaves_heavy_modules_out():
         capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process.  Commands run one after
+    another in one process must print, byte for byte, what each prints in
+    a fresh ``python -m qndcert`` process, help included: parsing leaves
+    the parser as it was."""
+
+    @staticmethod
+    def _in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exits: usage and help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _fresh(argv):
+        # help wraps at the terminal width, which COLUMNS fixes
+        proc = subprocess.run(
+            [sys.executable, "-m", "qndcert", *argv], capture_output=True,
+            text=True, timeout=60, env={**_child_env(), "COLUMNS": "80"})
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_commands_in_one_process_print_as_fresh_ones(
+            self, ideal_run, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        records = _record_args(ideal_run)
+        sequence = [
+            ["stats", "--records"],  # a usage error
+            ["stats", *records, "--r-l", "0.9"],
+            ["certify", "--config", ideal_run["config"], *records,
+             "--z", "2"],
+            ["certify", *records, "--kappa", "1.0", "--j33", "25",
+             "--j0", "25"],
+            ["stats", *records, "--r-l", "1.5"],  # refused by its _flag
+            ["--help"],
+            *([command, "--help"] for command in qndcert.cli._COMMANDS),
+        ]
+        got = [self._in_process(argv, capsys) for argv in sequence]
+        assert qndcert.cli._build_parser.cache_info().currsize == 1
+        assert got[0][0] == got[4][0] == 2
+        assert "argument --r-l: r_l: must be <= 1.0, got 1.5" in got[4][2]
+        for argv, result in zip(sequence, got):
+            assert result == self._fresh(argv), argv

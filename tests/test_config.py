@@ -182,6 +182,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise"):
             load_config(_write(tmp_path, dict(BASE, noise={"70": 1.0})))
 
+    def test_disagreeing_mirror_noise_keys_are_refused(self, tmp_path):
+        # "35" and "53" both given: refused whichever comes last, as the
+        # full matrix holding them is
+        for noise in ({"33": 2.0, "35": 0.5, "53": 0.7, "55": 4.0},
+                      {"33": 2.0, "53": 0.7, "35": 0.5, "55": 4.0}):
+            with pytest.raises(ConfigError, match="^noise matrix departs "
+                                                  "from symmetry by "):
+                load_config(_write(tmp_path, dict(BASE, noise=noise)))
+
+    def test_equal_mirror_noise_keys_load(self, tmp_path):
+        config = load_config(_write(tmp_path, dict(
+            BASE, noise={"33": 2.0, "35": 0.5, "53": 0.5, "55": 4.0})))
+        assert config.noise.n35 == config.noise.matrix[4, 2] == 0.5
+
     def test_j0_required_without_polarization(self, tmp_path):
         payload = dict(BASE, atoms={"mean_jx": 0.0,
                                     "cov": np.diag([0.0, 25.0, 25.0]).tolist()})

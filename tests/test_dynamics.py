@@ -12,6 +12,7 @@ from qndcert import (
     LayoutError,
     NoiseModel,
     NotPositiveSemidefiniteError,
+    NotSymmetricError,
     OpticalBlock,
     UndefinedInputError,
     apply_pulse,
@@ -107,6 +108,29 @@ class TestNoiseModel:
                            match="^noise matrix has eigenvalue "
                                  "-1.180340e-01 below tolerance"):
             NoiseModel.from_entries({(3, 5): 0.5, (3, 3): 2.0})
+
+    @pytest.mark.parametrize("order", [[(3, 5), (5, 3)], [(5, 3), (3, 5)]],
+                             ids=["35-first", "53-first"])
+    def test_disagreeing_mirror_entries_are_refused(self, order):
+        # the later entry of a pair used to win; each is now written in
+        # place, and the pair refused as the same full matrix is
+        given = {(3, 5): 0.5, (5, 3): 0.7}
+        entries = {(3, 3): 2.0, (5, 5): 4.0,
+                   **{pair: given[pair] for pair in order}}
+        matrix = np.zeros((6, 6))
+        for (i, j), value in entries.items():
+            matrix[i - 1, j - 1] = value
+        message = "^noise matrix departs from symmetry by 2.000e-01$"
+        with pytest.raises(NotSymmetricError, match=message):
+            NoiseModel(matrix)
+        with pytest.raises(NotSymmetricError, match=message):
+            NoiseModel.from_entries(entries)
+
+    def test_equal_mirror_entries_load(self):
+        noise = NoiseModel.from_entries({(3, 5): 0.5, (5, 3): 0.5,
+                                         (3, 3): 2.0, (5, 5): 4.0})
+        np.testing.assert_array_equal(noise.matrix, NoiseModel.from_entries(
+            {(3, 5): 0.5, (3, 3): 2.0, (5, 5): 4.0}).matrix)
 
     def test_entry_index_range(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import itertools
@@ -749,6 +750,77 @@ class TestArmThreads:
                 for role, path in old_paths.items()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             path.name for path in old_paths.values())
+
+
+def _assert_same_records(got, want):
+    """Two ``RecordSet``s equal field for field, moments bit for bit."""
+    for field in dataclasses.fields(got):
+        if field.name != "moments":
+            assert getattr(got, field.name) == getattr(want, field.name)
+    for mine, theirs in zip(got.moments, want.moments, strict=True):
+        assert mine.n_shots == theirs.n_shots
+        np.testing.assert_array_equal(mine.cov, theirs.cov)
+        np.testing.assert_array_equal(mine.moment_cov, theirs.moment_cov)
+
+
+class TestHashThreads:
+    """``read_records`` hashes the two CSVs side by side, one arm per
+    thread: its digests, refusals and record set must be those of a
+    serial read."""
+
+    @pytest.fixture
+    def run(self, noisy_set, tmp_path):
+        # 5000 shots at three pulses: each CSV spans two hash blocks
+        paths = _write_run(noisy_set, 5000, 8, tmp_path / "run", r_l=0.9)
+        assert paths["with_atoms"].stat().st_size > recordio._HASH_BLOCK_BYTES
+        return paths
+
+    def test_digests_are_the_files_sha256(self, run):
+        records = read_records(run["with_atoms"], run["no_atoms"])
+        assert records.sha256 == {
+            role: hashlib.sha256(run[role].read_bytes()).hexdigest()
+            for role in ARM_ROLES}
+
+    def test_both_missing_names_the_with_atoms_file(self, tmp_path):
+        threads = threading.active_count()
+        with pytest.raises(RecordError) as caught:
+            read_records(tmp_path / "a.with_atoms.csv",
+                         tmp_path / "a.no_atoms.csv")
+        assert str(caught.value) == (f"{tmp_path / 'a.with_atoms.csv'}: "
+                                     "No such file or directory")
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("blocked, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory")])
+    def test_no_atoms_refusal_names_its_file(self, run, blocked, reason):
+        no_atoms = run["no_atoms"]
+        no_atoms.unlink()
+        if blocked == "directory":
+            no_atoms.mkdir()
+        threads = threading.active_count()
+        with pytest.raises(RecordError) as caught:
+            read_records(run["with_atoms"], no_atoms, run["meta"])
+        assert str(caught.value) == f"{no_atoms}: {reason}"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("sidecar", ["matching", "stale", "none"])
+    def test_equals_serial_read(self, run, monkeypatch, sidecar):
+        if sidecar == "stale":
+            data = run["no_atoms"].read_bytes()
+            offset = len(data) - 5  # the 14th digit of the last value
+            _edit_byte(run["no_atoms"], offset,
+                       "7" if data[offset] != ord("7") else "8")
+        meta = None if sidecar == "none" else run["meta"]
+        threads = threading.active_count()
+        records = read_records(run["with_atoms"], run["no_atoms"], meta)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(recordio, "map_arms",
+                            lambda fn: (fn("with_atoms"), fn("no_atoms")))
+        _assert_same_records(records, read_records(
+            run["with_atoms"], run["no_atoms"], meta))
+        assert records.moments_source == (
+            "sidecar" if sidecar == "matching" else "parsed")
 
 
 @pytest.fixture
