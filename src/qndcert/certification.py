@@ -38,21 +38,23 @@ range far from unit scale, where the reported margin underflows.
 
 The route is exact when the run has three pulses, an informative
 coupling and a positive var_p; with two or more pulses and a positive
-var_p the state-prep figure assumes r_a = 1 (survival not identifiable);
-otherwise only dx2_m is formed.
+var_p the state-prep figure assumes r_a = 1 (survival not identifiable),
+and since r_a <= 1 it is then a lower bound, which can refute state
+preparation but never certify it; otherwise only dx2_m is formed.
 
 Every verdict is gated: a criterion counts as certified only when its
 margin to 1 exceeds ``z_threshold`` propagated standard errors (0.0 for
-exact inputs).  One function, ``_figures``, defines each uncertainty
-figure from the input vector (d_var_p, d_var_q, d_cov_pq, d_cov_pr,
-var_p); it gives the value, and the standard error sqrt(diag(J Sigma
-J^T)), J by central differences of the same function.  The inputs share
-shots, so Sigma, their error covariance, is Isserlis' within each arm,
-Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1), summed over the two
-independent arms (:mod:`qndcert.statistics`); var_p's variance is
-``var_p_se**2`` if given, else the delta's own.  The mean reported
-error is 0.85 to 1.15 times the run-to-run spread of its figure (seeded
-runs, 4k shots, 400 seeds).
+exact inputs); the clipped product takes the unclipped dx2_s * dx2_m's.
+Each figure is written once, in the figure table
+(``estimation._table``) over (d_var_p, d_var_q, d_var_r, d_cov_pq,
+d_cov_pr, var_p); it gives the value, and the standard error
+sqrt(diag(J Sigma J^T)), J by central differences of the same table.
+The inputs share shots, so Sigma, their error covariance, is Isserlis'
+within each arm, Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1),
+summed over the two independent arms (:mod:`qndcert.statistics`);
+var_p's variance is ``var_p_se**2`` if given, else the delta's own.  The
+mean reported error is 0.85 to 1.15 times the run-to-run spread of its
+figure (seeded runs, 4k shots, 400 seeds).
 """
 
 from __future__ import annotations
@@ -61,14 +63,18 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .estimation import EstimatedModel, _check_gate_width, _inversion
-from .statistics import (
-    DeltaStats,
-    _calibration_k2,
-    _conditional_variance,
-    _propagate_se,
-    _require_finite_squares,
+from .estimation import (
+    _EXACT,
+    _INPUTS,
+    _METER_ONLY,
+    _R_A_ASSUMED,
+    EstimatedModel,
+    _check_gate_width,
+    _evaluate,
+    _inputs,
+    _inversion,
 )
+from .statistics import DeltaStats, _calibration_k2, _require_finite_squares
 
 __all__ = [
     "FiguresOfMerit",
@@ -90,87 +96,37 @@ class FiguresOfMerit:
     undefined: dict[str, str]
 
 
-def _transfer_figures(delta: DeltaStats, var_p: float, k2: float,
-                      j33: float) -> FiguresOfMerit:
-    """The transfer figures (module docstring forms), k2 = kappa**2.
+def _transfer_figures(t: dict[str, float], delta: DeltaStats,
+                      var_p: float) -> FiguresOfMerit:
+    """The transfer figures from the table ``t`` at the measured point.
 
     Entries whose denominators are unavailable or zero, or whose value is
     not finite, come back None instead of raising, so reduced (one- or
     two-pulse) runs still get whatever is defined.
     """
-    values: dict[str, float | None] = dict.fromkeys(
-        ("c2_in_meter", "c2_in_out", "c2_out_meter"))
     undefined: dict[str, str] = {}
-    if var_p > 0.0:
-        values["c2_in_meter"] = k2 * j33 / var_p
-    else:
+    if not var_p > 0.0:
         undefined["c2_in_meter"] = f"var_p = {var_p:.6g} is not positive"
     if delta.n_pulses < 2:
         undefined["c2_in_out"] = "needs three pulses"
         undefined["c2_out_meter"] = "needs two pulses"
-    elif (bracket := delta.d_var_q - delta.d_var_p + k2 * j33) == 0.0:
+    elif t["d_var_q - d_var_p + kappa**2 j33"] == 0.0:
         undefined["c2_in_out"] = undefined["c2_out_meter"] = (
             "zero output spin variance bracket")
     else:
-        if var_p > 0.0:
-            values["c2_out_meter"] = ((delta.d_cov_pq / var_p)
-                                      * (delta.d_cov_pq / bracket))
-        else:
+        if "c2_in_meter" in undefined:
             undefined["c2_out_meter"] = undefined["c2_in_meter"]  # var_p's
         if delta.n_pulses < 3:
             undefined["c2_in_out"] = "needs three pulses"
         elif delta.d_cov_pq == 0.0:
             undefined["c2_in_out"] = "d_cov_pq is zero"
-        else:
-            r_a = delta.d_cov_pr / delta.d_cov_pq
-            values["c2_in_out"] = k2 * j33 / bracket * (r_a * r_a)
+    values = {name: None if name in undefined else t[name]
+              for name in ("c2_in_meter", "c2_in_out", "c2_out_meter")}
     for name, value in values.items():  # the one exit: each figure finite
         if value is not None and not math.isfinite(value):
             values[name] = None
             undefined[name] = f"out of floating-point range ({value})"
     return FiguresOfMerit(undefined=undefined, **values)
-
-
-# Routes to the uncertainty figures, each the names of the figures it
-# gives in standard-error order: the exact three-pulse route, and the
-# fallbacks with the state-prep figure at r_a = 1 or with dx2_m alone.
-_EXACT = ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")
-_R_A_ASSUMED = _EXACT[:2]
-_METER_ONLY = _EXACT[:1]
-
-# The delta moments the figures read, in input order; var_p follows.
-_INPUTS = ("d_var_p", "d_var_q", "d_cov_pq", "d_cov_pr")
-
-
-def _inputs(delta: DeltaStats, var_p: float) -> tuple[float, ...]:
-    """The figures' input vector; a moment the run lacks reads 0."""
-    return tuple(0.0 if v is None else v for v in
-                 [getattr(delta, name) for name in _INPUTS] + [var_p])
-
-
-def _figures(v, k2: float, j33: float, j0: float,
-             route: tuple[str, ...]) -> dict[str, float]:
-    """The uncertainty figures of ``route`` (module docstring forms) from
-    v = (d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p), k2 = kappa**2.
-
-    The one definition of each figure: its value and, through
-    :func:`~qndcert.statistics._propagate_se`, its standard error.  On
-    the exact route the state-prep figure is normalized by the measured
-    survival d_cov_pr / d_cov_pq, on ``_R_A_ASSUMED`` by r_a = 1.
-    """
-    d_var_p, d_var_q, d_cov_pq, d_cov_pr, var_p = v
-    figures = {"dx2_m": (var_p - k2 * j33) / (k2 * j0)}
-    if route == _METER_ONLY:
-        return figures
-    cond = _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33)
-    if route == _R_A_ASSUMED:
-        figures["dx2_s_given_m"] = cond / j0
-        return figures
-    figures["dx2_s_given_m"] = (d_cov_pq / d_cov_pr) * cond / j0
-    dx2_s = (d_cov_pq / d_cov_pr) * ((d_var_q - d_var_p) / (k2 * j0))
-    figures["dx2_s"] = dx2_s
-    figures["product_sm"] = max(0.0, dx2_s) * max(0.0, figures["dx2_m"])
-    return figures
 
 
 @dataclass(frozen=True)
@@ -183,7 +139,8 @@ class NonClassicality:
     assumption; None means the exact three-pulse route was used.
     ``product_sm`` is the squared uncertainty product
     max(0, dx2_s) * max(0, dx2_m), the information-damage criterion
-    against 1; the report's ``warnings`` name a factor clipped to 0.
+    against 1, with the unclipped product's standard error; the
+    report's ``warnings`` name a factor clipped to 0.
     """
 
     dx2_s_given_m: float | None
@@ -273,13 +230,15 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     k2 = _calibration_k2(kappa, j33, j0)
     _check_gate_width(z_threshold)
     inputs = _inputs(delta, var_p)
-    _require_finite_squares(dict(zip(_INPUTS + ("var_p",), inputs)))
+    # the figures' inputs: all but d_var_r, which the inversion alone reads
+    read = [i for i, name in enumerate(_INPUTS) if name != "d_var_r"]
+    _require_finite_squares({_INPUTS[i]: inputs[i] for i in read})
 
     n = delta.n_pulses
     positive = var_p > 0.0
     reasons: list[str] = []
     warns: list[str] = []
-    sigma = delta._sigma(_INPUTS + ("var_p",))
+    sigma = delta._sigma(_INPUTS)
 
     informative = True
     for name in ("d_cov_pq", "d_cov_pr")[:n - 1]:
@@ -296,8 +255,6 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
             f"full certification needs three pulses, run has {n}; "
             "reduced report"
         )
-    figures = _transfer_figures(delta, var_p, k2, j33)
-
     exact = n == 3 and informative
     if exact and not positive:
         reasons.append("non-classicality figures unavailable: var_p "
@@ -306,13 +263,25 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     route = (_EXACT if exact and positive else
              _R_A_ASSUMED if n >= 2 and positive else _METER_ONLY)
 
+    # Standard errors: the inputs' joint covariance, propagated
+    if var_p_se is None:  # the delta's own: var_p's row of Sigma
+        var_p_se = math.sqrt(sigma[5][5])
+    # var_p's variance is var_p_se**2; its correlations are kept
+    sd = abs(var_p_se)
+    rescale = sd / math.sqrt(sigma[5][5]) if sigma[5][5] else 0.0
+    for i in range(5):
+        sigma[i][5] = sigma[5][i] = sigma[i][5] * rescale
+    sigma[5][5] = sd * sd
+    t, errors = _evaluate(inputs, sigma, kappa, k2, j33, j0, route, route)
+    se_map = {name: errors[name] for name in route}
+    figures = _transfer_figures(t, delta, var_p)
+
     ncl_values = {**dict.fromkeys(_EXACT),
-                  **_figures(inputs, k2, j33, j0, route)}
+                  **{name: t[name] for name in route}}
     estimates: EstimatedModel | None = None
     if route == _EXACT:
         # its warnings go to the report's list, the one that holds them
-        estimates = _inversion(delta, var_p, kappa, k2, j33, z_threshold,
-                               warns)
+        estimates = _inversion(t, errors, z_threshold, warns)
         for name, cause in (("dx2_s", "loss dominates added spin noise"),
                             ("dx2_m", "sampled var_p below kappa**2*j33")):
             if ncl_values[name] < 0.0:
@@ -331,23 +300,9 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         reasons.append("squeezing test unavailable: var_p must be positive, "
                        f"got {var_p}")
     else:
-        d_cov_pq, d_var_diff = delta.d_cov_pq, delta.d_var_q - delta.d_var_p
         squeezing = SqueezingVerdict(
-            squeezed=d_cov_pq * (d_cov_pq / var_p) > d_var_diff,
-            margin=float(d_cov_pq ** 2 - var_p * d_var_diff))
-
-    # Standard errors of the route's figures, by first-order propagation
-    # of the inputs' joint covariance.
-    if var_p_se is None:  # the delta's own: var_p's row of Sigma
-        var_p_se = math.sqrt(sigma[4][4])
-    # var_p's variance is var_p_se**2; its correlations are kept
-    sd = abs(var_p_se)
-    rescale = sd / math.sqrt(sigma[4][4]) if sigma[4][4] else 0.0
-    for i in range(4):
-        sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
-    sigma[4][4] = sd * sd
-    se_map = _propagate_se(
-        lambda v: _figures(v, k2, j33, j0, route), inputs, sigma, route)
+            squeezed=t["d_var_q - d_var_p - d_cov_pq**2 / var_p"] < 0.0,
+            margin=float(t["squeezing margin"]))
 
     def gate(value: float | None, se_key: str) -> bool | None:
         se = se_map.get(se_key, 0.0)
@@ -364,6 +319,8 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         return None if a is None or b is None else a and b
 
     verdict_state_prep = gate(ncl.dx2_s_given_m, "dx2_s_given_m")
+    if route == _R_A_ASSUMED and verdict_state_prep:
+        verdict_state_prep = None  # a lower bound refutes, never certifies
     verdict_info_damage = gate(ncl.product_sm, "product_sm")
     point_state_prep = point(ncl.dx2_s_given_m)
     point_info_damage = point(ncl.product_sm)
@@ -384,7 +341,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         nonclassical=ncl,
         squeezing=squeezing,
         se=se_map,
-        gated=any(sigma[i][i] for i in range(5)),  # some input has error
+        gated=any(sigma[i][i] for i in read),  # some figure input has error
         verdict_state_prep=verdict_state_prep,
         verdict_info_damage=verdict_info_damage,
         verdict_full_qnd=verdict_full,

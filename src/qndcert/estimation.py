@@ -13,16 +13,14 @@ makes certification possible without trusting the apparatus model.
 * the spin variance conditioned on the first meter, ``cond_var_jz``.
 
 :func:`invert_three_pulse` and :func:`~qndcert.certify` are the only
-readers of measured statistics, and both form the conditional variance
-by ``statistics._conditional_variance``.
-
+readers of measured statistics.  One function, the figure table
+``_table``, writes every number either reports once, from the vector
+(d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p): both take their
+values from it, and their standard errors from one
+:func:`~qndcert.statistics._propagate_se` call over it, one Jacobian over
+the inputs' error covariance (see :mod:`qndcert.statistics`).
 Disagreement between the two r_A routes is a model-consistency
-diagnostic, not an error.  One function of the five delta moments the
-routes read, ``_routes``, writes each route quantity once: the primary
-r_A and d_var_q - d_var_p take their values from it, and every route
-quantity its standard error, through
-:func:`~qndcert.statistics._propagate_se`: one Jacobian over the deltas'
-error covariance (see :mod:`qndcert.statistics`).
+diagnostic, not an error.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .errors import UndefinedInputError, UninformativeCouplingError
 from .statistics import (
     DeltaStats,
     _calibration_k2,
-    _conditional_variance,
     _propagate_se,
     _require_finite_squares,
 )
@@ -81,31 +78,101 @@ class EstimatedModel:
     warnings: tuple[str, ...] = ()
 
 
-# The delta moments both r_a routes read, in input order, and the route
-# quantities in standard-error order: the last two exist only where the
-# measured variance ratio is positive.
-_ROUTE_INPUTS = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
-_ROUTE_KEYS = ("r_a", "d_var_q - d_var_p", "r_a_from_var",
-               "r_a - r_a_from_var")
+# The table's input vector: the delta moments, then the probe arm's var_p.
+_INPUTS = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr", "var_p")
+
+# Routes through the table, each naming its standard errors in order:
+# certify's exact three-pulse route, its fallbacks with the state-prep
+# figure at r_a = 1 or with dx2_m alone, and the inversion's, whose
+# variance route (the last two) needs a positive measured ratio.
+_EXACT = ("dx2_m", "dx2_s_given_m", "dx2_s", "product_sm")
+_R_A_ASSUMED = _EXACT[:2]
+_METER_ONLY = _EXACT[:1]
+_INVERSION = ("r_a", "d_var_q - d_var_p", "r_a_from_var",
+              "r_a - r_a_from_var")
 
 
-def _routes(v, two_root: float = 0.0) -> dict[str, float]:
-    """The route quantities from v, the moments ``_ROUTE_INPUTS`` names:
-    the values of ``r_a`` and ``d_var_q - d_var_p`` and, through
-    :func:`~qndcert.statistics._propagate_se`, every key's standard error.
+def _inputs(delta: DeltaStats, var_p: float) -> tuple[float, ...]:
+    """The table's input vector; a moment the run lacks reads 0."""
+    return tuple(0.0 if v is None else v for v in
+                 [getattr(delta, name) for name in _INPUTS[:-1]] + [var_p])
 
-    Given ``two_root`` = 2 sqrt(measured variance ratio) > 0, the
-    variance route enters as ratio / two_root: that has the slope of
-    sqrt(ratio) at the measured ratio, and stays defined where a
-    perturbed ratio turns negative.
+
+def _table(v, kappa: float, k2: float, j33: float, j0: float | None,
+           route: tuple[str, ...],
+           two_root: float | None = None) -> dict[str, float]:
+    """The figure table: every number of ``route`` from v = (d_var_p,
+    d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p) at k2 = kappa**2 (forms
+    in :func:`invert_three_pulse` and :mod:`qndcert.certification`), each
+    where its denominators are nonzero; one that reads a moment the run
+    lacks, as 0, is not reported.  At the measured point (``two_root``
+    None) it gives every value; under ``_propagate_se`` the entries with
+    an error, ``product_sm`` unclipped, since the clip would zero its
+    error, and where 2 sqrt(measured variance ratio) = ``two_root`` > 0 the
+    variance route as ratio / two_root: that has sqrt(ratio)'s slope
+    there, and stays defined where a perturbed ratio turns negative.
     """
-    d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr = v
-    out = {"r_a": d_cov_pr / d_cov_pq, "d_var_q - d_var_p": d_var_q - d_var_p}
+    d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p = v
+    kj = k2 * j33
+    den, num = d_var_q - d_var_p, d_var_r - d_var_q
+    t = {"d_var_q - d_var_p": den}
+    if d_cov_pq:
+        r_a = t["r_a"] = d_cov_pr / d_cov_pq
+    if route != _INVERSION:
+        dx2_m = t["dx2_m"] = (var_p - kj) / (k2 * j0)
+    if route != _METER_ONLY:
+        # d_cov_pq**2 / var_p as d_cov_pq (d_cov_pq / var_p): its terms
+        # stay in range where the records' unit is far from the meter's
+        excess = den - d_cov_pq * (d_cov_pq / var_p)
+        cond = t["cond_var_jz"] = j33 + excess / k2
+    if route == _R_A_ASSUMED:
+        t["dx2_s_given_m"] = cond / j0
+    elif route == _EXACT:
+        t["dx2_s_given_m"] = (d_cov_pq / d_cov_pr) * cond / j0
+        dx2_s = t["dx2_s"] = (d_cov_pq / d_cov_pr) * (den / (k2 * j0))
+        t["product_sm"] = dx2_s * dx2_m  # clipped below, at the point
     if two_root:
-        out["r_a_from_var"] = ((d_var_r - d_var_q) / (d_var_q - d_var_p)
-                               / two_root)
-        out["r_a - r_a_from_var"] = out["r_a"] - out["r_a_from_var"]
-    return out
+        t["r_a_from_var"] = num / den / two_root
+        t["r_a - r_a_from_var"] = r_a - t["r_a_from_var"]
+    if two_root is not None:
+        return t  # under propagation, the entries with an error
+    if route in (_EXACT, _INVERSION):
+        t["n33"] = (den + kj * (1.0 - r_a * r_a)) / k2
+        t["n35"] = (d_cov_pq - kj * r_a) / kappa
+        t["n55"] = d_var_p - kj
+        t["d_var_r - d_var_q"] = num
+        t["r_a_from_var**2"] = num / den if den else 0.0
+    if route == _INVERSION:
+        return t
+    bracket = t["d_var_q - d_var_p + kappa**2 j33"] = den + kj
+    if var_p > 0.0:
+        t["c2_in_meter"] = kj / var_p
+        if bracket:
+            t["c2_out_meter"] = (d_cov_pq / var_p) * (d_cov_pq / bracket)
+    if d_cov_pq and bracket:
+        t["c2_in_out"] = kj / bracket * (r_a * r_a)
+    if route != _METER_ONLY:
+        t["d_var_q - d_var_p - d_cov_pq**2 / var_p"] = excess
+        t["squeezing margin"] = d_cov_pq ** 2 - var_p * den
+    if route == _EXACT:
+        t["product_sm"] = max(0.0, dx2_s) * max(0.0, dx2_m)
+    return t
+
+
+def _evaluate(inputs, sigma, kappa: float, k2: float, j33: float,
+              j0: float | None, route: tuple[str, ...], keys=()):
+    """The table at the measured point, and by one
+    :func:`~qndcert.statistics._propagate_se` call the standard errors of
+    ``keys`` and, on a route that inverts, of its ``_INVERSION`` keys."""
+    t = _table(inputs, kappa, k2, j33, j0, route)
+    two_root = 0.0
+    if route in (_EXACT, _INVERSION):
+        ratio = t["r_a_from_var**2"]
+        two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
+        keys = (*keys, *_INVERSION[:4 if two_root else 2])
+    return t, _propagate_se(
+        lambda v: _table(v, kappa, k2, j33, j0, route, two_root), inputs,
+        sigma, keys)
 
 
 def _check_gate_width(z_threshold: float) -> None:
@@ -146,8 +213,8 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
     _check_gate_width(z_threshold)
     k2 = _calibration_k2(kappa, j33)
-    i = DeltaStats._sigma_rows[3]["d_cov_pq"]  # its row of Sigma
-    floor_pq = z_threshold * math.sqrt(delta.moment_cov[i, i])
+    sigma = delta._sigma(_INPUTS)
+    floor_pq = z_threshold * math.sqrt(sigma[3][3])  # d_cov_pq's
     if abs(delta.d_cov_pq) <= floor_pq:
         raise UninformativeCouplingError(
             f"|d_cov_pq| = {abs(delta.d_cov_pq):.6g} at or below the noise "
@@ -156,23 +223,19 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if not var_p > 0.0:
         raise UndefinedInputError(f"var_p must be positive, got {var_p}")
     _require_finite_squares({"d_cov_pq": delta.d_cov_pq})
-    return _inversion(delta, var_p, kappa, k2, j33, z_threshold)
+    t, se = _evaluate(_inputs(delta, var_p), sigma, kappa, k2, j33, None,
+                      _INVERSION)
+    return _inversion(t, se, z_threshold)
 
 
-def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
-               j33: float, z_threshold: float,
+def _inversion(t: dict[str, float], se: dict[str, float],
+               z_threshold: float,
                sink: list[str] | None = None) -> EstimatedModel:
-    """:func:`invert_three_pulse` past its checks, at k2 = kappa**2.  A
-    given ``sink`` takes the warnings, and the model then carries none."""
-    values = [getattr(delta, name) for name in _ROUTE_INPUTS]
-    measured = _routes(values)
-    r_a, den = measured["r_a"], measured["d_var_q - d_var_p"]
-    num = delta.d_var_r - delta.d_var_q
-    ratio = num / den if den else 0.0
-    two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
-    se = _propagate_se(
-        lambda v: _routes(v, two_root), values, delta._sigma(_ROUTE_INPUTS),
-        _ROUTE_KEYS if two_root else _ROUTE_KEYS[:2])
+    """:func:`invert_three_pulse` past its checks, from the table ``t`` at
+    the measured point and its errors ``se``.  A given ``sink`` takes the
+    warnings, and the model then carries none."""
+    r_a, den = t["r_a"], t["d_var_q - d_var_p"]
+    num, ratio = t["d_var_r - d_var_q"], t["r_a_from_var**2"]
     warnings: list[str] = [] if sink is None else sink
 
     var_floor = z_threshold * se["d_var_q - d_var_p"]
@@ -204,11 +267,7 @@ def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
     if not 0.0 <= r_a <= 1.0:
         warnings.append(f"r_a estimate {r_a:.6g} outside [0, 1]")
 
-    n33 = (den + k2 * j33 * (1.0 - r_a * r_a)) / k2
-    n35 = (delta.d_cov_pq - k2 * j33 * r_a) / kappa
-    n55 = delta.d_var_p - k2 * j33
-    negative = tuple(name for name, value in (("n33", n33), ("n55", n55))
-                     if value < 0.0)
+    negative = tuple(name for name in ("n33", "n55") if t[name] < 0.0)
     for name in negative:
         warnings.append(f"noise diagonal {name} estimated negative")
 
@@ -218,9 +277,8 @@ def _inversion(delta: DeltaStats, var_p: float, kappa: float, k2: float,
         r_a_from_var=r_a_from_var,
         r_a_from_var_se=se.get("r_a_from_var") if r_a_from_var else None,
         r_a_discrepancy=discrepancy,
-        noise=EstimatedNoise(n33=n33, n35=n35, n55=n55,
+        noise=EstimatedNoise(n33=t["n33"], n35=t["n35"], n55=t["n55"],
                              negative_entries=negative),
-        cond_var_jz=_conditional_variance(delta.d_var_p, delta.d_var_q,
-                                          delta.d_cov_pq, var_p, k2, j33),
+        cond_var_jz=t["cond_var_jz"],
         warnings=() if sink is not None else tuple(warnings),
     )

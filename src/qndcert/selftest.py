@@ -119,7 +119,8 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
     and its matrix route: meter moments against :func:`propagate`, the
     conditional spin variance (the model form, and the measured-statistics
     form of :func:`invert_three_pulse`) against rank-1 conditioning on the
-    first meter, and the correlation and uncertainty figures of one
+    first meter, the inversion's survival and noise entries against the
+    model's, and the correlation and uncertainty figures of one
     :func:`certify` report against their definitions in matrix entries.
     Each error is relative to the larger of the expected value and a
     small scale, so legitimate zeros do not blow it up.
@@ -141,9 +142,16 @@ def closed_form_error(params: ExperimentParams, noise: NoiseModel,
         cond_direct, scale=1e-3 * j33))
     delta = delta_stats(predicted, no_atoms_moments(params, initial),
                         params.r_l)
-    worst = max(worst, _err(
-        invert_three_pulse(delta, var_p, kappa, j33).cond_var_jz,
-        cond_direct, scale=1e-3 * j33))
+    model = invert_three_pulse(delta, var_p, kappa, j33)
+    for got, want, scale in (
+            (model.cond_var_jz, cond_direct, 1e-3 * j33),
+            (model.r_a, params.r_a, 1e-3),
+            (model.r_a_from_var, params.r_a, 1e-3),
+            (model.noise.n33, noise.n33, 1e-3 * j33),
+            (model.noise.n35, noise.n35, 1e-3 * math.sqrt(j33 * var_p)),
+            (model.noise.n55, noise.n55, 1e-3 * var_p)):
+        if got is not None:
+            worst = max(worst, _err(got, want, scale))
 
     # Correlation figures against their matrix definitions.
     t33 = get_entry(after_one, "J_z", "J_z")

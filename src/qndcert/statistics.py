@@ -453,15 +453,6 @@ def _calibration_k2(kappa: float, j33: float,
     return k2
 
 
-def _conditional_variance(d_var_p, d_var_q, d_cov_pq, var_p, k2, j33):
-    """``cond_var_jz`` of :func:`~qndcert.invert_three_pulse`, unchecked,
-    at k2 = kappa**2, with ``var_p`` the probe arm's (not
-    reference-subtracted).  ``d_cov_pq**2 / var_p`` is formed as
-    ``d_cov_pq (d_cov_pq / var_p)``, whose terms stay in range where the
-    records' unit is far from the meter's."""
-    return j33 + (d_var_q - d_var_p - d_cov_pq * (d_cov_pq / var_p)) / k2
-
-
 def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     """Standard errors sqrt(diag(J Sigma J^T)) of the figures ``keys`` of
     the dict ``fn(values)``, for the input covariance ``sigma`` (rows):

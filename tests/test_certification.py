@@ -334,7 +334,10 @@ class TestCertify:
         assert any("reduced report" in r for r in report.reasons)
         assert report.nonclassical.r_a_assumed == 1.0
         assert report.nonclassical.product_sm is None
-        assert report.verdict_state_prep is True  # cond = 12.5 < 25
+        # cond = 12.5 < 25 at r_a assumed 1, a lower bound: it cannot
+        # certify state preparation
+        assert report.nonclassical.dx2_s_given_m == 0.5
+        assert report.verdict_state_prep is None
         assert report.verdict_full_qnd is None
         assert report.inconclusive
         assert exit_code(report) == 2
@@ -504,14 +507,14 @@ class TestExactInputsHaveZeroError:
         report = certify(delta, measured.var_p, 1.0, 25.0, 25.0)
         assert report.gated
         assert report.var_p_se == measured.se["var_p"]
-        # Sigma's rows of the figures' inputs: d_var_p, d_var_q,
+        # Sigma's rows of the table's inputs: d_var_p, d_var_q, d_var_r,
         # d_cov_pq, d_cov_pr and the probe arm's var_p
-        rows = [0, 1, 3, 4, 6]
+        rows = [0, 1, 2, 3, 4, 6]
         expected = statistics._propagate_se(
-            lambda v: certification._figures(v, 1.0, 25.0, 25.0,
-                                             certification._EXACT),
-            certification._inputs(delta, measured.var_p),
-            sigma[np.ix_(rows, rows)].tolist(), certification._EXACT)
+            lambda v: estimation._table(v, 1.0, 1.0, 25.0, 25.0,
+                                        estimation._EXACT, 0.0),
+            estimation._inputs(delta, measured.var_p),
+            sigma[np.ix_(rows, rows)].tolist(), estimation._EXACT)
         assert report.se == pytest.approx(expected, rel=1e-12)
         assert report.se["dx2_s_given_m"] > 0.0
 
@@ -604,8 +607,8 @@ def _array_route_se(report, delta, var_p, var_p_se):
     def f_s(v):
         return (v[3] / v[4]) * ((v[1] - v[0]) / (k2 * j0))
 
-    def f_prod(v):
-        return max(0.0, f_s(v)) * max(0.0, f_m(v))
+    def f_prod(v):  # unclipped: the clipped product's gate reads it
+        return f_s(v) * f_m(v)
 
     def propagate(fn):
         total = 0.0
@@ -729,9 +732,8 @@ def _hand_se(report):
             s_grad = np.array([-c, c, q - p, -s * k2 * j0, 0.0]) / (r * k2
                                                                    * j0)
             grads["dx2_s"] = s_grad
-            m = ncl.dx2_m
-            grads["product_sm"] = ((m * s_grad + s * m_grad)
-                                   if s > 0.0 and m > 0.0 else 0.0 * s_grad)
+            # the unclipped product's, which gates the clipped one
+            grads["product_sm"] = ncl.dx2_m * s_grad + s * m_grad
     return {key: float(np.sqrt(grad @ sigma @ grad))
             for key, grad in grads.items()}
 
@@ -884,6 +886,55 @@ class TestStandardErrorCoverage:
                              var_p_se=measured.se["var_p"])
             passed.append(report.verdict_state_prep is True)
         assert 0.10 <= np.mean(passed) <= 0.22, np.mean(passed)
+
+
+def _sampled_reports(params, noise, n_pulses, j0, seeds, n_shots=20_000):
+    """certify at z = 3 on seeded runs of the coherent 100-atom /
+    100-photon model, j33 = 25, with its exact report first."""
+    initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                 OpticalBlock.coherent(100.0, n_pulses),
+                                 Layout(n_pulses))
+    runs = [(predicted_moments(params, noise, initial),
+             no_atoms_moments(params, initial))]
+    runs += [simulate_moments(params, noise, initial, n_shots, seed)
+             for seed in seeds]
+    return [certify(delta_stats(measured, reference, params.r_l),
+                    measured.var_p, params.kappa, 25.0, j0,
+                    var_p_se=measured.se["var_p"])
+            for measured, reference in runs]
+
+
+class TestClassicalModelsNeverPass:
+    """A z = 3 gate should pass a model at or past a bound in about 0.13%
+    of runs, so none of 100 seeds may pass."""
+
+    def test_clipped_product_is_gated_by_the_unclipped_error(self):
+        # dx2_s is 0.101 and dx2_m 12.96: the product is 1.31, classical.
+        # Where dx2_s sampled below 0 the clipped product read 0 with
+        # error 0, and info_damage passed whatever dx2_m was.
+        params = ExperimentParams.from_kappa(0.25, mean_sx=50.0,
+                                             mean_jx=50.0, r_a=0.99, r_l=0.9)
+        exact, *sampled = _sampled_reports(
+            params, NoiseModel.from_entries({(3, 3): 3.0}), 3, 25.0,
+            range(100))
+        assert exact.nonclassical.product_sm == pytest.approx(1.31, abs=0.01)
+        assert any(r.nonclassical.product_sm == 0.0 for r in sampled)
+        assert not any(r.verdict_info_damage for r in sampled)
+
+    def test_reduced_route_never_certifies_state_prep(self):
+        # with r_a assumed 1 the state-prep figure is r_a times the exact
+        # one, a lower bound: here 0.88 for an exact 1.1, so it may refute
+        # state preparation but never certify it
+        params = ExperimentParams.from_kappa(2.0, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.8, r_l=0.9)
+        exact, *sampled = _sampled_reports(
+            params, NoiseModel.from_entries(_README_NOISE), 2, 5.453,
+            range(100))
+        assert exact.nonclassical.dx2_s_given_m == pytest.approx(0.88,
+                                                                 abs=0.01)
+        assert exact.nonclassical.r_a_assumed == 1.0
+        assert not any(r.verdict_state_prep for r in sampled)
+        assert all(exit_code(r) == 2 for r in sampled)
 
 
 _REGIMES = {"readme-config": (0.8, _README_NOISE),

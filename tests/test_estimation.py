@@ -15,7 +15,7 @@ from qndcert import (
     simulate_moments,
 )
 from qndcert import estimation, statistics
-from qndcert.estimation import _routes
+from qndcert.estimation import _INPUTS, _INVERSION, _inputs, _table
 from qndcert.statistics import _propagate_se
 
 
@@ -326,24 +326,27 @@ class TestJointStandardErrors:
         measured, reference = simulate_moments(params, noise, initial,
                                                20_000, 3)
         delta = delta_stats(measured, reference, params.r_l)
-        names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
-        sigma = np.array(delta._sigma(names))
+        sigma = np.array(delta._sigma(_INPUTS))
         assert np.count_nonzero(sigma) == sigma.size  # the inputs correlate
-        p, q, r, c_pq, c_pr = (getattr(delta, name) for name in names)
+        values = _inputs(delta, measured.var_p)
+        p, q, r, c_pq, c_pr, _ = values
         num, den = r - q, q - p
         root = np.sqrt(num / den)
+        # over (d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p)
         grads = {
-            "r_a": np.array([0.0, 0.0, 0.0, -c_pr / c_pq ** 2, 1.0 / c_pq]),
-            "d_var_q - d_var_p": np.array([-1.0, 1.0, 0.0, 0.0, 0.0]),
+            "r_a": np.array([0.0, 0.0, 0.0, -c_pr / c_pq ** 2, 1.0 / c_pq,
+                             0.0]),
+            "d_var_q - d_var_p": np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
             "r_a_from_var": np.array([num / den ** 2, -(num + den) / den ** 2,
-                                      1.0 / den, 0.0, 0.0]) / (2.0 * root),
+                                      1.0 / den, 0.0, 0.0, 0.0])
+            / (2.0 * root),
         }
         grads["r_a - r_a_from_var"] = grads["r_a"] - grads["r_a_from_var"]
-        values = [p, q, r, c_pq, c_pr]
         two_root = 2.0 * math.sqrt(num / den)
-        assert list(_routes(values, two_root)) == list(grads)
-        se = _propagate_se(lambda v: _routes(v, two_root), values,
-                           delta._sigma(names), tuple(grads))
+        assert _INVERSION == tuple(grads)
+        se = _propagate_se(
+            lambda v: _table(v, 1.0, 1.0, 25.0, None, _INVERSION, two_root),
+            values, delta._sigma(_INPUTS), tuple(grads))
         for key, grad in grads.items():
             assert se[key] == pytest.approx(np.sqrt(grad @ sigma @ grad),
                                             rel=1e-6), key

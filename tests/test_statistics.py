@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import pickle
@@ -30,7 +29,7 @@ from qndcert import (
     propagate,
     simulate_moments,
 )
-from qndcert import certification, selftest, statistics
+from qndcert import estimation, selftest, statistics
 from qndcert.montecarlo import arm_chunks
 from qndcert.statistics import ARM_ROLES, CHUNK_SHOTS
 from qndcert.report import delta_to_dict
@@ -206,26 +205,22 @@ class TestClosedFormError:
                             lambda *args: original(*args) * (1.0 + 1e-6))
         assert closed_form_error(*noisy_set, 25.0) > 1e-9
 
-    @pytest.mark.parametrize("helper, name", [
-        ("_figures", "dx2_m"), ("_figures", "dx2_s_given_m"),
-        ("_figures", "dx2_s"), ("_transfer_figures", "c2_in_meter"),
-        ("_transfer_figures", "c2_in_out"),
-        ("_transfer_figures", "c2_out_meter"),
+    @pytest.mark.parametrize("name", [
+        "dx2_m", "dx2_s_given_m", "dx2_s", "c2_in_meter", "c2_in_out",
+        "c2_out_meter", "r_a", "r_a_from_var**2", "n33", "n35", "n55",
     ])
     def test_perturbed_certification_figure_is_caught(self, noisy_set,
-                                                      monkeypatch, helper,
-                                                      name):
-        original = getattr(certification, helper)
+                                                      monkeypatch, name):
+        original = estimation._table
 
         def perturbed(*args):
-            figures = original(*args)
-            if isinstance(figures, dict):
-                return {**figures, name: figures[name] * (1.0 + 1e-6)}
-            return dataclasses.replace(
-                figures, **{name: getattr(figures, name) * (1.0 + 1e-6)})
+            table = original(*args)
+            if name in table:  # the inversion's route has no dx2 figures
+                table[name] *= 1.0 + 1e-6
+            return table
 
         assert closed_form_error(*noisy_set, 25.0) <= 1e-9
-        monkeypatch.setattr(certification, helper, perturbed)
+        monkeypatch.setattr(estimation, "_table", perturbed)
         assert closed_form_error(*noisy_set, 25.0) > 1e-9
 
 
@@ -851,15 +846,15 @@ class TestSigmaRowsReadTheArray:
 
     def test_inversion_and_certify_errors_equal_the_arrays(self):
         from qndcert import certify, invert_three_pulse
-        from qndcert.estimation import _ROUTE_INPUTS, _ROUTE_KEYS, _routes
+        from qndcert.estimation import _INPUTS, _INVERSION, _inputs, _table
         measured, reference = _sampled(3, 2000, 8)
         delta = delta_stats(measured, reference, 0.9)
-        values = [getattr(delta, name) for name in _ROUTE_INPUTS]
+        values = _inputs(delta, measured.var_p)
         # each key's error is its own sum: r_a's does not need the
         # variance route, which this run's noise leaves unavailable
         se = statistics._propagate_se(
-            _routes, values, self._reference_sigma(delta, _ROUTE_INPUTS),
-            _ROUTE_KEYS[:2])
+            lambda v: _table(v, 1.0, 1.0, 25.0, None, _INVERSION, 0.0),
+            values, self._reference_sigma(delta, _INPUTS), _INVERSION[:2])
         model = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
         assert model.r_a_se == se["r_a"]
         report = certify(delta, measured.var_p, 1.0, 25.0, 25.0,
@@ -869,19 +864,18 @@ class TestSigmaRowsReadTheArray:
 
 def report_se_from_array(report, delta):
     """``certify``'s standard errors, Sigma read from the array."""
-    from qndcert.certification import _INPUTS, _figures, _inputs
-    sigma = TestSigmaRowsReadTheArray._reference_sigma(
-        delta, _INPUTS + ("var_p",))
+    from qndcert.estimation import _INPUTS, _inputs, _table
+    sigma = TestSigmaRowsReadTheArray._reference_sigma(delta, _INPUTS)
     sd = report.var_p_se
-    rescale = sd / np.sqrt(sigma[4][4])
-    for i in range(4):
-        sigma[i][4] = sigma[4][i] = sigma[i][4] * rescale
-    sigma[4][4] = sd * sd
+    rescale = sd / np.sqrt(sigma[5][5])
+    for i in range(5):
+        sigma[i][5] = sigma[5][i] = sigma[i][5] * rescale
+    sigma[5][5] = sd * sd
     k2 = report.kappa * report.kappa
     route = tuple(report.se)
     return statistics._propagate_se(
-        lambda v: _figures(v, k2, report.j33, report.j0, route),
-        _inputs(delta, report.var_p), sigma, route)
+        lambda v: _table(v, report.kappa, k2, report.j33, report.j0, route,
+                         0.0), _inputs(delta, report.var_p), sigma, route)
 
 
 class TestPropagation:
