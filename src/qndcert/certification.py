@@ -165,7 +165,9 @@ class CertificationReport:
 
     ``verdict_*`` are the gated verdicts (margin beyond z_threshold
     standard errors; ``gated`` is False when no input carries error);
-    ``point_*`` compare the point values against 1 with no gate.  A None
+    ``point_*`` compare the point values against 1 with no gate.  With
+    r_a assumed 1 the state-prep figure is a lower bound, so a state-prep
+    pass, gated or point, is None, and a reason says so.  A None
     verdict means the run cannot decide that criterion, and
     ``inconclusive`` is set exactly when the full-QND verdict is None.
     """
@@ -319,10 +321,14 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         return None if a is None or b is None else a and b
 
     verdict_state_prep = gate(ncl.dx2_s_given_m, "dx2_s_given_m")
-    if route == _R_A_ASSUMED and verdict_state_prep:
-        verdict_state_prep = None  # a lower bound refutes, never certifies
-    verdict_info_damage = gate(ncl.product_sm, "product_sm")
     point_state_prep = point(ncl.dx2_s_given_m)
+    if route == _R_A_ASSUMED and (verdict_state_prep or point_state_prep):
+        # a lower bound refutes, never certifies: a pass is undecided
+        verdict_state_prep = verdict_state_prep and None
+        point_state_prep = point_state_prep and None
+        reasons.append("state-prep figure is a lower bound with r_a assumed "
+                       "1: it can refute state preparation, not certify it")
+    verdict_info_damage = gate(ncl.product_sm, "product_sm")
     point_info_damage = point(ncl.product_sm)
     verdict_full = both(verdict_state_prep, verdict_info_damage)
     point_full = both(point_state_prep, point_info_damage)

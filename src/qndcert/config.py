@@ -16,8 +16,10 @@ Schema (top level; unknown keys are rejected)::
 
 Validation failures raise ConfigError naming the offending field; JSON
 syntax errors carry the line and column.  The model's own refusals, such
-as an asymmetric block or an indefinite noise matrix, come as ConfigError
-too.  A loaded config holds the initial state that it built and checked.
+as an asymmetric or indefinite block or an indefinite noise matrix, come
+as ConfigError too, each where its section is parsed.  A loaded config
+holds the initial state that it assembled from its checked blocks; the
+state is not checked again.
 """
 
 from __future__ import annotations
@@ -225,6 +227,6 @@ def _parse(raw: dict) -> ExperimentConfig:
         j33=j33,
         j0=j0,
         z_threshold=_number(raw, "z_threshold", default=3.0, minimum=0.0),
-        # built last, so that every field's own refusal comes first
+        # from the blocks, each refused where it was parsed
         initial=make_initial_state(atomic, optical, Layout(n_pulses)),
     )

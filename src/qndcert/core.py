@@ -18,17 +18,23 @@ consumer can rely on exact symmetry.  A state holds one read-only copy
 of each: the symmetrized covariance is itself a new array, so it is
 frozen as it is, and only the mean is copied.
 
-Positivity is one rule, checked where a covariance enters.  A state's
-covariance (``GaussianState(...)``, :func:`make_initial_state`, a loaded
-config) and a :class:`~qndcert.dynamics.NoiseModel`'s matrix are
-refused with :class:`~qndcert.errors.NotPositiveSemidefiniteError` when
-the least eigenvalue is below ``-PSD_RTOL * trace``.  A pulse
-(``cov -> M cov M' + N``) and a conditioning step (a Schur complement)
-take a positive-semidefinite (PSD) state to a PSD state, since every
-noise N is PSD, so a state they derive is not checked again: every
-state is PSD within the tolerance.  A derived covariance is symmetric
-in exact arithmetic, so it is symmetrized with no absolute symmetry
-gap: the rounding of ``M cov M'`` grows with the state's magnitude.
+Positivity is one rule, checked where a covariance enters: the
+covariance of ``GaussianState(...)``, of an :class:`AtomicBlock` or
+:class:`OpticalBlock` (a loaded config's ``atoms`` and ``light``) and a
+:class:`~qndcert.dynamics.NoiseModel`'s matrix are each refused with
+:class:`~qndcert.errors.NotPositiveSemidefiniteError` when the least
+eigenvalue is below ``-PSD_RTOL`` times its own trace; a block also
+refuses a non-finite mean.  A state made from checked parts is not
+checked again.  :func:`make_initial_state` places two checked blocks on
+the diagonal,
+which is positive semidefinite (PSD) exactly when both are, and a
+block's trace is at most the state's, so its tolerance is no looser.  A
+pulse (``cov -> M cov M' + N``) and a conditioning step (a Schur
+complement) take a PSD state to a PSD state, since every noise N is PSD:
+every state is PSD within the tolerance.  A derived covariance is
+symmetric in exact arithmetic, so it is symmetrized with no absolute
+symmetry gap: the rounding of ``M cov M'`` grows with the state's
+magnitude.
 """
 
 from __future__ import annotations
@@ -165,18 +171,30 @@ class Layout:
         return slice(self.index("P_y"), None, 3)
 
 
+def _hold_block(block, mean_name: str, cov: np.ndarray, what: str) -> None:
+    """Hold ``block``'s covariance ``cov``, named ``what``, and its mean
+    field ``mean_name``, once each is checked as entering and finite."""
+    cov = _require_symmetric(cov, what)
+    mean = float(getattr(block, mean_name))
+    if not math.isfinite(mean):
+        raise UndefinedInputError(f"{mean_name} must be finite, got {mean}")
+    _require_psd(cov, what)
+    object.__setattr__(block, mean_name, mean)
+    object.__setattr__(block, "cov", cov)
+
+
 @dataclass(frozen=True, eq=False)
 class AtomicBlock:
-    """Collective-spin input: mean x-polarization and 3x3 covariance."""
+    """Collective-spin input: mean x-polarization and 3x3 covariance,
+    finite, symmetric and PSD, checked when built."""
 
     mean_jx: float
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        cov = _require_symmetric(_as_square(self.cov, 3, "atomic covariance"),
-                                 "atomic covariance")
-        object.__setattr__(self, "mean_jx", float(self.mean_jx))
-        object.__setattr__(self, "cov", cov)
+        _hold_block(self, "mean_jx",
+                    _as_square(self.cov, 3, "atomic covariance"),
+                    "atomic covariance")
 
     @classmethod
     def coherent(cls, n_atoms: float) -> "AtomicBlock":
@@ -201,7 +219,8 @@ class AtomicBlock:
 @dataclass(frozen=True, eq=False)
 class OpticalBlock:
     """Stokes input for all pulses: mean x-polarization (shared) and the
-    3n x 3n covariance, which may correlate different pulses."""
+    3n x 3n covariance, which may correlate different pulses; checked as
+    an :class:`AtomicBlock` is."""
 
     mean_sx: float
     cov: np.ndarray
@@ -213,9 +232,7 @@ class OpticalBlock:
             raise DimensionMismatchError(
                 f"optical covariance must be 3n x 3n with n in 1..3, got {cov.shape}"
             )
-        cov = _require_symmetric(cov, "optical covariance")
-        object.__setattr__(self, "mean_sx", float(self.mean_sx))
-        object.__setattr__(self, "cov", cov)
+        _hold_block(self, "mean_sx", cov, "optical covariance")
 
     @property
     def n_pulses(self) -> int:
@@ -283,13 +300,20 @@ def _derived_state(parent: GaussianState, mean: np.ndarray,
     over without a copy."""
     _require_finite_mean(mean)
     _require_finite(cov, "covariance")
-    mean.setflags(write=False)
     # A contiguous transpose, as in _require_symmetric: the same bits.
-    sym = _symmetric_part(cov, cov.T.copy())
+    return _unchecked_state(parent.layout, mean,
+                            _symmetric_part(cov, cov.T.copy()))
+
+
+def _unchecked_state(layout: Layout, mean: np.ndarray,
+                     cov: np.ndarray) -> GaussianState:
+    """A state holding ``mean`` and ``cov`` as they are, frozen, with no
+    check: each caller has made sure that they pass every check of
+    ``GaussianState``, and that no one else holds them writable."""
+    mean.setflags(write=False)
+    cov.setflags(write=False)
     state = object.__new__(GaussianState)
-    object.__setattr__(state, "layout", parent.layout)
-    object.__setattr__(state, "mean", mean)
-    object.__setattr__(state, "cov", sym)
+    state.__dict__.update(layout=layout, mean=mean, cov=cov)
     return state
 
 
@@ -316,7 +340,9 @@ def make_initial_state(atomic: AtomicBlock, optical: OpticalBlock,
     The two blocks are placed on the diagonal with no cross-correlation:
     atoms and the incoming light are prepared independently.  Cross-pulse
     correlations inside the optical block (classical technical noise shared
-    between pulses) are carried through untouched.
+    between pulses) are carried through untouched.  Each block was checked
+    where it was built, and the state is PSD exactly when both blocks are,
+    so it is not checked again: it holds the bits ``GaussianState`` would.
 
     Parameters
     ----------
@@ -331,13 +357,12 @@ def make_initial_state(atomic: AtomicBlock, optical: OpticalBlock,
         )
     dim = layout.dimension
     mean = np.zeros(dim)
-    mean[layout.index("J_x")] = atomic.mean_jx
-    for name in PULSE_NAMES[: layout.n_pulses]:
-        mean[layout.index(f"{name}_x")] = optical.mean_sx
+    mean[0] = atomic.mean_jx  # J_x
+    mean[3::3] = optical.mean_sx  # each pulse's S_x
     cov = np.zeros((dim, dim))
     cov[:3, :3] = atomic.cov
     cov[3:, 3:] = optical.cov
-    return GaussianState(layout=layout, mean=mean, cov=cov)
+    return _unchecked_state(layout, mean, cov)
 
 
 def get_entry(state: GaussianState, row: str, col: str) -> float:

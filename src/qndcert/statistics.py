@@ -458,7 +458,8 @@ def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     the dict ``fn(values)``, for the input covariance ``sigma`` (rows):
     J by central differences, two calls of ``fn`` per input of nonzero
     variance, in Python floats.  Input x steps by 1e-6 |x|, or by 1e-6
-    times its standard error where x is 0: no step is absolute, so
+    times its standard error where that is 0 (x is 0, or subnormal
+    enough that the product underflows): no step is absolute, so
     inputs and Sigma scaled by powers of two give the same bits.  Where
     Python raises on a zero denominator or an overflow, float64 scalars
     give inf or NaN instead, without a warning: a caller names a standard
@@ -476,7 +477,7 @@ def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
     slopes = {}  # by input, the slope of each key
     for i in inputs:
         x = values[i]
-        h = 1e-6 * (abs(x) or math.sqrt(sigma[i][i]))
+        h = 1e-6 * abs(x) or 1e-6 * math.sqrt(sigma[i][i])
         point = values.copy()
         point[i] = x + h
         up = fn(point)

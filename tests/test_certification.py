@@ -342,6 +342,23 @@ class TestCertify:
         assert report.inconclusive
         assert exit_code(report) == 2
 
+    def test_reduced_route_point_verdict_refutes_only(self):
+        # dx2_s_given_m = 0.5 at r_a assumed 1 is a lower bound: the point
+        # verdict is undecided, as the gated one is, and a note says why
+        pass_ = certify(DeltaStats(n_pulses=2, d_var_p=25.0, d_var_q=25.0,
+                                   d_cov_pq=25.0), 50.0, 1.0, 25.0, 25.0)
+        assert pass_.point_state_prep is None
+        assert pass_.verdict_state_prep is None
+        notes = [r for r in pass_.reasons if "lower bound" in r]
+        assert len(notes) == 1
+        # dx2_s_given_m = 1.9: a lower bound above 1 refutes, point and gated
+        fail = certify(DeltaStats(n_pulses=2, d_var_p=25.0, d_var_q=60.0,
+                                  d_cov_pq=25.0), 50.0, 1.0, 25.0, 25.0)
+        assert fail.nonclassical.dx2_s_given_m == pytest.approx(1.9)
+        assert fail.point_state_prep is False
+        assert fail.verdict_state_prep is False
+        assert not any("lower bound" in r for r in fail.reasons)
+
     def test_exact_route_uses_measured_survival(self, noisy_set):
         delta, var_p = _delta_of(noisy_set)
         report = certify(delta, var_p, 1.0, 25.0, 25.0)
@@ -629,6 +646,27 @@ def _array_route_se(report, delta, var_p, var_p_se):
                ("dx2_s", ncl.dx2_s, f_s), ("product_sm", ncl.product_sm, f_prod))
     return {key: propagate(fn) for key, value, fn in figures
             if value is not None}
+
+
+class TestSubnormalInputs:
+    def test_subnormal_var_p_gives_finite_standard_errors(self):
+        # 1e-6 * var_p underflows to 0 at var_p = 5e-324: every error of
+        # the one propagation read NaN, r_a's included
+        se = {name: 0.1 for name in ("d_var_p", "d_var_q", "d_var_r",
+                                     "d_cov_pq", "d_cov_pr")}
+        delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=20.0,
+                           d_var_r=16.0, d_cov_pq=20.0, d_cov_pr=16.0, se=se)
+        report = certify(delta, 5e-324, 1.0, 25.0, 25.0, var_p_se=0.5)
+        values = dataclasses.asdict(report.nonclassical)
+        finite = [key for key in report.se if math.isfinite(values[key])]
+        assert finite == ["dx2_m", "dx2_s", "product_sm"]  # not -inf's
+        assert all(math.isfinite(report.se[key]) for key in finite)
+        assert report.se["dx2_m"] == pytest.approx(0.5 / 25.0, rel=1e-6)
+        # r_a does not read var_p: the same bits as at a normal var_p
+        normal = certify(delta, 1.0, 1.0, 25.0, 25.0, var_p_se=0.5)
+        assert report.estimates.r_a_se == normal.estimates.r_a_se
+        assert report.estimates.r_a_from_var_se == \
+            normal.estimates.r_a_from_var_se
 
 
 class TestStandardErrorExactness:

@@ -651,8 +651,8 @@ class TestCalibrationFlags:
 
 class TestIndefiniteModel:
     """A config whose covariance is not positive semidefinite is refused
-    where it is loaded: one error line and exit 2, where it used to warn
-    and run on."""
+    where it is loaded, by the block that holds it: one error line and
+    exit 2, where it used to warn and run on."""
 
     def _config(self, directory):
         return _write_config(directory, "indefinite.json", atoms={
@@ -665,8 +665,9 @@ class TestIndefiniteModel:
                      "--out", str(tmp_path / "run")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: covariance has eigenvalue "
-                                       "-1.000000e+00 below tolerance")
+        assert captured.err.startswith("error: atomic covariance has "
+                                       "eigenvalue -1.000000e+00 below "
+                                       "tolerance")
         assert captured.err.count("\n") == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             ["indefinite.json"]
@@ -677,7 +678,9 @@ class TestIndefiniteModel:
                      *_record_args(ideal_run)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: covariance has eigenvalue")
+        assert captured.err.startswith("error: atomic covariance has "
+                                       "eigenvalue -1.000000e+00 below "
+                                       "tolerance")
         assert captured.err.count("\n") == 1
 
     # N33 < 0; and N35 with N55 = 0, the config module's schema example

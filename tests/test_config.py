@@ -45,17 +45,21 @@ class TestLoading:
 
     def test_initial_state_is_checked_once_and_held(self, tmp_path,
                                                     monkeypatch):
+        # one positivity check per block, where it is built; none on the
+        # state that they make
         calls = []
         check = core._require_psd
         monkeypatch.setattr(core, "_require_psd",
-                            lambda cov, what: calls.append(cov)
+                            lambda cov, what: calls.append((what, cov))
                             or check(cov, what))
         config = load_config(_write(tmp_path, BASE))
-        assert len(calls) == 1
+        assert [(what, cov.shape) for what, cov in calls] == [
+            ("atomic covariance", (3, 3)), ("optical covariance", (9, 9))]
         state = config.initial_state()
         assert config.initial_state() is state
-        assert len(calls) == 1
-        assert state.cov is calls[0]
+        assert len(calls) == 2
+        assert state.cov[:3, :3].tobytes() == calls[0][1].tobytes()
+        assert state.cov[3:, 3:].tobytes() == calls[1][1].tobytes()
 
     def test_configs_compare_and_hash_by_identity(self, tmp_path):
         # the generated __eq__ compared numpy arrays: == raised ValueError,

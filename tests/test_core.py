@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qndcert
+from qndcert import core
 from qndcert import (
     AtomicBlock,
     DimensionMismatchError,
@@ -129,6 +130,16 @@ class TestBlocks:
                            match="covariance holds a non-finite entry"):
             block(50.0, cov)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block, name, size", [
+        (AtomicBlock, "mean_jx", 3), (OpticalBlock, "mean_sx", 6)])
+    def test_non_finite_mean_rejected_where_built(self, block, name, size,
+                                                  value):
+        # it was held, and refused only by the state built from it
+        with pytest.raises(UndefinedInputError,
+                           match=f"^{name} must be finite, got {value}$"):
+            block(value, np.eye(size))
+
     def test_atomic_cov_shape(self):
         with pytest.raises(DimensionMismatchError):
             AtomicBlock(mean_jx=50.0, cov=np.eye(4))
@@ -228,10 +239,15 @@ class TestGaussianState:
             GaussianState(Layout(1), np.zeros(6), cov)
 
     def test_initial_state_is_refused_by_its_blocks(self):
-        atomic = AtomicBlock(50.0, np.diag([0.0, 25.0, -1.0]))
-        with pytest.raises(NotPositiveSemidefiniteError):
-            make_initial_state(atomic, OpticalBlock.coherent(100.0, 1),
-                               Layout(1))
+        # where the block is built, so before any state
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="^atomic covariance has eigenvalue "
+                                 "-1.000000e\\+00 below tolerance"):
+            AtomicBlock(50.0, np.diag([0.0, 25.0, -1.0]))
+        with pytest.raises(NotPositiveSemidefiniteError,
+                           match="^optical covariance has eigenvalue "
+                                 "-1.000000e\\+00 below tolerance"):
+            OpticalBlock(50.0, np.diag([0.0, 25.0, -1.0, 0.0, 25.0, 25.0]))
 
     def test_tiny_negative_eigenvalue_tolerated_silently(self):
         # round-off scale relative to the trace must not trip the check
@@ -239,6 +255,30 @@ class TestGaussianState:
         cov[5, 5] = -1e-12
         state = GaussianState(Layout(1), np.zeros(6), cov)
         assert state.cov[5, 5] == -1e-12
+
+    def test_initial_state_is_not_checked_again(self, monkeypatch):
+        # the README blocks; their checks ran when they were built
+        atomic, optical = (AtomicBlock.coherent(100.0),
+                           OpticalBlock.coherent(100.0, 3))
+        layout = Layout(3)
+        mean, cov = np.zeros(12), np.zeros((12, 12))
+        mean[0], mean[3::3] = 50.0, 50.0
+        cov[:3, :3], cov[3:, 3:] = atomic.cov, optical.cov
+        checked = GaussianState(layout, mean, cov)
+
+        def refuse(*args):
+            raise AssertionError("the initial state was checked again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(core, "_require_symmetric", refuse)
+        state = make_initial_state(atomic, optical, layout)
+        assert state.layout is layout
+        for got, want in ((state.mean, checked.mean), (state.cov, checked.cov)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, atomic.cov)
+            assert not np.shares_memory(got, optical.cov)
 
     def test_arrays_frozen(self):
         state = make_initial_state(AtomicBlock.coherent(4.0),
@@ -285,11 +325,17 @@ class TestUnitFreeSymmetryRule:
         assert decisions[0] is accepted
         assert [s for s, d in decisions.items() if d is not accepted] == []
 
+    # each kind's matrix size, and whether it accepts a matrix
     PSD = {
-        "state": lambda m: _accepted(NotPositiveSemidefiniteError,
-                                     GaussianState, Layout(1), np.zeros(6), m),
-        "noise": lambda m: _accepted(NotPositiveSemidefiniteError,
-                                     NoiseModel, m),
+        "atomic": (3, lambda m: _accepted(NotPositiveSemidefiniteError,
+                                          AtomicBlock, 50.0, m)),
+        "optical": (6, lambda m: _accepted(NotPositiveSemidefiniteError,
+                                           OpticalBlock, 50.0, m)),
+        "state": (6, lambda m: _accepted(NotPositiveSemidefiniteError,
+                                         GaussianState, Layout(1),
+                                         np.zeros(6), m)),
+        "noise": (6, lambda m: _accepted(NotPositiveSemidefiniteError,
+                                         NoiseModel, m)),
     }
 
     @pytest.mark.parametrize("kind", sorted(PSD))
@@ -298,15 +344,17 @@ class TestUnitFreeSymmetryRule:
         ids=["4-tolerances-below", "quarter-tolerance-below", "psd"])
     def test_power_of_two_scale_keeps_the_positivity_decision(
             self, kind, least, accepted):
-        # eigenvalues 1..5, and one ``least`` tolerances (PSD_RTOL *
+        # eigenvalues 1..size-1, and one ``least`` tolerances (PSD_RTOL *
         # trace) from 0, in a rotated basis: eigenvalues up to 5 * 2**s
-        # stay finite to 2**1021, where the trace overflows
+        # stay finite to 2**1021, where a 6x6 trace overflows
+        size, accepts = self.PSD[kind]
         rotation = np.linalg.qr(np.random.default_rng(7).normal(
-            size=(6, 6)))[0]
-        eigenvalues = [least * PSD_RTOL * 15.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+            size=(size, size)))[0]
+        rest = [float(k) for k in range(1, size)]
+        eigenvalues = [least * PSD_RTOL * sum(rest)] + rest
         matrix = (rotation * eigenvalues) @ rotation.T
         matrix = (matrix + matrix.T) / 2.0
-        decisions = {s: self.PSD[kind](matrix * 2.0 ** s)
+        decisions = {s: accepts(matrix * 2.0 ** s)
                      for s in range(self.SCALES.start, 1022)}
         assert decisions[0] is accepted
         assert [s for s, d in decisions.items() if d is not accepted] == []

@@ -911,3 +911,16 @@ class TestPropagation:
             se = statistics._propagate_se(lambda v: {"y": v[0] ** 2},
                                           [1.3407807e154], [[1.0]], ("y",))
         assert se["y"] == np.inf
+
+    def test_subnormal_input_steps_by_its_standard_error(self):
+        # 1e-6 * 5e-324 underflows to 0: the slope was 0 / 0 and the
+        # error NaN; a normal input keeps its relative step
+        fn = lambda v: {"y": 3.0 * v[0] + v[1]}  # noqa: E731
+        sigma = [[0.25, 0.0], [0.0, 4.0]]
+        se = statistics._propagate_se(fn, [5e-324, 1.0], sigma, ("y",))
+        assert se["y"] == pytest.approx(np.sqrt(9.0 * 0.25 + 4.0), rel=1e-9)
+        calls = []
+        statistics._propagate_se(lambda v: calls.append(v[0]) or fn(v),
+                                 [1e-300, 1.0], sigma, ("y",))
+        step = 1e-6 * 1e-300
+        assert calls[:2] == [1e-300 + step, 1e-300 - step]
