@@ -82,9 +82,13 @@ def _as_square(matrix, size: int, what: str) -> np.ndarray:
     return out
 
 
-def _require_finite(matrix: np.ndarray, what: str) -> None:
-    if not np.isfinite(matrix).all():
+def _largest_magnitude(matrix: np.ndarray, what: str) -> float:
+    """The largest magnitude in ``matrix``, refused where an entry is not
+    finite (a NaN propagates through the maximum and fails ``<``)."""
+    largest = float(abs(matrix).max())
+    if not largest < math.inf:
         raise UndefinedInputError(f"{what} holds a non-finite entry")
+    return largest
 
 
 def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -92,10 +96,9 @@ def _require_symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
     every entering matrix: it refuses a non-finite entry, so that no
     numpy warning comes first, then a departure from symmetry beyond
     ``SYMMETRY_RTOL`` times its largest magnitude."""
-    _require_finite(matrix, what)
+    largest = _largest_magnitude(matrix, what)
     # A contiguous transpose: numpy is slower on the strided view.
     transpose = matrix.T.copy()
-    largest = float(abs(matrix).max())
     near_max = largest > _HALF_MAX
     # m - m' is antisymmetric, and a - b == -(b - a) exactly, so its
     # largest entry is its largest magnitude.  Past _HALF_MAX it may
@@ -293,16 +296,17 @@ def _derived_state(parent: GaussianState, mean: np.ndarray,
                    cov: np.ndarray) -> GaussianState:
     """The state that a pulse (``M cov M' + N``, N PSD) or a Schur
     complement takes ``parent`` to, holding ``mean`` and the symmetric
-    part of ``cov``.  Both maps keep a PSD state PSD, and every state is
-    PSD, so no positivity check runs.  ``cov`` is symmetric in exact
-    arithmetic, so no absolute symmetry gap is asked of it; ``mean`` and
-    ``cov`` are fresh arrays, or the parent's frozen ones, and are taken
-    over without a copy."""
+    part of ``cov``, taken as ``_require_symmetric`` takes it, so that an
+    entry past ``_HALF_MAX`` does not overflow.  Both maps keep a PSD
+    state PSD, and every state is PSD, so no positivity check runs.
+    ``cov`` is symmetric in exact arithmetic, so no absolute symmetry gap
+    is asked of it; ``mean`` and ``cov`` are fresh arrays, or the
+    parent's frozen ones, and are taken over without a copy."""
     _require_finite_mean(mean)
-    _require_finite(cov, "covariance")
+    near_max = _largest_magnitude(cov, "covariance") > _HALF_MAX
     # A contiguous transpose, as in _require_symmetric: the same bits.
     return _unchecked_state(parent.layout, mean,
-                            _symmetric_part(cov, cov.T.copy()))
+                            _symmetric_part(cov, cov.T.copy(), near_max))
 
 
 def _unchecked_state(layout: Layout, mean: np.ndarray,

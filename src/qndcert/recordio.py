@@ -40,7 +40,10 @@ sha256 of the CSV as written and the arm's ``MomentAccumulator`` state
 (``count``, ``mean``, ``comoment``) after its chunks.  Parsing the CSV
 feeds the same values in the same chunks, so it gives the same bits.
 Sidecars written before the chunk pipeline hold one-shot summaries,
-which differ in the last bits; they still read.  :func:`read_records`
+which differ in the last bits; they still read.  So do sidecars written
+before each chunk was folded as contiguous columns: their summaries
+summed each chunk's rows in order, where the fold now sums each column
+pairwise, so they too differ from a fresh parse in the last bits.  :func:`read_records`
 is the one reader: it hashes the CSVs it is given and reads and checks
 the sidecar once.  When both digests match the sidecar's, the arms'
 moments come from the stored summaries and no CSV is parsed.  Otherwise,

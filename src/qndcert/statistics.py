@@ -26,8 +26,9 @@ formats and the reader parses arms in these chunks, and
 :meth:`MomentAccumulator.update` folds in any rows it is given
 ``CHUNK_SHOTS`` at a time, so every route to an arm's moments -- the
 sampler's chunks as drawn, the sidecar's as written, a CSV's as parsed,
-or one whole array -- gives the same bits.  A pipeline holds one chunk
-per arm, never a whole arm, so memory does not grow with the shot count.
+or one whole array, in any memory layout -- gives the same bits.  A
+pipeline holds one chunk per arm, never a whole arm, so memory does not
+grow with the shot count.
 :meth:`MomentAccumulator.moments` is the one rule, on every route, for
 whether an arm's state gives moments and a Sigma in range.
 
@@ -271,7 +272,16 @@ class MomentAccumulator:
         """Fold in ``rows``, ``CHUNK_SHOTS`` at a time: the grain every
         arm is streamed in, so a whole array gives the bits its chunks
         give.  A sum that overflows does so without a warning:
-        :meth:`moments` refuses it."""
+        :meth:`moments` refuses it.
+
+        Each chunk is copied once as a contiguous (k, count) array, one
+        row per column of ``rows``.  Across an (n, k) chunk numpy runs its
+        k-wide inner loop n times; along a contiguous row it runs once, so
+        the mean, the centring (in place, on the copy) and the comoment
+        ``centered @ centered.T`` each take one pass.  The copy also makes
+        the bits depend on the values alone, not on how ``rows`` is laid
+        out.  The chunk mean is numpy's pairwise row sum over the count,
+        whose rounding error grows with log n rather than n."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.mean.size:
             raise DimensionMismatchError(
@@ -279,14 +289,14 @@ class MomentAccumulator:
             )
         with np.errstate(all="ignore"):
             for start in range(0, rows.shape[0], CHUNK_SHOTS):
-                chunk = rows[start:start + CHUNK_SHOTS]
-                n_a, n_b = self.count, chunk.shape[0]
+                centered = rows[start:start + CHUNK_SHOTS].T.copy()
+                n_a, n_b = self.count, centered.shape[1]
                 n = n_a + n_b
-                mean_b = chunk.mean(axis=0)
-                centered = chunk - mean_b
+                mean_b = centered.sum(axis=1) / n_b
+                centered -= mean_b[:, None]
                 delta = mean_b - self.mean
                 self.mean = self.mean + delta * (n_b / n)
-                self.comoment = (self.comoment + centered.T @ centered
+                self.comoment = (self.comoment + centered @ centered.T
                                  + np.outer(delta, delta) * (n_a * n_b / n))
                 self.count = n
 

@@ -10,6 +10,7 @@ from qndcert import core
 from qndcert import (
     AtomicBlock,
     DimensionMismatchError,
+    ExperimentParams,
     GaussianState,
     Layout,
     LayoutError,
@@ -18,8 +19,13 @@ from qndcert import (
     NotSymmetricError,
     OpticalBlock,
     UndefinedInputError,
+    apply_pulse,
+    condition_on_component,
     get_entry,
     make_initial_state,
+    meter_moments,
+    predicted_moments,
+    propagate,
 )
 from qndcert.core import PSD_RTOL
 
@@ -442,6 +448,37 @@ class TestNearTheFloatMaximum:
         assert held[1, 2] == held[2, 1] == a / 2.0 + b / 2.0
         assert a <= held[1, 2] <= b
         assert held[0, 0] == matrix[0, 0] and held[1, 1] == b
+
+    @staticmethod
+    def _spin_variance_at_the_maximum():
+        atomic = AtomicBlock(mean_jx=10.0, cov=np.diag([1.0, 1.0, 1e308]))
+        optical = OpticalBlock(mean_sx=10.0, cov=np.eye(9))
+        params = ExperimentParams.from_kappa(1.0, mean_sx=10.0, mean_jx=10.0)
+        return (params, NoiseModel(np.zeros((6, 6))),
+                make_initial_state(atomic, optical, Layout(3)))
+
+    @pytest.mark.parametrize("step", ["pulse", "condition"])
+    def test_derived_state_keeps_a_variance_past_half_the_maximum(self,
+                                                                  step):
+        # cov + cov.T overflowed: numpy's "overflow encountered in add"
+        # failed it, and the derived covariance held inf
+        params, noise, initial = self._spin_variance_at_the_maximum()
+        if step == "pulse":
+            derived = apply_pulse(initial, params, noise, 1)
+        else:
+            derived = condition_on_component(initial, "P_y")
+        assert np.isfinite(derived.cov).all()
+        assert derived.cov[2, 2] == 1e308
+
+    def test_matrix_route_agrees_with_the_closed_forms(self):
+        # propagate refused: "covariance holds a non-finite entry"
+        params, noise, initial = self._spin_variance_at_the_maximum()
+        closed = predicted_moments(params, noise, initial)
+        matrix = meter_moments(propagate(params, noise, initial))
+        assert closed.var_p == closed.cov_pq == 1e308
+        for name in ("var_p", "var_q", "var_r", "cov_pq", "cov_pr", "cov_qr"):
+            assert getattr(matrix, name) == pytest.approx(
+                getattr(closed, name), rel=1e-12)
 
 
 class TestOneCopyPerState:

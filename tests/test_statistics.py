@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,6 +277,53 @@ class TestMomentAccumulator:
         assert whole.count == chunked.count == n_rows
         np.testing.assert_array_equal(whole.mean, chunked.mean)
         np.testing.assert_array_equal(whole.comoment, chunked.comoment)
+
+    @pytest.mark.parametrize("n_rows", [CHUNK_SHOTS, 2 * CHUNK_SHOTS + 5])
+    @pytest.mark.parametrize("layout", ["F", "column-slice"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bits_depend_on_the_values_alone(self, k, layout, n_rows):
+        # rows in C order, in F order, or a column slice of a wider array
+        # (as a parsed CSV's data[:, 1:]) fold to the same bits; numpy's
+        # (n, k) mean summed F-ordered columns pairwise and C-ordered
+        # rows in order, so they differed in the last bits
+        rng = np.random.default_rng([n_rows, k])
+        wide = rng.normal(5.0, 3.0, (n_rows, k + 1))
+        rows = np.ascontiguousarray(wide[:, 1:])
+        other = np.asfortranarray(rows) if layout == "F" else wide[:, 1:]
+        c_order, same_values = MomentAccumulator(k), MomentAccumulator(k)
+        c_order.update(rows)
+        same_values.update(other)
+        assert c_order.mean.tobytes() == same_values.mean.tobytes()
+        assert c_order.comoment.tobytes() == same_values.comoment.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_covariance_with_a_large_offset_matches_exact_arithmetic(self,
+                                                                      k):
+        # 1e6 + N(0, 1): the running mean rounds to ulp(1e6) = 2**-33 at
+        # each merge; over 40 seeds that left at most 1.8e-12 of
+        # sqrt(var_i var_j), where chunk means summed row by row (k >= 2)
+        # left up to 9e-11
+        n = 2 * CHUNK_SHOTS + 5
+        rng = np.random.default_rng([7, k])
+        mix = np.tril(rng.uniform(0.5, 1.5, (k, k)))
+        rows = 1e6 + rng.standard_normal((n, k)) @ mix.T
+        cov = _moments_of(rows).cov
+        # every value is an integer times 2**-40, so the sums are exact
+        scaled = [[int(v) for v in column] for column in rows.T * 2.0**40]
+        assert all((np.array(column) == rows.T[i] * 2.0**40).all()
+                   for i, column in enumerate(scaled))
+        sums = [sum(column) for column in scaled]
+
+        def exact(i, j):
+            products = sum(a * b for a, b in zip(scaled[i], scaled[j]))
+            return Fraction(n * products - sums[i] * sums[j],
+                            n * (n - 1) * 2**80)
+
+        for i in range(k):
+            for j in range(k):
+                scale = math.sqrt(exact(i, i) * exact(j, j))
+                error = abs(Fraction(cov[i, j]) - exact(i, j)) / scale
+                assert error < 5e-12, (i, j, float(error))
 
     @pytest.mark.parametrize("shape", [(4, 3), (4,), (0, 3)])
     def test_update_refuses_another_width(self, shape):
