@@ -45,10 +45,10 @@ preparation but never certify it; otherwise only dx2_m is formed.
 Every verdict is gated: a criterion counts as certified only when its
 margin to 1 exceeds ``z_threshold`` propagated standard errors (0.0 for
 exact inputs); the clipped product takes the unclipped dx2_s * dx2_m's.
-Each figure is written once, in the figure table
-(``estimation._table``) over (d_var_p, d_var_q, d_var_r, d_cov_pq,
-d_cov_pr, var_p); it gives the value, and the standard error
-sqrt(diag(J Sigma J^T)), J by central differences of the same table.
+Each figure is written once, in the figure table (``estimation._table``)
+over (d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p), which gives
+its value; the table's part with an error gives the standard error
+sqrt(diag(J Sigma J^T)), J by complex step, good to rounding.
 The inputs share shots, so Sigma, their error covariance, is Isserlis'
 within each arm, Cov(S_ij, S_kl) = (S_ik S_jl + S_il S_jk) / (n - 1),
 summed over the two independent arms (:mod:`qndcert.statistics`);

@@ -13,12 +13,11 @@ makes certification possible without trusting the apparatus model.
 * the spin variance conditioned on the first meter, ``cond_var_jz``.
 
 :func:`invert_three_pulse` and :func:`~qndcert.certify` are the only
-readers of measured statistics.  One function, the figure table
-``_table``, writes every number either reports once, from the vector
-(d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p): both take their
-values from it, and their standard errors from one
-:func:`~qndcert.statistics._propagate_se` call over it, one Jacobian over
-the inputs' error covariance (see :mod:`qndcert.statistics`).
+readers of measured statistics.  The figure table ``_table`` writes
+every number either reports once, from the vector (d_var_p, d_var_q,
+d_var_r, d_cov_pq, d_cov_pr, var_p); both take their standard errors
+from its part with an error, ``_carried``, by one complex-step Jacobian
+over the inputs' error covariance (:mod:`qndcert.statistics`).
 Disagreement between the two r_A routes is a model-consistency
 diagnostic, not an error.
 """
@@ -98,50 +97,58 @@ def _inputs(delta: DeltaStats, var_p: float) -> tuple[float, ...]:
                  [getattr(delta, name) for name in _INPUTS[:-1]] + [var_p])
 
 
-def _table(v, kappa: float, k2: float, j33: float, j0: float | None,
-           route: tuple[str, ...],
-           two_root: float | None = None) -> dict[str, float]:
-    """The figure table: every number of ``route`` from v = (d_var_p,
-    d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p) at k2 = kappa**2 (forms
-    in :func:`invert_three_pulse` and :mod:`qndcert.certification`), each
-    where its denominators are nonzero; one that reads a moment the run
-    lacks, as 0, is not reported.  At the measured point (``two_root``
-    None) it gives every value; under ``_propagate_se`` the entries with
-    an error, ``product_sm`` unclipped, since the clip would zero its
-    error, and where 2 sqrt(measured variance ratio) = ``two_root`` > 0 the
-    variance route as ratio / two_root: that has sqrt(ratio)'s slope
-    there, and stays defined where a perturbed ratio turns negative.
-    """
+def _carried(v, k2: float, j33: float, j0: float | None,
+             route: tuple[str, ...]) -> dict:
+    """The table's entries with an error, ``product_sm`` unclipped.  Only
+    +, -, * and / act on v, which ``_propagate_se`` steps into the complex
+    plane; a branch or sqrt reads real parts, the point's, and the variance
+    route is sqrt to first order about the measured ratio, exact there."""
     d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p = v
-    kj = k2 * j33
-    den, num = d_var_q - d_var_p, d_var_r - d_var_q
+    den = d_var_q - d_var_p
     t = {"d_var_q - d_var_p": den}
-    if d_cov_pq:
-        r_a = t["r_a"] = d_cov_pr / d_cov_pq
     if route != _INVERSION:
-        dx2_m = t["dx2_m"] = (var_p - kj) / (k2 * j0)
+        dx2_m = t["dx2_m"] = (var_p - k2 * j33) / (k2 * j0)
     if route != _METER_ONLY:
         # d_cov_pq**2 / var_p as d_cov_pq (d_cov_pq / var_p): its terms
         # stay in range where the records' unit is far from the meter's
         excess = den - d_cov_pq * (d_cov_pq / var_p)
+        t["d_var_q - d_var_p - d_cov_pq**2 / var_p"] = excess
         cond = t["cond_var_jz"] = j33 + excess / k2
     if route == _R_A_ASSUMED:
         t["dx2_s_given_m"] = cond / j0
-    elif route == _EXACT:
+    if route not in (_EXACT, _INVERSION):
+        return t
+    r_a = t["r_a"] = d_cov_pr / d_cov_pq
+    if route == _EXACT:
         t["dx2_s_given_m"] = (d_cov_pq / d_cov_pr) * cond / j0
         dx2_s = t["dx2_s"] = (d_cov_pq / d_cov_pr) * (den / (k2 * j0))
-        t["product_sm"] = dx2_s * dx2_m  # clipped below, at the point
-    if two_root:
-        t["r_a_from_var"] = num / den / two_root
+        t["product_sm"] = dx2_s * dx2_m  # clipped in _table
+    num = t["d_var_r - d_var_q"] = d_var_r - d_var_q
+    ratio = t["r_a_from_var**2"] = num.real / den.real if den.real else 0.0
+    if ratio > 0.0:
+        root = math.sqrt(ratio)
+        t["r_a_from_var"] = root + (num / den - ratio) / (2.0 * root)
         t["r_a - r_a_from_var"] = r_a - t["r_a_from_var"]
-    if two_root is not None:
-        return t  # under propagation, the entries with an error
+    return t
+
+
+def _table(v, kappa: float, k2: float, j33: float, j0: float | None,
+           route: tuple[str, ...]) -> dict[str, float]:
+    """The figure table: every number of ``route`` from v = (d_var_p,
+    d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p) at k2 = kappa**2 (forms
+    in :func:`invert_three_pulse` and :mod:`qndcert.certification`), each
+    where its denominators are nonzero; one that reads a moment the run
+    lacks, as 0, is not reported.  To :func:`_carried`'s entries it adds
+    the point's alone: noise entries, transfer figures, squeezing, clip."""
+    t = _carried(v, k2, j33, j0, route)
+    d_var_p, _, _, d_cov_pq, d_cov_pr, var_p = v
+    kj = k2 * j33
+    den = t["d_var_q - d_var_p"]
     if route in (_EXACT, _INVERSION):
+        r_a = t["r_a"]
         t["n33"] = (den + kj * (1.0 - r_a * r_a)) / k2
         t["n35"] = (d_cov_pq - kj * r_a) / kappa
         t["n55"] = d_var_p - kj
-        t["d_var_r - d_var_q"] = num
-        t["r_a_from_var**2"] = num / den if den else 0.0
     if route == _INVERSION:
         return t
     bracket = t["d_var_q - d_var_p + kappa**2 j33"] = den + kj
@@ -150,29 +157,26 @@ def _table(v, kappa: float, k2: float, j33: float, j0: float | None,
         if bracket:
             t["c2_out_meter"] = (d_cov_pq / var_p) * (d_cov_pq / bracket)
     if d_cov_pq and bracket:
+        r_a = d_cov_pr / d_cov_pq
         t["c2_in_out"] = kj / bracket * (r_a * r_a)
     if route != _METER_ONLY:
-        t["d_var_q - d_var_p - d_cov_pq**2 / var_p"] = excess
         t["squeezing margin"] = d_cov_pq ** 2 - var_p * den
     if route == _EXACT:
-        t["product_sm"] = max(0.0, dx2_s) * max(0.0, dx2_m)
+        t["product_sm"] = max(0.0, t["dx2_s"]) * max(0.0, t["dx2_m"])
     return t
 
 
 def _evaluate(inputs, sigma, kappa: float, k2: float, j33: float,
               j0: float | None, route: tuple[str, ...], keys=()):
-    """The table at the measured point, and by one
-    :func:`~qndcert.statistics._propagate_se` call the standard errors of
-    ``keys`` and, on a route that inverts, of its ``_INVERSION`` keys."""
+    """The table at the measured point, and by one ``_propagate_se`` call
+    over :func:`_carried` the standard errors of ``keys`` and, on a route
+    that inverts, of the ``_INVERSION`` keys it forms."""
+    j33, j0 = float(j33), j0 and float(j0)  # numpy's complex is slow
     t = _table(inputs, kappa, k2, j33, j0, route)
-    two_root = 0.0
     if route in (_EXACT, _INVERSION):
-        ratio = t["r_a_from_var**2"]
-        two_root = 2.0 * math.sqrt(ratio) if ratio > 0.0 else 0.0
-        keys = (*keys, *_INVERSION[:4 if two_root else 2])
-    return t, _propagate_se(
-        lambda v: _table(v, kappa, k2, j33, j0, route, two_root), inputs,
-        sigma, keys)
+        keys = (*keys, *_INVERSION[:4 if "r_a_from_var" in t else 2])
+    return t, _propagate_se(lambda v: _carried(v, k2, j33, j0, route),
+                            inputs, sigma, keys)
 
 
 def _check_gate_width(z_threshold: float) -> None:

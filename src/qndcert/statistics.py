@@ -465,15 +465,15 @@ def _calibration_k2(kappa: float, j33: float,
 
 def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     """Standard errors sqrt(diag(J Sigma J^T)) of the figures ``keys`` of
-    the dict ``fn(values)``, for the input covariance ``sigma`` (rows):
-    J by central differences, two calls of ``fn`` per input of nonzero
-    variance, in Python floats.  Input x steps by 1e-6 |x|, or by 1e-6
-    times its standard error where that is 0 (x is 0, or subnormal
-    enough that the product underflows): no step is absolute, so
-    inputs and Sigma scaled by powers of two give the same bits.  Where
-    Python raises on a zero denominator or an overflow, float64 scalars
-    give inf or NaN instead, without a warning: a caller names a standard
-    error that is not finite where it counts."""
+    the dict ``fn(values)``, for the input covariance ``sigma`` (rows).
+    J is by complex step (Squire and Trapp, SIAM Rev. 40, 110 (1998)):
+    ``fn`` is called once per input x of nonzero variance, at x + ih, and
+    each slope is Im fn / h, good to rounding as nothing is subtracted, if
+    only +, -, * and / act on the inputs (a branch may read real parts).
+    h = 2**-60 |x|, or 2**-60 times x's standard error where that is 0:
+    never absolute, so inputs and Sigma scaled by 2**s give the same bits.
+    Where Python raises (a zero denominator, an overflow), numpy scalars
+    give inf or NaN quietly: a caller names an error that is not finite."""
     try:
         return _jacobian_se(fn, [float(x) for x in values], sigma, keys)
     except ArithmeticError:
@@ -486,16 +486,11 @@ def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
     inputs = [i for i, row in enumerate(sigma) if row[i] != 0.0]
     slopes = {}  # by input, the slope of each key
     for i in inputs:
-        x = values[i]
-        h = 1e-6 * abs(x) or 1e-6 * math.sqrt(sigma[i][i])
         point = values.copy()
-        point[i] = x + h
-        up = fn(point)
-        point = values.copy()
-        point[i] = x - h
-        down = fn(point)
-        two_h = 2.0 * h
-        slopes[i] = [(up[key] - down[key]) / two_h for key in keys]
+        h = 2.0 ** -60 * abs(point[i]) or 2.0 ** -60 * math.sqrt(sigma[i][i])
+        point[i] += h * 1j
+        out = fn(point)
+        slopes[i] = [out[key].imag / h for key in keys]
     sds = [(slopes[i], math.sqrt(sigma[i][i])) for i in inputs]
     pairs = [(slopes[i], slopes[j], 2.0 * sigma[i][j]) for i, j
              in itertools.combinations(inputs, 2) if sigma[i][j] != 0.0]

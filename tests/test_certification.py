@@ -528,8 +528,8 @@ class TestExactInputsHaveZeroError:
         # d_cov_pq, d_cov_pr and the probe arm's var_p
         rows = [0, 1, 2, 3, 4, 6]
         expected = statistics._propagate_se(
-            lambda v: estimation._table(v, 1.0, 1.0, 25.0, 25.0,
-                                        estimation._EXACT, 0.0),
+            lambda v: estimation._carried(v, 1.0, 25.0, 25.0,
+                                          estimation._EXACT),
             estimation._inputs(delta, measured.var_p),
             sigma[np.ix_(rows, rows)].tolist(), estimation._EXACT)
         assert report.se == pytest.approx(expected, rel=1e-12)
@@ -600,16 +600,19 @@ class TestExactInputsHaveZeroError:
 
 
 def _array_route_se(report, delta, var_p, var_p_se):
-    """Standard errors of ``report``'s figures by central differences on
-    copied input arrays, the form the scalar loop in ``certify`` must
-    reproduce bit for bit."""
-    values = np.array([delta.d_var_p, delta.d_var_q, delta.d_var_r,
-                       delta.d_cov_pq, delta.d_cov_pr, var_p])
+    """Standard errors of ``report``'s figures by complex step on copied
+    input lists, each figure its own function, the form the one table in
+    ``certify`` must reproduce bit for bit.  It steps in Python scalars:
+    numpy's complex division rounds differently."""
+    values = [float(x) for x in (delta.d_var_p, delta.d_var_q, delta.d_var_r,
+                                 delta.d_cov_pq, delta.d_cov_pr, var_p)]
     se = delta.se or {}
-    ses = np.array([se.get(name, 0.0) for name in
-                    ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")]
-                   + [var_p_se or 0.0])
-    k2, j33, j0 = report.kappa * report.kappa, report.j33, report.j0
+    ses = [float(se.get(name, 0.0)) for name in
+           ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")] + [
+               float(var_p_se or 0.0)]
+    kappa, j33, j0 = (float(x) for x in (report.kappa, report.j33,
+                                         report.j0))
+    k2 = kappa * kappa
     exact_route = report.nonclassical.dx2_s is not None
 
     def f_m(v):
@@ -632,13 +635,12 @@ def _array_route_se(report, delta, var_p, var_p_se):
         for i, se in enumerate(ses):
             if se == 0.0:
                 continue
-            h = max(1e-6 * abs(values[i]), 1e-9)
-            up = values.copy()
-            up[i] += h
-            dn = values.copy()
-            dn[i] -= h
-            total += ((fn(up) - fn(dn)) / (2.0 * h) * se) ** 2
-        return float(np.sqrt(total))
+            x = values[i]
+            h = 2.0 ** -60 * abs(x) or 2.0 ** -60 * se
+            point = values.copy()
+            point[i] = x + h * 1j
+            total += (fn(point).imag / h * se) ** 2
+        return math.sqrt(total)
 
     ncl = report.nonclassical
     figures = (("dx2_m", ncl.dx2_m, f_m),
@@ -650,8 +652,8 @@ def _array_route_se(report, delta, var_p, var_p_se):
 
 class TestSubnormalInputs:
     def test_subnormal_var_p_gives_finite_standard_errors(self):
-        # 1e-6 * var_p underflows to 0 at var_p = 5e-324: every error of
-        # the one propagation read NaN, r_a's included
+        # a relative step underflows to 0 at var_p = 5e-324: every error
+        # of the one propagation read NaN, r_a's included
         se = {name: 0.1 for name in ("d_var_p", "d_var_q", "d_var_r",
                                      "d_cov_pq", "d_cov_pr")}
         delta = DeltaStats(n_pulses=3, d_var_p=25.0, d_var_q=20.0,
@@ -699,6 +701,38 @@ class TestStandardErrorExactness:
                                                 measured.var_p, var_p_se)
         assert zero_inputs == 96
         assert routes >= 1  # the r_a = 1 fallback is covered too
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_last_bit_of_an_input_moves_no_error(self, seed):
+        # each slope is good to rounding, so a one-ulp move of a delta
+        # moment moves no standard error past a few ulps; a difference
+        # quotient's slopes magnified it some thousand times
+        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0,
+                                             mean_jx=50.0, r_a=0.8, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): 2.0, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3),
+                                     Layout(3))
+        measured, reference = simulate_moments(params, noise, initial,
+                                               60_000, seed)
+        delta = delta_stats(measured, reference, params.r_l)
+
+        def errors(delta):
+            report = certify(delta, measured.var_p, 1.0, 25.0, 25.0)
+            return [*report.se.values(), report.estimates.r_a_se,
+                    report.estimates.r_a_from_var_se]
+
+        base = errors(delta)
+        assert len(base) == 6 and all(se > 0.0 for se in base)
+        for name in ("var_p", "var_q", "var_r", "cov_pq", "cov_pr"):
+            j, k = statistics._ENTRIES[name]
+            cov = np.array(delta.cov)
+            cov[j, k] = cov[k, j] = math.nextafter(cov[j, k], math.inf)
+            moved = DeltaStats._of(cov, None, np.array(delta.moment_cov))
+            assert getattr(moved, f"d_{name}") != getattr(delta, f"d_{name}")
+            assert errors(moved) == pytest.approx(base, rel=1e-13,
+                                                  abs=0.0), name
 
     def test_inputs_near_1e_9_step_by_their_own_scale(self):
         # d_cov_pr = 1e-9 sat on the step's old absolute floor, so the

@@ -15,7 +15,7 @@ from qndcert import (
     simulate_moments,
 )
 from qndcert import estimation, statistics
-from qndcert.estimation import _INPUTS, _INVERSION, _inputs, _table
+from qndcert.estimation import _INPUTS, _INVERSION, _carried, _inputs
 from qndcert.statistics import _propagate_se
 
 
@@ -317,6 +317,23 @@ class TestFullInversion:
         assert any("outside [0, 1]" in w for w in model.warnings)
 
 
+def _hand_gradients(values):
+    """Hand gradients of the inversion's error-carrying entries over
+    (d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p)."""
+    p, q, r, c_pq, c_pr, _ = values
+    num, den = r - q, q - p
+    root = np.sqrt(num / den)
+    grads = {
+        "r_a": np.array([0.0, 0.0, 0.0, -c_pr / c_pq ** 2, 1.0 / c_pq, 0.0]),
+        "d_var_q - d_var_p": np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+        "r_a_from_var": np.array([num / den ** 2, -(num + den) / den ** 2,
+                                  1.0 / den, 0.0, 0.0, 0.0]) / (2.0 * root),
+    }
+    grads["r_a - r_a_from_var"] = grads["r_a"] - grads["r_a_from_var"]
+    assert _INVERSION == tuple(grads)
+    return grads
+
+
 class TestJointStandardErrors:
     """Both r_a routes, their difference and the variance floor against
     hand gradients over the deltas' joint error covariance."""
@@ -329,27 +346,13 @@ class TestJointStandardErrors:
         sigma = np.array(delta._sigma(_INPUTS))
         assert np.count_nonzero(sigma) == sigma.size  # the inputs correlate
         values = _inputs(delta, measured.var_p)
-        p, q, r, c_pq, c_pr, _ = values
-        num, den = r - q, q - p
-        root = np.sqrt(num / den)
-        # over (d_var_p, d_var_q, d_var_r, d_cov_pq, d_cov_pr, var_p)
-        grads = {
-            "r_a": np.array([0.0, 0.0, 0.0, -c_pr / c_pq ** 2, 1.0 / c_pq,
-                             0.0]),
-            "d_var_q - d_var_p": np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
-            "r_a_from_var": np.array([num / den ** 2, -(num + den) / den ** 2,
-                                      1.0 / den, 0.0, 0.0, 0.0])
-            / (2.0 * root),
-        }
-        grads["r_a - r_a_from_var"] = grads["r_a"] - grads["r_a_from_var"]
-        two_root = 2.0 * math.sqrt(num / den)
-        assert _INVERSION == tuple(grads)
+        grads = _hand_gradients(values)
         se = _propagate_se(
-            lambda v: _table(v, 1.0, 1.0, 25.0, None, _INVERSION, two_root),
+            lambda v: _carried(v, 1.0, 25.0, None, _INVERSION),
             values, delta._sigma(_INPUTS), tuple(grads))
         for key, grad in grads.items():
             assert se[key] == pytest.approx(np.sqrt(grad @ sigma @ grad),
-                                            rel=1e-6), key
+                                            rel=1e-13, abs=0.0), key
         model = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
         assert model.r_a_se == se["r_a"]
         assert model.r_a_from_var_se == se["r_a_from_var"]
@@ -357,3 +360,24 @@ class TestJointStandardErrors:
         # independent-input figure
         independent = np.sqrt(grads["r_a"] ** 2 @ np.diag(sigma))
         assert se["r_a"] < 0.9 * independent
+
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-6, 1e-10, 1e-14])
+    def test_variance_route_error_holds_at_small_ratios(self, ratio):
+        # sqrt's slope grows as the measured ratio shrinks: a difference
+        # quotient loses digits there, and a step can turn the ratio
+        # negative, where sqrt is undefined
+        se = {name: 0.01 for name in _INPUTS[:-1]}
+        delta = DeltaStats(n_pulses=3, d_var_p=29.0, d_var_q=22.0,
+                           d_var_r=22.0 - 7.0 * ratio, d_cov_pq=20.5,
+                           d_cov_pr=16.4, se=se)
+        values = _inputs(delta, 49.25)
+        assert values[2] - values[1] == pytest.approx(-7.0 * ratio, rel=0.1)
+        sigma = np.array(delta._sigma(_INPUTS))
+        model = invert_three_pulse(delta, 49.25, kappa=1.0, j33=25.0)
+        se = _propagate_se(
+            lambda v: _carried(v, 1.0, 25.0, None, _INVERSION),
+            values, delta._sigma(_INPUTS), _INVERSION)
+        for key, grad in _hand_gradients(values).items():
+            assert se[key] == pytest.approx(np.sqrt(grad @ sigma @ grad),
+                                            rel=1e-13, abs=0.0), key
+        assert model.r_a_from_var_se == se["r_a_from_var"]

@@ -894,14 +894,15 @@ class TestSigmaRowsReadTheArray:
 
     def test_inversion_and_certify_errors_equal_the_arrays(self):
         from qndcert import certify, invert_three_pulse
-        from qndcert.estimation import _INPUTS, _INVERSION, _inputs, _table
+        from qndcert.estimation import (_INPUTS, _INVERSION, _carried,
+                                        _inputs)
         measured, reference = _sampled(3, 2000, 8)
         delta = delta_stats(measured, reference, 0.9)
         values = _inputs(delta, measured.var_p)
         # each key's error is its own sum: r_a's does not need the
         # variance route, which this run's noise leaves unavailable
         se = statistics._propagate_se(
-            lambda v: _table(v, 1.0, 1.0, 25.0, None, _INVERSION, 0.0),
+            lambda v: _carried(v, 1.0, 25.0, None, _INVERSION),
             values, self._reference_sigma(delta, _INPUTS), _INVERSION[:2])
         model = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
         assert model.r_a_se == se["r_a"]
@@ -912,7 +913,7 @@ class TestSigmaRowsReadTheArray:
 
 def report_se_from_array(report, delta):
     """``certify``'s standard errors, Sigma read from the array."""
-    from qndcert.estimation import _INPUTS, _inputs, _table
+    from qndcert.estimation import _INPUTS, _carried, _inputs
     sigma = TestSigmaRowsReadTheArray._reference_sigma(delta, _INPUTS)
     sd = report.var_p_se
     rescale = sd / np.sqrt(sigma[5][5])
@@ -922,8 +923,8 @@ def report_se_from_array(report, delta):
     k2 = report.kappa * report.kappa
     route = tuple(report.se)
     return statistics._propagate_se(
-        lambda v: _table(v, report.kappa, k2, report.j33, report.j0, route,
-                         0.0), _inputs(delta, report.var_p), sigma, route)
+        lambda v: _carried(v, k2, report.j33, report.j0, route),
+        _inputs(delta, report.var_p), sigma, route)
 
 
 class TestPropagation:
@@ -949,11 +950,12 @@ class TestPropagation:
         se = statistics._propagate_se(fn, [2.0, 5.0],
                                       [[0.0, 0.0], [0.0, 0.25]], ("y",))
         assert se["y"] == pytest.approx(1.0, rel=1e-9)
-        assert len(calls) == 2 and all(point[0] == 2.0 for point in calls)
+        # one complex step, of the varying input alone
+        assert calls == [[2.0, complex(5.0, 2.0 ** -60 * 5.0)]]
 
     def test_overflow_gives_inf_without_a_warning(self):
-        # just below sqrt(max float): squaring the upper point overflows,
-        # which Python raises on and float64 turns into inf, quietly
+        # just below sqrt(max float): the slope's square overflows, which
+        # Python raises on and float64 turns into inf, quietly
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             se = statistics._propagate_se(lambda v: {"y": v[0] ** 2},
@@ -961,8 +963,8 @@ class TestPropagation:
         assert se["y"] == np.inf
 
     def test_subnormal_input_steps_by_its_standard_error(self):
-        # 1e-6 * 5e-324 underflows to 0: the slope was 0 / 0 and the
-        # error NaN; a normal input keeps its relative step
+        # 2**-60 * 5e-324 underflows to 0: the slope would be 0 / 0 and
+        # the error NaN; a normal input keeps its relative step
         fn = lambda v: {"y": 3.0 * v[0] + v[1]}  # noqa: E731
         sigma = [[0.25, 0.0], [0.0, 4.0]]
         se = statistics._propagate_se(fn, [5e-324, 1.0], sigma, ("y",))
@@ -970,5 +972,4 @@ class TestPropagation:
         calls = []
         statistics._propagate_se(lambda v: calls.append(v[0]) or fn(v),
                                  [1e-300, 1.0], sigma, ("y",))
-        step = 1e-6 * 1e-300
-        assert calls[:2] == [1e-300 + step, 1e-300 - step]
+        assert calls == [complex(1e-300, 2.0 ** -60 * 1e-300), 1e-300]
