@@ -230,7 +230,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     standard error is not finite is None.
     """
     k2 = _calibration_k2(kappa, j33, j0)
-    _check_gate_width(z_threshold)
+    z_threshold, var_p = _check_gate_width(z_threshold), float(var_p)
     inputs = _inputs(delta, var_p)
     # the figures' inputs: all but d_var_r, which the inversion alone reads
     read = [i for i, name in enumerate(_INPUTS) if name != "d_var_r"]

@@ -179,12 +179,13 @@ def _evaluate(inputs, sigma, kappa: float, k2: float, j33: float,
                             inputs, sigma, keys)
 
 
-def _check_gate_width(z_threshold: float) -> None:
+def _check_gate_width(z_threshold: float) -> float:
     """Refuse a gate width that could make a noise floor negative or NaN,
-    the rule ``--z`` follows."""
+    the rule ``--z`` follows; the width as a Python float."""
     if not 0.0 <= z_threshold < math.inf:
         raise UndefinedInputError(f"z_threshold must be finite and "
                                   f"nonnegative, got {z_threshold}")
+    return float(z_threshold)
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
@@ -215,7 +216,7 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if delta.n_pulses != 3:
         raise UndefinedInputError(
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
-    _check_gate_width(z_threshold)
+    z_threshold, var_p = _check_gate_width(z_threshold), float(var_p)
     k2 = _calibration_k2(kappa, j33)
     sigma = delta._sigma(_INPUTS)
     floor_pq = z_threshold * math.sqrt(sigma[3][3])  # d_cov_pq's

@@ -7,29 +7,32 @@ R_y).  The no-atoms reference arm runs the identical discipline with the
 coupling off, r_A = r_L = 1 and no added noise, so it samples the raw
 input light.
 
-The outcomes are linear in the draws, so the pulse maps are folded
-once per arm into a composite readout: with E the meter-row selector
-and R_p = E M_n ... M_{p+1} (R_n = E), the meters are R_0 mean, plus
-the initial draws through R_0 times the initial-state factor, plus
-pulse p's noise draws through the columns of R_p on the spin block and
-pulse p's block times the noise factor.  Every chunk then costs one
-matrix product per noise source onto the meter columns.  The readout is
-built from ``interaction_matrix`` alone, never from the closed-form
-moments, so the sampler stays an independent check of them.
+The meters are linear in the draws, so the pulse maps are folded once
+per arm into composite readouts R_p = E M_n ... M_{p+1} (E the meter-row
+selector, R_n = E).  A shot is R_0 mean + z G, z standard normal, where
+the rows of G are every source variate's gain: the initial-state factor
+through R_0, and pulse p's noise factor through R_p's columns on the
+spin block and pulse p's block.  One thin QR of G gives a (k, n_pulses)
+triangle R, k <= n_pulses, with R.T R = G.T G, so R_0 mean + z R with k
+standard normals has the same mean and covariance, hence the same
+Gaussian, and shots stay independent.  A shot costs at most n_pulses
+variates, not one per source component (8 to 14 at three pulses).  QR
+never forms G.T G, so it neither overflows at large variances nor clips
+eigenvalues.  The readout comes from ``interaction_matrix`` alone, never
+from the closed forms or ``apply_pulse``, so the sampler stays an
+independent check of them.
 
 Both factors come from an eigendecomposition, whose negative
-eigenvalues clip to 0.  The sampler has no positivity check of its own:
-every state and every :class:`~qndcert.dynamics.NoiseModel` is PSD
-within :mod:`qndcert.core`'s ``PSD_RTOL * trace``, so those eigenvalues
-are rounding.
+eigenvalues are dropped.  The sampler has no positivity check of its
+own: every state and :class:`~qndcert.dynamics.NoiseModel` is PSD within
+:mod:`qndcert.core`'s ``PSD_RTOL * trace``, so they are rounding.
 
 Generation is chunked: :func:`arm_chunks` yields an arm's outcomes
-``CHUNK_SHOTS`` (16384) shots at a time, and every chunk gets its own
-random substream keyed by (arm, chunk index) off one master seed.  Each
-chunk draws the initial-state variates and then each pulse's noise
-variates, in that order.  Chunks are therefore independent and
-reproducible in isolation, results are bit-identical however the work
-is scheduled, and the two arms never share randomness.
+``CHUNK_SHOTS`` (16384) shots at a time, and every chunk draws its
+(count, k) standard normals from its own random substream, keyed by
+(arm, chunk index) off one master seed.  Chunks are therefore
+independent and reproducible in isolation, results are bit-identical
+however the work is scheduled, and the two arms never share randomness.
 
 Each arm is one chunk pipeline: a consumer takes a chunk, accumulates it
 (``MomentAccumulator.update``), and for records formats, hashes and
@@ -43,16 +46,13 @@ and every extra thread holds its own malloc arena.
 
 Memory rule: a pipeline holds one chunk, never an arm, so its memory
 does not grow with the shot count.  Each chunk is a view into one buffer
-per arm that the next chunk overwrites, and a chunk's variates are drawn
-``_DRAW_ROWS`` (4096) rows at a time; row-major draws consume a
-substream in the same order however they are split, so no draw changes.
-The product of a block of draws with its gain can change in the last
-bits with the block's row count: 4096 gives the records of 1024, on
-every configuration checked, where 8192 moved a two-pulse record.  At
-three pulses the buffer is 0.4 MB and the draws at most
-0.5 MB per arm, below what formatting a piece of records takes
-(:mod:`qndcert.recordio`); four draws per chunk and noise source keep
-the numpy calls that the two arms' threads interleave few.
+per arm that the next chunk overwrites, and its variates are drawn
+``_DRAW_ROWS`` (4096) rows at a time, each block added through R to its
+rows; a substream gives the same draws however they are split, and on
+the BLAS checked a product's bits do not depend on its row count.  A
+block's draws and product take 0.1 MB each per arm at three pulses; a
+whole chunk's draws, held, were no faster and took the traced peak of
+``qndc simulate`` from under 1.7 to 1.86 MB.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ Z_MAX = 5.0
 def _psd_factor(matrix: np.ndarray) -> np.ndarray:
     """Factor A with A @ A.T == matrix, dropping null directions, for a
     matrix that is PSD within ``PSD_RTOL * trace``: its negative
-    eigenvalues are rounding, and clip to 0."""
+    eigenvalues are rounding, and are dropped with the zero ones."""
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    eigvals = np.clip(eigvals, 0.0, None)
     keep = eigvals > 0.0
     return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
@@ -133,7 +132,6 @@ def arm_chunks(params: ExperimentParams, noise: NoiseModel,
         readouts.append(readouts[-1] @ m)
     readouts.reverse()
     offset = readouts[0] @ initial.mean
-    # (variates, n_pulses) gains, in the order each chunk draws them.
     gains = [(readouts[0] @ _psd_factor(initial.cov)).T]
     if not noise.is_zero:
         noise_factor = _psd_factor(noise.matrix)
@@ -141,11 +139,13 @@ def arm_chunks(params: ExperimentParams, noise: NoiseModel,
             block = layout.block_slice(pulse)
             rows = np.r_[0:3, block.start:block.stop]
             gains.append((readouts[pulse][:, rows] @ noise_factor).T)
-    return _draw_chunks(offset, gains, n_shots, seed,
+    # R.T @ R == G.T @ G, so a shot draws k <= n_pulses variates
+    factor = np.linalg.qr(np.vstack(gains), mode="r")
+    return _draw_chunks(offset, factor, n_shots, seed,
                         _ARM_IDS[bool(with_atoms)])
 
 
-def _draw_chunks(offset: np.ndarray, gains: list[np.ndarray], n_shots: int,
+def _draw_chunks(offset: np.ndarray, factor: np.ndarray, n_shots: int,
                  seed: int, arm: int) -> Iterator[np.ndarray]:
     buffer = np.empty((min(n_shots, CHUNK_SHOTS), offset.size))
     for chunk, start in enumerate(range(0, n_shots, CHUNK_SHOTS)):
@@ -154,10 +154,9 @@ def _draw_chunks(offset: np.ndarray, gains: list[np.ndarray], n_shots: int,
         )
         meters = buffer[:min(CHUNK_SHOTS, n_shots - start)]
         meters[:] = offset
-        for gain in gains:
-            for row in range(0, len(meters), _DRAW_ROWS):
-                part = meters[row:row + _DRAW_ROWS]
-                part += rng.standard_normal((len(part), gain.shape[0])) @ gain
+        for row in range(0, len(meters), _DRAW_ROWS):
+            part = meters[row:row + _DRAW_ROWS]
+            part += rng.standard_normal((len(part), len(factor))) @ factor
         yield meters
 
 

@@ -252,6 +252,15 @@ class TestFullInversion:
         assert model.r_a_se == model.r_a_from_var_se == 0.0
         assert model.warnings == ()
 
+    def test_numpy_scalar_inputs_give_python_floats(self, noisy_set):
+        # an np.float64 var_p made cond_var_jz an np.float64
+        delta, measured = _analytic_delta(noisy_set)
+        want = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
+        got = invert_three_pulse(delta, np.float64(measured.var_p), 1.0,
+                                 25.0, z_threshold=np.float64(3.0))
+        assert got == want
+        assert type(got.cond_var_jz) is float
+
     def test_ideal_input_degrades_gracefully(self, ideal_set):
         # the variance route is 0/0 for a perfect run; the primary
         # route must still deliver and the failure must be explained

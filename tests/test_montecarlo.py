@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qndcert.dynamics
 import qndcert.montecarlo
 
 from qndcert import (
@@ -19,10 +20,11 @@ from qndcert import (
     OpticalBlock,
     UndefinedInputError,
     empirical_check,
-    interaction_matrix,
     load_config,
     make_initial_state,
+    meter_moments,
     params_hash,
+    propagate,
     simulate_moments,
 )
 from qndcert import selftest
@@ -30,7 +32,6 @@ from qndcert.cli import main
 from qndcert.montecarlo import (
     CheckRow,
     EmpiricalCheck,
-    _psd_factor,
     arm_chunks,
 )
 from qndcert.statistics import (
@@ -90,39 +91,6 @@ class TestDeterminism:
             arm_chunks(params, noise, initial, 0, 1)
 
 
-def _stepwise_arm(params, noise, initial, n_shots, seed, with_atoms=True):
-    """Reference sampler: the full state vector of every shot is carried
-    through each pulse map in turn, with the pulse's noise kick added onto
-    the spin block and the active pulse block, and the meter components
-    are read off at the end.  It consumes the same (arm, chunk) substreams
-    in the same order as :func:`arm_chunks`."""
-    layout = initial.layout
-    if not with_atoms:
-        params = replace(params, g_tau=0.0, r_a=1.0, r_l=1.0)
-        noise = NoiseModel.zero()
-    pulses = range(1, layout.n_pulses + 1)
-    maps = [interaction_matrix(params, pulse, layout) for pulse in pulses]
-    initial_factor = _psd_factor(initial.cov)
-    noise_factor = None if noise.is_zero else _psd_factor(noise.matrix)
-    arm = 0 if with_atoms else 1
-    out = np.empty((n_shots, layout.n_pulses))
-    for chunk, start in enumerate(range(0, n_shots, CHUNK_SHOTS)):
-        count = min(CHUNK_SHOTS, n_shots - start)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(arm, chunk)))
-        x = initial.mean + rng.standard_normal(
-            (count, initial_factor.shape[1])) @ initial_factor.T
-        for pulse, m in zip(pulses, maps):
-            x = x @ m.T
-            if noise_factor is not None:
-                block = layout.block_slice(pulse)
-                rows = np.r_[0:3, block.start:block.stop]
-                kick = rng.standard_normal((count, noise_factor.shape[1]))
-                x[:, rows] += kick @ noise_factor.T
-        out[start:start + count] = x[:, layout.meter_slice]
-    return out
-
-
 # Full-rank noise touching every spin and every pulse component.
 _DENSE_NOISE = NoiseModel.from_entries({
     (1, 1): 0.3, (2, 2): 0.7, (3, 3): 2.0, (3, 5): 0.5, (4, 4): 0.1,
@@ -130,13 +98,20 @@ _DENSE_NOISE = NoiseModel.from_entries({
 })
 
 
-class TestAgainstStepwisePropagation:
+class TestAgainstPropagation:
+    """Each shot is offset + z @ R with z standard normal, so the sampler
+    is exact when R.T @ R is the meter covariance and the offset the
+    meter mean that the matrix oracle propagates, and each chunk is its
+    own (arm, chunk) substream's draws through R.  The readout must come
+    from the pulse maps alone, never from the oracle or a closed form."""
+
     @pytest.mark.parametrize("n_pulses", [1, 2, 3])
     @pytest.mark.parametrize("noise", [NoiseModel.zero(), _DENSE_NOISE],
                              ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("displaced", [False, True],
                              ids=["centred", "displaced"])
-    def test_matches_reference(self, n_pulses, noise, displaced):
+    def test_readout_matches_propagation(self, monkeypatch, n_pulses, noise,
+                                         displaced):
         layout = Layout(n_pulses)
         initial = make_initial_state(
             AtomicBlock.coherent(100.0),
@@ -147,17 +122,48 @@ class TestAgainstStepwisePropagation:
         params = ExperimentParams.from_kappa(1.3, mean_sx=50.0, mean_jx=40.0,
                                              r_a=0.8, r_l=0.9)
         n_shots = CHUNK_SHOTS + 5 if n_pulses == 3 else 700
-        for with_atoms in (True, False):
-            want = _stepwise_arm(params, noise, initial, n_shots, 41,
-                                 with_atoms=with_atoms)
-            scale = np.abs(want).max(axis=0)
-            start = 0
-            for got in arm_chunks(params, noise, initial, n_shots, 41,
-                                  with_atoms=with_atoms):
-                part = want[start:start + len(got)]
-                assert np.all(np.abs(got - part) <= 1e-12 * scale), with_atoms
-                start += len(got)
-            assert start == n_shots
+        models = {0: (params, noise),
+                  1: (replace(params, g_tau=0.0, r_a=1.0, r_l=1.0),
+                      NoiseModel.zero())}
+        oracle = {arm: propagate(*model, initial)
+                  for arm, model in models.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler read the oracle")
+
+        for module, name in [(qndcert.dynamics, "apply_pulse"),
+                             (qndcert.dynamics, "propagate"),
+                             (qndcert.montecarlo, "predicted_moments"),
+                             (qndcert.montecarlo, "no_atoms_moments")]:
+            monkeypatch.setattr(module, name, refuse)
+        readouts = []
+        real = qndcert.montecarlo._draw_chunks
+
+        def draw_chunks(offset, factor, *args):
+            readouts.append((offset, factor))
+            return real(offset, factor, *args)
+
+        monkeypatch.setattr(qndcert.montecarlo, "_draw_chunks", draw_chunks)
+        for arm, with_atoms in enumerate((True, False)):
+            chunks = [chunk.copy() for chunk in arm_chunks(
+                params, noise, initial, n_shots, 41, with_atoms=with_atoms)]
+            offset, factor = readouts[arm]
+            final = oracle[arm]
+            cov = meter_moments(final).cov
+            sd = np.sqrt(cov.diagonal())
+            want = final.mean[layout.meter_slice]
+            assert factor.shape[0] <= n_pulses == factor.shape[1]
+            np.testing.assert_array_equal(np.triu(factor), factor)
+            assert np.all(np.abs(factor.T @ factor - cov)
+                          <= 1e-12 * np.outer(sd, sd)), with_atoms
+            assert np.all(np.abs(offset - want)
+                          <= 1e-12 * (np.abs(want) + sd)), with_atoms
+            assert sum(map(len, chunks)) == n_shots
+            for index, got in enumerate(chunks):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy=41, spawn_key=(arm, index)))
+                draws = rng.standard_normal((len(got), len(factor)))
+                np.testing.assert_array_equal(got, offset + draws @ factor)
 
 
 class TestArmThreads:
