@@ -12,8 +12,8 @@ for the covariance-matrix model, :func:`predicted_moments` and
 the verdicts, :func:`simulate_moments` for sampled moments, and
 :func:`write_arms` and :func:`read_records` for record files:
 ``read_records(with_atoms_csv, no_atoms_csv).moments`` are both arms'
-moments, from the sidecar's summaries when they match the files, else
-parsed.
+moments, parsed; given the sidecar as a third argument, it takes them
+from the sidecar's summaries when they match the files.
 """
 
 from types import ModuleType as _ModuleType

@@ -60,7 +60,7 @@ figure (seeded runs, 4k shots, 400 seeds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .estimation import (
@@ -69,12 +69,12 @@ from .estimation import (
     _METER_ONLY,
     _R_A_ASSUMED,
     EstimatedModel,
-    _check_gate_width,
+    _entry_rule,
     _evaluate,
     _inputs,
     _inversion,
 )
-from .statistics import DeltaStats, _calibration_k2, _require_finite_squares
+from .statistics import DeltaStats, _require_finite_squares
 
 __all__ = [
     "FiguresOfMerit",
@@ -210,8 +210,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
     var_p : float
         Probe-arm first-meter variance.
     kappa, j33, j0 : float
-        Calibrated coupling, input spin variance, projection-noise scale;
-        checked first, by the one rule ``statistics._calibration_k2``.
+        Calibrated coupling, input spin variance, projection-noise scale.
     z_threshold : float
         Gate width in standard errors, finite and nonnegative; also sets
         the noise floor below which delta covariances count as
@@ -221,16 +220,16 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         When None, the delta's own row of Sigma (the probe arm's) gives
         it, and the report holds that value.
 
-    After the calibration and the gate width, a moment or ``var_p``
-    whose square overflows is refused.  The noise floors and the
-    standard errors both read the delta's Sigma, in one call.  The
-    inversion runs on the exact route only, which meets each of its
-    checks, so it runs past them; its warnings are the report's
-    ``warnings``, and its ``estimates`` carry none.  A verdict whose
-    standard error is not finite is None.
+    Checked first, in order: the gate width and the calibration, by the rule
+    ``invert_three_pulse`` applies too, taken as Python floats, which the
+    report echoes; a moment or ``var_p`` whose square overflows.  The noise
+    floors and the standard errors both read the delta's Sigma, in one call.
+    The inversion runs on the exact route only, which meets each of its
+    checks, so it runs past them; its warnings move to the report's list.  A
+    verdict whose standard error is not finite is None.
     """
-    k2 = _calibration_k2(kappa, j33, j0)
-    z_threshold, var_p = _check_gate_width(z_threshold), float(var_p)
+    z_threshold, kappa, k2, j33, j0 = _entry_rule(z_threshold, kappa, j33, j0)
+    var_p = float(var_p)
     inputs = _inputs(delta, var_p)
     # the figures' inputs: all but d_var_r, which the inversion alone reads
     read = [i for i, name in enumerate(_INPUTS) if name != "d_var_r"]
@@ -282,8 +281,10 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
                   **{name: t[name] for name in route}}
     estimates: EstimatedModel | None = None
     if route == _EXACT:
-        # its warnings go to the report's list, the one that holds them
-        estimates = _inversion(t, errors, z_threshold, warns)
+        estimates = _inversion(t, errors, z_threshold)
+        if estimates.warnings:  # moved to the report's list, their holder
+            warns.extend(estimates.warnings)
+            estimates = replace(estimates, warnings=())
         for name, cause in (("dx2_s", "loss dominates added spin noise"),
                             ("dx2_m", "sampled var_p below kappa**2*j33")):
             if ncl_values[name] < 0.0:

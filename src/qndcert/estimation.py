@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .errors import UndefinedInputError, UninformativeCouplingError
 from .statistics import (
     DeltaStats,
-    _calibration_k2,
     _propagate_se,
     _require_finite_squares,
 )
@@ -171,7 +170,6 @@ def _evaluate(inputs, sigma, kappa: float, k2: float, j33: float,
     """The table at the measured point, and by one ``_propagate_se`` call
     over :func:`_carried` the standard errors of ``keys`` and, on a route
     that inverts, of the ``_INVERSION`` keys it forms."""
-    j33, j0 = float(j33), j0 and float(j0)  # numpy's complex is slow
     t = _table(inputs, kappa, k2, j33, j0, route)
     if route in (_EXACT, _INVERSION):
         keys = (*keys, *_INVERSION[:4 if "r_a_from_var" in t else 2])
@@ -179,13 +177,42 @@ def _evaluate(inputs, sigma, kappa: float, k2: float, j33: float,
                             inputs, sigma, keys)
 
 
-def _check_gate_width(z_threshold: float) -> float:
-    """Refuse a gate width that could make a noise floor negative or NaN,
-    the rule ``--z`` follows; the width as a Python float."""
+def _entry_rule(z_threshold, kappa, j33, j0=None) -> tuple:
+    """The readers' one entry rule.  In order, it refuses ``z_threshold``
+    negative or not finite (``--z``'s rule), ``j33`` negative, ``j0`` (if
+    given) not positive, ``kappa`` zero, any of them not finite, and
+    ``kappa**2`` or its products with ``j33`` and ``j0`` overflowing, or
+    underflowing to 0 from nonzero factors.  Returns (z_threshold, kappa,
+    kappa**2, j33, j0) as Python floats, j0 None if not given."""
     if not 0.0 <= z_threshold < math.inf:
         raise UndefinedInputError(f"z_threshold must be finite and "
                                   f"nonnegative, got {z_threshold}")
-    return float(z_threshold)
+    # Python floats overflow quietly, and numpy's complex is slow
+    kappa, j33 = float(kappa), float(j33)
+    j0 = None if j0 is None else float(j0)
+    k2 = kappa * kappa
+    scalars = float(z_threshold), kappa, k2, j33, j0
+    if 0.0 < k2 < math.inf and 0.0 < k2 * j33 < math.inf and (
+            j0 is None or 0.0 < k2 * j0 < math.inf):
+        return scalars  # the common case, in a few comparisons
+    if j33 < 0.0:
+        raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
+    if j0 is not None and j0 <= 0.0:
+        raise UndefinedInputError(f"j0 must be positive, got {j0}")
+    if kappa == 0.0:
+        raise UndefinedInputError("kappa must be nonzero")
+    for name, value in (("kappa", kappa), ("j33", j33), ("j0", j0)):
+        if value is not None and not math.isfinite(value):
+            raise UndefinedInputError(f"{name} must be finite, got {value}")
+    for name, value, factor in (("kappa**2", k2, kappa),
+                                ("kappa**2 * j33", k2 * j33, j33),
+                                ("kappa**2 * j0", k2 * (j0 or 0.0), j0)):
+        if math.isinf(value) or value == 0.0 and factor:
+            raise UndefinedInputError(
+                f"{name} = {value:g} {'overflows' if value else 'underflows'}"
+                f" (kappa = {kappa:g}, j33 = {j33:g}"
+                + ("" if j0 is None else f", j0 = {j0:g}") + ")")
+    return scalars
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
@@ -193,15 +220,16 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
                        z_threshold: float = 3.0) -> EstimatedModel:
     """Full model inversion of a three-pulse run.
 
-    Checked first, in order: the pulse count, the gate width, the
-    calibration by the rule ``certify`` applies too, ``|d_cov_pq|``
-    against its noise floor, a positive ``var_p`` and a finite
-    ``d_cov_pq**2``; :func:`~qndcert.certify` runs the inversion past them.
-    Quantities within ``z_threshold`` combined standard errors of zero
-    are treated as zero when deciding whether a ratio is usable, and two
-    r_A routes further apart than that disagree (no-op for exact inputs,
-    whose standard errors are 0).  A failed variance route,
-    r_A = sqrt((d_var_r - d_var_q) / (d_var_q - d_var_p)), gives
+    Checked first, in order: the pulse count, the gate width and the
+    calibration by the entry rule ``certify`` applies too, taken as Python
+    floats, ``|d_cov_pq|`` against its noise floor, a positive ``var_p``
+    and a finite ``d_cov_pq**2``; :func:`~qndcert.certify` runs the
+    inversion past them.  Every estimate is a Python float.  Quantities
+    within ``z_threshold`` combined standard errors of zero are treated as
+    zero when deciding whether a ratio is usable, and two r_A routes
+    further apart than that disagree (no-op for exact inputs, whose
+    standard errors are 0).  A failed variance route, r_A =
+    sqrt((d_var_r - d_var_q) / (d_var_q - d_var_p)), gives
     ``r_a_from_var=None`` and a warning.  The noise entries invert
 
         N55 = d_var_p - kappa**2 j33
@@ -216,8 +244,8 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
     if delta.n_pulses != 3:
         raise UndefinedInputError(
             f"three-pulse inversion needs three pulses, got {delta.n_pulses}")
-    z_threshold, var_p = _check_gate_width(z_threshold), float(var_p)
-    k2 = _calibration_k2(kappa, j33)
+    z_threshold, kappa, k2, j33, _ = _entry_rule(z_threshold, kappa, j33)
+    var_p = float(var_p)
     sigma = delta._sigma(_INPUTS)
     floor_pq = z_threshold * math.sqrt(sigma[3][3])  # d_cov_pq's
     if abs(delta.d_cov_pq) <= floor_pq:
@@ -234,14 +262,13 @@ def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,
 
 
 def _inversion(t: dict[str, float], se: dict[str, float],
-               z_threshold: float,
-               sink: list[str] | None = None) -> EstimatedModel:
+               z_threshold: float) -> EstimatedModel:
     """:func:`invert_three_pulse` past its checks, from the table ``t`` at
-    the measured point and its errors ``se``.  A given ``sink`` takes the
-    warnings, and the model then carries none."""
+    the measured point and its errors ``se``.  The variance route's root
+    is the table's; a zero ratio, which it leaves out, is its own root."""
     r_a, den = t["r_a"], t["d_var_q - d_var_p"]
     num, ratio = t["d_var_r - d_var_q"], t["r_a_from_var**2"]
-    warnings: list[str] = [] if sink is None else sink
+    warnings: list[str] = []
 
     var_floor = z_threshold * se["d_var_q - d_var_p"]
     r_a_from_var = unavailable = None
@@ -255,7 +282,7 @@ def _inversion(t: dict[str, float], se: dict[str, float],
     elif ratio < 0.0:
         unavailable = f"squared survival estimate is negative ({ratio:.6g})"
     else:
-        r_a_from_var = math.sqrt(ratio)
+        r_a_from_var = t.get("r_a_from_var", ratio)
     if unavailable:
         warnings.append(f"variance route for r_a unavailable: {unavailable}")
 
@@ -285,5 +312,5 @@ def _inversion(t: dict[str, float], se: dict[str, float],
         noise=EstimatedNoise(n33=t["n33"], n35=t["n35"], n55=t["n55"],
                              negative_entries=negative),
         cond_var_jz=t["cond_var_jz"],
-        warnings=() if sink is not None else tuple(warnings),
+        warnings=tuple(warnings),
     )

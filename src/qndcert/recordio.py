@@ -52,14 +52,15 @@ a summary is not finite), it parses the CSVs; its ``RecordSet`` says
 which (``moments_source``) and names the CSVs a stored digest
 contradicts (``stale``).
 
-Writing refuses records holding a non-finite value or arms of different
-shot counts.  Reading checks the files' own formats: a CSV's values
-finite and its ``shot`` column 0, 1, ..., n-1, the arms' shot counts
-equal, and a sidecar's ``schema_version`` (1 or 2), integer counts
-(pulses 1 to 3), seed (a nonnegative integer or null), hash (a string
-or null) and a finite summary of its own counts.  Each arm's moments,
-parsed or stored, then meet :meth:`MomentAccumulator.moments`'s rule,
-whose refusal names the CSV or the sidecar.
+Writing refuses records holding a non-finite value, arms of different
+shot counts, or sidecar fields that reading refuses.  Reading checks the
+files' own formats: a CSV's values finite and its ``shot`` column 0, 1,
+..., n-1, the arms' shot counts equal, and a sidecar's
+``schema_version`` (1 or 2), integer counts (pulses 1 to 3), seed (a
+nonnegative integer or null), hash (a string or null), r_l (in [0, 1])
+and a finite summary of its own counts.  Each arm's moments, parsed or
+stored, then meet :meth:`MomentAccumulator.moments`'s rule, whose
+refusal names the CSV or the sidecar.
 """
 
 from __future__ import annotations
@@ -172,21 +173,15 @@ def _check_arms_agree(what: str, counts: list[int], tail: str = "") -> None:
                           f"with_atoms, {counts[1]} no_atoms{tail}")
 
 
-def _sidecar(arms: dict[str, tuple[str, MomentAccumulator]], n_pulses: int,
-             seed: int | None, params_hash: str | None,
-             r_l: float | None) -> bytes:
-    """The sidecar's bytes from each arm's (digest, accumulator); its
-    ``arms`` block is left out when a summary is not finite (readers then
-    parse the CSVs)."""
-    meta = {
-        "schema_version": META_SCHEMA_VERSION,
-        "kind": "shot_records",
-        "seed": seed,
-        "n_shots": arms[ARM_ROLES[0]][1].count,
-        "n_pulses": n_pulses,
-        "params_hash": params_hash,
-        "r_l": r_l,
-    }
+def _sidecar(arms: dict[str, tuple[str, MomentAccumulator]],
+             fields: dict) -> bytes:
+    """The sidecar's bytes from each arm's (digest, accumulator) and the
+    checked ``fields``; its ``arms`` block is left out when a summary is
+    not finite (readers then parse the CSVs)."""
+    meta = {"schema_version": META_SCHEMA_VERSION, "kind": "shot_records",
+            "seed": fields["seed"], "n_shots": arms[ARM_ROLES[0]][1].count,
+            "n_pulses": fields["n_pulses"],
+            "params_hash": fields["params_hash"], "r_l": fields["r_l"]}
     if all(np.isfinite(acc.mean).all() and np.isfinite(acc.comoment).all()
            for _, acc in arms.values()):
         meta["arms"] = {role: {"sha256": digest, "count": acc.count,
@@ -210,7 +205,11 @@ def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
     three files are renamed into place only once all are written, so a
     failed write, a non-finite value (a ``RecordError`` naming its row)
     or arms of different lengths leave a previous set under ``prefix``
-    as it was, and no temp file."""
+    as it was, and no temp file.  First, a sidecar field that reading
+    refuses, numpy scalars taken as Python numbers, is a ``RecordError``."""
+    fields = _check_meta(dict(n_pulses=n_pulses, seed=seed, r_l=r_l,
+                              params_hash=params_hash), "records not written")
+    n_pulses = fields["n_pulses"]
     prefix = Path(prefix)
     paths = {
         "with_atoms": prefix.with_name(prefix.name + ".with_atoms.csv"),
@@ -231,8 +230,7 @@ def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
         _check_arms_agree("shot count",
                           [acc.count for _, acc in arms.values()],
                           "; not written")
-        temps["meta"] = _write_temp(paths["meta"], _sidecar(
-            arms, n_pulses, seed, params_hash, r_l))
+        temps["meta"] = _write_temp(paths["meta"], _sidecar(arms, fields))
         for key in (*ARM_ROLES, "meta"):  # none before all are written
             os.replace(temps[key], paths[key])
             del temps[key]
@@ -314,33 +312,46 @@ def sibling_meta_path(with_atoms_path: str | Path) -> Path | None:
     return meta if meta.exists() else None
 
 
+# Sidecar field rules (r_l: check_r_l); JSON parses 3 as int, 3.0 as float.
+_META_RULES = {
+    "schema_version": (lambda v: type(v) is int and 1 <= v <= 2, "1 or 2"),
+    "n_shots": (lambda v: type(v) is int, "an integer"),
+    "n_pulses": (lambda v: type(v) is int and 1 <= v <= 3, "1, 2 or 3"),
+    "seed": (lambda v: v is None or type(v) is int and v >= 0,
+             "a nonnegative integer or null"),
+    "params_hash": (lambda v: isinstance(v, (str, type(None))),
+                    "a string or null")}
+
+
+def _check_meta(fields: dict, where: str) -> dict:
+    """``fields`` checked by the sidecar's rules in order, ``r_l`` last (as a
+    float), numpy scalars as Python numbers; ``where`` prefixes a refusal."""
+    fields = {field: value.item() if isinstance(value, np.generic) else value
+              for field, value in fields.items()}
+    for field, (valid, rule) in _META_RULES.items():
+        if field in fields and not valid(fields[field]):
+            raise RecordError(f"{where}: {field} must be {rule}, got "
+                              f"{fields[field]!r}")
+    try:
+        if fields["r_l"] is not None:
+            fields["r_l"] = check_r_l(fields["r_l"])
+    except ConfigError as exc:
+        raise RecordError(f"{where}: {exc}") from None
+    return fields
+
+
 def _read_meta(meta_path: str | Path) -> dict:
     try:
         meta = json.loads(Path(meta_path).read_text())
     except OSError as exc:
         raise RecordError(f"{meta_path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise RecordError(
-            f"{meta_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from None
+        raise RecordError(f"{meta_path}:{exc.lineno}:{exc.colno}: "
+                          f"{exc.msg}") from None
     if not isinstance(meta, dict) or meta.get("kind") != "shot_records":
         raise RecordError(f"{meta_path}: not a shot-records sidecar")
-    # JSON keeps integers apart from floats and bools: type(v) is int.
-    version = meta.get("schema_version")
-    n_pulses, seed = meta.get("n_pulses"), meta.get("seed")
-    for field, valid, rule in (
-            ("schema_version", type(version) is int and 1 <= version <= 2,
-             "1 or 2"),
-            ("n_shots", type(meta.get("n_shots")) is int, "an integer"),
-            ("n_pulses", type(n_pulses) is int and 1 <= n_pulses <= 3,
-             "1, 2 or 3"),
-            ("seed", seed is None or type(seed) is int and seed >= 0,
-             "a nonnegative integer or null"),
-            ("params_hash", isinstance(meta.get("params_hash"),
-                                       (str, type(None))), "a string or null")):
-        if not valid:
-            raise RecordError(f"{meta_path}: {field} must be {rule}, got "
-                              f"{meta.get(field)!r}")
+    meta["r_l"] = _check_meta({field: meta.get(field) for field in
+                               (*_META_RULES, "r_l")}, meta_path)["r_l"]
     return meta
 
 
@@ -459,12 +470,6 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     sha256 = dict(zip(ARM_ROLES,
                       map_arms(lambda role: _file_sha256(paths[role]))))
     meta = {} if meta_path is None else _read_meta(meta_path)
-    r_l = meta.get("r_l")
-    if r_l is not None:
-        try:
-            r_l = check_r_l(r_l)
-        except ConfigError as exc:
-            raise RecordError(f"{meta_path}: {exc}") from None
     arms = meta.get("arms", {})
     if not (isinstance(arms, dict)
             and all(isinstance(arm, dict) for arm in arms.values())):
@@ -472,7 +477,7 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     stale = tuple(path for role, path in paths.items()
                   if role in arms and arms[role].get("sha256") != sha256[role])
     if stale:  # a sidecar that a CSV contradicts supplies nothing
-        meta, arms, r_l = {}, {}, None
+        meta, arms = {}, {}
     if all(role in arms for role in ARM_ROLES):
         moments = tuple(_stored_moments(meta, arms[role], meta_path)
                         for role in ARM_ROLES)
@@ -480,4 +485,4 @@ def read_records(with_atoms_path: str | Path, no_atoms_path: str | Path,
     else:
         moments, source = _parsed_moments(paths, meta, meta_path), "parsed"
     return RecordSet(moments, source, sha256, meta.get("seed"),
-                     meta.get("params_hash"), r_l, stale)
+                     meta.get("params_hash"), meta.get("r_l"), stale)

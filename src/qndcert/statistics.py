@@ -429,40 +429,6 @@ def _require_finite_squares(values: dict[str, float]) -> None:
                 f"{name} = {value:g} is out of range: its square overflows")
 
 
-def _calibration_k2(kappa: float, j33: float,
-                    j0: float | None = None) -> float:
-    """``kappa**2``, by the one calibration rule, which its two callers,
-    ``certify`` and ``invert_three_pulse``, apply first.  In order, it
-    refuses: ``j33`` negative, ``j0`` (if given) not positive, ``kappa``
-    zero, any of them not finite, and ``kappa**2`` or its products with
-    ``j33`` and ``j0`` overflowing, or underflowing to 0 from nonzero
-    factors.  Valid input takes the first comparisons."""
-    kappa, j33 = float(kappa), float(j33)  # Python floats overflow quietly
-    k2 = kappa * kappa
-    if 0.0 < k2 < math.inf and 0.0 < k2 * j33 < math.inf and (
-            j0 is None or 0.0 < k2 * float(j0) < math.inf):
-        return k2  # the common case, in a few comparisons
-    j0 = None if j0 is None else float(j0)
-    if j33 < 0.0:
-        raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
-    if j0 is not None and j0 <= 0.0:
-        raise UndefinedInputError(f"j0 must be positive, got {j0}")
-    if kappa == 0.0:
-        raise UndefinedInputError("kappa must be nonzero")
-    for name, value in (("kappa", kappa), ("j33", j33), ("j0", j0)):
-        if value is not None and not math.isfinite(value):
-            raise UndefinedInputError(f"{name} must be finite, got {value}")
-    for name, value, factor in (("kappa**2", k2, kappa),
-                                ("kappa**2 * j33", k2 * j33, j33),
-                                ("kappa**2 * j0", k2 * (j0 or 0.0), j0)):
-        if math.isinf(value) or value == 0.0 and factor:
-            raise UndefinedInputError(
-                f"{name} = {value:g} {'overflows' if value else 'underflows'}"
-                f" (kappa = {kappa:g}, j33 = {j33:g}"
-                + ("" if j0 is None else f", j0 = {j0:g}") + ")")
-    return k2
-
-
 def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     """Standard errors sqrt(diag(J Sigma J^T)) of the figures ``keys`` of
     the dict ``fn(values)``, for the input covariance ``sigma`` (rows).

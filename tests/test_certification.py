@@ -427,8 +427,7 @@ class TestCertify:
         # width, the calibration and d_cov_pq's square again
         measured, delta = readme_set
         calls = collections.Counter()
-        names = ("_calibration_k2", "_check_gate_width",
-                 "_require_finite_squares")
+        names = ("_entry_rule", "_require_finite_squares")
         for module in (statistics, estimation, certification):
             for name in names:
                 original = getattr(module, name, None)
@@ -480,6 +479,21 @@ class TestOneHolderPerStandardError:
             assert type(getattr(got, f"point_{name}")) is bool, name
         assert type(got.squeezing.squeezed) is bool
         assert type(got.var_p) is type(got.z_threshold) is float
+        assert dump_json(report_to_dict(got)) == \
+            dump_json(report_to_dict(want))
+
+    @pytest.mark.parametrize("cast", [np.float32, int])
+    @pytest.mark.parametrize("scalar", ["kappa", "j33", "j0"])
+    def test_calibration_scalars_are_echoed_as_floats(self, readme_set,
+                                                      scalar, cast):
+        # a float32 kappa was echoed as given, and the JSON writer refused
+        # the report with a TypeError
+        measured, delta = readme_set
+        args = {"kappa": 1.0, "j33": 25.0, "j0": 25.0}
+        want = certify(delta, measured.var_p, **args)
+        args[scalar] = cast(args[scalar])
+        got = certify(delta, measured.var_p, **args)
+        assert type(got.kappa) is type(got.j33) is type(got.j0) is float
         assert dump_json(report_to_dict(got)) == \
             dump_json(report_to_dict(want))
 

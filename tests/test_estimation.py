@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from qndcert import (
+    AtomicBlock,
     DeltaStats,
+    ExperimentParams,
+    NoiseModel,
+    OpticalBlock,
     UndefinedInputError,
     UninformativeCouplingError,
     certify,
     delta_stats,
     invert_three_pulse,
+    make_initial_state,
     no_atoms_moments,
     predicted_moments,
     simulate_moments,
 )
-from qndcert import estimation, statistics
+from qndcert import estimation
 from qndcert.estimation import _INPUTS, _INVERSION, _carried, _inputs
 from qndcert.statistics import _propagate_se
 
@@ -114,6 +119,40 @@ class TestSurvivalEstimators:
             "variance route for r_a unavailable: squared survival estimate "
             "is negative (-1)")
 
+    @pytest.mark.parametrize("n33, root", [(2.0, "-0.0"), (50.0, "0.0")])
+    def test_zero_ratio_keeps_its_sign(self, layout3, n33, root):
+        # r_a = 0: d_var_r - d_var_q is 0 over a denominator of either sign
+        params = ExperimentParams.from_kappa(1.0, mean_sx=50.0, mean_jx=50.0,
+                                             r_a=0.0, r_l=0.9)
+        noise = NoiseModel.from_entries({(3, 3): n33, (3, 5): 0.5,
+                                         (5, 5): 4.0})
+        initial = make_initial_state(AtomicBlock.coherent(100.0),
+                                     OpticalBlock.coherent(100.0, 3), layout3)
+        delta, measured = _analytic_delta((params, noise, initial))
+        model = _invert(delta, measured.var_p)
+        assert model.r_a == 0.0
+        assert repr(model.r_a_from_var) == root
+        assert model.r_a_from_var_se is None
+        assert repr(model.r_a_discrepancy) == "0.0"
+        assert model.warnings == ()
+
+    def test_ratio_formed_at_the_noise_floor_is_unused(self):
+        # (d_var_r - d_var_q) / (d_var_q - d_var_p) = 1, but both sit
+        # within 3 se of zero
+        se = dict.fromkeys(_INPUTS[:-1], 0.5)
+        delta = DeltaStats(n_pulses=3, d_var_p=25.3, d_var_q=25.1,
+                           d_var_r=24.9, d_cov_pq=25.2, d_cov_pr=24.8,
+                           se=se)
+        table = estimation._table(_inputs(delta, 50.0), 1.0, 1.0, 25.0, None,
+                                  _INVERSION)
+        assert table["r_a_from_var"] == pytest.approx(1.0)
+        model = _invert(delta)
+        assert model.r_a_from_var is None
+        assert model.r_a_from_var_se is model.r_a_discrepancy is None
+        assert model.warnings[0] == (
+            "variance route for r_a unavailable: variance differences both "
+            "at the noise floor; r_A unconstrained by this route")
+
     def test_needs_three_pulses(self):
         delta = DeltaStats(n_pulses=2, d_var_p=1.0, d_var_q=2.0, d_cov_pq=1.0)
         with pytest.raises(UndefinedInputError,
@@ -199,6 +238,19 @@ class TestCalibrationRange:
         with pytest.raises(UndefinedInputError, match=message):
             _CALIBRATED[entry](delta, measured.var_p, **arguments)
 
+    @pytest.mark.parametrize("entry", [certify, invert_three_pulse])
+    def test_gate_width_is_checked_before_the_calibration(self, noisy_set,
+                                                          entry):
+        # certify named the calibration, where the inversion and README
+        # name the gate width
+        delta, measured = _analytic_delta(noisy_set)
+        with pytest.raises(UndefinedInputError,
+                           match="^z_threshold must be finite and "
+                                 "nonnegative, got -1.0$"):
+            entry(delta, measured.var_p, kappa=0.0, j33=25.0,
+                  z_threshold=-1.0, **({"j0": 25.0} if entry is certify
+                                       else {}))
+
 
 class TestAfterTheCalibration:
     """Past the calibration, the inversion refuses a ``var_p`` that is not
@@ -227,15 +279,14 @@ class TestAfterTheCalibration:
                                                          monkeypatch):
         calls = []
 
-        def counted(*args, _rule=statistics._calibration_k2):
+        def counted(*args, _rule=estimation._entry_rule):
             calls.append(args)
             return _rule(*args)
 
-        monkeypatch.setattr(statistics, "_calibration_k2", counted)
-        monkeypatch.setattr(estimation, "_calibration_k2", counted)
+        monkeypatch.setattr(estimation, "_entry_rule", counted)
         delta, measured = _analytic_delta(noisy_set)
         _invert(delta, measured.var_p)
-        assert calls == [(1.0, 25.0)]
+        assert calls == [(3.0, 1.0, 25.0)]
 
 
 class TestFullInversion:
@@ -260,6 +311,19 @@ class TestFullInversion:
                                  25.0, z_threshold=np.float64(3.0))
         assert got == want
         assert type(got.cond_var_jz) is float
+
+    @pytest.mark.parametrize("cast", [np.float32, int])
+    def test_calibration_scalars_give_python_floats(self, noisy_set, cast):
+        # a float32 kappa made n35 a numpy float
+        delta, measured = _analytic_delta(noisy_set)
+        want = invert_three_pulse(delta, measured.var_p, 1.0, 25.0)
+        got = invert_three_pulse(delta, measured.var_p, cast(1.0),
+                                 cast(25.0))
+        assert got == want
+        values = [got.r_a, got.r_a_se, got.r_a_from_var, got.r_a_from_var_se,
+                  got.r_a_discrepancy, got.cond_var_jz, got.noise.n33,
+                  got.noise.n35, got.noise.n55]
+        assert all(type(value) is float for value in values)
 
     def test_ideal_input_degrades_gracefully(self, ideal_set):
         # the variance route is 0/0 for a perfect run; the primary

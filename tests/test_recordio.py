@@ -667,6 +667,40 @@ class TestWriteValidation:
             _write(small_rows, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2.5), ("seed", True), ("seed", "21"),
+        ("seed", np.float64(21.0)), ("params_hash", 7),
+        ("params_hash", b"ab"), ("r_l", 1.5), ("r_l", np.nan),
+        ("r_l", True), ("r_l", "0.9"), ("n_pulses", 4), ("n_pulses", 3.0),
+        ("n_pulses", np.bool_(True)),
+    ])
+    def test_field_the_reader_refuses_is_not_written(self, tmp_path,
+                                                     small_rows, field,
+                                                     value):
+        # the set was written, and its sidecar refused on reading; a
+        # field JSON cannot hold failed after both CSVs were formatted
+        fields = {"n_pulses": 3, "seed": 21, "params_hash": SMALL_HASH,
+                  "r_l": 0.9, field: value}
+        with pytest.raises(RecordError, match=rf"^records not written: "
+                                              rf"{field}:? must be"):
+            write_arms(lambda role: [small_rows[role]], tmp_path / "run",
+                       **fields)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_scalars_are_written_as_python_numbers(self, tmp_path,
+                                                         small_rows):
+        # a numpy integer or float32 made json.dumps raise a TypeError
+        want = write_arms(lambda role: [small_rows[role]], tmp_path / "a",
+                          3, 21, SMALL_HASH, float(np.float32(0.9)))
+        got = write_arms(lambda role: [small_rows[role]], tmp_path / "b",
+                         np.int64(3), np.int64(21), np.str_(SMALL_HASH),
+                         np.float32(0.9))
+        for key in want:
+            assert got[key].read_bytes() == want[key].read_bytes()
+        records = read_records(got["with_atoms"], got["no_atoms"],
+                               got["meta"])
+        assert type(records.seed) is int and type(records.r_l) is float
+
 
 def _serial_files(param_set, n_shots, seed, r_l):
     """The bytes of each file of a run written as ``qndc simulate`` writes

@@ -208,7 +208,7 @@ class TestClosedFormError:
 
     @pytest.mark.parametrize("name", [
         "dx2_m", "dx2_s_given_m", "dx2_s", "c2_in_meter", "c2_in_out",
-        "c2_out_meter", "r_a", "r_a_from_var**2", "n33", "n35", "n55",
+        "c2_out_meter", "r_a", "r_a_from_var", "n33", "n35", "n55",
     ])
     def test_perturbed_certification_figure_is_caught(self, noisy_set,
                                                       monkeypatch, name):
