@@ -265,7 +265,7 @@ def _inversion(t: dict[str, float], se: dict[str, float],
                z_threshold: float) -> EstimatedModel:
     """:func:`invert_three_pulse` past its checks, from the table ``t`` at
     the measured point and its errors ``se``.  The variance route's root
-    is the table's; a zero ratio, which it leaves out, is its own root."""
+    is the table's, save at a ratio of 0 (left out) or inf (NaN there)."""
     r_a, den = t["r_a"], t["d_var_q - d_var_p"]
     num, ratio = t["d_var_r - d_var_q"], t["r_a_from_var**2"]
     warnings: list[str] = []
@@ -282,7 +282,7 @@ def _inversion(t: dict[str, float], se: dict[str, float],
     elif ratio < 0.0:
         unavailable = f"squared survival estimate is negative ({ratio:.6g})"
     else:
-        r_a_from_var = t.get("r_a_from_var", ratio)
+        r_a_from_var = t["r_a_from_var"] if 0.0 < ratio < math.inf else ratio
     if unavailable:
         warnings.append(f"variance route for r_a unavailable: {unavailable}")
 

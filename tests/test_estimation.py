@@ -136,6 +136,19 @@ class TestSurvivalEstimators:
         assert repr(model.r_a_discrepancy) == "0.0"
         assert model.warnings == ()
 
+    def test_overflowing_ratio_gives_an_infinite_root(self):
+        # exact inputs: d_var_q - d_var_p = 1e-300 clears its zero floor,
+        # and 1e10 / 1e-300 overflows; the table's root there is NaN
+        delta = DeltaStats(n_pulses=3, d_var_p=0.0, d_var_q=1e-300,
+                           d_var_r=1e10, d_cov_pq=1.0, d_cov_pr=0.8)
+        model = _invert(delta, 30.0)
+        reported = certify(delta, 30.0, kappa=1.0, j33=25.0,
+                           j0=25.0).estimates
+        for found in (model, reported):
+            assert found.r_a_from_var == math.inf
+            assert found.r_a_discrepancy == math.inf
+            assert found.r_a_from_var_se == 0.0
+
     def test_ratio_formed_at_the_noise_floor_is_unused(self):
         # (d_var_r - d_var_q) / (d_var_q - d_var_p) = 1, but both sit
         # within 3 se of zero

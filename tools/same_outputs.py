@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Check that two source trees give the same command-line outputs.
 
-    python tools/same_outputs.py PARENT CHANGE [--shots N]
+    python tools/same_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository (each with ``src/``).
-PARENT's ``qndc simulate`` writes the README model's 1-, 2- and 3-pulse
-record sets once (``--shots`` per arm, default 40 000, seed 11).  Each
-tree then runs, on those same files:
+PARENT's ``qndc simulate`` writes the README model (the config in
+README.md's json block, next to this script) as 1-, 2- and 3-pulse record
+sets once, 40 000 shots per arm at the config's seed.  Each tree then
+runs, on those same files:
 
 * ``stats``, ``estimate`` and ``certify``, reading the sidecar, and again
   on copies of the CSVs without it, so the CSVs are parsed;
@@ -24,16 +25,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-# The README model, one config per pulse count.
-README_MODEL = {"coupling": {"kappa": 1.0}, "atoms": {"n_atoms": 100},
-                "light": {"n_photons": 100}, "r_a": 0.8, "r_l": 0.9,
-                "noise": {"33": 2.0, "35": 0.5, "55": 4.0}, "seed": 11}
+README = Path(__file__).resolve().parent.parent / "README.md"
+SHOTS = 40_000
+# The README model's kappa, and its coherent spin state's j33 = n_atoms / 4
 CALIBRATION = ["--kappa", "1.0", "--j33", "25"]
 SELFTEST_MODES = [[], ["--flip-coupling-sign"], ["--corrupt-delta"]]
 
@@ -52,14 +53,21 @@ def qndc(tree: Path, args: list[str], cwd: Path) -> tuple:
             done.stderr.replace(str(tree), "<tree>"), data)
 
 
-def record_sets(parent: Path, work: Path, shots: int) -> list[tuple]:
+def readme_model() -> dict:
+    """The config in README's one json block."""
+    (block,) = re.findall(r"^```json\n(.*?)^```$", README.read_text(),
+                          re.DOTALL | re.MULTILINE)
+    return json.loads(block)
+
+
+def record_sets(parent: Path, work: Path) -> list[tuple]:
     """Simulate each pulse count's set with PARENT: (name, config path,
     record arguments), once reading the sidecar and once parsing."""
-    runs = []
+    model, runs = readme_model(), []
     for n in (1, 2, 3):
         config = work / f"run{n}.json"
         config.write_text(json.dumps(
-            {"n_pulses": n, **README_MODEL, "n_shots": shots}))
+            {**model, "n_pulses": n, "n_shots": SHOTS}))
         prefix = work / "sidecar" / f"run{n}"
         code, stdout, stderr, _ = qndc(
             parent, ["simulate", "--config", str(config), "--out",
@@ -71,7 +79,8 @@ def record_sets(parent: Path, work: Path, shots: int) -> list[tuple]:
         for arm in ("with_atoms", "no_atoms"):
             shutil.copy(f"{prefix}.{arm}.csv", f"{parsed}.{arm}.csv")
         for source, base, r_l in (("sidecar", prefix, []),
-                                  ("parsed", parsed, ["--r-l", "0.9"])):
+                                  ("parsed", parsed,
+                                   ["--r-l", str(model["r_l"])])):
             runs.append((f"{n}-pulse {source}", config,
                          ["--records", f"{base}.with_atoms.csv",
                           "--no-atoms-records", f"{base}.no_atoms.csv",
@@ -118,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--shots", type=int, default=40_000)
     args = parser.parse_args(argv)
     trees = [args.parent.resolve(), args.change.resolve()]
     for tree in trees:
@@ -126,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} holds no src/qndcert")
     with tempfile.TemporaryDirectory() as name:
         work = Path(name)
-        runs = record_sets(trees[0], work, args.shots)
+        runs = record_sets(trees[0], work)
         cwds = [work / "cwd-parent", work / "cwd-change"]
         for cwd in cwds:
             cwd.mkdir()
