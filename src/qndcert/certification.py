@@ -216,9 +216,9 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         the noise floor below which delta covariances count as
         uninformative, for the gate and for the model inversion alike.
     var_p_se : float, optional
-        ``var_p``'s standard error; its row of Sigma is scaled to it.
-        When None, the delta's own row of Sigma (the probe arm's) gives
-        it, and the report holds that value.
+        ``var_p``'s standard error, taken as a Python float; its row of
+        Sigma is scaled to it.  When None, the delta's own row of Sigma
+        (the probe arm's) gives it.  The report holds the value used.
 
     Checked first, in order: the gate width and the calibration, by the rule
     ``invert_three_pulse`` applies too, taken as Python floats, which the
@@ -265,15 +265,15 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
              _R_A_ASSUMED if n >= 2 and positive else _METER_ONLY)
 
     # Standard errors: the inputs' joint covariance, propagated
-    if var_p_se is None:  # the delta's own: var_p's row of Sigma
-        var_p_se = math.sqrt(sigma[5][5])
+    # as given, or the delta's own: var_p's row of Sigma
+    var_p_se = math.sqrt(sigma[5][5]) if var_p_se is None else float(var_p_se)
     # var_p's variance is var_p_se**2; its correlations are kept
     sd = abs(var_p_se)
     rescale = sd / math.sqrt(sigma[5][5]) if sigma[5][5] else 0.0
     for i in range(5):
         sigma[i][5] = sigma[5][i] = sigma[i][5] * rescale
     sigma[5][5] = sd * sd
-    t, errors = _evaluate(inputs, sigma, kappa, k2, j33, j0, route, route)
+    t, errors = _evaluate(inputs, sigma, kappa, k2, j33, j0, route)
     se_map = {name: errors[name] for name in route}
     figures = _transfer_figures(t, delta, var_p)
 
@@ -307,22 +307,22 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
             squeezed=t["d_var_q - d_var_p - d_cov_pq**2 / var_p"] < 0.0,
             margin=float(t["squeezing margin"]))
 
-    def gate(value: float | None, se_key: str) -> bool | None:
-        se = se_map.get(se_key, 0.0)
+    def gate(value: float | None, se_key: str, z: float = z_threshold,
+             errors: dict[str, float] = se_map) -> bool | None:
+        """Whether ``value`` is below 1 by more than z standard errors; a
+        point verdict is the gate at z = 0 over no errors."""
+        se = errors.get(se_key, 0.0)
         if value is not None and not se < math.inf:  # NaN or inf
             reasons.append(f"standard error of {se_key} is not finite "
                            f"({se}); its verdict is undecided")
             return None
-        return None if value is None else (1.0 - value) > z_threshold * se
-
-    def point(value: float | None) -> bool | None:
-        return None if value is None else value < 1.0
+        return None if value is None else (1.0 - value) > z * se
 
     def both(a: bool | None, b: bool | None) -> bool | None:
         return None if a is None or b is None else a and b
 
     verdict_state_prep = gate(ncl.dx2_s_given_m, "dx2_s_given_m")
-    point_state_prep = point(ncl.dx2_s_given_m)
+    point_state_prep = gate(ncl.dx2_s_given_m, "dx2_s_given_m", 0.0, {})
     if route == _R_A_ASSUMED and (verdict_state_prep or point_state_prep):
         # a lower bound refutes, never certifies: a pass is undecided
         verdict_state_prep = verdict_state_prep and None
@@ -330,7 +330,7 @@ def certify(delta: DeltaStats, var_p: float, kappa: float, j33: float,
         reasons.append("state-prep figure is a lower bound with r_a assumed "
                        "1: it can refute state preparation, not certify it")
     verdict_info_damage = gate(ncl.product_sm, "product_sm")
-    point_info_damage = point(ncl.product_sm)
+    point_info_damage = gate(ncl.product_sm, "product_sm", 0.0, {})
     verdict_full = both(verdict_state_prep, verdict_info_damage)
     point_full = both(point_state_prep, point_info_damage)
 

@@ -74,10 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw shot records from a config")
     p_sim.add_argument("--config", required=True, help="experiment JSON")
     p_sim.add_argument("--out", required=True, help="output path prefix")
-    p_sim.add_argument("--shots", type=int, default=None,
-                       help="override the config shot count")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+    p_sim.add_argument("--shots", type=_flag("shots", 2, kind=int),
+                       default=None, help="override the config shot count")
+    p_sim.add_argument("--seed", type=_flag("seed", 0, kind=int),
+                       default=None, help="override the config seed")
 
     p_stats = sub.add_parser("stats", help="moments and delta statistics")
     _add_record_args(p_stats)
@@ -154,10 +154,6 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     n_shots = config.n_shots if args.shots is None else args.shots
     seed = config.seed if args.seed is None else args.seed
-    if n_shots < 2:
-        return _usage_error("--shots must be at least 2")
-    if seed < 0:
-        return _usage_error("--seed must be nonnegative")
     params, noise, initial = config.params, config.noise, config.initial_state()
     paths = write_arms(
         lambda role: arm_chunks(params, noise, initial, n_shots, seed,
@@ -166,8 +162,8 @@ def _cmd_simulate(args) -> int:
         r_l=params.r_l)
     print(f"simulated {n_shots} shots x 2 arms "
           f"({config.n_pulses} pulse(s), seed {seed})")
-    for role in ("with_atoms", "no_atoms", "meta"):
-        print(f"  {role}: {paths[role]}")
+    for role, path in paths.items():
+        print(f"  {role}: {path}")
     return 0
 
 

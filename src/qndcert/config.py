@@ -89,7 +89,10 @@ def check_number(field: str, value, minimum=None, maximum=None,
                  positive=False) -> float:
     """``value`` by the rule the config applies to its numbers: a real
     number, not a bool, finite, within the bounds given (above 0 when
-    ``positive``).  Raises ConfigError naming ``field`` otherwise."""
+    ``positive``), a numpy scalar taken as the Python value it holds.
+    Raises ConfigError naming ``field`` otherwise."""
+    if isinstance(value, np.generic):
+        value = value.item()
     return _number({field: value}, field, minimum=minimum, maximum=maximum,
                    positive=positive)
 
@@ -175,18 +178,23 @@ def _parse_coupling(raw: dict, mean_sx: float) -> float:
     raise ConfigError("coupling: exactly one of g_tau or kappa")
 
 
+def _read_json(path: str | Path, error: type[QndError] = ConfigError):
+    """The JSON value in the UTF-8 file ``path``.  A file that cannot be
+    read or decoded, or is not JSON, is refused as ``error`` naming
+    ``path`` as given, with a syntax error's line and column."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from None
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(raw) - _TOP_KEYS

@@ -326,8 +326,6 @@ def _require_psd(cov: np.ndarray, what: str) -> None:
     ``PSD_RTOL * trace``; where the trace overflows, the tolerance sums
     the diagonal scaled by ``PSD_RTOL`` instead."""
     min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig >= 0.0:  # inside every tolerance: no trace needed
-        return
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
         tol = PSD_RTOL * max(float(cov.trace()), 0.0)
     if not math.isfinite(tol):

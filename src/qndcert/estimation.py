@@ -166,15 +166,14 @@ def _table(v, kappa: float, k2: float, j33: float, j0: float | None,
 
 
 def _evaluate(inputs, sigma, kappa: float, k2: float, j33: float,
-              j0: float | None, route: tuple[str, ...], keys=()):
+              j0: float | None, route: tuple[str, ...]):
     """The table at the measured point, and by one ``_propagate_se`` call
-    over :func:`_carried` the standard errors of ``keys`` and, on a route
-    that inverts, of the ``_INVERSION`` keys it forms."""
+    over :func:`_carried` the standard errors of ``route``'s keys and, on
+    a route that inverts, of the ``_INVERSION`` keys it forms."""
     t = _table(inputs, kappa, k2, j33, j0, route)
-    if route in (_EXACT, _INVERSION):
-        keys = (*keys, *_INVERSION[:4 if "r_a_from_var" in t else 2])
+    keys = route + _INVERSION if route == _EXACT else route
     return t, _propagate_se(lambda v: _carried(v, k2, j33, j0, route),
-                            inputs, sigma, keys)
+                            inputs, sigma, [key for key in keys if key in t])
 
 
 def _entry_rule(z_threshold, kappa, j33, j0=None) -> tuple:
@@ -191,10 +190,6 @@ def _entry_rule(z_threshold, kappa, j33, j0=None) -> tuple:
     kappa, j33 = float(kappa), float(j33)
     j0 = None if j0 is None else float(j0)
     k2 = kappa * kappa
-    scalars = float(z_threshold), kappa, k2, j33, j0
-    if 0.0 < k2 < math.inf and 0.0 < k2 * j33 < math.inf and (
-            j0 is None or 0.0 < k2 * j0 < math.inf):
-        return scalars  # the common case, in a few comparisons
     if j33 < 0.0:
         raise UndefinedInputError(f"j33 must be nonnegative, got {j33}")
     if j0 is not None and j0 <= 0.0:
@@ -212,7 +207,7 @@ def _entry_rule(z_threshold, kappa, j33, j0=None) -> tuple:
                 f"{name} = {value:g} {'overflows' if value else 'underflows'}"
                 f" (kappa = {kappa:g}, j33 = {j33:g}"
                 + ("" if j0 is None else f", j0 = {j0:g}") + ")")
-    return scalars
+    return float(z_threshold), kappa, k2, j33, j0
 
 
 def invert_three_pulse(delta: DeltaStats, var_p: float, kappa: float,

@@ -75,7 +75,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import check_r_l
+from .config import _read_json, check_r_l
 from .errors import ConfigError, RecordError, UndefinedInputError
 from .recordfmt import format_rows
 from .statistics import (
@@ -95,6 +95,9 @@ __all__ = [
 ]
 
 META_SCHEMA_VERSION = 2
+# A record set's files, by key: each arm's CSV, then the sidecar.
+_SUFFIXES = {"with_atoms": ".with_atoms.csv", "no_atoms": ".no_atoms.csv",
+             "meta": ".meta.json"}
 _COLUMNS = ("p_y", "q_y", "r_y")
 _HASH_BLOCK_BYTES = 1 << 18
 # Rows formatted per piece: the formatter's temporaries, and so the
@@ -211,11 +214,8 @@ def write_arms(chunks_of: Callable[[str], Iterable[np.ndarray]],
                               params_hash=params_hash), "records not written")
     n_pulses = fields["n_pulses"]
     prefix = Path(prefix)
-    paths = {
-        "with_atoms": prefix.with_name(prefix.name + ".with_atoms.csv"),
-        "no_atoms": prefix.with_name(prefix.name + ".no_atoms.csv"),
-        "meta": prefix.with_name(prefix.name + ".meta.json"),
-    }
+    paths = {key: prefix.with_name(prefix.name + suffix)
+             for key, suffix in _SUFFIXES.items()}
 
     temps: dict[str, str] = {}  # written, not yet renamed, by key
 
@@ -305,10 +305,10 @@ def _read_arm(path: Path) -> Iterator[np.ndarray]:
 
 def sibling_meta_path(with_atoms_path: str | Path) -> Path | None:
     """Sidecar path next to a ``*.with_atoms.csv`` file, if it exists."""
-    path = Path(with_atoms_path)
-    if not path.name.endswith(".with_atoms.csv"):
+    path, csv = Path(with_atoms_path), _SUFFIXES["with_atoms"]
+    if not path.name.endswith(csv):
         return None
-    meta = path.with_name(path.name[: -len(".with_atoms.csv")] + ".meta.json")
+    meta = path.with_name(path.name[: -len(csv)] + _SUFFIXES["meta"])
     return meta if meta.exists() else None
 
 
@@ -341,13 +341,7 @@ def _check_meta(fields: dict, where: str) -> dict:
 
 
 def _read_meta(meta_path: str | Path) -> dict:
-    try:
-        meta = json.loads(Path(meta_path).read_text())
-    except OSError as exc:
-        raise RecordError(f"{meta_path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"{meta_path}:{exc.lineno}:{exc.colno}: "
-                          f"{exc.msg}") from None
+    meta = _read_json(meta_path, RecordError)
     if not isinstance(meta, dict) or meta.get("kind") != "shot_records":
         raise RecordError(f"{meta_path}: not a shot-records sidecar")
     meta["r_l"] = _check_meta({field: meta.get(field) for field in

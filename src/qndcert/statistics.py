@@ -438,17 +438,10 @@ def _propagate_se(fn, values, sigma, keys) -> dict[str, float]:
     only +, -, * and / act on the inputs (a branch may read real parts).
     h = 2**-60 |x|, or 2**-60 times x's standard error where that is 0:
     never absolute, so inputs and Sigma scaled by 2**s give the same bits.
-    Where Python raises (a zero denominator, an overflow), numpy scalars
-    give inf or NaN quietly: a caller names an error that is not finite."""
-    try:
-        return _jacobian_se(fn, [float(x) for x in values], sigma, keys)
-    except ArithmeticError:
-        with np.errstate(all="ignore"):
-            return _jacobian_se(fn, [np.float64(x) for x in values], sigma,
-                                keys)
-
-
-def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
+    ``values`` are taken as Python floats and each square is a product, so
+    an overflow gives inf quietly: a caller names an error that is not
+    finite."""
+    values = [float(x) for x in values]
     inputs = [i for i, row in enumerate(sigma) if row[i] != 0.0]
     slopes = {}  # by input, the slope of each key
     for i in inputs:
@@ -464,7 +457,8 @@ def _jacobian_se(fn, values, sigma, keys) -> dict[str, float]:
     for k, key in enumerate(keys):
         total = 0.0  # the diagonal in input order, then each pair twice
         for slope, sd in sds:
-            total += (slope[k] * sd) ** 2
+            term = slope[k] * sd  # squared by *, as ** raises on overflow
+            total += term * term
         for slope_i, slope_j, twice in pairs:
             total += slope_i[k] * twice * slope_j[k]
         se[key] = math.sqrt(max(total, 0.0))

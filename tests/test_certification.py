@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import copy
 import dataclasses
 import json
@@ -17,6 +18,7 @@ from qndcert import (
     Layout,
     NoiseModel,
     OpticalBlock,
+    QndError,
     UndefinedInputError,
     certify,
     delta_stats,
@@ -497,6 +499,19 @@ class TestOneHolderPerStandardError:
         assert dump_json(report_to_dict(got)) == \
             dump_json(report_to_dict(want))
 
+    @pytest.mark.parametrize("cast", [np.float32, int])
+    def test_var_p_error_is_echoed_as_a_float(self, readme_set, cast):
+        # var_p_se was echoed as given: a float32 one made the JSON writer
+        # refuse the report with a TypeError, and an int one read 2
+        measured, delta = readme_set
+        value = cast(2.0)
+        want = certify(delta, measured.var_p, 1.0, 25.0, 25.0,
+                       var_p_se=float(value))
+        got = certify(delta, measured.var_p, 1.0, 25.0, 25.0, var_p_se=value)
+        assert type(got.var_p_se) is float
+        assert dump_json(report_to_dict(got)) == \
+            dump_json(report_to_dict(want))
+
     def test_var_p_error_comes_from_the_delta_unless_given(self, readme_set):
         # without var_p_se, var_p's error was dropped: dx2_m's was 0.0
         measured, delta = readme_set
@@ -673,7 +688,8 @@ def _array_route_se(report, delta, var_p, var_p_se):
             h = 2.0 ** -60 * abs(x) or 2.0 ** -60 * se
             point = values.copy()
             point[i] = x + h * 1j
-            total += (fn(point).imag / h * se) ** 2
+            term = fn(point).imag / h * se
+            total += term * term
         return math.sqrt(total)
 
     ncl = report.nonclassical
@@ -703,6 +719,44 @@ class TestSubnormalInputs:
         assert report.estimates.r_a_se == normal.estimates.r_a_se
         assert report.estimates.r_a_from_var_se == \
             normal.estimates.r_a_from_var_se
+
+
+_MOMENT = st.floats(-1e308, 1e308)
+_SE = st.just(0.0) | st.floats(1e-320, 1e308)
+_ANY = st.floats()
+
+
+class TestReadersRaiseOnlyQndError:
+    """``certify`` and ``invert_three_pulse`` on any finite moments, any
+    errors and any scalars: a refusal is a ``QndError``, numpy warns of
+    nothing, and an error that overflows is inf, not an exception."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(1, 3), st.lists(_MOMENT, min_size=5, max_size=5),
+           st.lists(_SE, min_size=7, max_size=7), st.sampled_from([0.0, 0.5]),
+           _ANY, st.none() | _ANY, _ANY, _ANY, _ANY,
+           st.sampled_from([0.0, 1.0, 3.0]))
+    # var_p's error squared past float max: Python's ** raised there
+    @example(3, [29.0, 22.0, 17.5, 20.5, 16.4], [0.1] * 7, 0.0, 50.0, 1e308,
+             1.0, 25.0, 25.0, 3.0)
+    def test_only_qnd_errors_escape(self, n, moments, ses, rho, var_p,
+                                    var_p_se, kappa, j33, j0, z):
+        names = ("d_var_p", "d_var_q", "d_var_r", "d_cov_pq", "d_cov_pr")
+        delta = DeltaStats(n_pulses=n, **{
+            name: value for name, value in zip(names, moments)
+            if name in DeltaStats._reported[n]})
+        # Sigma: the errors' squares, correlated by rho, taken as they are
+        sds = ses[:len(DeltaStats._sigma_rows[n])]
+        sigma = np.array([[a * a if i == j else rho * a * b if rho else 0.0
+                           for j, b in enumerate(sds)]
+                          for i, a in enumerate(sds)])
+        delta = DeltaStats._of(np.array(delta.cov), None, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.suppress(QndError):
+                certify(delta, var_p, kappa, j33, j0, z, var_p_se)
+            with contextlib.suppress(QndError):
+                invert_three_pulse(delta, var_p, kappa, j33, z_threshold=z)
 
 
 class TestStandardErrorExactness:

@@ -125,20 +125,24 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_rejects_zero_shots(self, tmp_path, ideal_run):
-        assert main(["simulate", "--config", ideal_run["config"],
-                     "--out", str(tmp_path / "run"), "--shots", "0"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--config", ideal_run["config"],
+                  "--out", str(tmp_path / "run"), "--shots", "0"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--shots", "1", "--shots must be at least 2"),
-        ("--seed", "-5", "--seed must be nonnegative"),
+        ("--shots", "1", "argument --shots: shots: must be >= 2, got 1.0"),
+        ("--seed", "-5", "argument --seed: seed: must be >= 0, got -5.0"),
     ])
     def test_overrides_follow_the_config_minimums(self, tmp_path, ideal_run,
                                                   capsys, flag, value,
                                                   message):
         # one shot gives records every reader refuses; a negative seed
         # used to end in a numpy traceback with exit 1
-        assert main(["simulate", "--config", ideal_run["config"],
-                     "--out", str(tmp_path / "run"), flag, value]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--config", ideal_run["config"],
+                  "--out", str(tmp_path / "run"), flag, value])
+        assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -204,6 +208,27 @@ def _copy_run(run, directory):
 
 
 class TestBadRecords:
+    @pytest.mark.parametrize("file, command", [
+        ("config", "certify"), ("meta", "stats"), ("records", "stats")])
+    def test_file_that_is_not_utf8_is_refused(self, ideal_run, tmp_path,
+                                              capsys, file, command):
+        # a config or sidecar ended in a UnicodeDecodeError traceback and
+        # exit 1; the CSVs were refused in these words already
+        run = _copy_run(ideal_run, tmp_path)
+        run["config"] = str(tmp_path / "cfg.json")
+        (tmp_path / "cfg.json").write_bytes(
+            pathlib.Path(ideal_run["config"]).read_bytes())
+        path = pathlib.Path(run[file])
+        path.write_bytes(path.read_bytes() + b"\xe9\n")  # a Latin-1 e-acute
+        argv = [command, *_record_args(run)]
+        if command == "certify":
+            argv += ["--config", run["config"]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "shots:" not in captured.out and "certified:" not in captured.out
+        assert f"error: {path}: 'utf-8' codec can't decode byte 0xe9" \
+            in captured.err
+
     def test_non_finite_value_is_refused(self, ideal_run, tmp_path, capsys):
         run = _copy_run(ideal_run, tmp_path)
         path = pathlib.Path(run["records"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qndcert import ConfigError, core, load_config
+from qndcert.config import check_number
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -125,6 +126,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r":2:15:"):
             load_config(path)
 
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path):
+        # a UnicodeDecodeError escaped, which the CLI reported as a crash
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"n_pulses": 3, "note": "\xff"}')
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: 'utf-8' codec can't decode byte 0xff")):
+            load_config(path)
+
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError, match="pulse_count"):
             load_config(_write(tmp_path, dict(BASE, pulse_count=3)))
@@ -225,6 +234,17 @@ class TestValidation:
     def test_numbers_must_be_numbers(self, tmp_path):
         with pytest.raises(ConfigError, match="r_l"):
             load_config(_write(tmp_path, dict(BASE, r_l="0.9")))
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(2),
+                                       np.float64(0.5), np.uint8(2)])
+    def test_numpy_scalars_are_taken_as_their_value(self, value):
+        got = check_number("x", value)
+        assert type(got) is float and got == float(value)
+
+    def test_numpy_bool_is_not_a_number(self):
+        with pytest.raises(ConfigError,
+                           match="^x: must be a number, got False$"):
+            check_number("x", np.bool_(False))
 
     def test_booleans_are_not_numbers(self, tmp_path):
         with pytest.raises(ConfigError, match="z_threshold"):

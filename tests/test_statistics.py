@@ -166,6 +166,7 @@ class TestDeltaStats:
         (7.0, "r_l: must be <= 1.0, got 7.0"),
         (math.nan, "r_l: must be finite, got nan"),
         (math.inf, "r_l: must be finite, got inf"),
+        (np.bool_(True), "r_l: must be a number, got True"),
     ])
     def test_r_l_follows_the_config_rule(self, noisy_set, r_l, message):
         # r_l -3 certified a noisy set, and 7 or NaN failed it with
@@ -175,6 +176,19 @@ class TestDeltaStats:
                                                2000, 5)
         with pytest.raises(UndefinedInputError, match=f"^{message}$"):
             delta_stats(measured, reference, r_l)
+
+    @pytest.mark.parametrize("r_l", [np.float32(0.9), np.float64(0.9),
+                                     np.int64(1), np.uint8(0)],
+                             ids=["float32", "float64", "int64", "uint8"])
+    def test_numpy_r_l_is_taken_as_its_value(self, noisy_set, r_l):
+        # only an np.float64, a float subclass, passed: a float32 or an
+        # int64 r_l read "r_l: must be a number"
+        params, noise, initial = noisy_set
+        measured, reference = simulate_moments(params, noise, initial,
+                                               2000, 5)
+        got = delta_stats(measured, reference, r_l)
+        want = delta_stats(measured, reference, float(r_l))
+        assert got.entries() == want.entries() and got.se == want.se
 
     def test_arm_shape_mismatch(self):
         measured = MomentSet(n_pulses=2, var_p=1.0, var_q=1.0, cov_pq=0.0)

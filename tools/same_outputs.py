@@ -4,20 +4,22 @@
     python tools/same_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository (each with ``src/``).
-PARENT's ``qndc simulate`` writes the README model (the config in
-README.md's json block, next to this script) as 1-, 2- and 3-pulse record
-sets once, 40 000 shots per arm at the config's seed.  Each tree then
-runs, on those same files:
+The README model (the config in README.md's json block, next to this
+script) is set to 1, 2 and 3 pulses, 40 000 shots per arm at the
+config's seed.  Each tree runs:
 
-* ``stats``, ``estimate`` and ``certify``, reading the sidecar, and again
-  on copies of the CSVs without it, so the CSVs are parsed;
-* ``certify --config <the set's config> --z 1``;
+* ``qndc simulate`` of each of the three configs;
+* on the record sets that PARENT simulated: ``stats``, ``estimate`` and
+  ``certify``, reading the sidecar, and again on copies of the CSVs
+  without it, so the CSVs are parsed, and ``certify --config <the set's
+  config> --z 1``;
 * ``qndc selftest`` in its three modes.
 
-Each run's exit code, stdout, stderr and ``--out`` bytes are compared,
-with the tree's own path in stderr written as ``<tree>``.  The script
-prints the first difference and exits 1, or prints the number of runs
-that matched and exits 0.  It uses the standard library only.
+Each run's exit code, stdout and stderr are compared, with the tree's own
+path in stderr written as ``<tree>``, and so are the bytes of each file
+that it wrote (the three files of a record set, or an ``--out`` file).
+The script prints the first difference and exits 1, or prints the number
+of runs that matched and exits 0.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import argparse
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -40,17 +41,18 @@ SELFTEST_MODES = [[], ["--flip-coupling-sign"], ["--corrupt-delta"]]
 
 
 def qndc(tree: Path, args: list[str], cwd: Path) -> tuple:
-    """(exit code, stdout, stderr, --out bytes or None) of one command
-    run from ``tree``'s sources in ``cwd``; an ``--out`` file there is
-    read and removed."""
+    """(exit code, stdout, stderr, {name: bytes} of the files written) of
+    one command run from ``tree``'s sources in ``cwd``, which starts
+    empty; the files it wrote there are read and removed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     done = subprocess.run([sys.executable, "-m", "qndcert", *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
-    out = cwd / "out.json"
-    data = out.read_bytes() if out.exists() else None
-    out.unlink(missing_ok=True)
+    written = {}
+    for path in sorted(cwd.iterdir()):
+        written[path.name] = path.read_bytes()
+        path.unlink()
     return (done.returncode, done.stdout,
-            done.stderr.replace(str(tree), "<tree>"), data)
+            done.stderr.replace(str(tree), "<tree>"), written)
 
 
 def readme_model() -> dict:
@@ -62,25 +64,27 @@ def readme_model() -> dict:
 
 def record_sets(parent: Path, work: Path) -> list[tuple]:
     """Simulate each pulse count's set with PARENT: (name, config path,
-    record arguments), once reading the sidecar and once parsing."""
+    record arguments) of each set, once reading the sidecar and once
+    parsing."""
     model, runs = readme_model(), []
+    for source in ("simulate", "sidecar", "parsed"):
+        (work / source).mkdir()
     for n in (1, 2, 3):
         config = work / f"run{n}.json"
         config.write_text(json.dumps(
             {**model, "n_pulses": n, "n_shots": SHOTS}))
-        prefix = work / "sidecar" / f"run{n}"
-        code, stdout, stderr, _ = qndc(
+        code, _, stderr, written = qndc(
             parent, ["simulate", "--config", str(config), "--out",
-                     str(prefix)], work)
+                     f"run{n}"], work / "simulate")
         if code:
             sys.exit(f"simulate of {config.name} failed ({code}):\n{stderr}")
-        parsed = work / "parsed" / f"run{n}"
-        parsed.parent.mkdir(exist_ok=True)
-        for arm in ("with_atoms", "no_atoms"):
-            shutil.copy(f"{prefix}.{arm}.csv", f"{parsed}.{arm}.csv")
-        for source, base, r_l in (("sidecar", prefix, []),
-                                  ("parsed", parsed,
-                                   ["--r-l", str(model["r_l"])])):
+        for name, data in written.items():  # the parsed set has no sidecar
+            (work / "sidecar" / name).write_bytes(data)
+            if name.endswith(".csv"):
+                (work / "parsed" / name).write_bytes(data)
+        for source, r_l in (("sidecar", []),
+                            ("parsed", ["--r-l", str(model["r_l"])])):
+            base = work / source / f"run{n}"
             runs.append((f"{n}-pulse {source}", config,
                          ["--records", f"{base}.with_atoms.csv",
                           "--no-atoms-records", f"{base}.no_atoms.csv",
@@ -91,7 +95,9 @@ def record_sets(parent: Path, work: Path) -> list[tuple]:
 def commands(runs: list[tuple]) -> list[tuple[str, list[str]]]:
     """Every command to compare, by label."""
     out = ["--out", "out.json"]
-    todo = []
+    todo = [(f"simulate {config.name}",
+             ["simulate", "--config", str(config), "--out", "run"])
+            for config in dict.fromkeys(config for _, config, _ in runs)]
     for name, config, records in runs:
         todo += [(f"stats {name}", ["stats", *records, *out]),
                  (f"estimate {name}",
@@ -107,12 +113,17 @@ def commands(runs: list[tuple]) -> list[tuple[str, list[str]]]:
 
 
 def first_difference(label: str, want: tuple, got: tuple) -> str | None:
-    """The first of exit code, stdout, stderr and --out bytes that
-    differs, with its first differing line, or None."""
-    for what, a, b in zip(("exit code", "stdout", "stderr", "--out bytes"),
-                          want, got):
+    """The first of exit code, stdout, stderr and each written file's
+    bytes that differs, with its first differing line, or None."""
+    files = sorted(want[3].keys() | got[3].keys())
+    for what, a, b in [
+            *zip(("exit code", "stdout", "stderr"), want, got),
+            *((f"bytes of {name}", want[3].get(name), got[3].get(name))
+              for name in files)]:
         if a == b:
             continue
+        if a is None or b is None:
+            return f"{label}: {what}: written by one tree only"
         if isinstance(a, (str, bytes)) and isinstance(b, (str, bytes)):
             lines = zip(a.splitlines() + [None], b.splitlines() + [None])
             for i, (x, y) in enumerate(lines, 1):
